@@ -11,6 +11,10 @@ Sampling mixes seeded uniform triples with a deterministic dyadic small-gap
 schedule: the characteristic failure mode of these inequalities lives at
 small ||x - y|| where the allowance term vanishes faster than the gap, and
 uniform sampling alone essentially never lands there.
+
+Triples travel as arrays and every check evaluates its points in one batch.
+A triple's margin does not depend on the batch it is computed in, so a
+witness replayed alone reproduces its margin bit for bit.
 """
 
 from __future__ import annotations
@@ -25,9 +29,13 @@ from .geometry import (
     DualFunctional,
     ensure_generators,
     is_standard_orthant,
+    matvec_rows,
     norm,
     normality_constant,
+    row_dots,
+    row_norms,
     unit_dual_generators,
+    unit_rows,
 )
 from .mappings import VectorMapping
 from .modulus import ParaSpec, eval_modulus
@@ -55,7 +63,44 @@ class SampleTriple:
         return self.lam * self.x + (1.0 - self.lam) * self.y
 
 
-def dyadic_small_gap_triples(box: Box, n_gaps: int = 14) -> list:
+@dataclass(frozen=True, eq=False)
+class Triples:
+    """Sampled triples as arrays: endpoints x and y, shape (n, d), and mixing
+    weights lam, shape (n,).  The first `structured` rows come from the
+    dyadic schedule.  It iterates and indexes like a list of SampleTriple."""
+
+    x: np.ndarray
+    y: np.ndarray
+    lam: np.ndarray
+    structured: int = 0
+
+    def __len__(self) -> int:
+        return int(self.lam.shape[0])
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            kept = range(len(self))[i]
+            return Triples(self.x[i], self.y[i], self.lam[i], structured=sum(k < self.structured for k in kept))
+        return SampleTriple(x=self.x[i].copy(), y=self.y[i].copy(), lam=float(self.lam[i]))
+
+    def __iter__(self):
+        return (self[i] for i in range(len(self)))
+
+
+def _as_triples(triples) -> Triples:
+    if isinstance(triples, Triples):
+        return triples
+    triples = list(triples)
+    if not triples:
+        raise ValueError("no triples to check")
+    return Triples(
+        x=np.array([t.x for t in triples], dtype=float),
+        y=np.array([t.y for t in triples], dtype=float),
+        lam=np.array([t.lam for t in triples], dtype=float),
+    )
+
+
+def dyadic_small_gap_triples(box: Box, n_gaps: int = 14) -> Triples:
     """Deterministic schedule of midpoint triples with geometrically
     shrinking gaps around a few interior anchor points.
 
@@ -69,66 +114,98 @@ def dyadic_small_gap_triples(box: Box, n_gaps: int = 14) -> list:
     diag = np.ones(d) / math.sqrt(d)
     if not any(np.allclose(diag, u) for u in dirs):
         dirs.append(diag)
-    out = []
+    halvings = np.ldexp(1.0, -np.arange(1, n_gaps + 1))[:, None]
+    xs, ys = [np.zeros((0, d))], [np.zeros((0, d))]
     for frac in (0.5, 0.25, 0.75):
         c = box.lo + frac * width
         for u in dirs:
             span = 0.9 * min(box.boundary_distance(c, u), box.boundary_distance(c, -u))
             if span <= 0.0:
                 continue
-            for j in range(1, n_gaps + 1):
-                t = span * 2.0**-j
-                out.append(SampleTriple(x=c - t * u, y=c + t * u, lam=0.5))
-    return out
+            t = span * halvings
+            xs.append(c - t * u)
+            ys.append(c + t * u)
+    x, y = np.concatenate(xs), np.concatenate(ys)
+    return Triples(x=x, y=y, lam=np.full(x.shape[0], 0.5), structured=x.shape[0])
 
 
-def sample_triples(box: Box, budget: int, seed: int, structured: bool = True) -> list:
+def sample_triples(box: Box, budget: int, seed: int, structured: bool = True) -> Triples:
     """budget triples: the dyadic schedule first (when structured), then
-    seeded uniform fill with every third pair contracted to a small gap."""
+    seeded uniform fill with every third pair contracted to a small gap.
+
+    Triple i of the fill draws x, y and lam from the seeded stream in that
+    order, and when i % 3 == 2 an exponent e right after them that contracts
+    y to x + (y - x) * 2**-e.  The doubles of each run of triples up to such
+    an i are drawn in one call, which leaves the stream as it is.
+    """
     if budget < 1:
         raise ValueError("budget must be at least 1")
-    triples = dyadic_small_gap_triples(box) if structured else []
-    triples = triples[:budget]
+    d = box.dim
+    head = dyadic_small_gap_triples(box)[: budget if structured else 0]
     rng = np.random.default_rng(seed)
-    while len(triples) < budget:
-        x = box.sample(1, rng)[0]
-        y = box.sample(1, rng)[0]
-        lam = float(rng.uniform())
-        if len(triples) % 3 == 2:
-            y = x + (y - x) * 2.0 ** -float(rng.integers(1, 12))
-        triples.append(SampleTriple(x=x, y=y, lam=lam))
-    return triples
+    draws = [np.zeros((0, 2 * d + 1))]
+    contracted, exponents = [], []
+    i = len(head)
+    while i < budget:
+        stop = min(budget, i + 3 - i % 3)
+        draws.append(rng.random((stop - i, 2 * d + 1)))
+        if stop % 3 == 0:
+            contracted.append(stop - 1 - len(head))
+            exponents.append(rng.integers(1, 12))
+        i = stop
+    u = np.concatenate(draws)
+    # Box.sample's arithmetic, lo + (hi - lo) * u
+    width = box.hi - box.lo
+    x = box.lo + width * u[:, :d]
+    y = box.lo + width * u[:, d : 2 * d]
+    if contracted:
+        x_c = x[contracted]
+        y[contracted] = x_c + (y[contracted] - x_c) * np.ldexp(1.0, -np.array(exponents))[:, None]
+    return Triples(
+        x=np.concatenate([head.x, x]),
+        y=np.concatenate([head.y, y]),
+        lam=np.concatenate([head.lam, u[:, 2 * d]]),
+        structured=len(head),
+    )
 
 
-def _allowance_coef(form: str, constant: float, lam: float) -> float:
+def _allowance_coef(form: str, constant: float, lam: np.ndarray) -> np.ndarray:
     if form == "min":
-        return constant * min(lam, 1.0 - lam)
+        return constant * np.minimum(lam, 1.0 - lam)
     if form == "lambda":
         return constant * lam * (1.0 - lam)
     raise ValueError(f"unknown allowance form {form!r}; expected 'min' or 'lambda'")
 
 
-def _margins_for_rows(rows, fx, fy, fmid, lam, coef, k, codomain_norm: str) -> np.ndarray:
-    """Scalar slacks of one triple through the given functionals.
+def _segment_values(f: VectorMapping, x: np.ndarray, y: np.ndarray, lam: np.ndarray):
+    """f at x, at y and at the segment point lam*x + (1-lam)*y of every
+    triple, from one batch; the segment points come back last."""
+    n = lam.shape[0]
+    mid = lam[:, None] * x + (1.0 - lam[:, None]) * y
+    values = f.eval_batch(np.concatenate([x, y, mid]))
+    return values[:n], values[n : 2 * n], values[2 * n :], mid
+
+
+def _margins(f: VectorMapping, spec: ParaSpec, rows, form: str, x, y, lam) -> np.ndarray:
+    """Worst scalar slack of every triple (x_i, y_i, lam_i), shape (n,).
 
     slack_j = lam*row_j(fx) + (1-lam)*row_j(fy) + coef*row_j(k) - row_j(fmid),
     divided by 1 + ||fx|| + ||fy|| so tolerances mean the same thing for
-    large-magnitude families.  Shared verbatim by the direct checker and the
-    scalarized checker so their margins agree bitwise on identical inputs.
+    large-magnitude families; coef = c(lam) * modulus(||x - y||).  Products
+    and norms are taken row by row (matvec_rows, row_norms), so a triple's
+    margin is the same bits in any batch.  The direct, scalarized and
+    falsifying checks all use this kernel, so they agree bitwise on
+    identical rows.  With no rows every slack is 0.
     """
-    raw = lam * (rows @ fx) + (1.0 - lam) * (rows @ fy) + coef * (rows @ k) - rows @ fmid
-    scale = 1.0 + norm(fx, codomain_norm) + norm(fy, codomain_norm)
-    return raw / scale
-
-
-def _triple_margins(f: VectorMapping, spec: ParaSpec, rows, form: str, triple: SampleTriple) -> np.ndarray:
-    constant = spec.constant(form)
-    fx = f.eval(triple.x)
-    fy = f.eval(triple.y)
-    fmid = f.eval(triple.mid)
-    gap = norm(triple.x - triple.y, f.domain_norm)
-    coef = _allowance_coef(form, constant, triple.lam) * eval_modulus(spec.modulus, gap)
-    return _margins_for_rows(rows, fx, fy, fmid, triple.lam, coef, spec.k, f.codomain_norm)
+    fx, fy, fmid, _ = _segment_values(f, x, y, lam)
+    coef = _allowance_coef(form, spec.constant(form), lam) * eval_modulus(spec.modulus, row_norms(x - y, f.domain_norm))
+    if not rows.shape[0]:
+        return np.zeros(lam.shape[0])
+    lam = lam[:, None]
+    raw = lam * matvec_rows(rows, fx) + (1.0 - lam) * matvec_rows(rows, fy) + coef[:, None] * (rows @ spec.k)
+    raw = raw - matvec_rows(rows, fmid)
+    scale = 1.0 + row_norms(fx, f.codomain_norm) + row_norms(fy, f.codomain_norm)
+    return np.min(raw / scale[:, None], axis=1)
 
 
 def _check_rows(
@@ -143,22 +220,16 @@ def _check_rows(
 ) -> CheckReport:
     if spec.cone.dim != f.codomain_dim:
         raise ValueError("spec cone dimension does not match the mapping codomain")
-    if triples is None:
-        triples = sample_triples(f.domain, budget, seed)
-    if not triples:
+    triples = sample_triples(f.domain, budget, seed) if triples is None else _as_triples(triples)
+    if not len(triples):
         raise ValueError("no triples to check")
-    worst = np.inf
-    witness = None
-    for triple in triples:
-        margins = _triple_margins(f, spec, rows, form, triple)
-        m = float(np.min(margins)) if margins.size else 0.0
-        if m < worst:
-            worst = m
-            witness = triple
+    margins = _margins(f, spec, rows, form, triples.x, triples.y, triples.lam)
+    idx = int(np.argmin(margins))
+    worst = float(margins[idx])
     return CheckReport(
         passed=bool(worst >= -tol),
-        worst_margin=float(worst),
-        witness=witness,
+        worst_margin=worst,
+        witness=triples[idx],
         samples_used=len(triples),
         tol=tol,
         seed=seed,
@@ -181,6 +252,7 @@ def check_inequality(
     - f(segment point) is pushed through the unit supporting functionals;
     the check passes when every scalar slack clears -tol (relative scale).
     c(lam) is C*min(lam, 1-lam) in the min form, C1*lam*(1-lam) otherwise.
+    triples may be a Triples record or any sequence of SampleTriple.
     """
     rows = unit_dual_generators(spec.cone)
     return _check_rows(f, spec, rows, form, budget, seed, tol, triples)
@@ -200,19 +272,20 @@ def scalarize_check(
     each supplied functional from the dual cone.
 
     Functionals are audited against the spec cone's dual and scaled to unit
-    length (scalar relaxed convexity is invariant under positive scaling);
-    the zero functional is legal and contributes an identically zero slack.
-    When the functionals are exactly the cone's unit supporting rows this
-    computes the same arithmetic as check_inequality, slack for slack.
+    length by the same unit_rows that unit_dual_generators uses (scalar
+    relaxed convexity is invariant under positive scaling); the zero
+    functional is legal and contributes an identically zero slack.  Rows
+    already unit are used as given, so when the functionals are the cone's
+    unit supporting rows this computes check_inequality's arithmetic, slack
+    for slack.
     """
     rows = []
     for fun in functionals:
         coeffs = fun.coeffs if isinstance(fun, DualFunctional) else np.asarray(fun, dtype=float)
         if np.any(coeffs != 0.0):
             DualFunctional(coeffs, spec.cone)  # raises when outside the dual cone
-        n2 = norm(coeffs, "two")
-        rows.append(coeffs / n2 if n2 > 0.0 else coeffs)
-    rows = np.array(rows) if rows else np.zeros((0, spec.cone.dim))
+        rows.append(coeffs)
+    rows = unit_rows(rows) if rows else np.zeros((0, spec.cone.dim))
     return _check_rows(f, spec, rows, form, budget, seed, tol, triples)
 
 
@@ -227,43 +300,28 @@ def falsify(
 ) -> CheckReport:
     """Search for a violating triple; passes only when the budget runs out.
 
-    The deterministic dyadic schedule runs first, then seeded random triples.
-    A found violation is sharpened by coordinate pattern search on (x, y,
-    lam), and the final witness is replayed through the checking kernel so a
-    reported failure is guaranteed to reproduce under check_inequality.
+    The scan checks sample_triples' budget: the deterministic dyadic schedule
+    first, then seeded random triples.  A found violation is sharpened by
+    coordinate pattern search on (x, y, lam).  Every margin comes from the
+    kernel check_inequality uses, and a triple's margin does not depend on
+    its batch, so a reported failure replays identically under
+    check_inequality(triples=[witness]).
     """
     rows = unit_dual_generators(spec.cone)
-    structured = dyadic_small_gap_triples(f.domain)[:budget]
-    triples = list(structured)
-    rng = np.random.default_rng(seed)
-    while len(triples) < budget:
-        x = f.domain.sample(1, rng)[0]
-        y = f.domain.sample(1, rng)[0]
-        lam = float(rng.uniform())
-        if len(triples) % 3 == 2:
-            y = x + (y - x) * 2.0 ** -float(rng.integers(1, 12))
-        triples.append(SampleTriple(x=x, y=y, lam=lam))
+    triples = sample_triples(f.domain, budget, seed)
+    margins = _margins(f, spec, rows, form, triples.x, triples.y, triples.lam)
+    idx = int(np.argmin(margins))
+    worst, witness = float(margins[idx]), triples[idx]
+    source = "structured-dyadic" if idx < triples.structured else "random"
 
     def margin_of(triple: SampleTriple) -> float:
-        margins = _triple_margins(f, spec, rows, form, triple)
-        return float(np.min(margins)) if margins.size else 0.0
+        return float(_margins(f, spec, rows, form, triple.x[None, :], triple.y[None, :], np.array([triple.lam]))[0])
 
-    worst = np.inf
-    witness = None
-    witness_idx = -1
-    for idx, triple in enumerate(triples):
-        m = margin_of(triple)
-        if m < worst:
-            worst, witness, witness_idx = m, triple, idx
-    source = "structured-dyadic" if 0 <= witness_idx < len(structured) else "random"
-
-    if worst < -tol and refine and witness is not None:
+    if worst < -tol and refine:
         refined, refined_margin = _pattern_search(f.domain, margin_of, witness, worst)
         if refined_margin < worst:  # keep only a strictly sharper violation
             witness, worst = refined, refined_margin
             source += "+refined"
-    # witness replay: the margin above is computed by the same kernel
-    # check_inequality uses, so worst < -tol reproduces there by identity
     return CheckReport(
         passed=bool(worst >= -tol),
         worst_margin=float(worst),
@@ -335,24 +393,28 @@ def check_fact2(
     c_lam = spec.C1 if spec.C1 is not None else 2.0 * spec.C
     c_eff = c_lam * spec.modulus.scale * float(coeffs @ spec.k)
 
-    def g(x: np.ndarray) -> float:
-        return float(coeffs @ f.eval(x)) + c_eff * float(x @ x)
-
     if pairs is None:
         triples = sample_triples(f.domain, budget, seed)
-        pairs = [(t.x, t.y) for t in triples]
-    worst = np.inf
-    witness = None
-    for x, y in pairs:
-        slack = 0.5 * g(x) + 0.5 * g(y) - g(0.5 * (x + y))
-        if slack < worst:
-            worst = slack
-            witness = SampleTriple(x=x, y=y, lam=0.5)
+        x, y = triples.x, triples.y
+    else:
+        pairs = list(pairs)
+        if not pairs:
+            raise ValueError("no pairs to check")
+        x = np.array([p[0] for p in pairs], dtype=float)
+        y = np.array([p[1] for p in pairs], dtype=float)
+    # lam = 1/2 puts the segment point at the midpoint 0.5*(x + y), exactly
+    fx, fy, fmid, mid = _segment_values(f, x, y, np.full(x.shape[0], 0.5))
+
+    def g(values, points):
+        return matvec_rows(coeffs[None, :], values)[:, 0] + c_eff * row_dots(points, points)
+
+    slack = 0.5 * g(fx, x) + 0.5 * g(fy, y) - g(fmid, mid)
+    idx = int(np.argmin(slack))
     return CheckReport(
-        passed=bool(worst >= -tol),
-        worst_margin=float(worst),
-        witness=witness,
-        samples_used=len(pairs),
+        passed=bool(slack[idx] >= -tol),
+        worst_margin=float(slack[idx]),
+        witness=SampleTriple(x=x[idx].copy(), y=y[idx].copy(), lam=0.5),
+        samples_used=x.shape[0],
         tol=tol,
         seed=seed,
         notes="midpoint convexity of the shifted scalarization",
@@ -416,21 +478,17 @@ def check_approx_convex(
             pairs.append((x0 + v, x0 + w, float(rng.uniform())))
     pairs = pairs[:budget]
 
-    worst = np.inf
-    witness = None
-    for x, y, lam in pairs:
-        gx = float(f.eval(x)[0])
-        gy = float(f.eval(y)[0])
-        gm = float(f.eval(lam * x + (1.0 - lam) * y)[0])
-        gap = norm(x - y, f.domain_norm)
-        slack = lam * gx + (1.0 - lam) * gy + epsilon * lam * (1.0 - lam) * gap - gm
-        if slack < worst:
-            worst = slack
-            witness = SampleTriple(x=x, y=y, lam=lam)
+    x = np.array([p[0] for p in pairs])
+    y = np.array([p[1] for p in pairs])
+    lam = np.array([p[2] for p in pairs])
+    gx, gy, gm, _ = (v[:, 0] for v in _segment_values(f, x, y, lam))
+    gap = row_norms(x - y, f.domain_norm)
+    slack = lam * gx + (1.0 - lam) * gy + epsilon * lam * (1.0 - lam) * gap - gm
+    idx = int(np.argmin(slack))
     return CheckReport(
-        passed=bool(worst >= -tol),
-        worst_margin=float(worst),
-        witness=witness,
+        passed=bool(slack[idx] >= -tol),
+        worst_margin=float(slack[idx]),
+        witness=SampleTriple(x=x[idx], y=y[idx], lam=float(lam[idx])),
         samples_used=len(pairs),
         tol=tol,
         seed=seed,
@@ -460,7 +518,7 @@ def check_local_vector_bounded(
     _ball_inside_domain(f, x0, radius)
     rng = np.random.default_rng(seed)
     pts = _ball_samples(f, x0, radius, budget, rng)
-    vals = np.array([f.eval(p) for p in pts])
+    vals = f.eval_batch(np.array(pts))
     rows = unit_dual_generators(cone)
 
     if is_standard_orthant(cone):
@@ -513,50 +571,44 @@ def check_vector_lipschitz(
     ys = region.sample(n_pairs, rng)
     # deterministic short-gap pairs near the region corners
     width = region.hi - region.lo
-    extra = []
-    for frac in (0.05, 0.95):
-        base = region.lo + frac * width
-        extra.append((base, base + 0.01 * width * (1 if frac < 0.5 else -1)))
-    pairs = [(xs[i], ys[i]) for i in range(n_pairs) if norm(xs[i] - ys[i], f.domain_norm) > 0.0] + extra
+    corners = region.lo + np.array([[0.05], [0.95]]) * width
+    distinct = row_norms(xs - ys, f.domain_norm) > 0.0
+    x = np.concatenate([xs[distinct], corners])
+    u = np.concatenate([ys[distinct], corners + 0.01 * width * np.array([[1.0], [-1.0]])])
+    n = x.shape[0]
 
-    ratios = []
-    deltas = []
-    for x, u in pairs:
-        df = f.eval(u) - f.eval(x)
-        gap = norm(u - x, f.domain_norm)
-        deltas.append((df, gap))
-        proj = np.abs(rows @ df)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            r = np.where(denom_k > 1e-12, proj / (gap * np.maximum(denom_k, 1e-300)), np.where(proj > 0, np.inf, 0.0))
-        ratios.append(float(np.max(r)) if r.size else 0.0)
-    big_l = float(max(ratios)) if ratios else 0.0
+    values = f.eval_batch(np.concatenate([u, x]))
+    df = values[:n] - values[n:]
+    gap = row_norms(u - x, f.domain_norm)
+    proj = matvec_rows(rows, df)
+    size = np.abs(proj)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r = np.where(denom_k > 1e-12, size / (gap[:, None] * np.maximum(denom_k, 1e-300)), np.where(size > 0, np.inf, 0.0))
+    big_l = float(np.max(r)) if r.size else 0.0
     if not np.isfinite(big_l):
         return CheckReport(
             passed=False,
             worst_margin=float("-inf"),
             witness=None,
-            samples_used=len(pairs),
+            samples_used=n,
             tol=tol,
             seed=seed,
             notes="no finite constant: some functional vanishes on k but not on a sampled difference",
         )
 
     gamma = normality_constant(spec.cone, f.codomain_norm, budget=256, seed=seed + 1)
-    worst = np.inf
-    witness = None
-    for (df, gap), (x, u) in zip(deltas, pairs):
-        sandwich = np.concatenate([(big_l * gap * denom_k - rows @ df), (big_l * gap * denom_k + rows @ df)])
-        m = float(np.min(sandwich)) if sandwich.size else 0.0
-        norm_slack = gamma * big_l * gap * norm(spec.k, f.codomain_norm) - norm(df, f.codomain_norm)
-        m = min(m, norm_slack / (1.0 + norm(df, f.codomain_norm)))
-        if m < worst:
-            worst = m
-            witness = (x, u)
+    bound = (big_l * gap)[:, None] * denom_k
+    sandwich = np.concatenate([bound - proj, bound + proj], axis=1)
+    margins = np.min(sandwich, axis=1) if sandwich.size else np.zeros(n)
+    df_norm = row_norms(df, f.codomain_norm)
+    norm_slack = (gamma * big_l * gap * norm(spec.k, f.codomain_norm) - df_norm) / (1.0 + df_norm)
+    margins = np.where(norm_slack < margins, norm_slack, margins)  # Python's min(margin, norm_slack)
+    idx = int(np.argmin(margins))
     return CheckReport(
-        passed=bool(worst >= -tol),
-        worst_margin=float(worst),
-        witness=witness,
-        samples_used=len(pairs),
+        passed=bool(margins[idx] >= -tol),
+        worst_margin=float(margins[idx]),
+        witness=(x[idx], u[idx]),
+        samples_used=n,
         tol=tol,
         seed=seed,
         notes="vector sandwich plus norm form",

@@ -116,11 +116,11 @@ def build_trace(
     if t0 <= 0.0 or t0 >= bd:
         raise ValueError(f"t0={t0} leaves the domain along h (boundary clearance {bd})")
     t_grid = t0 * ratio ** np.arange(depth)
-    f0 = f.eval(x0)
-    fvals = np.array([f.eval(x0 + t * h) for t in t_grid])
+    values = f.eval_batch(np.concatenate([x0[None, :], x0 + t_grid[:, None] * h]))
+    f0, fvals = values[0], values[1:]
     raw = (fvals - f0) / t_grid[:, None]
     c_min = spec.min_constant()
-    corr = np.array([c_min * eval_modulus(spec.modulus, t) / t for t in t_grid])
+    corr = c_min * eval_modulus(spec.modulus, t_grid) / t_grid
     corrected = raw + np.outer(corr, spec.k)
     return QuotientTrace(
         x0=x0,
@@ -259,7 +259,7 @@ def directional_derivative(
     if t0 <= 0.0 or t0 >= bd:
         raise ValueError(f"t0={t0} leaves the domain along h (boundary clearance {bd})")
     rows = unit_dual_generators(spec.cone)
-    row_k = rows @ spec.k
+    top_row_k = float(np.max(rows @ spec.k, initial=0.0))
     c_min = spec.min_constant()
     f0 = f.eval(x0)
     f0n = norm(f0, "two")
@@ -278,7 +278,7 @@ def directional_derivative(
         if prev_raw is not None:
             decrement = float(np.max(np.abs(rows @ (prev_raw - raw)))) if rows.size else 0.0
             corr = c_min * eval_modulus(spec.modulus, prev_t) / prev_t
-            bound = decrement + corr * float(np.max(row_k, initial=0.0)) + prev_noise + noise
+            bound = decrement + corr * top_row_k + prev_noise + noise
             if bound < best_bound:
                 best_bound = bound
                 best = (raw, t, j + 1)
@@ -332,14 +332,14 @@ def check_upper_bound(
         raise ValueError("t samples must stay strictly inside the admissible range")
     rows = unit_dual_generators(spec.cone)
     c_min = spec.min_constant()
-    f0 = f.eval(x0)
+    values = f.eval_batch(np.concatenate([x0[None, :], x0 + t_samples[:, None] * h]))
+    f0 = values[0]
     f0n = norm(f0, "two")
     dn = norm(estimate.value, "two")
     allow_used = _quotient_noise(estimate.t_used, dn * estimate.t_used + f0n, f0n)
     worst = np.inf
     witness = None
-    for t in t_samples:
-        ft = f.eval(x0 + t * h)
+    for t, ft in zip(t_samples, values[1:]):
         raw = (ft - f0) / t
         corr = c_min * eval_modulus(spec.modulus, t) / t
         residual = raw + corr * spec.k - estimate.value
@@ -788,7 +788,10 @@ def frechet_test(
 
     rows = unit_dual_generators(spec.cone)
     c_min = spec.min_constant()
-    f0 = f.eval(x0)
+    steps = x0 + t_schedule[:, None, None] * np.array(dirs)[None, :, :]
+    values = f.eval_batch(np.concatenate([x0[None, :], steps.reshape(-1, x0.size)]))
+    f0 = values[0]
+    f_steps = values[1:].reshape(t_schedule.size, len(dirs), -1)
     f0n = norm(f0, "two")
 
     d_vals = []
@@ -808,8 +811,7 @@ def frechet_test(
     lam_table = np.zeros((t_schedule.size, len(dirs)))
     for ti, t in enumerate(t_schedule):
         corr = c_min * eval_modulus(spec.modulus, t) / t
-        for ui, u in enumerate(dirs):
-            ft = f.eval(x0 + t * u)
+        for ui, ft in enumerate(f_steps[ti]):
             r = (ft - f0) / t + corr * spec.k - d_vals[ui]
             allow = _quotient_noise(t, float(np.linalg.norm(ft)), f0n) + d_errs[ui]
             margin = (float(np.min(rows @ r)) + allow) / (1.0 + float(np.linalg.norm(r)))

@@ -28,6 +28,8 @@ NORM_KINDS = ("sup", "one", "two")
 _RAY_TOL = 1e-9
 # slack for the construction-time agreement audit between representations
 _AUDIT_TOL = 1e-7
+# rows this close to unit length, in ulp, count as already unit (unit_rows)
+_UNIT_ULPS = 4
 
 
 def as_point(coords, dim: int | None = None) -> Point:
@@ -59,6 +61,46 @@ def norm(v, kind: str = "two") -> float:
     if kind == "one":
         return float(np.sum(np.abs(v)))
     raise ValueError(f"unknown norm kind {kind!r}; expected one of {NORM_KINDS}")
+
+
+def matvec_rows(mat, a) -> np.ndarray:
+    """mat @ v for every row v of a: shape (n, k) -> (n, r).
+
+    Each row goes through its own matrix-vector product, the one mat @ v makes
+    for a single vector, so a row's result is bitwise the same however many
+    rows are stacked with it.  a @ mat.T runs one matrix product instead,
+    whose last bits change with n.
+    """
+    return (a[:, None, :] @ np.transpose(mat))[:, 0, :]
+
+
+def row_dots(a, b) -> np.ndarray:
+    """u @ v for every pair of rows u of a and v of b, each its own dot product."""
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
+
+
+def row_norms(a, kind: str = "two") -> np.ndarray:
+    """norm(v, kind) of every row v of a, bitwise equal to the one-vector call."""
+    a = np.asarray(a, dtype=float)
+    if kind == "two":
+        return np.sqrt(row_dots(a, a))
+    if kind == "sup":
+        return np.max(np.abs(a), axis=1)
+    if kind == "one":
+        return np.sum(np.abs(a), axis=1)
+    raise ValueError(f"unknown norm kind {kind!r}; expected one of {NORM_KINDS}")
+
+
+def unit_rows(rows) -> np.ndarray:
+    """Rows scaled to unit euclidean length.
+
+    A row whose length is already within a few ulp of 1 is kept as given, so
+    scaling rows twice changes nothing, and a zero row stays zero.
+    """
+    rows = np.asarray(rows, dtype=float)
+    lengths = np.linalg.norm(rows, axis=1)
+    keep = (lengths == 0.0) | (np.abs(lengths - 1.0) <= _UNIT_ULPS * np.finfo(float).eps)
+    return rows / np.where(keep, 1.0, lengths)[:, None]
 
 
 def _coerce_rows(rows, dim: int, what: str, allow_zero_rows: bool) -> np.ndarray:
@@ -400,10 +442,7 @@ def unit_dual_generators(cone: PolyCone) -> np.ndarray:
     cached = cone._caches.get("unit_duals")
     if cached is not None:
         return cached
-    rows = ensure_dual_generators(cone)
-    if rows.shape[0]:
-        rows = rows / np.linalg.norm(rows, axis=1)[:, None]
-    rows = np.asarray(rows)
+    rows = unit_rows(ensure_dual_generators(cone))
     rows.flags.writeable = False
     cone._caches["unit_duals"] = rows
     return rows

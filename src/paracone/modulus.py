@@ -66,23 +66,35 @@ def table_modulus(knots) -> Modulus:
     return Modulus(kind="table", knots=tuple(knots))
 
 
-def eval_modulus(m: Modulus, t: float) -> float:
-    """Value at gap size t >= 0.  Tables interpolate from the implicit (0, 0)
-    anchor and refuse to extrapolate past their last knot."""
-    t = float(t)
-    if not np.isfinite(t) or t < 0.0:
+def eval_modulus(m: Modulus, t):
+    """Value at gap size t >= 0, or at every gap of an array of them (same
+    shape out).  Tables interpolate from the implicit (0, 0) anchor and
+    refuse to extrapolate past their last knot."""
+    if isinstance(t, float) or np.ndim(t) == 0:
+        # one gap computes in Python floats: each numpy operation on a 0-d
+        # array costs about ten times more, and quotient walks call this once
+        # per level
+        t = float(t)
+        valid = 0.0 <= t < np.inf
+    else:
+        t = np.asarray(t, dtype=float)
+        valid = bool(((t >= 0.0) & (t < np.inf)).all())
+    if not valid:
         raise ValueError(f"modulus argument must be a finite nonnegative number, got {t}")
     if m.kind == "zero":
-        return 0.0
-    if m.kind == "square":
-        return m.scale * t * t
-    if m.kind == "power":
-        return m.scale * t**m.p
-    ts = [0.0] + [k[0] for k in m.knots]
-    vs = [0.0] + [k[1] for k in m.knots]
-    if t > ts[-1] * (1.0 + 1e-12):
-        raise ValueError(f"gap {t} beyond the last table knot {ts[-1]}; refusing to extrapolate")
-    return float(np.interp(min(t, ts[-1]), ts, vs))
+        out = 0.0 * t
+    elif m.kind == "square":
+        out = m.scale * t * t
+    elif m.kind == "power":
+        # the C library's pow, as the float t ** p this modulus is defined by
+        out = m.scale * np.float_power(t, m.p)
+    else:
+        ts = [0.0] + [k[0] for k in m.knots]
+        vs = [0.0] + [k[1] for k in m.knots]
+        if np.any(t > ts[-1] * (1.0 + 1e-12)):
+            raise ValueError(f"gap {np.max(t)} beyond the last table knot {ts[-1]}; refusing to extrapolate")
+        out = np.interp(np.minimum(t, ts[-1]), ts, vs)
+    return float(out) if isinstance(out, float) else out
 
 
 def verify_modulus(m: Modulus, grid, ratio_threshold: float, tol: float = 1e-12) -> CheckReport:
@@ -98,7 +110,7 @@ def verify_modulus(m: Modulus, grid, ratio_threshold: float, tol: float = 1e-12)
         raise ValueError("modulus verification needs at least two distinct grid points")
     if ts[0] <= 0.0:
         raise ValueError("grid gaps must be strictly positive")
-    vals = np.array([eval_modulus(m, t) for t in ts])
+    vals = eval_modulus(m, ts)
     ratios = vals / ts
 
     mono_slack = float(np.min(np.diff(vals)))

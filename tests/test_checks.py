@@ -1,6 +1,7 @@
 """Inequality checkers, falsification, and the scalar side conditions."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -11,11 +12,13 @@ from paracone import (
     Box,
     ParaSpec,
     SampleTriple,
+    Triples,
     check_approx_convex,
     check_fact2,
     check_inequality,
     check_local_vector_bounded,
     check_vector_lipschitz,
+    cone_from_generators,
     curved_cone_map,
     dyadic_small_gap_triples,
     falsify,
@@ -28,7 +31,15 @@ from paracone import (
     square_modulus,
     zero_modulus,
 )
+from paracone.checks import _margins
 from paracone.geometry import contains, unit_dual_generators
+
+
+def _generator_only_curved_map():
+    # positive rays whose enumerated dual rows are not exactly unit length
+    # after a second normalization: the scalarized route once drifted here
+    rays = np.random.default_rng(9).uniform(0.1, 1.0, size=(4, 3))
+    return curved_cone_map(cone_from_generators(rays), seed=9)
 
 
 # ---------------------------------------------------------------------------
@@ -46,6 +57,72 @@ def test_sample_triples_deterministic_and_in_box():
         assert 0.0 <= ta.lam <= 1.0
     c = sample_triples(box, 200, seed=6)
     assert any(not np.array_equal(ta.x, tc.x) for ta, tc in zip(a, c))
+
+
+def _reference_triples(box, budget, seed):
+    """The per-triple sampler the array sampler replaced, kept as the oracle:
+    dyadic schedule first, then x, y, lam (and a gap exponent after every
+    third triple) drawn one triple at a time."""
+    d = box.dim
+    dirs = [np.eye(d)[i] for i in range(d)]
+    diag = np.ones(d) / math.sqrt(d)
+    if not any(np.allclose(diag, u) for u in dirs):
+        dirs.append(diag)
+    triples = []
+    for frac in (0.5, 0.25, 0.75):
+        c = box.lo + frac * (box.hi - box.lo)
+        for u in dirs:
+            span = 0.9 * min(box.boundary_distance(c, u), box.boundary_distance(c, -u))
+            for j in range(1, 15):
+                t = span * 2.0**-j
+                triples.append(SampleTriple(x=c - t * u, y=c + t * u, lam=0.5))
+    triples = triples[:budget]
+    rng = np.random.default_rng(seed)
+    while len(triples) < budget:
+        x = box.sample(1, rng)[0]
+        y = box.sample(1, rng)[0]
+        lam = float(rng.uniform())
+        if len(triples) % 3 == 2:
+            y = x + (y - x) * 2.0 ** -float(rng.integers(1, 12))
+        triples.append(SampleTriple(x=x, y=y, lam=lam))
+    return triples
+
+
+def test_array_sampler_reproduces_per_triple_stream():
+    for d in (1, 2, 3, 4):
+        box = Box(lo=-0.5 * np.arange(1, d + 1), hi=0.25 + np.arange(1, d + 1))
+        n_dyadic = len(dyadic_small_gap_triples(box))
+        for seed in range(50):
+            for budget in (5, n_dyadic - 1, n_dyadic, n_dyadic + 1 + seed % 3, n_dyadic + 40):
+                got = sample_triples(box, budget, seed)
+                want = _reference_triples(box, budget, seed)
+                assert len(got) == budget and got.structured == min(budget, n_dyadic)
+                assert np.array_equal(got.x, [t.x for t in want])
+                assert np.array_equal(got.y, [t.y for t in want])
+                assert np.array_equal(got.lam, [t.lam for t in want])
+
+
+def test_triples_record_acts_like_a_list():
+    box = Box(lo=[-1.0, 0.0], hi=[1.0, 2.0])
+    t = sample_triples(box, 200, seed=5)
+    assert isinstance(t, Triples) and isinstance(t[3], SampleTriple)
+    assert np.array_equal(t[-1].x, t.x[-1]) and t[7].lam == t.lam[7]
+    head = t[:10]
+    assert isinstance(head, Triples) and len(head) == 10 and head.structured == 10
+    assert [tr.lam for tr in t][150:] == t.lam[150:].tolist()
+    unstructured = sample_triples(box, 20, seed=5, structured=False)
+    assert unstructured.structured == 0 and not np.array_equal(unstructured.x[0], t.x[0])
+
+
+def test_margin_does_not_depend_on_batch(families):
+    for f in families + (_generator_only_curved_map(),):
+        spec = f.claimed
+        rows = unit_dual_generators(spec.cone)
+        t = sample_triples(f.domain, 2000, seed=11)
+        for form in ("min", "lambda"):
+            batch = _margins(f, spec, rows, form, t.x, t.y, t.lam)
+            alone = [check_inequality(f, spec, form=form, triples=[t[i]]).worst_margin for i in range(len(t))]
+            assert batch.tolist() == alone, f"{f.label} {form}"
 
 
 def test_dyadic_schedule_halves_gaps():
@@ -118,6 +195,16 @@ def test_scalarized_route_agrees_bitwise_on_orthant(families):
         assert direct.worst_margin == scal.worst_margin  # same kernel, same floats
 
 
+def test_scalarized_route_agrees_bitwise_on_generator_only_cone():
+    f = _generator_only_curved_map()
+    rows = list(unit_dual_generators(f.claimed.cone))
+    for seed in range(5):
+        triples = sample_triples(f.domain, 300, seed=seed)
+        direct = check_inequality(f, f.claimed, form="min", triples=triples)
+        scal = scalarize_check(f, f.claimed, rows, form="min", triples=triples)
+        assert direct.worst_margin.hex() == scal.worst_margin.hex()
+
+
 def test_scalarize_audits_functionals():
     f = neg_square_1d()
     with pytest.raises(ValueError):
@@ -178,6 +265,18 @@ def test_falsify_passes_on_convex_family():
     rep = falsify(f, f.claimed, form="min", budget=400, seed=4)
     assert rep.passed
     assert "no violation" in rep.notes
+
+
+def test_falsify_scans_the_sampled_triples():
+    f = neg_abs_1d()
+    spec = ParaSpec(modulus=square_modulus(), k=np.array([1.0]), cone=orthant(1), C=10.0)
+    for seed, budget in ((3, 30), (3, 500), (8, 500)):
+        scan = falsify(f, spec, budget=budget, seed=seed, refine=False)
+        check = check_inequality(f, spec, budget=budget, seed=seed)
+        assert scan.worst_margin == check.worst_margin and scan.samples_used == check.samples_used
+        assert np.array_equal(scan.witness.x, check.witness.x) and np.array_equal(scan.witness.y, check.witness.y)
+    # a witness from the dyadic head keeps its source label
+    assert "structured-dyadic" in falsify(f, spec, budget=30, seed=3, refine=False).notes
 
 
 def test_refinement_only_sharpens():

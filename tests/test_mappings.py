@@ -24,6 +24,7 @@ from paracone import (
     random_simplicial_cone,
     smooth_r2_r3,
 )
+from paracone.mappings import ZeroPart
 
 
 def _fd(f, x0, h, t=1e-7):
@@ -215,25 +216,78 @@ def test_mapping_shape_validation():
         VectorMapping(
             domain=Box(lo=[-1.0], hi=[1.0]),
             codomain_dim=0,
-            evaluator=lambda x: np.zeros(0),
+            evaluator=lambda x: np.zeros((x.shape[0], 0)),
             label="bad",
         )
     bad_shape = VectorMapping(
         domain=Box(lo=[-1.0], hi=[1.0]),
         codomain_dim=2,
-        evaluator=lambda x: np.zeros(3),
+        evaluator=lambda x: np.zeros((x.shape[0], 3)),
         label="bad-shape",
     )
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="evaluator returned shape"):
         bad_shape.eval([0.0])
     non_finite = VectorMapping(
         domain=Box(lo=[-1.0], hi=[1.0]),
         codomain_dim=1,
-        evaluator=lambda x: np.array([float("inf")]),
+        evaluator=lambda x: np.full((x.shape[0], 1), np.inf),
         label="bad-value",
     )
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="non-finite value"):
         non_finite.eval([0.0])
+
+
+def test_batch_errors_name_the_offending_row():
+    f = VectorMapping(
+        domain=Box(lo=[-1.0], hi=[1.0]),
+        codomain_dim=1,
+        evaluator=lambda x: np.where(x > 0.5, np.inf, x),
+        label="blows-up",
+    )
+    assert np.array_equal(f.eval_batch([[0.1], [-0.2]]), [[0.1], [-0.2]])
+    with pytest.raises(ValueError, match=r"non-finite value at \[0\.7\]"):
+        f.eval_batch([[0.1], [0.7], [0.2]])
+    with pytest.raises(OutsideDomainError, match=r"point \[1\.0\] outside"):
+        f.eval_batch([[0.1], [1.0], [0.2]])
+    with pytest.raises(OutsideDomainError, match=r"point \[nan\] outside"):
+        f.eval_batch([[0.1], [np.nan]])
+    for bad in (np.zeros(3), np.zeros((2, 2)), np.zeros((1, 1, 1))):
+        with pytest.raises(ValueError, match="points must have shape"):
+            f.eval_batch(bad)
+    wrong_rows = VectorMapping(
+        domain=Box(lo=[-1.0], hi=[1.0]), codomain_dim=1, evaluator=lambda x: x[:1], label="drops-rows"
+    )
+    with pytest.raises(ValueError, match="evaluator returned shape"):
+        wrong_rows.eval_batch([[0.1], [0.2]])
+
+
+def test_eval_is_a_one_row_batch(families):
+    rng = np.random.default_rng(3)
+    for f in families:
+        pts = f.domain.shrink(0.01).sample(2000, rng)
+        batch = f.eval_batch(pts)
+        assert batch.shape == (2000, f.codomain_dim)
+        # each row is bitwise its own one-point value, whatever the batch size
+        assert all(np.array_equal(f.eval(p), row) for p, row in zip(pts[:50], batch))
+        assert np.array_equal(np.concatenate([f.eval_batch(pts[i : i + 7]) for i in range(0, 2000, 7)]), batch)
+
+
+def test_stacked_scalars_match_per_component_values():
+    convex = (
+        PiecewiseLinear(initial_slope=-1.0, kinks=((-0.5, -0.25), (0.125, 0.5), (0.75, 1.0))),
+        PiecewiseLinear(initial_slope=0.5, kinks=((0.0, 1.0),), anchor=0.25, value_at_anchor=0.125),
+        PiecewiseLinear(initial_slope=-0.25),
+        PiecewiseLinear(initial_slope=0.0, kinks=((-0.3, 0.5), (0.3, 0.75))),
+    )
+    smooth = (Quadratic1D(a=-0.2, b=0.1, c=0.3), Sine1D(amplitude=0.1, frequency=1.5, phase=0.2), ZeroPart(), Quadratic1D(a=-0.1))
+    cfg = Example1Config(
+        n=4, k=np.array([1.0, 0.5, 0.25, 0.125]), convex_parts=convex, smooth_parts=smooth, C=0.5, domain=Box(lo=[-1.0], hi=[1.0])
+    )
+    f = make_example1(cfg)
+    ts = np.random.default_rng(4).uniform(-0.99, 0.99, size=500)
+    # the scalar definition the batched evaluator must reproduce bit for bit
+    want = np.array([cfg.k * np.array([u1.value(t) + u2.value(t) for u1, u2 in zip(convex, smooth)]) for t in ts.tolist()])
+    assert np.array_equal(f.eval_batch(ts[:, None]), want)
 
 
 def test_claimed_cone_must_match_codomain():
