@@ -12,25 +12,8 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .config import ConfigError, load_config, run_config
+from .config import OPERATIONS, ConfigError, load_config, run_config
 from .derivative import ConvergenceError
-from .mappings import OutsideDomainError
-
-_SUBCOMMANDS = (
-    "check-paraconvex",
-    "falsify",
-    "scalarize",
-    "fact2",
-    "approx-convex",
-    "bounded",
-    "lipschitz",
-    "trace",
-    "derivative",
-    "gateaux",
-    "gateaux-scan",
-    "frechet",
-    "run",
-)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -39,7 +22,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="certify or falsify cone-ordered convexity defects from a JSON run config",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in _SUBCOMMANDS:
+    for name in (*OPERATIONS, "run"):
         p = sub.add_parser(name, help=f"execute {'all configured checks' if name == 'run' else f'the {name} entries'}")
         p.add_argument("--config", required=True, help="path to the JSON run config")
         p.add_argument("--out", default=None, help="directory for the manifest and CSV outputs")
@@ -52,17 +35,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _summary_line(entry: dict) -> str:
     verdict = "PASS" if entry["pass"] else "FAIL"
-    rep = entry["report"]
-    detail = ""
-    if isinstance(rep, dict):
-        if "worst_margin" in rep:
-            detail = f" worst_margin={rep['worst_margin']:.3e}"
-        elif "defect" in rep:
-            detail = f" defect={rep['defect']:.3e}"
-        elif "density" in rep:
-            detail = f" density={rep['density']:.4f}"
-        elif "error_bound" in rep:
-            detail = f" error_bound={rep['error_bound']:.3e}"
+    headline = OPERATIONS[entry["op"]].headline
+    detail = f" {headline.format_map(entry['report'])}" if headline else ""
     return f"[{entry['op']}] {entry['label']}: {verdict}{detail}"
 
 
@@ -74,19 +48,15 @@ def main(argv=None) -> int:
             entries = [op for op in cfg.get("checks", []) if isinstance(op, dict) and op.get("op") == args.command]
             if not entries:
                 raise ConfigError(f"checks: no entry with op {args.command!r}")
-            cfg = dict(cfg)
-            cfg["checks"] = entries
+            cfg = {**cfg, "checks": entries}
         overrides = {"seed": args.seed, "budget": args.budget, "tol": args.tol, "form": args.form}
         manifest = run_config(cfg, out_dir=args.out, overrides=overrides)
-    except (ConfigError, OutsideDomainError) as exc:
+    except ConfigError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
     except ConvergenceError as exc:
         print(f"not certified: {exc}", file=sys.stderr)
         return 1
-    except ValueError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return 2
     for entry in manifest["reports"]:
         print(_summary_line(entry))
     if args.out is not None:

@@ -16,6 +16,11 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import math
+import time
+from collections.abc import Callable
+from contextlib import contextmanager
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -75,25 +80,6 @@ class ConfigError(ValueError):
     """Invalid run configuration; the message names the offending path."""
 
 
-# operations whose sampling must be replayable from the config alone
-STOCHASTIC_OPS = frozenset(
-    {
-        "check-paraconvex",
-        "falsify",
-        "scalarize",
-        "fact2",
-        "approx-convex",
-        "bounded",
-        "lipschitz",
-        "gateaux",
-        "gateaux-scan",
-        "frechet",
-    }
-)
-
-OPS = STOCHASTIC_OPS | {"trace", "derivative"}
-
-
 def _req(obj: dict, key: str, path: str):
     if key not in obj:
         raise ConfigError(f"{path}.{key}: required")
@@ -108,6 +94,17 @@ def _as_floats(val, path: str) -> np.ndarray:
     if not np.all(np.isfinite(arr)):
         raise ConfigError(f"{path}: entries must be finite")
     return arr
+
+
+@contextmanager
+def _located(path: str):
+    """Re-raise a ValueError from below as a ConfigError naming path."""
+    try:
+        yield
+    except ConfigError:
+        raise
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
 
 
 def load_config(path) -> dict:
@@ -133,10 +130,8 @@ def build_box(obj, path: str) -> Box:
         raise ConfigError(f"{path}: expected an object with lo/hi")
     lo = _as_floats(_req(obj, "lo", path), f"{path}.lo")
     hi = _as_floats(_req(obj, "hi", path), f"{path}.hi")
-    try:
+    with _located(path):
         return Box(lo=lo, hi=hi)
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
 
 
 def build_cone(obj, path: str) -> PolyCone:
@@ -145,21 +140,18 @@ def build_cone(obj, path: str) -> PolyCone:
     if isinstance(obj, dict) and ("generators" in obj or "dual_generators" in obj):
         gens = obj.get("generators")
         duals = obj.get("dual_generators")
-        try:
+        name = str(obj.get("name", "config-cone"))
+        with _located(path):
             if gens is not None and duals is not None:
                 return PolyCone(
                     dim=len(gens[0]),
                     generators=_as_floats(gens, f"{path}.generators"),
                     dual_generators=_as_floats(duals, f"{path}.dual_generators"),
-                    name=str(obj.get("name", "config-cone")),
+                    name=name,
                 )
             if gens is not None:
-                return cone_from_generators(_as_floats(gens, f"{path}.generators"), name=str(obj.get("name", "config-cone")))
-            return cone_from_inequalities(
-                _as_floats(duals, f"{path}.dual_generators"), name=str(obj.get("name", "config-cone"))
-            )
-        except ValueError as exc:
-            raise ConfigError(f"{path}: {exc}") from exc
+                return cone_from_generators(_as_floats(gens, f"{path}.generators"), name=name)
+            return cone_from_inequalities(_as_floats(duals, f"{path}.dual_generators"), name=name)
     if isinstance(obj, dict) and obj.get("random_simplicial"):
         return random_simplicial_cone(int(_req(obj, "dim", path)), int(_req(obj, "seed", path)))
     raise ConfigError(f"{path}: expected orthant/generators/dual_generators")
@@ -169,7 +161,7 @@ def build_modulus(obj, path: str) -> Modulus:
     if not isinstance(obj, dict) or "kind" not in obj:
         raise ConfigError(f"{path}: expected an object with a kind")
     kind = obj["kind"]
-    try:
+    with _located(path):
         if kind == "zero":
             return zero_modulus()
         if kind == "square":
@@ -179,8 +171,6 @@ def build_modulus(obj, path: str) -> Modulus:
         if kind == "table":
             knots = tuple((float(t), float(v)) for t, v in _req(obj, "knots", path))
             return table_modulus(knots)
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
     raise ConfigError(f"{path}.kind: unknown modulus kind {kind!r}")
 
 
@@ -193,6 +183,9 @@ _SMOOTH_KINDS = {
     ),
     "zero": lambda o: ZeroPart(),
 }
+
+# families that take no parameters
+_PLAIN_FAMILIES = {"neg_square": neg_square_1d, "abs": abs_1d, "neg_abs": neg_abs_1d, "smooth_r2_r3": smooth_r2_r3}
 
 
 def build_mapping(obj, path: str = "mapping") -> VectorMapping:
@@ -209,16 +202,10 @@ def build_mapping(obj, path: str = "mapping") -> VectorMapping:
         domain = build_box(_req(params, "domain", ppath), f"{ppath}.domain")
         cone = build_cone(params["cone"], f"{ppath}.cone") if "cone" in params else None
         k = _as_floats(params["k"], f"{ppath}.k") if "k" in params else None
-        try:
+        with _located(path):
             return affine_mapping(matrix, offset, domain, cone=cone, k=k)
-        except ValueError as exc:
-            raise ConfigError(f"{path}: {exc}") from exc
-    if family == "neg_square":
-        return neg_square_1d()
-    if family == "abs":
-        return abs_1d()
-    if family == "neg_abs":
-        return neg_abs_1d()
+    if family in _PLAIN_FAMILIES:
+        return _PLAIN_FAMILIES[family]()
     if family == "semiconvex_scalar":
         kinks = tuple((float(p), float(s)) for p, s in params.get("kinks", ()))
         u1 = PiecewiseLinear(initial_slope=float(_req(params, "initial_slope", ppath)), kinks=kinks)
@@ -228,10 +215,8 @@ def build_mapping(obj, path: str = "mapping") -> VectorMapping:
             raise ConfigError(f"{ppath}.smooth.kind: unknown kind {kind!r}")
         u2 = _SMOOTH_KINDS[kind](smooth_obj)
         domain = build_box(_req(params, "domain", ppath), f"{ppath}.domain")
-        try:
+        with _located(path):
             return make_semiconvex_scalar(u1, u2, C=float(_req(params, "C", ppath)), domain=domain)
-        except ValueError as exc:
-            raise ConfigError(f"{path}: {exc}") from exc
     if family == "example1":
         return example1_default(
             n=int(params.get("n", 8)),
@@ -241,8 +226,6 @@ def build_mapping(obj, path: str = "mapping") -> VectorMapping:
     if family == "curved_cone":
         cone = build_cone(_req(params, "cone", ppath), f"{ppath}.cone")
         return curved_cone_map(cone, seed=int(_req(params, "seed", ppath)))
-    if family == "smooth_r2_r3":
-        return smooth_r2_r3()
     raise ConfigError(f"{path}.family: unknown family {family!r}")
 
 
@@ -258,7 +241,7 @@ def build_spec(cfg: dict, mapping: VectorMapping) -> ParaSpec:
     k = _as_floats(_req(obj, "k", path), f"{path}.k")
     c_min = obj.get("C")
     c_lam = obj.get("C1")
-    try:
+    with _located(path):
         return ParaSpec(
             modulus=modulus,
             k=k,
@@ -267,20 +250,26 @@ def build_spec(cfg: dict, mapping: VectorMapping) -> ParaSpec:
             C1=None if c_lam is None else float(c_lam),
             membership_tol=float(obj.get("membership_tol", 1e-9)),
         )
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
 
 
 def validate_operation(op: dict, path: str) -> str:
+    """Check an entry's op name and the fields every op shares; return the op name."""
     if not isinstance(op, dict):
         raise ConfigError(f"{path}: expected an object")
     name = str(_req(op, "op", path))
-    if name not in OPS:
+    if name not in OPERATIONS:
         raise ConfigError(f"{path}.op: unknown operation {name!r}")
-    if name in STOCHASTIC_OPS and "seed" not in op:
+    if OPERATIONS[name].stochastic and "seed" not in op:
         raise ConfigError(f"{path}.seed: explicit seed required for stochastic operation {name!r}")
-    if "seed" in op and not isinstance(op["seed"], int):
-        raise ConfigError(f"{path}.seed: expected an integer")
+    for key in ("seed", "budget"):
+        if key in op and (isinstance(op[key], bool) or not isinstance(op[key], int)):
+            raise ConfigError(f"{path}.{key}: expected an integer")
+    for key in ("tol", "upper_tol"):
+        val = op.get(key, 0.0)
+        if isinstance(val, bool) or not isinstance(val, (int, float)) or not math.isfinite(val):
+            raise ConfigError(f"{path}.{key}: expected a finite number, got {val!r}")
+    if str(op.get("form", "min")) not in ("min", "lambda"):
+        raise ConfigError(f"{path}.form: expected 'min' or 'lambda'")
     return name
 
 
@@ -302,158 +291,161 @@ def write_scan_csv(report: ScanReport, path) -> None:
             writer.writerow([repr(float(v)) for v in p] + [int(bool(ok)), repr(float(defect))])
 
 
-def _point(op, key, path, dim):
-    arr = _as_floats(_req(op, key, path), f"{path}.{key}")
-    if arr.shape != (dim,):
-        raise ConfigError(f"{path}.{key}: expected {dim} coordinates")
-    return arr
+@dataclass
+class CheckEntry:
+    """One validated check entry, with the fields every op shares parsed."""
+
+    f: VectorMapping
+    spec: ParaSpec
+    op: dict
+    path: str
+    out_dir: Path | None
+    seed: int | None
+    budget: int
+    tol: float
+    form: str
+
+    @property
+    def sampled(self) -> dict:
+        return {"budget": self.budget, "seed": self.seed, "tol": self.tol}
+
+    def point(self, key: str) -> np.ndarray:
+        arr = _as_floats(_req(self.op, key, self.path), f"{self.path}.{key}")
+        if arr.shape != (self.f.domain.dim,):
+            raise ConfigError(f"{self.path}.{key}: expected {self.f.domain.dim} coordinates")
+        return arr
+
+    def region(self) -> Box:
+        """The entry's region; by default the domain shrunk by 2% of its narrowest side."""
+        if "region" in self.op:
+            return build_box(self.op["region"], f"{self.path}.region")
+        return self.f.domain.shrink(0.02 * float(np.min(self.f.domain.hi - self.f.domain.lo)))
+
+    def write_csv(self, writer, result) -> None:
+        """writer(result, file) when there is an output directory and a csv field."""
+        if self.out_dir is not None and "csv" in self.op:
+            writer(result, self.out_dir / str(self.op["csv"]))
 
 
-def run_operation(name: str, op: dict, f: VectorMapping, spec: ParaSpec, out_dir: Path | None, path: str):
-    """Execute one operation and return (report_dict, passed)."""
-    tol = float(op.get("tol", 1e-9))
-    budget = int(op.get("budget", 1000))
-    seed = op.get("seed")
-    form = str(op.get("form", "min"))
-    if form not in ("min", "lambda"):
-        raise ConfigError(f"{path}.form: expected 'min' or 'lambda'")
+# Runners take a CheckEntry and return (report dict, passed).  They reach checks
+# and CSV writers through this module's globals at call time, so a function
+# swapped in on the module (a profiler's wrapper, say) is the one that runs.
 
-    if name == "check-paraconvex":
-        rep = check_inequality(f, spec, form=form, budget=budget, seed=seed, tol=tol)
-        return rep.to_dict(), rep.passed
-    if name == "falsify":
-        # exit semantics stay verdict-based: a found violation reports fail
-        rep = falsify(f, spec, form=form, budget=budget, seed=seed, tol=tol, refine=bool(op.get("refine", True)))
-        return rep.to_dict(), rep.passed
-    if name == "scalarize":
-        if "functionals" in op:
-            functionals = [_as_floats(row, f"{path}.functionals") for row in op["functionals"]]
-        else:
-            functionals = list(unit_dual_generators(spec.cone))
-        rep = scalarize_check(f, spec, functionals, form=form, budget=budget, seed=seed, tol=tol)
-        return rep.to_dict(), rep.passed
-    if name == "fact2":
-        if "y_star" in op:
-            y_star = _as_floats(op["y_star"], f"{path}.y_star")
-        else:
-            y_star = strictly_positive_functional(spec.cone).coeffs
-        rep = check_fact2(f, spec, y_star, budget=budget, seed=seed, tol=tol)
-        return rep.to_dict(), rep.passed
-    if name == "approx-convex":
-        x0 = _point(op, "x0", path, f.domain.dim)
-        rep = check_approx_convex(
-            f,
-            x0,
-            epsilon=float(_req(op, "epsilon", path)),
-            delta=float(_req(op, "delta", path)),
-            budget=budget,
-            seed=seed,
-            tol=tol,
-        )
-        return rep.to_dict(), rep.passed
-    if name == "bounded":
-        x0 = _point(op, "x0", path, f.domain.dim)
-        rep = check_local_vector_bounded(
-            f, spec.cone, x0, radius=float(_req(op, "radius", path)), budget=budget, seed=seed, tol=tol
-        )
-        return rep.to_dict(), rep.passed
-    if name == "lipschitz":
-        region = build_box(op["region"], f"{path}.region") if "region" in op else f.domain.shrink(
-            0.02 * float(np.min(f.domain.hi - f.domain.lo))
-        )
-        rep = check_vector_lipschitz(f, spec, region, budget=budget, seed=seed, tol=tol)
-        return rep.to_dict(), rep.passed
-    if name == "trace":
-        x0 = _point(op, "x0", path, f.domain.dim)
-        h = _point(op, "h", path, f.domain.dim)
-        trace = build_trace(
-            f,
-            spec,
-            x0,
-            h,
-            t0=op.get("t0"),
-            ratio=float(op.get("ratio", 0.5)),
-            depth=int(op.get("depth", 40)),
-        )
-        mono = check_alpha_monotone(trace, tol=tol)
-        lower = check_lower_bound(trace, tol=tol)
-        if out_dir is not None and "csv" in op:
-            write_trace_csv(trace, out_dir / str(op["csv"]))
-        return (
-            {"monotone": mono.to_dict(), "lower_bound": lower.to_dict()},
-            mono.passed and lower.passed,
-        )
-    if name == "derivative":
-        x0 = _point(op, "x0", path, f.domain.dim)
-        h = _point(op, "h", path, f.domain.dim)
-        est = directional_derivative(
-            f,
-            spec,
-            x0,
-            h,
-            tol=float(op.get("tol", 1e-6)),
-            t0=op.get("t0"),
-            ratio=float(op.get("ratio", 0.5)),
-            max_depth=int(op.get("max_depth", 40)),
-        )
-        result = {
-            "value": _jsonify(est.value),
-            "error_bound": est.error_bound,
-            "t_used": est.t_used,
-            "iterations": est.iterations,
-            "converged": est.converged,
-            "cancellation_warning": est.cancellation_warning,
-        }
-        if op.get("upper_bound", True) and est.converged:
-            ub = check_upper_bound(f, spec, x0, h, est, tol=float(op.get("upper_tol", 1e-9)))
-            result["upper_bound"] = ub.to_dict()
-            return result, est.converged and ub.passed
-        return result, est.converged
-    if name == "gateaux":
-        x0 = _point(op, "x0", path, f.domain.dim)
-        rep = gateaux_test(
-            f,
-            spec,
-            x0,
-            n_directions=int(op.get("n_directions", 8)),
-            tol=float(op.get("tol", 1e-6)),
-            seed=seed,
-        )
-        return rep.to_dict(), rep.passed
-    if name == "gateaux-scan":
-        region = build_box(op["region"], f"{path}.region") if "region" in op else f.domain.shrink(
-            0.02 * float(np.min(f.domain.hi - f.domain.lo))
-        )
-        points = None
-        if "points" in op:
-            points = [_as_floats(p, f"{path}.points") for p in op["points"]]
-        rep = gateaux_scan(
-            f,
-            spec,
-            region,
-            n_points=int(op.get("n_points", 100)),
-            n_directions=int(op.get("n_directions", 8)),
-            tol=float(op.get("tol", 1e-6)),
-            seed=seed,
-            points=points,
-            kink_match_tol=float(op.get("kink_match_tol", 1e-9)),
-        )
-        if out_dir is not None and "csv" in op:
-            write_scan_csv(rep, out_dir / str(op["csv"]))
-        return rep.to_dict(), bool(rep.density == 1.0)
-    if name == "frechet":
-        x0 = _point(op, "x0", path, f.domain.dim)
-        rep = frechet_test(
-            f,
-            spec,
-            x0,
-            epsilons=tuple(float(e) for e in op.get("epsilons", (1e-2, 1e-3))),
-            n_directions=int(op.get("n_directions", 16)),
-            tol=float(op.get("tol", 1e-6)),
-            seed=seed,
-        )
-        return rep.to_dict(), rep.passed
-    raise ConfigError(f"{path}.op: unknown operation {name!r}")
+
+def _verdict(rep) -> tuple:
+    return rep.to_dict(), rep.passed
+
+
+def _run_check(e: CheckEntry):
+    return _verdict(check_inequality(e.f, e.spec, form=e.form, **e.sampled))
+
+
+def _run_falsify(e: CheckEntry):
+    # exit semantics stay verdict-based: a found violation reports fail
+    return _verdict(falsify(e.f, e.spec, form=e.form, refine=bool(e.op.get("refine", True)), **e.sampled))
+
+
+def _run_scalarize(e: CheckEntry):
+    if "functionals" in e.op:
+        functionals = [_as_floats(row, f"{e.path}.functionals") for row in e.op["functionals"]]
+    else:
+        functionals = list(unit_dual_generators(e.spec.cone))
+    return _verdict(scalarize_check(e.f, e.spec, functionals, form=e.form, **e.sampled))
+
+
+def _run_fact2(e: CheckEntry):
+    if "y_star" in e.op:
+        y_star = _as_floats(e.op["y_star"], f"{e.path}.y_star")
+    else:
+        y_star = strictly_positive_functional(e.spec.cone).coeffs
+    return _verdict(check_fact2(e.f, e.spec, y_star, **e.sampled))
+
+
+def _run_approx_convex(e: CheckEntry):
+    x0, epsilon, delta = e.point("x0"), float(_req(e.op, "epsilon", e.path)), float(_req(e.op, "delta", e.path))
+    return _verdict(check_approx_convex(e.f, x0, epsilon=epsilon, delta=delta, **e.sampled))
+
+
+def _run_bounded(e: CheckEntry):
+    x0, radius = e.point("x0"), float(_req(e.op, "radius", e.path))
+    return _verdict(check_local_vector_bounded(e.f, e.spec.cone, x0, radius=radius, **e.sampled))
+
+
+def _run_lipschitz(e: CheckEntry):
+    return _verdict(check_vector_lipschitz(e.f, e.spec, e.region(), **e.sampled))
+
+
+def _run_trace(e: CheckEntry):
+    x0, h, ratio, depth = e.point("x0"), e.point("h"), float(e.op.get("ratio", 0.5)), int(e.op.get("depth", 40))
+    trace = build_trace(e.f, e.spec, x0, h, t0=e.op.get("t0"), ratio=ratio, depth=depth)
+    mono = check_alpha_monotone(trace, tol=e.tol)
+    lower = check_lower_bound(trace, tol=e.tol)
+    e.write_csv(write_trace_csv, trace)
+    return {"monotone": mono.to_dict(), "lower_bound": lower.to_dict()}, mono.passed and lower.passed
+
+
+def _run_derivative(e: CheckEntry):
+    x0, h, ratio, max_depth = e.point("x0"), e.point("h"), float(e.op.get("ratio", 0.5)), int(e.op.get("max_depth", 40))
+    est = directional_derivative(e.f, e.spec, x0, h, tol=e.tol, t0=e.op.get("t0"), ratio=ratio, max_depth=max_depth)
+    result, passed = _jsonify(est), est.converged
+    if e.op.get("upper_bound", True) and est.converged:
+        ub = check_upper_bound(e.f, e.spec, x0, h, est, tol=float(e.op.get("upper_tol", 1e-9)))
+        result["upper_bound"], passed = ub.to_dict(), ub.passed
+    return result, passed
+
+
+def _run_gateaux(e: CheckEntry):
+    x0, n_directions = e.point("x0"), int(e.op.get("n_directions", 8))
+    return _verdict(gateaux_test(e.f, e.spec, x0, n_directions=n_directions, tol=e.tol, seed=e.seed))
+
+
+def _run_gateaux_scan(e: CheckEntry):
+    region = e.region()
+    points = [_as_floats(p, f"{e.path}.points") for p in e.op["points"]] if "points" in e.op else None
+    n_points, n_directions = int(e.op.get("n_points", 100)), int(e.op.get("n_directions", 8))
+    kink_tol = float(e.op.get("kink_match_tol", 1e-9))
+    rep = gateaux_scan(
+        e.f, e.spec, region, n_points, n_directions, tol=e.tol, seed=e.seed, points=points, kink_match_tol=kink_tol
+    )
+    e.write_csv(write_scan_csv, rep)
+    return rep.to_dict(), bool(rep.density == 1.0)
+
+
+def _run_frechet(e: CheckEntry):
+    x0, epsilons = e.point("x0"), tuple(float(v) for v in e.op.get("epsilons", (1e-2, 1e-3)))
+    n_directions = int(e.op.get("n_directions", 16))
+    return _verdict(frechet_test(e.f, e.spec, x0, epsilons=epsilons, n_directions=n_directions, tol=e.tol, seed=e.seed))
+
+
+@dataclass(frozen=True)
+class Operation:
+    """One config operation: its runner, whether its sampling needs an
+    explicit seed, its default tol, and the report field its verdict line
+    prints (a format string over the report dict; None prints no detail)."""
+
+    run: Callable[[CheckEntry], tuple]
+    stochastic: bool = True
+    tol: float = 1e-9
+    headline: str | None = None
+
+
+_MARGIN = "worst_margin={worst_margin:.3e}"
+
+# the one table of config operations, in CLI order
+OPERATIONS = {
+    "check-paraconvex": Operation(_run_check, headline=_MARGIN),
+    "falsify": Operation(_run_falsify, headline=_MARGIN),
+    "scalarize": Operation(_run_scalarize, headline=_MARGIN),
+    "fact2": Operation(_run_fact2, headline=_MARGIN),
+    "approx-convex": Operation(_run_approx_convex, headline=_MARGIN),
+    "bounded": Operation(_run_bounded, headline=_MARGIN),
+    "lipschitz": Operation(_run_lipschitz, headline=_MARGIN),
+    "trace": Operation(_run_trace, stochastic=False),
+    "derivative": Operation(_run_derivative, stochastic=False, tol=1e-6, headline="error_bound={error_bound:.3e}"),
+    "gateaux": Operation(_run_gateaux, tol=1e-6, headline="defect={defect:.3e}"),
+    "gateaux-scan": Operation(_run_gateaux_scan, tol=1e-6, headline="density={density:.4f}"),
+    "frechet": Operation(_run_frechet, tol=1e-6),
+}
 
 
 def run_config(cfg: dict, out_dir=None, overrides: dict | None = None) -> dict:
@@ -461,38 +453,39 @@ def run_config(cfg: dict, out_dir=None, overrides: dict | None = None) -> dict:
 
     overrides (from CLI flags) replace the matching key in every
     operation entry before validation, so a flag seed satisfies the
-    explicit-seed rule.
+    explicit-seed rule.  A ValueError from building or running an entry
+    comes out as a ConfigError naming the entry.
     """
-    import time
-
     start = time.perf_counter()
-    mapping = build_mapping(_req(cfg, "mapping", "config"), "mapping")
-    spec = build_spec(cfg, mapping)
+    with _located("mapping"):
+        mapping = build_mapping(_req(cfg, "mapping", "config"), "mapping")
+    with _located("spec"):
+        spec = build_spec(cfg, mapping)
     ops = cfg.get("checks")
     if not isinstance(ops, list) or not ops:
         raise ConfigError("checks: expected a non-empty list of operations")
-    out_path = None
-    if out_dir is not None:
-        out_path = Path(out_dir)
+    out_path = None if out_dir is None else Path(out_dir)
+    if out_path is not None:
         out_path.mkdir(parents=True, exist_ok=True)
+    flags = {key: val for key, val in (overrides or {}).items() if val is not None}
     reports = []
-    all_passed = True
     for idx, op in enumerate(ops):
         path = f"checks[{idx}]"
-        merged = dict(op)
-        for key, val in (overrides or {}).items():
-            if val is not None:
-                merged[key] = val
-        name = validate_operation(merged, path)
-        report, passed = run_operation(name, merged, mapping, spec, out_path, path)
-        reports.append({"op": name, "label": str(merged.get("label", f"{name}-{idx}")), "pass": bool(passed), "report": report})
-        all_passed = all_passed and passed
+        op = {**op, **flags} if isinstance(op, dict) else op
+        name = validate_operation(op, path)
+        tol, form = float(op.get("tol", OPERATIONS[name].tol)), str(op.get("form", "min"))
+        entry = CheckEntry(
+            mapping, spec, op, path, out_path, seed=op.get("seed"), budget=op.get("budget", 1000), tol=tol, form=form
+        )
+        with _located(path):
+            report, passed = OPERATIONS[name].run(entry)
+        reports.append({"op": name, "label": str(op.get("label", f"{name}-{idx}")), "pass": bool(passed), "report": report})
     manifest = {
         "config_hash": config_hash(cfg),
         "version": __version__,
         "mapping": mapping.label,
         "reports": reports,
-        "exit_status": 0 if all_passed else 1,
+        "exit_status": 0 if all(r["pass"] for r in reports) else 1,
         "wall_clock_s": round(time.perf_counter() - start, 6),
     }
     if out_path is not None:

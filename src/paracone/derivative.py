@@ -18,7 +18,7 @@ still detecting real violations, which are orders of magnitude larger.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,13 +30,12 @@ from .geometry import (
     is_standard_orthant,
     ensure_generators,
     norm,
-    normality_constant,
     strictly_positive_functional,
     unit_dual_generators,
 )
 from .mappings import OutsideDomainError, VectorMapping, known_directional
 from .modulus import ParaSpec, eval_modulus
-from .reports import CheckReport, _jsonify
+from .reports import CheckReport, Report
 
 # multiplier on eps*(1 + ||f(x+th)|| + ||f(x)||)/t covering the rounding
 # error of one difference quotient; 32 dominates the worst per-evaluation
@@ -372,6 +371,20 @@ def _estimate_along(f, spec, x0, v, tol, t0=None):
     return ln * est.value, ln * est.error_bound, est
 
 
+def _schedule_independence(f, spec, x0, h0, base_val, base_err, tol, lambdas, measure):
+    """Positive homogeneity as schedule independence: for each factor lam,
+    re-estimate along h0 on the lam-scaled step grid and yield
+    (lam, measure(lam*D_lam - lam*D), lam*(e + e_lam)), the difference under
+    the caller's measure and the error allowance it must stay within."""
+    h0 = np.asarray(h0, dtype=float)
+    for lam in lambdas:
+        if lam <= 0.0:
+            raise ValueError("homogeneity factors must be positive")
+        t0_b = min(lam * _default_t0(f, x0, h0), 0.49 * f.domain.boundary_distance(x0, h0))
+        val_b, err_b, _ = _estimate_along(f, spec, x0, h0, tol, t0=t0_b)
+        yield lam, measure(lam * val_b - lam * base_val), lam * (base_err + err_b)
+
+
 def check_sublinear(
     f: VectorMapping,
     spec: ParaSpec,
@@ -416,15 +429,11 @@ def check_sublinear(
             worst = m
             witness = (np.asarray(h1), np.asarray(h2))
     h0 = direction_pairs[0][0]
-    base_val, base_err, base_est = _estimate_along(f, spec, x0, h0, tol)
-    for lam in lambdas:
-        if lam <= 0.0:
-            raise ValueError("homogeneity factors must be positive")
-        bd = f.domain.boundary_distance(x0, np.asarray(h0, dtype=float))
-        t0_b = min(lam * _default_t0(f, x0, np.asarray(h0, dtype=float)), 0.49 * bd)
-        val_b, err_b, _ = _estimate_along(f, spec, x0, h0, tol, t0=t0_b)
-        diff = float(np.max(np.abs(rows @ (lam * val_b - lam * base_val)))) if rows.size else 0.0
-        slack = (lam * (base_err + err_b) - diff) / max(1.0, lam)
+    base_val, base_err, _ = _estimate_along(f, spec, x0, h0, tol)
+    for lam, diff, allow in _schedule_independence(
+        f, spec, x0, h0, base_val, base_err, tol, lambdas, lambda v: float(np.max(np.abs(rows @ v), initial=0.0))
+    ):
+        slack = (allow - diff) / max(1.0, lam)
         count += 1
         if slack < worst:
             worst = slack
@@ -441,7 +450,7 @@ def check_sublinear(
 
 
 @dataclass
-class GateauxReport:
+class GateauxReport(Report):
     """Linearity battery at one point: antisymmetry, additivity,
     homogeneity, and the Lipschitz continuity surrogate over antipodal
     direction pairs.  defect is the largest violation after estimator
@@ -455,18 +464,6 @@ class GateauxReport:
     seed: int | None = None
     n_directions: int = 0
     notes: str = ""
-
-    def to_dict(self) -> dict:
-        return {
-            "x0": _jsonify(self.x0),
-            "pass": bool(self.passed),
-            "defect": float(self.defect),
-            "margins": _jsonify(self.margins),
-            "tol": float(self.tol),
-            "seed": self.seed if self.seed is None else int(self.seed),
-            "n_directions": int(self.n_directions),
-            "notes": self.notes,
-        }
 
 
 def _unit_directions(f: VectorMapping, n_directions: int, seed: int) -> list:
@@ -541,13 +538,11 @@ def gateaux_test(
         margins["additivity"] = max(margins["additivity"], _viol_norm(v1 + v2 - v12, e1 + e2 + e12))
 
     h0 = base_dirs[0]
-    v0, e0, est0 = ests[tuple(np.round(h0, 15))]
-    for lam in (0.5, 2.0):
-        bd = f.domain.boundary_distance(x0, h0)
-        t0_b = min(lam * _default_t0(f, x0, h0), 0.49 * bd)
-        vb, eb, _ = _estimate_along(f, spec, x0, h0, tol, t0=t0_b)
-        viol = (float(norm(lam * vb - lam * v0, f.codomain_norm)) - lam * (e0 + eb)) / max(1.0, lam)
-        margins["homogeneity"] = max(margins["homogeneity"], viol)
+    v0, e0, _ = ests[tuple(np.round(h0, 15))]
+    for lam, diff, allow in _schedule_independence(
+        f, spec, x0, h0, v0, e0, tol, (0.5, 2.0), lambda v: float(norm(v, f.codomain_norm))
+    ):
+        margins["homogeneity"] = max(margins["homogeneity"], (diff - allow) / max(1.0, lam))
 
     # continuity surrogate over antipodal pairs, where the sampled constant
     # provably dominates the difference direction
@@ -586,7 +581,7 @@ def gateaux_test(
 
 
 @dataclass
-class ScanReport:
+class ScanReport(Report):
     """Sampled differentiability density over a region, with a confusion
     table against the declared kink set when the family has one."""
 
@@ -599,19 +594,6 @@ class ScanReport:
     n_points: int
     tol: float
     seed: int | None
-
-    def to_dict(self) -> dict:
-        return {
-            "region": {"lo": _jsonify(self.region.lo), "hi": _jsonify(self.region.hi)},
-            "density": float(self.density),
-            "points": _jsonify(self.points),
-            "pass": _jsonify([bool(p) for p in self.passed]),
-            "defects": _jsonify(self.defects),
-            "confusion": _jsonify(self.confusion),
-            "n_points": int(self.n_points),
-            "tol": float(self.tol),
-            "seed": self.seed if self.seed is None else int(self.seed),
-        }
 
 
 def gateaux_scan(
@@ -655,18 +637,11 @@ def gateaux_scan(
     confusion = None
     if f.kink_locus is not None and f.domain.dim == 1:
         locus = np.asarray(f.kink_locus, dtype=float)
-        tp = fp = fn = tn = 0
-        for p, ok in zip(points, passed):
-            at_kink = bool(locus.size and np.min(np.abs(locus - p[0])) <= kink_match_tol)
-            if not ok and at_kink:
-                tp += 1
-            elif not ok and not at_kink:
-                fp += 1
-            elif ok and at_kink:
-                fn += 1
-            else:
-                tn += 1
-        confusion = {"tp": tp, "fp": fp, "fn": fn, "tn": tn}
+        at_kink = [bool(locus.size and np.min(np.abs(locus - p[0])) <= kink_match_tol) for p in points]
+        cells = list(zip(passed, at_kink))
+        # a failed point at a declared kink is a true positive
+        cell_of = {"tp": (False, True), "fp": (False, False), "fn": (True, True), "tn": (True, False)}
+        confusion = {key: cells.count(cell) for key, cell in cell_of.items()}
     return ScanReport(
         region=region,
         density=density,
@@ -681,7 +656,7 @@ def gateaux_scan(
 
 
 @dataclass
-class FrechetReport:
+class FrechetReport(Report):
     """Uniform-over-directions differentiability mechanics at one point.
 
     For each epsilon the report records the largest schedule step delta
@@ -699,20 +674,6 @@ class FrechetReport:
     tol: float
     seed: int | None = None
     notes: str = ""
-
-    def to_dict(self) -> dict:
-        return {
-            "x0": _jsonify(self.x0),
-            "pass": bool(self.passed),
-            "table": _jsonify(self.table),
-            "residual_margin": float(self.residual_margin),
-            "max_base_norm": float(self.max_base_norm),
-            "base_radius": float(self.base_radius),
-            "gateaux_defect": float(self.gateaux_defect),
-            "tol": float(self.tol),
-            "seed": self.seed if self.seed is None else int(self.seed),
-            "notes": self.notes,
-        }
 
 
 def frechet_test(
@@ -744,7 +705,10 @@ def frechet_test(
     base = base_of(spec.cone, e_star, norm_kind=f.codomain_norm)
     try:
         gtx = gateaux_test(f, spec, x0, n_directions=max(4, n_directions // 4), tol=tol, seed=seed)
+        failed = None if gtx.passed else (gtx.defect, "the point is not a linearity point")
     except ConvergenceError as exc:
+        failed = (float("inf"), str(exc))
+    if failed is not None:
         return FrechetReport(
             x0=x0,
             passed=False,
@@ -752,31 +716,14 @@ def frechet_test(
             residual_margin=float("-inf"),
             max_base_norm=float("nan"),
             base_radius=float(base.radius),
-            gateaux_defect=float("inf"),
+            gateaux_defect=failed[0],
             tol=tol,
             seed=seed,
-            notes=f"precondition failed: {exc}",
-        )
-    if not gtx.passed:
-        return FrechetReport(
-            x0=x0,
-            passed=False,
-            table=[],
-            residual_margin=float("-inf"),
-            max_base_norm=float("nan"),
-            base_radius=float(base.radius),
-            gateaux_defect=gtx.defect,
-            tol=tol,
-            seed=seed,
-            notes="precondition failed: the point is not a linearity point",
+            notes=f"precondition failed: {failed[1]}",
         )
 
-    dirs = []
-    base_dirs = _unit_directions(f, max(n_directions, 2), seed)
-    for u in base_dirs:
-        dirs.append(u)
-        dirs.append(-u)
-    dirs = dirs[: max(n_directions, 2)] if len(dirs) > max(n_directions, 2) else dirs
+    # antipodal pairs of sampled unit directions, at most max(n_directions, 2) in all
+    dirs = [v for u in _unit_directions(f, max(n_directions, 2), seed) for v in (u, -u)][: max(n_directions, 2)]
 
     bd_min = min(f.domain.boundary_distance(x0, u) for u in dirs)
     if t_schedule is None:
@@ -823,19 +770,13 @@ def frechet_test(
                 max_base_norm = max(max_base_norm, float(b_norm))
 
     table = []
-    all_eps_ok = True
     max_lam_per_t = np.max(lam_table, axis=1)
     for eps in epsilons:
         ok = max_lam_per_t <= eps
-        delta = None
         # largest step whose entire finer suffix stays within eps
-        for ti in range(t_schedule.size):
-            if bool(np.all(ok[ti:])):
-                delta = float(t_schedule[ti])
-                break
+        delta = next((float(t) for ti, t in enumerate(t_schedule) if np.all(ok[ti:])), None)
         table.append({"epsilon": float(eps), "delta": delta, "max_lambda": float(np.max(max_lam_per_t))})
-        if delta is None:
-            all_eps_ok = False
+    all_eps_ok = all(row["delta"] is not None for row in table)
 
     passed = bool(
         all_eps_ok and residual_margin >= -tol and max_base_norm <= float(base.radius) + tol

@@ -363,18 +363,15 @@ class Example1Config:
 def make_example1(cfg: Example1Config, label: str = "stacked-scalars") -> VectorMapping:
     """Build the stacked family and audit its structural claims.
 
-    Rejects any component whose piecewise-linear part loses convexity or
-    whose smooth part exceeds the curvature budget 2*C on the audit grid.
+    Rejects any component whose smooth part exceeds the curvature budget
+    2*C on the audit grid (PiecewiseLinear itself rejects a non-convex part).
     The claimed allowance uses the square modulus with both constants equal
     to cfg.C, the nonnegative orthant order, and sup norm on the codomain.
     The analytic oracle covers every point off the kink set and declines
     (returns None) within 1e-12 of a kink, where only one-sided slopes exist.
     """
     lo, hi = float(cfg.domain.lo[0]), float(cfg.domain.hi[0])
-    for i, (u1, u2) in enumerate(zip(cfg.convex_parts, cfg.smooth_parts)):
-        slopes = [u1.initial_slope] + [s for _, s in u1.kinks]
-        if any(b < a for a, b in zip(slopes, slopes[1:])):
-            raise ValueError(f"component {i}: slope decrease detected, convex part is not convex")
+    for i, u2 in enumerate(cfg.smooth_parts):
         _audit_curvature(u2, lo, hi, 2.0 * cfg.C, f"component {i}")
 
     kinks = sorted({p for u1 in cfg.convex_parts for p in u1.kink_positions})

@@ -12,7 +12,7 @@ import numpy as np
 def _jsonify(value):
     if isinstance(value, np.ndarray):
         return value.tolist()
-    if isinstance(value, (np.floating, np.integer)):
+    if isinstance(value, np.generic):
         return value.item()
     if isinstance(value, dict):
         return {k: _jsonify(v) for k, v in value.items()}
@@ -23,8 +23,20 @@ def _jsonify(value):
     return value
 
 
+class Report:
+    """JSON form shared by the report dataclasses: every field through
+    _jsonify, `passed` written as `pass`, and an empty `extras` left out."""
+
+    def to_dict(self) -> dict:
+        return {
+            ("pass" if key == "passed" else key): val
+            for key, val in _jsonify(self).items()
+            if key != "extras" or val
+        }
+
+
 @dataclass
-class CheckReport:
+class CheckReport(Report):
     """Outcome of one numerical check.
 
     worst_margin is the smallest slack seen; the check passes when it clears
@@ -40,17 +52,3 @@ class CheckReport:
     seed: int | None = None
     notes: str = ""
     extras: dict | None = None
-
-    def to_dict(self) -> dict:
-        out = {
-            "pass": bool(self.passed),
-            "worst_margin": float(self.worst_margin),
-            "witness": _jsonify(self.witness),
-            "samples_used": int(self.samples_used),
-            "tol": float(self.tol),
-            "seed": self.seed if self.seed is None else int(self.seed),
-            "notes": self.notes,
-        }
-        if self.extras:
-            out["extras"] = _jsonify(self.extras)
-        return out

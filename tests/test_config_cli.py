@@ -2,14 +2,17 @@
 
 import copy
 import json
+import re
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+import paracone.config
 from paracone.cli import main
 from paracone.config import (
+    OPERATIONS,
     ConfigError,
     build_cone,
     build_mapping,
@@ -20,7 +23,7 @@ from paracone.config import (
     validate_operation,
 )
 
-from conftest import CONFIG_DIR
+from conftest import CONFIG_DIR, REPO_ROOT
 
 
 TINY_CFG = {
@@ -257,6 +260,94 @@ def test_cli_form_override(capsys):
     )
     assert code == 0
     assert "PASS" in capsys.readouterr().out
+
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize(
+    "entry, flags, where",
+    [
+        ({"op": "check-paraconvex", "seed": 1, "tol": NAN}, [], "checks[0].tol"),
+        ({"op": "check-paraconvex", "seed": 1, "tol": float("inf")}, [], "checks[0].tol"),
+        ({"op": "derivative", "x0": [0.25], "h": [1.0], "upper_tol": NAN}, [], "checks[0].upper_tol"),
+        ({"op": "falsify", "seed": True}, [], "checks[0].seed"),
+        ({"op": "check-paraconvex", "seed": 1, "budget": True}, [], "checks[0].budget"),
+        ({"op": "check-paraconvex", "seed": 1, "budget": 64.5}, [], "checks[0].budget"),
+        ({"op": "check-paraconvex", "seed": 1, "budget": "64"}, [], "checks[0].budget"),
+        (None, ["--tol", "nan"], "checks[0].tol"),
+    ],
+    ids=["tol-nan", "tol-inf", "upper-tol-nan", "seed-bool", "budget-bool", "budget-fraction", "budget-string", "flag-tol-nan"],
+)
+def test_malformed_shared_fields_exit_two_with_a_path(entry, flags, where, tmp_path, capsys):
+    if entry is None:  # the shipped config, broken by a command-line override
+        path = CONFIG_DIR / "neg_square_certify.json"
+    else:
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"mapping": {"family": "neg_square"}, "checks": [entry]}))
+    code = main(["run", "--config", str(path)] + flags)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""  # no verdict line: a malformed input is never a FAIL
+    assert f"input error: {where}: " in captured.err
+
+
+def test_op_errors_name_their_entry(tmp_path, capsys):
+    p = tmp_path / "cfg.json"
+    p.write_text(
+        json.dumps(
+            {
+                "mapping": {"family": "neg_square"},
+                "checks": [
+                    {"op": "trace", "x0": [0.25], "h": [1.0], "depth": 4},
+                    {"op": "derivative", "x0": [0.25], "h": [2.0]},
+                ],
+            }
+        )
+    )
+    assert main(["run", "--config", str(p)]) == 2
+    assert "input error: checks[1]: direction must be unit" in capsys.readouterr().err
+
+
+def test_internal_errors_are_not_input_errors(monkeypatch, tmp_path):
+    # runners reach checks through the module global at call time, so the
+    # stand-in runs; its TypeError is a bug, not an exit-2 input error
+    def broken(*args, **kwargs):
+        raise TypeError("internal bug")
+
+    monkeypatch.setattr(paracone.config, "check_inequality", broken)
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(TINY_CFG))
+    with pytest.raises(TypeError, match="internal bug"):
+        main(["run", "--config", str(p)])
+
+
+def test_cli_subcommands_come_from_the_registry(capsys):
+    with pytest.raises(SystemExit):
+        main(["--help"])
+    listed = re.search(r"\{([a-z0-9,-]+)\}", capsys.readouterr().out).group(1).split(",")
+    assert listed == [*OPERATIONS, "run"]
+
+
+# ---------------------------------------------------------------------------
+# README
+
+
+README = (REPO_ROOT / "README.md").read_text()
+
+
+@pytest.mark.parametrize("idx", range(len(re.findall(r"^```json$", README, flags=re.M))))
+def test_readme_json_blocks_run(idx, tmp_path):
+    block = re.findall(r"^```json\n(.*?)^```$", README, flags=re.M | re.S)[idx]
+    cfg = json.loads(block)
+    manifest = run_config(cfg, out_dir=tmp_path)
+    assert len(manifest["reports"]) == len(cfg["checks"])
+    assert (tmp_path / "manifest.json").exists()
+
+
+def test_readme_operations_table_lists_the_registry():
+    section = README.split("## Operations", 1)[1].split("\n## ", 1)[0]
+    assert re.findall(r"^\| `([a-z0-9-]+)` +\|", section, flags=re.M) == list(OPERATIONS)
 
 
 def test_cli_subprocess_help():

@@ -1,7 +1,10 @@
-"""Golden manifests: every shipped config must keep its recorded results.
+"""Golden manifests and verdict lines: every shipped config must keep its
+recorded results.
 
 tests/golden/<config>.json holds the manifest each shipped config wrote at
-its own seeds, minus the wall-clock field.  Criterion 10 only compares two
+its own seeds, minus the wall-clock field; tests/golden/<config>.stdout holds
+what `paracone run --config configs/<config>.json` printed (no --out), and
+is compared line for line, exactly.  Criterion 10 only compares two
 runs of the same code; this compares against the recorded results, so a
 change that moves a verdict or a margin fails here.  An intended change
 regenerates the files and says why in CHANGES.md.
@@ -20,6 +23,7 @@ import math
 
 import pytest
 
+from paracone.cli import main
 from paracone.config import load_config, run_config
 
 from conftest import CONFIG_DIR, REPO_ROOT
@@ -49,8 +53,8 @@ def _mismatches(got, want, path="manifest"):
 
 def test_every_shipped_config_has_a_golden_manifest():
     configs = sorted(p.stem for p in CONFIG_DIR.glob("*.json"))
-    goldens = sorted(p.stem for p in GOLDEN_DIR.glob("*.json"))
-    assert configs and configs == goldens
+    assert configs and configs == sorted(p.stem for p in GOLDEN_DIR.glob("*.json"))
+    assert configs == sorted(p.stem for p in GOLDEN_DIR.glob("*.stdout"))
 
 
 @pytest.mark.parametrize("name", sorted(p.stem for p in CONFIG_DIR.glob("*.json")))
@@ -62,6 +66,14 @@ def test_config_matches_golden_manifest(name, tmp_path):
     got.pop("wall_clock_s")
     bad = list(_mismatches(got, want))
     assert not bad, "\n".join(bad[:20])
+
+
+@pytest.mark.parametrize("name", sorted(p.stem for p in CONFIG_DIR.glob("*.json")))
+def test_config_matches_golden_stdout(name, capsys):
+    want = (GOLDEN_DIR / f"{name}.stdout").read_text().splitlines()
+    code = main(["run", "--config", str(CONFIG_DIR / f"{name}.json")])
+    assert capsys.readouterr().out.splitlines() == want
+    assert code == json.loads((GOLDEN_DIR / f"{name}.json").read_text())["exit_status"]
 
 
 def test_golden_comparison_catches_moved_fields():
