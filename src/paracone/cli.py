@@ -12,7 +12,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .config import OPERATIONS, ConfigError, load_config, run_config
+from .config import OPERATIONS, ConfigError, check_entries, load_config, run_config
 from .derivative import ConvergenceError
 
 
@@ -45,7 +45,7 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config)
         if args.command != "run":
-            entries = [op for op in cfg.get("checks", []) if isinstance(op, dict) and op.get("op") == args.command]
+            entries = [op for op in check_entries(cfg) if isinstance(op, dict) and op.get("op") == args.command]
             if not entries:
                 raise ConfigError(f"checks: no entry with op {args.command!r}")
             cfg = {**cfg, "checks": entries}

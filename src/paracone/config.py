@@ -86,6 +86,18 @@ def _req(obj: dict, key: str, path: str):
     return obj[key]
 
 
+def _integer(val, path: str) -> int:
+    if isinstance(val, bool) or not isinstance(val, int):
+        raise ConfigError(f"{path}: expected an integer, got {val!r}")
+    return val
+
+
+def _number(val, path: str) -> float:
+    if isinstance(val, bool) or not isinstance(val, (int, float)) or not math.isfinite(val):
+        raise ConfigError(f"{path}: expected a finite number, got {val!r}")
+    return float(val)
+
+
 def _as_floats(val, path: str) -> np.ndarray:
     try:
         arr = np.asarray(val, dtype=float)
@@ -143,9 +155,12 @@ def build_cone(obj, path: str) -> PolyCone:
         name = str(obj.get("name", "config-cone"))
         with _located(path):
             if gens is not None and duals is not None:
+                gens = _as_floats(gens, f"{path}.generators")
+                if gens.size == 0:
+                    raise ConfigError(f"{path}.generators: expected at least one generator next to dual_generators")
                 return PolyCone(
-                    dim=len(gens[0]),
-                    generators=_as_floats(gens, f"{path}.generators"),
+                    dim=gens.shape[-1],
+                    generators=gens,
                     dual_generators=_as_floats(duals, f"{path}.dual_generators"),
                     name=name,
                 )
@@ -262,12 +277,11 @@ def validate_operation(op: dict, path: str) -> str:
     if OPERATIONS[name].stochastic and "seed" not in op:
         raise ConfigError(f"{path}.seed: explicit seed required for stochastic operation {name!r}")
     for key in ("seed", "budget"):
-        if key in op and (isinstance(op[key], bool) or not isinstance(op[key], int)):
-            raise ConfigError(f"{path}.{key}: expected an integer")
+        if key in op:
+            _integer(op[key], f"{path}.{key}")
     for key in ("tol", "upper_tol"):
-        val = op.get(key, 0.0)
-        if isinstance(val, bool) or not isinstance(val, (int, float)) or not math.isfinite(val):
-            raise ConfigError(f"{path}.{key}: expected a finite number, got {val!r}")
+        if key in op:
+            _number(op[key], f"{path}.{key}")
     if str(op.get("form", "min")) not in ("min", "lambda"):
         raise ConfigError(f"{path}.form: expected 'min' or 'lambda'")
     return name
@@ -291,6 +305,9 @@ def write_scan_csv(report: ScanReport, path) -> None:
             writer.writerow([repr(float(v)) for v in p] + [int(bool(ok)), repr(float(defect))])
 
 
+_REQUIRED = object()  # a CheckEntry field without a default
+
+
 @dataclass
 class CheckEntry:
     """One validated check entry, with the fields every op shares parsed."""
@@ -308,6 +325,35 @@ class CheckEntry:
     @property
     def sampled(self) -> dict:
         return {"budget": self.budget, "seed": self.seed, "tol": self.tol}
+
+    def _field(self, key: str, default):
+        return _req(self.op, key, self.path) if default is _REQUIRED else self.op.get(key, default)
+
+    def integer(self, key: str, default) -> int:
+        return _integer(self._field(key, default), f"{self.path}.{key}")
+
+    def number(self, key: str, default=_REQUIRED) -> float | None:
+        """A finite number; a field whose default is None may also be null."""
+        val = self._field(key, default)
+        return None if val is None and default is None else _number(val, f"{self.path}.{key}")
+
+    def numbers(self, key: str, default) -> tuple:
+        val = self._field(key, default)
+        if not isinstance(val, (list, tuple)):
+            raise ConfigError(f"{self.path}.{key}: expected a list of numbers, got {val!r}")
+        return tuple(_number(v, f"{self.path}.{key}[{i}]") for i, v in enumerate(val))
+
+    def flag(self, key: str, default: bool) -> bool:
+        val = self._field(key, default)
+        if not isinstance(val, bool):
+            raise ConfigError(f"{self.path}.{key}: expected true or false, got {val!r}")
+        return val
+
+    def rows(self, key: str) -> list:
+        val = self._field(key, _REQUIRED)
+        if not isinstance(val, list):
+            raise ConfigError(f"{self.path}.{key}: expected a list of rows, got {val!r}")
+        return [_as_floats(row, f"{self.path}.{key}[{i}]") for i, row in enumerate(val)]
 
     def point(self, key: str) -> np.ndarray:
         arr = _as_floats(_req(self.op, key, self.path), f"{self.path}.{key}")
@@ -342,14 +388,11 @@ def _run_check(e: CheckEntry):
 
 def _run_falsify(e: CheckEntry):
     # exit semantics stay verdict-based: a found violation reports fail
-    return _verdict(falsify(e.f, e.spec, form=e.form, refine=bool(e.op.get("refine", True)), **e.sampled))
+    return _verdict(falsify(e.f, e.spec, form=e.form, refine=e.flag("refine", True), **e.sampled))
 
 
 def _run_scalarize(e: CheckEntry):
-    if "functionals" in e.op:
-        functionals = [_as_floats(row, f"{e.path}.functionals") for row in e.op["functionals"]]
-    else:
-        functionals = list(unit_dual_generators(e.spec.cone))
+    functionals = e.rows("functionals") if "functionals" in e.op else list(unit_dual_generators(e.spec.cone))
     return _verdict(scalarize_check(e.f, e.spec, functionals, form=e.form, **e.sampled))
 
 
@@ -362,12 +405,12 @@ def _run_fact2(e: CheckEntry):
 
 
 def _run_approx_convex(e: CheckEntry):
-    x0, epsilon, delta = e.point("x0"), float(_req(e.op, "epsilon", e.path)), float(_req(e.op, "delta", e.path))
+    x0, epsilon, delta = e.point("x0"), e.number("epsilon"), e.number("delta")
     return _verdict(check_approx_convex(e.f, x0, epsilon=epsilon, delta=delta, **e.sampled))
 
 
 def _run_bounded(e: CheckEntry):
-    x0, radius = e.point("x0"), float(_req(e.op, "radius", e.path))
+    x0, radius = e.point("x0"), e.number("radius")
     return _verdict(check_local_vector_bounded(e.f, e.spec.cone, x0, radius=radius, **e.sampled))
 
 
@@ -376,8 +419,8 @@ def _run_lipschitz(e: CheckEntry):
 
 
 def _run_trace(e: CheckEntry):
-    x0, h, ratio, depth = e.point("x0"), e.point("h"), float(e.op.get("ratio", 0.5)), int(e.op.get("depth", 40))
-    trace = build_trace(e.f, e.spec, x0, h, t0=e.op.get("t0"), ratio=ratio, depth=depth)
+    x0, h, ratio, depth = e.point("x0"), e.point("h"), e.number("ratio", 0.5), e.integer("depth", 40)
+    trace = build_trace(e.f, e.spec, x0, h, t0=e.number("t0", None), ratio=ratio, depth=depth)
     mono = check_alpha_monotone(trace, tol=e.tol)
     lower = check_lower_bound(trace, tol=e.tol)
     e.write_csv(write_trace_csv, trace)
@@ -385,25 +428,25 @@ def _run_trace(e: CheckEntry):
 
 
 def _run_derivative(e: CheckEntry):
-    x0, h, ratio, max_depth = e.point("x0"), e.point("h"), float(e.op.get("ratio", 0.5)), int(e.op.get("max_depth", 40))
-    est = directional_derivative(e.f, e.spec, x0, h, tol=e.tol, t0=e.op.get("t0"), ratio=ratio, max_depth=max_depth)
+    x0, h, ratio, max_depth = e.point("x0"), e.point("h"), e.number("ratio", 0.5), e.integer("max_depth", 40)
+    est = directional_derivative(e.f, e.spec, x0, h, tol=e.tol, t0=e.number("t0", None), ratio=ratio, max_depth=max_depth)
     result, passed = _jsonify(est), est.converged
-    if e.op.get("upper_bound", True) and est.converged:
-        ub = check_upper_bound(e.f, e.spec, x0, h, est, tol=float(e.op.get("upper_tol", 1e-9)))
+    if e.flag("upper_bound", True) and est.converged:
+        ub = check_upper_bound(e.f, e.spec, x0, h, est, tol=e.number("upper_tol", 1e-9))
         result["upper_bound"], passed = ub.to_dict(), ub.passed
     return result, passed
 
 
 def _run_gateaux(e: CheckEntry):
-    x0, n_directions = e.point("x0"), int(e.op.get("n_directions", 8))
+    x0, n_directions = e.point("x0"), e.integer("n_directions", 8)
     return _verdict(gateaux_test(e.f, e.spec, x0, n_directions=n_directions, tol=e.tol, seed=e.seed))
 
 
 def _run_gateaux_scan(e: CheckEntry):
     region = e.region()
-    points = [_as_floats(p, f"{e.path}.points") for p in e.op["points"]] if "points" in e.op else None
-    n_points, n_directions = int(e.op.get("n_points", 100)), int(e.op.get("n_directions", 8))
-    kink_tol = float(e.op.get("kink_match_tol", 1e-9))
+    points = e.rows("points") if "points" in e.op else None
+    n_points, n_directions = e.integer("n_points", 100), e.integer("n_directions", 8)
+    kink_tol = e.number("kink_match_tol", 1e-9)
     rep = gateaux_scan(
         e.f, e.spec, region, n_points, n_directions, tol=e.tol, seed=e.seed, points=points, kink_match_tol=kink_tol
     )
@@ -412,8 +455,8 @@ def _run_gateaux_scan(e: CheckEntry):
 
 
 def _run_frechet(e: CheckEntry):
-    x0, epsilons = e.point("x0"), tuple(float(v) for v in e.op.get("epsilons", (1e-2, 1e-3)))
-    n_directions = int(e.op.get("n_directions", 16))
+    x0, epsilons = e.point("x0"), e.numbers("epsilons", (1e-2, 1e-3))
+    n_directions = e.integer("n_directions", 16)
     return _verdict(frechet_test(e.f, e.spec, x0, epsilons=epsilons, n_directions=n_directions, tol=e.tol, seed=e.seed))
 
 
@@ -448,6 +491,14 @@ OPERATIONS = {
 }
 
 
+def check_entries(cfg: dict) -> list:
+    """The config's list of operations; a ConfigError unless it is a non-empty list."""
+    ops = cfg.get("checks")
+    if not isinstance(ops, list) or not ops:
+        raise ConfigError("checks: expected a non-empty list of operations")
+    return ops
+
+
 def run_config(cfg: dict, out_dir=None, overrides: dict | None = None) -> dict:
     """Execute every operation in the config and assemble the manifest.
 
@@ -461,9 +512,7 @@ def run_config(cfg: dict, out_dir=None, overrides: dict | None = None) -> dict:
         mapping = build_mapping(_req(cfg, "mapping", "config"), "mapping")
     with _located("spec"):
         spec = build_spec(cfg, mapping)
-    ops = cfg.get("checks")
-    if not isinstance(ops, list) or not ops:
-        raise ConfigError("checks: expected a non-empty list of operations")
+    ops = check_entries(cfg)
     out_path = None if out_dir is None else Path(out_dir)
     if out_path is not None:
         out_path.mkdir(parents=True, exist_ok=True)

@@ -1,10 +1,10 @@
 """Difference quotients, the monotone directional-derivative estimator, and
 the differentiability test batteries.
 
-The estimator walks a geometric step grid and stops when the scalarized
-decrement between consecutive quotients, plus the vanishing allowance term,
-plus an explicit floating-point noise allowance, drops below the requested
-tolerance.  The theory guarantees the corrected quotients decrease
+The estimator evaluates a geometric step grid and stops at the first level
+where the scalarized decrement between consecutive quotients, plus the
+vanishing allowance term, plus an explicit floating-point noise allowance,
+drops below the requested tolerance.  The theory guarantees the corrected quotients decrease
 monotonically to the one-sided derivative but gives no rate, so the
 reported error bound is the monotone-bracket width at the stopping index,
 never an extrapolated rate claim.
@@ -29,7 +29,9 @@ from .geometry import (
     base_of,
     is_standard_orthant,
     ensure_generators,
+    matvec_rows,
     norm,
+    row_norms,
     strictly_positive_functional,
     unit_dual_generators,
 )
@@ -48,7 +50,8 @@ class ConvergenceError(RuntimeError):
     """The quotient estimator could not reach the requested tolerance."""
 
 
-def _quotient_noise(t: float, f_t_norm: float, f0_norm: float) -> float:
+def _quotient_noise(t, f_t_norm, f0_norm):
+    """Rounding allowance of the quotient at step t, for one step or an array of them."""
     return _FP_SAFETY * _EPS * (1.0 + f_t_norm + f0_norm) / t
 
 
@@ -69,6 +72,26 @@ def _prep_direction(f: VectorMapping, x0, h):
 
 def _default_t0(f: VectorMapping, x0: np.ndarray, h: np.ndarray) -> float:
     return min(0.1, 0.5 * f.domain.boundary_distance(x0, h))
+
+
+def _step_grid(f: VectorMapping, x0: np.ndarray, h: np.ndarray, t0: float | None, ratio: float, depth: int) -> np.ndarray:
+    """The steps t0 * ratio^j for j = 0..depth-1, each power the C library pow
+    of the float ratio ** j.  Every step must be positive and keep x0 + t*h
+    in the open domain."""
+    if not 0.0 < ratio < 1.0:
+        raise ValueError("ratio must lie strictly between 0 and 1")
+    if depth < 2:
+        raise ValueError("need at least two grid levels")
+    bd = f.domain.boundary_distance(x0, h)
+    if t0 is None:
+        t0 = _default_t0(f, x0, h)
+    if t0 <= 0.0 or t0 >= bd:
+        raise ValueError(f"t0={t0} leaves the domain along h (boundary clearance {bd})")
+    t_grid = t0 * np.float_power(ratio, np.arange(depth))
+    if t_grid[-1] == 0.0:
+        level = int(np.argmax(t_grid == 0.0))
+        raise ValueError(f"ratio={ratio} underflows the step grid to t = 0 at depth {level} of {depth}")
+    return t_grid
 
 
 @dataclass(eq=False)
@@ -104,17 +127,8 @@ def build_trace(
     which holds for the default t0 (half the boundary clearance, capped at
     0.1) at any interior point.
     """
-    if not 0.0 < ratio < 1.0:
-        raise ValueError("ratio must lie strictly between 0 and 1")
-    if depth < 2:
-        raise ValueError("need at least two grid levels")
     x0, h, warned = _prep_direction(f, x0, h)
-    bd = f.domain.boundary_distance(x0, h)
-    if t0 is None:
-        t0 = _default_t0(f, x0, h)
-    if t0 <= 0.0 or t0 >= bd:
-        raise ValueError(f"t0={t0} leaves the domain along h (boundary clearance {bd})")
-    t_grid = t0 * ratio ** np.arange(depth)
+    t_grid = _step_grid(f, x0, h, t0, ratio, depth)
     values = f.eval_batch(np.concatenate([x0[None, :], x0 + t_grid[:, None] * h]))
     f0, fvals = values[0], values[1:]
     raw = (fvals - f0) / t_grid[:, None]
@@ -136,13 +150,7 @@ def build_trace(
 
 
 def _trace_noise(trace: QuotientTrace) -> np.ndarray:
-    f0n = norm(trace.f0, "two")
-    return np.array(
-        [
-            _quotient_noise(t, float(np.linalg.norm(fv)), f0n)
-            for t, fv in zip(trace.t_grid, trace.fvals)
-        ]
-    )
+    return _quotient_noise(trace.t_grid, row_norms(trace.fvals), norm(trace.f0, "two"))
 
 
 def check_alpha_monotone(trace: QuotientTrace, tol: float = 1e-9) -> CheckReport:
@@ -243,62 +251,43 @@ def directional_derivative(
 ) -> DerivativeEstimate:
     """One-sided derivative along h by monotone quotient descent.
 
-    Stops at the first grid level where, across all unit supporting
-    functionals, the quotient decrement plus the allowance term
-    C*modulus(t)/t * y(k) plus the rounding allowance of both quotients
-    falls below tol.  Without a stop, the level with the smallest such
-    bracket is reported with converged False.
+    The whole grid t0 * ratio^j, j = 0..max_depth-1, is evaluated in one
+    batch.  The estimate stops at the first grid level where, across all
+    unit supporting functionals, the quotient decrement plus the allowance
+    term C*modulus(t)/t * y(k) plus the rounding allowance of both quotients
+    falls below tol.  Without a stop, the first level with the smallest such
+    bracket (the deepest level when no bracket is finite) is reported with
+    converged False.  iterations is the stop level counted from one, not the
+    number of evaluations, which is always max_depth + 1.
     """
-    if not 0.0 < ratio < 1.0:
-        raise ValueError("ratio must lie strictly between 0 and 1")
     x0, h, _ = _prep_direction(f, x0, h)
-    bd = f.domain.boundary_distance(x0, h)
-    if t0 is None:
-        t0 = _default_t0(f, x0, h)
-    if t0 <= 0.0 or t0 >= bd:
-        raise ValueError(f"t0={t0} leaves the domain along h (boundary clearance {bd})")
+    t_grid = _step_grid(f, x0, h, t0, ratio, max_depth)
     rows = unit_dual_generators(spec.cone)
     top_row_k = float(np.max(rows @ spec.k, initial=0.0))
-    c_min = spec.min_constant()
-    f0 = f.eval(x0)
-    f0n = norm(f0, "two")
-
-    prev_raw = None
-    prev_noise = 0.0
-    prev_t = 0.0
-    best_bound = np.inf
-    best = None
-    x0n = norm(x0, "two")
-    for j in range(max_depth):
-        t = t0 * ratio**j
-        ft = f.eval(x0 + t * h)
-        raw = (ft - f0) / t
-        noise = _quotient_noise(t, float(np.linalg.norm(ft)), f0n)
-        if prev_raw is not None:
-            decrement = float(np.max(np.abs(rows @ (prev_raw - raw)))) if rows.size else 0.0
-            corr = c_min * eval_modulus(spec.modulus, prev_t) / prev_t
-            bound = decrement + corr * top_row_k + prev_noise + noise
-            if bound < best_bound:
-                best_bound = bound
-                best = (raw, t, j + 1)
-            if bound < tol:
-                return DerivativeEstimate(
-                    value=raw,
-                    error_bound=float(bound),
-                    t_used=float(t),
-                    iterations=j + 1,
-                    converged=True,
-                    cancellation_warning=bool(t < 1e-8 * x0n),
-                )
-        prev_raw, prev_noise, prev_t = raw, noise, t
-    value, t_used, iters = best if best is not None else (prev_raw, prev_t, max_depth)
+    values = f.eval_batch(np.concatenate([x0[None, :], x0 + t_grid[:, None] * h]))
+    f0, fvals = values[0], values[1:]
+    raw = (fvals - f0) / t_grid[:, None]
+    noise = _quotient_noise(t_grid, row_norms(fvals), norm(f0, "two"))
+    # bounds[j - 1] closes the bracket between levels j - 1 and j
+    decrement = np.max(np.abs(matvec_rows(rows, raw[:-1] - raw[1:])), axis=1, initial=0.0)
+    corr = spec.min_constant() * eval_modulus(spec.modulus, t_grid[:-1]) / t_grid[:-1]
+    bounds = decrement + corr * top_row_k + noise[:-1] + noise[1:]
+    below = np.flatnonzero(bounds < tol)
+    finite = bounds < np.inf  # a NaN or infinite bracket is never the smallest
+    if below.size:
+        level = int(below[0]) + 1
+    elif finite.any():
+        level = int(np.argmin(np.where(finite, bounds, np.inf))) + 1
+    else:
+        level = max_depth - 1
+    t_used = float(t_grid[level])
     return DerivativeEstimate(
-        value=value,
-        error_bound=float(best_bound),
-        t_used=float(t_used),
-        iterations=iters,
-        converged=False,
-        cancellation_warning=bool(t_used < 1e-8 * x0n),
+        value=raw[level].copy(),
+        error_bound=float(bounds[level - 1]) if finite.any() else np.inf,
+        t_used=t_used,
+        iterations=level + 1,
+        converged=bool(below.size),
+        cancellation_warning=bool(t_used < 1e-8 * norm(x0, "two")),
     )
 
 

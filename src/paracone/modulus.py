@@ -72,8 +72,8 @@ def eval_modulus(m: Modulus, t):
     refuse to extrapolate past their last knot."""
     if isinstance(t, float) or np.ndim(t) == 0:
         # one gap computes in Python floats: each numpy operation on a 0-d
-        # array costs about ten times more, and quotient walks call this once
-        # per level
+        # array costs about ten times more, and the upper-bound and Frechet
+        # checks call this once per sampled step
         t = float(t)
         valid = 0.0 <= t < np.inf
     else:

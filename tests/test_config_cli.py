@@ -292,6 +292,68 @@ def test_malformed_shared_fields_exit_two_with_a_path(entry, flags, where, tmp_p
     assert f"input error: {where}: " in captured.err
 
 
+@pytest.mark.parametrize(
+    "entry, where",
+    [
+        ({"op": "frechet", "seed": 1, "x0": [0.25], "epsilons": 5}, "checks[0].epsilons"),
+        ({"op": "frechet", "seed": 1, "x0": [0.25], "epsilons": [1e-2, "x"]}, "checks[0].epsilons[1]"),
+        ({"op": "derivative", "x0": [0.25], "h": [1.0], "ratio": "0.5"}, "checks[0].ratio"),
+        ({"op": "derivative", "x0": [0.25], "h": [1.0], "max_depth": 40.0}, "checks[0].max_depth"),
+        ({"op": "derivative", "x0": [0.25], "h": [1.0], "t0": [0.1]}, "checks[0].t0"),
+        ({"op": "trace", "x0": [0.25], "h": [1.0], "depth": True}, "checks[0].depth"),
+        ({"op": "gateaux", "seed": 1, "x0": [0.25], "n_directions": "8"}, "checks[0].n_directions"),
+        ({"op": "gateaux-scan", "seed": 1, "n_points": 2.5}, "checks[0].n_points"),
+        ({"op": "gateaux-scan", "seed": 1, "points": 5}, "checks[0].points"),
+        ({"op": "scalarize", "seed": 1, "functionals": 5}, "checks[0].functionals"),
+        ({"op": "derivative", "x0": [0.25], "h": [1.0], "upper_bound": "no"}, "checks[0].upper_bound"),
+        ({"op": "falsify", "seed": 1, "refine": "yes"}, "checks[0].refine"),
+        ({"op": "derivative", "x0": [0.0], "h": [1.0], "ratio": 1e-10}, "checks[0]"),
+        ({"op": "trace", "x0": [0.0], "h": [1.0], "ratio": 1e-10}, "checks[0]"),
+    ],
+    ids=[
+        "epsilons-int",
+        "epsilons-string-entry",
+        "ratio-string",
+        "max-depth-float",
+        "t0-list",
+        "depth-bool",
+        "n-directions-string",
+        "n-points-fraction",
+        "points-int",
+        "functionals-int",
+        "upper-bound-string",
+        "refine-string",
+        "derivative-grid-underflow",
+        "trace-grid-underflow",
+    ],
+)
+def test_malformed_op_fields_exit_two_with_a_path(entry, where, tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"mapping": {"family": "neg_square"}, "checks": [entry]}))
+    code = main(["run", "--config", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert f"input error: {where}: " in captured.err
+
+
+def test_empty_generators_next_to_duals_exit_two(tmp_path, capsys):
+    cone = {"generators": [], "dual_generators": [[1.0]]}
+    spec = {"modulus": {"kind": "zero"}, "cone": cone, "k": [1.0], "C": 1.0}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"mapping": {"family": "neg_abs"}, "spec": spec, "checks": TINY_CFG["checks"]}))
+    assert main(["run", "--config", str(path)]) == 2
+    assert "input error: spec.cone.generators: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", list(OPERATIONS))
+def test_checks_that_is_not_a_list_exits_two_under_every_subcommand(command, tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"mapping": {"family": "neg_square"}, "checks": 5}))
+    assert main([command, "--config", str(path)]) == 2
+    assert "input error: checks: expected a non-empty list" in capsys.readouterr().err
+
+
 def test_op_errors_name_their_entry(tmp_path, capsys):
     p = tmp_path / "cfg.json"
     p.write_text(

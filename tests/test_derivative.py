@@ -31,8 +31,10 @@ from paracone import (
     square_modulus,
     zero_modulus,
 )
-from paracone.geometry import Box, contains
+from paracone.derivative import _default_t0, _prep_direction, _quotient_noise
+from paracone.geometry import Box, contains, norm, unit_dual_generators
 from paracone.mappings import known_directional
+from paracone.modulus import eval_modulus
 
 
 # ---------------------------------------------------------------------------
@@ -162,6 +164,74 @@ def test_estimator_schedule_independence():
     b = directional_derivative(f, f.claimed, [0.3], [1.0], tol=tol, ratio=1.0 / 3.0)
     assert a.converged and b.converged
     assert abs(a.value[0] - b.value[0]) <= 2.0 * tol
+
+
+def _reference_estimate(f, spec, x0, h, tol, ratio, max_depth):
+    """The level-by-level walk the one-batch estimator replaced, kept as the
+    oracle: one evaluation per level, stopping at the first small bracket."""
+    x0, h, _ = _prep_direction(f, x0, h)
+    t0 = _default_t0(f, x0, h)
+    rows = unit_dual_generators(spec.cone)
+    top_row_k = float(np.max(rows @ spec.k, initial=0.0))
+    c_min = spec.min_constant()
+    f0 = f.eval(x0)
+    f0n = norm(f0, "two")
+    prev_raw = None
+    prev_noise = 0.0
+    prev_t = 0.0
+    best_bound = np.inf
+    best = None
+    x0n = norm(x0, "two")
+    for j in range(max_depth):
+        t = t0 * ratio**j
+        ft = f.eval(x0 + t * h)
+        raw = (ft - f0) / t
+        noise = _quotient_noise(t, float(np.linalg.norm(ft)), f0n)
+        if prev_raw is not None:
+            decrement = float(np.max(np.abs(rows @ (prev_raw - raw)))) if rows.size else 0.0
+            corr = c_min * eval_modulus(spec.modulus, prev_t) / prev_t
+            bound = decrement + corr * top_row_k + prev_noise + noise
+            if bound < best_bound:
+                best_bound = bound
+                best = (raw, t, j + 1)
+            if bound < tol:
+                return DerivativeEstimate(raw, float(bound), float(t), j + 1, True, bool(t < 1e-8 * x0n))
+        prev_raw, prev_noise, prev_t = raw, noise, t
+    value, t_used, iters = best if best is not None else (prev_raw, prev_t, max_depth)
+    return DerivativeEstimate(value, float(best_bound), float(t_used), iters, False, bool(t_used < 1e-8 * x0n))
+
+
+def test_batched_estimator_reproduces_level_walk(families):
+    rng = np.random.default_rng(17)
+    outcomes = set()
+    for f in families:
+        inner = f.domain.shrink(0.05)
+        for x0 in [inner.center] + list(inner.sample(3, rng)):
+            h = rng.normal(size=f.domain.dim)
+            h /= norm(h, f.domain_norm)
+            for tol in (1e-6, 1e-9, 1e-13):
+                for ratio, max_depth in ((0.5, 40), (1.0 / 3.0, 25), (0.5, 2), (0.9, 10)):
+                    got = directional_derivative(f, f.claimed, x0, h, tol=tol, ratio=ratio, max_depth=max_depth)
+                    want = _reference_estimate(f, f.claimed, x0, h, tol, ratio, max_depth)
+                    assert got.value.tobytes() == want.value.tobytes(), (f.label, tol, ratio, max_depth)
+                    assert got.error_bound.hex() == want.error_bound.hex()
+                    assert (got.t_used, got.iterations) == (want.t_used, want.iterations)
+                    assert (got.converged, got.cancellation_warning) == (want.converged, want.cancellation_warning)
+                    outcomes.add((want.converged, max_depth == 2))
+    assert outcomes == {(True, False), (False, False), (True, True), (False, True)}
+
+
+def test_underflowing_step_grid_is_rejected():
+    f = neg_square_1d()
+    # t0 = 0.1 reaches 0 at the 33rd power of 1e-10
+    with pytest.raises(ValueError, match=r"ratio=1e-10 underflows the step grid to t = 0 at depth 33 of 40"):
+        directional_derivative(f, f.claimed, [0.0], [1.0], ratio=1e-10)
+    with pytest.raises(ValueError, match=r"ratio=1e-10 underflows .* depth 33 of 35"):
+        build_trace(f, f.claimed, [0.0], [1.0], ratio=1e-10, depth=35)
+    # one level short of the underflow is still a grid
+    assert build_trace(f, f.claimed, [0.0], [1.0], ratio=1e-10, depth=33).t_grid[-1] > 0.0
+    with pytest.raises(ValueError, match="at least two grid levels"):
+        directional_derivative(f, f.claimed, [0.0], [1.0], max_depth=1)
 
 
 def test_estimator_requires_unit_direction():

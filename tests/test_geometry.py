@@ -308,6 +308,59 @@ def test_normality_at_least_one_and_monotone_in_budget():
     assert 1.2 <= large <= 2.0 + 1e-9
 
 
+def _reference_normality(cone, norm_kind, budget, seed):
+    """The per-pair loop the one-draw estimate replaced, kept as the oracle."""
+    gens = ensure_generators(cone)
+    best = 1.0
+    rng = np.random.default_rng(seed)
+    g = gens.shape[0]
+    for _ in range(budget - 1):
+        cx = rng.uniform(0.0, 1.0, size=g) * (2.0 ** rng.uniform(-4.0, 4.0))
+        cw = rng.uniform(0.0, 1.0, size=g) * (2.0 ** rng.uniform(-4.0, 4.0))
+        x = cx @ gens
+        y = x + cw @ gens
+        ny = norm(y, norm_kind)
+        if ny <= 0.0:
+            continue
+        ratio = norm(x, norm_kind) / ny
+        if ratio > best:
+            best = ratio
+    return float(best)
+
+
+def _normality_cones(dim):
+    cones = [orthant(dim), random_simplicial_cone(dim, seed=dim)]
+    if dim > 1:  # more generators than dimensions
+        cones.append(cone_from_generators(np.vstack([np.eye(dim), np.r_[1.0, np.full(dim - 1, -0.5)]])))
+    return cones
+
+
+def test_one_draw_normality_reproduces_per_pair_stream():
+    above_one = 0
+    for dim in (1, 2, 3, 4):
+        for cone in _normality_cones(dim):
+            for kind in ("sup", "one", "two"):
+                for budget in (1, 2, 7, 256):
+                    for seed in range(4):
+                        got = normality_constant(cone, kind, budget=budget, seed=seed)
+                        want = _reference_normality(cone, kind, budget, seed)
+                        assert got.hex() == want.hex(), (cone.name, kind, budget, seed)
+                        above_one += want > 1.0
+    assert above_one >= 50  # the comparison is not all floors
+
+
+def test_normality_nondecreasing_at_every_budget():
+    rising = 0
+    for dim in (2, 3):
+        for cone in _normality_cones(dim)[1:]:
+            for kind in ("sup", "one", "two"):
+                gammas = [normality_constant(cone, kind, budget=b, seed=31) for b in range(1, 301)]
+                assert gammas[0] == 1.0
+                assert all(a <= b for a, b in zip(gammas, gammas[1:])), (cone.name, kind)
+                rising += gammas[-1] > 1.0
+    assert rising >= 6
+
+
 def test_strictly_positive_functional_orthant_is_ones():
     e = strictly_positive_functional(orthant(3))
     assert np.array_equal(e.coeffs, np.ones(3))
