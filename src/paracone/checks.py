@@ -27,7 +27,7 @@ import numpy as np
 from .geometry import (
     Box,
     DualFunctional,
-    ensure_generators,
+    interior_direction,
     is_standard_orthant,
     matvec_rows,
     norm,
@@ -525,12 +525,7 @@ def check_local_vector_bounded(
         k_bar = np.max(np.abs(vals), axis=0)
     else:
         env = np.max(np.abs(vals @ rows.T), axis=0)  # per-functional envelope
-        gens = ensure_generators(cone)
-        k0 = gens.sum(axis=0)
-        k0 = k0 / max(norm(k0, "two"), 1e-300)
-        denom = rows @ k0
-        if np.any(denom <= 1e-12):
-            raise ValueError("cone has no interior direction to scale the bound witness along")
+        k0, denom = interior_direction(cone)
         k_bar = 1.1 * float(np.max(env / denom)) * k0
 
     # verify the sandwich through the same functionals

@@ -108,6 +108,14 @@ def _as_floats(val, path: str) -> np.ndarray:
     return arr
 
 
+def _pairs(val, path: str) -> tuple:
+    """A list of [number, number] pairs as a tuple of float pairs."""
+    arr = _as_floats(val, path)
+    if arr.size and (arr.ndim != 2 or arr.shape[1] != 2):
+        raise ConfigError(f"{path}: expected a list of [number, number] pairs")
+    return tuple(map(tuple, arr.tolist()))
+
+
 @contextmanager
 def _located(path: str):
     """Re-raise a ValueError from below as a ConfigError naming path."""
@@ -148,7 +156,7 @@ def build_box(obj, path: str) -> Box:
 
 def build_cone(obj, path: str) -> PolyCone:
     if isinstance(obj, dict) and "orthant" in obj:
-        return orthant(int(obj["orthant"]))
+        return orthant(_integer(obj["orthant"], f"{path}.orthant"))
     if isinstance(obj, dict) and ("generators" in obj or "dual_generators" in obj):
         gens = obj.get("generators")
         duals = obj.get("dual_generators")
@@ -168,7 +176,7 @@ def build_cone(obj, path: str) -> PolyCone:
                 return cone_from_generators(_as_floats(gens, f"{path}.generators"), name=name)
             return cone_from_inequalities(_as_floats(duals, f"{path}.dual_generators"), name=name)
     if isinstance(obj, dict) and obj.get("random_simplicial"):
-        return random_simplicial_cone(int(_req(obj, "dim", path)), int(_req(obj, "seed", path)))
+        return random_simplicial_cone(*(_integer(_req(obj, key, path), f"{path}.{key}") for key in ("dim", "seed")))
     raise ConfigError(f"{path}: expected orthant/generators/dual_generators")
 
 
@@ -176,27 +184,24 @@ def build_modulus(obj, path: str) -> Modulus:
     if not isinstance(obj, dict) or "kind" not in obj:
         raise ConfigError(f"{path}: expected an object with a kind")
     kind = obj["kind"]
+    scale = _number(obj.get("scale", 1.0), f"{path}.scale")
     with _located(path):
         if kind == "zero":
             return zero_modulus()
         if kind == "square":
-            return square_modulus(scale=float(obj.get("scale", 1.0)))
+            return square_modulus(scale=scale)
         if kind == "power":
-            return power_modulus(p=float(_req(obj, "p", path)), scale=float(obj.get("scale", 1.0)))
+            return power_modulus(p=_number(_req(obj, "p", path), f"{path}.p"), scale=scale)
         if kind == "table":
-            knots = tuple((float(t), float(v)) for t, v in _req(obj, "knots", path))
-            return table_modulus(knots)
+            return table_modulus(_pairs(_req(obj, "knots", path), f"{path}.knots"))
     raise ConfigError(f"{path}.kind: unknown modulus kind {kind!r}")
 
 
+# smooth parts of semiconvex_scalar: constructor and parameter defaults
 _SMOOTH_KINDS = {
-    "quadratic": lambda o: Quadratic1D(a=float(o.get("a", 0.0)), b=float(o.get("b", 0.0)), c=float(o.get("c", 0.0))),
-    "sine": lambda o: Sine1D(
-        amplitude=float(o.get("amplitude", 1.0)),
-        frequency=float(o.get("frequency", 1.0)),
-        phase=float(o.get("phase", 0.0)),
-    ),
-    "zero": lambda o: ZeroPart(),
+    "quadratic": (Quadratic1D, {"a": 0.0, "b": 0.0, "c": 0.0}),
+    "sine": (Sine1D, {"amplitude": 1.0, "frequency": 1.0, "phase": 0.0}),
+    "zero": (ZeroPart, {}),
 }
 
 # families that take no parameters
@@ -222,25 +227,29 @@ def build_mapping(obj, path: str = "mapping") -> VectorMapping:
     if family in _PLAIN_FAMILIES:
         return _PLAIN_FAMILIES[family]()
     if family == "semiconvex_scalar":
-        kinks = tuple((float(p), float(s)) for p, s in params.get("kinks", ()))
-        u1 = PiecewiseLinear(initial_slope=float(_req(params, "initial_slope", ppath)), kinks=kinks)
+        kinks = _pairs(params.get("kinks", ()), f"{ppath}.kinks")
+        slope = _number(_req(params, "initial_slope", ppath), f"{ppath}.initial_slope")
+        u1 = PiecewiseLinear(initial_slope=slope, kinks=kinks)
         smooth_obj = params.get("smooth", {"kind": "zero"})
+        if not isinstance(smooth_obj, dict):
+            raise ConfigError(f"{ppath}.smooth: expected an object")
         kind = str(smooth_obj.get("kind", "zero"))
         if kind not in _SMOOTH_KINDS:
             raise ConfigError(f"{ppath}.smooth.kind: unknown kind {kind!r}")
-        u2 = _SMOOTH_KINDS[kind](smooth_obj)
+        make, defaults = _SMOOTH_KINDS[kind]
+        u2 = make(**{key: _number(smooth_obj.get(key, d), f"{ppath}.smooth.{key}") for key, d in defaults.items()})
         domain = build_box(_req(params, "domain", ppath), f"{ppath}.domain")
         with _located(path):
-            return make_semiconvex_scalar(u1, u2, C=float(_req(params, "C", ppath)), domain=domain)
+            return make_semiconvex_scalar(u1, u2, C=_number(_req(params, "C", ppath), f"{ppath}.C"), domain=domain)
     if family == "example1":
         return example1_default(
-            n=int(params.get("n", 8)),
-            kinks_per_component=int(params.get("kinks_per_component", 5)),
-            C=float(params.get("C", 0.5)),
+            n=_integer(params.get("n", 8), f"{ppath}.n"),
+            kinks_per_component=_integer(params.get("kinks_per_component", 5), f"{ppath}.kinks_per_component"),
+            C=_number(params.get("C", 0.5), f"{ppath}.C"),
         )
     if family == "curved_cone":
         cone = build_cone(_req(params, "cone", ppath), f"{ppath}.cone")
-        return curved_cone_map(cone, seed=int(_req(params, "seed", ppath)))
+        return curved_cone_map(cone, seed=_integer(_req(params, "seed", ppath), f"{ppath}.seed"))
     raise ConfigError(f"{path}.family: unknown family {family!r}")
 
 
@@ -254,17 +263,10 @@ def build_spec(cfg: dict, mapping: VectorMapping) -> ParaSpec:
     modulus = build_modulus(_req(obj, "modulus", path), f"{path}.modulus")
     cone = build_cone(_req(obj, "cone", path), f"{path}.cone")
     k = _as_floats(_req(obj, "k", path), f"{path}.k")
-    c_min = obj.get("C")
-    c_lam = obj.get("C1")
+    c_min, c_lam = (None if obj.get(key) is None else _number(obj[key], f"{path}.{key}") for key in ("C", "C1"))
+    membership_tol = _number(obj.get("membership_tol", 1e-9), f"{path}.membership_tol")
     with _located(path):
-        return ParaSpec(
-            modulus=modulus,
-            k=k,
-            cone=cone,
-            C=None if c_min is None else float(c_min),
-            C1=None if c_lam is None else float(c_lam),
-            membership_tol=float(obj.get("membership_tol", 1e-9)),
-        )
+        return ParaSpec(modulus=modulus, k=k, cone=cone, C=c_min, C1=c_lam, membership_tol=membership_tol)
 
 
 def validate_operation(op: dict, path: str) -> str:

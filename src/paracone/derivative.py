@@ -1,15 +1,23 @@
 """Difference quotients, the monotone directional-derivative estimator, and
 the differentiability test batteries.
 
-The estimator evaluates a geometric step grid and stops at the first level
-where the scalarized decrement between consecutive quotients, plus the
-vanishing allowance term, plus an explicit floating-point noise allowance,
-drops below the requested tolerance.  The theory guarantees the corrected quotients decrease
+Every check here reads one object: the corrected quotient
+(f(x0+th) - f(x0))/t + C*modulus(t)/t * k, which the theory makes monotone
+in the cone order as t decreases.  One kernel (_quotients) evaluates x0 and
+x0 + t*h for a whole step array in one batch and returns the raw quotients,
+the modulus allowance C*modulus(t)/t, the corrected quotients and the
+rounding allowance of each step; the trace, the estimator, the upper-bound
+check and the Frechet test all read those arrays.
+
+The estimator stops at the first level of a geometric step grid where the
+scalarized decrement between consecutive quotients, plus the vanishing
+allowance term, plus the rounding allowance, drops below the requested
+tolerance.  The theory guarantees the corrected quotients decrease
 monotonically to the one-sided derivative but gives no rate, so the
 reported error bound is the monotone-bracket width at the stopping index,
 never an extrapolated rate claim.
 
-The noise allowance matters: a difference quotient at step t carries
+The rounding allowance matters: a difference quotient at step t carries
 rounding error on the order of eps * ||f|| / t, which dwarfs any reasonable
 tolerance once t is small enough.  Folding the allowance into every margin
 keeps deep-grid checks honest (no false violations from cancellation) while
@@ -27,8 +35,8 @@ from .geometry import (
     Box,
     as_point,
     base_of,
+    interior_direction,
     is_standard_orthant,
-    ensure_generators,
     matvec_rows,
     norm,
     row_norms,
@@ -96,20 +104,46 @@ def _step_grid(f: VectorMapping, x0: np.ndarray, h: np.ndarray, t0: float | None
 
 @dataclass(eq=False)
 class QuotientTrace:
-    """Raw and allowance-corrected difference quotients along a decreasing
-    geometric step grid.  corrected - raw equals C*modulus(t)/t * k exactly
-    as computed, row for row."""
+    """Difference quotients of f from x0 along a unit h at the steps t_grid.
 
-    x0: np.ndarray
+    Row j holds raw[j] = (f(x0 + t_j*h) - f(x0))/t_j, the modulus allowance
+    allowance[j] = C*modulus(t_j)/t_j, corrected[j] = raw[j] + allowance[j]*k
+    exactly as computed, and noise[j], the rounding allowance of raw[j].
+    f0 is f(x0)."""
+
     h: np.ndarray
     t_grid: np.ndarray
     raw: np.ndarray
+    allowance: np.ndarray
     corrected: np.ndarray
-    fvals: np.ndarray
+    noise: np.ndarray
     f0: np.ndarray
     spec: ParaSpec
-    codomain_norm: str = "two"
     normalized_h: bool = False
+
+
+def _quotients(f: VectorMapping, spec: ParaSpec, x0: np.ndarray, h: np.ndarray, t: np.ndarray) -> QuotientTrace:
+    """The quotients at every step of t from one batch of x0 and x0 + t*h;
+    x0 and h are taken as given (see _prep_direction)."""
+    values = f.eval_batch(np.concatenate([x0[None, :], x0 + t[:, None] * h]))
+    f0, fvals = values[0], values[1:]
+    raw = (fvals - f0) / t[:, None]
+    allowance = spec.min_constant() * eval_modulus(spec.modulus, t) / t
+    return QuotientTrace(
+        h=h,
+        t_grid=t,
+        raw=raw,
+        allowance=allowance,
+        corrected=raw + np.outer(allowance, spec.k),
+        noise=_quotient_noise(t, row_norms(fvals), norm(f0, "two")),
+        f0=f0,
+        spec=spec,
+    )
+
+
+def _cone_margins(rows: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """Smallest unit-functional value of every row of a (0 without functionals)."""
+    return np.min(matvec_rows(rows, a), axis=1) if rows.size else np.zeros(len(a))
 
 
 def build_trace(
@@ -128,29 +162,9 @@ def build_trace(
     0.1) at any interior point.
     """
     x0, h, warned = _prep_direction(f, x0, h)
-    t_grid = _step_grid(f, x0, h, t0, ratio, depth)
-    values = f.eval_batch(np.concatenate([x0[None, :], x0 + t_grid[:, None] * h]))
-    f0, fvals = values[0], values[1:]
-    raw = (fvals - f0) / t_grid[:, None]
-    c_min = spec.min_constant()
-    corr = c_min * eval_modulus(spec.modulus, t_grid) / t_grid
-    corrected = raw + np.outer(corr, spec.k)
-    return QuotientTrace(
-        x0=x0,
-        h=h,
-        t_grid=t_grid,
-        raw=raw,
-        corrected=corrected,
-        fvals=fvals,
-        f0=f0,
-        spec=spec,
-        codomain_norm=f.codomain_norm,
-        normalized_h=warned,
-    )
-
-
-def _trace_noise(trace: QuotientTrace) -> np.ndarray:
-    return _quotient_noise(trace.t_grid, row_norms(trace.fvals), norm(trace.f0, "two"))
+    trace = _quotients(f, spec, x0, h, _step_grid(f, x0, h, t0, ratio, depth))
+    trace.normalized_h = warned
+    return trace
 
 
 def check_alpha_monotone(trace: QuotientTrace, tol: float = 1e-9) -> CheckReport:
@@ -170,10 +184,9 @@ def check_alpha_monotone(trace: QuotientTrace, tol: float = 1e-9) -> CheckReport
     # quantity[a, b] = corrected[a] - raw[b] for t_a > t_b (a < b)
     qty = trace.corrected[:, None, :] - trace.raw[None, :, :]
     margins = np.min(qty @ rows.T, axis=2) if rows.size else np.zeros((m, m))
-    allow = _trace_noise(trace)
     raw_norms = np.linalg.norm(trace.raw, axis=1)
     scale = 1.0 + raw_norms[:, None] + raw_norms[None, :]
-    adjusted = (margins + allow[:, None] + allow[None, :]) / scale
+    adjusted = (margins + trace.noise[:, None] + trace.noise[None, :]) / scale
     ia, ib = np.triu_indices(m, k=1)
     vals = adjusted[ia, ib]
     worst_idx = int(np.argmin(vals))
@@ -202,17 +215,11 @@ def check_lower_bound(trace: QuotientTrace, tol: float = 1e-9) -> CheckReport:
     if is_standard_orthant(spec.cone):
         a = np.min(trace.corrected, axis=0)
     else:
-        gens = ensure_generators(spec.cone)
-        k0 = gens.sum(axis=0)
-        k0 = k0 / max(norm(k0, "two"), 1e-300)
-        denom = rows @ k0
-        if np.any(denom <= 1e-12):
-            raise ValueError("cone has no interior direction for the lower-bound witness")
+        k0, denom = interior_direction(spec.cone)
         a = float(np.min(inf_per_row / denom)) * k0
     margins = (trace.corrected - a) @ rows.T
-    allow = _trace_noise(trace)
     scale = 1.0 + np.linalg.norm(trace.corrected, axis=1) + norm(a, "two")
-    adjusted = (np.min(margins, axis=1) + allow) / scale
+    adjusted = (np.min(margins, axis=1) + trace.noise) / scale
     worst_idx = int(np.argmin(adjusted))
     return CheckReport(
         passed=bool(float(adjusted[worst_idx]) >= -tol),
@@ -261,17 +268,12 @@ def directional_derivative(
     number of evaluations, which is always max_depth + 1.
     """
     x0, h, _ = _prep_direction(f, x0, h)
-    t_grid = _step_grid(f, x0, h, t0, ratio, max_depth)
+    q = _quotients(f, spec, x0, h, _step_grid(f, x0, h, t0, ratio, max_depth))
     rows = unit_dual_generators(spec.cone)
     top_row_k = float(np.max(rows @ spec.k, initial=0.0))
-    values = f.eval_batch(np.concatenate([x0[None, :], x0 + t_grid[:, None] * h]))
-    f0, fvals = values[0], values[1:]
-    raw = (fvals - f0) / t_grid[:, None]
-    noise = _quotient_noise(t_grid, row_norms(fvals), norm(f0, "two"))
     # bounds[j - 1] closes the bracket between levels j - 1 and j
-    decrement = np.max(np.abs(matvec_rows(rows, raw[:-1] - raw[1:])), axis=1, initial=0.0)
-    corr = spec.min_constant() * eval_modulus(spec.modulus, t_grid[:-1]) / t_grid[:-1]
-    bounds = decrement + corr * top_row_k + noise[:-1] + noise[1:]
+    decrement = np.max(np.abs(matvec_rows(rows, q.raw[:-1] - q.raw[1:])), axis=1, initial=0.0)
+    bounds = decrement + q.allowance[:-1] * top_row_k + q.noise[:-1] + q.noise[1:]
     below = np.flatnonzero(bounds < tol)
     finite = bounds < np.inf  # a NaN or infinite bracket is never the smallest
     if below.size:
@@ -280,9 +282,9 @@ def directional_derivative(
         level = int(np.argmin(np.where(finite, bounds, np.inf))) + 1
     else:
         level = max_depth - 1
-    t_used = float(t_grid[level])
+    t_used = float(q.t_grid[level])
     return DerivativeEstimate(
-        value=raw[level].copy(),
+        value=q.raw[level].copy(),
         error_bound=float(bounds[level - 1]) if finite.any() else np.inf,
         t_used=t_used,
         iterations=level + 1,
@@ -318,29 +320,18 @@ def check_upper_bound(
     bd = f.domain.boundary_distance(x0, h)
     if t_samples[0] <= 0.0 or t_samples[-1] >= bd:
         raise ValueError("t samples must stay strictly inside the admissible range")
-    rows = unit_dual_generators(spec.cone)
-    c_min = spec.min_constant()
-    values = f.eval_batch(np.concatenate([x0[None, :], x0 + t_samples[:, None] * h]))
-    f0 = values[0]
-    f0n = norm(f0, "two")
+    q = _quotients(f, spec, x0, h, t_samples)
+    f0n = norm(q.f0, "two")
     dn = norm(estimate.value, "two")
     allow_used = _quotient_noise(estimate.t_used, dn * estimate.t_used + f0n, f0n)
-    worst = np.inf
-    witness = None
-    for t, ft in zip(t_samples, values[1:]):
-        raw = (ft - f0) / t
-        corr = c_min * eval_modulus(spec.modulus, t) / t
-        residual = raw + corr * spec.k - estimate.value
-        margin = float(np.min(rows @ residual)) if rows.size else 0.0
-        allow = _quotient_noise(t, float(np.linalg.norm(ft)), f0n)
-        adjusted = (margin + allow + allow_used) / (1.0 + float(np.linalg.norm(raw)) + dn)
-        if adjusted < worst:
-            worst = adjusted
-            witness = float(t)
+    margins = _cone_margins(unit_dual_generators(spec.cone), q.corrected - estimate.value)
+    adjusted = (margins + q.noise + allow_used) / (1.0 + row_norms(q.raw) + dn)
+    i = int(np.argmin(adjusted))
+    worst = float(adjusted[i])
     return CheckReport(
         passed=bool(worst >= -tol),
-        worst_margin=float(worst),
-        witness=witness,
+        worst_margin=worst,
+        witness=float(t_samples[i]),
         samples_used=int(t_samples.size),
         tol=tol,
         notes="derivative below every corrected quotient on the sampled steps",
@@ -723,47 +714,29 @@ def frechet_test(
         raise ValueError("schedule step leaves the domain along a sampled direction")
 
     rows = unit_dual_generators(spec.cone)
-    c_min = spec.min_constant()
-    steps = x0 + t_schedule[:, None, None] * np.array(dirs)[None, :, :]
-    values = f.eval_batch(np.concatenate([x0[None, :], steps.reshape(-1, x0.size)]))
-    f0 = values[0]
-    f_steps = values[1:].reshape(t_schedule.size, len(dirs), -1)
-    f0n = norm(f0, "two")
-
-    d_vals = []
-    d_errs = []
-    for u in dirs:
-        oracle = known_directional(f, x0, u)
-        if oracle is not None:
-            d_vals.append(oracle)
-            d_errs.append(0.0)
-        else:
-            val, err, _ = _estimate_along(f, spec, x0, u, tol)
-            d_vals.append(val)
-            d_errs.append(err)
-
     residual_margin = np.inf
     max_base_norm = 0.0
     lam_table = np.zeros((t_schedule.size, len(dirs)))
-    for ti, t in enumerate(t_schedule):
-        corr = c_min * eval_modulus(spec.modulus, t) / t
-        for ui, ft in enumerate(f_steps[ti]):
-            r = (ft - f0) / t + corr * spec.k - d_vals[ui]
-            allow = _quotient_noise(t, float(np.linalg.norm(ft)), f0n) + d_errs[ui]
-            margin = (float(np.min(rows @ r)) + allow) / (1.0 + float(np.linalg.norm(r)))
-            residual_margin = min(residual_margin, margin)
-            lam = float(e_star(r))
-            lam_table[ti, ui] = lam
-            if lam > tol:
-                b_norm = norm(r / lam, f.codomain_norm)
-                max_base_norm = max(max_base_norm, float(b_norm))
+    for ui, u in enumerate(dirs):
+        d_val, d_err = known_directional(f, x0, u), 0.0
+        if d_val is None:
+            d_val, d_err, _ = _estimate_along(f, spec, x0, u, tol)
+        q = _quotients(f, spec, x0, u, t_schedule)
+        r = q.corrected - d_val
+        margins = (_cone_margins(rows, r) + (q.noise + d_err)) / (1.0 + row_norms(r))
+        residual_margin = min(residual_margin, float(np.min(margins)))
+        lam = matvec_rows(e_star.coeffs[None, :], r)[:, 0]
+        lam_table[:, ui] = lam
+        big = lam > tol
+        if big.any():
+            max_base_norm = max(max_base_norm, float(np.max(row_norms(r[big] / lam[big, None], f.codomain_norm))))
 
     table = []
     max_lam_per_t = np.max(lam_table, axis=1)
     for eps in epsilons:
-        ok = max_lam_per_t <= eps
         # largest step whose entire finer suffix stays within eps
-        delta = next((float(t) for ti, t in enumerate(t_schedule) if np.all(ok[ti:])), None)
+        suffix_ok = np.logical_and.accumulate((max_lam_per_t <= eps)[::-1])[::-1]
+        delta = float(t_schedule[np.argmax(suffix_ok)]) if suffix_ok.any() else None
         table.append({"epsilon": float(eps), "delta": delta, "max_lambda": float(np.max(max_lam_per_t))})
     all_eps_ok = all(row["delta"] is not None for row in table)
 

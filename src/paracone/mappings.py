@@ -25,7 +25,7 @@ from typing import Callable, Protocol
 import numpy as np
 
 from .geometry import Box  # noqa: F401  (re-exported for config convenience)
-from .geometry import NORM_KINDS, PolyCone, as_point, ensure_generators, matvec_rows, norm, orthant, row_dots
+from .geometry import NORM_KINDS, PolyCone, as_point, generator_direction, matvec_rows, orthant, row_dots
 from .modulus import ParaSpec, square_modulus, zero_modulus
 
 
@@ -459,8 +459,7 @@ def affine_mapping(a_matrix, offset, domain: "Box", cone: PolyCone | None = None
     if cone is None:
         cone = orthant(m)
     if k is None:
-        k = np.asarray(ensure_generators(cone), dtype=float).sum(axis=0)
-        k = k / max(norm(k, "two"), 1e-300)
+        k = generator_direction(cone)
     spec = ParaSpec(modulus=zero_modulus(), k=np.asarray(k, dtype=float), cone=cone, C=0.0, C1=0.0)
 
     def _eval(x: np.ndarray) -> np.ndarray:
@@ -556,12 +555,7 @@ def curved_cone_map(cone: PolyCone, seed: int, label: str | None = None) -> Vect
     claimed constants C = C1 = 1 are valid and the lambda form is tight.
     """
     rng = np.random.default_rng(seed)
-    gens = ensure_generators(cone)
-    k0 = gens.sum(axis=0)
-    nk = norm(k0, "two")
-    if nk <= 1e-12:
-        raise ValueError("cone generators sum to zero; no interior bend direction")
-    k0 = k0 / nk
+    k0 = generator_direction(cone)
     a_matrix = rng.normal(size=(cone.dim, 2))
     domain = Box(lo=[-1.0, -1.0], hi=[1.0, 1.0])
     spec = ParaSpec(modulus=square_modulus(), k=k0, cone=cone, C=1.0, C1=1.0)

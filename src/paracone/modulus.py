@@ -67,19 +67,12 @@ def table_modulus(knots) -> Modulus:
 
 
 def eval_modulus(m: Modulus, t):
-    """Value at gap size t >= 0, or at every gap of an array of them (same
-    shape out).  Tables interpolate from the implicit (0, 0) anchor and
-    refuse to extrapolate past their last knot."""
-    if isinstance(t, float) or np.ndim(t) == 0:
-        # one gap computes in Python floats: each numpy operation on a 0-d
-        # array costs about ten times more, and the upper-bound and Frechet
-        # checks call this once per sampled step
-        t = float(t)
-        valid = 0.0 <= t < np.inf
-    else:
-        t = np.asarray(t, dtype=float)
-        valid = bool(((t >= 0.0) & (t < np.inf)).all())
-    if not valid:
+    """Value at gap size t >= 0 as a float, or at every gap of an array of
+    them (same shape out); each gap's value is bitwise the same either way.
+    Tables interpolate from the implicit (0, 0) anchor and refuse to
+    extrapolate past their last knot."""
+    t = np.asarray(t, dtype=float)
+    if not ((t >= 0.0) & (t < np.inf)).all():
         raise ValueError(f"modulus argument must be a finite nonnegative number, got {t}")
     if m.kind == "zero":
         out = 0.0 * t

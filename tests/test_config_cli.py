@@ -346,6 +346,97 @@ def test_empty_generators_next_to_duals_exit_two(tmp_path, capsys):
     assert "input error: spec.cone.generators: " in capsys.readouterr().err
 
 
+_SPEC = {"modulus": {"kind": "square"}, "cone": {"orthant": 1}, "k": [1.0], "C": 10.0}
+_SEMICONVEX = {
+    "family": "semiconvex_scalar",
+    "params": {
+        "initial_slope": -1.0,
+        "kinks": [[0.0, 1.0]],
+        "smooth": {"kind": "quadratic", "a": -0.5},
+        "C": 0.5,
+        "domain": {"lo": [-1.0], "hi": [1.0]},
+    },
+}
+
+
+def _set(obj: dict, where: str, value) -> dict:
+    """A deep copy of obj with the dotted path where set to value."""
+    out = copy.deepcopy(obj)
+    *parents, last = where.split(".")
+    node = out
+    for key in parents:
+        node = node[key]
+    node[last] = value
+    return out
+
+
+_EXAMPLE1 = {"family": "example1", "params": {}}
+
+
+@pytest.mark.parametrize(
+    "edits, where",
+    [
+        ({"spec.cone.orthant": [1]}, "spec.cone.orthant"),
+        ({"spec.cone.orthant": 1.7}, "spec.cone.orthant"),
+        ({"spec.cone": {"random_simplicial": True, "dim": 2.5, "seed": 1}}, "spec.cone.dim"),
+        ({"spec.cone": {"random_simplicial": True, "dim": 2, "seed": True}}, "spec.cone.seed"),
+        ({"spec.modulus.scale": "2"}, "spec.modulus.scale"),
+        ({"spec.modulus": {"kind": "power", "p": True}}, "spec.modulus.p"),
+        ({"spec.modulus": {"kind": "table", "knots": [0.5, 0.25]}}, "spec.modulus.knots"),
+        ({"spec.modulus": {"kind": "table", "knots": [[0.5, "x"]]}}, "spec.modulus.knots"),
+        ({"spec.C": "10"}, "spec.C"),
+        ({"spec.C1": True}, "spec.C1"),
+        ({"spec.membership_tol": "1e-9"}, "spec.membership_tol"),
+        ({"mapping": _SEMICONVEX, "mapping.params.initial_slope": "-1"}, "mapping.params.initial_slope"),
+        ({"mapping": _SEMICONVEX, "mapping.params.kinks": [[0.0, 1.0, 2.0]]}, "mapping.params.kinks"),
+        ({"mapping": _SEMICONVEX, "mapping.params.kinks": [0.0, 1.0]}, "mapping.params.kinks"),
+        ({"mapping": _SEMICONVEX, "mapping.params.C": None}, "mapping.params.C"),
+        ({"mapping": _SEMICONVEX, "mapping.params.smooth.a": "-0.5"}, "mapping.params.smooth.a"),
+        ({"mapping": _SEMICONVEX, "mapping.params.smooth": "quadratic"}, "mapping.params.smooth"),
+        ({"mapping": _EXAMPLE1, "mapping.params.n": 3.0}, "mapping.params.n"),
+        ({"mapping": _EXAMPLE1, "mapping.params.kinks_per_component": True}, "mapping.params.kinks_per_component"),
+        ({"mapping": _EXAMPLE1, "mapping.params.C": "0.5"}, "mapping.params.C"),
+        (
+            {"mapping": {"family": "curved_cone", "params": {"cone": {"orthant": 2}, "seed": 1.5}}},
+            "mapping.params.seed",
+        ),
+    ],
+    ids=[
+        "orthant-list",
+        "orthant-fraction",
+        "simplicial-dim-fraction",
+        "simplicial-seed-bool",
+        "scale-string",
+        "power-p-bool",
+        "knots-flat",
+        "knots-string-entry",
+        "C-string",
+        "C1-bool",
+        "membership-tol-string",
+        "initial-slope-string",
+        "kinks-triple",
+        "kinks-flat",
+        "semiconvex-C-null",
+        "smooth-a-string",
+        "smooth-not-object",
+        "example1-n-float",
+        "example1-kinks-bool",
+        "example1-C-string",
+        "curved-cone-seed-fraction",
+    ],
+)
+def test_malformed_spec_and_mapping_fields_exit_two_with_a_path(edits, where, tmp_path, capsys):
+    cfg = {"mapping": {"family": "neg_abs"}, "spec": _SPEC, "checks": TINY_CFG["checks"]}
+    for at, value in edits.items():
+        cfg = _set(cfg, at, value)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["run", "--config", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""  # no verdict line: a malformed input is never a FAIL
+    assert f"input error: {where}: " in captured.err
+
+
 @pytest.mark.parametrize("command", list(OPERATIONS))
 def test_checks_that_is_not_a_list_exits_two_under_every_subcommand(command, tmp_path, capsys):
     path = tmp_path / "cfg.json"

@@ -9,6 +9,10 @@ runs of the same code; this compares against the recorded results, so a
 change that moves a verdict or a margin fails here.  An intended change
 regenerates the files and says why in CHANGES.md.
 
+tests/golden/scripts/<script>.stdout holds what scripts/<script>.py printed
+with its default arguments; each script runs in-process and its output is
+compared line for line, exactly.
+
 Verdicts, exit status, sample counts, labels and every other non-float
 field must match exactly.  Floats (margins, witness coordinates, bounds)
 must match to a relative 1e-12, so a last-bit BLAS difference on another
@@ -20,6 +24,7 @@ shows up as margins near -2e-16).
 import copy
 import json
 import math
+import runpy
 
 import pytest
 
@@ -29,6 +34,7 @@ from paracone.config import load_config, run_config
 from conftest import CONFIG_DIR, REPO_ROOT
 
 GOLDEN_DIR = REPO_ROOT / "tests" / "golden"
+SCRIPT_DIR = REPO_ROOT / "scripts"
 REL_TOL = 1e-12
 ABS_TOL = 1e-15
 
@@ -74,6 +80,19 @@ def test_config_matches_golden_stdout(name, capsys):
     code = main(["run", "--config", str(CONFIG_DIR / f"{name}.json")])
     assert capsys.readouterr().out.splitlines() == want
     assert code == json.loads((GOLDEN_DIR / f"{name}.json").read_text())["exit_status"]
+
+
+def test_every_script_has_a_golden_stdout():
+    scripts = sorted(p.stem for p in SCRIPT_DIR.glob("*.py"))
+    assert scripts and scripts == sorted(p.stem for p in (GOLDEN_DIR / "scripts").glob("*.stdout"))
+
+
+@pytest.mark.parametrize("name", sorted(p.stem for p in SCRIPT_DIR.glob("*.py")))
+def test_script_matches_golden_stdout(name, capsys):
+    want = (GOLDEN_DIR / "scripts" / f"{name}.stdout").read_text().splitlines()
+    script = runpy.run_path(str(SCRIPT_DIR / f"{name}.py"))
+    assert script["main"]([]) == 0
+    assert capsys.readouterr().out.splitlines() == want
 
 
 def test_golden_comparison_catches_moved_fields():

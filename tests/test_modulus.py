@@ -28,6 +28,18 @@ def test_eval_oracle_values():
     assert eval_modulus(power_modulus(1.5, scale=2.0), 4.0) == pytest.approx(16.0)
 
 
+def test_eval_scalar_is_a_float_equal_to_the_array_entry():
+    gaps = np.random.default_rng(4).uniform(0.0, 0.4, size=40)
+    for m in (zero_modulus(), square_modulus(3.3), power_modulus(1.5, scale=2.0), table_modulus(((0.1, 0.001), (0.4, 0.016)))):
+        values = eval_modulus(m, gaps)
+        assert values.shape == gaps.shape
+        for t, v in zip(gaps, values):
+            for one in (float(t), t, np.asarray(t)):
+                got = eval_modulus(m, one)
+                assert type(got) is float
+                assert got.hex() == float(v).hex(), m.kind
+
+
 def test_eval_rejects_bad_gap():
     with pytest.raises(ValueError):
         eval_modulus(square_modulus(), -1.0)
