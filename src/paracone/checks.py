@@ -302,9 +302,12 @@ def falsify(
 
     The scan checks sample_triples' budget: the deterministic dyadic schedule
     first, then seeded random triples.  A found violation is sharpened by
-    coordinate pattern search on (x, y, lam).  Every margin comes from the
-    kernel check_inequality uses, and a triple's margin does not depend on
-    its batch, so a reported failure replays identically under
+    _pattern_search in two passes: coordinate steps on x, y and lam, then,
+    from that result, paired steps that move x and y together and apart
+    along each axis.  The second pass keeps only strict improvements, so it
+    never returns a shallower witness than the first.  Every margin comes
+    from the kernel check_inequality uses, and a triple's margin does not
+    depend on its batch, so a reported failure replays identically under
     check_inequality(triples=[witness]).
     """
     rows = unit_dual_generators(spec.cone)
@@ -314,13 +317,17 @@ def falsify(
     worst, witness = float(margins[idx]), triples[idx]
     source = "structured-dyadic" if idx < triples.structured else "random"
 
-    def margin_of(triple: SampleTriple) -> float:
-        return float(_margins(f, spec, rows, form, triple.x[None, :], triple.y[None, :], np.array([triple.lam]))[0])
+    def objective(x, y, lam):
+        return _margins(f, spec, rows, form, x, y, lam)
 
     if worst < -tol and refine:
-        refined, refined_margin = _pattern_search(f.domain, margin_of, witness, worst)
+        width = f.domain.hi - f.domain.lo
+        found = (triples.x[idx], triples.y[idx], triples.lam[idx], worst)
+        for moves in (_coordinate_moves(width), _paired_moves(width)):
+            found = _pattern_search(f.domain, objective, found, moves)
+        x, y, lam, refined_margin = found
         if refined_margin < worst:  # keep only a strictly sharper violation
-            witness, worst = refined, refined_margin
+            witness, worst = SampleTriple(x=x.copy(), y=y.copy(), lam=float(lam)), float(refined_margin)
             source += "+refined"
     return CheckReport(
         passed=bool(worst >= -tol),
@@ -333,38 +340,74 @@ def falsify(
     )
 
 
-def _pattern_search(box: Box, objective, start: SampleTriple, start_val: float, rounds: int = 50):
-    """Minimize the slack by coordinate steps on (x, y, lam), clipped to the
-    open box and [0, 1]."""
-    width = box.hi - box.lo
-    inset = 1e-9 * width
-    best, best_val = start, start_val
+def _coordinate_moves(width: np.ndarray):
+    """Unit moves (dx, dy, dlam) of the coordinate pass, one row per
+    candidate: for each axis and sign the x move, then the y move; then lam
+    up and down.  An axis move spans the box width along that axis."""
+    d = width.shape[0]
+    n = 4 * d + 2
+    dx, dy, dlam = np.zeros((n, d)), np.zeros((n, d)), np.zeros(n)
+    for axis in range(d):
+        for s, sign in enumerate((1.0, -1.0)):
+            row = 4 * axis + 2 * s
+            dx[row, axis] = dy[row + 1, axis] = sign * width[axis]
+    dlam[-2:] = (1.0, -1.0)
+    return dx, dy, dlam
+
+
+def _paired_moves(width: np.ndarray):
+    """Unit moves of the polish pass: for each axis and sign, x and y moved
+    together, then moved apart (x by the move, y against it).  Moving apart
+    changes the gap around a fixed midpoint, which coordinate steps on a
+    kinked mapping cannot do."""
+    d = width.shape[0]
+    dx, dy = np.zeros((4 * d, d)), np.zeros((4 * d, d))
+    for axis in range(d):
+        for s, sign in enumerate((1.0, -1.0)):
+            row = 4 * axis + 2 * s
+            dx[row, axis] = dx[row + 1, axis] = dy[row, axis] = sign * width[axis]
+            dy[row + 1, axis] = -sign * width[axis]
+    return dx, dy, np.zeros(4 * d)
+
+
+def _pattern_search(box: Box, objective, start, moves, rounds: int = 50):
+    """Minimize objective(x, y, lam) over the candidate moves, clipped to the
+    open box and [0, 1]; start and the result are (x, y, lam, value).
+
+    moves is a table of unit moves (dx, dy, dlam) that each round scales by
+    its step, which starts at 0.05 and halves after a round without an
+    improvement, down to 1e-6.  A round evaluates its remaining candidates
+    from the current best in one batch, takes the first one in table order
+    that strictly beats the best, and re-batches only the candidates after
+    it from the new best.  That is the result of trying the candidates one
+    at a time, because a triple's margin does not depend on its batch, at
+    one objective call per round plus one per accepted move.
+    """
+    inset = 1e-9 * (box.hi - box.lo)
+    lo, hi = box.lo + inset, box.hi - inset
+    x, y, lam, val = start
+    dx, dy, dlam = moves
     step = 0.05
     for _ in range(rounds):
         improved = False
-        candidates = []
-        for axis in range(box.dim):
-            for sign in (1.0, -1.0):
-                dx = np.zeros(box.dim)
-                dx[axis] = sign * step * width[axis]
-                candidates.append((dx, np.zeros(box.dim), 0.0))
-                candidates.append((np.zeros(box.dim), dx, 0.0))
-        for dlam in (step, -step):
-            candidates.append((np.zeros(box.dim), np.zeros(box.dim), dlam))
-        for dx, dy, dlam in candidates:
-            x = np.clip(best.x + dx, box.lo + inset, box.hi - inset)
-            y = np.clip(best.y + dy, box.lo + inset, box.hi - inset)
-            lam = float(np.clip(best.lam + dlam, 0.0, 1.0))
-            cand = SampleTriple(x=x, y=y, lam=lam)
-            val = objective(cand)
-            if val < best_val:
-                best, best_val = cand, val
-                improved = True
+        first = 0
+        while first < dlam.shape[0]:
+            cx = np.clip(x + step * dx[first:], lo, hi)
+            cy = np.clip(y + step * dy[first:], lo, hi)
+            clam = np.clip(lam + step * dlam[first:], 0.0, 1.0)
+            vals = objective(cx, cy, clam)
+            better = np.flatnonzero(vals < val)
+            if not better.size:
+                break
+            j = better[0]
+            x, y, lam, val = cx[j], cy[j], clam[j], float(vals[j])
+            first += j + 1
+            improved = True
         if not improved:
             step *= 0.5
             if step < 1e-6:
                 break
-    return best, best_val
+    return x, y, lam, val
 
 
 def check_fact2(

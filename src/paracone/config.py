@@ -93,19 +93,32 @@ def _integer(val, path: str) -> int:
 
 
 def _number(val, path: str) -> float:
-    if isinstance(val, bool) or not isinstance(val, (int, float)) or not math.isfinite(val):
+    try:
+        ok = not isinstance(val, bool) and isinstance(val, (int, float)) and math.isfinite(val)
+    except OverflowError:  # an integer beyond the float range
+        ok = False
+    if not ok:
         raise ConfigError(f"{path}: expected a finite number, got {val!r}")
     return float(val)
 
 
 def _as_floats(val, path: str) -> np.ndarray:
+    """A number or nested lists of numbers as a float array.  Each entry
+    goes through _number, so a bool, a string or a non-finite entry is
+    rejected with its own path, such as path[0][1]."""
+
+    def check(item, at: str) -> None:
+        if isinstance(item, (list, tuple)):
+            for i, sub in enumerate(item):
+                check(sub, f"{at}[{i}]")
+        else:
+            _number(item, at)
+
+    check(val, path)
     try:
-        arr = np.asarray(val, dtype=float)
-    except (TypeError, ValueError) as exc:
+        return np.asarray(val, dtype=float)
+    except ValueError as exc:  # ragged nesting
         raise ConfigError(f"{path}: expected numbers, got {val!r}") from exc
-    if not np.all(np.isfinite(arr)):
-        raise ConfigError(f"{path}: entries must be finite")
-    return arr
 
 
 def _pairs(val, path: str) -> tuple:

@@ -6,7 +6,9 @@ A cone is described by generating rays, by supporting inequalities
 polyhedral, so membership and duality questions reduce to small dense
 feasibility computations: non-negative least squares for the generator
 form, componentwise sign checks for the inequality form, and a tiny
-linear program for strictly positive functionals.
+linear program for strictly positive functionals.  scipy.optimize is
+imported inside the functions that solve, so a run that needs no solve
+never pays for that import.
 
 Cones are immutable after construction and sampling routines take an
 explicit seed, so every result is reproducible.
@@ -18,7 +20,6 @@ import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import linprog, nnls
 
 Point = np.ndarray
 
@@ -228,6 +229,8 @@ class PolyCone:
         if gens.shape[0] == 0:
             return True
         # pointed iff some functional is >= 1 on every generator
+        from scipy.optimize import linprog
+
         res = linprog(
             np.zeros(self.dim),
             A_ub=-gens,
@@ -316,6 +319,8 @@ def contains(cone: PolyCone, v, tol: float = 1e-9) -> bool:
     gens = cone.generators
     if gens.shape[0] == 0:
         return norm(v, "two") <= tol
+    from scipy.optimize import nnls
+
     _, resid = nnls(gens.T, v)
     return bool(resid <= tol)
 
@@ -614,6 +619,8 @@ def strictly_positive_functional(cone: PolyCone) -> DualFunctional:
     )
     b_ub = np.concatenate([-np.ones(g), np.zeros(2 * d)])
     bounds = [(None, None)] * d + [(0, None)] * d
+    from scipy.optimize import linprog
+
     res = linprog(cost, A_ub=a_ub, b_ub=b_ub, bounds=bounds, method="highs")
     if not res.success:
         raise ValueError("no strictly positive functional: cone is not pointed")
@@ -635,6 +642,8 @@ def _is_full_dimensional(cone: PolyCone) -> bool:
     a_ub = np.hstack([-rows, np.ones((rows.shape[0], 1))])
     b_ub = np.zeros(rows.shape[0])
     bounds = [(-1.0, 1.0)] * d + [(0.0, 1.0)]
+    from scipy.optimize import linprog
+
     res = linprog(cost, A_ub=a_ub, b_ub=b_ub, bounds=bounds, method="highs")
     return bool(res.success and -res.fun > 1e-9)
 

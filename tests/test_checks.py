@@ -31,7 +31,7 @@ from paracone import (
     square_modulus,
     zero_modulus,
 )
-from paracone.checks import _margins
+from paracone.checks import _coordinate_moves, _margins, _paired_moves, _pattern_search
 from paracone.geometry import contains, unit_dual_generators
 
 
@@ -285,6 +285,130 @@ def test_refinement_only_sharpens():
     raw = falsify(f, spec, budget=500, seed=3, refine=False)
     sharp = falsify(f, spec, budget=500, seed=3, refine=True)
     assert sharp.worst_margin <= raw.worst_margin
+
+
+def _reference_pattern_search(f, spec, form, start, start_val, rounds=50):
+    """The sequential coordinate search the batched one replaced, kept as the
+    oracle: one candidate per kernel call, with best moving in the middle of
+    a round.  Returns the witness, its margin, the rounds run and the moves
+    accepted."""
+    rows = unit_dual_generators(spec.cone)
+
+    def margin_of(triple):
+        return float(_margins(f, spec, rows, form, triple.x[None, :], triple.y[None, :], np.array([triple.lam]))[0])
+
+    box = f.domain
+    width = box.hi - box.lo
+    inset = 1e-9 * width
+    best, best_val = start, start_val
+    step = 0.05
+    ran = accepted = 0
+    for _ in range(rounds):
+        ran += 1
+        improved = False
+        candidates = []
+        for axis in range(box.dim):
+            for sign in (1.0, -1.0):
+                dx = np.zeros(box.dim)
+                dx[axis] = sign * step * width[axis]
+                candidates.append((dx, np.zeros(box.dim), 0.0))
+                candidates.append((np.zeros(box.dim), dx, 0.0))
+        for dlam in (step, -step):
+            candidates.append((np.zeros(box.dim), np.zeros(box.dim), dlam))
+        for dx, dy, dlam in candidates:
+            x = np.clip(best.x + dx, box.lo + inset, box.hi - inset)
+            y = np.clip(best.y + dy, box.lo + inset, box.hi - inset)
+            lam = float(np.clip(best.lam + dlam, 0.0, 1.0))
+            cand = SampleTriple(x=x, y=y, lam=lam)
+            val = margin_of(cand)
+            if val < best_val:
+                best, best_val = cand, val
+                improved = True
+                accepted += 1
+        if not improved:
+            step *= 0.5
+            if step < 1e-6:
+                break
+    return best, best_val, ran, accepted
+
+
+def _search_cases(families):
+    """(mapping, spec, form, seed): every testbed family and a generator-only
+    cone map with both constants shrunk to 0.9 of the claimed ones, both
+    forms, and -|x| across the constant sweep."""
+    cases = []
+    for f in families + (_generator_only_curved_map(),):
+        spec = dataclasses.replace(f.claimed, C=0.9 * f.claimed.C, C1=0.9 * f.claimed.C1)
+        cases += [(f, spec, form, seed) for form in ("min", "lambda") for seed in (0, 5, 11)]
+    f = neg_abs_1d()
+    for c in (0.5, 1.0, 2.0, 5.0, 10.0, 20.0, 50.0):
+        spec = ParaSpec(modulus=square_modulus(), k=[1.0], cone=orthant(1), C=c)
+        cases += [(f, spec, "min", seed) for seed in (0, 3, 7)]
+    return cases
+
+
+def _scan_start(f, spec, form, seed):
+    scan = falsify(f, spec, form=form, budget=200, seed=seed, refine=False)
+    return scan.witness, scan.worst_margin
+
+
+def _batched_objective(f, spec, form, calls):
+    rows = unit_dual_generators(spec.cone)
+
+    def objective(x, y, lam):
+        calls.append(lam.shape[0])
+        return _margins(f, spec, rows, form, x, y, lam)
+
+    return objective
+
+
+def test_batched_coordinate_search_reproduces_the_sequential_loop(families):
+    for f, spec, form, seed in _search_cases(families):
+        start, start_val = _scan_start(f, spec, form, seed)
+        ref, ref_val, ran, accepted = _reference_pattern_search(f, spec, form, start, start_val)
+        calls = []
+        objective = _batched_objective(f, spec, form, calls)
+        moves = _coordinate_moves(f.domain.hi - f.domain.lo)
+        x, y, lam, val = _pattern_search(f.domain, objective, (start.x, start.y, start.lam, start_val), moves)
+        where = f"{f.label} {form} seed={seed} C={spec.C}"
+        assert val.hex() == ref_val.hex(), where
+        assert [v.hex() for v in x] == [v.hex() for v in ref.x], where
+        assert [v.hex() for v in y] == [v.hex() for v in ref.y], where
+        assert float(lam).hex() == ref.lam.hex(), where
+        # one call per round plus one per accepted move, at most
+        assert len(calls) <= ran + accepted, where
+
+
+def test_polish_pass_never_returns_a_shallower_witness(families):
+    deeper = 0
+    for f, spec, form, seed in _search_cases(families):
+        start, start_val = _scan_start(f, spec, form, seed)
+        objective = _batched_objective(f, spec, form, [])
+        width = f.domain.hi - f.domain.lo
+        coord = _pattern_search(f.domain, objective, (start.x, start.y, start.lam, start_val), _coordinate_moves(width))
+        polished = _pattern_search(f.domain, objective, coord, _paired_moves(width))
+        assert polished[3] <= coord[3]
+        deeper += polished[3] < coord[3]
+        rep = falsify(f, spec, form=form, budget=200, seed=seed)
+        if not rep.passed:
+            assert rep.worst_margin == polished[3] and rep.worst_margin <= start_val
+    assert deeper  # the polish pass bites somewhere
+
+
+def _neg_abs_closed_form(c):
+    """Symmetric-pair depth of -|x| under the square modulus at gap 1/(2C),
+    on the checker's relative scale."""
+    g = 1.0 / (2.0 * c)
+    return (-g / 2.0 + c * g * g / 2.0) / (1.0 + g)
+
+
+@pytest.mark.parametrize("c", [10.0, 20.0, 50.0])
+def test_falsify_witness_reaches_the_closed_form(c):
+    f = neg_abs_1d()
+    spec = ParaSpec(modulus=square_modulus(), k=[1.0], cone=orthant(1), C=c)
+    for seed in (0, 7):
+        rep = falsify(f, spec, form="min", budget=1000, seed=seed)
+        assert rep.worst_margin <= _neg_abs_closed_form(c), f"seed={seed}"
 
 
 # ---------------------------------------------------------------------------

@@ -309,6 +309,11 @@ def test_malformed_shared_fields_exit_two_with_a_path(entry, flags, where, tmp_p
         ({"op": "falsify", "seed": 1, "refine": "yes"}, "checks[0].refine"),
         ({"op": "derivative", "x0": [0.0], "h": [1.0], "ratio": 1e-10}, "checks[0]"),
         ({"op": "trace", "x0": [0.0], "h": [1.0], "ratio": 1e-10}, "checks[0]"),
+        ({"op": "derivative", "x0": ["0.25"], "h": [1.0]}, "checks[0].x0[0]"),
+        ({"op": "derivative", "x0": [0.25], "h": [True]}, "checks[0].h[0]"),
+        ({"op": "fact2", "seed": 1, "y_star": [True]}, "checks[0].y_star[0]"),
+        ({"op": "scalarize", "seed": 1, "functionals": [[1.0], ["1"]]}, "checks[0].functionals[1][0]"),
+        ({"op": "lipschitz", "seed": 1, "region": {"lo": [False], "hi": [0.5]}}, "checks[0].region.lo[0]"),
     ],
     ids=[
         "epsilons-int",
@@ -325,6 +330,11 @@ def test_malformed_shared_fields_exit_two_with_a_path(entry, flags, where, tmp_p
         "refine-string",
         "derivative-grid-underflow",
         "trace-grid-underflow",
+        "x0-string-entry",
+        "h-bool-entry",
+        "y-star-bool-entry",
+        "functionals-string-entry",
+        "region-bool-entry",
     ],
 )
 def test_malformed_op_fields_exit_two_with_a_path(entry, where, tmp_path, capsys):
@@ -383,13 +393,20 @@ _EXAMPLE1 = {"family": "example1", "params": {}}
         ({"spec.modulus.scale": "2"}, "spec.modulus.scale"),
         ({"spec.modulus": {"kind": "power", "p": True}}, "spec.modulus.p"),
         ({"spec.modulus": {"kind": "table", "knots": [0.5, 0.25]}}, "spec.modulus.knots"),
-        ({"spec.modulus": {"kind": "table", "knots": [[0.5, "x"]]}}, "spec.modulus.knots"),
+        ({"spec.modulus": {"kind": "table", "knots": [[0.5, "x"]]}}, "spec.modulus.knots[0][1]"),
+        ({"spec.modulus": {"kind": "table", "knots": [[0.5, True]]}}, "spec.modulus.knots[0][1]"),
+        ({"spec.k": ["1.0"]}, "spec.k[0]"),
+        ({"spec.k": [10**400]}, "spec.k[0]"),
+        ({"spec.C": 10**400}, "spec.C"),
+        ({"spec.cone": {"generators": [[1.0], [True]]}}, "spec.cone.generators[1][0]"),
         ({"spec.C": "10"}, "spec.C"),
         ({"spec.C1": True}, "spec.C1"),
         ({"spec.membership_tol": "1e-9"}, "spec.membership_tol"),
         ({"mapping": _SEMICONVEX, "mapping.params.initial_slope": "-1"}, "mapping.params.initial_slope"),
         ({"mapping": _SEMICONVEX, "mapping.params.kinks": [[0.0, 1.0, 2.0]]}, "mapping.params.kinks"),
         ({"mapping": _SEMICONVEX, "mapping.params.kinks": [0.0, 1.0]}, "mapping.params.kinks"),
+        ({"mapping": _SEMICONVEX, "mapping.params.kinks": [[0.0, True]]}, "mapping.params.kinks[0][1]"),
+        ({"mapping": _SEMICONVEX, "mapping.params.domain": {"lo": ["-1"], "hi": [1.0]}}, "mapping.params.domain.lo[0]"),
         ({"mapping": _SEMICONVEX, "mapping.params.C": None}, "mapping.params.C"),
         ({"mapping": _SEMICONVEX, "mapping.params.smooth.a": "-0.5"}, "mapping.params.smooth.a"),
         ({"mapping": _SEMICONVEX, "mapping.params.smooth": "quadratic"}, "mapping.params.smooth"),
@@ -410,12 +427,19 @@ _EXAMPLE1 = {"family": "example1", "params": {}}
         "power-p-bool",
         "knots-flat",
         "knots-string-entry",
+        "knots-bool-entry",
+        "k-string-entry",
+        "k-huge-integer-entry",
+        "C-huge-integer",
+        "generators-bool-entry",
         "C-string",
         "C1-bool",
         "membership-tol-string",
         "initial-slope-string",
         "kinks-triple",
         "kinks-flat",
+        "kinks-bool-entry",
+        "domain-string-entry",
         "semiconvex-C-null",
         "smooth-a-string",
         "smooth-not-object",
@@ -511,3 +535,11 @@ def test_cli_subprocess_help():
     )
     assert proc.returncode == 0
     assert "certify or falsify" in proc.stdout
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # scipy.optimize is imported only where an LP or NNLS is solved
+    code = "import sys, paracone.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
