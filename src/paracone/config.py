@@ -297,6 +297,9 @@ def validate_operation(op: dict, path: str) -> str:
     for key in ("tol", "upper_tol"):
         if key in op:
             _number(op[key], f"{path}.{key}")
+    for key in ("label", "csv"):
+        if key in op and not isinstance(op[key], str):
+            raise ConfigError(f"{path}.{key}: expected a string, got {op[key]!r}")
     if str(op.get("form", "min")) not in ("min", "lambda"):
         raise ConfigError(f"{path}.form: expected 'min' or 'lambda'")
     return name
@@ -354,8 +357,8 @@ class CheckEntry:
 
     def numbers(self, key: str, default) -> tuple:
         val = self._field(key, default)
-        if not isinstance(val, (list, tuple)):
-            raise ConfigError(f"{self.path}.{key}: expected a list of numbers, got {val!r}")
+        if not isinstance(val, (list, tuple)) or not val:
+            raise ConfigError(f"{self.path}.{key}: expected a non-empty list of numbers, got {val!r}")
         return tuple(_number(v, f"{self.path}.{key}[{i}]") for i, v in enumerate(val))
 
     def flag(self, key: str, default: bool) -> bool:
@@ -366,8 +369,8 @@ class CheckEntry:
 
     def rows(self, key: str) -> list:
         val = self._field(key, _REQUIRED)
-        if not isinstance(val, list):
-            raise ConfigError(f"{self.path}.{key}: expected a list of rows, got {val!r}")
+        if not isinstance(val, list) or not val:
+            raise ConfigError(f"{self.path}.{key}: expected a non-empty list of rows, got {val!r}")
         return [_as_floats(row, f"{self.path}.{key}[{i}]") for i, row in enumerate(val)]
 
     def point(self, key: str) -> np.ndarray:
@@ -385,7 +388,7 @@ class CheckEntry:
     def write_csv(self, writer, result) -> None:
         """writer(result, file) when there is an output directory and a csv field."""
         if self.out_dir is not None and "csv" in self.op:
-            writer(result, self.out_dir / str(self.op["csv"]))
+            writer(result, self.out_dir / self.op["csv"])
 
 
 # Runners take a CheckEntry and return (report dict, passed).  They reach checks
@@ -461,6 +464,8 @@ def _run_gateaux_scan(e: CheckEntry):
     region = e.region()
     points = e.rows("points") if "points" in e.op else None
     n_points, n_directions = e.integer("n_points", 100), e.integer("n_directions", 8)
+    if n_points < 1:
+        raise ConfigError(f"{e.path}.n_points: expected a positive count, got {n_points}")
     kink_tol = e.number("kink_match_tol", 1e-9)
     rep = gateaux_scan(
         e.f, e.spec, region, n_points, n_directions, tol=e.tol, seed=e.seed, points=points, kink_match_tol=kink_tol
@@ -543,7 +548,7 @@ def run_config(cfg: dict, out_dir=None, overrides: dict | None = None) -> dict:
         )
         with _located(path):
             report, passed = OPERATIONS[name].run(entry)
-        reports.append({"op": name, "label": str(op.get("label", f"{name}-{idx}")), "pass": bool(passed), "report": report})
+        reports.append({"op": name, "label": op.get("label", f"{name}-{idx}"), "pass": bool(passed), "report": report})
     manifest = {
         "config_hash": config_hash(cfg),
         "version": __version__,

@@ -4,10 +4,12 @@ the differentiability test batteries.
 Every check here reads one object: the corrected quotient
 (f(x0+th) - f(x0))/t + C*modulus(t)/t * k, which the theory makes monotone
 in the cone order as t decreases.  One kernel (_quotients) evaluates x0 and
-x0 + t*h for a whole step array in one batch and returns the raw quotients,
-the modulus allowance C*modulus(t)/t, the corrected quotients and the
-rounding allowance of each step; the trace, the estimator, the upper-bound
-check and the Frechet test all read those arrays.
+x0 + t*h for a whole step array, or for a stack of directions with a step
+row each, in one batch and returns the raw quotients, the modulus allowance
+C*modulus(t)/t, the corrected quotients and the rounding allowance of each
+step.  The trace, the estimator and the upper-bound check read one
+direction's arrays; each battery (gateaux_test, check_sublinear,
+frechet_test) stacks all its directions into one call.
 
 The estimator stops at the first level of a geometric step grid where the
 scalarized decrement between consecutive quotients, plus the vanishing
@@ -123,22 +125,31 @@ class QuotientTrace:
 
 
 def _quotients(f: VectorMapping, spec: ParaSpec, x0: np.ndarray, h: np.ndarray, t: np.ndarray) -> QuotientTrace:
-    """The quotients at every step of t from one batch of x0 and x0 + t*h;
-    x0 and h are taken as given (see _prep_direction)."""
-    values = f.eval_batch(np.concatenate([x0[None, :], x0 + t[:, None] * h]))
+    """The quotients at every step of t from one batch of x0 and x0 + t*h:
+    one direction h with steps t of shape (n,), or k directions h of shape
+    (k, d) with a row of steps each, t of shape (k, n).  A row's quotients
+    are bitwise the same however many rows are stacked with it.  x0 and h
+    are taken as given (see _prep_direction)."""
+    steps = x0 + t[..., None] * h[..., None, :]
+    values = f.eval_batch(np.concatenate([x0[None, :], steps.reshape(-1, x0.size)]))
     f0, fvals = values[0], values[1:]
-    raw = (fvals - f0) / t[:, None]
+    raw = (fvals.reshape(t.shape + f0.shape) - f0) / t[..., None]
     allowance = spec.min_constant() * eval_modulus(spec.modulus, t) / t
     return QuotientTrace(
         h=h,
         t_grid=t,
         raw=raw,
         allowance=allowance,
-        corrected=raw + np.outer(allowance, spec.k),
-        noise=_quotient_noise(t, row_norms(fvals), norm(f0, "two")),
+        corrected=raw + allowance[..., None] * spec.k,
+        noise=_quotient_noise(t, row_norms(fvals).reshape(t.shape), norm(f0, "two")),
         f0=f0,
         spec=spec,
     )
+
+
+def _row(q: QuotientTrace, i: int) -> QuotientTrace:
+    """Direction i of a stacked trace."""
+    return QuotientTrace(q.h[i], q.t_grid[i], q.raw[i], q.allowance[i], q.corrected[i], q.noise[i], q.f0, q.spec)
 
 
 def _cone_margins(rows: np.ndarray, a: np.ndarray) -> np.ndarray:
@@ -246,31 +257,18 @@ class DerivativeEstimate:
     cancellation_warning: bool = False
 
 
-def directional_derivative(
-    f: VectorMapping,
-    spec: ParaSpec,
-    x0,
-    h,
-    tol: float = 1e-6,
-    t0: float | None = None,
-    ratio: float = 0.5,
-    max_depth: int = 40,
-) -> DerivativeEstimate:
-    """One-sided derivative along h by monotone quotient descent.
+def _stop(q: QuotientTrace, x0: np.ndarray, tol: float) -> DerivativeEstimate:
+    """The estimator's stop rule on one direction's trace.
 
-    The whole grid t0 * ratio^j, j = 0..max_depth-1, is evaluated in one
-    batch.  The estimate stops at the first grid level where, across all
-    unit supporting functionals, the quotient decrement plus the allowance
-    term C*modulus(t)/t * y(k) plus the rounding allowance of both quotients
+    It stops at the first grid level where, across all unit supporting
+    functionals, the quotient decrement plus the allowance term
+    C*modulus(t)/t * y(k) plus the rounding allowance of both quotients
     falls below tol.  Without a stop, the first level with the smallest such
     bracket (the deepest level when no bracket is finite) is reported with
-    converged False.  iterations is the stop level counted from one, not the
-    number of evaluations, which is always max_depth + 1.
+    converged False.
     """
-    x0, h, _ = _prep_direction(f, x0, h)
-    q = _quotients(f, spec, x0, h, _step_grid(f, x0, h, t0, ratio, max_depth))
-    rows = unit_dual_generators(spec.cone)
-    top_row_k = float(np.max(rows @ spec.k, initial=0.0))
+    rows = unit_dual_generators(q.spec.cone)
+    top_row_k = float(np.max(rows @ q.spec.k, initial=0.0))
     # bounds[j - 1] closes the bracket between levels j - 1 and j
     decrement = np.max(np.abs(matvec_rows(rows, q.raw[:-1] - q.raw[1:])), axis=1, initial=0.0)
     bounds = decrement + q.allowance[:-1] * top_row_k + q.noise[:-1] + q.noise[1:]
@@ -281,7 +279,7 @@ def directional_derivative(
     elif finite.any():
         level = int(np.argmin(np.where(finite, bounds, np.inf))) + 1
     else:
-        level = max_depth - 1
+        level = q.t_grid.size - 1
     t_used = float(q.t_grid[level])
     return DerivativeEstimate(
         value=q.raw[level].copy(),
@@ -291,6 +289,25 @@ def directional_derivative(
         converged=bool(below.size),
         cancellation_warning=bool(t_used < 1e-8 * norm(x0, "two")),
     )
+
+
+def directional_derivative(
+    f: VectorMapping,
+    spec: ParaSpec,
+    x0,
+    h,
+    tol: float = 1e-6,
+    t0: float | None = None,
+    ratio: float = 0.5,
+    max_depth: int = 40,
+) -> DerivativeEstimate:
+    """One-sided derivative along h by monotone quotient descent: the stop
+    rule (_stop) on the grid t0 * ratio^j, j = 0..max_depth-1, evaluated in
+    one batch.  iterations is the stop level counted from one, not the
+    number of evaluations, which is always max_depth + 1.
+    """
+    x0, h, _ = _prep_direction(f, x0, h)
+    return _stop(_quotients(f, spec, x0, h, _step_grid(f, x0, h, t0, ratio, max_depth)), x0, tol)
 
 
 def check_upper_bound(
@@ -338,31 +355,37 @@ def check_upper_bound(
     )
 
 
-def _estimate_along(f, spec, x0, v, tol, t0=None):
-    """Estimate for a direction of any positive length via the exact
-    reparameterization quotient(t, c*u) = quotient(c*t, u): returns the
-    value and error bound scaled by the length."""
-    ln = norm(np.asarray(v, dtype=float), f.domain_norm)
-    if ln <= 1e-12:
-        return np.zeros(f.codomain_dim), 0.0, None
-    est = directional_derivative(f, spec, x0, np.asarray(v, dtype=float) / ln, tol=tol, t0=t0)
-    if not est.converged:
-        raise ConvergenceError(f"{f.label}: estimator did not reach tol={tol} along {np.asarray(v).tolist()}")
-    return ln * est.value, ln * est.error_bound, est
+def _scaled_top(f: VectorMapping, x0: np.ndarray, h0: np.ndarray, lam: float) -> float:
+    """Top step of the lam-scaled grid along h0 that homogeneity re-estimates on."""
+    if lam <= 0.0:
+        raise ValueError("homogeneity factors must be positive")
+    return min(lam * _default_t0(f, x0, h0), 0.49 * f.domain.boundary_distance(x0, h0))
 
 
-def _schedule_independence(f, spec, x0, h0, base_val, base_err, tol, lambdas, measure):
-    """Positive homogeneity as schedule independence: for each factor lam,
-    re-estimate along h0 on the lam-scaled step grid and yield
-    (lam, measure(lam*D_lam - lam*D), lam*(e + e_lam)), the difference under
-    the caller's measure and the error allowance it must stay within."""
-    h0 = np.asarray(h0, dtype=float)
-    for lam in lambdas:
-        if lam <= 0.0:
-            raise ValueError("homogeneity factors must be positive")
-        t0_b = min(lam * _default_t0(f, x0, h0), 0.49 * f.domain.boundary_distance(x0, h0))
-        val_b, err_b, _ = _estimate_along(f, spec, x0, h0, tol, t0=t0_b)
-        yield lam, measure(lam * val_b - lam * base_val), lam * (base_err + err_b)
+def _estimates(f: VectorMapping, spec: ParaSpec, x0: np.ndarray, vectors: list, tol: float, tops: list) -> list:
+    """Estimates along directions of any positive length from one batch.
+
+    Each vector v = c*u is estimated along the unit u on the default grid,
+    topped at tops[i] (None for the default top), and the exact
+    reparameterization quotient(t, c*u) = quotient(c*t, u) gives (c*value,
+    c*error bound, estimate); a vector of length at most 1e-12 gets a zero
+    value and no estimate.  Every grid goes into one _quotients call and the stop rule
+    reads each row; the first vector in list order whose estimate does not
+    converge raises ConvergenceError.
+    """
+    lengths = [norm(np.asarray(v, dtype=float), f.domain_norm) for v in vectors]
+    kept = [i for i, ln in enumerate(lengths) if ln > 1e-12]
+    units = [_prep_direction(f, x0, np.asarray(vectors[i], dtype=float) / lengths[i])[1] for i in kept]
+    grids = [_step_grid(f, x0, h, tops[i], 0.5, 40) for i, h in zip(kept, units)]
+    q = _quotients(f, spec, x0, np.array(units), np.array(grids)) if kept else None
+    out = [(np.zeros(f.codomain_dim), 0.0, None)] * len(vectors)
+    for j, i in enumerate(kept):
+        est = _stop(_row(q, j), x0, tol)
+        if not est.converged:
+            along = np.asarray(vectors[i]).tolist()
+            raise ConvergenceError(f"{f.label}: estimator did not reach tol={tol} along {along}")
+        out[i] = (lengths[i] * est.value, lengths[i] * est.error_bound, est)
+    return out
 
 
 def check_sublinear(
@@ -380,7 +403,8 @@ def check_sublinear(
     estimate error bounds, per unit supporting functional.  Homogeneity is
     exercised as schedule independence: the derivative recomputed on a
     lam-scaled step grid must match lam times the original within
-    tol*max(1, lam) plus scaled error bounds.
+    tol*max(1, lam) plus scaled error bounds.  Every estimate comes from one
+    batch (_estimates).
     """
     x0 = as_point(x0, f.domain.dim)
     d = f.domain.dim
@@ -389,40 +413,29 @@ def check_sublinear(
         if d == 1:
             direction_pairs = [(np.array([1.0]), np.array([-1.0])), (np.array([1.0]), np.array([1.0]))]
         else:
-            direction_pairs = []
-            for _ in range(3):
-                a = rng.normal(size=d)
-                b = rng.normal(size=d)
-                direction_pairs.append((a / norm(a, f.domain_norm), b / norm(b, f.domain_norm)))
+            draws = [(rng.normal(size=d), rng.normal(size=d)) for _ in range(3)]
+            direction_pairs = [(a / norm(a, f.domain_norm), b / norm(b, f.domain_norm)) for a, b in draws]
     rows = unit_dual_generators(spec.cone)
-    worst = np.inf
-    witness = None
-    count = 0
-    for h1, h2 in direction_pairs:
-        d1, e1, _ = _estimate_along(f, spec, x0, h1, tol)
-        d2, e2, _ = _estimate_along(f, spec, x0, h2, tol)
-        d12, e12, _ = _estimate_along(f, spec, x0, np.asarray(h1) + np.asarray(h2), tol)
+    # (h1, h2, h1 + h2) per pair, then h0 = the first h1 once per factor
+    vectors = [v for h1, h2 in direction_pairs for v in (h1, h2, np.asarray(h1) + np.asarray(h2))]
+    h0 = np.asarray(direction_pairs[0][0], dtype=float)
+    tops = [None] * len(vectors) + [_scaled_top(f, x0, h0, lam) for lam in lambdas]
+    ests = _estimates(f, spec, x0, vectors + [h0] * len(lambdas), tol, tops)
+    slacks = []  # (slack, witness) per pair, then per factor
+    for i, (h1, h2) in enumerate(direction_pairs):
+        (d1, e1, _), (d2, e2, _), (d12, e12, _) = ests[3 * i : 3 * i + 3]
         margins = rows @ (d1 + d2 - d12) + (e1 + e2 + e12)
-        m = float(np.min(margins)) if margins.size else 0.0
-        count += 1
-        if m < worst:
-            worst = m
-            witness = (np.asarray(h1), np.asarray(h2))
-    h0 = direction_pairs[0][0]
-    base_val, base_err, _ = _estimate_along(f, spec, x0, h0, tol)
-    for lam, diff, allow in _schedule_independence(
-        f, spec, x0, h0, base_val, base_err, tol, lambdas, lambda v: float(np.max(np.abs(rows @ v), initial=0.0))
-    ):
-        slack = (allow - diff) / max(1.0, lam)
-        count += 1
-        if slack < worst:
-            worst = slack
-            witness = ("homogeneity", lam)
+        slacks.append((float(np.min(margins)) if margins.size else 0.0, (np.asarray(h1), np.asarray(h2))))
+    base_val, base_err, _ = ests[0]
+    for lam, (val_b, err_b, _) in zip(lambdas, ests[len(vectors) :]):
+        diff = float(np.max(np.abs(rows @ (lam * val_b - lam * base_val)), initial=0.0))
+        slacks.append(((lam * (base_err + err_b) - diff) / max(1.0, lam), ("homogeneity", lam)))
+    worst, witness = min(slacks, key=lambda slack: slack[0])
     return CheckReport(
         passed=bool(worst >= -tol),
         worst_margin=float(worst),
         witness=witness,
-        samples_used=count,
+        samples_used=len(direction_pairs) + len(lambdas),
         tol=tol,
         seed=seed,
         notes="cone subadditivity and positive homogeneity of the estimated derivative",
@@ -486,66 +499,45 @@ def gateaux_test(
     base_dirs = directions if directions is not None else _unit_directions(f, n_directions, seed)
     base_dirs = [np.asarray(u, dtype=float) for u in base_dirs]
     rows = unit_dual_generators(spec.cone)
-    row_k = rows @ spec.k
 
-    ests = {}
-    for u in base_dirs:
-        for s in (1.0, -1.0):
-            key = tuple(np.round(s * u, 15))
-            if key not in ests:
-                val, err, est = _estimate_along(f, spec, x0, s * u, tol)
-                ests[key] = (val, err, est)
-
-    def _viol_norm(vec, allow):
-        return float(norm(vec, f.codomain_norm)) - allow
-
-    neg_inf = float("-inf")
-    margins = {"antisymmetry": neg_inf, "additivity": neg_inf, "homogeneity": neg_inf, "continuity": neg_inf}
-
-    for u in base_dirs:
-        vp, ep, _ = ests[tuple(np.round(u, 15))]
-        vm, em, _ = ests[tuple(np.round(-u, 15))]
-        margins["antisymmetry"] = max(margins["antisymmetry"], _viol_norm(vp + vm, ep + em))
-
-    if len(base_dirs) == 1:
-        pair_list = [(base_dirs[0], -base_dirs[0])]
-    else:
-        pair_list = list(zip(base_dirs, base_dirs[1:]))[:4]
-    for h1, h2 in pair_list:
-        v1, e1, _ = ests[tuple(np.round(h1, 15))]
-        v2, e2, _ = ests[tuple(np.round(h2, 15))]
-        v12, e12, _ = _estimate_along(f, spec, x0, h1 + h2, tol)
-        margins["additivity"] = max(margins["additivity"], _viol_norm(v1 + v2 - v12, e1 + e2 + e12))
-
-    h0 = base_dirs[0]
-    v0, e0, _ = ests[tuple(np.round(h0, 15))]
-    for lam, diff, allow in _schedule_independence(
-        f, spec, x0, h0, v0, e0, tol, (0.5, 2.0), lambda v: float(norm(v, f.codomain_norm))
-    ):
-        margins["homogeneity"] = max(margins["homogeneity"], (diff - allow) / max(1.0, lam))
+    # one batch: signed[2i] = +u_i and signed[2i + 1] = -u_i, then the
+    # additivity sums, then u_0 on the two lam-scaled grids
+    signed = [s * u for u in base_dirs for s in (1.0, -1.0)]
+    pairs = [(0, 1)] if len(base_dirs) == 1 else [(2 * i, 2 * i + 2) for i in range(min(len(base_dirs) - 1, 4))]
+    lambdas = (0.5, 2.0)
+    vectors = signed + [signed[a] + signed[b] for a, b in pairs] + [base_dirs[0]] * len(lambdas)
+    tops = [None] * (len(signed) + len(pairs)) + [_scaled_top(f, x0, base_dirs[0], lam) for lam in lambdas]
+    ests = _estimates(f, spec, x0, vectors, tol, tops)
+    val, err = [v for v, _, _ in ests], [e for _, e, _ in ests]
+    n_sig, first_lam = len(signed), len(signed) + len(pairs)
 
     # continuity surrogate over antipodal pairs, where the sampled constant
     # provably dominates the difference direction
     region_r = min(0.05, 0.5 * f.domain.boundary_distance(x0))
     region = Box(lo=x0 - region_r, hi=x0 + region_r)
     lip = check_vector_lipschitz(f, spec, region, budget=128, seed=seed + 1)
-    l_sampled = float(lip.extras["L"]) if lip.extras else 0.0
-    gamma = float(lip.extras["gamma"]) if lip.extras else 1.0
-    deriv_rows = [
-        float(np.max(np.abs(rows @ val) / np.maximum(row_k, 1e-300))) if rows.size else 0.0
-        for val, _, _ in ests.values()
-    ]
+    l_sampled, gamma = (float(lip.extras["L"]), float(lip.extras["gamma"])) if lip.extras else (0.0, 1.0)
+    row_k = np.maximum(rows @ spec.k, 1e-300)
+    deriv_rows = [float(np.max(np.abs(rows @ v) / row_k)) for v in val[:n_sig]] if rows.size else []
     l_used = max(1.1 * l_sampled, max(deriv_rows, default=0.0))
-    c_min = spec.min_constant()
-    t_star = max(est.t_used for _, _, est in ests.values())
-    for u in base_dirs:
-        vp, ep, _ = ests[tuple(np.round(u, 15))]
-        vm, em, _ = ests[tuple(np.round(-u, 15))]
-        bound = gamma * (l_used * norm(2.0 * u, f.domain_norm) + c_min * eval_modulus(spec.modulus, t_star) / t_star) * norm(
-            spec.k, f.codomain_norm
-        )
-        viol = float(norm(vp - vm, f.codomain_norm)) - bound - (ep + em)
-        margins["continuity"] = max(margins["continuity"], viol)
+    t_star = max(est.t_used for _, _, est in ests[:n_sig])
+    allowance = spec.min_constant() * eval_modulus(spec.modulus, t_star) / t_star
+
+    def _viol_norm(vec, allow):
+        return float(norm(vec, f.codomain_norm)) - allow
+
+    margins = dict.fromkeys(("antisymmetry", "additivity", "homogeneity", "continuity"), float("-inf"))
+    for i, u in enumerate(base_dirs):
+        vp, vm, ep, em = val[2 * i], val[2 * i + 1], err[2 * i], err[2 * i + 1]
+        margins["antisymmetry"] = max(margins["antisymmetry"], _viol_norm(vp + vm, ep + em))
+        bound = gamma * (l_used * norm(2.0 * u, f.domain_norm) + allowance) * norm(spec.k, f.codomain_norm)
+        margins["continuity"] = max(margins["continuity"], _viol_norm(vp - vm, bound) - (ep + em))
+    for j, (a, b) in enumerate(pairs, start=n_sig):
+        excess = _viol_norm(val[a] + val[b] - val[j], err[a] + err[b] + err[j])
+        margins["additivity"] = max(margins["additivity"], excess)
+    for lam, v_lam, e_lam in zip(lambdas, val[first_lam:], err[first_lam:]):
+        excess = _viol_norm(lam * v_lam - lam * val[0], lam * (err[0] + e_lam))
+        margins["homogeneity"] = max(margins["homogeneity"], excess / max(1.0, lam))
 
     defect = max(0.0, max(margins.values()))
     return GateauxReport(
@@ -598,10 +590,10 @@ def gateaux_scan(
     if np.any(region.lo < f.domain.lo) or np.any(region.hi > f.domain.hi):
         raise ValueError("scan region escapes the mapping domain")
     if points is None:
-        rng = np.random.default_rng(seed)
-        points = [region.sample(1, rng)[0] for _ in range(n_points)]
-    else:
-        points = [np.asarray(p, dtype=float).reshape(-1) for p in points]
+        points = region.sample(n_points, np.random.default_rng(seed)) if n_points > 0 else []
+    points = [np.asarray(p, dtype=float).reshape(-1) for p in points]
+    if not points:
+        raise ValueError("the scan needs at least one point: a positive n_points or a non-empty points list")
     passed = []
     defects = []
     for idx, p in enumerate(points):
@@ -613,7 +605,7 @@ def gateaux_scan(
         except ConvergenceError:
             passed.append(False)
             defects.append(float("inf"))
-    density = float(np.mean(passed)) if passed else 0.0
+    density = float(np.mean(passed))
     confusion = None
     if f.kink_locus is not None and f.domain.dim == 1:
         locus = np.asarray(f.kink_locus, dtype=float)
@@ -681,6 +673,9 @@ def frechet_test(
     precondition rather than raised.
     """
     x0 = as_point(x0, f.domain.dim)
+    epsilons = list(epsilons)
+    if not epsilons:
+        raise ValueError("epsilons must name at least one tolerance")
     e_star = strictly_positive_functional(spec.cone)
     base = base_of(spec.cone, e_star, norm_kind=f.codomain_norm)
     try:
@@ -713,26 +708,24 @@ def frechet_test(
     if t_schedule[0] >= bd_min:
         raise ValueError("schedule step leaves the domain along a sampled direction")
 
-    rows = unit_dual_generators(spec.cone)
-    residual_margin = np.inf
-    max_base_norm = 0.0
-    lam_table = np.zeros((t_schedule.size, len(dirs)))
-    for ui, u in enumerate(dirs):
-        d_val, d_err = known_directional(f, x0, u), 0.0
-        if d_val is None:
-            d_val, d_err, _ = _estimate_along(f, spec, x0, u, tol)
-        q = _quotients(f, spec, x0, u, t_schedule)
-        r = q.corrected - d_val
-        margins = (_cone_margins(rows, r) + (q.noise + d_err)) / (1.0 + row_norms(r))
-        residual_margin = min(residual_margin, float(np.min(margins)))
-        lam = matvec_rows(e_star.coeffs[None, :], r)[:, 0]
-        lam_table[:, ui] = lam
-        big = lam > tol
-        if big.any():
-            max_base_norm = max(max_base_norm, float(np.max(row_norms(r[big] / lam[big, None], f.codomain_norm))))
+    # D(h) from the oracle where there is one, else from one batch of estimates
+    d_vals = [known_directional(f, x0, u) for u in dirs]
+    d_errs = np.zeros(len(dirs))
+    missing = [i for i, val in enumerate(d_vals) if val is None]
+    estimated = _estimates(f, spec, x0, [dirs[i] for i in missing], tol, [None] * len(missing))
+    for i, (val, err, _) in zip(missing, estimated):
+        d_vals[i], d_errs[i] = val, err
+    # every direction's residuals on the schedule from one batch, one row per (direction, step)
+    q = _quotients(f, spec, x0, np.array(dirs), np.broadcast_to(t_schedule, (len(dirs), t_schedule.size)))
+    r = (q.corrected - np.array(d_vals)[:, None, :]).reshape(-1, q.f0.size)
+    allow = (q.noise + d_errs[:, None]).reshape(-1)
+    residual_margin = float(np.min((_cone_margins(unit_dual_generators(spec.cone), r) + allow) / (1.0 + row_norms(r))))
+    lam = matvec_rows(e_star.coeffs[None, :], r)[:, 0]
+    big = lam > tol
+    max_base_norm = float(np.max(row_norms(r[big] / lam[big, None], f.codomain_norm), initial=0.0))
 
     table = []
-    max_lam_per_t = np.max(lam_table, axis=1)
+    max_lam_per_t = np.max(lam.reshape(len(dirs), -1), axis=0)
     for eps in epsilons:
         # largest step whose entire finer suffix stays within eps
         suffix_ok = np.logical_and.accumulate((max_lam_per_t <= eps)[::-1])[::-1]

@@ -276,8 +276,23 @@ NAN = float("nan")
         ({"op": "check-paraconvex", "seed": 1, "budget": 64.5}, [], "checks[0].budget"),
         ({"op": "check-paraconvex", "seed": 1, "budget": "64"}, [], "checks[0].budget"),
         (None, ["--tol", "nan"], "checks[0].tol"),
+        ({"op": "check-paraconvex", "seed": 1, "label": ["x"]}, [], "checks[0].label"),
+        ({"op": "gateaux-scan", "seed": 1, "n_points": 2, "csv": 5}, ["--out", "{tmp}"], "checks[0].csv"),
+        ({"op": "check-paraconvex", "seed": 1, "csv": None}, [], "checks[0].csv"),
     ],
-    ids=["tol-nan", "tol-inf", "upper-tol-nan", "seed-bool", "budget-bool", "budget-fraction", "budget-string", "flag-tol-nan"],
+    ids=[
+        "tol-nan",
+        "tol-inf",
+        "upper-tol-nan",
+        "seed-bool",
+        "budget-bool",
+        "budget-fraction",
+        "budget-string",
+        "flag-tol-nan",
+        "label-list",
+        "csv-int",
+        "csv-null",
+    ],
 )
 def test_malformed_shared_fields_exit_two_with_a_path(entry, flags, where, tmp_path, capsys):
     if entry is None:  # the shipped config, broken by a command-line override
@@ -285,11 +300,13 @@ def test_malformed_shared_fields_exit_two_with_a_path(entry, flags, where, tmp_p
     else:
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"mapping": {"family": "neg_square"}, "checks": [entry]}))
-    code = main(["run", "--config", str(path)] + flags)
+    out_dir = tmp_path / "out"
+    code = main(["run", "--config", str(path)] + [flag.format(tmp=out_dir) for flag in flags])
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""  # no verdict line: a malformed input is never a FAIL
     assert f"input error: {where}: " in captured.err
+    assert not out_dir.exists() or list(out_dir.iterdir()) == []  # nothing written either
 
 
 @pytest.mark.parametrize(
@@ -314,6 +331,11 @@ def test_malformed_shared_fields_exit_two_with_a_path(entry, flags, where, tmp_p
         ({"op": "fact2", "seed": 1, "y_star": [True]}, "checks[0].y_star[0]"),
         ({"op": "scalarize", "seed": 1, "functionals": [[1.0], ["1"]]}, "checks[0].functionals[1][0]"),
         ({"op": "lipschitz", "seed": 1, "region": {"lo": [False], "hi": [0.5]}}, "checks[0].region.lo[0]"),
+        ({"op": "frechet", "seed": 1, "x0": [0.25], "epsilons": []}, "checks[0].epsilons"),
+        ({"op": "gateaux-scan", "seed": 1, "n_points": 0}, "checks[0].n_points"),
+        ({"op": "gateaux-scan", "seed": 1, "n_points": -3}, "checks[0].n_points"),
+        ({"op": "gateaux-scan", "seed": 1, "points": []}, "checks[0].points"),
+        ({"op": "scalarize", "seed": 1, "functionals": []}, "checks[0].functionals"),
     ],
     ids=[
         "epsilons-int",
@@ -335,6 +357,11 @@ def test_malformed_shared_fields_exit_two_with_a_path(entry, flags, where, tmp_p
         "y-star-bool-entry",
         "functionals-string-entry",
         "region-bool-entry",
+        "epsilons-empty",
+        "n-points-zero",
+        "n-points-negative",
+        "points-empty",
+        "functionals-empty",
     ],
 )
 def test_malformed_op_fields_exit_two_with_a_path(entry, where, tmp_path, capsys):

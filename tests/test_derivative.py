@@ -28,12 +28,13 @@ from paracone import (
     neg_square_1d,
     orthant,
     random_simplicial_cone,
+    smooth_r2_r3,
     square_modulus,
     zero_modulus,
 )
 from paracone.derivative import _default_t0, _prep_direction, _quotient_noise
 from paracone.geometry import Box, contains, norm, unit_dual_generators
-from paracone.mappings import known_directional
+from paracone.mappings import VectorMapping, known_directional
 from paracone.modulus import eval_modulus
 
 
@@ -298,6 +299,63 @@ def test_gateaux_flags_the_kink():
     assert rep.margins["antisymmetry"] > 1.9
 
 
+def _cbrt_sum():
+    """cbrt(x1^3 + x2^3): positively homogeneous and odd, so its one-sided
+    derivative at the origin is the map itself, which is not additive."""
+    return VectorMapping(
+        domain=Box(lo=[-1.0, -1.0], hi=[1.0, 1.0]),
+        codomain_dim=1,
+        evaluator=lambda x: np.cbrt(x[:, 0] ** 3 + x[:, 1] ** 3)[:, None],
+        label="cbrt-sum",
+    )
+
+
+def test_gateaux_additivity_alone_flags_a_homogeneous_kink():
+    f = _cbrt_sum()
+    spec = ParaSpec(modulus=zero_modulus(), k=np.array([1.0]), cone=orthant(1), C=0.0)
+    rep = gateaux_test(f, spec, [0.0, 0.0], n_directions=8, tol=1e-6, seed=0)
+    assert not rep.passed
+    assert rep.defect == rep.margins["additivity"] > 0.5
+    # D(-h) = -D(h) and D(lam*h) = lam*D(h) hold exactly at the origin
+    assert max(rep.margins["antisymmetry"], rep.margins["homogeneity"], rep.margins["continuity"]) <= 1e-6
+    assert gateaux_test(f, spec, [0.3, -0.2], n_directions=8, tol=1e-6, seed=0).passed
+
+
+def _count_batches(monkeypatch):
+    """A list that grows by the row count of every VectorMapping.eval_batch call."""
+    rows = []
+    inner = VectorMapping.eval_batch
+
+    def counted(self, points):
+        rows.append(len(points))
+        return inner(self, points)
+
+    monkeypatch.setattr(VectorMapping, "eval_batch", counted)
+    return rows
+
+
+def test_batteries_evaluate_one_quotient_batch(monkeypatch):
+    f = smooth_r2_r3()
+    x0 = [0.1, -0.2]
+    batches = _count_batches(monkeypatch)
+    # one estimate batch and the continuity surrogate's Lipschitz batch
+    for n_directions in (2, 8, 16):
+        batches.clear()
+        gateaux_test(f, f.claimed, x0, n_directions=n_directions, tol=1e-6, seed=1)
+        assert len(batches) == 2
+    batches.clear()
+    check_sublinear(f, f.claimed, x0, tol=1e-6, seed=1)
+    assert len(batches) == 1
+    # the linearity precondition, then every direction's residuals at once
+    batches.clear()
+    frechet_test(f, f.claimed, x0, n_directions=16, tol=1e-6, seed=1)
+    assert len(batches) == 3
+    assert batches[-1] == 1 + 16 * 20
+    batches.clear()
+    directional_derivative(f, f.claimed, x0, [0.6, 0.8], tol=1e-6, max_depth=30)
+    assert batches == [31]
+
+
 def test_gateaux_passes_on_smooth_point():
     f = abs_1d()
     rep = gateaux_test(f, f.claimed, [0.3], n_directions=8, tol=1e-6, seed=3)
@@ -342,8 +400,31 @@ def test_scan_rejects_escaping_region():
         gateaux_scan(f, f.claimed, Box(lo=[-2.0], hi=[0.5]), n_points=2, seed=0)
 
 
+def test_scan_rejects_an_empty_point_set():
+    f = neg_square_1d()
+    for kwargs in ({"n_points": 0}, {"n_points": -1}, {"points": []}):
+        with pytest.raises(ValueError):
+            gateaux_scan(f, f.claimed, f.domain.shrink(0.1), seed=0, **kwargs)
+
+
+def test_scan_draws_the_points_of_one_row_draws():
+    for region in (Box(lo=[-0.9], hi=[0.4]), Box(lo=[-0.5, 0.1], hi=[0.5, 0.9])):
+        f = affine_mapping(np.ones((1, region.dim)), np.zeros(1), Box(lo=[-1.0] * region.dim, hi=[1.0] * region.dim))
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            one_by_one = [region.sample(1, rng)[0] for _ in range(6)]
+            rep = gateaux_scan(f, f.claimed, region, n_points=6, n_directions=2, seed=seed)
+            assert np.array_equal(np.array(rep.points), np.array(one_by_one))
+
+
 # ---------------------------------------------------------------------------
 # Frechet battery
+
+
+def test_frechet_rejects_empty_epsilons():
+    f = neg_square_1d()
+    with pytest.raises(ValueError):
+        frechet_test(f, f.claimed, [0.2], epsilons=(), tol=1e-6, seed=8)
 
 
 def test_frechet_reports_gateaux_precondition_failure():

@@ -1,9 +1,12 @@
-"""The upper-bound check and the Frechet test against frozen copies of the
-step-by-step loops they replaced.
+"""The derivative-side checks against frozen copies of the loops they replaced.
 
-Both checks now read one batch of corrected quotients per direction.  The
-loops below are the earlier per-step implementations, kept as oracles:
-every margin, witness and table entry must agree to the last bit.
+The upper-bound check and the Frechet test read one batch of corrected
+quotients per direction, and the batteries (gateaux_test, check_sublinear,
+frechet_test) estimate all their directions from one stacked batch.  The
+functions below are the earlier step-by-step and direction-by-direction
+implementations, kept as oracles: every margin, defect, witness and table
+entry must agree to the last bit, and a ConvergenceError must name the same
+direction with the same message.
 """
 
 import dataclasses
@@ -11,18 +14,55 @@ import dataclasses
 import numpy as np
 
 from paracone import (
+    ConvergenceError,
     ParaSpec,
     build_trace,
+    check_sublinear,
     check_upper_bound,
+    check_vector_lipschitz,
     directional_derivative,
     frechet_test,
+    gateaux_test,
+    orthant,
     table_modulus,
     zero_modulus,
 )
-from paracone.derivative import _default_t0, _estimate_along, _prep_direction, _quotient_noise, _unit_directions
-from paracone.geometry import norm, strictly_positive_functional, unit_dual_generators
-from paracone.mappings import known_directional
+from paracone.derivative import (
+    FrechetReport,
+    GateauxReport,
+    _cone_margins,
+    _default_t0,
+    _prep_direction,
+    _quotient_noise,
+    _quotients,
+    _unit_directions,
+)
+from paracone.geometry import (
+    Box,
+    as_point,
+    base_of,
+    matvec_rows,
+    norm,
+    row_norms,
+    strictly_positive_functional,
+    unit_dual_generators,
+)
+from paracone.mappings import OutsideDomainError, VectorMapping, known_directional
 from paracone.modulus import eval_modulus
+from paracone.reports import CheckReport
+
+
+def _estimate_along(f, spec, x0, v, tol, t0=None):
+    """Estimate for a direction of any positive length via the exact
+    reparameterization quotient(t, c*u) = quotient(c*t, u): returns the
+    value and error bound scaled by the length."""
+    ln = norm(np.asarray(v, dtype=float), f.domain_norm)
+    if ln <= 1e-12:
+        return np.zeros(f.codomain_dim), 0.0, None
+    est = directional_derivative(f, spec, x0, np.asarray(v, dtype=float) / ln, tol=tol, t0=t0)
+    if not est.converged:
+        raise ConvergenceError(f"{f.label}: estimator did not reach tol={tol} along {np.asarray(v).tolist()}")
+    return ln * est.value, ln * est.error_bound, est
 
 
 def _scalar_modulus(m, t):
@@ -196,3 +236,300 @@ def test_estimate_is_the_trace_quotient_at_its_stop(families):
                 tr = build_trace(f, f.claimed, x0, h, ratio=ratio, depth=depth)
                 assert est.t_used == tr.t_grid[est.iterations - 1]
                 assert est.value.tobytes() == tr.raw[est.iterations - 1].tobytes(), f.label
+
+
+# ---------------------------------------------------------------------------
+# the batteries, one estimate batch per direction
+
+
+def _schedule_independence(f, spec, x0, h0, base_val, base_err, tol, lambdas, measure):
+    h0 = np.asarray(h0, dtype=float)
+    for lam in lambdas:
+        if lam <= 0.0:
+            raise ValueError("homogeneity factors must be positive")
+        t0_b = min(lam * _default_t0(f, x0, h0), 0.49 * f.domain.boundary_distance(x0, h0))
+        val_b, err_b, _ = _estimate_along(f, spec, x0, h0, tol, t0=t0_b)
+        yield lam, measure(lam * val_b - lam * base_val), lam * (base_err + err_b)
+
+
+def _loop_sublinear(f, spec, x0, direction_pairs=None, lambdas=(0.5, 2.0), tol=1e-6, seed=0):
+    x0 = as_point(x0, f.domain.dim)
+    d = f.domain.dim
+    if direction_pairs is None:
+        rng = np.random.default_rng(seed)
+        if d == 1:
+            direction_pairs = [(np.array([1.0]), np.array([-1.0])), (np.array([1.0]), np.array([1.0]))]
+        else:
+            direction_pairs = []
+            for _ in range(3):
+                a = rng.normal(size=d)
+                b = rng.normal(size=d)
+                direction_pairs.append((a / norm(a, f.domain_norm), b / norm(b, f.domain_norm)))
+    rows = unit_dual_generators(spec.cone)
+    worst = np.inf
+    witness = None
+    count = 0
+    for h1, h2 in direction_pairs:
+        d1, e1, _ = _estimate_along(f, spec, x0, h1, tol)
+        d2, e2, _ = _estimate_along(f, spec, x0, h2, tol)
+        d12, e12, _ = _estimate_along(f, spec, x0, np.asarray(h1) + np.asarray(h2), tol)
+        margins = rows @ (d1 + d2 - d12) + (e1 + e2 + e12)
+        m = float(np.min(margins)) if margins.size else 0.0
+        count += 1
+        if m < worst:
+            worst = m
+            witness = (np.asarray(h1), np.asarray(h2))
+    h0 = direction_pairs[0][0]
+    base_val, base_err, _ = _estimate_along(f, spec, x0, h0, tol)
+    for lam, diff, allow in _schedule_independence(
+        f, spec, x0, h0, base_val, base_err, tol, lambdas, lambda v: float(np.max(np.abs(rows @ v), initial=0.0))
+    ):
+        slack = (allow - diff) / max(1.0, lam)
+        count += 1
+        if slack < worst:
+            worst = slack
+            witness = ("homogeneity", lam)
+    return CheckReport(
+        passed=bool(worst >= -tol),
+        worst_margin=float(worst),
+        witness=witness,
+        samples_used=count,
+        tol=tol,
+        seed=seed,
+        notes="cone subadditivity and positive homogeneity of the estimated derivative",
+    )
+
+
+def _loop_gateaux(f, spec, x0, directions=None, n_directions=8, tol=1e-6, seed=0):
+    x0 = as_point(x0, f.domain.dim)
+    if not f.domain.contains(x0):
+        raise OutsideDomainError(f"{f.label}: test point outside the open domain")
+    base_dirs = directions if directions is not None else _unit_directions(f, n_directions, seed)
+    base_dirs = [np.asarray(u, dtype=float) for u in base_dirs]
+    rows = unit_dual_generators(spec.cone)
+    row_k = rows @ spec.k
+
+    ests = {}
+    for u in base_dirs:
+        for s in (1.0, -1.0):
+            key = tuple(np.round(s * u, 15))
+            if key not in ests:
+                val, err, est = _estimate_along(f, spec, x0, s * u, tol)
+                ests[key] = (val, err, est)
+
+    def _viol_norm(vec, allow):
+        return float(norm(vec, f.codomain_norm)) - allow
+
+    neg_inf = float("-inf")
+    margins = {"antisymmetry": neg_inf, "additivity": neg_inf, "homogeneity": neg_inf, "continuity": neg_inf}
+
+    for u in base_dirs:
+        vp, ep, _ = ests[tuple(np.round(u, 15))]
+        vm, em, _ = ests[tuple(np.round(-u, 15))]
+        margins["antisymmetry"] = max(margins["antisymmetry"], _viol_norm(vp + vm, ep + em))
+
+    if len(base_dirs) == 1:
+        pair_list = [(base_dirs[0], -base_dirs[0])]
+    else:
+        pair_list = list(zip(base_dirs, base_dirs[1:]))[:4]
+    for h1, h2 in pair_list:
+        v1, e1, _ = ests[tuple(np.round(h1, 15))]
+        v2, e2, _ = ests[tuple(np.round(h2, 15))]
+        v12, e12, _ = _estimate_along(f, spec, x0, h1 + h2, tol)
+        margins["additivity"] = max(margins["additivity"], _viol_norm(v1 + v2 - v12, e1 + e2 + e12))
+
+    h0 = base_dirs[0]
+    v0, e0, _ = ests[tuple(np.round(h0, 15))]
+    for lam, diff, allow in _schedule_independence(
+        f, spec, x0, h0, v0, e0, tol, (0.5, 2.0), lambda v: float(norm(v, f.codomain_norm))
+    ):
+        margins["homogeneity"] = max(margins["homogeneity"], (diff - allow) / max(1.0, lam))
+
+    region_r = min(0.05, 0.5 * f.domain.boundary_distance(x0))
+    region = Box(lo=x0 - region_r, hi=x0 + region_r)
+    lip = check_vector_lipschitz(f, spec, region, budget=128, seed=seed + 1)
+    l_sampled = float(lip.extras["L"]) if lip.extras else 0.0
+    gamma = float(lip.extras["gamma"]) if lip.extras else 1.0
+    deriv_rows = [
+        float(np.max(np.abs(rows @ val) / np.maximum(row_k, 1e-300))) if rows.size else 0.0
+        for val, _, _ in ests.values()
+    ]
+    l_used = max(1.1 * l_sampled, max(deriv_rows, default=0.0))
+    c_min = spec.min_constant()
+    t_star = max(est.t_used for _, _, est in ests.values())
+    for u in base_dirs:
+        vp, ep, _ = ests[tuple(np.round(u, 15))]
+        vm, em, _ = ests[tuple(np.round(-u, 15))]
+        bound = gamma * (l_used * norm(2.0 * u, f.domain_norm) + c_min * eval_modulus(spec.modulus, t_star) / t_star) * norm(
+            spec.k, f.codomain_norm
+        )
+        viol = float(norm(vp - vm, f.codomain_norm)) - bound - (ep + em)
+        margins["continuity"] = max(margins["continuity"], viol)
+
+    defect = max(0.0, max(margins.values()))
+    return GateauxReport(
+        x0=x0,
+        passed=bool(defect <= tol),
+        defect=float(defect),
+        margins=margins,
+        tol=tol,
+        seed=seed,
+        n_directions=len(base_dirs) * 2,
+        notes="linearity battery on estimated one-sided derivatives",
+    )
+
+
+def _loop_frechet_test(f, spec, x0, epsilons=(1e-2, 1e-3), n_directions=16, t_schedule=None, tol=1e-6, seed=0):
+    x0 = as_point(x0, f.domain.dim)
+    e_star = strictly_positive_functional(spec.cone)
+    base = base_of(spec.cone, e_star, norm_kind=f.codomain_norm)
+    try:
+        gtx = _loop_gateaux(f, spec, x0, n_directions=max(4, n_directions // 4), tol=tol, seed=seed)
+        failed = None if gtx.passed else (gtx.defect, "the point is not a linearity point")
+    except ConvergenceError as exc:
+        failed = (float("inf"), str(exc))
+    if failed is not None:
+        return FrechetReport(
+            x0=x0,
+            passed=False,
+            table=[],
+            residual_margin=float("-inf"),
+            max_base_norm=float("nan"),
+            base_radius=float(base.radius),
+            gateaux_defect=failed[0],
+            tol=tol,
+            seed=seed,
+            notes=f"precondition failed: {failed[1]}",
+        )
+
+    dirs = [v for u in _unit_directions(f, max(n_directions, 2), seed) for v in (u, -u)][: max(n_directions, 2)]
+
+    bd_min = min(f.domain.boundary_distance(x0, u) for u in dirs)
+    if t_schedule is None:
+        top = min(0.1, 0.5 * bd_min)
+        t_schedule = top * 0.5 ** np.arange(20)
+    t_schedule = np.asarray(sorted((float(t) for t in t_schedule), reverse=True))
+    if t_schedule[0] >= bd_min:
+        raise ValueError("schedule step leaves the domain along a sampled direction")
+
+    rows = unit_dual_generators(spec.cone)
+    residual_margin = np.inf
+    max_base_norm = 0.0
+    lam_table = np.zeros((t_schedule.size, len(dirs)))
+    for ui, u in enumerate(dirs):
+        d_val, d_err = known_directional(f, x0, u), 0.0
+        if d_val is None:
+            d_val, d_err, _ = _estimate_along(f, spec, x0, u, tol)
+        q = _quotients(f, spec, x0, u, t_schedule)
+        r = q.corrected - d_val
+        margins = (_cone_margins(rows, r) + (q.noise + d_err)) / (1.0 + row_norms(r))
+        residual_margin = min(residual_margin, float(np.min(margins)))
+        lam = matvec_rows(e_star.coeffs[None, :], r)[:, 0]
+        lam_table[:, ui] = lam
+        big = lam > tol
+        if big.any():
+            max_base_norm = max(max_base_norm, float(np.max(row_norms(r[big] / lam[big, None], f.codomain_norm))))
+
+    table = []
+    max_lam_per_t = np.max(lam_table, axis=1)
+    for eps in epsilons:
+        suffix_ok = np.logical_and.accumulate((max_lam_per_t <= eps)[::-1])[::-1]
+        delta = float(t_schedule[np.argmax(suffix_ok)]) if suffix_ok.any() else None
+        table.append({"epsilon": float(eps), "delta": delta, "max_lambda": float(np.max(max_lam_per_t))})
+    all_eps_ok = all(row["delta"] is not None for row in table)
+
+    passed = bool(all_eps_ok and residual_margin >= -tol and max_base_norm <= float(base.radius) + tol)
+    return FrechetReport(
+        x0=x0,
+        passed=passed,
+        table=table,
+        residual_margin=float(residual_margin),
+        max_base_norm=float(max_base_norm),
+        base_radius=float(base.radius),
+        gateaux_defect=gtx.defect,
+        tol=tol,
+        seed=seed,
+        notes="uniform residual decomposition over sampled directions",
+    )
+
+
+def _bits(obj):
+    """A report as nested plain values with every float as float.hex."""
+    if dataclasses.is_dataclass(obj):
+        return {fld.name: _bits(getattr(obj, fld.name)) for fld in dataclasses.fields(obj)}
+    if isinstance(obj, dict):
+        return {key: _bits(val) for key, val in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_bits(val) for val in obj]
+    if isinstance(obj, np.ndarray):
+        return _bits(obj.tolist())
+    if isinstance(obj, (float, np.floating)):
+        return float(obj).hex()
+    return obj
+
+
+def _outcome(battery, *args, **kwargs):
+    """The report's bits, or the message of the ConvergenceError raised."""
+    try:
+        return _bits(battery(*args, **kwargs))
+    except ConvergenceError as exc:
+        return f"ConvergenceError: {exc}"
+
+
+def _battery_points(f, n, seed):
+    """Declared kinks inside the domain first, then seeded interior points: n in all."""
+    inner = f.domain.shrink(0.1)
+    kinks = [np.array([k]) for k in (f.kink_locus or ()) if inner.contains(np.array([k]))][: n // 4]
+    return kinks + list(inner.sample(n - len(kinks), np.random.default_rng(seed)))
+
+
+def _curved_along_x2():
+    """(x2^2, x1) with a zero modulus: estimates along x1 converge at tolerances
+    the curvature along x2 keeps the other directions from reaching, so a
+    battery meets non-convergence after its first direction."""
+    f = VectorMapping(
+        domain=Box(lo=[-1.0, -1.0], hi=[1.0, 1.0]),
+        codomain_dim=2,
+        evaluator=lambda x: np.stack([x[:, 1] ** 2, x[:, 0]], axis=1),
+        label="curved-along-x2",
+    )
+    return f, ParaSpec(modulus=zero_modulus(), k=np.array([1.0, 1.0]), cone=orthant(2), C=0.0)
+
+
+def test_batteries_match_direction_loops(families):
+    outcomes = []
+    f, spec = _curved_along_x2()
+    for i, x0 in enumerate(_battery_points(f, 4, seed=71)):
+        for tol in (1e-6, 1e-9):
+            for battery, oracle, kwargs in (
+                (gateaux_test, _loop_gateaux, {"n_directions": 4, "seed": i}),
+                (check_sublinear, _loop_sublinear, {"direction_pairs": [([1.0, 0.0], [0.6, 0.8]), ([0, 1], [1, 0])]}),
+                (frechet_test, _loop_frechet_test, {"n_directions": 8, "seed": i}),
+            ):
+                got = _outcome(battery, f, spec, x0, tol=tol, **kwargs)
+                assert got == _outcome(oracle, f, spec, x0, tol=tol, **kwargs), (battery.__name__, i, tol)
+                outcomes.append(got)
+    for f in families:
+        # without the analytic oracle frechet_test estimates every direction
+        blind = dataclasses.replace(f, analytic_directional=None)
+        for i, x0 in enumerate(_battery_points(f, 12, seed=67)):
+            # the tighter tolerances leave some directions short of convergence
+            tol = (1e-6, 1e-6, 1e-9, 1e-11)[i % 4]
+            for n_dirs in (2, 4, 8):
+                seed = 10 * i + n_dirs
+                got = _outcome(gateaux_test, f, f.claimed, x0, n_directions=n_dirs, tol=tol, seed=seed)
+                assert got == _outcome(_loop_gateaux, f, f.claimed, x0, n_directions=n_dirs, tol=tol, seed=seed), (f.label, i)
+                outcomes.append(got)
+            n_dirs = (2, 4, 8)[i % 3]
+            for g in (f, blind):
+                got = _outcome(frechet_test, g, f.claimed, x0, n_directions=n_dirs, tol=tol, seed=i)
+                assert got == _outcome(_loop_frechet_test, g, f.claimed, x0, n_directions=n_dirs, tol=tol, seed=i), (g.label, i)
+                outcomes.append(got)
+            got = _outcome(check_sublinear, f, f.claimed, x0, tol=tol, seed=i)
+            assert got == _outcome(_loop_sublinear, f, f.claimed, x0, tol=tol, seed=i), (f.label, i)
+            outcomes.append(got)
+    raised = {out for out in outcomes if isinstance(out, str)}
+    verdicts = {out.get("passed") for out in outcomes if isinstance(out, dict)}
+    # both verdicts, and non-convergence along more than one direction
+    assert verdicts == {True, False}
+    assert len(raised) >= 3
