@@ -27,6 +27,8 @@ import numpy as np
 from .geometry import (
     Box,
     DualFunctional,
+    cone_margins,
+    cone_values,
     interior_direction,
     is_standard_orthant,
     matvec_rows,
@@ -254,8 +256,7 @@ def check_inequality(
     c(lam) is C*min(lam, 1-lam) in the min form, C1*lam*(1-lam) otherwise.
     triples may be a Triples record or any sequence of SampleTriple.
     """
-    rows = unit_dual_generators(spec.cone)
-    return _check_rows(f, spec, rows, form, budget, seed, tol, triples)
+    return _check_rows(f, spec, unit_dual_generators(spec.cone), form, budget, seed, tol, triples)
 
 
 def scalarize_check(
@@ -274,10 +275,10 @@ def scalarize_check(
     Functionals are audited against the spec cone's dual and scaled to unit
     length by the same unit_rows that unit_dual_generators uses (scalar
     relaxed convexity is invariant under positive scaling); the zero
-    functional is legal and contributes an identically zero slack.  Rows
-    already unit are used as given, so when the functionals are the cone's
-    unit supporting rows this computes check_inequality's arithmetic, slack
-    for slack.
+    functional is legal and contributes an identically zero slack, but an
+    empty list certifies nothing and raises.  Rows already unit are used as
+    given, so when the functionals are the cone's unit supporting rows this
+    computes check_inequality's arithmetic, slack for slack.
     """
     rows = []
     for fun in functionals:
@@ -285,8 +286,9 @@ def scalarize_check(
         if np.any(coeffs != 0.0):
             DualFunctional(coeffs, spec.cone)  # raises when outside the dual cone
         rows.append(coeffs)
-    rows = unit_rows(rows) if rows else np.zeros((0, spec.cone.dim))
-    return _check_rows(f, spec, rows, form, budget, seed, tol, triples)
+    if not rows:
+        raise ValueError("scalarize_check needs at least one functional")
+    return _check_rows(f, spec, unit_rows(rows), form, budget, seed, tol, triples)
 
 
 def falsify(
@@ -562,20 +564,18 @@ def check_local_vector_bounded(
     rng = np.random.default_rng(seed)
     pts = _ball_samples(f, x0, radius, budget, rng)
     vals = f.eval_batch(np.array(pts))
-    rows = unit_dual_generators(cone)
 
     if is_standard_orthant(cone):
         k_bar = np.max(np.abs(vals), axis=0)
     else:
-        env = np.max(np.abs(vals @ rows.T), axis=0)  # per-functional envelope
+        env = np.max(np.abs(cone_values(cone, vals)), axis=0)  # per-functional envelope
         k0, denom = interior_direction(cone)
         k_bar = 1.1 * float(np.max(env / denom)) * k0
 
-    # verify the sandwich through the same functionals
-    upper = (k_bar - vals) @ rows.T
-    lower = (vals + k_bar) @ rows.T
-    worst = float(min(np.min(upper), np.min(lower))) if rows.size else 0.0
-    arg = int(np.argmin(np.min(np.minimum(upper, lower), axis=1)))
+    # verify the sandwich through the same functionals: k_bar - f(x) and f(x) + k_bar in the cone
+    margins = np.min(cone_margins(cone, np.stack([k_bar - vals, vals + k_bar])), axis=0)
+    arg = int(np.argmin(margins))
+    worst = float(margins[arg])
     return CheckReport(
         passed=bool(worst >= -tol),
         worst_margin=worst,
@@ -601,8 +601,7 @@ def check_vector_lipschitz(
     gamma*L*||u-x||*||k|| with gamma the sampled order-bound constant."""
     if np.any(region.lo < f.domain.lo) or np.any(region.hi > f.domain.hi):
         raise ValueError("region escapes the mapping domain")
-    rows = unit_dual_generators(spec.cone)
-    denom_k = rows @ spec.k
+    denom_k = cone_values(spec.cone, spec.k)
     rng = np.random.default_rng(seed)
     n_pairs = max(budget // 2, 8)
     xs = region.sample(n_pairs, rng)
@@ -618,11 +617,10 @@ def check_vector_lipschitz(
     values = f.eval_batch(np.concatenate([u, x]))
     df = values[:n] - values[n:]
     gap = row_norms(u - x, f.domain_norm)
-    proj = matvec_rows(rows, df)
-    size = np.abs(proj)
+    size = np.abs(cone_values(spec.cone, df))
     with np.errstate(divide="ignore", invalid="ignore"):
         r = np.where(denom_k > 1e-12, size / (gap[:, None] * np.maximum(denom_k, 1e-300)), np.where(size > 0, np.inf, 0.0))
-    big_l = float(np.max(r)) if r.size else 0.0
+    big_l = float(np.max(r, initial=0.0))
     if not np.isfinite(big_l):
         return CheckReport(
             passed=False,
@@ -635,9 +633,8 @@ def check_vector_lipschitz(
         )
 
     gamma = normality_constant(spec.cone, f.codomain_norm, budget=256, seed=seed + 1)
-    bound = (big_l * gap)[:, None] * denom_k
-    sandwich = np.concatenate([bound - proj, bound + proj], axis=1)
-    margins = np.min(sandwich, axis=1) if sandwich.size else np.zeros(n)
+    # min(bound - y(df), bound + y(df)) per functional; with none the norm form alone decides
+    margins = np.min((big_l * gap)[:, None] * denom_k - size, axis=1, initial=np.inf)
     df_norm = row_norms(df, f.codomain_norm)
     norm_slack = (gamma * big_l * gap * norm(spec.k, f.codomain_norm) - df_norm) / (1.0 + df_norm)
     margins = np.where(norm_slack < margins, norm_slack, margins)  # Python's min(margin, norm_slack)

@@ -300,6 +300,8 @@ def validate_operation(op: dict, path: str) -> str:
     for key in ("label", "csv"):
         if key in op and not isinstance(op[key], str):
             raise ConfigError(f"{path}.{key}: expected a string, got {op[key]!r}")
+    if "csv" in op and (Path(op["csv"]).name != op["csv"] or op["csv"] in ("", "..")):
+        raise ConfigError(f"{path}.csv: expected a bare file name, written inside --out, got {op['csv']!r}")
     if str(op.get("form", "min")) not in ("min", "lambda"):
         raise ConfigError(f"{path}.form: expected 'min' or 'lambda'")
     return name

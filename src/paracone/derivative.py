@@ -37,13 +37,14 @@ from .geometry import (
     Box,
     as_point,
     base_of,
+    cone_margins,
+    cone_values,
     interior_direction,
     is_standard_orthant,
     matvec_rows,
     norm,
     row_norms,
     strictly_positive_functional,
-    unit_dual_generators,
 )
 from .mappings import OutsideDomainError, VectorMapping, known_directional
 from .modulus import ParaSpec, eval_modulus
@@ -152,11 +153,6 @@ def _row(q: QuotientTrace, i: int) -> QuotientTrace:
     return QuotientTrace(q.h[i], q.t_grid[i], q.raw[i], q.allowance[i], q.corrected[i], q.noise[i], q.f0, q.spec)
 
 
-def _cone_margins(rows: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """Smallest unit-functional value of every row of a (0 without functionals)."""
-    return np.min(matvec_rows(rows, a), axis=1) if rows.size else np.zeros(len(a))
-
-
 def build_trace(
     f: VectorMapping,
     spec: ParaSpec,
@@ -189,12 +185,9 @@ def check_alpha_monotone(trace: QuotientTrace, tol: float = 1e-9) -> CheckReport
     supporting functionals, inflated by the rounding allowance of both
     quotients, and scaled by the quotient magnitudes.
     """
-    spec = trace.spec
-    rows = unit_dual_generators(spec.cone)
     m = trace.t_grid.size
     # quantity[a, b] = corrected[a] - raw[b] for t_a > t_b (a < b)
-    qty = trace.corrected[:, None, :] - trace.raw[None, :, :]
-    margins = np.min(qty @ rows.T, axis=2) if rows.size else np.zeros((m, m))
+    margins = cone_margins(trace.spec.cone, trace.corrected[:, None, :] - trace.raw[None, :, :])
     raw_norms = np.linalg.norm(trace.raw, axis=1)
     scale = 1.0 + raw_norms[:, None] + raw_norms[None, :]
     adjusted = (margins + trace.noise[:, None] + trace.noise[None, :]) / scale
@@ -220,17 +213,15 @@ def check_lower_bound(trace: QuotientTrace, tol: float = 1e-9) -> CheckReport:
     the componentwise infimum for the standard orthant, otherwise an
     interior direction scaled under every supporting-functional infimum.
     """
-    spec = trace.spec
-    rows = unit_dual_generators(spec.cone)
-    inf_per_row = np.min(trace.corrected @ rows.T, axis=0)
-    if is_standard_orthant(spec.cone):
+    cone = trace.spec.cone
+    inf_per_row = np.min(cone_values(cone, trace.corrected), axis=0)
+    if is_standard_orthant(cone):
         a = np.min(trace.corrected, axis=0)
     else:
-        k0, denom = interior_direction(spec.cone)
+        k0, denom = interior_direction(cone)
         a = float(np.min(inf_per_row / denom)) * k0
-    margins = (trace.corrected - a) @ rows.T
     scale = 1.0 + np.linalg.norm(trace.corrected, axis=1) + norm(a, "two")
-    adjusted = (np.min(margins, axis=1) + trace.noise) / scale
+    adjusted = (cone_margins(cone, trace.corrected - a) + trace.noise) / scale
     worst_idx = int(np.argmin(adjusted))
     return CheckReport(
         passed=bool(float(adjusted[worst_idx]) >= -tol),
@@ -267,10 +258,9 @@ def _stop(q: QuotientTrace, x0: np.ndarray, tol: float) -> DerivativeEstimate:
     bracket (the deepest level when no bracket is finite) is reported with
     converged False.
     """
-    rows = unit_dual_generators(q.spec.cone)
-    top_row_k = float(np.max(rows @ q.spec.k, initial=0.0))
+    top_row_k = float(np.max(cone_values(q.spec.cone, q.spec.k), initial=0.0))
     # bounds[j - 1] closes the bracket between levels j - 1 and j
-    decrement = np.max(np.abs(matvec_rows(rows, q.raw[:-1] - q.raw[1:])), axis=1, initial=0.0)
+    decrement = np.max(np.abs(cone_values(q.spec.cone, q.raw[:-1] - q.raw[1:])), axis=1, initial=0.0)
     bounds = decrement + q.allowance[:-1] * top_row_k + q.noise[:-1] + q.noise[1:]
     below = np.flatnonzero(bounds < tol)
     finite = bounds < np.inf  # a NaN or infinite bracket is never the smallest
@@ -341,7 +331,7 @@ def check_upper_bound(
     f0n = norm(q.f0, "two")
     dn = norm(estimate.value, "two")
     allow_used = _quotient_noise(estimate.t_used, dn * estimate.t_used + f0n, f0n)
-    margins = _cone_margins(unit_dual_generators(spec.cone), q.corrected - estimate.value)
+    margins = cone_margins(spec.cone, q.corrected - estimate.value)
     adjusted = (margins + q.noise + allow_used) / (1.0 + row_norms(q.raw) + dn)
     i = int(np.argmin(adjusted))
     worst = float(adjusted[i])
@@ -415,21 +405,20 @@ def check_sublinear(
         else:
             draws = [(rng.normal(size=d), rng.normal(size=d)) for _ in range(3)]
             direction_pairs = [(a / norm(a, f.domain_norm), b / norm(b, f.domain_norm)) for a, b in draws]
-    rows = unit_dual_generators(spec.cone)
     # (h1, h2, h1 + h2) per pair, then h0 = the first h1 once per factor
     vectors = [v for h1, h2 in direction_pairs for v in (h1, h2, np.asarray(h1) + np.asarray(h2))]
     h0 = np.asarray(direction_pairs[0][0], dtype=float)
     tops = [None] * len(vectors) + [_scaled_top(f, x0, h0, lam) for lam in lambdas]
     ests = _estimates(f, spec, x0, vectors + [h0] * len(lambdas), tol, tops)
-    slacks = []  # (slack, witness) per pair, then per factor
-    for i, (h1, h2) in enumerate(direction_pairs):
-        (d1, e1, _), (d2, e2, _), (d12, e12, _) = ests[3 * i : 3 * i + 3]
-        margins = rows @ (d1 + d2 - d12) + (e1 + e2 + e12)
-        slacks.append((float(np.min(margins)) if margins.size else 0.0, (np.asarray(h1), np.asarray(h2))))
-    base_val, base_err, _ = ests[0]
-    for lam, (val_b, err_b, _) in zip(lambdas, ests[len(vectors) :]):
-        diff = float(np.max(np.abs(rows @ (lam * val_b - lam * base_val)), initial=0.0))
-        slacks.append(((lam * (base_err + err_b) - diff) / max(1.0, lam), ("homogeneity", lam)))
+    vals, errs, n = np.array([v for v, _, _ in ests]), np.array([e for _, e, _ in ests]), len(vectors)
+    # subadditivity per pair: the cone margin of D(h1) + D(h2) - D(h1 + h2) plus the three error bounds
+    sub = cone_margins(spec.cone, vals[0:n:3] + vals[1:n:3] - vals[2:n:3]) + (errs[0:n:3] + errs[1:n:3] + errs[2:n:3])
+    # homogeneity per factor: lam*D(h0) on the lam-scaled grid against lam*D(h0), within the scaled error bounds
+    lams = np.array(lambdas, dtype=float)[:, None]
+    diff = np.max(np.abs(cone_values(spec.cone, lams * vals[n:] - lams * vals[0])), axis=1, initial=0.0)
+    homogeneity = (lams[:, 0] * (errs[0] + errs[n:]) - diff) / np.maximum(1.0, lams[:, 0])
+    slacks = [(float(v), (np.asarray(h1), np.asarray(h2))) for v, (h1, h2) in zip(sub, direction_pairs)]
+    slacks += [(float(v), ("homogeneity", lam)) for v, lam in zip(homogeneity, lambdas)]
     worst, witness = min(slacks, key=lambda slack: slack[0])
     return CheckReport(
         passed=bool(worst >= -tol),
@@ -498,7 +487,6 @@ def gateaux_test(
         raise OutsideDomainError(f"{f.label}: test point outside the open domain")
     base_dirs = directions if directions is not None else _unit_directions(f, n_directions, seed)
     base_dirs = [np.asarray(u, dtype=float) for u in base_dirs]
-    rows = unit_dual_generators(spec.cone)
 
     # one batch: signed[2i] = +u_i and signed[2i + 1] = -u_i, then the
     # additivity sums, then u_0 on the two lam-scaled grids
@@ -517,9 +505,9 @@ def gateaux_test(
     region = Box(lo=x0 - region_r, hi=x0 + region_r)
     lip = check_vector_lipschitz(f, spec, region, budget=128, seed=seed + 1)
     l_sampled, gamma = (float(lip.extras["L"]), float(lip.extras["gamma"])) if lip.extras else (0.0, 1.0)
-    row_k = np.maximum(rows @ spec.k, 1e-300)
-    deriv_rows = [float(np.max(np.abs(rows @ v) / row_k)) for v in val[:n_sig]] if rows.size else []
-    l_used = max(1.1 * l_sampled, max(deriv_rows, default=0.0))
+    row_k = np.maximum(cone_values(spec.cone, spec.k), 1e-300)
+    deriv_rows = np.abs(cone_values(spec.cone, np.array(val[:n_sig]))) / row_k
+    l_used = max(1.1 * l_sampled, float(np.max(deriv_rows, initial=0.0)))
     t_star = max(est.t_used for _, _, est in ests[:n_sig])
     allowance = spec.min_constant() * eval_modulus(spec.modulus, t_star) / t_star
 
@@ -719,7 +707,7 @@ def frechet_test(
     q = _quotients(f, spec, x0, np.array(dirs), np.broadcast_to(t_schedule, (len(dirs), t_schedule.size)))
     r = (q.corrected - np.array(d_vals)[:, None, :]).reshape(-1, q.f0.size)
     allow = (q.noise + d_errs[:, None]).reshape(-1)
-    residual_margin = float(np.min((_cone_margins(unit_dual_generators(spec.cone), r) + allow) / (1.0 + row_norms(r))))
+    residual_margin = float(np.min((cone_margins(spec.cone, r) + allow) / (1.0 + row_norms(r))))
     lam = matvec_rows(e_star.coeffs[None, :], r)[:, 0]
     big = lam > tol
     max_base_norm = float(np.max(row_norms(r[big] / lam[big, None], f.codomain_norm), initial=0.0))

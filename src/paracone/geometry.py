@@ -10,6 +10,11 @@ linear program for strictly positive functionals.  scipy.optimize is
 imported inside the functions that solve, so a run that needs no solve
 never pays for that import.
 
+The order reaches the rest of the package as scalars through one kernel:
+cone_values(cone, a) gives y(v) for every unit supporting functional y and
+every row v of a, and cone_margins(cone, a) the smallest of them (0 for a
+cone without functionals).  A row's values are the same bits in any batch.
+
 Cones are immutable after construction and sampling routines take an
 explicit seed, so every result is reproducible.
 """
@@ -313,9 +318,7 @@ def contains(cone: PolyCone, v, tol: float = 1e-9) -> bool:
     if not np.all(np.isfinite(v)):
         raise ValueError("membership test on non-finite point")
     if cone.dual_generators is not None:
-        if cone.dual_generators.shape[0] == 0:
-            return True
-        return bool(np.min(cone.dual_generators @ v) >= -tol)
+        return bool(np.all(cone.dual_generators @ v >= -tol))
     gens = cone.generators
     if gens.shape[0] == 0:
         return norm(v, "two") <= tol
@@ -412,45 +415,56 @@ def dual_cone(cone: PolyCone) -> PolyCone:
     return PolyCone(cone.dim, generators=rays, dual_generators=gens.copy(), name=name)
 
 
+def _cached(cone: PolyCone, key: str, compute) -> np.ndarray:
+    """cone._caches[key], computed and frozen read-only on first use."""
+    if key not in cone._caches:
+        rows = compute()
+        rows.flags.writeable = False
+        cone._caches[key] = rows
+    return cone._caches[key]
+
+
+def _enumerated(cone: PolyCone, key: str, source: np.ndarray, message: str) -> np.ndarray:
+    """The rays of {y : source @ y >= 0}, enumerated once and cached under key."""
+    if cone.dim > 4:
+        raise ValueError(f"{message} is limited to dim <= 4")
+    return _cached(cone, key, lambda: _polar_rays(source))
+
+
 def ensure_generators(cone: PolyCone) -> np.ndarray:
     """Generator rows, enumerating them from the inequality form if needed."""
     if cone.generators is not None:
         return cone.generators
-    cached = cone._caches.get("generators")
-    if cached is not None:
-        return cached
-    if cone.dim > 4:
-        raise ValueError("generators unavailable: enumeration from inequalities is limited to dim <= 4")
-    rays = _polar_rays(cone.dual_generators)
-    rays.flags.writeable = False
-    cone._caches["generators"] = rays
-    return rays
+    return _enumerated(cone, "generators", cone.dual_generators, "generators unavailable: enumeration from inequalities")
 
 
 def ensure_dual_generators(cone: PolyCone) -> np.ndarray:
     """Inequality rows, enumerating them from the generator form if needed."""
     if cone.dual_generators is not None:
         return cone.dual_generators
-    cached = cone._caches.get("dual_generators")
-    if cached is not None:
-        return cached
-    if cone.dim > 4:
-        raise ValueError("inequalities unavailable: enumeration from generators is limited to dim <= 4")
-    rows = _polar_rays(cone.generators)
-    rows.flags.writeable = False
-    cone._caches["dual_generators"] = rows
-    return rows
+    return _enumerated(cone, "dual_generators", cone.generators, "inequalities unavailable: enumeration from generators")
 
 
 def unit_dual_generators(cone: PolyCone) -> np.ndarray:
     """Supporting inequality rows scaled to unit euclidean length."""
-    cached = cone._caches.get("unit_duals")
-    if cached is not None:
-        return cached
-    rows = unit_rows(ensure_dual_generators(cone))
-    rows.flags.writeable = False
-    cone._caches["unit_duals"] = rows
-    return rows
+    return _cached(cone, "unit_duals", lambda: unit_rows(ensure_dual_generators(cone)))
+
+
+def cone_values(cone: PolyCone, a) -> np.ndarray:
+    """y(v) for every unit supporting functional y (the rows of
+    unit_dual_generators) and every row v of a: shape (..., dim) -> (..., r).
+    Each row is its own matvec_rows product, so its values are the same bits
+    however many rows are stacked with it, a single vector included."""
+    a = np.asarray(a, dtype=float)
+    rows = unit_dual_generators(cone)
+    return matvec_rows(rows, a.reshape(-1, cone.dim)).reshape(a.shape[:-1] + (rows.shape[0],))
+
+
+def cone_margins(cone: PolyCone, a) -> np.ndarray:
+    """The smallest of cone_values(cone, a) for every row of a, shape (..., dim)
+    -> (...); 0 for every row when the cone (the whole space) has none."""
+    values = cone_values(cone, a)
+    return np.min(values, axis=-1) if values.shape[-1] else np.zeros(values.shape[:-1])
 
 
 def generator_direction(cone: PolyCone) -> np.ndarray:
@@ -471,7 +485,7 @@ def interior_direction(cone: PolyCone) -> tuple[np.ndarray, np.ndarray]:
     raises when some y(k0) is at most 1e-12, as for a ray in the plane.
     """
     k0 = generator_direction(cone)
-    values = unit_dual_generators(cone) @ k0
+    values = cone_values(cone, k0)
     if np.any(values <= 1e-12):
         raise ValueError("cone has no interior direction: a supporting functional vanishes on the generator sum")
     return k0, values
@@ -657,7 +671,4 @@ def relative_interior_contains(cone: PolyCone, k, tol: float = 1e-9) -> bool:
     k = as_point(k, cone.dim)
     if not _is_full_dimensional(cone):
         raise ValueError("relative interior test requires a full-dimensional cone")
-    rows = unit_dual_generators(cone)
-    if rows.shape[0] == 0:
-        return True
-    return bool(np.min(rows @ k) > tol)
+    return bool(np.all(cone_values(cone, k) > tol))

@@ -211,6 +211,15 @@ def test_scalarize_audits_functionals():
         scalarize_check(f, f.claimed, [np.array([-1.0])], budget=10, seed=0)
 
 
+def test_scalarize_needs_a_functional():
+    f = neg_square_1d()
+    with pytest.raises(ValueError, match="at least one functional"):
+        scalarize_check(f, f.claimed, [], budget=10, seed=0)
+    # a zero functional inside a non-empty list stays legal, with an identically zero slack
+    rep = scalarize_check(f, f.claimed, [np.array([0.0])], budget=10, seed=0)
+    assert rep.passed and rep.worst_margin == 0.0
+
+
 def test_dimension_mismatch_is_rejected():
     f = neg_square_1d()
     spec3 = ParaSpec(modulus=square_modulus(), k=np.ones(3), cone=orthant(3), C=1.0)

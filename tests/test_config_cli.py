@@ -279,6 +279,8 @@ NAN = float("nan")
         ({"op": "check-paraconvex", "seed": 1, "label": ["x"]}, [], "checks[0].label"),
         ({"op": "gateaux-scan", "seed": 1, "n_points": 2, "csv": 5}, ["--out", "{tmp}"], "checks[0].csv"),
         ({"op": "check-paraconvex", "seed": 1, "csv": None}, [], "checks[0].csv"),
+        ({"op": "trace", "x0": [0.25], "h": [1.0], "csv": "sub/t.csv"}, ["--out", "{tmp}"], "checks[0].csv"),
+        ({"op": "trace", "x0": [0.25], "h": [1.0], "csv": "{outside}/x.csv"}, ["--out", "{tmp}"], "checks[0].csv"),
     ],
     ids=[
         "tol-nan",
@@ -292,6 +294,8 @@ NAN = float("nan")
         "label-list",
         "csv-int",
         "csv-null",
+        "csv-subdirectory",
+        "csv-absolute",
     ],
 )
 def test_malformed_shared_fields_exit_two_with_a_path(entry, flags, where, tmp_path, capsys):
@@ -299,7 +303,9 @@ def test_malformed_shared_fields_exit_two_with_a_path(entry, flags, where, tmp_p
         path = CONFIG_DIR / "neg_square_certify.json"
     else:
         path = tmp_path / "cfg.json"
-        path.write_text(json.dumps({"mapping": {"family": "neg_square"}, "checks": [entry]}))
+        # {outside} is a directory next to --out, never inside it
+        text = json.dumps({"mapping": {"family": "neg_square"}, "checks": [entry]})
+        path.write_text(text.replace("{outside}", str(tmp_path)))
     out_dir = tmp_path / "out"
     code = main(["run", "--config", str(path)] + [flag.format(tmp=out_dir) for flag in flags])
     captured = capsys.readouterr()
@@ -307,6 +313,7 @@ def test_malformed_shared_fields_exit_two_with_a_path(entry, flags, where, tmp_p
     assert captured.out == ""  # no verdict line: a malformed input is never a FAIL
     assert f"input error: {where}: " in captured.err
     assert not out_dir.exists() or list(out_dir.iterdir()) == []  # nothing written either
+    assert not (tmp_path / "x.csv").exists()
 
 
 @pytest.mark.parametrize(

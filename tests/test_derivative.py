@@ -321,6 +321,30 @@ def test_gateaux_additivity_alone_flags_a_homogeneous_kink():
     assert gateaux_test(f, spec, [0.3, -0.2], n_directions=8, tol=1e-6, seed=0).passed
 
 
+def _log_wobble(r):
+    """x*sin(2*pi*log2|x|) on (-r, r), with f(0) = 0.  Its quotient from the
+    origin at step t is sin(2*pi*log2(t)), the same at every level of a
+    dyadic grid, so each grid reports a converged "derivative" set by the
+    phase of its top step: no one-sided derivative exists."""
+
+    def evaluator(x):
+        safe = np.where(x == 0.0, 1.0, x)  # keeps the discarded branch finite at 0
+        return np.where(x == 0.0, 0.0, x * np.sin(2.0 * np.pi * np.log2(np.abs(safe))))
+
+    return VectorMapping(domain=Box(lo=[-r], hi=[r]), codomain_dim=1, evaluator=evaluator, label="log-wobble")
+
+
+def test_gateaux_homogeneity_alone_flags_a_log_periodic_wobble():
+    spec = ParaSpec(modulus=zero_modulus(), k=np.array([1.0]), cone=orthant(1), C=0.0)
+    # on (-0.3, 0.3) the lam = 2 grid is clipped to 0.147, off the base grid's phase
+    rep = gateaux_test(_log_wobble(0.3), spec, [0.0], n_directions=8, tol=1e-6, seed=0)
+    assert not rep.passed
+    assert rep.defect == rep.margins["homogeneity"] > 1.0
+    assert max(rep.margins["antisymmetry"], rep.margins["additivity"], rep.margins["continuity"]) <= 1e-6
+    # on (-1, 1) both lam-scaled grids sit on the base grid's phase (tops 0.05 and 0.2)
+    assert gateaux_test(_log_wobble(1.0), spec, [0.0], n_directions=8, tol=1e-6, seed=0).passed
+
+
 def _count_batches(monkeypatch):
     """A list that grows by the row count of every VectorMapping.eval_batch call."""
     rows = []

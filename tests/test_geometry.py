@@ -27,6 +27,8 @@ from paracone import (
 from paracone.checks import check_local_vector_bounded
 from paracone.derivative import build_trace, check_lower_bound
 from paracone.geometry import (
+    cone_margins,
+    cone_values,
     ensure_dual_generators,
     ensure_generators,
     generator_direction,
@@ -455,3 +457,46 @@ def test_simplicial_cone_generators_are_members(seed):
     cone = random_simplicial_cone(3, seed=seed)
     for g in cone.generators:
         assert contains(cone, g, tol=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# the cone-margin kernel
+
+
+KERNEL_CONES = {
+    "orthant": orthant(3),
+    "simplicial": random_simplicial_cone(3, seed=4),
+    "generator-only": cone_from_generators(np.random.default_rng(9).uniform(0.1, 1.0, size=(4, 3))),
+}
+
+
+@pytest.mark.parametrize("n", [1, 7, 1000])
+@pytest.mark.parametrize("kind", sorted(KERNEL_CONES))
+def test_cone_values_of_a_row_do_not_depend_on_its_batch(kind, n):
+    cone = KERNEL_CONES[kind]
+    rng = np.random.default_rng(n)
+    a = rng.normal(size=(n, 3)) * 10.0 ** rng.uniform(-3.0, 3.0, size=(n, 1))
+    values = cone_values(cone, a)
+    assert values.shape == (n, unit_dual_generators(cone).shape[0])
+    for i in range(n):
+        assert values[i].tobytes() == cone_values(cone, a[i]).tobytes()
+    assert cone_margins(cone, a).tobytes() == np.min(values, axis=1).tobytes()
+    # (2, n, 3) input: each (n, 3) slice has the values it has alone
+    stacked = cone_values(cone, np.stack([a, -a]))
+    assert stacked[0].tobytes() == values.tobytes()
+    assert stacked[1].tobytes() == cone_values(cone, -a).tobytes()
+    assert cone_margins(cone, np.stack([a, -a])).shape == (2, n)
+
+
+def test_cone_values_on_the_orthant_are_the_coordinates():
+    a = np.random.default_rng(0).normal(size=(50, 3))
+    assert np.array_equal(cone_values(orthant(3), a), a)
+
+
+def test_whole_space_cone_has_zero_margins():
+    whole = PolyCone(2, dual_generators=np.zeros((0, 2)), name="R2")
+    a = np.random.default_rng(0).normal(size=(5, 2))
+    assert cone_values(whole, a).shape == (5, 0)
+    assert np.array_equal(cone_margins(whole, a), np.zeros(5))
+    assert cone_margins(whole, a[0]).shape == ()
+    assert relative_interior_contains(whole, a[0])

@@ -30,7 +30,6 @@ from paracone import (
 from paracone.derivative import (
     FrechetReport,
     GateauxReport,
-    _cone_margins,
     _default_t0,
     _prep_direction,
     _quotient_noise,
@@ -50,6 +49,11 @@ from paracone.geometry import (
 from paracone.mappings import OutsideDomainError, VectorMapping, known_directional
 from paracone.modulus import eval_modulus
 from paracone.reports import CheckReport
+
+
+def _cone_margins(rows, a):
+    """Smallest unit-functional value of every row of a (0 without functionals)."""
+    return np.min(matvec_rows(rows, a), axis=1) if rows.size else np.zeros(len(a))
 
 
 def _estimate_along(f, spec, x0, v, tol, t0=None):
