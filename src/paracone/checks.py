@@ -81,8 +81,8 @@ class Triples:
 
     def __getitem__(self, i):
         if isinstance(i, slice):
-            kept = range(len(self))[i]
-            return Triples(self.x[i], self.y[i], self.lam[i], structured=sum(k < self.structured for k in kept))
+            kept = np.arange(len(self))[i]
+            return Triples(self.x[i], self.y[i], self.lam[i], structured=int(np.count_nonzero(kept < self.structured)))
         return SampleTriple(x=self.x[i].copy(), y=self.y[i].copy(), lam=float(self.lam[i]))
 
     def __iter__(self):
@@ -108,61 +108,105 @@ def dyadic_small_gap_triples(box: Box, n_gaps: int = 14) -> Triples:
 
     Anchors sit at box fractions 1/2, 1/4, 3/4 along the diagonal; probe
     directions are the coordinate axes plus the main diagonal; gaps halve
-    n_gaps times from just under the anchor's boundary clearance.
+    n_gaps times from just under the anchor's boundary clearance, the
+    Box.boundary_distance along the direction and against it.
     """
     d = box.dim
-    width = box.hi - box.lo
-    dirs = [np.eye(d)[i] for i in range(d)]
-    diag = np.ones(d) / math.sqrt(d)
-    if not any(np.allclose(diag, u) for u in dirs):
-        dirs.append(diag)
-    halvings = np.ldexp(1.0, -np.arange(1, n_gaps + 1))[:, None]
-    xs, ys = [np.zeros((0, d))], [np.zeros((0, d))]
-    for frac in (0.5, 0.25, 0.75):
-        c = box.lo + frac * width
-        for u in dirs:
-            span = 0.9 * min(box.boundary_distance(c, u), box.boundary_distance(c, -u))
-            if span <= 0.0:
-                continue
-            t = span * halvings
-            xs.append(c - t * u)
-            ys.append(c + t * u)
-    x, y = np.concatenate(xs), np.concatenate(ys)
+    anchors = box.lo + np.array([[0.5], [0.25], [0.75]]) * (box.hi - box.lo)
+    if not (np.all(anchors > box.lo) and np.all(anchors < box.hi)):
+        raise ValueError("dyadic anchors fall outside the box")
+    # the clearance along an axis and against it is the nearer face gap; on
+    # the diagonal every entry is s = 1/sqrt(d), and dividing by s keeps the
+    # order of the rounded gaps, so it is the smallest gap over s
+    gap = np.minimum(box.hi - anchors, anchors - box.lo)
+    dirs, span = np.eye(d), gap
+    if d > 1:  # in one dimension the diagonal is the axis
+        s = 1.0 / math.sqrt(d)
+        dirs = np.vstack([dirs, np.full(d, s)])
+        span = np.hstack([gap, np.min(gap, axis=1, keepdims=True) / s])
+    span = 0.9 * span
+    anchor, direction = np.nonzero(span > 0.0)
+    t = span[anchor, direction][:, None, None] * np.ldexp(1.0, -np.arange(1, n_gaps + 1))[:, None]
+    c, u = anchors[anchor][:, None, :], dirs[direction][:, None, :]
+    x, y = (c - t * u).reshape(-1, d), (c + t * u).reshape(-1, d)
     return Triples(x=x, y=y, lam=np.full(x.shape[0], 0.5), structured=x.shape[0])
+
+
+# numpy's PCG64 rules for Generator.random and Generator.integers(1, 12), as
+# explicit uint64 constants so no mixed-type arithmetic promotes to float
+_LOW32 = np.uint64(0xFFFFFFFF)
+_HALF = np.uint64(32)
+_MANTISSA_SHIFT = np.uint64(11)
+_N_EXPONENTS = np.uint64(11)
+_REJECT_BELOW = np.uint64(4)  # (2**32 - 11) % 11
+
+
+def _seeded_fill(seed, n: int, k: int, first: int):
+    """n rows of k doubles and the gap exponents of the rows i with
+    (first + i) % 3 == 2, as np.random.default_rng(seed) gives them in
+    stream order: row i from Generator.random, then, on such a row, its
+    exponent from Generator.integers(1, 12).  Returns (u, rows, exponents).
+
+    The words come from the bit generator's random_raw, placed by numpy's
+    PCG64 rules.  A double is (w >> 11) * 2**-53 of one 64-bit word w.  An
+    exponent takes 32-bit requests: a request takes the low half of a fresh
+    word and leaves the high half for the next request, which doubles do not
+    touch.  Request h gives 1 + (11 h >> 32), unless (11 h) mod 2**32 < 4,
+    when it is rejected and the next request is taken.  A rejection shifts
+    every later word, so the layout starts from one request per exponent
+    and adds one to the first exponent whose last request is rejected,
+    drawing the words it then lacks, until none is.
+    """
+    rows = np.arange((2 - first) % 3, n, 3)
+    requests = np.ones(rows.shape[0], dtype=np.int64)
+    bitgen = np.random.default_rng(seed).bit_generator
+    words = np.zeros(0, dtype=np.uint64)
+    while True:
+        owner = np.repeat(rows, requests)  # the row of every request
+        # the even requests fetch the words: each sits after its row's doubles
+        # and the fresh words before it
+        n_fresh = (owner.shape[0] + 1) // 2
+        fresh = (owner[::2] + 1) * k + np.arange(n_fresh)
+        n_words = n * k + n_fresh
+        if words.shape[0] < n_words:
+            words = np.concatenate([words, bitgen.random_raw(n_words - words.shape[0])])
+        w = words[fresh]
+        halves = np.stack([w & _LOW32, w >> _HALF], axis=1).reshape(-1)[: owner.shape[0]]
+        scaled = halves * _N_EXPONENTS
+        last = np.cumsum(requests) - 1
+        rejected = np.flatnonzero((scaled[last] & _LOW32) < _REJECT_BELOW)
+        if not rejected.size:
+            break
+        requests[rejected[0]] += 1
+    doubles = np.ones(n_words, dtype=bool)
+    doubles[fresh] = False
+    u = (words[doubles] >> _MANTISSA_SHIFT) * 2.0**-53
+    return u.reshape(n, k), rows, 1 + (scaled[last] >> _HALF).astype(np.int64)
 
 
 def sample_triples(box: Box, budget: int, seed: int, structured: bool = True) -> Triples:
     """budget triples: the dyadic schedule first (when structured), then
-    seeded uniform fill with every third pair contracted to a small gap.
+    seeded uniform fill with every third triple contracted to a small gap.
 
-    Triple i of the fill draws x, y and lam from the seeded stream in that
-    order, and when i % 3 == 2 an exponent e right after them that contracts
-    y to x + (y - x) * 2**-e.  The doubles of each run of triples up to such
-    an i are drawn in one call, which leaves the stream as it is.
+    The stream contract: triple i of the fill takes 2d + 1 doubles u from
+    np.random.default_rng(seed), for x, y and lam in that order (x is
+    lo + (hi - lo) * u, Box.sample's arithmetic), and when i % 3 == 2 (i
+    counts the schedule too) an exponent e from integers(1, 12) right after
+    them, which contracts y to x + (y - x) * 2**-e.  _seeded_fill lays that
+    stream out from bit-generator words, bit for bit, without a draw per
+    triple.
     """
     if budget < 1:
         raise ValueError("budget must be at least 1")
     d = box.dim
     head = dyadic_small_gap_triples(box)[: budget if structured else 0]
-    rng = np.random.default_rng(seed)
-    draws = [np.zeros((0, 2 * d + 1))]
-    contracted, exponents = [], []
-    i = len(head)
-    while i < budget:
-        stop = min(budget, i + 3 - i % 3)
-        draws.append(rng.random((stop - i, 2 * d + 1)))
-        if stop % 3 == 0:
-            contracted.append(stop - 1 - len(head))
-            exponents.append(rng.integers(1, 12))
-        i = stop
-    u = np.concatenate(draws)
+    u, contracted, exponents = _seeded_fill(seed, budget - len(head), 2 * d + 1, len(head))
     # Box.sample's arithmetic, lo + (hi - lo) * u
     width = box.hi - box.lo
     x = box.lo + width * u[:, :d]
     y = box.lo + width * u[:, d : 2 * d]
-    if contracted:
-        x_c = x[contracted]
-        y[contracted] = x_c + (y[contracted] - x_c) * np.ldexp(1.0, -np.array(exponents))[:, None]
+    x_c = x[contracted]
+    y[contracted] = x_c + (y[contracted] - x_c) * np.ldexp(1.0, -exponents)[:, None]
     return Triples(
         x=np.concatenate([head.x, x]),
         y=np.concatenate([head.y, y]),
@@ -473,20 +517,26 @@ def _ball_inside_domain(f: VectorMapping, x0: np.ndarray, radius: float):
         raise ValueError(f"{f.label}: ball of radius {radius} around {x0.tolist()} escapes the open domain")
 
 
-def _ball_samples(f: VectorMapping, x0: np.ndarray, radius: float, budget: int, rng) -> list:
+def _ball_samples(f: VectorMapping, x0: np.ndarray, radius: float, budget: int, rng) -> np.ndarray:
+    """budget points of the domain-norm ball around x0, shape (budget, d):
+    x0, the 2d axis probes at radius r_in just inside it, then uniform draws
+    from the cube of half-width radius, kept when within r_in.  Candidates
+    come in blocks that double until enough are kept; the stream is the one
+    drawn candidate by candidate, and rng is the caller's own, so the
+    overdraw is harmless."""
     d = f.domain.dim
-    pts = [x0.copy()]
     r_in = radius * (1.0 - 1e-9)
-    for axis in range(d):
-        for sign in (1.0, -1.0):
-            e = np.zeros(d)
-            e[axis] = sign
-            pts.append(x0 + r_in * e)
-    while len(pts) < budget:
-        v = rng.uniform(-radius, radius, size=d)
-        if norm(v, f.domain_norm) <= r_in:
-            pts.append(x0 + v)
-    return pts[:budget]
+    axis = np.arange(d)
+    probes = np.zeros((2 * d, d))  # +0.0 off the axis: x0 + r_in * probe reads the sign of zero
+    probes[2 * axis, axis], probes[2 * axis + 1, axis] = 1.0, -1.0
+    pts = [x0[None, :], x0 + r_in * probes]
+    kept, block = 2 * d + 1, 2 * max(budget - 2 * d - 1, 8)
+    while kept < budget:
+        v = rng.uniform(-radius, radius, size=(block, d))
+        v = v[row_norms(v, f.domain_norm) <= r_in]
+        pts.append(x0 + v)
+        kept, block = kept + v.shape[0], 2 * block
+    return np.concatenate(pts)[:budget]
 
 
 def check_approx_convex(

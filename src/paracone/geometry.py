@@ -308,9 +308,11 @@ def random_simplicial_cone(dim: int, seed: int, name: str | None = None) -> Poly
 def contains(cone: PolyCone, v, tol: float = 1e-9) -> bool:
     """Membership test.
 
-    The inequality form is preferred when available (componentwise slack at
-    least -tol).  The generator form solves a non-negative least squares
-    problem and accepts residuals up to tol.
+    The inequality form is preferred when available: every unit supporting
+    functional at least -tol on v, the cone_values that the checks' margins
+    are made of, so membership and a margin agree on the same tolerance.
+    The generator form solves a non-negative least squares problem and
+    accepts residuals up to tol.
     """
     v = np.asarray(v, dtype=float)
     if v.shape != (cone.dim,):
@@ -318,7 +320,7 @@ def contains(cone: PolyCone, v, tol: float = 1e-9) -> bool:
     if not np.all(np.isfinite(v)):
         raise ValueError("membership test on non-finite point")
     if cone.dual_generators is not None:
-        return bool(np.all(cone.dual_generators @ v >= -tol))
+        return bool(np.all(cone_values(cone, v) >= -tol))
     gens = cone.generators
     if gens.shape[0] == 0:
         return norm(v, "two") <= tol
@@ -522,12 +524,17 @@ def normality_constant(cone: PolyCone, norm_kind: str = "two", budget: int = 100
     included, which pins the estimate at or above 1.  All budget - 1 sampled
     pairs come from one draw that keeps the sequential stream, pair after
     pair, so for a fixed seed each budget's pairs are a prefix of a larger
-    budget's and the estimate is nondecreasing in the budget.
+    budget's and the estimate is nondecreasing in the budget.  A cone that is
+    not pointed holds a line: with x = t*v on it and y = w in the cone, x and
+    y - x stay in the cone while ||x|| / ||y|| grows without bound, so the
+    call raises.
     """
     if budget < 1:
         raise ValueError("budget must be at least 1")
     if norm_kind not in NORM_KINDS:
         raise ValueError(f"unknown norm kind {norm_kind!r}")
+    if not cone.pointed:
+        raise ValueError("normality constant of a cone that is not pointed is unbounded")
     gens = ensure_generators(cone)
     if gens.shape[0] == 0:
         raise ValueError("normality constant of the trivial cone is undefined")

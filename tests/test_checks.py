@@ -11,8 +11,10 @@ from hypothesis import strategies as st
 from paracone import (
     Box,
     ParaSpec,
+    PolyCone,
     SampleTriple,
     Triples,
+    affine_mapping,
     check_approx_convex,
     check_fact2,
     check_inequality,
@@ -31,8 +33,8 @@ from paracone import (
     square_modulus,
     zero_modulus,
 )
-from paracone.checks import _coordinate_moves, _margins, _paired_moves, _pattern_search
-from paracone.geometry import contains, unit_dual_generators
+from paracone.checks import _ball_samples, _coordinate_moves, _margins, _paired_moves, _pattern_search
+from paracone.geometry import contains, norm, unit_dual_generators
 
 
 def _generator_only_curved_map():
@@ -102,6 +104,77 @@ def test_array_sampler_reproduces_per_triple_stream():
                 assert np.array_equal(got.lam, [t.lam for t in want])
 
 
+def _group_loop_triples(box, budget, seed, structured=True):
+    """The per-group fill the one-draw sampler replaced, frozen as the
+    oracle: one rng.random call per run of triples up to a contracted one,
+    then one rng.integers call for its gap exponent."""
+    d = box.dim
+    head = dyadic_small_gap_triples(box)[: budget if structured else 0]
+    rng = np.random.default_rng(seed)
+    draws = [np.zeros((0, 2 * d + 1))]
+    contracted, exponents = [], []
+    i = len(head)
+    while i < budget:
+        stop = min(budget, i + 3 - i % 3)
+        draws.append(rng.random((stop - i, 2 * d + 1)))
+        if stop % 3 == 0:
+            contracted.append(stop - 1 - len(head))
+            exponents.append(rng.integers(1, 12))
+        i = stop
+    u = np.concatenate(draws)
+    width = box.hi - box.lo
+    x = box.lo + width * u[:, :d]
+    y = box.lo + width * u[:, d : 2 * d]
+    if contracted:
+        x_c = x[contracted]
+        y[contracted] = x_c + (y[contracted] - x_c) * np.ldexp(1.0, -np.array(exponents))[:, None]
+    return Triples(
+        x=np.concatenate([head.x, x]),
+        y=np.concatenate([head.y, y]),
+        lam=np.concatenate([head.lam, u[:, 2 * d]]),
+        structured=len(head),
+    )
+
+
+def _same_triples(got, want):
+    return (
+        got.x.tobytes() == want.x.tobytes()
+        and got.y.tobytes() == want.y.tobytes()
+        and got.lam.tobytes() == want.lam.tobytes()
+        and got.structured == want.structured
+    )
+
+
+def test_one_draw_sampler_matches_the_group_loop():
+    rng = np.random.default_rng(2018)
+    for d in (1, 2, 3, 4, 5):
+        for _ in range(6):
+            lo = rng.normal(size=d) * 10.0 ** rng.uniform(-3, 3)
+            box = Box(lo=lo, hi=lo + rng.uniform(1e-3, 5.0, size=d) * 10.0 ** rng.uniform(-3, 3))
+            # 3 anchors, the axes and (for d > 1) the diagonal, 14 gaps each
+            n_dyadic = 3 * (d + (d > 1)) * 14
+            head, schedule = dyadic_small_gap_triples(box), _reference_triples(box, n_dyadic, seed=0)
+            assert len(head) == n_dyadic
+            assert head.x.tobytes() == np.array([t.x for t in schedule]).tobytes()
+            assert head.y.tobytes() == np.array([t.y for t in schedule]).tobytes()
+            budgets = {1, 2, 3, 4, 5, 6, 7, 400, 1001}
+            budgets |= {n_dyadic + j for j in range(-3, 7)} | {3 * m + j for m in (20, 21) for j in (-1, 0, 1)}
+            for budget in sorted(b for b in budgets if b >= 1):
+                for structured in (True, False):
+                    seed = int(rng.integers(2**31))
+                    got = sample_triples(box, budget, seed, structured=structured)
+                    assert _same_triples(got, _group_loop_triples(box, budget, seed, structured)), (d, budget, seed)
+
+
+@pytest.mark.parametrize("seed", [39331, 62138])
+def test_one_draw_sampler_follows_a_rejected_exponent_draw(seed):
+    # integers(1, 12) rejects one 32-bit request in about 10**9; these seeds
+    # hit one in the fill of a 1-D box at budget 100000 (exponent 32948 and
+    # 24445), after which every later word shifts
+    box = Box(lo=[-1.0], hi=[1.0])
+    assert _same_triples(sample_triples(box, 100000, seed), _group_loop_triples(box, 100000, seed))
+
+
 def test_triples_record_acts_like_a_list():
     box = Box(lo=[-1.0, 0.0], hi=[1.0, 2.0])
     t = sample_triples(box, 200, seed=5)
@@ -109,6 +182,11 @@ def test_triples_record_acts_like_a_list():
     assert np.array_equal(t[-1].x, t.x[-1]) and t[7].lam == t.lam[7]
     head = t[:10]
     assert isinstance(head, Triples) and len(head) == 10 and head.structured == 10
+    for cut in (slice(None, None, 2), slice(1, None, 7), slice(None, None, -1), slice(-30, None), slice(-5, 3, -3)):
+        part = t[cut]
+        kept = list(range(len(t)))[cut]
+        assert np.array_equal(part.x, t.x[cut]) and np.array_equal(part.lam, t.lam[cut])
+        assert part.structured == sum(k < t.structured for k in kept), cut
     assert [tr.lam for tr in t][150:] == t.lam[150:].tolist()
     unstructured = sample_triples(box, 20, seed=5, structured=False)
     assert unstructured.structured == 0 and not np.array_equal(unstructured.x[0], t.x[0])
@@ -507,6 +585,37 @@ def test_bounded_general_cone_witness_is_member():
     assert contains(cone, rep.extras["k_bar"], tol=1e-9)
 
 
+def _loop_ball_samples(f, x0, radius, budget, rng):
+    """The one-candidate-a-time ball sampler the block draw replaced, frozen
+    as the oracle."""
+    d = f.domain.dim
+    pts = [x0.copy()]
+    r_in = radius * (1.0 - 1e-9)
+    for axis in range(d):
+        for sign in (1.0, -1.0):
+            e = np.zeros(d)
+            e[axis] = sign
+            pts.append(x0 + r_in * e)
+    while len(pts) < budget:
+        v = rng.uniform(-radius, radius, size=d)
+        if norm(v, f.domain_norm) <= r_in:
+            pts.append(x0 + v)
+    return pts[:budget]
+
+
+def test_block_ball_sampler_matches_the_candidate_loop(families):
+    for f in families:
+        for kind in ("sup", "one", "two"):
+            g = dataclasses.replace(f, domain_norm=kind)
+            for budget in (1, 2, 3, 5, 8, 64, 256, 1000):
+                for seed in range(3):
+                    x0 = g.domain.center + 0.1 * np.random.default_rng(seed).uniform(-1.0, 1.0, g.domain.dim)
+                    x0[0] = -0.0 if seed == 2 else x0[0]  # off-axis probe entries read the sign of zero
+                    got = _ball_samples(g, x0, 0.3, budget, np.random.default_rng(seed))
+                    want = np.array(_loop_ball_samples(g, x0, 0.3, budget, np.random.default_rng(seed)))
+                    assert got.tobytes() == want.tobytes(), (f.label, kind, budget, seed)
+
+
 def test_bounded_rejects_escaping_ball():
     f = neg_square_1d()
     with pytest.raises(ValueError):
@@ -522,6 +631,14 @@ def test_lipschitz_constant_oracle():
     # |u^2 - x^2| = |u + x| * |u - x| with |u + x| < 1 on this region
     assert 0.7 <= big_l <= 1.0 + 1e-12
     assert rep.extras["gamma"] == 1.0  # orthant normality
+
+
+def test_lipschitz_rejects_a_cone_that_is_not_pointed():
+    f = affine_mapping(np.array([[1.0], [2.0]]), np.zeros(2), Box(lo=[-1.0], hi=[1.0]))
+    halfplane = PolyCone(2, dual_generators=[[0.0, 1.0]])
+    spec = ParaSpec(cone=halfplane, k=np.array([0.0, 1.0]), modulus=zero_modulus(), C=0.0)
+    with pytest.raises(ValueError, match="not pointed"):
+        check_vector_lipschitz(f, spec, Box(lo=[-0.5], hi=[0.5]), budget=16, seed=0)
 
 
 def test_lipschitz_region_must_stay_inside():

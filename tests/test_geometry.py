@@ -159,6 +159,15 @@ def test_representation_cross_audit_rejects_mismatch():
         PolyCone(2, generators=np.eye(2), dual_generators=np.array([[1.0, 0.0], [0.0, -1.0]]))
 
 
+def test_contains_agrees_with_the_unit_row_margins():
+    # a raw row of length 1e6 scales a -1e-12 margin to -1e-6, far outside tol
+    cone = cone_from_inequalities([[1e6, 0.0], [0.0, 1.0]])
+    v = np.array([-1e-12, 1.0])
+    assert cone_margins(cone, v) == -1e-12
+    assert contains(cone, v) and leq(cone, np.zeros(2), v)
+    assert not contains(cone, np.array([-2e-9, 1.0]))
+
+
 def test_contains_validates_input():
     c = orthant(2)
     with pytest.raises(ValueError):
@@ -313,6 +322,16 @@ def test_normality_at_least_one_and_monotone_in_budget():
     assert large >= small  # same seed, sequential draws
     # the supremum for this cone under the one norm is 2: flat pairs x=(b,-b)+...
     assert 1.2 <= large <= 2.0 + 1e-9
+
+
+def test_normality_constant_rejects_a_cone_that_is_not_pointed():
+    # each holds a line, along which the ratio ||x|| / ||y|| is unbounded
+    whole = PolyCone(2, dual_generators=np.zeros((0, 2)), name="R2")
+    halfplane = cone_from_generators([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]])
+    for cone in (whole, halfplane, cone_from_inequalities([[1.0, 0.0]])):
+        assert not cone.pointed
+        with pytest.raises(ValueError, match="not pointed"):
+            normality_constant(cone, "two", budget=16, seed=0)
 
 
 def _reference_normality(cone, norm_kind, budget, seed):
