@@ -26,8 +26,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=f"execute {'all configured checks' if name == 'run' else f'the {name} entries'}")
         p.add_argument("--config", required=True, help="path to the JSON run config")
         p.add_argument("--out", default=None, help="directory for the manifest and CSV outputs")
-        p.add_argument("--seed", type=int, default=None, help="override the seed of every executed entry")
-        p.add_argument("--budget", type=int, default=None, help="override the sample budget of every executed entry")
+        p.add_argument("--seed", type=int, default=None, help="override the seed of each entry that reads one")
+        p.add_argument("--budget", type=int, default=None, help="override the budget of each entry that reads one")
         p.add_argument("--tol", type=float, default=None, help="override the tolerance of every executed entry")
         p.add_argument("--form", choices=("min", "lambda"), default=None, help="override the inequality form")
     return parser
@@ -45,7 +45,8 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config)
         if args.command != "run":
-            entries = [op for op in check_entries(cfg) if isinstance(op, dict) and op.get("op") == args.command]
+            checks = check_entries(cfg.get("checks"))
+            entries = [op for op in checks if isinstance(op, dict) and op.get("op") == args.command]
             if not entries:
                 raise ConfigError(f"checks: no entry with op {args.command!r}")
             cfg = {**cfg, "checks": entries}

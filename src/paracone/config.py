@@ -2,9 +2,10 @@
 
 A run is described by a JSON document: one mapping (from the family
 registry), an optional constant-and-cone block overriding the family's
-declared one, and a list of operations.  Stochastic operations must carry
-an explicit seed; a missing seed is a validation error, not a silent
-default, so every published run is replayable from its config alone.
+declared one, and a list of operations.  Every object in it is read against
+a field table (an operation's is in its OPERATIONS entry), so an unknown key
+is an error, never ignored.  Stochastic operations must carry an explicit
+seed, so every published run is replayable from its config alone.
 
 The manifest written next to the outputs contains the config hash, the
 package version, every report, and the exit status; two runs of the same
@@ -72,7 +73,7 @@ from .mappings import (
     neg_square_1d,
     smooth_r2_r3,
 )
-from .modulus import Modulus, ParaSpec, power_modulus, square_modulus, table_modulus, zero_modulus
+from .modulus import ParaSpec, power_modulus, square_modulus, table_modulus, zero_modulus
 from .reports import _jsonify
 
 
@@ -80,15 +81,43 @@ class ConfigError(ValueError):
     """Invalid run configuration; the message names the offending path."""
 
 
-def _req(obj: dict, key: str, path: str):
-    if key not in obj:
-        raise ConfigError(f"{path}.{key}: required")
-    return obj[key]
+class _Required(str):
+    """The default of a field that must be present; its text is the error."""
+
+
+_REQUIRED = _Required("required")
+
+
+def read_fields(obj, table: dict, path: str, dims: dict | None = None) -> dict:
+    """obj, a JSON object, parsed against table, which maps each field obj may
+    carry to (reader, default) or (reader, default, dim).  A reader takes
+    (value, path), plus dims[dim] for a field with a dim.  An absent field
+    takes its default, read like a given value; a field whose default is None
+    also accepts null.  A missing required field, a malformed value or an
+    unknown key raises a ConfigError at path.key (at key when path is empty).
+    """
+    prefix = f"{path}." if path else ""
+    for key in _object(obj, path):
+        if key not in table:
+            raise ConfigError(f"{prefix}{key}: unknown field, expected one of {', '.join(table)}")
+    out = {}
+    for key, (read, default, *dim) in table.items():
+        val = obj.get(key, default)
+        if isinstance(val, _Required):
+            raise ConfigError(f"{prefix}{key}: {val}")
+        out[key] = None if val is None and default is None else read(val, prefix + key, *(dims[d] for d in dim))
+    return out
 
 
 def _integer(val, path: str) -> int:
     if isinstance(val, bool) or not isinstance(val, int):
         raise ConfigError(f"{path}: expected an integer, got {val!r}")
+    return val
+
+
+def _count(val, path: str) -> int:
+    if _integer(val, path) < 1:
+        raise ConfigError(f"{path}: expected a positive count, got {val}")
     return val
 
 
@@ -100,6 +129,44 @@ def _number(val, path: str) -> float:
     if not ok:
         raise ConfigError(f"{path}: expected a finite number, got {val!r}")
     return float(val)
+
+
+def _nonnegative(val, path: str) -> float:
+    if _number(val, path) < 0.0:
+        raise ConfigError(f"{path}: expected a nonnegative number, got {val!r}")
+    return float(val)
+
+
+def _nonnegatives(val, path: str) -> tuple:
+    if not isinstance(val, (list, tuple)) or not val:
+        raise ConfigError(f"{path}: expected a non-empty list of numbers, got {val!r}")
+    return tuple(_nonnegative(v, f"{path}[{i}]") for i, v in enumerate(val))
+
+
+def _typed(kind: type, noun: str) -> Callable:
+    """A reader that passes a value of type kind through unchanged."""
+
+    def read(val, path: str):
+        if not isinstance(val, kind):
+            raise ConfigError(f"{path}: expected {noun}, got {val!r}")
+        return val
+
+    return read
+
+
+_flag, _string, _object = _typed(bool, "true or false"), _typed(str, "a string"), _typed(dict, "an object")
+
+
+def _form(val, path: str) -> str:
+    if val not in ("min", "lambda"):
+        raise ConfigError(f"{path}: expected 'min' or 'lambda', got {val!r}")
+    return val
+
+
+def _file_name(val, path: str) -> str:
+    if not isinstance(val, str) or Path(val).name != val or val in ("", ".."):
+        raise ConfigError(f"{path}: expected a bare file name, written inside --out, got {val!r}")
+    return val
 
 
 def _as_floats(val, path: str) -> np.ndarray:
@@ -127,6 +194,26 @@ def _pairs(val, path: str) -> tuple:
     if arr.size and (arr.ndim != 2 or arr.shape[1] != 2):
         raise ConfigError(f"{path}: expected a list of [number, number] pairs")
     return tuple(map(tuple, arr.tolist()))
+
+
+def _coords(val, path: str, dim: int) -> np.ndarray:
+    arr = _as_floats(val, path)
+    if arr.shape != (dim,):
+        raise ConfigError(f"{path}: expected {dim} coordinates")
+    return arr
+
+
+def _rows(val, path: str, dim: int) -> list:
+    if not isinstance(val, list) or not val:
+        raise ConfigError(f"{path}: expected a non-empty list of rows, got {val!r}")
+    return [_coords(row, f"{path}[{i}]", dim) for i, row in enumerate(val)]
+
+
+def _region(val, path: str, dim: int) -> Box:
+    box = build_box(val, path)
+    if box.dim != dim:
+        raise ConfigError(f"{path}: expected {dim} coordinates")
+    return box
 
 
 @contextmanager
@@ -158,153 +245,142 @@ def config_hash(cfg: dict) -> str:
     return hashlib.sha256(canonical.encode()).hexdigest()
 
 
+def _kind(kinds: dict, noun: str, default=None) -> Callable:
+    """A reader that builds an object as the kind its "kind" field names;
+    kinds maps each kind to (constructor, table of its keyword fields)."""
+
+    def read(obj, path: str):
+        kind = _object(obj, path).get("kind", default)
+        if not isinstance(kind, str) or kind not in kinds:
+            raise ConfigError(f"{path}.kind: unknown {noun} {kind!r}, expected one of {', '.join(kinds)}")
+        make, table = kinds[kind]
+        with _located(path):
+            return make(**read_fields({key: val for key, val in obj.items() if key != "kind"}, table, path))
+
+    return read
+
+
 def build_box(obj, path: str) -> Box:
-    if not isinstance(obj, dict):
-        raise ConfigError(f"{path}: expected an object with lo/hi")
-    lo = _as_floats(_req(obj, "lo", path), f"{path}.lo")
-    hi = _as_floats(_req(obj, "hi", path), f"{path}.hi")
     with _located(path):
-        return Box(lo=lo, hi=hi)
+        return Box(**read_fields(obj, {"lo": (_as_floats, _REQUIRED), "hi": (_as_floats, _REQUIRED)}, path))
+
+
+_NAME = {"name": (_string, "config-cone")}
+
+# cone forms: the key that selects a form, and the form's table
+_CONE_FORMS = {
+    "orthant": {"orthant": (_integer, _REQUIRED)},
+    "generators": {"generators": (_as_floats, _REQUIRED), "dual_generators": (_as_floats, None), **_NAME},
+    "dual_generators": {"dual_generators": (_as_floats, _REQUIRED), **_NAME},
+    "random_simplicial": {
+        "random_simplicial": (_flag, _REQUIRED),
+        "dim": (_integer, _REQUIRED),
+        "seed": (_integer, _REQUIRED),
+        "name": (_string, None),
+    },
+}
 
 
 def build_cone(obj, path: str) -> PolyCone:
-    if isinstance(obj, dict) and "orthant" in obj:
-        return orthant(_integer(obj["orthant"], f"{path}.orthant"))
-    if isinstance(obj, dict) and ("generators" in obj or "dual_generators" in obj):
-        gens = obj.get("generators")
-        duals = obj.get("dual_generators")
-        name = str(obj.get("name", "config-cone"))
-        with _located(path):
-            if gens is not None and duals is not None:
-                gens = _as_floats(gens, f"{path}.generators")
-                if gens.size == 0:
-                    raise ConfigError(f"{path}.generators: expected at least one generator next to dual_generators")
-                return PolyCone(
-                    dim=gens.shape[-1],
-                    generators=gens,
-                    dual_generators=_as_floats(duals, f"{path}.dual_generators"),
-                    name=name,
-                )
-            if gens is not None:
-                return cone_from_generators(_as_floats(gens, f"{path}.generators"), name=name)
-            return cone_from_inequalities(_as_floats(duals, f"{path}.dual_generators"), name=name)
-    if isinstance(obj, dict) and obj.get("random_simplicial"):
-        return random_simplicial_cone(*(_integer(_req(obj, key, path), f"{path}.{key}") for key in ("dim", "seed")))
-    raise ConfigError(f"{path}: expected orthant/generators/dual_generators")
-
-
-def build_modulus(obj, path: str) -> Modulus:
-    if not isinstance(obj, dict) or "kind" not in obj:
-        raise ConfigError(f"{path}: expected an object with a kind")
-    kind = obj["kind"]
-    scale = _number(obj.get("scale", 1.0), f"{path}.scale")
+    form = next((key for key in _CONE_FORMS if key in _object(obj, path)), None)
+    if form is None:
+        raise ConfigError(f"{path}: expected one of {', '.join(_CONE_FORMS)}")
+    c = read_fields(obj, _CONE_FORMS[form], path)
+    gens, duals = c.get("generators"), c.get("dual_generators")
+    if gens is not None and duals is not None and gens.size == 0:
+        raise ConfigError(f"{path}.generators: expected at least one generator next to dual_generators")
+    if form == "random_simplicial" and not c["random_simplicial"]:
+        raise ConfigError(f"{path}.random_simplicial: expected true")
     with _located(path):
-        if kind == "zero":
-            return zero_modulus()
-        if kind == "square":
-            return square_modulus(scale=scale)
-        if kind == "power":
-            return power_modulus(p=_number(_req(obj, "p", path), f"{path}.p"), scale=scale)
-        if kind == "table":
-            return table_modulus(_pairs(_req(obj, "knots", path), f"{path}.knots"))
-    raise ConfigError(f"{path}.kind: unknown modulus kind {kind!r}")
+        if form == "orthant":
+            return orthant(c["orthant"])
+        if form == "random_simplicial":
+            return random_simplicial_cone(c["dim"], c["seed"], name=c["name"])
+        if gens is None:
+            return cone_from_inequalities(duals, name=c["name"])
+        if duals is None:
+            return cone_from_generators(gens, name=c["name"])
+        return PolyCone(dim=gens.shape[-1], generators=gens, dual_generators=duals, name=c["name"])
 
 
-# smooth parts of semiconvex_scalar: constructor and parameter defaults
+_MODULI = {
+    "zero": (zero_modulus, {}),
+    "square": (square_modulus, {"scale": (_number, 1.0)}),
+    "power": (power_modulus, {"p": (_number, _REQUIRED), "scale": (_number, 1.0)}),
+    "table": (table_modulus, {"knots": (_pairs, _REQUIRED)}),
+}
+build_modulus = _kind(_MODULI, "modulus kind")
+
+
+# smooth parts of semiconvex_scalar
 _SMOOTH_KINDS = {
-    "quadratic": (Quadratic1D, {"a": 0.0, "b": 0.0, "c": 0.0}),
-    "sine": (Sine1D, {"amplitude": 1.0, "frequency": 1.0, "phase": 0.0}),
+    "quadratic": (Quadratic1D, {"a": (_number, 0.0), "b": (_number, 0.0), "c": (_number, 0.0)}),
+    "sine": (Sine1D, {"amplitude": (_number, 1.0), "frequency": (_number, 1.0), "phase": (_number, 0.0)}),
     "zero": (ZeroPart, {}),
 }
 
-# families that take no parameters
-_PLAIN_FAMILIES = {"neg_square": neg_square_1d, "abs": abs_1d, "neg_abs": neg_abs_1d, "smooth_r2_r3": smooth_r2_r3}
+
+def _semiconvex(kinks, initial_slope, smooth, domain, C) -> VectorMapping:
+    return make_semiconvex_scalar(PiecewiseLinear(initial_slope=initial_slope, kinks=kinks), smooth, C=C, domain=domain)
+
+
+# mapping families: constructor and the table of mapping.params
+_FAMILIES = {
+    "affine": (
+        lambda matrix, offset, domain, cone, k: affine_mapping(matrix, offset, domain, cone=cone, k=k),
+        {
+            "matrix": (_as_floats, _REQUIRED),
+            "offset": (_as_floats, _REQUIRED),
+            "domain": (build_box, _REQUIRED),
+            "cone": (build_cone, None),
+            "k": (_as_floats, None),
+        },
+    ),
+    "neg_square": (neg_square_1d, {}),
+    "abs": (abs_1d, {}),
+    "neg_abs": (neg_abs_1d, {}),
+    "semiconvex_scalar": (
+        _semiconvex,
+        {
+            "kinks": (_pairs, ()),
+            "initial_slope": (_number, _REQUIRED),
+            "smooth": (_kind(_SMOOTH_KINDS, "smooth kind", default="zero"), {}),
+            "domain": (build_box, _REQUIRED),
+            "C": (_number, _REQUIRED),
+        },
+    ),
+    "example1": (example1_default, {"n": (_integer, 8), "kinks_per_component": (_integer, 5), "C": (_number, 0.5)}),
+    "curved_cone": (curved_cone_map, {"cone": (build_cone, _REQUIRED), "seed": (_integer, _REQUIRED)}),
+    "smooth_r2_r3": (smooth_r2_r3, {}),
+}
 
 
 def build_mapping(obj, path: str = "mapping") -> VectorMapping:
-    if not isinstance(obj, dict):
-        raise ConfigError(f"{path}: expected an object")
-    family = str(_req(obj, "family", path))
-    params = obj.get("params", {})
-    if not isinstance(params, dict):
-        raise ConfigError(f"{path}.params: expected an object")
-    ppath = f"{path}.params"
-    if family == "affine":
-        matrix = _as_floats(_req(params, "matrix", ppath), f"{ppath}.matrix")
-        offset = _as_floats(_req(params, "offset", ppath), f"{ppath}.offset")
-        domain = build_box(_req(params, "domain", ppath), f"{ppath}.domain")
-        cone = build_cone(params["cone"], f"{ppath}.cone") if "cone" in params else None
-        k = _as_floats(params["k"], f"{ppath}.k") if "k" in params else None
-        with _located(path):
-            return affine_mapping(matrix, offset, domain, cone=cone, k=k)
-    if family in _PLAIN_FAMILIES:
-        return _PLAIN_FAMILIES[family]()
-    if family == "semiconvex_scalar":
-        kinks = _pairs(params.get("kinks", ()), f"{ppath}.kinks")
-        slope = _number(_req(params, "initial_slope", ppath), f"{ppath}.initial_slope")
-        u1 = PiecewiseLinear(initial_slope=slope, kinks=kinks)
-        smooth_obj = params.get("smooth", {"kind": "zero"})
-        if not isinstance(smooth_obj, dict):
-            raise ConfigError(f"{ppath}.smooth: expected an object")
-        kind = str(smooth_obj.get("kind", "zero"))
-        if kind not in _SMOOTH_KINDS:
-            raise ConfigError(f"{ppath}.smooth.kind: unknown kind {kind!r}")
-        make, defaults = _SMOOTH_KINDS[kind]
-        u2 = make(**{key: _number(smooth_obj.get(key, d), f"{ppath}.smooth.{key}") for key, d in defaults.items()})
-        domain = build_box(_req(params, "domain", ppath), f"{ppath}.domain")
-        with _located(path):
-            return make_semiconvex_scalar(u1, u2, C=_number(_req(params, "C", ppath), f"{ppath}.C"), domain=domain)
-    if family == "example1":
-        return example1_default(
-            n=_integer(params.get("n", 8), f"{ppath}.n"),
-            kinks_per_component=_integer(params.get("kinks_per_component", 5), f"{ppath}.kinks_per_component"),
-            C=_number(params.get("C", 0.5), f"{ppath}.C"),
-        )
-    if family == "curved_cone":
-        cone = build_cone(_req(params, "cone", ppath), f"{ppath}.cone")
-        return curved_cone_map(cone, seed=_integer(_req(params, "seed", ppath), f"{ppath}.seed"))
-    raise ConfigError(f"{path}.family: unknown family {family!r}")
+    m = read_fields(obj, {"family": (_string, _REQUIRED), "params": (_object, {})}, path)
+    if m["family"] not in _FAMILIES:
+        raise ConfigError(f"{path}.family: unknown family {m['family']!r}")
+    make, table = _FAMILIES[m["family"]]
+    with _located(path):
+        return make(**read_fields(m["params"], table, f"{path}.params"))
+
+
+_SPEC = {
+    "modulus": (build_modulus, _REQUIRED),
+    "cone": (build_cone, _REQUIRED),
+    "k": (_as_floats, _REQUIRED),
+    "C": (_number, None),
+    "C1": (_number, None),
+    "membership_tol": (_number, 1e-9),
+}
 
 
 def build_spec(cfg: dict, mapping: VectorMapping) -> ParaSpec:
-    obj = cfg.get("spec")
-    if obj is None:
+    if cfg.get("spec") is None:
         if mapping.claimed is None:
             raise ConfigError("spec: required, the mapping family declares no constants")
         return mapping.claimed
-    path = "spec"
-    modulus = build_modulus(_req(obj, "modulus", path), f"{path}.modulus")
-    cone = build_cone(_req(obj, "cone", path), f"{path}.cone")
-    k = _as_floats(_req(obj, "k", path), f"{path}.k")
-    c_min, c_lam = (None if obj.get(key) is None else _number(obj[key], f"{path}.{key}") for key in ("C", "C1"))
-    membership_tol = _number(obj.get("membership_tol", 1e-9), f"{path}.membership_tol")
-    with _located(path):
-        return ParaSpec(modulus=modulus, k=k, cone=cone, C=c_min, C1=c_lam, membership_tol=membership_tol)
-
-
-def validate_operation(op: dict, path: str) -> str:
-    """Check an entry's op name and the fields every op shares; return the op name."""
-    if not isinstance(op, dict):
-        raise ConfigError(f"{path}: expected an object")
-    name = str(_req(op, "op", path))
-    if name not in OPERATIONS:
-        raise ConfigError(f"{path}.op: unknown operation {name!r}")
-    if OPERATIONS[name].stochastic and "seed" not in op:
-        raise ConfigError(f"{path}.seed: explicit seed required for stochastic operation {name!r}")
-    for key in ("seed", "budget"):
-        if key in op:
-            _integer(op[key], f"{path}.{key}")
-    for key in ("tol", "upper_tol"):
-        if key in op:
-            _number(op[key], f"{path}.{key}")
-    for key in ("label", "csv"):
-        if key in op and not isinstance(op[key], str):
-            raise ConfigError(f"{path}.{key}: expected a string, got {op[key]!r}")
-    if "csv" in op and (Path(op["csv"]).name != op["csv"] or op["csv"] in ("", "..")):
-        raise ConfigError(f"{path}.csv: expected a bare file name, written inside --out, got {op['csv']!r}")
-    if str(op.get("form", "min")) not in ("min", "lambda"):
-        raise ConfigError(f"{path}.form: expected 'min' or 'lambda'")
-    return name
+    with _located("spec"):
+        return ParaSpec(**read_fields(cfg["spec"], _SPEC, "spec"))
 
 
 def write_trace_csv(trace: QuotientTrace, path) -> None:
@@ -325,232 +401,182 @@ def write_scan_csv(report: ScanReport, path) -> None:
             writer.writerow([repr(float(v)) for v in p] + [int(bool(ok)), repr(float(defect))])
 
 
-_REQUIRED = object()  # a CheckEntry field without a default
-
-
-@dataclass
-class CheckEntry:
-    """One validated check entry, with the fields every op shares parsed."""
-
-    f: VectorMapping
-    spec: ParaSpec
-    op: dict
-    path: str
-    out_dir: Path | None
-    seed: int | None
-    budget: int
-    tol: float
-    form: str
-
-    @property
-    def sampled(self) -> dict:
-        return {"budget": self.budget, "seed": self.seed, "tol": self.tol}
-
-    def _field(self, key: str, default):
-        return _req(self.op, key, self.path) if default is _REQUIRED else self.op.get(key, default)
-
-    def integer(self, key: str, default) -> int:
-        return _integer(self._field(key, default), f"{self.path}.{key}")
-
-    def number(self, key: str, default=_REQUIRED) -> float | None:
-        """A finite number; a field whose default is None may also be null."""
-        val = self._field(key, default)
-        return None if val is None and default is None else _number(val, f"{self.path}.{key}")
-
-    def numbers(self, key: str, default) -> tuple:
-        val = self._field(key, default)
-        if not isinstance(val, (list, tuple)) or not val:
-            raise ConfigError(f"{self.path}.{key}: expected a non-empty list of numbers, got {val!r}")
-        return tuple(_number(v, f"{self.path}.{key}[{i}]") for i, v in enumerate(val))
-
-    def flag(self, key: str, default: bool) -> bool:
-        val = self._field(key, default)
-        if not isinstance(val, bool):
-            raise ConfigError(f"{self.path}.{key}: expected true or false, got {val!r}")
-        return val
-
-    def rows(self, key: str) -> list:
-        val = self._field(key, _REQUIRED)
-        if not isinstance(val, list) or not val:
-            raise ConfigError(f"{self.path}.{key}: expected a non-empty list of rows, got {val!r}")
-        return [_as_floats(row, f"{self.path}.{key}[{i}]") for i, row in enumerate(val)]
-
-    def point(self, key: str) -> np.ndarray:
-        arr = _as_floats(_req(self.op, key, self.path), f"{self.path}.{key}")
-        if arr.shape != (self.f.domain.dim,):
-            raise ConfigError(f"{self.path}.{key}: expected {self.f.domain.dim} coordinates")
-        return arr
-
-    def region(self) -> Box:
-        """The entry's region; by default the domain shrunk by 2% of its narrowest side."""
-        if "region" in self.op:
-            return build_box(self.op["region"], f"{self.path}.region")
-        return self.f.domain.shrink(0.02 * float(np.min(self.f.domain.hi - self.f.domain.lo)))
-
-    def write_csv(self, writer, result) -> None:
-        """writer(result, file) when there is an output directory and a csv field."""
-        if self.out_dir is not None and "csv" in self.op:
-            writer(result, self.out_dir / self.op["csv"])
-
-
-# Runners take a CheckEntry and return (report dict, passed).  They reach checks
-# and CSV writers through this module's globals at call time, so a function
-# swapped in on the module (a profiler's wrapper, say) is the one that runs.
+# Runners take (mapping, spec, **the entry's fields), each field named after the
+# keyword it feeds, and return (report dict, passed).  They reach checks and CSV
+# writers through this module's globals at call time, so a function swapped in
+# on the module (a profiler's wrapper, say) is the one that runs.
 
 
 def _verdict(rep) -> tuple:
     return rep.to_dict(), rep.passed
 
 
-def _run_check(e: CheckEntry):
-    return _verdict(check_inequality(e.f, e.spec, form=e.form, **e.sampled))
+def _default_region(f: VectorMapping, region: Box | None) -> Box:
+    """region, or by default the domain shrunk by 2% of its narrowest side."""
+    return f.domain.shrink(0.02 * float(np.min(f.domain.hi - f.domain.lo))) if region is None else region
 
 
-def _run_falsify(e: CheckEntry):
-    # exit semantics stay verdict-based: a found violation reports fail
-    return _verdict(falsify(e.f, e.spec, form=e.form, refine=e.flag("refine", True), **e.sampled))
+def _run_scalarize(f, spec, functionals, **fields):
+    functionals = list(unit_dual_generators(spec.cone)) if functionals is None else functionals
+    return _verdict(scalarize_check(f, spec, functionals, **fields))
 
 
-def _run_scalarize(e: CheckEntry):
-    functionals = e.rows("functionals") if "functionals" in e.op else list(unit_dual_generators(e.spec.cone))
-    return _verdict(scalarize_check(e.f, e.spec, functionals, form=e.form, **e.sampled))
+def _run_fact2(f, spec, y_star, **fields):
+    y_star = strictly_positive_functional(spec.cone).coeffs if y_star is None else y_star
+    return _verdict(check_fact2(f, spec, y_star, **fields))
 
 
-def _run_fact2(e: CheckEntry):
-    if "y_star" in e.op:
-        y_star = _as_floats(e.op["y_star"], f"{e.path}.y_star")
-    else:
-        y_star = strictly_positive_functional(e.spec.cone).coeffs
-    return _verdict(check_fact2(e.f, e.spec, y_star, **e.sampled))
+def _run_lipschitz(f, spec, region, **fields):
+    return _verdict(check_vector_lipschitz(f, spec, _default_region(f, region), **fields))
 
 
-def _run_approx_convex(e: CheckEntry):
-    x0, epsilon, delta = e.point("x0"), e.number("epsilon"), e.number("delta")
-    return _verdict(check_approx_convex(e.f, x0, epsilon=epsilon, delta=delta, **e.sampled))
-
-
-def _run_bounded(e: CheckEntry):
-    x0, radius = e.point("x0"), e.number("radius")
-    return _verdict(check_local_vector_bounded(e.f, e.spec.cone, x0, radius=radius, **e.sampled))
-
-
-def _run_lipschitz(e: CheckEntry):
-    return _verdict(check_vector_lipschitz(e.f, e.spec, e.region(), **e.sampled))
-
-
-def _run_trace(e: CheckEntry):
-    x0, h, ratio, depth = e.point("x0"), e.point("h"), e.number("ratio", 0.5), e.integer("depth", 40)
-    trace = build_trace(e.f, e.spec, x0, h, t0=e.number("t0", None), ratio=ratio, depth=depth)
-    mono = check_alpha_monotone(trace, tol=e.tol)
-    lower = check_lower_bound(trace, tol=e.tol)
-    e.write_csv(write_trace_csv, trace)
+def _run_trace(f, spec, tol, csv, **fields):
+    trace = build_trace(f, spec, **fields)
+    mono = check_alpha_monotone(trace, tol=tol)
+    lower = check_lower_bound(trace, tol=tol)
+    if csv is not None:
+        write_trace_csv(trace, csv)
     return {"monotone": mono.to_dict(), "lower_bound": lower.to_dict()}, mono.passed and lower.passed
 
 
-def _run_derivative(e: CheckEntry):
-    x0, h, ratio, max_depth = e.point("x0"), e.point("h"), e.number("ratio", 0.5), e.integer("max_depth", 40)
-    est = directional_derivative(e.f, e.spec, x0, h, tol=e.tol, t0=e.number("t0", None), ratio=ratio, max_depth=max_depth)
+def _run_derivative(f, spec, upper_bound, upper_tol, **fields):
+    est = directional_derivative(f, spec, **fields)
     result, passed = _jsonify(est), est.converged
-    if e.flag("upper_bound", True) and est.converged:
-        ub = check_upper_bound(e.f, e.spec, x0, h, est, tol=e.number("upper_tol", 1e-9))
+    if upper_bound and est.converged:
+        ub = check_upper_bound(f, spec, fields["x0"], fields["h"], est, tol=upper_tol)
         result["upper_bound"], passed = ub.to_dict(), ub.passed
     return result, passed
 
 
-def _run_gateaux(e: CheckEntry):
-    x0, n_directions = e.point("x0"), e.integer("n_directions", 8)
-    return _verdict(gateaux_test(e.f, e.spec, x0, n_directions=n_directions, tol=e.tol, seed=e.seed))
-
-
-def _run_gateaux_scan(e: CheckEntry):
-    region = e.region()
-    points = e.rows("points") if "points" in e.op else None
-    n_points, n_directions = e.integer("n_points", 100), e.integer("n_directions", 8)
-    if n_points < 1:
-        raise ConfigError(f"{e.path}.n_points: expected a positive count, got {n_points}")
-    kink_tol = e.number("kink_match_tol", 1e-9)
-    rep = gateaux_scan(
-        e.f, e.spec, region, n_points, n_directions, tol=e.tol, seed=e.seed, points=points, kink_match_tol=kink_tol
-    )
-    e.write_csv(write_scan_csv, rep)
+def _run_gateaux_scan(f, spec, region, csv, **fields):
+    rep = gateaux_scan(f, spec, _default_region(f, region), **fields)
+    if csv is not None:
+        write_scan_csv(rep, csv)
     return rep.to_dict(), bool(rep.density == 1.0)
-
-
-def _run_frechet(e: CheckEntry):
-    x0, epsilons = e.point("x0"), e.numbers("epsilons", (1e-2, 1e-3))
-    n_directions = e.integer("n_directions", 16)
-    return _verdict(frechet_test(e.f, e.spec, x0, epsilons=epsilons, n_directions=n_directions, tol=e.tol, seed=e.seed))
 
 
 @dataclass(frozen=True)
 class Operation:
-    """One config operation: its runner, whether its sampling needs an
-    explicit seed, its default tol, and the report field its verdict line
-    prints (a format string over the report dict; None prints no detail)."""
+    """One config operation: its runner, the table of every field it reads
+    (as read_fields takes it), and the report field its verdict line prints
+    (a format string over the report dict; None prints no detail)."""
 
-    run: Callable[[CheckEntry], tuple]
-    stochastic: bool = True
-    tol: float = 1e-9
+    run: Callable[..., tuple]
+    fields: dict
     headline: str | None = None
 
+
+# field tables of the operations below, some shared by several
+_SEED = {"seed": (_integer, _Required("explicit seed required for a stochastic operation"))}
+_SAMPLED = {**_SEED, "budget": (_count, 1000), "tol": (_nonnegative, 1e-9)}
+_FORMED = {**_SAMPLED, "form": (_form, "min")}
+_X0 = {"x0": (_coords, _REQUIRED, "domain")}
+_STEPS = {**_X0, "h": (_coords, _REQUIRED, "domain"), "t0": (_number, None), "ratio": (_number, 0.5)}
+_GATEAUX = {**_SEED, "tol": (_nonnegative, 1e-6), "n_directions": (_count, 8)}
+_REGION = {"region": (_region, None, "domain")}
+_CSV = {"csv": (_file_name, None)}
+_UPPER = {"upper_bound": (_flag, True), "upper_tol": (_nonnegative, 1e-9)}
+_SCAN = {
+    **_GATEAUX,
+    **_REGION,
+    "points": (_rows, None, "domain"),
+    "n_points": (_count, 100),
+    "kink_match_tol": (_nonnegative, 1e-9),
+    **_CSV,
+}
 
 _MARGIN = "worst_margin={worst_margin:.3e}"
 
 # the one table of config operations, in CLI order
 OPERATIONS = {
-    "check-paraconvex": Operation(_run_check, headline=_MARGIN),
-    "falsify": Operation(_run_falsify, headline=_MARGIN),
-    "scalarize": Operation(_run_scalarize, headline=_MARGIN),
-    "fact2": Operation(_run_fact2, headline=_MARGIN),
-    "approx-convex": Operation(_run_approx_convex, headline=_MARGIN),
-    "bounded": Operation(_run_bounded, headline=_MARGIN),
-    "lipschitz": Operation(_run_lipschitz, headline=_MARGIN),
-    "trace": Operation(_run_trace, stochastic=False),
-    "derivative": Operation(_run_derivative, stochastic=False, tol=1e-6, headline="error_bound={error_bound:.3e}"),
-    "gateaux": Operation(_run_gateaux, tol=1e-6, headline="defect={defect:.3e}"),
-    "gateaux-scan": Operation(_run_gateaux_scan, tol=1e-6, headline="density={density:.4f}"),
-    "frechet": Operation(_run_frechet, tol=1e-6),
+    "check-paraconvex": Operation(lambda f, spec, **kw: _verdict(check_inequality(f, spec, **kw)), _FORMED, _MARGIN),
+    # exit semantics stay verdict-based: a found violation reports fail
+    "falsify": Operation(
+        lambda f, spec, **kw: _verdict(falsify(f, spec, **kw)), {**_FORMED, "refine": (_flag, True)}, _MARGIN
+    ),
+    "scalarize": Operation(_run_scalarize, {**_FORMED, "functionals": (_rows, None, "codomain")}, _MARGIN),
+    "fact2": Operation(_run_fact2, {**_SAMPLED, "y_star": (_coords, None, "codomain")}, _MARGIN),
+    "approx-convex": Operation(
+        lambda f, spec, **kw: _verdict(check_approx_convex(f, **kw)),
+        {**_SAMPLED, **_X0, "epsilon": (_nonnegative, _REQUIRED), "delta": (_nonnegative, _REQUIRED)},
+        _MARGIN,
+    ),
+    "bounded": Operation(
+        lambda f, spec, **kw: _verdict(check_local_vector_bounded(f, spec.cone, **kw)),
+        {**_SAMPLED, **_X0, "radius": (_nonnegative, _REQUIRED)},
+        _MARGIN,
+    ),
+    "lipschitz": Operation(_run_lipschitz, {**_SAMPLED, **_REGION}, _MARGIN),
+    "trace": Operation(_run_trace, {**_STEPS, "depth": (_integer, 40), "tol": (_nonnegative, 1e-9), **_CSV}),
+    "derivative": Operation(
+        _run_derivative,
+        {**_STEPS, "max_depth": (_integer, 40), "tol": (_nonnegative, 1e-6), **_UPPER},
+        "error_bound={error_bound:.3e}",
+    ),
+    "gateaux": Operation(
+        lambda f, spec, **kw: _verdict(gateaux_test(f, spec, **kw)), {**_X0, **_GATEAUX}, "defect={defect:.3e}"
+    ),
+    "gateaux-scan": Operation(_run_gateaux_scan, _SCAN, "density={density:.4f}"),
+    "frechet": Operation(
+        lambda f, spec, **kw: _verdict(frechet_test(f, spec, **kw)),
+        {**_X0, **_GATEAUX, "n_directions": (_count, 16), "epsilons": (_nonnegatives, (1e-2, 1e-3))},
+    ),
 }
 
 
-def check_entries(cfg: dict) -> list:
+def check_entries(val, path: str = "checks") -> list:
     """The config's list of operations; a ConfigError unless it is a non-empty list."""
-    ops = cfg.get("checks")
-    if not isinstance(ops, list) or not ops:
-        raise ConfigError("checks: expected a non-empty list of operations")
-    return ops
+    if not isinstance(val, list) or not val:
+        raise ConfigError(f"{path}: expected a non-empty list of operations")
+    return val
+
+
+_TOP = {
+    "description": (_string, None),
+    "mapping": (_object, _REQUIRED),
+    "spec": (_object, None),
+    "checks": (check_entries, _REQUIRED),
+}
+
+
+def read_entry(op, path: str, f: VectorMapping, overrides: dict | None = None) -> tuple:
+    """(op name, label or None, fields) of one check entry, the fields parsed
+    against its op's table.  overrides (from CLI flags) set a field only on
+    an entry whose op reads it."""
+    name = _object(op, path).get("op")
+    if not isinstance(name, str) or name not in OPERATIONS:
+        raise ConfigError(f"{path}.op: unknown operation {name!r}, expected one of {', '.join(OPERATIONS)}")
+    table = OPERATIONS[name].fields
+    flags = {key: val for key, val in (overrides or {}).items() if val is not None and key in table}
+    dims = {"domain": f.domain.dim, "codomain": f.codomain_dim}
+    fields = read_fields({**op, **flags}, {"op": (_string, _REQUIRED), "label": (_string, None), **table}, path, dims)
+    return fields.pop("op"), fields.pop("label"), fields
 
 
 def run_config(cfg: dict, out_dir=None, overrides: dict | None = None) -> dict:
     """Execute every operation in the config and assemble the manifest.
 
-    overrides (from CLI flags) replace the matching key in every
-    operation entry before validation, so a flag seed satisfies the
-    explicit-seed rule.  A ValueError from building or running an entry
-    comes out as a ConfigError naming the entry.
+    Every entry is read before any runs, so a malformed entry leaves no
+    output behind.  overrides (from CLI flags) are set on an entry before it
+    is read, so a flag seed satisfies the explicit-seed rule.  A ValueError
+    from building or running an entry comes out as a ConfigError naming it.
     """
     start = time.perf_counter()
-    with _located("mapping"):
-        mapping = build_mapping(_req(cfg, "mapping", "config"), "mapping")
-    with _located("spec"):
-        spec = build_spec(cfg, mapping)
-    ops = check_entries(cfg)
+    top = read_fields(cfg, _TOP, "")
+    mapping = build_mapping(top["mapping"], "mapping")
+    spec = build_spec(cfg, mapping)
+    entries = [read_entry(op, f"checks[{idx}]", mapping, overrides) for idx, op in enumerate(top["checks"])]
     out_path = None if out_dir is None else Path(out_dir)
     if out_path is not None:
         out_path.mkdir(parents=True, exist_ok=True)
-    flags = {key: val for key, val in (overrides or {}).items() if val is not None}
     reports = []
-    for idx, op in enumerate(ops):
-        path = f"checks[{idx}]"
-        op = {**op, **flags} if isinstance(op, dict) else op
-        name = validate_operation(op, path)
-        tol, form = float(op.get("tol", OPERATIONS[name].tol)), str(op.get("form", "min"))
-        entry = CheckEntry(
-            mapping, spec, op, path, out_path, seed=op.get("seed"), budget=op.get("budget", 1000), tol=tol, form=form
-        )
-        with _located(path):
-            report, passed = OPERATIONS[name].run(entry)
-        reports.append({"op": name, "label": op.get("label", f"{name}-{idx}"), "pass": bool(passed), "report": report})
+    for idx, (name, label, fields) in enumerate(entries):
+        if fields.get("csv") is not None:
+            fields["csv"] = None if out_path is None else out_path / fields["csv"]
+        with _located(f"checks[{idx}]"):
+            report, passed = OPERATIONS[name].run(mapping, spec, **fields)
+        label = f"{name}-{idx}" if label is None else label
+        reports.append({"op": name, "label": label, "pass": bool(passed), "report": report})
     manifest = {
         "config_hash": config_hash(cfg),
         "version": __version__,

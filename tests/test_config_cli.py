@@ -19,8 +19,8 @@ from paracone.config import (
     build_modulus,
     build_spec,
     load_config,
+    read_entry,
     run_config,
-    validate_operation,
 )
 
 from conftest import CONFIG_DIR, REPO_ROOT
@@ -132,13 +132,21 @@ def test_build_spec_fallback_and_error():
 
 
 def test_validate_operation_messages():
+    f = build_mapping({"family": "neg_square"}, "mapping")
     with pytest.raises(ConfigError, match=r"checks\[0\]\.op: unknown operation"):
-        validate_operation({"op": "probe"}, "checks[0]")
+        read_entry({"op": "probe"}, "checks[0]", f)
+    with pytest.raises(ConfigError, match=r"checks\[0\]\.op: unknown operation None"):
+        read_entry({"label": "no-op"}, "checks[0]", f)
     with pytest.raises(ConfigError, match=r"checks\[0\]\.seed: explicit seed required"):
-        validate_operation({"op": "falsify"}, "checks[0]")
+        read_entry({"op": "falsify"}, "checks[0]", f)
     with pytest.raises(ConfigError, match=r"seed: expected an integer"):
-        validate_operation({"op": "falsify", "seed": 1.5}, "checks[0]")
-    assert validate_operation({"op": "trace"}, "checks[0]") == "trace"
+        read_entry({"op": "falsify", "seed": 1.5}, "checks[0]", f)
+    with pytest.raises(ConfigError, match=r"checks\[0\]\.x0: required"):
+        read_entry({"op": "trace"}, "checks[0]", f)
+    name, label, fields = read_entry({"op": "trace", "x0": [0.25], "h": [1.0], "label": "t"}, "checks[0]", f)
+    assert (name, label) == ("trace", "t")
+    assert set(fields) == set(OPERATIONS["trace"].fields)  # every field, defaults filled in
+    assert fields["depth"] == 40 and fields["csv"] is None
 
 
 # ---------------------------------------------------------------------------
@@ -270,12 +278,14 @@ NAN = float("nan")
     [
         ({"op": "check-paraconvex", "seed": 1, "tol": NAN}, [], "checks[0].tol"),
         ({"op": "check-paraconvex", "seed": 1, "tol": float("inf")}, [], "checks[0].tol"),
+        ({"op": "check-paraconvex", "seed": 1, "tol": -1.0}, [], "checks[0].tol"),
         ({"op": "derivative", "x0": [0.25], "h": [1.0], "upper_tol": NAN}, [], "checks[0].upper_tol"),
         ({"op": "falsify", "seed": True}, [], "checks[0].seed"),
         ({"op": "check-paraconvex", "seed": 1, "budget": True}, [], "checks[0].budget"),
         ({"op": "check-paraconvex", "seed": 1, "budget": 64.5}, [], "checks[0].budget"),
         ({"op": "check-paraconvex", "seed": 1, "budget": "64"}, [], "checks[0].budget"),
         (None, ["--tol", "nan"], "checks[0].tol"),
+        (None, ["--tol", "-1"], "checks[0].tol"),
         ({"op": "check-paraconvex", "seed": 1, "label": ["x"]}, [], "checks[0].label"),
         ({"op": "gateaux-scan", "seed": 1, "n_points": 2, "csv": 5}, ["--out", "{tmp}"], "checks[0].csv"),
         ({"op": "check-paraconvex", "seed": 1, "csv": None}, [], "checks[0].csv"),
@@ -285,12 +295,14 @@ NAN = float("nan")
     ids=[
         "tol-nan",
         "tol-inf",
+        "tol-negative",
         "upper-tol-nan",
         "seed-bool",
         "budget-bool",
         "budget-fraction",
         "budget-string",
         "flag-tol-nan",
+        "flag-tol-negative",
         "label-list",
         "csv-int",
         "csv-null",
@@ -343,6 +355,19 @@ def test_malformed_shared_fields_exit_two_with_a_path(entry, flags, where, tmp_p
         ({"op": "gateaux-scan", "seed": 1, "n_points": -3}, "checks[0].n_points"),
         ({"op": "gateaux-scan", "seed": 1, "points": []}, "checks[0].points"),
         ({"op": "scalarize", "seed": 1, "functionals": []}, "checks[0].functionals"),
+        ({"op": "bounded", "seed": 1, "x0": [0.0], "radius": 0.3, "budget": -3}, "checks[0].budget"),
+        ({"op": "lipschitz", "seed": 1, "budget": -5}, "checks[0].budget"),
+        ({"op": "check-paraconvex", "seed": 1, "budget": 0}, "checks[0].budget"),
+        ({"op": "gateaux", "seed": 1, "x0": [0.25], "n_directions": -4}, "checks[0].n_directions"),
+        ({"op": "frechet", "seed": 1, "x0": [0.25], "n_directions": 0}, "checks[0].n_directions"),
+        ({"op": "frechet", "seed": 1, "x0": [0.25], "epsilons": [-1]}, "checks[0].epsilons[0]"),
+        ({"op": "bounded", "seed": 1, "x0": [0.0], "radius": -0.3}, "checks[0].radius"),
+        ({"op": "approx-convex", "seed": 1, "x0": [0.0], "epsilon": 0.1, "delta": -0.3}, "checks[0].delta"),
+        ({"op": "trace", "x0": [0.25], "h": [1.0], "seed": 3}, "checks[0].seed"),
+        ({"op": "fact2", "seed": 1, "form": "min"}, "checks[0].form"),
+        ({"op": "gateaux", "seed": 1, "x0": [0.25], "budget": 64}, "checks[0].budget"),
+        ({"op": "lipschitz", "seed": 1, "csv": "l.csv"}, "checks[0].csv"),
+        ({"op": "check-paraconvex", "seed": 1, "tols": 1e-30}, "checks[0].tols"),
     ],
     ids=[
         "epsilons-int",
@@ -369,6 +394,19 @@ def test_malformed_shared_fields_exit_two_with_a_path(entry, flags, where, tmp_p
         "n-points-negative",
         "points-empty",
         "functionals-empty",
+        "bounded-budget-negative",
+        "lipschitz-budget-negative",
+        "budget-zero",
+        "gateaux-n-directions-negative",
+        "frechet-n-directions-zero",
+        "epsilons-negative",
+        "radius-negative",
+        "delta-negative",
+        "seed-on-trace",
+        "form-on-fact2",
+        "budget-on-gateaux",
+        "csv-on-lipschitz",
+        "tols-misspelled",
     ],
 )
 def test_malformed_op_fields_exit_two_with_a_path(entry, where, tmp_path, capsys):
@@ -451,6 +489,20 @@ _EXAMPLE1 = {"family": "example1", "params": {}}
             {"mapping": {"family": "curved_cone", "params": {"cone": {"orthant": 2}, "seed": 1.5}}},
             "mapping.params.seed",
         ),
+        ({"spekk": 1}, "spekk"),
+        ({"mapping.paramz": {}}, "mapping.paramz"),
+        ({"spec.zzz": 1}, "spec.zzz"),
+        ({"spec.cone.orthnat": 1}, "spec.cone.orthnat"),
+        ({"spec.cone": {"orthant": 1, "generators": [[1.0]]}}, "spec.cone.generators"),
+        ({"spec.cone": {"random_simplicial": False, "dim": 2, "seed": 1}}, "spec.cone.random_simplicial"),
+        ({"spec.modulus.scal": 2.0}, "spec.modulus.scal"),
+        ({"spec.modulus": {"kind": "table", "knots": [[0.5, 0.25]], "scale": 2.0}}, "spec.modulus.scale"),
+        ({"spec.modulus": {"scale": 2.0}}, "spec.modulus.kind"),
+        ({"mapping": _SEMICONVEX, "mapping.params.smooth.aa": -0.5}, "mapping.params.smooth.aa"),
+        ({"mapping": _SEMICONVEX, "mapping.params.smooth": {"kind": "cubic"}}, "mapping.params.smooth.kind"),
+        ({"mapping": _SEMICONVEX, "mapping.params.domain.mid": [0.0]}, "mapping.params.domain.mid"),
+        ({"mapping": _EXAMPLE1, "mapping.params.kinks": 5}, "mapping.params.kinks"),
+        ({"mapping": {"family": "neg_abs", "params": {"C": 1.0}}}, "mapping.params.C"),
     ],
     ids=[
         "orthant-list",
@@ -481,6 +533,20 @@ _EXAMPLE1 = {"family": "example1", "params": {}}
         "example1-kinks-bool",
         "example1-C-string",
         "curved-cone-seed-fraction",
+        "top-level-typo",
+        "mapping-params-typo",
+        "spec-typo",
+        "cone-typo",
+        "cone-two-forms",
+        "cone-simplicial-false",
+        "modulus-typo",
+        "modulus-scale-on-table",
+        "modulus-without-kind",
+        "smooth-typo",
+        "smooth-unknown-kind",
+        "box-typo",
+        "example1-typo",
+        "plain-family-params",
     ],
 )
 def test_malformed_spec_and_mapping_fields_exit_two_with_a_path(edits, where, tmp_path, capsys):
@@ -493,6 +559,104 @@ def test_malformed_spec_and_mapping_fields_exit_two_with_a_path(edits, where, tm
     captured = capsys.readouterr()
     assert captured.out == ""  # no verdict line: a malformed input is never a FAIL
     assert f"input error: {where}: " in captured.err
+
+
+def test_roadmap_probe_exits_two_instead_of_certifying(tmp_path, capsys):
+    # misspelled tol, mapping params and top-level key on a shipped config
+    cfg = json.loads((CONFIG_DIR / "neg_square_certify.json").read_text())
+    cfg["checks"][0]["tols"] = 1e-30
+    cfg["mapping"]["paramz"] = {}
+    cfg["spekk"] = 1
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert re.match(r"input error: (spekk|mapping\.paramz|checks\[0\]\.tols): unknown field", captured.err)
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "entry, where",
+    [
+        ({"op": "lipschitz", "seed": 1, "region": {"lo": [-0.5] * 3, "hi": [0.5] * 3}}, "checks[0].region"),
+        ({"op": "gateaux-scan", "seed": 1, "points": [[0.1, 0.2], [0.1, 0.2, 0.3]]}, "checks[0].points[1]"),
+        ({"op": "scalarize", "seed": 1, "functionals": [[1.0, 0.0]]}, "checks[0].functionals[0]"),
+        ({"op": "fact2", "seed": 1, "y_star": [1.0, 1.0]}, "checks[0].y_star"),
+        ({"op": "gateaux", "seed": 1, "x0": [0.1, -0.2, 0.0]}, "checks[0].x0"),
+        ({"op": "trace", "x0": [0.1, -0.2], "h": [1.0]}, "checks[0].h"),
+    ],
+    ids=["region", "points", "functionals", "y-star", "x0", "h"],
+)
+def test_shape_checked_fields_name_their_field(entry, where, tmp_path, capsys):
+    # smooth_r2_r3 maps R^2 to R^3: points and boxes need 2 coordinates, rows of functionals 3
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"mapping": {"family": "smooth_r2_r3"}, "checks": [entry]}))
+    assert main(["run", "--config", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    want = 3 if where.split(".")[1].startswith(("functionals", "y_star")) else 2
+    assert f"input error: {where}: expected {want} coordinates" in captured.err
+
+
+# a minimal valid entry of every op on neg_square
+_MINIMAL = {
+    "check-paraconvex": {"seed": 1, "budget": 16},
+    "falsify": {"seed": 1, "budget": 16},
+    "scalarize": {"seed": 1, "budget": 16},
+    "fact2": {"seed": 1, "budget": 16},
+    "approx-convex": {"seed": 1, "budget": 16, "x0": [0.0], "epsilon": 0.1, "delta": 0.3},
+    "bounded": {"seed": 1, "budget": 16, "x0": [0.0], "radius": 0.3},
+    "lipschitz": {"seed": 1, "budget": 16},
+    "trace": {"x0": [0.25], "h": [1.0], "depth": 4, "csv": "t.csv"},
+    "derivative": {"x0": [0.25], "h": [1.0]},
+    "gateaux": {"seed": 1, "x0": [0.25], "n_directions": 2},
+    "gateaux-scan": {"seed": 1, "n_points": 2, "n_directions": 2, "csv": "s.csv"},
+    "frechet": {"seed": 1, "x0": [0.25], "n_directions": 2},
+}
+
+
+@pytest.mark.parametrize("op", list(OPERATIONS))
+def test_unknown_entry_field_exits_two_under_every_op(op, tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    entry = {"op": op, **_MINIMAL[op]}
+    path.write_text(json.dumps({"mapping": {"family": "neg_square"}, "checks": [entry]}))
+    assert main(["run", "--config", str(path)]) in (0, 1)  # the entry itself is valid
+    capsys.readouterr()
+    path.write_text(json.dumps({"mapping": {"family": "neg_square"}, "checks": [{**entry, "zzz": 1}]}))
+    out_dir = tmp_path / "out"
+    assert main(["run", "--config", str(path), "--out", str(out_dir)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "input error: checks[0].zzz: unknown field, expected one of op, label, " in captured.err
+    assert not out_dir.exists()
+
+
+def test_every_entry_is_read_before_any_runs(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    checks = [{"op": "trace", **_MINIMAL["trace"]}, {"op": "falsify", "seed": 1, "zzz": 1}]
+    path.write_text(json.dumps({"mapping": {"family": "neg_square"}, "checks": checks}))
+    out_dir = tmp_path / "out"
+    assert main(["run", "--config", str(path), "--out", str(out_dir)]) == 2
+    assert "input error: checks[1].zzz: unknown field" in capsys.readouterr().err
+    assert not out_dir.exists()  # the trace entry wrote no csv
+
+
+def test_overrides_reach_only_ops_that_read_the_field():
+    cfg = {
+        "mapping": {"family": "neg_square"},
+        "checks": [
+            {"op": "trace", "x0": [0.25], "h": [1.0], "depth": 4},
+            {"op": "fact2", "budget": 32},
+            {"op": "check-paraconvex", "budget": 32},
+        ],
+    }
+    overrides = {"seed": 5, "budget": 16, "tol": 1e-6, "form": "lambda"}
+    reports = run_config(copy.deepcopy(cfg), overrides=overrides)["reports"]
+    assert [r["pass"] for r in reports] == [True, True, True]
+    assert reports[0]["report"]["monotone"]["tol"] == 1e-6  # trace reads tol, and nothing else of the flags
+    assert (reports[1]["report"]["seed"], reports[1]["report"]["samples_used"]) == (5, 16)
+    assert reports[2]["report"]["notes"] == "form=lambda"
 
 
 @pytest.mark.parametrize("command", list(OPERATIONS))
@@ -559,6 +723,26 @@ def test_readme_json_blocks_run(idx, tmp_path):
 def test_readme_operations_table_lists_the_registry():
     section = README.split("## Operations", 1)[1].split("\n## ", 1)[0]
     assert re.findall(r"^\| `([a-z0-9-]+)` +\|", section, flags=re.M) == list(OPERATIONS)
+    # the per-op field table under Config format: | op | field | type | default |
+    schema = README.split("## Config format", 1)[1].split("\n## ", 1)[0]
+    listed, op = {}, None
+    rows = re.findall(r"^\| (?:`([a-z0-9-]+)`)? *\| `(\w+)` +\|[^|]*\| (.*?) +\|$", schema, flags=re.M)
+    for cell_op, field, default in rows:
+        op = cell_op or op
+        listed.setdefault(op, {})[field] = default
+    assert {name: list(fields) for name, fields in listed.items()} == {
+        name: list(operation.fields) for name, operation in OPERATIONS.items()
+    }
+    for name, operation in OPERATIONS.items():
+        for field, (_, default, *_) in operation.fields.items():
+            cell = listed[name][field]
+            if isinstance(default, str) and not cell.startswith("`"):  # a required field
+                assert cell == "required", (name, field)
+            elif default is None:
+                assert cell.startswith("none"), (name, field)
+            else:
+                value = json.loads(cell.strip("`"))
+                assert value == (list(default) if isinstance(default, tuple) else default), (name, field)
 
 
 def test_cli_subprocess_help():
