@@ -2,10 +2,10 @@
 
 Every checker reduces its vector inequality to scalar slacks through the
 cone's unit supporting functionals and reports the most negative slack as
-worst_margin, scaled relative to the sampled value magnitudes.  The boolean
-verdict is exactly worst_margin >= -tol, which for a polyhedral cone in
-inequality form is the cone membership test itself, so the verdict and the
-margin can never disagree.
+worst_margin, scaled relative to the sampled value magnitudes.  The report
+type derives the verdict, exactly worst_margin >= -tol, which for a polyhedral
+cone in inequality form is the cone membership test itself, so the verdict
+and the margin can never disagree.
 
 Sampling mixes seeded uniform triples with a deterministic dyadic small-gap
 schedule: the characteristic failure mode of these inequalities lives at
@@ -41,7 +41,7 @@ from .geometry import (
 )
 from .mappings import VectorMapping
 from .modulus import ParaSpec, eval_modulus
-from .reports import CheckReport
+from .reports import CheckReport, worst_report
 
 
 @dataclass(frozen=True)
@@ -90,16 +90,16 @@ class Triples:
 
 
 def _as_triples(triples) -> Triples:
-    if isinstance(triples, Triples):
-        return triples
-    triples = list(triples)
-    if not triples:
+    if not isinstance(triples, Triples):
+        triples = list(triples)
+        triples = Triples(
+            x=np.array([t.x for t in triples], dtype=float),
+            y=np.array([t.y for t in triples], dtype=float),
+            lam=np.array([t.lam for t in triples], dtype=float),
+        )
+    if not len(triples):
         raise ValueError("no triples to check")
-    return Triples(
-        x=np.array([t.x for t in triples], dtype=float),
-        y=np.array([t.y for t in triples], dtype=float),
-        lam=np.array([t.lam for t in triples], dtype=float),
-    )
+    return triples
 
 
 def dyadic_small_gap_triples(box: Box, n_gaps: int = 14) -> Triples:
@@ -184,6 +184,14 @@ def _seeded_fill(seed, n: int, k: int, first: int):
     return u.reshape(n, k), rows, 1 + (scaled[last] >> _HALF).astype(np.int64)
 
 
+def _at_least_one(**counts) -> None:
+    """Raise ValueError naming the first count below 1: a check never
+    certifies from an empty or floored sample."""
+    for name, value in counts.items():
+        if value < 1:
+            raise ValueError(f"{name} must be at least 1")
+
+
 def sample_triples(box: Box, budget: int, seed: int, structured: bool = True) -> Triples:
     """budget triples: the dyadic schedule first (when structured), then
     seeded uniform fill with every third triple contracted to a small gap.
@@ -196,8 +204,7 @@ def sample_triples(box: Box, budget: int, seed: int, structured: bool = True) ->
     stream out from bit-generator words, bit for bit, without a draw per
     triple.
     """
-    if budget < 1:
-        raise ValueError("budget must be at least 1")
+    _at_least_one(budget=budget)
     d = box.dim
     head = dyadic_small_gap_triples(box)[: budget if structured else 0]
     u, contracted, exponents = _seeded_fill(seed, budget - len(head), 2 * d + 1, len(head))
@@ -267,19 +274,9 @@ def _check_rows(
     if spec.cone.dim != f.codomain_dim:
         raise ValueError("spec cone dimension does not match the mapping codomain")
     triples = sample_triples(f.domain, budget, seed) if triples is None else _as_triples(triples)
-    if not len(triples):
-        raise ValueError("no triples to check")
     margins = _margins(f, spec, rows, form, triples.x, triples.y, triples.lam)
-    idx = int(np.argmin(margins))
-    worst = float(margins[idx])
-    return CheckReport(
-        passed=bool(worst >= -tol),
-        worst_margin=worst,
-        witness=triples[idx],
-        samples_used=len(triples),
-        tol=tol,
-        seed=seed,
-        notes=f"form={form}",
+    return worst_report(
+        margins, tol, lambda i: triples[i], samples_used=len(triples), seed=seed, notes=f"form={form}"
     )
 
 
@@ -376,7 +373,6 @@ def falsify(
             witness, worst = SampleTriple(x=x.copy(), y=y.copy(), lam=float(lam)), float(refined_margin)
             source += "+refined"
     return CheckReport(
-        passed=bool(worst >= -tol),
         worst_margin=float(worst),
         witness=witness,
         samples_used=len(triples),
@@ -463,7 +459,6 @@ def check_fact2(
     budget: int = 1000,
     seed: int = 0,
     tol: float = 1e-9,
-    pairs=None,
 ) -> CheckReport:
     """Midpoint convexity of g(x) = y*(f(x)) + C*scale*||x||^2 * y*(k).
 
@@ -482,15 +477,8 @@ def check_fact2(
     c_lam = spec.C1 if spec.C1 is not None else 2.0 * spec.C
     c_eff = c_lam * spec.modulus.scale * float(coeffs @ spec.k)
 
-    if pairs is None:
-        triples = sample_triples(f.domain, budget, seed)
-        x, y = triples.x, triples.y
-    else:
-        pairs = list(pairs)
-        if not pairs:
-            raise ValueError("no pairs to check")
-        x = np.array([p[0] for p in pairs], dtype=float)
-        y = np.array([p[1] for p in pairs], dtype=float)
+    triples = sample_triples(f.domain, budget, seed)
+    x, y = triples.x, triples.y
     # lam = 1/2 puts the segment point at the midpoint 0.5*(x + y), exactly
     fx, fy, fmid, mid = _segment_values(f, x, y, np.full(x.shape[0], 0.5))
 
@@ -498,13 +486,11 @@ def check_fact2(
         return matvec_rows(coeffs[None, :], values)[:, 0] + c_eff * row_dots(points, points)
 
     slack = 0.5 * g(fx, x) + 0.5 * g(fy, y) - g(fmid, mid)
-    idx = int(np.argmin(slack))
-    return CheckReport(
-        passed=bool(slack[idx] >= -tol),
-        worst_margin=float(slack[idx]),
-        witness=SampleTriple(x=x[idx].copy(), y=y[idx].copy(), lam=0.5),
+    return worst_report(
+        slack,
+        tol,
+        lambda i: SampleTriple(x=x[i].copy(), y=y[i].copy(), lam=0.5),
         samples_used=x.shape[0],
-        tol=tol,
         seed=seed,
         notes="midpoint convexity of the shifted scalarization",
     )
@@ -554,6 +540,7 @@ def check_approx_convex(
         raise ValueError("approximate-convexity test is defined for scalar mappings")
     if epsilon < 0.0 or delta <= 0.0:
         raise ValueError("need epsilon >= 0 and delta > 0")
+    _at_least_one(budget=budget)
     x0 = np.asarray(x0, dtype=float).reshape(-1)
     _ball_inside_domain(f, x0, delta)
     rng = np.random.default_rng(seed)
@@ -579,13 +566,11 @@ def check_approx_convex(
     gx, gy, gm, _ = (v[:, 0] for v in _segment_values(f, x, y, lam))
     gap = row_norms(x - y, f.domain_norm)
     slack = lam * gx + (1.0 - lam) * gy + epsilon * lam * (1.0 - lam) * gap - gm
-    idx = int(np.argmin(slack))
-    return CheckReport(
-        passed=bool(slack[idx] >= -tol),
-        worst_margin=float(slack[idx]),
-        witness=SampleTriple(x=x[idx], y=y[idx], lam=float(lam[idx])),
+    return worst_report(
+        slack,
+        tol,
+        lambda i: SampleTriple(x=x[i], y=y[i], lam=float(lam[i])),
         samples_used=len(pairs),
-        tol=tol,
         seed=seed,
         notes=f"epsilon={epsilon}, delta={delta}",
     )
@@ -609,6 +594,7 @@ def check_local_vector_bounded(
     every supporting-functional envelope, inflated by 1.1 before the verify
     pass; any verified witness is as good as any other here.
     """
+    _at_least_one(budget=budget)
     x0 = np.asarray(x0, dtype=float).reshape(-1)
     _ball_inside_domain(f, x0, radius)
     rng = np.random.default_rng(seed)
@@ -624,14 +610,11 @@ def check_local_vector_bounded(
 
     # verify the sandwich through the same functionals: k_bar - f(x) and f(x) + k_bar in the cone
     margins = np.min(cone_margins(cone, np.stack([k_bar - vals, vals + k_bar])), axis=0)
-    arg = int(np.argmin(margins))
-    worst = float(margins[arg])
-    return CheckReport(
-        passed=bool(worst >= -tol),
-        worst_margin=worst,
-        witness=pts[arg],
+    return worst_report(
+        margins,
+        tol,
+        lambda i: pts[i],
         samples_used=len(pts),
-        tol=tol,
         seed=seed,
         notes="sandwich bound over the sampled ball",
         extras={"k_bar": k_bar},
@@ -649,6 +632,7 @@ def check_vector_lipschitz(
     """Estimate the smallest L with -L*||u-x||*k <= f(u)-f(x) <= L*||u-x||*k
     on sampled pairs, then verify the norm form ||f(u)-f(x)|| <=
     gamma*L*||u-x||*||k|| with gamma the sampled order-bound constant."""
+    _at_least_one(budget=budget)
     if np.any(region.lo < f.domain.lo) or np.any(region.hi > f.domain.hi):
         raise ValueError("region escapes the mapping domain")
     denom_k = cone_values(spec.cone, spec.k)
@@ -673,7 +657,6 @@ def check_vector_lipschitz(
     big_l = float(np.max(r, initial=0.0))
     if not np.isfinite(big_l):
         return CheckReport(
-            passed=False,
             worst_margin=float("-inf"),
             witness=None,
             samples_used=n,
@@ -688,13 +671,11 @@ def check_vector_lipschitz(
     df_norm = row_norms(df, f.codomain_norm)
     norm_slack = (gamma * big_l * gap * norm(spec.k, f.codomain_norm) - df_norm) / (1.0 + df_norm)
     margins = np.where(norm_slack < margins, norm_slack, margins)  # Python's min(margin, norm_slack)
-    idx = int(np.argmin(margins))
-    return CheckReport(
-        passed=bool(margins[idx] >= -tol),
-        worst_margin=float(margins[idx]),
-        witness=(x[idx], u[idx]),
+    return worst_report(
+        margins,
+        tol,
+        lambda i: (x[i], u[i]),
         samples_used=n,
-        tol=tol,
         seed=seed,
         notes="vector sandwich plus norm form",
         extras={"L": big_l, "gamma": gamma},

@@ -28,11 +28,11 @@ still detecting real violations, which are orders of magnitude larger.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .checks import check_vector_lipschitz
+from .checks import _at_least_one, check_vector_lipschitz
 from .geometry import (
     Box,
     as_point,
@@ -48,7 +48,7 @@ from .geometry import (
 )
 from .mappings import OutsideDomainError, VectorMapping, known_directional
 from .modulus import ParaSpec, eval_modulus
-from .reports import CheckReport, Report
+from .reports import CheckReport, Report, worst_report
 
 # multiplier on eps*(1 + ||f(x+th)|| + ||f(x)||)/t covering the rounding
 # error of one difference quotient; 32 dominates the worst per-evaluation
@@ -185,23 +185,17 @@ def check_alpha_monotone(trace: QuotientTrace, tol: float = 1e-9) -> CheckReport
     supporting functionals, inflated by the rounding allowance of both
     quotients, and scaled by the quotient magnitudes.
     """
-    m = trace.t_grid.size
     # quantity[a, b] = corrected[a] - raw[b] for t_a > t_b (a < b)
     margins = cone_margins(trace.spec.cone, trace.corrected[:, None, :] - trace.raw[None, :, :])
     raw_norms = np.linalg.norm(trace.raw, axis=1)
     scale = 1.0 + raw_norms[:, None] + raw_norms[None, :]
     adjusted = (margins + trace.noise[:, None] + trace.noise[None, :]) / scale
-    ia, ib = np.triu_indices(m, k=1)
-    vals = adjusted[ia, ib]
-    worst_idx = int(np.argmin(vals))
-    worst = float(vals[worst_idx])
-    witness = (float(trace.t_grid[ia[worst_idx]]), float(trace.t_grid[ib[worst_idx]]))
-    return CheckReport(
-        passed=bool(worst >= -tol),
-        worst_margin=worst,
-        witness=witness,
+    ia, ib = np.triu_indices(trace.t_grid.size, k=1)
+    return worst_report(
+        adjusted[ia, ib],
+        tol,
+        lambda i: (float(trace.t_grid[ia[i]]), float(trace.t_grid[ib[i]])),
         samples_used=int(ia.size),
-        tol=tol,
         notes="grid-pair monotonicity of corrected quotients, rounding allowance included",
     )
 
@@ -222,13 +216,11 @@ def check_lower_bound(trace: QuotientTrace, tol: float = 1e-9) -> CheckReport:
         a = float(np.min(inf_per_row / denom)) * k0
     scale = 1.0 + np.linalg.norm(trace.corrected, axis=1) + norm(a, "two")
     adjusted = (cone_margins(cone, trace.corrected - a) + trace.noise) / scale
-    worst_idx = int(np.argmin(adjusted))
-    return CheckReport(
-        passed=bool(float(adjusted[worst_idx]) >= -tol),
-        worst_margin=float(adjusted[worst_idx]),
-        witness=a,
+    return worst_report(
+        adjusted,
+        tol,
+        lambda i: a,
         samples_used=int(trace.t_grid.size),
-        tol=tol,
         notes="uniform lower bound witness over the trace",
         extras={"per_functional_infimum": inf_per_row},
     )
@@ -320,10 +312,13 @@ def check_upper_bound(
         raise ValueError("upper-bound check needs a converged estimate")
     x0, h, _ = _prep_direction(f, x0, h)
     if t_samples is None:
+        _at_least_one(n_samples=n_samples)
         top = _default_t0(f, x0, h)
         lo, hi = min(estimate.t_used, top), max(estimate.t_used, top)
         t_samples = np.geomspace(lo, hi, n_samples)
     t_samples = np.asarray(sorted(set(float(t) for t in t_samples)))
+    if not t_samples.size:
+        raise ValueError("t_samples must name at least one step")
     bd = f.domain.boundary_distance(x0, h)
     if t_samples[0] <= 0.0 or t_samples[-1] >= bd:
         raise ValueError("t samples must stay strictly inside the admissible range")
@@ -333,14 +328,11 @@ def check_upper_bound(
     allow_used = _quotient_noise(estimate.t_used, dn * estimate.t_used + f0n, f0n)
     margins = cone_margins(spec.cone, q.corrected - estimate.value)
     adjusted = (margins + q.noise + allow_used) / (1.0 + row_norms(q.raw) + dn)
-    i = int(np.argmin(adjusted))
-    worst = float(adjusted[i])
-    return CheckReport(
-        passed=bool(worst >= -tol),
-        worst_margin=worst,
-        witness=float(t_samples[i]),
+    return worst_report(
+        adjusted,
+        tol,
+        lambda i: float(t_samples[i]),
         samples_used=int(t_samples.size),
-        tol=tol,
         notes="derivative below every corrected quotient on the sampled steps",
     )
 
@@ -417,15 +409,13 @@ def check_sublinear(
     lams = np.array(lambdas, dtype=float)[:, None]
     diff = np.max(np.abs(cone_values(spec.cone, lams * vals[n:] - lams * vals[0])), axis=1, initial=0.0)
     homogeneity = (lams[:, 0] * (errs[0] + errs[n:]) - diff) / np.maximum(1.0, lams[:, 0])
-    slacks = [(float(v), (np.asarray(h1), np.asarray(h2))) for v, (h1, h2) in zip(sub, direction_pairs)]
-    slacks += [(float(v), ("homogeneity", lam)) for v, lam in zip(homogeneity, lambdas)]
-    worst, witness = min(slacks, key=lambda slack: slack[0])
-    return CheckReport(
-        passed=bool(worst >= -tol),
-        worst_margin=float(worst),
-        witness=witness,
+    witnesses = [(np.asarray(h1), np.asarray(h2)) for h1, h2 in direction_pairs]
+    witnesses += [("homogeneity", lam) for lam in lambdas]
+    return worst_report(
+        np.concatenate([sub, homogeneity]),
+        tol,
+        lambda i: witnesses[i],
         samples_used=len(direction_pairs) + len(lambdas),
-        tol=tol,
         seed=seed,
         notes="cone subadditivity and positive homogeneity of the estimated derivative",
     )
@@ -436,16 +426,19 @@ class GateauxReport(Report):
     """Linearity battery at one point: antisymmetry, additivity,
     homogeneity, and the Lipschitz continuity surrogate over antipodal
     direction pairs.  defect is the largest violation after estimator
-    error allowances; the report passes iff defect <= tol."""
+    error allowances; passed is derived, exactly defect <= tol."""
 
     x0: np.ndarray
-    passed: bool
+    passed: bool = field(init=False)
     defect: float
     margins: dict
     tol: float
     seed: int | None = None
     n_directions: int = 0
     notes: str = ""
+
+    def __post_init__(self):
+        self.passed = bool(self.defect <= self.tol)
 
 
 def _unit_directions(f: VectorMapping, n_directions: int, seed: int) -> list:
@@ -482,6 +475,7 @@ def gateaux_test(
     since a sampled supremum is a lower estimate).  Estimator
     non-convergence along any direction propagates as ConvergenceError.
     """
+    _at_least_one(n_directions=n_directions)
     x0 = as_point(x0, f.domain.dim)
     if not f.domain.contains(x0):
         raise OutsideDomainError(f"{f.label}: test point outside the open domain")
@@ -530,7 +524,6 @@ def gateaux_test(
     defect = max(0.0, max(margins.values()))
     return GateauxReport(
         x0=x0,
-        passed=bool(defect <= tol),
         defect=float(defect),
         margins=margins,
         tol=tol,
@@ -622,10 +615,11 @@ class FrechetReport(Report):
     For each epsilon the report records the largest schedule step delta
     such that every sampled step below it keeps the residual functional
     value within epsilon; the residual itself must stay in the cone and its
-    base reconstruction must respect the base radius."""
+    base reconstruction must respect the base radius.  passed is derived
+    from those three; a failed precondition leaves the table empty."""
 
     x0: np.ndarray
-    passed: bool
+    passed: bool = field(init=False)
     table: list
     residual_margin: float
     max_base_norm: float
@@ -634,6 +628,11 @@ class FrechetReport(Report):
     tol: float
     seed: int | None = None
     notes: str = ""
+
+    def __post_init__(self):
+        every_delta = bool(self.table) and all(row["delta"] is not None for row in self.table)
+        in_base = self.residual_margin >= -self.tol and self.max_base_norm <= self.base_radius + self.tol
+        self.passed = bool(every_delta and in_base)
 
 
 def frechet_test(
@@ -662,8 +661,9 @@ def frechet_test(
     """
     x0 = as_point(x0, f.domain.dim)
     epsilons = list(epsilons)
-    if not epsilons:
-        raise ValueError("epsilons must name at least one tolerance")
+    if not epsilons or not all(eps >= 0.0 for eps in epsilons):
+        raise ValueError("epsilons must name at least one tolerance, each nonnegative")
+    _at_least_one(n_directions=n_directions)
     e_star = strictly_positive_functional(spec.cone)
     base = base_of(spec.cone, e_star, norm_kind=f.codomain_norm)
     try:
@@ -674,7 +674,6 @@ def frechet_test(
     if failed is not None:
         return FrechetReport(
             x0=x0,
-            passed=False,
             table=[],
             residual_margin=float("-inf"),
             max_base_norm=float("nan"),
@@ -693,6 +692,8 @@ def frechet_test(
         top = min(0.1, 0.5 * bd_min)
         t_schedule = top * 0.5 ** np.arange(20)
     t_schedule = np.asarray(sorted((float(t) for t in t_schedule), reverse=True))
+    if not t_schedule.size:
+        raise ValueError("t_schedule must name at least one step")
     if t_schedule[0] >= bd_min:
         raise ValueError("schedule step leaves the domain along a sampled direction")
 
@@ -719,14 +720,8 @@ def frechet_test(
         suffix_ok = np.logical_and.accumulate((max_lam_per_t <= eps)[::-1])[::-1]
         delta = float(t_schedule[np.argmax(suffix_ok)]) if suffix_ok.any() else None
         table.append({"epsilon": float(eps), "delta": delta, "max_lambda": float(np.max(max_lam_per_t))})
-    all_eps_ok = all(row["delta"] is not None for row in table)
-
-    passed = bool(
-        all_eps_ok and residual_margin >= -tol and max_base_norm <= float(base.radius) + tol
-    )
     return FrechetReport(
         x0=x0,
-        passed=passed,
         table=table,
         residual_margin=float(residual_margin),
         max_base_norm=float(max_base_norm),

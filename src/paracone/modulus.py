@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import PolyCone, as_point, contains
-from .reports import CheckReport
+from .reports import CheckReport, worst_report
 
 MODULUS_KINDS = ("zero", "square", "power", "table")
 
@@ -106,20 +106,14 @@ def verify_modulus(m: Modulus, grid, ratio_threshold: float, tol: float = 1e-12)
     vals = eval_modulus(m, ts)
     ratios = vals / ts
 
-    mono_slack = float(np.min(np.diff(vals)))
-    threshold_slack = float(ratio_threshold - ratios[0])
-    # ratio at the smallest gap should not exceed the ratio one step up
-    tail_slack = float(ratios[1] - ratios[0])
-    worst = min(mono_slack, threshold_slack, tail_slack)
+    slacks = np.array([np.min(np.diff(vals)), ratio_threshold - ratios[0], ratios[1] - ratios[0]])
     labels = ("value monotonicity", "ratio threshold", "ratio decay")
-    witness = labels[int(np.argmin([mono_slack, threshold_slack, tail_slack]))]
-    return CheckReport(
-        passed=bool(worst >= -tol),
-        worst_margin=worst,
-        witness=witness,
+    return worst_report(
+        slacks,
+        tol,
+        lambda i: labels[i],
         samples_used=int(ts.size),
-        tol=tol,
-        notes=f"slacks: monotone {mono_slack:.3e}, threshold {threshold_slack:.3e}, decay {tail_slack:.3e}",
+        notes="slacks: monotone {:.3e}, threshold {:.3e}, decay {:.3e}".format(*slacks),
         extras={"grid": ts, "values": vals, "ratios": ratios},
     )
 

@@ -1,9 +1,11 @@
-"""Uniform result records for every check in the package."""
+"""Uniform result records for every check in the package: each report type
+derives its verdict from its own figures, and worst_report reduces an array
+of margins to a CheckReport."""
 
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any
 
 import numpy as np
@@ -39,12 +41,13 @@ class Report:
 class CheckReport(Report):
     """Outcome of one numerical check.
 
-    worst_margin is the smallest slack seen; the check passes when it clears
-    -tol.  witness carries whatever object realized that margin (a sample
-    triple, a grid pair, a point) and is None for vacuous passes.
+    worst_margin is the smallest slack seen; passed is derived, exactly
+    worst_margin >= -tol.  witness carries whatever object realized that
+    margin (a sample triple, a grid pair, a point) and is None when no
+    sample realized it.
     """
 
-    passed: bool
+    passed: bool = field(init=False)
     worst_margin: float
     witness: Any
     samples_used: int
@@ -52,3 +55,14 @@ class CheckReport(Report):
     seed: int | None = None
     notes: str = ""
     extras: dict | None = None
+
+    def __post_init__(self):
+        self.passed = bool(self.worst_margin >= -self.tol)
+
+
+def worst_report(margins, tol: float, witness, **fields) -> CheckReport:
+    """The report of the smallest of margins: at the first index i of the
+    minimum (np.argmin), worst_margin is float(margins[i]) and the witness is
+    witness(i).  fields fill the rest (samples_used, seed, notes, extras)."""
+    i = int(np.argmin(margins))
+    return CheckReport(worst_margin=float(margins[i]), witness=witness(i), tol=tol, **fields)

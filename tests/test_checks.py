@@ -1,6 +1,7 @@
 """Inequality checkers, falsification, and the scalar side conditions."""
 
 import dataclasses
+import inspect
 import math
 
 import numpy as np
@@ -19,11 +20,15 @@ from paracone import (
     check_fact2,
     check_inequality,
     check_local_vector_bounded,
+    check_upper_bound,
     check_vector_lipschitz,
     cone_from_generators,
     curved_cone_map,
+    directional_derivative,
     dyadic_small_gap_triples,
     falsify,
+    frechet_test,
+    gateaux_test,
     neg_abs_1d,
     neg_square_1d,
     orthant,
@@ -34,7 +39,9 @@ from paracone import (
     zero_modulus,
 )
 from paracone.checks import _ball_samples, _coordinate_moves, _margins, _paired_moves, _pattern_search
+from paracone.derivative import FrechetReport, GateauxReport
 from paracone.geometry import contains, norm, unit_dual_generators
+from paracone.reports import CheckReport, worst_report
 
 
 def _generator_only_curved_map():
@@ -661,3 +668,103 @@ def test_report_serialization_roundtrip():
     assert back["pass"] is True
     assert back["samples_used"] == 50
     assert "witness" in back
+
+
+_REPORT_FIELDS = {
+    CheckReport: dict(worst_margin=0.0, witness=None, samples_used=1, tol=1e-9),
+    GateauxReport: dict(x0=np.zeros(1), defect=0.0, margins={}, tol=1e-6),
+    FrechetReport: dict(
+        x0=np.zeros(1), table=[], residual_margin=0.0, max_base_norm=0.0, base_radius=1.0, gateaux_defect=0.0, tol=1e-6
+    ),
+}
+
+
+@pytest.mark.parametrize("report_type", list(_REPORT_FIELDS), ids=lambda t: t.__name__)
+def test_reports_derive_their_verdict(report_type):
+    assert "passed" not in inspect.signature(report_type).parameters
+    fields = _REPORT_FIELDS[report_type]
+    assert isinstance(report_type(**fields).passed, bool)
+    with pytest.raises(TypeError):
+        report_type(passed=True, **fields)
+
+
+def test_check_report_verdict_is_worst_margin_at_least_minus_tol():
+    def report(margin):
+        return CheckReport(worst_margin=margin, witness=None, samples_used=1, tol=1e-9)
+
+    assert report(-1e-9).passed
+    assert not report(-2e-9).passed
+    assert not report(float("nan")).passed
+    assert report(-1e-9).to_dict()["pass"] is True
+    gateaux = dict(x0=np.zeros(1), margins={}, tol=1e-6)
+    assert GateauxReport(defect=1e-6, **gateaux).passed
+    assert not GateauxReport(defect=2e-6, **gateaux).passed
+    frechet = dict(x0=np.zeros(1), max_base_norm=0.5, base_radius=1.0, gateaux_defect=0.0, tol=1e-6)
+    row = {"epsilon": 1e-2, "delta": 0.1, "max_lambda": 0.0}
+    assert FrechetReport(table=[row], residual_margin=-1e-6, **frechet).passed
+    assert not FrechetReport(table=[], residual_margin=0.0, **frechet).passed
+    assert not FrechetReport(table=[{**row, "delta": None}], residual_margin=0.0, **frechet).passed
+    assert not FrechetReport(table=[row], residual_margin=-2e-6, **frechet).passed
+
+
+def test_worst_report_takes_the_first_of_tied_minima():
+    calls = []
+
+    def witness(i):
+        calls.append(i)
+        return f"sample {i}"
+
+    margins = np.array([0.5, -1.0, 2.0, -1.0])
+    rep = worst_report(margins, 1e-9, witness, samples_used=4, seed=3, notes="tied")
+    assert calls == [1]
+    assert (rep.worst_margin, rep.witness, rep.seed, rep.notes) == (-1.0, "sample 1", 3, "tied")
+    assert not rep.passed
+    # on tied zeros the first one's bits are kept, as Python's min over a list keeps them
+    slacks = [0.0, -0.0, 1.0]
+    rep = worst_report(np.array(slacks), 1e-9, lambda i: i, samples_used=3)
+    assert rep.witness == min(range(3), key=slacks.__getitem__) == 0
+    assert rep.worst_margin.hex() == min(slacks).hex() == "0x0.0p+0"
+    assert rep.passed
+
+
+# ---------------------------------------------------------------------------
+# counts
+
+
+def _converged_estimate(f, x0, h):
+    est = directional_derivative(f, f.claimed, x0, h)
+    assert est.converged
+    return est
+
+
+_BAD_COUNTS = {
+    "lipschitz-budget-negative": (
+        "budget",
+        lambda f: check_vector_lipschitz(f, f.claimed, Box(lo=[-0.5], hi=[0.5]), budget=-5, seed=1),
+    ),
+    "lipschitz-budget-zero": (
+        "budget",
+        lambda f: check_vector_lipschitz(f, f.claimed, Box(lo=[-0.5], hi=[0.5]), budget=0, seed=1),
+    ),
+    "bounded-budget": ("budget", lambda f: check_local_vector_bounded(f, f.claimed.cone, [0.0], 0.3, budget=-3)),
+    "approx-convex-budget": ("budget", lambda f: check_approx_convex(f, [0.0], 0.1, 0.3, budget=0)),
+    "upper-bound-n-samples": (
+        "n_samples",
+        lambda f: check_upper_bound(f, f.claimed, [0.2], [1.0], _converged_estimate(f, [0.2], [1.0]), n_samples=0),
+    ),
+    "upper-bound-t-samples": (
+        "t_samples",
+        lambda f: check_upper_bound(f, f.claimed, [0.2], [1.0], _converged_estimate(f, [0.2], [1.0]), t_samples=[]),
+    ),
+    "frechet-t-schedule": ("t_schedule", lambda f: frechet_test(f, f.claimed, [0.2], t_schedule=[])),
+    "frechet-negative-epsilon": ("epsilons", lambda f: frechet_test(f, f.claimed, [0.2], epsilons=[-1])),
+    "frechet-n-directions": ("n_directions", lambda f: frechet_test(f, f.claimed, [0.2], n_directions=0)),
+    "gateaux-n-directions": ("n_directions", lambda f: gateaux_test(f, f.claimed, [0.2], n_directions=-4)),
+}
+
+
+@pytest.mark.parametrize("case", list(_BAD_COUNTS))
+def test_library_calls_reject_counts_they_cannot_certify_from(case):
+    name, call = _BAD_COUNTS[case]
+    with pytest.raises(ValueError, match=name):
+        call(neg_square_1d())

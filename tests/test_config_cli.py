@@ -745,6 +745,13 @@ def test_readme_operations_table_lists_the_registry():
                 assert value == (list(default) if isinstance(default, tuple) else default), (name, field)
 
 
+def test_readme_verdict_table_names_every_op_once():
+    section = README.split("## Exit codes and manifests", 1)[1].split("\n## ", 1)[0]
+    first_cells = re.findall(r"^\| (`.*?) \|", section, flags=re.M)
+    named = [op for cell in first_cells for op in re.findall(r"`([a-z0-9-]+)`", cell)]
+    assert sorted(named) == sorted(OPERATIONS)
+
+
 def test_cli_subprocess_help():
     proc = subprocess.run(
         [sys.executable, "-m", "paracone.cli", "--help"],

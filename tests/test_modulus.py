@@ -85,6 +85,14 @@ def test_verify_rejects_linear_ratio():
     assert rep.witness == "ratio threshold"
 
 
+def test_verify_fails_a_nan_threshold_on_that_slack():
+    # the witness and the worst margin name the same slack, so NaN cannot pass
+    rep = verify_modulus(square_modulus(), np.geomspace(1e-4, 0.5, 20), ratio_threshold=float("nan"))
+    assert not rep.passed
+    assert np.isnan(rep.worst_margin)
+    assert rep.witness == "ratio threshold"
+
+
 def test_verify_grid_validation():
     with pytest.raises(ValueError):
         verify_modulus(square_modulus(), [0.1], ratio_threshold=0.5)

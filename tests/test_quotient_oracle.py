@@ -294,7 +294,6 @@ def _loop_sublinear(f, spec, x0, direction_pairs=None, lambdas=(0.5, 2.0), tol=1
             worst = slack
             witness = ("homogeneity", lam)
     return CheckReport(
-        passed=bool(worst >= -tol),
         worst_margin=float(worst),
         witness=witness,
         samples_used=count,
@@ -373,7 +372,6 @@ def _loop_gateaux(f, spec, x0, directions=None, n_directions=8, tol=1e-6, seed=0
     defect = max(0.0, max(margins.values()))
     return GateauxReport(
         x0=x0,
-        passed=bool(defect <= tol),
         defect=float(defect),
         margins=margins,
         tol=tol,
@@ -395,7 +393,6 @@ def _loop_frechet_test(f, spec, x0, epsilons=(1e-2, 1e-3), n_directions=16, t_sc
     if failed is not None:
         return FrechetReport(
             x0=x0,
-            passed=False,
             table=[],
             residual_margin=float("-inf"),
             max_base_norm=float("nan"),
@@ -445,7 +442,6 @@ def _loop_frechet_test(f, spec, x0, epsilons=(1e-2, 1e-3), n_directions=16, t_sc
     passed = bool(all_eps_ok and residual_margin >= -tol and max_base_norm <= float(base.radius) + tol)
     return FrechetReport(
         x0=x0,
-        passed=passed,
         table=table,
         residual_margin=float(residual_margin),
         max_base_norm=float(max_base_norm),
