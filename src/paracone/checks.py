@@ -525,6 +525,53 @@ def _ball_samples(f: VectorMapping, x0: np.ndarray, radius: float, budget: int, 
     return np.concatenate(pts)[:budget]
 
 
+def _ball_pairs(f: VectorMapping, x0: np.ndarray, delta: float, budget: int, rng) -> tuple:
+    """budget pairs (x, y) of the domain-norm ball around x0 with their lam,
+    as arrays: first the d + 1 maximal-gap probes x0 -/+ r_in * u along the
+    axes and the diagonal, with lam 1/2, where r_in is just inside delta;
+    then uniform draws v, w from the cube of half-width delta, kept when
+    both lie within r_in, as (x0 + v, x0 + w) and a uniform lam.
+
+    The stream is the one drawn candidate by candidate: v then w, 2d
+    doubles u each made -delta + 2*delta*u as rng.uniform(-delta, delta)
+    makes them, and after a kept candidate one more double, its lam.
+    Doubles come in blocks, each enough for 2 * budget candidates, until
+    enough pairs are kept; a walk over each block finds where every
+    candidate starts.  The blocks do not grow, so a ball that keeps few
+    candidates costs more rounds, not more memory.  rng is the caller's
+    own, so the overdraw is harmless.
+    """
+    d = f.domain.dim
+    r_in = delta * (1.0 - 1e-9)
+    # maximal-gap probes first: the failure mode lives at gap close to 2*delta
+    dirs = [np.eye(d)[i] for i in range(d)] + [np.ones(d) / math.sqrt(d)]
+    units = np.array([u / norm(u, f.domain_norm) for u in dirs])
+    xs, ys, lams = [x0 - r_in * units], [x0 + r_in * units], [np.full(d + 1, 0.5)]
+    low, width = -float(delta), float(delta) - -float(delta)  # rng.uniform's low and high - low
+    window = np.arange(d)
+    kept, block, spare = d + 1, 2 * max(budget - d - 1, 8) * (2 * d + 1), np.zeros(0)
+    while kept < budget:
+        u = np.concatenate([spare, rng.random(block)])
+        vals = low + width * u
+        # inside[p]: the d values from position p on lie within r_in
+        windows = np.ascontiguousarray(np.lib.stride_tricks.sliding_window_view(vals, d))
+        inside = (row_norms(windows, f.domain_norm) <= r_in).tolist()
+        starts, p = [], 0
+        while p + 2 * d < u.size and kept + len(starts) < budget:
+            if inside[p] and inside[p + d]:
+                starts.append(p)
+                p += 2 * d + 1
+            else:
+                p += 2 * d
+        spare = u[p:]
+        at = np.array(starts, dtype=int)[:, None] + window
+        xs.append(x0 + vals[at])
+        ys.append(x0 + vals[at + d])
+        lams.append(u[at[:, 0] + 2 * d])
+        kept += len(starts)
+    return np.concatenate(xs)[:budget], np.concatenate(ys)[:budget], np.concatenate(lams)[:budget]
+
+
 def check_approx_convex(
     f: VectorMapping,
     x0,
@@ -543,26 +590,7 @@ def check_approx_convex(
     _at_least_one(budget=budget)
     x0 = np.asarray(x0, dtype=float).reshape(-1)
     _ball_inside_domain(f, x0, delta)
-    rng = np.random.default_rng(seed)
-    d = f.domain.dim
-    r_in = delta * (1.0 - 1e-9)
-
-    pairs = []
-    # maximal-gap probes first: the failure mode lives at gap close to 2*delta
-    dirs = [np.eye(d)[i] for i in range(d)] + [np.ones(d) / math.sqrt(d)]
-    for u in dirs:
-        un = u / norm(u, f.domain_norm)
-        pairs.append((x0 - r_in * un, x0 + r_in * un, 0.5))
-    while len(pairs) < budget:
-        v = rng.uniform(-delta, delta, size=d)
-        w = rng.uniform(-delta, delta, size=d)
-        if norm(v, f.domain_norm) <= r_in and norm(w, f.domain_norm) <= r_in:
-            pairs.append((x0 + v, x0 + w, float(rng.uniform())))
-    pairs = pairs[:budget]
-
-    x = np.array([p[0] for p in pairs])
-    y = np.array([p[1] for p in pairs])
-    lam = np.array([p[2] for p in pairs])
+    x, y, lam = _ball_pairs(f, x0, delta, budget, np.random.default_rng(seed))
     gx, gy, gm, _ = (v[:, 0] for v in _segment_values(f, x, y, lam))
     gap = row_norms(x - y, f.domain_norm)
     slack = lam * gx + (1.0 - lam) * gy + epsilon * lam * (1.0 - lam) * gap - gm
@@ -570,7 +598,7 @@ def check_approx_convex(
         slack,
         tol,
         lambda i: SampleTriple(x=x[i], y=y[i], lam=float(lam[i])),
-        samples_used=len(pairs),
+        samples_used=budget,
         seed=seed,
         notes=f"epsilon={epsilon}, delta={delta}",
     )

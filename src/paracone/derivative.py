@@ -397,6 +397,9 @@ def check_sublinear(
         else:
             draws = [(rng.normal(size=d), rng.normal(size=d)) for _ in range(3)]
             direction_pairs = [(a / norm(a, f.domain_norm), b / norm(b, f.domain_norm)) for a, b in draws]
+    direction_pairs = list(direction_pairs)
+    if not direction_pairs:
+        raise ValueError("direction_pairs must name at least one pair")
     # (h1, h2, h1 + h2) per pair, then h0 = the first h1 once per factor
     vectors = [v for h1, h2 in direction_pairs for v in (h1, h2, np.asarray(h1) + np.asarray(h2))]
     h0 = np.asarray(direction_pairs[0][0], dtype=float)
@@ -481,6 +484,8 @@ def gateaux_test(
         raise OutsideDomainError(f"{f.label}: test point outside the open domain")
     base_dirs = directions if directions is not None else _unit_directions(f, n_directions, seed)
     base_dirs = [np.asarray(u, dtype=float) for u in base_dirs]
+    if not base_dirs:
+        raise ValueError("directions must name at least one direction")
 
     # one batch: signed[2i] = +u_i and signed[2i + 1] = -u_i, then the
     # additivity sums, then u_0 on the two lam-scaled grids

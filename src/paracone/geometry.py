@@ -10,6 +10,16 @@ linear program for strictly positive functionals.  scipy.optimize is
 imported inside the functions that solve, so a run that needs no solve
 never pays for that import.
 
+The cheap cases are decided exactly before any solve or sampling runs.  On
+the standard orthant (is_standard_orthant, decided once per cone) the
+strictly positive functional is the all-ones vector, which the LP returns
+bit for bit, and the normality constant is 1, which the sampled estimate
+returns bit for bit; the docstrings of strictly_positive_functional and
+normality_constant give the argument.  A generator-only cone is pointed
+when the sum of its unit generators is positive on each of them beyond
+rounding, and only a cone without that certificate goes to the LP.  So no
+run ordered by the orthant imports scipy.optimize.
+
 The order reaches the rest of the package as scalars through one kernel:
 cone_values(cone, a) gives y(v) for every unit supporting functional y and
 every row v of a, and cone_margins(cone, a) the smallest of them (0 for a
@@ -232,6 +242,14 @@ class PolyCone:
             return int(np.linalg.matrix_rank(self.dual_generators)) == self.dim
         gens = self.generators
         if gens.shape[0] == 0:
+            return True
+        # certificate: s, the sum of the unit generators, is positive on every
+        # generator.  The dot product and the scaling to unit length each move
+        # a computed value by at most about (dim + 2) * eps * ||s||, so beyond
+        # 4 times that s is positive on every generator and the cone is pointed
+        unit = unit_rows(gens)
+        s = unit.sum(axis=0)
+        if np.min(unit @ s) > 4.0 * (self.dim + 2) * np.finfo(float).eps * norm(s, "two"):
             return True
         # pointed iff some functional is >= 1 on every generator
         from scipy.optimize import linprog
@@ -494,7 +512,11 @@ def interior_direction(cone: PolyCone) -> tuple[np.ndarray, np.ndarray]:
 
 
 def is_standard_orthant(cone: PolyCone) -> bool:
-    """True when both stored representations are exactly the standard basis."""
+    """True when both stored representations are exactly the standard basis.
+
+    Decided once per cone and kept in its caches: the test costs a sort and
+    a dim x dim comparison, which every closed form would otherwise repeat.
+    """
 
     def _is_identity(m: np.ndarray | None) -> bool:
         if m is None or m.shape != (cone.dim, cone.dim):
@@ -502,7 +524,9 @@ def is_standard_orthant(cone: PolyCone) -> bool:
         order = np.argsort(np.argmax(m, axis=1))
         return bool(np.allclose(m[order], np.eye(cone.dim), atol=1e-12, rtol=0.0))
 
-    return _is_identity(cone.generators) and _is_identity(cone.dual_generators)
+    if "standard_orthant" not in cone._caches:
+        cone._caches["standard_orthant"] = _is_identity(cone.generators) and _is_identity(cone.dual_generators)
+    return cone._caches["standard_orthant"]
 
 
 def sample_in_cone(cone: PolyCone, n: int, seed=0) -> np.ndarray:
@@ -528,6 +552,14 @@ def normality_constant(cone: PolyCone, norm_kind: str = "two", budget: int = 100
     not pointed holds a line: with x = t*v on it and y = w in the cone, x and
     y - x stay in the cone while ||x|| / ||y|| grows without bound, so the
     call raises.
+
+    On the standard orthant the constant is 1, returned after the argument
+    checks without sampling.  That is also the sampled estimate, bit for
+    bit: the identity generators make x the coefficients themselves, and
+    y = x + w with w >= 0 rounds to y >= x >= 0 coordinate by coordinate,
+    since rounding is monotone.  Each supported norm is monotone on such
+    pairs and is computed by the same operations for x and y, so no sampled
+    ratio exceeds 1 and the floor 1.0 is the maximum.
     """
     if budget < 1:
         raise ValueError("budget must be at least 1")
@@ -535,6 +567,8 @@ def normality_constant(cone: PolyCone, norm_kind: str = "two", budget: int = 100
         raise ValueError(f"unknown norm kind {norm_kind!r}")
     if not cone.pointed:
         raise ValueError("normality constant of a cone that is not pointed is unbounded")
+    if is_standard_orthant(cone):
+        return 1.0
     gens = ensure_generators(cone)
     if gens.shape[0] == 0:
         raise ValueError("normality constant of the trivial cone is undefined")
@@ -622,10 +656,15 @@ def base_of(cone: PolyCone, functional, norm_kind: str = "two") -> ConeBase:
 def strictly_positive_functional(cone: PolyCone) -> DualFunctional:
     """A functional with value at least 1 on every generator, by a small LP.
 
-    Minimizing the l1 norm of the coefficients keeps the answer canonical;
-    for the orthant this returns the all-ones vector.  Raises when no such
-    functional exists, which is exactly the non-pointed case.
+    Minimizing the l1 norm of the coefficients keeps the answer canonical.
+    On the standard orthant the answer is the all-ones vector, returned
+    without the LP: it is the unique minimizer (each coefficient must be at
+    least 1 on its basis ray), and the LP returns exactly 1.0 in every
+    coordinate.  Raises when no such functional exists, which is exactly
+    the non-pointed case.
     """
+    if is_standard_orthant(cone):
+        return DualFunctional(np.ones(cone.dim), cone)
     gens = ensure_generators(cone)
     if gens.shape[0] == 0:
         raise ValueError("trivial cone has no strictly positive functional at level one")

@@ -20,6 +20,7 @@ from paracone import (
     check_fact2,
     check_inequality,
     check_local_vector_bounded,
+    check_sublinear,
     check_upper_bound,
     check_vector_lipschitz,
     cone_from_generators,
@@ -38,7 +39,7 @@ from paracone import (
     square_modulus,
     zero_modulus,
 )
-from paracone.checks import _ball_samples, _coordinate_moves, _margins, _paired_moves, _pattern_search
+from paracone.checks import _ball_pairs, _ball_samples, _coordinate_moves, _margins, _paired_moves, _pattern_search
 from paracone.derivative import FrechetReport, GateauxReport
 from paracone.geometry import contains, norm, unit_dual_generators
 from paracone.reports import CheckReport, worst_report
@@ -572,6 +573,41 @@ def test_approx_convex_preconditions():
         check_approx_convex(smooth_r2_r3(), [0.0, 0.0], epsilon=0.1, delta=0.1, budget=10, seed=0)
 
 
+def _loop_ball_pairs(f, x0, delta, budget, rng):
+    """The candidate-by-candidate rejection loop the block draw of
+    check_approx_convex replaced, frozen as the oracle."""
+    d = f.domain.dim
+    r_in = delta * (1.0 - 1e-9)
+    pairs = []
+    dirs = [np.eye(d)[i] for i in range(d)] + [np.ones(d) / math.sqrt(d)]
+    for u in dirs:
+        un = u / norm(u, f.domain_norm)
+        pairs.append((x0 - r_in * un, x0 + r_in * un, 0.5))
+    while len(pairs) < budget:
+        v = rng.uniform(-delta, delta, size=d)
+        w = rng.uniform(-delta, delta, size=d)
+        if norm(v, f.domain_norm) <= r_in and norm(w, f.domain_norm) <= r_in:
+            pairs.append((x0 + v, x0 + w, float(rng.uniform())))
+    pairs = pairs[:budget]
+    return tuple(np.array([p[i] for p in pairs]) for i in range(3))
+
+
+def test_block_ball_pairs_match_the_candidate_loop():
+    scalars = [neg_square_1d()] + [
+        affine_mapping(np.arange(1.0, d + 1.0)[None, :], [0.5], Box(lo=-np.ones(d), hi=np.ones(d))) for d in (2, 3)
+    ]
+    for f in scalars:
+        for kind in ("sup", "one", "two"):
+            g = dataclasses.replace(f, domain_norm=kind)
+            for budget in (1, 2, 4, 7, 64, 400):
+                for seed in range(3):
+                    x0 = 0.1 * np.random.default_rng(seed).uniform(-1.0, 1.0, g.domain.dim)
+                    got = _ball_pairs(g, x0, 0.3, budget, np.random.default_rng(seed))
+                    want = _loop_ball_pairs(g, x0, 0.3, budget, np.random.default_rng(seed))
+                    for a, b in zip(got, want):
+                        assert a.tobytes() == b.tobytes(), (g.label, g.domain.dim, kind, budget, seed)
+
+
 # ---------------------------------------------------------------------------
 # local vector bounds and Lipschitz sandwich
 
@@ -760,6 +796,8 @@ _BAD_COUNTS = {
     "frechet-negative-epsilon": ("epsilons", lambda f: frechet_test(f, f.claimed, [0.2], epsilons=[-1])),
     "frechet-n-directions": ("n_directions", lambda f: frechet_test(f, f.claimed, [0.2], n_directions=0)),
     "gateaux-n-directions": ("n_directions", lambda f: gateaux_test(f, f.claimed, [0.2], n_directions=-4)),
+    "gateaux-directions": ("directions", lambda f: gateaux_test(f, f.claimed, [0.2], directions=[])),
+    "sublinear-direction-pairs": ("direction_pairs", lambda f: check_sublinear(f, f.claimed, [0.2], direction_pairs=[])),
 }
 
 

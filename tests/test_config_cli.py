@@ -762,9 +762,28 @@ def test_cli_subprocess_help():
     assert "certify or falsify" in proc.stdout
 
 
-def test_cli_import_leaves_scipy_unloaded():
-    # scipy.optimize is imported only where an LP or NNLS is solved
-    code = "import sys, paracone.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+def test_cli_import_leaves_scipy_unloaded(tmp_path):
+    # importing the cli loads no scipy at all; scipy.optimize loads only for
+    # an LP or NNLS on a cone other than the standard orthant, and every
+    # shipped config is ordered by the orthant
+    runs = "".join(
+        f"    main(['run', '--config', {str(path)!r}, '--out', {str(tmp_path / path.stem)!r}])\n"
+        for path in sorted(CONFIG_DIR.glob("*.json"))
+    )
+    code = (
+        "import contextlib, io, sys\n"
+        "from paracone.cli import main\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        "from paracone import Box, check_vector_lipschitz, frechet_test, neg_square_1d, smooth_r2_r3\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        + runs
+        + "f = smooth_r2_r3()\n"
+        "assert frechet_test(f, f.claimed, [0.1, -0.2]).passed\n"
+        "g = neg_square_1d()\n"
+        "assert check_vector_lipschitz(g, g.claimed, Box(lo=[-0.5], hi=[0.5])).passed\n"
+        "print(sorted(m for m in sys.modules if m.startswith('scipy.optimize')))\n"
+    )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    assert proc.stdout.splitlines() == ["[]", "[]"]
+    assert len(list(tmp_path.glob("*/manifest.json"))) == 5

@@ -34,6 +34,8 @@ from paracone.geometry import (
     generator_direction,
     interior_direction,
     is_standard_orthant,
+    matvec_rows,
+    row_norms,
     sample_in_cone,
     unit_dual_generators,
 )
@@ -196,6 +198,74 @@ def test_pointedness_classification():
     assert not halfplane.pointed
     halfspace = cone_from_inequalities([[1.0, 0.0]])
     assert not halfspace.pointed
+
+
+def _lp_pointed(gens):
+    """The pointedness LP that decided every generator-only cone before the
+    unit-sum certificate, frozen as the oracle."""
+    from scipy.optimize import linprog
+
+    res = linprog(
+        np.zeros(gens.shape[1]),
+        A_ub=-gens,
+        b_ub=-np.ones(gens.shape[0]),
+        bounds=[(None, None)] * gens.shape[1],
+        method="highs",
+    )
+    assert res.status in (0, 2), res.message
+    return res.status == 0
+
+
+def _counting_linprog(monkeypatch):
+    import scipy.optimize
+
+    calls = []
+    solve = scipy.optimize.linprog
+    monkeypatch.setattr(scipy.optimize, "linprog", lambda *a, **k: calls.append(1) or solve(*a, **k))
+    return calls
+
+
+def test_pointedness_certificate_agrees_with_the_lp(monkeypatch):
+    calls = _counting_linprog(monkeypatch)
+    rng = np.random.default_rng(41)
+    decided = {"certificate": 0, "lp pointed": 0, "lp not pointed": 0}
+    for dim in (1, 2, 3, 4):
+        for n_gens in (1, 2, dim + 1, dim + 3):
+            for _ in range(12):
+                gens = rng.normal(size=(n_gens, dim))
+                before = len(calls)
+                got = cone_from_generators(gens).pointed
+                key = "certificate" if len(calls) == before else ("lp pointed" if got else "lp not pointed")
+                decided[key] += 1
+                assert got == _lp_pointed(gens), gens
+    assert min(decided.values()) >= 10, decided
+
+
+def test_pointedness_lp_decides_where_the_certificate_fails(monkeypatch):
+    calls = _counting_linprog(monkeypatch)
+    cases = {
+        "line": ([[1.0, 0.0], [-1.0, 0.0]], False),
+        "half-plane": ([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]], False),
+        # pointed, but three rays near (1, 0) pull the unit sum off the fourth
+        "lopsided": ([[1.0, 0.0], [0.99, 0.1], [0.98, 0.2], [-1.0, 0.01]], True),
+        # nearly degenerate: the second unit ray rounds to (-1, 3e-9), so the
+        # unit sum is exactly 0 on the first
+        "nearly a line": ([[1.0, 0.0], [-1.0, 3e-9]], True),
+    }
+    for name, (gens, pointed) in cases.items():
+        before = len(calls)
+        assert cone_from_generators(gens).pointed is pointed, name
+        assert len(calls) == before + 1, name
+        assert _lp_pointed(np.array(gens)) is pointed, name
+
+
+def test_pointedness_certificate_holds_at_any_scale(monkeypatch):
+    # HiGHS drops matrix entries below 1e-9, so the LP called a cone this
+    # small not pointed; the certificate works on unit generators
+    calls = _counting_linprog(monkeypatch)
+    for scale in (1e-12, 1e-10, 1.0, 1e10):
+        assert cone_from_generators(scale * np.array([[1.0, 1.0], [1.0, 2.0]])).pointed
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------
@@ -375,6 +445,44 @@ def test_one_draw_normality_reproduces_per_pair_stream():
     assert above_one >= 50  # the comparison is not all floors
 
 
+def _sampled_normality(cone, norm_kind, budget, seed):
+    """The one-draw sampled estimate normality_constant makes on a cone
+    other than the standard orthant, frozen as the oracle for its closed form."""
+    gens = ensure_generators(cone)
+    g = gens.shape[0]
+    u = np.random.default_rng(seed).random((budget - 1, 2 * g + 2))
+    cx = u[:, :g] * np.float_power(2.0, -4.0 + 8.0 * u[:, g : g + 1])
+    cw = u[:, g + 1 : -1] * np.float_power(2.0, -4.0 + 8.0 * u[:, -1:])
+    x = matvec_rows(gens.T, cx)
+    y = x + matvec_rows(gens.T, cw)
+    ny = row_norms(y, norm_kind)
+    return float(np.max(row_norms(x, norm_kind)[ny > 0.0] / ny[ny > 0.0], initial=1.0))
+
+
+def test_orthant_normality_is_the_sampled_estimate():
+    for dim in range(1, 9):
+        cone = orthant(dim)
+        for kind in ("sup", "one", "two"):
+            for budget in (1, 2, 10, 100, 1000):
+                for seed in range(6):
+                    got = normality_constant(cone, kind, budget=budget, seed=seed)
+                    assert got.hex() == _sampled_normality(cone, kind, budget, seed).hex(), (dim, kind, budget, seed)
+
+
+def test_orthant_normality_still_checks_its_arguments():
+    for budget in (0, -3):
+        with pytest.raises(ValueError, match="budget"):
+            normality_constant(orthant(2), "two", budget=budget)
+    with pytest.raises(ValueError, match="unknown norm"):
+        normality_constant(orthant(2), "max", budget=10)
+
+
+def test_orthant_test_is_kept_with_the_cone():
+    c, wedge = orthant(3), cone_from_generators([[1.0, 0.0], [1.0, 1.0]])
+    assert is_standard_orthant(c) and not is_standard_orthant(wedge)
+    assert c._caches["standard_orthant"] is True and wedge._caches["standard_orthant"] is False
+
+
 def test_normality_nondecreasing_at_every_budget():
     rising = 0
     for dim in (2, 3):
@@ -391,6 +499,35 @@ def test_strictly_positive_functional_orthant_is_ones():
     e = strictly_positive_functional(orthant(3))
     assert np.array_equal(e.coeffs, np.ones(3))
     assert e([2.0, 0.0, 1.0]) == 3.0
+
+
+def _lp_positive_functional(cone):
+    """The l1-minimal LP strictly_positive_functional solves on a cone other
+    than the standard orthant, frozen as the oracle for its closed form."""
+    from scipy.optimize import linprog
+
+    gens = ensure_generators(cone)
+    g, d = gens.shape
+    a_ub = np.block([[-gens, np.zeros((g, d))], [np.eye(d), -np.eye(d)], [-np.eye(d), -np.eye(d)]])
+    b_ub = np.concatenate([-np.ones(g), np.zeros(2 * d)])
+    res = linprog(
+        np.concatenate([np.zeros(d), np.ones(d)]),
+        A_ub=a_ub,
+        b_ub=b_ub,
+        bounds=[(None, None)] * d + [(0, None)] * d,
+        method="highs",
+    )
+    assert res.success
+    return res.x[:d]
+
+
+def test_orthant_positive_functional_is_the_lp_answer(monkeypatch):
+    calls = _counting_linprog(monkeypatch)
+    for dim in range(1, 9):
+        got = strictly_positive_functional(orthant(dim)).coeffs
+        want = _lp_positive_functional(orthant(dim))
+        assert [c.hex() for c in got] == [c.hex() for c in want], dim
+    assert len(calls) == 8  # the oracle's solves only
 
 
 def test_strictly_positive_functional_rejects_non_pointed():
