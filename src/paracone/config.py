@@ -370,7 +370,6 @@ _SPEC = {
     "k": (_as_floats, _REQUIRED),
     "C": (_number, None),
     "C1": (_number, None),
-    "membership_tol": (_number, 1e-9),
 }
 
 
@@ -412,8 +411,9 @@ def _verdict(rep) -> tuple:
 
 
 def _default_region(f: VectorMapping, region: Box | None) -> Box:
-    """region, or by default the domain shrunk by 2% of its narrowest side."""
-    return f.domain.shrink(0.02 * float(np.min(f.domain.hi - f.domain.lo))) if region is None else region
+    """region, or by default the domain with each side pulled in by 4% of its
+    width at both ends."""
+    return f.domain.shrink(0.04) if region is None else region
 
 
 def _run_scalarize(f, spec, functionals, **fields):

@@ -55,6 +55,8 @@ from .reports import CheckReport, Report, worst_report
 # error of the testbed families (~15 ulp) with a factor-two cushion
 _FP_SAFETY = 32.0
 _EPS = float(np.finfo(float).eps)
+# the step-grid factors on which positive homogeneity is tested (check_sublinear, gateaux_test)
+_LAMBDAS = (0.5, 2.0)
 
 
 class ConvergenceError(RuntimeError):
@@ -375,7 +377,6 @@ def check_sublinear(
     spec: ParaSpec,
     x0,
     direction_pairs=None,
-    lambdas=(0.5, 2.0),
     tol: float = 1e-6,
     seed: int = 0,
 ) -> CheckReport:
@@ -403,22 +404,22 @@ def check_sublinear(
     # (h1, h2, h1 + h2) per pair, then h0 = the first h1 once per factor
     vectors = [v for h1, h2 in direction_pairs for v in (h1, h2, np.asarray(h1) + np.asarray(h2))]
     h0 = np.asarray(direction_pairs[0][0], dtype=float)
-    tops = [None] * len(vectors) + [_scaled_top(f, x0, h0, lam) for lam in lambdas]
-    ests = _estimates(f, spec, x0, vectors + [h0] * len(lambdas), tol, tops)
+    tops = [None] * len(vectors) + [_scaled_top(f, x0, h0, lam) for lam in _LAMBDAS]
+    ests = _estimates(f, spec, x0, vectors + [h0] * len(_LAMBDAS), tol, tops)
     vals, errs, n = np.array([v for v, _, _ in ests]), np.array([e for _, e, _ in ests]), len(vectors)
     # subadditivity per pair: the cone margin of D(h1) + D(h2) - D(h1 + h2) plus the three error bounds
     sub = cone_margins(spec.cone, vals[0:n:3] + vals[1:n:3] - vals[2:n:3]) + (errs[0:n:3] + errs[1:n:3] + errs[2:n:3])
     # homogeneity per factor: lam*D(h0) on the lam-scaled grid against lam*D(h0), within the scaled error bounds
-    lams = np.array(lambdas, dtype=float)[:, None]
+    lams = np.array(_LAMBDAS, dtype=float)[:, None]
     diff = np.max(np.abs(cone_values(spec.cone, lams * vals[n:] - lams * vals[0])), axis=1, initial=0.0)
     homogeneity = (lams[:, 0] * (errs[0] + errs[n:]) - diff) / np.maximum(1.0, lams[:, 0])
     witnesses = [(np.asarray(h1), np.asarray(h2)) for h1, h2 in direction_pairs]
-    witnesses += [("homogeneity", lam) for lam in lambdas]
+    witnesses += [("homogeneity", lam) for lam in _LAMBDAS]
     return worst_report(
         np.concatenate([sub, homogeneity]),
         tol,
         lambda i: witnesses[i],
-        samples_used=len(direction_pairs) + len(lambdas),
+        samples_used=len(direction_pairs) + len(_LAMBDAS),
         seed=seed,
         notes="cone subadditivity and positive homogeneity of the estimated derivative",
     )
@@ -491,9 +492,8 @@ def gateaux_test(
     # additivity sums, then u_0 on the two lam-scaled grids
     signed = [s * u for u in base_dirs for s in (1.0, -1.0)]
     pairs = [(0, 1)] if len(base_dirs) == 1 else [(2 * i, 2 * i + 2) for i in range(min(len(base_dirs) - 1, 4))]
-    lambdas = (0.5, 2.0)
-    vectors = signed + [signed[a] + signed[b] for a, b in pairs] + [base_dirs[0]] * len(lambdas)
-    tops = [None] * (len(signed) + len(pairs)) + [_scaled_top(f, x0, base_dirs[0], lam) for lam in lambdas]
+    vectors = signed + [signed[a] + signed[b] for a, b in pairs] + [base_dirs[0]] * len(_LAMBDAS)
+    tops = [None] * (len(signed) + len(pairs)) + [_scaled_top(f, x0, base_dirs[0], lam) for lam in _LAMBDAS]
     ests = _estimates(f, spec, x0, vectors, tol, tops)
     val, err = [v for v, _, _ in ests], [e for _, e, _ in ests]
     n_sig, first_lam = len(signed), len(signed) + len(pairs)
@@ -522,7 +522,7 @@ def gateaux_test(
     for j, (a, b) in enumerate(pairs, start=n_sig):
         excess = _viol_norm(val[a] + val[b] - val[j], err[a] + err[b] + err[j])
         margins["additivity"] = max(margins["additivity"], excess)
-    for lam, v_lam, e_lam in zip(lambdas, val[first_lam:], err[first_lam:]):
+    for lam, v_lam, e_lam in zip(_LAMBDAS, val[first_lam:], err[first_lam:]):
         excess = _viol_norm(lam * v_lam - lam * val[0], lam * (err[0] + e_lam))
         margins["homogeneity"] = max(margins["homogeneity"], excess / max(1.0, lam))
 

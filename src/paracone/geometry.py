@@ -3,12 +3,13 @@
 A cone is described by generating rays, by supporting inequalities
 (dual generators), or by both.  The partial order is ``x <= y`` iff
 ``y - x`` lies in the cone.  Everything here is finite dimensional and
-polyhedral, so membership and duality questions reduce to small dense
-feasibility computations: non-negative least squares for the generator
-form, componentwise sign checks for the inequality form, and a tiny
-linear program for strictly positive functionals.  scipy.optimize is
-imported inside the functions that solve, so a run that needs no solve
-never pays for that import.
+polyhedral.  A representation the cone was not given is enumerated from the
+other one (for dim <= 4) and cached, so every question reads whichever rows
+it needs: membership and the margins read the unit supporting rows, full
+dimension and the dual audit read the generators.  The only solves are two
+tiny linear programs, a strictly positive functional and the pointedness
+fallback.  scipy.optimize is imported inside them, so a run that needs no
+solve never pays for that import.
 
 The cheap cases are decided exactly before any solve or sampling runs.  On
 the standard orthant (is_standard_orthant, decided once per cone) the
@@ -23,7 +24,9 @@ run ordered by the orthant imports scipy.optimize.
 The order reaches the rest of the package as scalars through one kernel:
 cone_values(cone, a) gives y(v) for every unit supporting functional y and
 every row v of a, and cone_margins(cone, a) the smallest of them (0 for a
-cone without functionals).  A row's values are the same bits in any batch.
+cone without functionals).  A row's values are the same bits in any batch,
+and contains(cone, v, tol) is exactly cone_margins(cone, v) >= -tol, in
+whatever form the cone was given.
 
 Cones are immutable after construction and sampling routines take an
 explicit seed, so every result is reproducible.
@@ -191,8 +194,7 @@ class Box:
                 best = min(best, (self.lo[i] - x[i]) / h[i])
         return float(best)
 
-    def sample(self, n: int, rng) -> np.ndarray:
-        rng = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
+    def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         return rng.uniform(self.lo, self.hi, size=(n, self.dim))
 
     def shrink(self, margin: float) -> "Box":
@@ -256,7 +258,7 @@ class PolyCone:
 
         res = linprog(
             np.zeros(self.dim),
-            A_ub=-gens,
+            A_ub=-_lp_scaled(gens)[0],
             b_ub=-np.ones(gens.shape[0]),
             bounds=[(None, None)] * self.dim,
             method="highs",
@@ -323,29 +325,31 @@ def random_simplicial_cone(dim: int, seed: int, name: str | None = None) -> Poly
     return PolyCone(dim, generators=m, dual_generators=dual, name=name or f"simplicial{dim}-{seed}")
 
 
-def contains(cone: PolyCone, v, tol: float = 1e-9) -> bool:
-    """Membership test.
+def _lp_scaled(gens: np.ndarray) -> tuple[np.ndarray, int]:
+    """gens times 2**power, the power of two that puts its largest entry in
+    [1, 2), and power.  HiGHS drops matrix entries below about 1e-9, so the
+    LPs see these rows; a power of two moves no significand, so a functional
+    y of them is np.ldexp(y, power) on gens, with the same products."""
+    power = 1 - int(np.frexp(np.max(np.abs(gens)))[1])
+    return np.ldexp(gens, power), power
 
-    The inequality form is preferred when available: every unit supporting
-    functional at least -tol on v, the cone_values that the checks' margins
-    are made of, so membership and a margin agree on the same tolerance.
-    The generator form solves a non-negative least squares problem and
-    accepts residuals up to tol.
+
+def contains(cone: PolyCone, v, tol: float = 1e-9) -> bool:
+    """Membership test: every unit supporting functional at least -tol on v.
+
+    These are the cone_values that the checks' margins are made of, so
+    membership and a margin agree on the same tolerance whichever form the
+    cone was given in.  A cone given only by generators reads the rows that
+    unit_dual_generators enumerates (dim <= 4) and caches; the trivial cone
+    {0} has the rows +-e_i, so it accepts v when every coordinate is within
+    tol.
     """
     v = np.asarray(v, dtype=float)
     if v.shape != (cone.dim,):
         raise ValueError(f"dimension mismatch: point of shape {v.shape} against cone of dim {cone.dim}")
     if not np.all(np.isfinite(v)):
         raise ValueError("membership test on non-finite point")
-    if cone.dual_generators is not None:
-        return bool(np.all(cone_values(cone, v) >= -tol))
-    gens = cone.generators
-    if gens.shape[0] == 0:
-        return norm(v, "two") <= tol
-    from scipy.optimize import nnls
-
-    _, resid = nnls(gens.T, v)
-    return bool(resid <= tol)
+    return bool(np.all(cone_values(cone, v) >= -tol))
 
 
 def leq(cone: PolyCone, x, y, tol: float = 1e-9) -> bool:
@@ -375,8 +379,11 @@ def _polar_rays(mat: np.ndarray, feas_tol: float = _RAY_TOL) -> np.ndarray:
         if n < 1e-12:
             return
         cand = candidate / n
+        # one ray found from several active sets, within about 1.4e-6 rad; a
+        # looser merge drops a true ray of a thin cone, and with it the
+        # cone's full dimension and the dual audit's check on that ray
         for kept in rays:
-            if cand @ kept > 1.0 - 1e-8:
+            if cand @ kept > 1.0 - 1e-12:
                 return
         rays.append(cand)
 
@@ -591,8 +598,11 @@ def normality_constant(cone: PolyCone, norm_kind: str = "two", budget: int = 100
 class DualFunctional:
     """Linear functional claimed to be nonnegative on a cone.
 
-    The claim is audited at construction against whatever representation is
-    available; an inequality violation beyond the audit slack raises.
+    The claim is audited at construction against the cone's generators,
+    enumerated from the inequality form when the cone has none (dim <= 4): a
+    value below minus the audit slack on any of them raises.  The trivial
+    cone {0} has no generators, and its dual, the whole space, accepts every
+    functional.
     """
 
     coeffs: Point
@@ -600,26 +610,15 @@ class DualFunctional:
 
     def __post_init__(self):
         self.coeffs = as_point(self.coeffs, self.claimed_cone.dim)
-        cone = self.claimed_cone
-        if cone.generators is not None and cone.generators.shape[0]:
-            vals = cone.generators @ self.coeffs
-            scale = max(1.0, float(np.max(np.abs(cone.generators))) * float(np.max(np.abs(self.coeffs), initial=0.0)))
+        gens = ensure_generators(self.claimed_cone)
+        if gens.shape[0]:
+            vals = gens @ self.coeffs
+            scale = max(1.0, float(np.max(np.abs(gens))) * float(np.max(np.abs(self.coeffs), initial=0.0)))
             if float(np.min(vals)) < -_AUDIT_TOL * scale:
                 raise ValueError("functional is negative on a generator; not in the dual cone")
-        else:
-            dual = dual_cone_of_inequality_form(cone)
-            if not contains(dual, self.coeffs, tol=_AUDIT_TOL):
-                raise ValueError("functional lies outside the dual cone")
 
     def __call__(self, v) -> float:
         return float(self.coeffs @ np.asarray(v, dtype=float))
-
-
-def dual_cone_of_inequality_form(cone: PolyCone) -> PolyCone:
-    """Dual of an inequality-only cone: generated by the inequality rows."""
-    if cone.dual_generators is None:
-        raise ValueError("cone has no inequality representation")
-    return PolyCone(cone.dim, generators=cone.dual_generators.copy(), name=(cone.name + "*") if cone.name else "dual")
 
 
 @dataclass(eq=False)
@@ -657,6 +656,8 @@ def strictly_positive_functional(cone: PolyCone) -> DualFunctional:
     """A functional with value at least 1 on every generator, by a small LP.
 
     Minimizing the l1 norm of the coefficients keeps the answer canonical.
+    The LP sees the generators scaled by a power of two (_lp_scaled), and
+    the answer is scaled back by the same power, exactly.
     On the standard orthant the answer is the all-ones vector, returned
     without the LP: it is the unique minimizer (each coefficient must be at
     least 1 on its basis ray), and the LP returns exactly 1.0 in every
@@ -669,10 +670,11 @@ def strictly_positive_functional(cone: PolyCone) -> DualFunctional:
     if gens.shape[0] == 0:
         raise ValueError("trivial cone has no strictly positive functional at level one")
     g, d = gens.shape
+    scaled, power = _lp_scaled(gens)
     cost = np.concatenate([np.zeros(d), np.ones(d)])
     a_ub = np.block(
         [
-            [-gens, np.zeros((g, d))],
+            [-scaled, np.zeros((g, d))],
             [np.eye(d), -np.eye(d)],
             [-np.eye(d), -np.eye(d)],
         ]
@@ -684,37 +686,21 @@ def strictly_positive_functional(cone: PolyCone) -> DualFunctional:
     res = linprog(cost, A_ub=a_ub, b_ub=b_ub, bounds=bounds, method="highs")
     if not res.success:
         raise ValueError("no strictly positive functional: cone is not pointed")
-    y = res.x[:d]
+    y = np.ldexp(res.x[:d], power)
     if np.min(gens @ y) < 1.0 - 1e-7:
         raise RuntimeError("positive functional solve returned an infeasible point")
     return DualFunctional(as_point(y), cone)
 
 
-def _is_full_dimensional(cone: PolyCone) -> bool:
-    if cone.generators is not None and cone.generators.shape[0]:
-        return int(np.linalg.matrix_rank(cone.generators)) == cone.dim
-    rows = cone.dual_generators
-    if rows is None or rows.shape[0] == 0:
-        return True
-    # interior nonempty iff rows @ x >= t has a solution with t > 0, |x| <= 1
-    d = cone.dim
-    cost = np.concatenate([np.zeros(d), [-1.0]])
-    a_ub = np.hstack([-rows, np.ones((rows.shape[0], 1))])
-    b_ub = np.zeros(rows.shape[0])
-    bounds = [(-1.0, 1.0)] * d + [(0.0, 1.0)]
-    from scipy.optimize import linprog
-
-    res = linprog(cost, A_ub=a_ub, b_ub=b_ub, bounds=bounds, method="highs")
-    return bool(res.success and -res.fun > 1e-9)
-
-
 def relative_interior_contains(cone: PolyCone, k, tol: float = 1e-9) -> bool:
     """Strict positivity of every supporting inequality at k.
 
-    Only defined for full-dimensional cones, where the relative interior is
-    the topological interior; anything thinner raises.
+    Only defined for full-dimensional cones, those whose generators
+    (enumerated for an inequality-only cone, dim <= 4) span the space, where
+    the relative interior is the topological interior; anything thinner,
+    the trivial cone included, raises.
     """
     k = as_point(k, cone.dim)
-    if not _is_full_dimensional(cone):
+    if int(np.linalg.matrix_rank(ensure_generators(cone))) != cone.dim:
         raise ValueError("relative interior test requires a full-dimensional cone")
     return bool(np.all(cone_values(cone, k) > tol))

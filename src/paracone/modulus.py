@@ -132,7 +132,6 @@ class ParaSpec:
     cone: PolyCone
     C: float | None = None
     C1: float | None = None
-    membership_tol: float = 1e-9
 
     def __post_init__(self):
         object.__setattr__(self, "k", as_point(self.k, self.cone.dim))
@@ -141,7 +140,7 @@ class ParaSpec:
         for label, value in (("C", self.C), ("C1", self.C1)):
             if value is not None and (not np.isfinite(value) or value < 0.0):
                 raise ValueError(f"constant {label} must be finite and nonnegative")
-        if not contains(self.cone, self.k, tol=self.membership_tol):
+        if not contains(self.cone, self.k):
             raise ValueError("direction k is not a member of the cone")
 
     def constant(self, form: str) -> float:

@@ -196,6 +196,16 @@ def test_trace_and_scan_csv_outputs(tmp_path):
     assert len(scan_lines) == 3
 
 
+def test_default_region_pulls_each_side_in_by_four_percent_of_its_width():
+    # on a 1 x 4 domain: 0.04 and 0.16 in from each end
+    domain = {"lo": [0.0, -2.0], "hi": [1.0, 2.0]}
+    mapping = {"family": "affine", "params": {"matrix": [[1.0, 0.0]], "offset": [0.0], "domain": domain}}
+    cfg = {"mapping": mapping, "checks": [{"op": "gateaux-scan", "seed": 0, "n_points": 2}]}
+    region = run_config(cfg)["reports"][0]["report"]["region"]
+    assert region["lo"] == pytest.approx([0.04, -1.84], abs=1e-15)
+    assert region["hi"] == pytest.approx([0.96, 1.84], abs=1e-15)
+
+
 def test_overrides_reach_every_operation():
     cfg = {
         "mapping": {"family": "neg_square"},
@@ -474,6 +484,7 @@ _EXAMPLE1 = {"family": "example1", "params": {}}
         ({"spec.C": "10"}, "spec.C"),
         ({"spec.C1": True}, "spec.C1"),
         ({"spec.membership_tol": "1e-9"}, "spec.membership_tol"),
+        ({"spec.membership_tol": 1e-9}, "spec.membership_tol"),
         ({"mapping": _SEMICONVEX, "mapping.params.initial_slope": "-1"}, "mapping.params.initial_slope"),
         ({"mapping": _SEMICONVEX, "mapping.params.kinks": [[0.0, 1.0, 2.0]]}, "mapping.params.kinks"),
         ({"mapping": _SEMICONVEX, "mapping.params.kinks": [0.0, 1.0]}, "mapping.params.kinks"),
@@ -521,6 +532,7 @@ _EXAMPLE1 = {"family": "example1", "params": {}}
         "C-string",
         "C1-bool",
         "membership-tol-string",
+        "membership-tol-unknown",
         "initial-slope-string",
         "kinks-triple",
         "kinks-flat",
@@ -764,20 +776,28 @@ def test_cli_subprocess_help():
 
 def test_cli_import_leaves_scipy_unloaded(tmp_path):
     # importing the cli loads no scipy at all; scipy.optimize loads only for
-    # an LP or NNLS on a cone other than the standard orthant, and every
-    # shipped config is ordered by the orthant
+    # the positive-functional LP or the pointedness fallback LP, never for
+    # membership: every shipped config is ordered by the orthant, and a cone
+    # given only by generators answers membership from its enumerated rows
     runs = "".join(
         f"    main(['run', '--config', {str(path)!r}, '--out', {str(tmp_path / path.stem)!r}])\n"
         for path in sorted(CONFIG_DIR.glob("*.json"))
     )
+    blocks = re.findall(r"^```json\n(.*?)^```$", README, flags=re.M | re.S)
+    generator_block = next(b for b in blocks if '"generators"' in b)
     code = (
-        "import contextlib, io, sys\n"
+        "import contextlib, io, json, sys\n"
         "from paracone.cli import main\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
-        "from paracone import Box, check_vector_lipschitz, frechet_test, neg_square_1d, smooth_r2_r3\n"
+        "from paracone import Box, check_inequality, check_vector_lipschitz, cone_from_generators, curved_cone_map\n"
+        "from paracone import frechet_test, neg_square_1d, smooth_r2_r3\n"
+        "from paracone.config import run_config\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         + runs
-        + "f = smooth_r2_r3()\n"
+        + f"assert run_config(json.loads({generator_block!r}))['exit_status'] == 0\n"
+        "h = curved_cone_map(cone_from_generators([[1.0, 0.0, 0.0], [1.0, 1.0, 0.0], [1.0, 0.0, 1.0]]), seed=3)\n"
+        "assert check_inequality(h, h.claimed, budget=200, seed=1).passed\n"
+        "f = smooth_r2_r3()\n"
         "assert frechet_test(f, f.claimed, [0.1, -0.2]).passed\n"
         "g = neg_square_1d()\n"
         "assert check_vector_lipschitz(g, g.claimed, Box(lo=[-0.5], hi=[0.5])).passed\n"

@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from paracone import (
     Box,
     DualFunctional,
+    Modulus,
+    ParaSpec,
     PolyCone,
     affine_mapping,
     as_point,
@@ -178,17 +180,38 @@ def test_contains_validates_input():
         contains(c, [1.0, float("nan")])
 
 
+def test_trivial_cone_is_read_through_its_rows():
+    # {0} has no generators and the supporting rows +-e_i: membership bounds
+    # every coordinate by tol, the dual is the whole space, and no interior
+    zero = PolyCone(2, generators=np.zeros((0, 2)))
+    assert contains(zero, [1e-9, -1e-9])
+    assert not contains(zero, [2e-9, 0.0])
+    assert DualFunctional([3.0, -4.0], zero)([1.0, 1.0]) == -1.0
+    with pytest.raises(ValueError, match="full-dimensional"):
+        relative_interior_contains(zero, [0.0, 0.0])
+
+
+THIN_WEDGE = cone_from_generators([[1.0, 0.0], [1.0, 1e-3]], name="thin wedge")
+
+
 def test_representation_agreement_on_random_points():
-    """Both membership routes answer identically on sampled points."""
+    """Both membership routes answer identically on sampled points, and on
+    points just outside the apex, where a distance to the cone and the unit
+    row margins part: -1e-7 along the thin wedge's axis is 1e-7 from the
+    wedge but has margin -1e-10, inside tol."""
     rng = np.random.default_rng(4)
-    for cone in (orthant(3), random_simplicial_cone(3, seed=5)):
+    for cone in (orthant(3), random_simplicial_cone(3, seed=5), THIN_WEDGE):
         gens_only = cone_from_generators(ensure_generators(cone).copy())
         duals_only = cone_from_inequalities(ensure_dual_generators(cone).copy())
-        pts = list(rng.normal(size=(500, 3))) + list(sample_in_cone(cone, 500, seed=6))
+        d = cone.dim
+        apex = [-1e-7 * generator_direction(cone), -1e-10 * generator_direction(cone)]
+        apex += list(1e-9 * rng.normal(size=(100, d))) + list(-1e-7 * ensure_generators(cone))
+        pts = list(rng.normal(size=(500, d))) + list(sample_in_cone(cone, 500, seed=6)) + apex
         for v in pts:
             a = contains(gens_only, v)
             b = contains(duals_only, v)
-            assert a == b
+            assert a == b == (cone_margins(duals_only, v) >= -1e-9), v
+    assert contains(THIN_WEDGE, [-1e-7, 0.0])
 
 
 def test_pointedness_classification():
@@ -329,6 +352,17 @@ def test_ray_enumeration_dimension_limit():
     c = cone_from_generators(np.eye(5))
     with pytest.raises(ValueError):
         dual_cone(c)
+    # every reader of a form the cone was not given enumerates it
+    duals_only = cone_from_inequalities(np.eye(5))
+    for call in (
+        lambda: contains(c, np.ones(5)),
+        lambda: leq(c, np.zeros(5), np.ones(5)),
+        lambda: ParaSpec(Modulus("zero"), np.ones(5), c, C=1.0),
+        lambda: relative_interior_contains(duals_only, np.ones(5)),
+        lambda: DualFunctional(np.ones(5), duals_only),
+    ):
+        with pytest.raises(ValueError, match="limited to dim <= 4"):
+            call()
 
 
 def test_random_simplicial_duality_is_exact():
@@ -536,9 +570,43 @@ def test_strictly_positive_functional_rejects_non_pointed():
         strictly_positive_functional(halfplane)
 
 
+LOPSIDED = [[1.0, 0.0], [0.99, 0.1], [0.98, 0.2], [-1.0, 0.01]]
+
+
+def test_lps_answer_at_every_scale():
+    # HiGHS drops matrix entries below 1e-9; both LPs see the rays scaled by a
+    # power of two into [1, 2), so a cone of tiny or huge rays is pointed and
+    # has the functional of its unit-scale copy, scaled back
+    for gens in ([[1.0, 1.0], [1.0, 2.0]], LOPSIDED):
+        want = strictly_positive_functional(cone_from_generators(gens)).coeffs
+        for scale in (1e-12, 1e-10, 1e-8, 1e-6, 1e-3, 1.0, 1e3, 1e6, 1e10):
+            cone = cone_from_generators(scale * np.array(gens))
+            assert cone.pointed, (gens, scale)
+            got = strictly_positive_functional(cone).coeffs
+            assert np.allclose(scale * got, want, rtol=1e-9, atol=0.0), (gens, scale, got)
+
+
+def test_positive_functional_lp_is_unchanged_when_the_largest_entry_is_in_one_two():
+    rng = np.random.default_rng(44)
+    cones = [cone_from_generators(LOPSIDED), WEDGE]
+    for _ in range(10):
+        gens = rng.uniform(0.1, 1.0, size=(4, 3))
+        cones.append(cone_from_generators(gens * (rng.uniform(1.0, 1.9) / np.max(gens))))
+    for cone in cones:
+        got = strictly_positive_functional(cone).coeffs
+        assert [c.hex() for c in got] == [c.hex() for c in _lp_positive_functional(cone)], cone
+
+
+# the wedge between the rays at angles 0 and 1e-5, by its supports
+THIN_INEQUALITY_WEDGE = cone_from_inequalities([[0.0, 1.0], [np.sin(1e-5), -np.cos(1e-5)]])
+
+
 def test_dual_functional_audit():
     with pytest.raises(ValueError):
         DualFunctional(np.array([1.0, -1.0]), orthant(2))
+    # negative on the enumerated ray at angle 1e-5, positive on (1, 0)
+    with pytest.raises(ValueError):
+        DualFunctional([0.4e-5, -1.0], THIN_INEQUALITY_WEDGE)
     ok = DualFunctional(np.array([2.0, 0.0]), orthant(2))
     assert ok([1.5, 7.0]) == 3.0
 
@@ -578,6 +646,8 @@ def test_relative_interior_membership():
     ray = cone_from_generators([[1.0, 0.0]])
     with pytest.raises(ValueError):
         relative_interior_contains(ray, [1.0, 0.0])
+    # full-dimensional, though its enumerated rays are 1e-5 rad apart
+    assert relative_interior_contains(THIN_INEQUALITY_WEDGE, [1.0, 0.5e-5], tol=0.0)
 
 
 def test_interior_direction_is_the_unit_generator_sum():
