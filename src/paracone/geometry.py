@@ -4,22 +4,21 @@ A cone is described by generating rays, by supporting inequalities
 (dual generators), or by both.  The partial order is ``x <= y`` iff
 ``y - x`` lies in the cone.  Everything here is finite dimensional and
 polyhedral.  A representation the cone was not given is enumerated from the
-other one (for dim <= 4) and cached, so every question reads whichever rows
-it needs: membership and the margins read the unit supporting rows, full
-dimension and the dual audit read the generators.  The only solves are two
-tiny linear programs, a strictly positive functional and the pointedness
-fallback.  scipy.optimize is imported inside them, so a run that needs no
-solve never pays for that import.
+other one by double description, in any dimension up to _MAX_RAYS rays, and
+cached, so every question reads whichever rows it needs: membership, the
+margins and the strictly positive functional read the unit supporting rows,
+full dimension and the dual audit read the generators.  The only solve is
+one tiny linear program, the pointedness fallback.  scipy.optimize is
+imported inside it, so a run that needs no solve never pays for that import.
 
 The cheap cases are decided exactly before any solve or sampling runs.  On
 the standard orthant (is_standard_orthant, decided once per cone) the
-strictly positive functional is the all-ones vector, which the LP returns
-bit for bit, and the normality constant is 1, which the sampled estimate
-returns bit for bit; the docstrings of strictly_positive_functional and
-normality_constant give the argument.  A generator-only cone is pointed
-when the sum of its unit generators is positive on each of them beyond
-rounding, and only a cone without that certificate goes to the LP.  So no
-run ordered by the orthant imports scipy.optimize.
+normality constant is 1, which the sampled estimate returns bit for bit, as
+the docstring of normality_constant argues.  A generator-only cone is
+pointed when the sum of its unit generators is positive on each of them
+beyond rounding, and only a cone without that certificate goes to the LP.
+So no run on a cone with that certificate, or given by its inequalities,
+imports scipy.optimize.
 
 The order reaches the rest of the package as scalars through one kernel:
 cone_values(cone, a) gives y(v) for every unit supporting functional y and
@@ -34,7 +33,6 @@ explicit seed, so every result is reproducible.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -45,6 +43,8 @@ NORM_KINDS = ("sup", "one", "two")
 
 # feasibility slack used when enumerating extreme rays
 _RAY_TOL = 1e-9
+# most rays an enumeration holds at once; a cone past it raises
+_MAX_RAYS = 2000
 # slack for the construction-time agreement audit between representations
 _AUDIT_TOL = 1e-7
 # rows this close to unit length, in ulp, count as already unit (unit_rows)
@@ -258,7 +258,7 @@ class PolyCone:
 
         res = linprog(
             np.zeros(self.dim),
-            A_ub=-_lp_scaled(gens)[0],
+            A_ub=-_lp_scaled(gens),
             b_ub=-np.ones(gens.shape[0]),
             bounds=[(None, None)] * self.dim,
             method="highs",
@@ -325,13 +325,12 @@ def random_simplicial_cone(dim: int, seed: int, name: str | None = None) -> Poly
     return PolyCone(dim, generators=m, dual_generators=dual, name=name or f"simplicial{dim}-{seed}")
 
 
-def _lp_scaled(gens: np.ndarray) -> tuple[np.ndarray, int]:
-    """gens times 2**power, the power of two that puts its largest entry in
-    [1, 2), and power.  HiGHS drops matrix entries below about 1e-9, so the
-    LPs see these rows; a power of two moves no significand, so a functional
-    y of them is np.ldexp(y, power) on gens, with the same products."""
-    power = 1 - int(np.frexp(np.max(np.abs(gens)))[1])
-    return np.ldexp(gens, power), power
+def _lp_scaled(gens: np.ndarray) -> np.ndarray:
+    """gens times the power of two that puts its largest entry in [1, 2).
+    HiGHS drops matrix entries below about 1e-9, so the pointedness LP sees
+    these rows; a power of two moves no significand, so the LP is feasible
+    for them exactly when it is for gens."""
+    return np.ldexp(gens, 1 - int(np.frexp(np.max(np.abs(gens)))[1]))
 
 
 def contains(cone: PolyCone, v, tol: float = 1e-9) -> bool:
@@ -340,9 +339,9 @@ def contains(cone: PolyCone, v, tol: float = 1e-9) -> bool:
     These are the cone_values that the checks' margins are made of, so
     membership and a margin agree on the same tolerance whichever form the
     cone was given in.  A cone given only by generators reads the rows that
-    unit_dual_generators enumerates (dim <= 4) and caches; the trivial cone
-    {0} has the rows +-e_i, so it accepts v when every coordinate is within
-    tol.
+    unit_dual_generators enumerates (at most _MAX_RAYS) and caches; the
+    trivial cone {0} has the rows +-e_i, so it accepts v when every
+    coordinate is within tol.
     """
     v = np.asarray(v, dtype=float)
     if v.shape != (cone.dim,):
@@ -361,14 +360,50 @@ def leq(cone: PolyCone, x, y, tol: float = 1e-9) -> bool:
     return contains(cone, y - x, tol=tol)
 
 
-def _polar_rays(mat: np.ndarray, feas_tol: float = _RAY_TOL) -> np.ndarray:
-    """Generating rays of {y : mat @ y >= 0} by active-set enumeration.
-
-    Works in any dimension but the subset enumeration is only intended for
-    small systems (dim <= 4 callers).  Lines in the polar (the null space of
-    mat) are returned as plus and minus an orthonormal basis.
+def _double_description(a: np.ndarray, feas_tol: float) -> np.ndarray:
+    """Extreme rays of the pointed cone {w : a @ w >= 0}, a (g, r) of full
+    column rank, by double description (Motzkin et al. 1953; Fukuda and
+    Prodon 1996).  The seed is the simplicial cone of r independent rows B,
+    whose rays are the columns of inv(a_B).  Each further row keeps the rays
+    it is at least -feas_tol on, and joins each adjacent pair it splits (the
+    processed rows tight at both have rank r - 2) at its zero.
     """
-    g, d = mat.shape
+    g, r = a.shape
+    basis, resid = [], a.copy()
+    for _ in range(r):  # the row of largest residual, r times
+        i = int(np.argmax(row_dots(resid, resid)))
+        basis.append(i)
+        e = resid[i] / norm(resid[i])
+        resid = resid - np.outer(resid @ e, e)
+    rays = unit_rows(np.linalg.inv(a[basis]).T)  # row k vanishes on every basis row but the k-th
+    tight = np.zeros((r, g), dtype=bool)  # the processed rows that vanish on each ray
+    tight[:, basis] = ~np.eye(r, dtype=bool)
+    for i in sorted(set(range(g)) - set(basis)):
+        v = rays @ a[i]
+        pos, neg = v > feas_tol, v < -feas_tol
+        # a pair sharing fewer than r - 2 tight rows cannot be adjacent
+        k_pos, k_neg = np.nonzero(tight[pos].astype(float) @ tight[neg].T.astype(float) >= r - 2)
+        p, n = np.flatnonzero(pos)[k_pos], np.flatnonzero(neg)[k_neg]
+        common = tight[p] & tight[n]
+        singular = np.linalg.svd(a * common[:, :, None], compute_uv=False)
+        adjacent = np.sum(singular > 1e-10, axis=1) == r - 2
+        p, n, common = p[adjacent], n[adjacent], common[adjacent]
+        common[:, i] = True
+        tight[:, i] = ~pos & ~neg
+        rays = np.vstack([rays[~neg], unit_rows(v[p, None] * rays[n] - v[n, None] * rays[p])])
+        tight = np.vstack([tight[~neg], common])
+        if rays.shape[0] > _MAX_RAYS:
+            raise ValueError(f"ray enumeration holds more than {_MAX_RAYS} rays (geometry._MAX_RAYS)")
+    # rays tight at earlier rows first, so of two rays inside the merge
+    # angle _polar_rays keeps the same one whatever the seed rows were
+    return rays[sorted(range(rays.shape[0]), key=lambda k: tuple(np.flatnonzero(tight[k])))]
+
+
+def _polar_rays(mat: np.ndarray, feas_tol: float = _RAY_TOL) -> np.ndarray:
+    """Generating rays of {y : mat @ y >= 0}: the rays _double_description
+    enumerates in the row space of the unit rows, where the polar is pointed,
+    and plus and minus an orthonormal basis of the lines (the null space)."""
+    d = mat.shape[1]
     scaled = mat / np.linalg.norm(mat, axis=1)[:, None]
     u, s, vt = np.linalg.svd(scaled, full_matrices=True)
     rank = int(np.sum(s > 1e-10 * (s[0] if s.size else 1.0)))
@@ -379,9 +414,9 @@ def _polar_rays(mat: np.ndarray, feas_tol: float = _RAY_TOL) -> np.ndarray:
         if n < 1e-12:
             return
         cand = candidate / n
-        # one ray found from several active sets, within about 1.4e-6 rad; a
-        # looser merge drops a true ray of a thin cone, and with it the
-        # cone's full dimension and the dual audit's check on that ray
+        # one ray reached twice, within about 1.4e-6 rad; a looser merge
+        # drops a true ray of a thin cone, and with it the cone's full
+        # dimension and the dual audit's check on that ray
         for kept in rays:
             if cand @ kept > 1.0 - 1e-12:
                 return
@@ -389,23 +424,8 @@ def _polar_rays(mat: np.ndarray, feas_tol: float = _RAY_TOL) -> np.ndarray:
 
     if rank > 0:
         q = vt[:rank].T  # (d, rank) row-space basis
-        a = scaled @ q  # (g, rank), full column rank
-        if rank == 1:
-            for sign in (1.0, -1.0):
-                if np.all(a[:, 0] * sign >= -feas_tol):
-                    _push(q[:, 0] * sign)
-        else:
-            for subset in itertools.combinations(range(g), rank - 1):
-                block = a[list(subset)]
-                _, sb, vbt = np.linalg.svd(block, full_matrices=True)
-                # need the active rows independent so the null direction is unique
-                if sb.size < rank - 1 or sb[rank - 2] < 1e-10:
-                    continue
-                null_vec = vbt[-1]
-                for sign in (1.0, -1.0):
-                    w = null_vec * sign
-                    if np.all(a @ w >= -feas_tol):
-                        _push(q @ w)
+        for w in _double_description(scaled @ q, feas_tol):
+            _push(q @ w)
     # lines orthogonal to every row belong to the polar in both directions
     for row in vt[rank:]:
         _push(row)
@@ -417,29 +437,18 @@ def _polar_rays(mat: np.ndarray, feas_tol: float = _RAY_TOL) -> np.ndarray:
 
 
 def dual_cone(cone: PolyCone) -> PolyCone:
-    """Polar dual {y : y @ g >= 0 for every generator g}.
-
-    Needs the generator representation.  When the cone also carries
-    inequalities the dual swaps the two representations exactly; otherwise
-    the extreme rays are enumerated, which is supported for dim <= 4.
-    """
-    if cone.generators is None:
-        raise ValueError("dual_cone needs a generator representation")
-    gens = cone.generators
-    if gens.shape[0] == 0 or np.all(np.linalg.norm(gens, axis=1) == 0.0):
+    """Polar dual {y : y @ g >= 0 for every generator g}: the swap of the
+    generators and the supporting rows, whichever of them was enumerated.
+    Raises on the trivial cone {0}."""
+    gens = ensure_generators(cone)
+    if gens.shape[0] == 0:
         raise ValueError("dual_cone of a degenerate cone without nonzero generators")
-    name = (cone.name + "*") if cone.name else "dual"
-    if cone.dual_generators is not None:
-        return PolyCone(
-            cone.dim,
-            generators=cone.dual_generators.copy(),
-            dual_generators=gens.copy(),
-            name=name,
-        )
-    if cone.dim > 4:
-        raise ValueError("ray enumeration is limited to dim <= 4; supply dual_generators explicitly")
-    rays = _polar_rays(gens)
-    return PolyCone(cone.dim, generators=rays, dual_generators=gens.copy(), name=name)
+    return PolyCone(
+        cone.dim,
+        generators=ensure_dual_generators(cone).copy(),
+        dual_generators=gens.copy(),
+        name=(cone.name + "*") if cone.name else "dual",
+    )
 
 
 def _cached(cone: PolyCone, key: str, compute) -> np.ndarray:
@@ -451,25 +460,18 @@ def _cached(cone: PolyCone, key: str, compute) -> np.ndarray:
     return cone._caches[key]
 
 
-def _enumerated(cone: PolyCone, key: str, source: np.ndarray, message: str) -> np.ndarray:
-    """The rays of {y : source @ y >= 0}, enumerated once and cached under key."""
-    if cone.dim > 4:
-        raise ValueError(f"{message} is limited to dim <= 4")
-    return _cached(cone, key, lambda: _polar_rays(source))
-
-
 def ensure_generators(cone: PolyCone) -> np.ndarray:
     """Generator rows, enumerating them from the inequality form if needed."""
     if cone.generators is not None:
         return cone.generators
-    return _enumerated(cone, "generators", cone.dual_generators, "generators unavailable: enumeration from inequalities")
+    return _cached(cone, "generators", lambda: _polar_rays(cone.dual_generators))
 
 
 def ensure_dual_generators(cone: PolyCone) -> np.ndarray:
     """Inequality rows, enumerating them from the generator form if needed."""
     if cone.dual_generators is not None:
         return cone.dual_generators
-    return _enumerated(cone, "dual_generators", cone.generators, "inequalities unavailable: enumeration from generators")
+    return _cached(cone, "dual_generators", lambda: _polar_rays(cone.generators))
 
 
 def unit_dual_generators(cone: PolyCone) -> np.ndarray:
@@ -599,7 +601,7 @@ class DualFunctional:
     """Linear functional claimed to be nonnegative on a cone.
 
     The claim is audited at construction against the cone's generators,
-    enumerated from the inequality form when the cone has none (dim <= 4): a
+    enumerated from the inequality form when the cone has none: a
     value below minus the audit slack on any of them raises.  The trivial
     cone {0} has no generators, and its dual, the whole space, accepts every
     functional.
@@ -653,50 +655,29 @@ def base_of(cone: PolyCone, functional, norm_kind: str = "two") -> ConeBase:
 
 
 def strictly_positive_functional(cone: PolyCone) -> DualFunctional:
-    """A functional with value at least 1 on every generator, by a small LP.
-
-    Minimizing the l1 norm of the coefficients keeps the answer canonical.
-    The LP sees the generators scaled by a power of two (_lp_scaled), and
-    the answer is scaled back by the same power, exactly.
-    On the standard orthant the answer is the all-ones vector, returned
-    without the LP: it is the unique minimizer (each coefficient must be at
-    least 1 on its basis ray), and the LP returns exactly 1.0 in every
-    coordinate.  Raises when no such functional exists, which is exactly
-    the non-pointed case.
+    """s / min_g(g @ s), s the sum of the unit supporting rows: at least 1 on
+    every generator g, and 1 where s is smallest.  A pointed cone has a
+    full-dimensional dual, whose interior holds s, so s is positive on the
+    cone.  On the standard orthant s is exactly all ones and so is the
+    answer.  Raises on the trivial cone and on a cone that is not pointed.
     """
-    if is_standard_orthant(cone):
-        return DualFunctional(np.ones(cone.dim), cone)
     gens = ensure_generators(cone)
     if gens.shape[0] == 0:
         raise ValueError("trivial cone has no strictly positive functional at level one")
-    g, d = gens.shape
-    scaled, power = _lp_scaled(gens)
-    cost = np.concatenate([np.zeros(d), np.ones(d)])
-    a_ub = np.block(
-        [
-            [-scaled, np.zeros((g, d))],
-            [np.eye(d), -np.eye(d)],
-            [-np.eye(d), -np.eye(d)],
-        ]
-    )
-    b_ub = np.concatenate([-np.ones(g), np.zeros(2 * d)])
-    bounds = [(None, None)] * d + [(0, None)] * d
-    from scipy.optimize import linprog
-
-    res = linprog(cost, A_ub=a_ub, b_ub=b_ub, bounds=bounds, method="highs")
-    if not res.success:
+    if not cone.pointed:
         raise ValueError("no strictly positive functional: cone is not pointed")
-    y = np.ldexp(res.x[:d], power)
-    if np.min(gens @ y) < 1.0 - 1e-7:
-        raise RuntimeError("positive functional solve returned an infeasible point")
-    return DualFunctional(as_point(y), cone)
+    s = unit_dual_generators(cone).sum(axis=0)
+    low = float(np.min(gens @ s))
+    if low <= 0.0:
+        raise ValueError("no strictly positive functional: the unit supporting rows sum to zero on a generator")
+    return DualFunctional(as_point(s / low), cone)
 
 
 def relative_interior_contains(cone: PolyCone, k, tol: float = 1e-9) -> bool:
     """Strict positivity of every supporting inequality at k.
 
     Only defined for full-dimensional cones, those whose generators
-    (enumerated for an inequality-only cone, dim <= 4) span the space, where
+    (enumerated for an inequality-only cone) span the space, where
     the relative interior is the topological interior; anything thinner,
     the trivial cone included, raises.
     """

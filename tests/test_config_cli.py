@@ -776,9 +776,10 @@ def test_cli_subprocess_help():
 
 def test_cli_import_leaves_scipy_unloaded(tmp_path):
     # importing the cli loads no scipy at all; scipy.optimize loads only for
-    # the positive-functional LP or the pointedness fallback LP, never for
-    # membership: every shipped config is ordered by the orthant, and a cone
-    # given only by generators answers membership from its enumerated rows
+    # the pointedness fallback LP, never for membership or the positive
+    # functional: a cone given only by generators, in R^3 or R^5, answers
+    # both from its enumerated rows, and so do a default fact2 y_star and the
+    # Frechet base
     runs = "".join(
         f"    main(['run', '--config', {str(path)!r}, '--out', {str(tmp_path / path.stem)!r}])\n"
         for path in sorted(CONFIG_DIR.glob("*.json"))
@@ -795,8 +796,17 @@ def test_cli_import_leaves_scipy_unloaded(tmp_path):
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         + runs
         + f"assert run_config(json.loads({generator_block!r}))['exit_status'] == 0\n"
-        "h = curved_cone_map(cone_from_generators([[1.0, 0.0, 0.0], [1.0, 1.0, 0.0], [1.0, 0.0, 1.0]]), seed=3)\n"
-        "assert check_inequality(h, h.claimed, budget=200, seed=1).passed\n"
+        "from paracone import strictly_positive_functional\n"
+        "r5 = [[1, 0.5, 0, 0, 0], [1, 0, 0.5, 0, 0], [1, 0, 0, 0.5, 0], [1, 0, 0, 0, 0.5], [1, 0, 0, 0, 0], [1, 0.25, 0.25, 0.25, 0.25]]\n"
+        "for rays in ([[1.0, 0.0, 0.0], [1.0, 1.0, 0.0], [1.0, 0.0, 1.0]], r5):\n"
+        "    h = curved_cone_map(cone_from_generators(rays), seed=3)\n"
+        "    assert check_inequality(h, h.claimed, budget=200, seed=1).passed\n"
+        "    assert min(h.claimed.cone.generators @ strictly_positive_functional(h.claimed.cone).coeffs) >= 1.0 - 1e-12\n"
+        "    mapping = {'family': 'curved_cone', 'params': {'cone': {'generators': rays}, 'seed': 3}}\n"
+        "    cfg = {'mapping': mapping, 'checks': [{'op': 'fact2', 'budget': 200, 'seed': 1}]}\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert run_config(cfg)['exit_status'] == 0\n"
+        "    assert frechet_test(h, h.claimed, [0.1, -0.2]).base_radius > 0.0\n"
         "f = smooth_r2_r3()\n"
         "assert frechet_test(f, f.claimed, [0.1, -0.2]).passed\n"
         "g = neg_square_1d()\n"

@@ -1,5 +1,8 @@
 """Cone kernel: points, norms, membership, duality, bases."""
 
+import itertools
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,9 +17,11 @@ from paracone import (
     affine_mapping,
     as_point,
     base_of,
+    check_inequality,
     cone_from_generators,
     cone_from_inequalities,
     contains,
+    curved_cone_map,
     dual_cone,
     leq,
     norm,
@@ -26,7 +31,8 @@ from paracone import (
     relative_interior_contains,
     strictly_positive_functional,
 )
-from paracone.checks import check_local_vector_bounded
+from paracone import geometry
+from paracone.checks import check_fact2, check_local_vector_bounded
 from paracone.derivative import build_trace, check_lower_bound
 from paracone.geometry import (
     cone_margins,
@@ -192,6 +198,8 @@ def test_trivial_cone_is_read_through_its_rows():
 
 
 THIN_WEDGE = cone_from_generators([[1.0, 0.0], [1.0, 1e-3]], name="thin wedge")
+# the wedge between the rays at angles 0 and 1e-5, by its supports
+THIN_INEQUALITY_WEDGE = cone_from_inequalities([[0.0, 1.0], [np.sin(1e-5), -np.cos(1e-5)]])
 
 
 def test_representation_agreement_on_random_points():
@@ -307,6 +315,72 @@ def _same_ray_sets(a, b, tol=1e-9):
     return all(min(float(np.linalg.norm(r - s)) for s in b) <= tol for r in a)
 
 
+def _polar_rays_by_active_sets(mat, feas_tol=1e-9):
+    """The active-set enumeration geometry._polar_rays ran before double
+    description, frozen as its oracle: one null vector per independent
+    (rank - 1)-subset of the unit rows, kept when feasible."""
+    g, d = mat.shape
+    scaled = mat / np.linalg.norm(mat, axis=1)[:, None]
+    _, s, vt = np.linalg.svd(scaled, full_matrices=True)
+    rank = int(np.sum(s > 1e-10 * (s[0] if s.size else 1.0)))
+    rays = []
+
+    def _push(candidate):
+        n = np.linalg.norm(candidate)
+        if n >= 1e-12 and all((candidate / n) @ kept <= 1.0 - 1e-12 for kept in rays):
+            rays.append(candidate / n)
+
+    if rank > 0:
+        q = vt[:rank].T
+        a = scaled @ q
+        if rank == 1:
+            for sign in (1.0, -1.0):
+                if np.all(a[:, 0] * sign >= -feas_tol):
+                    _push(q[:, 0] * sign)
+        else:
+            for subset in itertools.combinations(range(g), rank - 1):
+                _, sb, vbt = np.linalg.svd(a[list(subset)], full_matrices=True)
+                if sb.size < rank - 1 or sb[rank - 2] < 1e-10:
+                    continue
+                for sign in (1.0, -1.0):
+                    if np.all(a @ (vbt[-1] * sign) >= -feas_tol):
+                        _push(q @ (vbt[-1] * sign))
+    for row in vt[rank:]:
+        _push(row)
+        _push(-row)
+    if not rays:
+        return np.zeros((0, d))
+    return np.array(sorted(rays, key=lambda r: tuple(np.round(r, 9))))
+
+
+def _seeded_row_set(seed):
+    """Random, positive, integer, repeated or rank-deficient rows in R^2 to R^4."""
+    rng = np.random.default_rng([48, seed])
+    d, g = int(rng.integers(2, 5)), int(rng.integers(1, 9))
+    kind = seed % 5
+    if kind == 0:
+        return rng.normal(size=(g, d))
+    if kind == 1:
+        return rng.uniform(0.05, 1.0, size=(g, d))
+    if kind == 2:
+        rows = rng.integers(-2, 3, size=(g, d)).astype(float)
+        rows = rows[np.any(rows != 0.0, axis=1)]
+        return rows if rows.shape[0] else np.eye(d)
+    if kind == 3:
+        base = rng.normal(size=(max(1, g // 2), d))
+        return base[rng.integers(0, base.shape[0], size=g)] * rng.uniform(0.5, 2.0, size=(g, 1))
+    k = int(rng.integers(1, d))
+    return rng.normal(size=(g, k)) @ rng.normal(size=(k, d))
+
+
+def test_double_description_matches_the_active_set_oracle():
+    row_sets = [_seeded_row_set(seed) for seed in range(1000)]
+    row_sets += [THIN_WEDGE.generators, THIN_INEQUALITY_WEDGE.dual_generators, np.array([[1.0, 0.0], [-1.0, 3e-9]])]
+    for rows in row_sets:
+        got, want = geometry._polar_rays(rows), _polar_rays_by_active_sets(rows)
+        assert _same_ray_sets(got, want), rows
+
+
 def test_wedge_dual_oracle():
     dual = dual_cone(WEDGE)
     expected = np.array([[0.0, 1.0], [1.0, -1.0]])
@@ -319,12 +393,15 @@ def test_dual_of_orthant_is_orthant():
 
 
 def test_bipolar_identity_rays():
+    rng = np.random.default_rng(47)
     cones = [
         cone_from_generators(np.eye(3)),
         cone_from_generators([[1.0, 0.0], [1.0, 1.0]]),
         cone_from_generators(ensure_generators(random_simplicial_cone(2, seed=9)).copy()),
         cone_from_generators(ensure_generators(random_simplicial_cone(3, seed=10)).copy()),
         cone_from_generators(ensure_generators(random_simplicial_cone(4, seed=11)).copy()),
+        cone_from_generators(rng.uniform(0.1, 1.0, size=(7, 5))),
+        cone_from_generators(rng.uniform(0.1, 1.0, size=(8, 6))),
     ]
     for c in cones:
         # forget the cross representation so the second dual re-enumerates
@@ -344,25 +421,51 @@ def test_bipolar_identity_sampled_membership():
 
 
 def test_dual_cone_requires_generators():
-    with pytest.raises(ValueError):
-        dual_cone(cone_from_inequalities(np.eye(2)))
+    # the trivial cone {0}, by its inequalities, has no nonzero generator
+    with pytest.raises(ValueError, match="without nonzero generators"):
+        dual_cone(cone_from_inequalities(np.vstack([np.eye(2), -np.eye(2)])))
+    # any other cone given only by inequalities swaps its enumerated generators in
+    dual = dual_cone(cone_from_inequalities([[0.0, 1.0], [1.0, -1.0]]))
+    assert _same_ray_sets(dual.generators, [[0.0, 1.0], [1.0, -1.0]])
+    assert _same_ray_sets(dual.dual_generators, WEDGE.generators)
+
+
+def _cones_past_dimension_four():
+    rng = np.random.default_rng(45)
+    for dim in range(5, 9):
+        yield cone_from_generators(rng.uniform(0.1, 1.0, size=(dim + 1, dim)), name=f"generators{dim}")
+        rows = np.vstack([np.eye(dim), rng.uniform(-0.3, 1.0, size=(2, dim))])
+        yield cone_from_inequalities(rows, name=f"inequalities{dim}")
 
 
 def test_ray_enumeration_dimension_limit():
-    c = cone_from_generators(np.eye(5))
-    with pytest.raises(ValueError):
-        dual_cone(c)
-    # every reader of a form the cone was not given enumerates it
-    duals_only = cone_from_inequalities(np.eye(5))
-    for call in (
-        lambda: contains(c, np.ones(5)),
-        lambda: leq(c, np.zeros(5), np.ones(5)),
-        lambda: ParaSpec(Modulus("zero"), np.ones(5), c, C=1.0),
-        lambda: relative_interior_contains(duals_only, np.ones(5)),
-        lambda: DualFunctional(np.ones(5), duals_only),
-    ):
-        with pytest.raises(ValueError, match="limited to dim <= 4"):
-            call()
+    # every reader of a form the cone was not given enumerates it, in any dimension
+    for c in _cones_past_dimension_four():
+        k = generator_direction(c)
+        ParaSpec(Modulus("zero"), k, c, C=1.0)  # its check that k is a member reads the enumerated rows
+        assert contains(c, k) and not contains(c, -k), c
+        assert leq(c, -k, k) and not leq(c, k, -k), c
+        assert relative_interior_contains(c, k), c
+        e = strictly_positive_functional(c)
+        assert DualFunctional(e.coeffs, c)(k) > 0.0
+        with pytest.raises(ValueError, match="not in the dual cone"):
+            DualFunctional(-e.coeffs, c)
+        h = curved_cone_map(c, seed=3)
+        assert check_inequality(h, h.claimed, budget=200, seed=1).passed, c
+        assert check_fact2(h, h.claimed, e, budget=200, seed=1).passed, c
+
+
+def test_ray_enumeration_past_the_bound_raises_quickly():
+    # the cone over the cross-polytope of R^11 has 22 rays and 2**11 facets
+    dim = 12
+    rows = np.zeros((2 * (dim - 1), dim))
+    rows[:, -1] = 1.0
+    rows[np.arange(2 * (dim - 1)), np.repeat(np.arange(dim - 1), 2)] = np.tile([1.0, -1.0], dim - 1)
+    assert 2 ** (dim - 1) > geometry._MAX_RAYS
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=f"more than {geometry._MAX_RAYS} rays"):
+        contains(cone_from_generators(rows), np.ones(dim))
+    assert time.perf_counter() - start < 1.0
 
 
 def test_random_simplicial_duality_is_exact():
@@ -536,8 +639,8 @@ def test_strictly_positive_functional_orthant_is_ones():
 
 
 def _lp_positive_functional(cone):
-    """The l1-minimal LP strictly_positive_functional solves on a cone other
-    than the standard orthant, frozen as the oracle for its closed form."""
+    """The l1-minimal LP strictly_positive_functional once solved, frozen as
+    the oracle for its answer on the orthant."""
     from scipy.optimize import linprog
 
     gens = ensure_generators(cone)
@@ -574,9 +677,10 @@ LOPSIDED = [[1.0, 0.0], [0.99, 0.1], [0.98, 0.2], [-1.0, 0.01]]
 
 
 def test_lps_answer_at_every_scale():
-    # HiGHS drops matrix entries below 1e-9; both LPs see the rays scaled by a
-    # power of two into [1, 2), so a cone of tiny or huge rays is pointed and
-    # has the functional of its unit-scale copy, scaled back
+    # HiGHS drops matrix entries below 1e-9; the pointedness LP sees the rays
+    # scaled by a power of two into [1, 2), so a cone of tiny or huge rays is
+    # pointed, and the functional, read off the unit rows, is that of its
+    # unit-scale copy, scaled back
     for gens in ([[1.0, 1.0], [1.0, 2.0]], LOPSIDED):
         want = strictly_positive_functional(cone_from_generators(gens)).coeffs
         for scale in (1e-12, 1e-10, 1e-8, 1e-6, 1e-3, 1.0, 1e3, 1e6, 1e10):
@@ -586,19 +690,28 @@ def test_lps_answer_at_every_scale():
             assert np.allclose(scale * got, want, rtol=1e-9, atol=0.0), (gens, scale, got)
 
 
-def test_positive_functional_lp_is_unchanged_when_the_largest_entry_is_in_one_two():
-    rng = np.random.default_rng(44)
-    cones = [cone_from_generators(LOPSIDED), WEDGE]
-    for _ in range(10):
-        gens = rng.uniform(0.1, 1.0, size=(4, 3))
-        cones.append(cone_from_generators(gens * (rng.uniform(1.0, 1.9) / np.max(gens))))
-    for cone in cones:
-        got = strictly_positive_functional(cone).coeffs
-        assert [c.hex() for c in got] == [c.hex() for c in _lp_positive_functional(cone)], cone
+def _pointed_cone(seed):
+    """A seeded pointed cone of dimension 2 to 8: rotated positive rays, a
+    random simplicial cone, or rotated positive inequality rows."""
+    rng = np.random.default_rng([46, seed])
+    dim = 2 + seed % 7
+    rotation = np.linalg.qr(rng.normal(size=(dim, dim)))[0]
+    rows = rng.uniform(0.05, 1.0, size=(dim + seed % 4, dim)) @ rotation
+    if seed % 3 == 1:
+        return random_simplicial_cone(dim, seed=seed)
+    return cone_from_generators(rows) if seed % 3 == 0 else cone_from_inequalities(rows)
 
 
-# the wedge between the rays at angles 0 and 1e-5, by its supports
-THIN_INEQUALITY_WEDGE = cone_from_inequalities([[0.0, 1.0], [np.sin(1e-5), -np.cos(1e-5)]])
+def test_positive_functional_is_one_at_its_lowest_generator():
+    for seed in range(300):
+        cone = _pointed_cone(seed)
+        assert cone.pointed, seed
+        coeffs = strictly_positive_functional(cone).coeffs
+        # at least 1 on every generator and 1 on the lowest, up to rounding
+        assert np.min(ensure_generators(cone) @ coeffs) == pytest.approx(1.0, rel=1e-12, abs=0.0), seed
+        DualFunctional(coeffs, cone)  # the audit passes
+    for dim in range(1, 9):
+        assert strictly_positive_functional(orthant(dim)).coeffs.tobytes() == np.ones(dim).tobytes()
 
 
 def test_dual_functional_audit():

@@ -93,6 +93,31 @@ def test_semiconvex_scalar_audits_curvature():
         )
 
 
+def test_curvature_audit_takes_the_exact_supremum(families):
+    # sup |u2''| / 2 is 5000, while a 512-point grid sees less than
+    # 2 * 4999.9341: only the exact supremum refuses this false claim
+    def build(C):
+        return make_semiconvex_scalar(PiecewiseLinear(0.0), Sine1D(1.0, 100.0, 0.926), C=C, domain=Box([-1.0], [1.0]))
+
+    with pytest.raises(ValueError, match="curvature 10000 exceeds"):
+        build(4999.9341)
+    assert build(5000.0).claimed.C == 5000.0
+    # the closed forms against a fine grid: the supremum, never below a sample
+    for part, lo, hi in (
+        (Sine1D(2.0, 3.0, 0.1), 0.0, 0.2),  # no crest inside: the larger end
+        (Sine1D(-2.0, -3.0, 0.1), 0.0, 0.2),
+        (Sine1D(0.5, 2.0), -1.0, 1.0),  # crests at -pi/4 and pi/4
+        (Quadratic1D(-0.7, 0.2, 1.0), -1.0, 1.0),
+        (ZeroPart(), -1.0, 1.0),
+    ):
+        grid = max(abs(part.second(t)) for t in np.linspace(lo, hi, 100_001))
+        assert grid <= part.sup_abs_second(lo, hi) <= grid * (1.0 + 1e-9), part
+    # every testbed family builds; the hinge family's curvature fills its budget
+    hinge = next(f for f in families if f.label == "hinge-plus-quadratic")
+    assert Quadratic1D(a=-0.5).sup_abs_second(-1.0, 1.0) == 2.0 * hinge.claimed.C == 1.0
+    assert example1_default().claimed.C == 0.5
+
+
 def test_semiconvex_scalar_one_sided_slopes_at_kink():
     f = make_semiconvex_scalar(
         PiecewiseLinear(initial_slope=-1.0, kinks=((0.25, 0.75),)),
