@@ -223,11 +223,10 @@ def sample_triples(box: Box, budget: int, seed: int, structured: bool = True) ->
 
 
 def _allowance_coef(form: str, constant: float, lam: np.ndarray) -> np.ndarray:
+    """constant * c(lam) for the min or lambda form; spec.constant(form) has rejected any other form."""
     if form == "min":
         return constant * np.minimum(lam, 1.0 - lam)
-    if form == "lambda":
-        return constant * lam * (1.0 - lam)
-    raise ValueError(f"unknown allowance form {form!r}; expected 'min' or 'lambda'")
+    return constant * lam * (1.0 - lam)
 
 
 def _segment_values(f: VectorMapping, x: np.ndarray, y: np.ndarray, lam: np.ndarray):

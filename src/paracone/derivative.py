@@ -68,6 +68,12 @@ def _quotient_noise(t, f_t_norm, f0_norm):
     return _FP_SAFETY * _EPS * (1.0 + f_t_norm + f0_norm) / t
 
 
+def _require_strong(spec: ParaSpec) -> None:
+    """The estimator's quotients converge only under a strong modulus, modulus(t)/t -> 0."""
+    if not spec.modulus.strong:
+        raise ValueError(f"the derivative estimator needs a strong modulus (modulus(t)/t -> 0), got {spec.modulus}")
+
+
 def _prep_direction(f: VectorMapping, x0, h):
     x0 = as_point(x0, f.domain.dim)
     if not f.domain.contains(x0):
@@ -288,8 +294,11 @@ def directional_derivative(
     """One-sided derivative along h by monotone quotient descent: the stop
     rule (_stop) on the grid t0 * ratio^j, j = 0..max_depth-1, evaluated in
     one batch.  iterations is the stop level counted from one, not the
-    number of evaluations, which is always max_depth + 1.
+    number of evaluations, which is always max_depth + 1.  A modulus that is
+    not strong raises ValueError before any evaluation: without
+    modulus(t)/t -> 0 the corrected quotients need not converge.
     """
+    _require_strong(spec)
     x0, h, _ = _prep_direction(f, x0, h)
     return _stop(_quotients(f, spec, x0, h, _step_grid(f, x0, h, t0, ratio, max_depth)), x0, tol)
 
@@ -355,8 +364,10 @@ def _estimates(f: VectorMapping, spec: ParaSpec, x0: np.ndarray, vectors: list, 
     c*error bound, estimate); a vector of length at most 1e-12 gets a zero
     value and no estimate.  Every grid goes into one _quotients call and the stop rule
     reads each row; the first vector in list order whose estimate does not
-    converge raises ConvergenceError.
+    converge raises ConvergenceError.  A modulus that is not strong raises
+    ValueError before any evaluation.
     """
+    _require_strong(spec)
     lengths = [norm(np.asarray(v, dtype=float), f.domain_norm) for v in vectors]
     kept = [i for i, ln in enumerate(lengths) if ln > 1e-12]
     units = [_prep_direction(f, x0, np.asarray(vectors[i], dtype=float) / lengths[i])[1] for i in kept]
@@ -477,7 +488,9 @@ def gateaux_test(
     C*modulus(t*)/t* ) * ||k|| with L a sampled local Lipschitz constant
     (inflated by 1.1, and floored by the scalarized derivative magnitudes,
     since a sampled supremum is a lower estimate).  Estimator
-    non-convergence along any direction propagates as ConvergenceError.
+    non-convergence along any direction propagates as ConvergenceError.  The
+    spec's modulus must be strong (Modulus.strong), else ValueError; strong
+    is necessary for convergence but not sufficient.
     """
     _at_least_one(n_directions=n_directions)
     x0 = as_point(x0, f.domain.dim)
@@ -569,7 +582,8 @@ def gateaux_scan(
 
     Per-point seeds derive deterministically from (seed, index) so a
     parallel run would agree with the sequential one.  Estimator
-    non-convergence at a point counts as a failed point, not an error.
+    non-convergence at a point counts as a failed point, not an error; a
+    modulus that is not strong raises ValueError.
     When the family declares a one-dimensional kink set, the report carries
     the confusion table of predicted versus declared non-differentiability.
     """
@@ -662,7 +676,8 @@ def frechet_test(
     estimator, whose error bound then joins the allowances.
 
     The linearity battery runs first; its failure is reported as a failed
-    precondition rather than raised.
+    precondition rather than raised, but a modulus that is not strong raises
+    ValueError.
     """
     x0 = as_point(x0, f.domain.dim)
     epsilons = list(epsilons)

@@ -3,21 +3,18 @@
 A modulus is a nondecreasing function of the gap size that scales the
 allowance added to the convexity inequality.  The built-in kinds cover the
 cases the checks care about: identically zero, a multiple of t^2, a general
-power, and a tabulated function on a finite grid.  verify_modulus certifies
-the structural properties a modulus needs for the derivative machinery:
-monotone values and a ratio t -> modulus(t)/t that stays below a threshold
-near zero and does not grow as t shrinks.
+power, and a tabulated function on a finite grid.  Modulus.strong decides
+exactly whether modulus(t)/t -> 0, the "strongly" hypothesis the derivative
+machinery needs; the paraconvexity checks take any modulus.
 """
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
 
 from .geometry import PolyCone, as_point, contains
-from .reports import CheckReport, worst_report
 
 MODULUS_KINDS = ("zero", "square", "power", "table")
 
@@ -48,6 +45,18 @@ class Modulus:
             if np.any(vs < 0.0) or np.any(np.diff(vs) < -0.0):
                 raise ValueError("table values must be nonnegative and nondecreasing")
             object.__setattr__(self, "knots", knots)
+
+    @property
+    def strong(self) -> bool:
+        """Whether modulus(t)/t -> 0 as t -> 0, read off the kind: zero and
+        square always; a power when p > 1 or its scale is 0; a table exactly
+        when its first knot value is 0, since it interpolates linearly from
+        (0, 0) and so has the constant ratio v1/t1 below its first knot."""
+        if self.kind == "power":
+            return self.p > 1.0 or self.scale == 0.0
+        if self.kind == "table":
+            return self.knots[0][1] == 0.0
+        return True
 
 
 def zero_modulus() -> Modulus:
@@ -90,34 +99,6 @@ def eval_modulus(m: Modulus, t):
     return float(out) if isinstance(out, float) else out
 
 
-def verify_modulus(m: Modulus, grid, ratio_threshold: float, tol: float = 1e-12) -> CheckReport:
-    """Certify modulus behaviour on a decreasing-to-zero grid of gaps.
-
-    Three slacks are recorded: monotone values along the grid, the ratio
-    modulus(t)/t at the smallest gap staying below ratio_threshold, and that
-    ratio not increasing as the grid descends toward zero.  The worst of the
-    three decides the verdict.
-    """
-    ts = np.asarray(sorted(set(float(t) for t in grid)), dtype=float)
-    if ts.size < 2:
-        raise ValueError("modulus verification needs at least two distinct grid points")
-    if ts[0] <= 0.0:
-        raise ValueError("grid gaps must be strictly positive")
-    vals = eval_modulus(m, ts)
-    ratios = vals / ts
-
-    slacks = np.array([np.min(np.diff(vals)), ratio_threshold - ratios[0], ratios[1] - ratios[0]])
-    labels = ("value monotonicity", "ratio threshold", "ratio decay")
-    return worst_report(
-        slacks,
-        tol,
-        lambda i: labels[i],
-        samples_used=int(ts.size),
-        notes="slacks: monotone {:.3e}, threshold {:.3e}, decay {:.3e}".format(*slacks),
-        extras={"grid": ts, "values": vals, "ratios": ratios},
-    )
-
-
 @dataclass(frozen=True)
 class ParaSpec:
     """Everything a relaxed-convexity check needs besides the mapping itself.
@@ -147,11 +128,11 @@ class ParaSpec:
         """Constant for the requested allowance form; strict, no conversion."""
         if form == "min":
             if self.C is None:
-                raise ValueError("spec carries no min-form constant; convert first")
+                raise ValueError("spec carries no min-form constant C")
             return float(self.C)
         if form == "lambda":
             if self.C1 is None:
-                raise ValueError("spec carries no lambda-form constant; convert first")
+                raise ValueError("spec carries no lambda-form constant C1")
             return float(self.C1)
         raise ValueError(f"unknown allowance form {form!r}; expected 'min' or 'lambda'")
 
@@ -161,20 +142,3 @@ class ParaSpec:
         if self.C is not None:
             return float(self.C)
         return float(self.C1)
-
-
-def convert_constants(spec: ParaSpec, direction: str) -> ParaSpec:
-    """Translate between the two allowance forms.
-
-    min_to_lambda sets C1 = 2*C, lambda_to_min sets C = C1; both rest on
-    lam*(1-lam) <= min(lam, 1-lam) <= 2*lam*(1-lam) for lam in [0, 1].
-    """
-    if direction == "min_to_lambda":
-        if spec.C is None:
-            raise ValueError("spec has no min-form constant to convert")
-        return dataclasses.replace(spec, C1=2.0 * spec.C)
-    if direction == "lambda_to_min":
-        if spec.C1 is None:
-            raise ValueError("spec has no lambda-form constant to convert")
-        return dataclasses.replace(spec, C=float(spec.C1))
-    raise ValueError(f"unknown conversion {direction!r}; expected 'min_to_lambda' or 'lambda_to_min'")

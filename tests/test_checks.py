@@ -256,6 +256,25 @@ def test_undersized_constant_is_rejected():
     assert isinstance(rep.witness, SampleTriple)
 
 
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda f, spec, form: check_inequality(f, spec, form=form, budget=16),
+        lambda f, spec, form: scalarize_check(f, spec, unit_dual_generators(spec.cone), form=form, budget=16),
+        lambda f, spec, form: falsify(f, spec, form=form, budget=16),
+    ],
+    ids=["check_inequality", "scalarize_check", "falsify"],
+)
+def test_form_and_its_constant_are_checked_by_the_spec(run):
+    f = neg_square_1d()
+    with pytest.raises(ValueError, match="unknown allowance form 'quadratic'; expected 'min' or 'lambda'"):
+        run(f, f.claimed, "quadratic")
+    with pytest.raises(ValueError, match="spec carries no lambda-form constant C1"):
+        run(f, dataclasses.replace(f.claimed, C=1.0, C1=None), "lambda")
+    with pytest.raises(ValueError, match="spec carries no min-form constant C$"):
+        run(f, dataclasses.replace(f.claimed, C=None, C1=1.0), "min")
+
+
 def test_margin_symmetric_under_weight_flip():
     f = neg_square_1d()
     spec = f.claimed

@@ -696,6 +696,30 @@ def test_op_errors_name_their_entry(tmp_path, capsys):
     assert "input error: checks[1]: direction must be unit" in capsys.readouterr().err
 
 
+_NEEDS_STRONG = ("derivative", "gateaux", "gateaux-scan", "frechet")
+
+
+@pytest.mark.parametrize("op", list(OPERATIONS))
+def test_weak_modulus_is_an_input_error_only_for_the_derivative_ops(op, tmp_path, capsys):
+    # power p = 1 has modulus(t)/t = 1, outside the theorem but a valid paraconvexity claim
+    spec = {"modulus": {"kind": "power", "p": 1.0}, "cone": {"orthant": 1}, "k": [1.0], "C": 1.0}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"mapping": {"family": "neg_square"}, "spec": spec, "checks": [{"op": op, **_MINIMAL[op]}]}))
+    code = main(["run", "--config", str(path)])
+    captured = capsys.readouterr()
+    if op in _NEEDS_STRONG:
+        assert code == 2
+        assert captured.out == ""
+        assert "input error: checks[0]: " in captured.err
+        assert "Modulus(kind='power', scale=1.0, p=1.0" in captured.err
+    elif op == "fact2":  # its midpoint identity needs the square modulus, strong or not
+        assert code == 2
+        assert "input error: checks[0]: midpoint-convexity test needs the square-gap modulus" in captured.err
+    else:
+        assert code in (0, 1)
+        assert re.fullmatch(rf"\[{op}\] {op}-0: (PASS|FAIL).*\n", captured.out)
+
+
 def test_internal_errors_are_not_input_errors(monkeypatch, tmp_path):
     # runners reach checks through the module global at call time, so the
     # stand-in runs; its TypeError is a bug, not an exit-2 input error

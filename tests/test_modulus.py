@@ -8,15 +8,23 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from paracone import (
+    ConvergenceError,
     Modulus,
     ParaSpec,
-    convert_constants,
+    build_trace,
+    check_inequality,
+    check_sublinear,
+    directional_derivative,
     eval_modulus,
+    falsify,
+    frechet_test,
+    gateaux_scan,
+    gateaux_test,
+    neg_square_1d,
     orthant,
     power_modulus,
     square_modulus,
     table_modulus,
-    verify_modulus,
     zero_modulus,
 )
 
@@ -71,33 +79,52 @@ def test_modulus_construction_validation():
         table_modulus(())
 
 
-def test_verify_accepts_square_and_table():
-    grid = np.geomspace(1e-4, 0.4, 24)
-    assert verify_modulus(square_modulus(), grid, ratio_threshold=0.5).passed
-    table = table_modulus(((0.1, 0.001), (0.2, 0.004), (0.4, 0.016)))
-    assert verify_modulus(table, grid, ratio_threshold=0.05).passed
+# (modulus, strong): strong means modulus(t)/t -> 0, decided on the kind
+STRENGTH_CASES = {
+    "zero": (zero_modulus(), True),
+    "square": (square_modulus(), True),
+    "square-scale-0": (square_modulus(0.0), True),
+    "power-0.5": (power_modulus(0.5), False),
+    "power-1": (power_modulus(1.0), False),
+    "power-1.5": (power_modulus(1.5), True),
+    "power-1-scale-0": (power_modulus(1.0, scale=0.0), True),  # the zero modulus
+    "table-from-0": (table_modulus(((0.01, 0.0), (2.0, 4.0))), True),
+    "table-from-1e-4": (table_modulus(((0.01, 1e-4), (2.0, 4.0))), False),  # ratio 1e-2 down to t = 0
+}
 
 
-def test_verify_rejects_linear_ratio():
-    # ratio modulus(t)/t of the identity never dips below any threshold < 1
-    rep = verify_modulus(power_modulus(1.0), np.geomspace(1e-4, 0.5, 20), ratio_threshold=0.5)
-    assert not rep.passed
-    assert rep.witness == "ratio threshold"
-
-
-def test_verify_fails_a_nan_threshold_on_that_slack():
-    # the witness and the worst margin name the same slack, so NaN cannot pass
-    rep = verify_modulus(square_modulus(), np.geomspace(1e-4, 0.5, 20), ratio_threshold=float("nan"))
-    assert not rep.passed
-    assert np.isnan(rep.worst_margin)
-    assert rep.witness == "ratio threshold"
-
-
-def test_verify_grid_validation():
-    with pytest.raises(ValueError):
-        verify_modulus(square_modulus(), [0.1], ratio_threshold=0.5)
-    with pytest.raises(ValueError):
-        verify_modulus(square_modulus(), [0.0, 0.1], ratio_threshold=0.5)
+@pytest.mark.parametrize("m, strong", list(STRENGTH_CASES.values()), ids=list(STRENGTH_CASES))
+def test_strong_is_decided_on_the_kind(m, strong):
+    assert m.strong is strong
+    f = neg_square_1d()
+    spec = ParaSpec(modulus=m, k=np.array([1.0]), cone=orthant(1), C=1.0)
+    # weak paraconvexity is still a property to check, so these take any modulus
+    build_trace(f, spec, [0.25], [1.0], depth=8)
+    check_inequality(f, spec, budget=64, seed=0)
+    falsify(f, spec, budget=64, seed=0)
+    if strong:
+        # necessary, not sufficient: under power_modulus(1.5) the estimator on
+        # neg_square stops at an error bound of about 5.4e-5, so at tol 1e-6
+        # gateaux_test still raises ConvergenceError
+        est = directional_derivative(f, spec, [0.25], [1.0])
+        assert est.converged is (m != power_modulus(1.5))
+        if not est.converged:
+            with pytest.raises(ConvergenceError):
+                gateaux_test(f, spec, [0.25])
+        return
+    # a mapping that fails the test when evaluated: each guard fires before any evaluation
+    unevaluable = dataclasses.replace(f, evaluator=lambda pts: pytest.fail("evaluated under a weak modulus"))
+    entry_points = (
+        lambda: directional_derivative(unevaluable, spec, [0.25], [1.0]),
+        lambda: check_sublinear(unevaluable, spec, [0.25]),
+        lambda: gateaux_test(unevaluable, spec, [0.25], n_directions=2),
+        lambda: gateaux_scan(unevaluable, spec, unevaluable.domain, n_points=2, n_directions=2),
+        lambda: frechet_test(unevaluable, spec, [0.25], n_directions=2),
+    )
+    for run in entry_points:
+        with pytest.raises(ValueError, match="strong modulus") as info:
+            run()
+        assert repr(m) in str(info.value)
 
 
 @given(st.floats(min_value=0.0, max_value=0.5), st.floats(min_value=0.0, max_value=0.5))
@@ -138,25 +165,11 @@ def test_constant_is_strict_per_form():
     assert _spec(C1=3.0).min_constant() == 3.0
 
 
-def test_convert_constants_both_ways():
-    s = _spec(C=2.0)
-    lam = convert_constants(s, "min_to_lambda")
-    assert lam.C1 == 4.0 and lam.C == 2.0
-    t = _spec(C1=3.0)
-    back = convert_constants(t, "lambda_to_min")
-    assert back.C == 3.0
-    with pytest.raises(ValueError):
-        convert_constants(_spec(C1=1.0), "min_to_lambda")
-    with pytest.raises(ValueError):
-        convert_constants(_spec(C=1.0), "lambda_to_min")
-    with pytest.raises(ValueError):
-        convert_constants(s, "sideways")
-
-
 @given(st.floats(min_value=0.0, max_value=1.0))
 def test_weight_kernels_sandwich(lam):
     """The two allowance kernels differ by at most a factor of two on [0, 1],
-    which is exactly what makes the conversions C1 = 2C and C = C1 sound."""
+    which is what makes min_constant's fallback C = C1 sound (and C1 = 2C
+    the other way)."""
     min_kernel = min(lam, 1.0 - lam)
     lam_kernel = lam * (1.0 - lam)
     assert lam_kernel <= min_kernel + 1e-15

@@ -172,9 +172,10 @@ def _table_hex(table):
 
 
 def _spec_variants(f):
-    """The claimed spec, a zero-modulus spec and a tabulated copy of the claimed modulus."""
+    """The claimed spec, a zero-modulus spec and a tabulated copy of the
+    claimed modulus, its first knot value 0 so the table is strong."""
     claimed = f.claimed
-    knots = [(t, float(eval_modulus(claimed.modulus, t))) for t in (0.01, 0.05, 0.2)]
+    knots = [(0.01, 0.0)] + [(t, float(eval_modulus(claimed.modulus, t))) for t in (0.05, 0.2)]
     return (
         claimed,
         ParaSpec(modulus=zero_modulus(), k=claimed.k, cone=claimed.cone, C=0.0),
