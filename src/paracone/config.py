@@ -403,7 +403,9 @@ def write_scan_csv(report: ScanReport, path) -> None:
 # Runners take (mapping, spec, **the entry's fields), each field named after the
 # keyword it feeds, and return (report dict, passed).  They reach checks and CSV
 # writers through this module's globals at call time, so a function swapped in
-# on the module (a profiler's wrapper, say) is the one that runs.
+# on the module (a profiler's wrapper, say) is the one that runs.  A runner
+# hands its CSV to the entry's csv callable as (writer, object); run_config
+# writes it once every entry has run.
 
 
 def _verdict(rep) -> tuple:
@@ -435,7 +437,7 @@ def _run_trace(f, spec, tol, csv, **fields):
     mono = check_alpha_monotone(trace, tol=tol)
     lower = check_lower_bound(trace, tol=tol)
     if csv is not None:
-        write_trace_csv(trace, csv)
+        csv(write_trace_csv, trace)
     return {"monotone": mono.to_dict(), "lower_bound": lower.to_dict()}, mono.passed and lower.passed
 
 
@@ -451,7 +453,7 @@ def _run_derivative(f, spec, upper_bound, upper_tol, **fields):
 def _run_gateaux_scan(f, spec, region, csv, **fields):
     rep = gateaux_scan(f, spec, _default_region(f, region), **fields)
     if csv is not None:
-        write_scan_csv(rep, csv)
+        csv(write_scan_csv, rep)
     return rep.to_dict(), bool(rep.density == 1.0)
 
 
@@ -556,10 +558,12 @@ def read_entry(op, path: str, f: VectorMapping, overrides: dict | None = None) -
 def run_config(cfg: dict, out_dir=None, overrides: dict | None = None) -> dict:
     """Execute every operation in the config and assemble the manifest.
 
-    Every entry is read before any runs, so a malformed entry leaves no
-    output behind.  overrides (from CLI flags) are set on an entry before it
-    is read, so a flag seed satisfies the explicit-seed rule.  A ValueError
-    from building or running an entry comes out as a ConfigError naming it.
+    Every entry is read before any runs, and nothing is created under out_dir
+    until every entry has run, so neither a malformed entry nor one that fails
+    at run time leaves output behind.  overrides (from CLI flags) are set on
+    an entry before it is read, so a flag seed satisfies the explicit-seed
+    rule.  A ValueError from building or running an entry comes out as a
+    ConfigError naming it.
     """
     start = time.perf_counter()
     top = read_fields(cfg, _TOP, "")
@@ -567,16 +571,18 @@ def run_config(cfg: dict, out_dir=None, overrides: dict | None = None) -> dict:
     spec = build_spec(cfg, mapping)
     entries = [read_entry(op, f"checks[{idx}]", mapping, overrides) for idx, op in enumerate(top["checks"])]
     out_path = None if out_dir is None else Path(out_dir)
-    if out_path is not None:
-        out_path.mkdir(parents=True, exist_ok=True)
-    reports = []
+    reports, writes = [], []
     for idx, (name, label, fields) in enumerate(entries):
         if fields.get("csv") is not None:
-            fields["csv"] = None if out_path is None else out_path / fields["csv"]
+            fields["csv"] = lambda write, obj, name=fields["csv"]: writes.append((write, obj, name))
         with _located(f"checks[{idx}]"):
             report, passed = OPERATIONS[name].run(mapping, spec, **fields)
         label = f"{name}-{idx}" if label is None else label
         reports.append({"op": name, "label": label, "pass": bool(passed), "report": report})
+    if out_path is not None:
+        out_path.mkdir(parents=True, exist_ok=True)
+        for write, obj, name in writes:
+            write(obj, out_path / name)
     manifest = {
         "config_hash": config_hash(cfg),
         "version": __version__,

@@ -6,19 +6,13 @@ A cone is described by generating rays, by supporting inequalities
 polyhedral.  A representation the cone was not given is enumerated from the
 other one by double description, in any dimension up to _MAX_RAYS rays, and
 cached, so every question reads whichever rows it needs: membership, the
-margins and the strictly positive functional read the unit supporting rows,
-full dimension and the dual audit read the generators.  The only solve is
-one tiny linear program, the pointedness fallback.  scipy.optimize is
-imported inside it, so a run that needs no solve never pays for that import.
+margins, pointedness and the strictly positive functional read the unit
+supporting rows, full dimension and the dual audit read the generators.
+Nothing here solves a linear program, and numpy is the only dependency.
 
-The cheap cases are decided exactly before any solve or sampling runs.  On
-the standard orthant (is_standard_orthant, decided once per cone) the
+On the standard orthant (is_standard_orthant, decided once per cone) the
 normality constant is 1, which the sampled estimate returns bit for bit, as
-the docstring of normality_constant argues.  A generator-only cone is
-pointed when the sum of its unit generators is positive on each of them
-beyond rounding, and only a cone without that certificate goes to the LP.
-So no run on a cone with that certificate, or given by its inequalities,
-imports scipy.optimize.
+the docstring of normality_constant argues, so no sampling runs there.
 
 The order reaches the rest of the package as scalars through one kernel:
 cone_values(cone, a) gives y(v) for every unit supporting functional y and
@@ -212,6 +206,14 @@ class PolyCone:
     dual_generators: rows d with the cone equal to {x : d @ x >= 0 for all d},
         or None.  At least one representation must be present; when both are
         given they must describe the same set (spot checked at construction).
+    pointed: whether the cone holds no line, decided at construction by one
+        rule for every form: the unit supporting rows (unit_dual_generators,
+        enumerated from the generators when none were given), which contains
+        reads, span R^dim.  A line in the cone is a direction v on which
+        every row vanishes, so contains accepts both v and -v.  The whole
+        space (no rows) is not pointed; the trivial cone {0}, whose rows are
+        +-e_i, is.  A generator-only cone whose enumeration exceeds
+        _MAX_RAYS raises here.
     """
 
     dim: int
@@ -237,37 +239,7 @@ class PolyCone:
         self._cross_audit()
 
     def _compute_pointed(self) -> bool:
-        if self.dual_generators is not None:
-            if self.dual_generators.shape[0] == 0:
-                # no constraints: whole space, pointed only in the trivial sense dim 0
-                return False
-            return int(np.linalg.matrix_rank(self.dual_generators)) == self.dim
-        gens = self.generators
-        if gens.shape[0] == 0:
-            return True
-        # certificate: s, the sum of the unit generators, is positive on every
-        # generator.  The dot product and the scaling to unit length each move
-        # a computed value by at most about (dim + 2) * eps * ||s||, so beyond
-        # 4 times that s is positive on every generator and the cone is pointed
-        unit = unit_rows(gens)
-        s = unit.sum(axis=0)
-        if np.min(unit @ s) > 4.0 * (self.dim + 2) * np.finfo(float).eps * norm(s, "two"):
-            return True
-        # pointed iff some functional is >= 1 on every generator
-        from scipy.optimize import linprog
-
-        res = linprog(
-            np.zeros(self.dim),
-            A_ub=-_lp_scaled(gens),
-            b_ub=-np.ones(gens.shape[0]),
-            bounds=[(None, None)] * self.dim,
-            method="highs",
-        )
-        if res.status == 0:
-            return True
-        if res.status == 2:
-            return False
-        raise RuntimeError(f"pointedness solve failed: {res.message}")
+        return int(np.linalg.matrix_rank(unit_dual_generators(self))) == self.dim
 
     def _cross_audit(self):
         # spot check that sampled generator combinations satisfy the inequalities
@@ -323,14 +295,6 @@ def random_simplicial_cone(dim: int, seed: int, name: str | None = None) -> Poly
             break
     dual = np.linalg.inv(m).T
     return PolyCone(dim, generators=m, dual_generators=dual, name=name or f"simplicial{dim}-{seed}")
-
-
-def _lp_scaled(gens: np.ndarray) -> np.ndarray:
-    """gens times the power of two that puts its largest entry in [1, 2).
-    HiGHS drops matrix entries below about 1e-9, so the pointedness LP sees
-    these rows; a power of two moves no significand, so the LP is feasible
-    for them exactly when it is for gens."""
-    return np.ldexp(gens, 1 - int(np.frexp(np.max(np.abs(gens)))[1]))
 
 
 def contains(cone: PolyCone, v, tol: float = 1e-9) -> bool:

@@ -654,6 +654,30 @@ def test_every_entry_is_read_before_any_runs(tmp_path, capsys):
     assert not out_dir.exists()  # the trace entry wrote no csv
 
 
+def test_an_entry_that_fails_at_run_time_leaves_no_output(monkeypatch, tmp_path, capsys):
+    # the CSVs are written once every entry has run, through the module's
+    # writers at that time, so a wrapper swapped in there still sees them
+    written = []
+    for name in ("write_trace_csv", "write_scan_csv"):
+        writer = getattr(paracone.config, name)
+        monkeypatch.setattr(paracone.config, name, lambda obj, path, w=writer: written.append(path.name) or w(obj, path))
+    checks = [{"op": "trace", **_MINIMAL["trace"]}, {"op": "gateaux-scan", **_MINIMAL["gateaux-scan"]}]
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"mapping": {"family": "neg_square"}, "checks": checks}))
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "good")]) == 0
+    assert written == ["t.csv", "s.csv"]
+    assert sorted(p.name for p in (tmp_path / "good").iterdir()) == ["manifest.json", "s.csv", "t.csv"]
+    # x0 = 5 is outside neg_square's domain, which only running the entry finds
+    checks.append({"op": "gateaux", "seed": 1, "x0": [5.0]})
+    path.write_text(json.dumps({"mapping": {"family": "neg_square"}, "checks": checks}))
+    capsys.readouterr()
+    out_dir = tmp_path / "bad"
+    assert main(["run", "--config", str(path), "--out", str(out_dir)]) == 2
+    assert "input error: checks[2]: neg-square: test point outside the open domain" in capsys.readouterr().err
+    assert not out_dir.exists()
+    assert written == ["t.csv", "s.csv"]
+
+
 def test_overrides_reach_only_ops_that_read_the_field():
     cfg = {
         "mapping": {"family": "neg_square"},
@@ -799,11 +823,11 @@ def test_cli_subprocess_help():
 
 
 def test_cli_import_leaves_scipy_unloaded(tmp_path):
-    # importing the cli loads no scipy at all; scipy.optimize loads only for
-    # the pointedness fallback LP, never for membership or the positive
-    # functional: a cone given only by generators, in R^3 or R^5, answers
-    # both from its enumerated rows, and so do a default fact2 y_star and the
-    # Frechet base
+    # scipy is a test dependency only: the subprocess blocks it, so any scipy
+    # import below fails.  The cli, every shipped config, and a cone given
+    # only by generators, in R^2, R^3 or R^5, answer pointedness, membership
+    # and the positive functional from their enumerated rows, and so do a
+    # default fact2 y_star and the Frechet base
     runs = "".join(
         f"    main(['run', '--config', {str(path)!r}, '--out', {str(tmp_path / path.stem)!r}])\n"
         for path in sorted(CONFIG_DIR.glob("*.json"))
@@ -812,8 +836,8 @@ def test_cli_import_leaves_scipy_unloaded(tmp_path):
     generator_block = next(b for b in blocks if '"generators"' in b)
     code = (
         "import contextlib, io, json, sys\n"
+        "sys.modules['scipy'] = None\n"
         "from paracone.cli import main\n"
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
         "from paracone import Box, check_inequality, check_vector_lipschitz, cone_from_generators, curved_cone_map\n"
         "from paracone import frechet_test, neg_square_1d, smooth_r2_r3\n"
         "from paracone.config import run_config\n"
@@ -822,6 +846,8 @@ def test_cli_import_leaves_scipy_unloaded(tmp_path):
         + f"assert run_config(json.loads({generator_block!r}))['exit_status'] == 0\n"
         "from paracone import strictly_positive_functional\n"
         "r5 = [[1, 0.5, 0, 0, 0], [1, 0, 0.5, 0, 0], [1, 0, 0, 0.5, 0], [1, 0, 0, 0, 0.5], [1, 0, 0, 0, 0], [1, 0.25, 0.25, 0.25, 0.25]]\n"
+        "assert cone_from_generators(r5).pointed\n"
+        "assert not cone_from_generators([[1.0, 0.0], [-1.0, 3e-9]]).pointed\n"
         "for rays in ([[1.0, 0.0, 0.0], [1.0, 1.0, 0.0], [1.0, 0.0, 1.0]], r5):\n"
         "    h = curved_cone_map(cone_from_generators(rays), seed=3)\n"
         "    assert check_inequality(h, h.claimed, budget=200, seed=1).passed\n"
@@ -835,9 +861,9 @@ def test_cli_import_leaves_scipy_unloaded(tmp_path):
         "assert frechet_test(f, f.claimed, [0.1, -0.2]).passed\n"
         "g = neg_square_1d()\n"
         "assert check_vector_lipschitz(g, g.claimed, Box(lo=[-0.5], hi=[0.5])).passed\n"
-        "print(sorted(m for m in sys.modules if m.startswith('scipy.optimize')))\n"
+        "print(sorted(m for m, mod in sys.modules.items() if m.split('.')[0] == 'scipy' and mod is not None))\n"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == ["[]", "[]"]
+    assert proc.stdout.splitlines() == ["[]"]
     assert len(list(tmp_path.glob("*/manifest.json"))) == 5

@@ -232,8 +232,8 @@ def test_pointedness_classification():
 
 
 def _lp_pointed(gens):
-    """The pointedness LP that decided every generator-only cone before the
-    unit-sum certificate, frozen as the oracle."""
+    """The pointedness LP that once decided generator-only cones, frozen as
+    the oracle."""
     from scipy.optimize import linprog
 
     res = linprog(
@@ -256,47 +256,61 @@ def _counting_linprog(monkeypatch):
     return calls
 
 
-def test_pointedness_certificate_agrees_with_the_lp(monkeypatch):
-    calls = _counting_linprog(monkeypatch)
+def test_pointedness_certificate_agrees_with_the_lp():
     rng = np.random.default_rng(41)
-    decided = {"certificate": 0, "lp pointed": 0, "lp not pointed": 0}
+    decided = {True: 0, False: 0}
     for dim in (1, 2, 3, 4):
         for n_gens in (1, 2, dim + 1, dim + 3):
             for _ in range(12):
                 gens = rng.normal(size=(n_gens, dim))
-                before = len(calls)
                 got = cone_from_generators(gens).pointed
-                key = "certificate" if len(calls) == before else ("lp pointed" if got else "lp not pointed")
-                decided[key] += 1
+                decided[got] += 1
                 assert got == _lp_pointed(gens), gens
+    assert sum(decided.values()) == 192
     assert min(decided.values()) >= 10, decided
 
 
-def test_pointedness_lp_decides_where_the_certificate_fails(monkeypatch):
-    calls = _counting_linprog(monkeypatch)
+def test_pointedness_on_lines_and_lopsided_rays():
     cases = {
         "line": ([[1.0, 0.0], [-1.0, 0.0]], False),
         "half-plane": ([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]], False),
         # pointed, but three rays near (1, 0) pull the unit sum off the fourth
         "lopsided": ([[1.0, 0.0], [0.99, 0.1], [0.98, 0.2], [-1.0, 0.01]], True),
-        # nearly degenerate: the second unit ray rounds to (-1, 3e-9), so the
-        # unit sum is exactly 0 on the first
-        "nearly a line": ([[1.0, 0.0], [-1.0, 3e-9]], True),
     }
     for name, (gens, pointed) in cases.items():
-        before = len(calls)
         assert cone_from_generators(gens).pointed is pointed, name
-        assert len(calls) == before + 1, name
         assert _lp_pointed(np.array(gens)) is pointed, name
+    # nearly a line: the LP, exact on these floats, calls it pointed, but its
+    # two supporting rays lie 3e-9 rad apart and merge into (0, 1), so
+    # membership, like pointedness, reads the line through (1, 0)
+    nearly = [[1.0, 0.0], [-1.0, 3e-9]]
+    assert _lp_pointed(np.array(nearly))
+    cone = cone_from_generators(nearly)
+    assert not cone.pointed
+    assert contains(cone, [1.0, 0.0]) and contains(cone, [-1.0, 0.0])
 
 
-def test_pointedness_certificate_holds_at_any_scale(monkeypatch):
-    # HiGHS drops matrix entries below 1e-9, so the LP called a cone this
-    # small not pointed; the certificate works on unit generators
-    calls = _counting_linprog(monkeypatch)
+def test_pointedness_agrees_with_membership_on_thin_wedges():
+    # the wedge of (1, 0) and (-cos t, sin t) holds no line, but below the
+    # merge angle of _polar_rays (about 1.4e-6 rad) its two supporting rays
+    # are one, and membership accepts both (1, 0) and (-1, 0)
+    e1 = np.array([1.0, 0.0])
+    verdicts = set()
+    for theta in (1e-2, 1e-4, 1e-6, 1e-7, 1e-9):
+        cone = cone_from_generators([e1, [-np.cos(theta), np.sin(theta)]])
+        assert cone.pointed == (not (contains(cone, e1) and contains(cone, -e1))), theta
+        verdicts.add(cone.pointed)
+    assert verdicts == {True, False}
+
+
+def test_pointedness_holds_at_any_scale():
+    # the rank of the unit supporting rows sees neither the generators' scale
+    # nor the length of a given row, which contains does not see either
     for scale in (1e-12, 1e-10, 1.0, 1e10):
         assert cone_from_generators(scale * np.array([[1.0, 1.0], [1.0, 2.0]])).pointed
-    assert calls == []
+    short_row = cone_from_inequalities([[1.0, 0.0], [0.0, 1e-20]])
+    assert short_row.pointed
+    assert not contains(short_row, [0.0, -1.0])
 
 
 # ---------------------------------------------------------------------------
@@ -464,7 +478,7 @@ def test_ray_enumeration_past_the_bound_raises_quickly():
     assert 2 ** (dim - 1) > geometry._MAX_RAYS
     start = time.perf_counter()
     with pytest.raises(ValueError, match=f"more than {geometry._MAX_RAYS} rays"):
-        contains(cone_from_generators(rows), np.ones(dim))
+        cone_from_generators(rows)
     assert time.perf_counter() - start < 1.0
 
 
@@ -535,7 +549,8 @@ def test_normality_constant_rejects_a_cone_that_is_not_pointed():
     # each holds a line, along which the ratio ||x|| / ||y|| is unbounded
     whole = PolyCone(2, dual_generators=np.zeros((0, 2)), name="R2")
     halfplane = cone_from_generators([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]])
-    for cone in (whole, halfplane, cone_from_inequalities([[1.0, 0.0]])):
+    nearly_a_line = cone_from_generators([[1.0, 0.0], [-1.0, 3e-9]])
+    for cone in (whole, halfplane, cone_from_inequalities([[1.0, 0.0]]), nearly_a_line):
         assert not cone.pointed
         with pytest.raises(ValueError, match="not pointed"):
             normality_constant(cone, "two", budget=16, seed=0)
@@ -669,8 +684,10 @@ def test_orthant_positive_functional_is_the_lp_answer(monkeypatch):
 
 def test_strictly_positive_functional_rejects_non_pointed():
     halfplane = cone_from_generators([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]])
-    with pytest.raises(ValueError):
-        strictly_positive_functional(halfplane)
+    nearly_a_line = cone_from_generators([[1.0, 0.0], [-1.0, 3e-9]])
+    for cone in (halfplane, nearly_a_line):
+        with pytest.raises(ValueError, match="not pointed"):
+            strictly_positive_functional(cone)
 
 
 LOPSIDED = [[1.0, 0.0], [0.99, 0.1], [0.98, 0.2], [-1.0, 0.01]]
