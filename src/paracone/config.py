@@ -41,7 +41,6 @@ from .derivative import (
     ScanReport,
     build_trace,
     check_alpha_monotone,
-    check_lower_bound,
     check_upper_bound,
     directional_derivative,
     frechet_test,
@@ -435,10 +434,9 @@ def _run_lipschitz(f, spec, region, **fields):
 def _run_trace(f, spec, tol, csv, **fields):
     trace = build_trace(f, spec, **fields)
     mono = check_alpha_monotone(trace, tol=tol)
-    lower = check_lower_bound(trace, tol=tol)
     if csv is not None:
         csv(write_trace_csv, trace)
-    return {"monotone": mono.to_dict(), "lower_bound": lower.to_dict()}, mono.passed and lower.passed
+    return {"monotone": mono.to_dict()}, mono.passed
 
 
 def _run_derivative(f, spec, upper_bound, upper_tol, **fields):

@@ -19,6 +19,10 @@ monotonically to the one-sided derivative but gives no rate, so the
 reported error bound is the monotone-bracket width at the stopping index,
 never an extrapolated rate claim.
 
+Every error bound and linearity margin is in one measure, max_y |y(v)|
+over the cone's unit rows y (_row_measure; the sup norm on an orthant).  It
+is a norm exactly when the cone is pointed, so the estimator refuses others.
+
 The rounding allowance matters: a difference quotient at step t carries
 rounding error on the order of eps * ||f|| / t, which dwarfs any reasonable
 tolerance once t is small enough.  Folding the allowance into every margin
@@ -39,8 +43,6 @@ from .geometry import (
     base_of,
     cone_margins,
     cone_values,
-    interior_direction,
-    is_standard_orthant,
     matvec_rows,
     norm,
     row_norms,
@@ -69,9 +71,17 @@ def _quotient_noise(t, f_t_norm, f0_norm):
 
 
 def _require_strong(spec: ParaSpec) -> None:
-    """The estimator's quotients converge only under a strong modulus, modulus(t)/t -> 0."""
+    """The quotients converge only under a strong modulus, modulus(t)/t -> 0,
+    and the row measure of the bounds is blind along a line in the cone."""
     if not spec.modulus.strong:
         raise ValueError(f"the derivative estimator needs a strong modulus (modulus(t)/t -> 0), got {spec.modulus}")
+    if not spec.cone.pointed:
+        raise ValueError(f"the derivative estimator needs a pointed cone (unit rows spanning R^m), got {spec.cone!r}")
+
+
+def _row_measure(values: np.ndarray) -> np.ndarray:
+    """max_j |y_j(v)| over the unit rows, from cone_values: (..., r) -> (...)."""
+    return np.abs(values).max(axis=-1, initial=0.0)
 
 
 def _prep_direction(f: VectorMapping, x0, h):
@@ -208,37 +218,11 @@ def check_alpha_monotone(trace: QuotientTrace, tol: float = 1e-9) -> CheckReport
     )
 
 
-def check_lower_bound(trace: QuotientTrace, tol: float = 1e-9) -> CheckReport:
-    """Uniform cone lower bound on the corrected quotients.
-
-    Builds a witness a with corrected(t) - a in the cone for every grid t:
-    the componentwise infimum for the standard orthant, otherwise an
-    interior direction scaled under every supporting-functional infimum.
-    """
-    cone = trace.spec.cone
-    inf_per_row = np.min(cone_values(cone, trace.corrected), axis=0)
-    if is_standard_orthant(cone):
-        a = np.min(trace.corrected, axis=0)
-    else:
-        k0, denom = interior_direction(cone)
-        a = float(np.min(inf_per_row / denom)) * k0
-    scale = 1.0 + np.linalg.norm(trace.corrected, axis=1) + norm(a, "two")
-    adjusted = (cone_margins(cone, trace.corrected - a) + trace.noise) / scale
-    return worst_report(
-        adjusted,
-        tol,
-        lambda i: a,
-        samples_used=int(trace.t_grid.size),
-        notes="uniform lower bound witness over the trace",
-        extras={"per_functional_infimum": inf_per_row},
-    )
-
-
 @dataclass
 class DerivativeEstimate:
     """Output of the quotient estimator.  When converged is True the error
-    bound (bracket decrement + allowance terms) is at most the requested
-    tolerance; value is the raw quotient at t_used."""
+    bound (bracket decrement + allowance terms, in the row measure) is at
+    most the requested tolerance; value is the raw quotient at t_used."""
 
     value: np.ndarray
     error_bound: float
@@ -258,9 +242,9 @@ def _stop(q: QuotientTrace, x0: np.ndarray, tol: float) -> DerivativeEstimate:
     bracket (the deepest level when no bracket is finite) is reported with
     converged False.
     """
-    top_row_k = float(np.max(cone_values(q.spec.cone, q.spec.k), initial=0.0))
+    top_row_k = float(cone_values(q.spec.cone, q.spec.k).max(initial=0.0))
     # bounds[j - 1] closes the bracket between levels j - 1 and j
-    decrement = np.max(np.abs(cone_values(q.spec.cone, q.raw[:-1] - q.raw[1:])), axis=1, initial=0.0)
+    decrement = _row_measure(cone_values(q.spec.cone, q.raw[:-1] - q.raw[1:]))
     bounds = decrement + q.allowance[:-1] * top_row_k + q.noise[:-1] + q.noise[1:]
     below = np.flatnonzero(bounds < tol)
     finite = bounds < np.inf  # a NaN or infinite bracket is never the smallest
@@ -295,8 +279,10 @@ def directional_derivative(
     rule (_stop) on the grid t0 * ratio^j, j = 0..max_depth-1, evaluated in
     one batch.  iterations is the stop level counted from one, not the
     number of evaluations, which is always max_depth + 1.  A modulus that is
-    not strong raises ValueError before any evaluation: without
-    modulus(t)/t -> 0 the corrected quotients need not converge.
+    not strong, or a cone that is not pointed, raises ValueError before any
+    evaluation: without modulus(t)/t -> 0 the corrected quotients need not
+    converge, and the stop rule's row measure cannot see along a line in
+    the cone.
     """
     _require_strong(spec)
     x0, h, _ = _prep_direction(f, x0, h)
@@ -364,8 +350,8 @@ def _estimates(f: VectorMapping, spec: ParaSpec, x0: np.ndarray, vectors: list, 
     c*error bound, estimate); a vector of length at most 1e-12 gets a zero
     value and no estimate.  Every grid goes into one _quotients call and the stop rule
     reads each row; the first vector in list order whose estimate does not
-    converge raises ConvergenceError.  A modulus that is not strong raises
-    ValueError before any evaluation.
+    converge raises ConvergenceError.  A modulus that is not strong, or a
+    cone that is not pointed, raises ValueError before any evaluation.
     """
     _require_strong(spec)
     lengths = [norm(np.asarray(v, dtype=float), f.domain_norm) for v in vectors]
@@ -383,6 +369,21 @@ def _estimates(f: VectorMapping, spec: ParaSpec, x0: np.ndarray, vectors: list, 
     return out
 
 
+def _battery_estimates(f: VectorMapping, spec: ParaSpec, x0: np.ndarray, vectors: list, tol: float) -> tuple:
+    """The vectors' values, error bounds and estimates from one _estimates
+    batch that also re-estimates vectors[0] on each lam-scaled grid, and per
+    lam the homogeneity excess (|lam*D_lam - lam*D| - lam*(e + e_lam)) /
+    max(1, lam) in the row measure."""
+    h0 = np.asarray(vectors[0], dtype=float)
+    tops = [None] * len(vectors) + [_scaled_top(f, x0, h0, lam) for lam in _LAMBDAS]
+    ests = _estimates(f, spec, x0, vectors + [h0] * len(_LAMBDAS), tol, tops)
+    vals, errs, n = np.array([v for v, _, _ in ests]), np.array([e for _, e, _ in ests]), len(vectors)
+    lams = np.array(_LAMBDAS, dtype=float)
+    diff = _row_measure(cone_values(spec.cone, lams[:, None] * vals[n:] - lams[:, None] * vals[0]))
+    excess = (diff - lams * (errs[0] + errs[n:])) / np.maximum(1.0, lams)
+    return vals[:n], errs[:n], [est for _, _, est in ests[:n]], excess
+
+
 def check_sublinear(
     f: VectorMapping,
     spec: ParaSpec,
@@ -397,8 +398,8 @@ def check_sublinear(
     estimate error bounds, per unit supporting functional.  Homogeneity is
     exercised as schedule independence: the derivative recomputed on a
     lam-scaled step grid must match lam times the original within
-    tol*max(1, lam) plus scaled error bounds.  Every estimate comes from one
-    batch (_estimates).
+    tol*max(1, lam) plus scaled error bounds, in the row measure.  Every
+    estimate comes from one batch (_battery_estimates).
     """
     x0 = as_point(x0, f.domain.dim)
     d = f.domain.dim
@@ -412,22 +413,15 @@ def check_sublinear(
     direction_pairs = list(direction_pairs)
     if not direction_pairs:
         raise ValueError("direction_pairs must name at least one pair")
-    # (h1, h2, h1 + h2) per pair, then h0 = the first h1 once per factor
+    # (h1, h2, h1 + h2) per pair
     vectors = [v for h1, h2 in direction_pairs for v in (h1, h2, np.asarray(h1) + np.asarray(h2))]
-    h0 = np.asarray(direction_pairs[0][0], dtype=float)
-    tops = [None] * len(vectors) + [_scaled_top(f, x0, h0, lam) for lam in _LAMBDAS]
-    ests = _estimates(f, spec, x0, vectors + [h0] * len(_LAMBDAS), tol, tops)
-    vals, errs, n = np.array([v for v, _, _ in ests]), np.array([e for _, e, _ in ests]), len(vectors)
+    vals, errs, _, excess = _battery_estimates(f, spec, x0, vectors, tol)
     # subadditivity per pair: the cone margin of D(h1) + D(h2) - D(h1 + h2) plus the three error bounds
-    sub = cone_margins(spec.cone, vals[0:n:3] + vals[1:n:3] - vals[2:n:3]) + (errs[0:n:3] + errs[1:n:3] + errs[2:n:3])
-    # homogeneity per factor: lam*D(h0) on the lam-scaled grid against lam*D(h0), within the scaled error bounds
-    lams = np.array(_LAMBDAS, dtype=float)[:, None]
-    diff = np.max(np.abs(cone_values(spec.cone, lams * vals[n:] - lams * vals[0])), axis=1, initial=0.0)
-    homogeneity = (lams[:, 0] * (errs[0] + errs[n:]) - diff) / np.maximum(1.0, lams[:, 0])
+    sub = cone_margins(spec.cone, vals[0::3] + vals[1::3] - vals[2::3]) + (errs[0::3] + errs[1::3] + errs[2::3])
     witnesses = [(np.asarray(h1), np.asarray(h2)) for h1, h2 in direction_pairs]
     witnesses += [("homogeneity", lam) for lam in _LAMBDAS]
     return worst_report(
-        np.concatenate([sub, homogeneity]),
+        np.concatenate([sub, -excess]),  # homogeneity per factor: the negated excess
         tol,
         lambda i: witnesses[i],
         samples_used=len(direction_pairs) + len(_LAMBDAS),
@@ -440,8 +434,9 @@ def check_sublinear(
 class GateauxReport(Report):
     """Linearity battery at one point: antisymmetry, additivity,
     homogeneity, and the Lipschitz continuity surrogate over antipodal
-    direction pairs.  defect is the largest violation after estimator
-    error allowances; passed is derived, exactly defect <= tol."""
+    direction pairs.  Each margin is the largest excess in the row measure
+    after the estimator's error bounds, and defect is the largest of them
+    floored at 0; passed is derived, exactly defect <= tol."""
 
     x0: np.ndarray
     passed: bool = field(init=False)
@@ -481,16 +476,18 @@ def gateaux_test(
 ) -> GateauxReport:
     """Estimate the derivative along paired directions and test linearity.
 
-    Sub-tests, each after subtracting the relevant estimate error bounds:
-    antisymmetry ||D(h) + D(-h)||, additivity ||D(h1) + D(h2) - D(h1+h2)||,
-    homogeneity as schedule independence at factors 1/2 and 2, and the
-    continuity surrogate ||D(h) - D(-h)|| <= gamma * (L*||h - (-h)|| +
-    C*modulus(t*)/t* ) * ||k|| with L a sampled local Lipschitz constant
-    (inflated by 1.1, and floored by the scalarized derivative magnitudes,
-    since a sampled supremum is a lower estimate).  Estimator
-    non-convergence along any direction propagates as ConvergenceError.  The
-    spec's modulus must be strong (Modulus.strong), else ValueError; strong
-    is necessary for convergence but not sufficient.
+    Every sub-margin is an excess in the row measure max_y |y(v)| over the
+    unit rows y (_row_measure), the measure of the estimates' error bounds,
+    which it subtracts: antisymmetry |D(h) + D(-h)|, additivity
+    |D(h1) + D(h2) - D(h1+h2)|, homogeneity as schedule independence at
+    factors 1/2 and 2, and the continuity surrogate, per row y,
+    |y(D(h) - D(-h))| <= (L*||h - (-h)|| + C*modulus(t*)/t*) * y(k), with L a
+    sampled local Lipschitz constant (inflated by 1.1, and floored by
+    |y(D)|/y(k), since a sampled supremum is a lower estimate).  So tol is in
+    the row measure, the sup norm on a standard orthant.  Estimator
+    non-convergence along any direction propagates as ConvergenceError.  A
+    modulus that is not strong or a cone that is not pointed raises
+    ValueError; strong is necessary for convergence but not sufficient.
     """
     _at_least_one(n_directions=n_directions)
     x0 = as_point(x0, f.domain.dim)
@@ -501,44 +498,37 @@ def gateaux_test(
     if not base_dirs:
         raise ValueError("directions must name at least one direction")
 
-    # one batch: signed[2i] = +u_i and signed[2i + 1] = -u_i, then the
-    # additivity sums, then u_0 on the two lam-scaled grids
+    # one batch: signed[2i] = +u_i and signed[2i + 1] = -u_i, then the additivity sums
     signed = [s * u for u in base_dirs for s in (1.0, -1.0)]
     pairs = [(0, 1)] if len(base_dirs) == 1 else [(2 * i, 2 * i + 2) for i in range(min(len(base_dirs) - 1, 4))]
-    vectors = signed + [signed[a] + signed[b] for a, b in pairs] + [base_dirs[0]] * len(_LAMBDAS)
-    tops = [None] * (len(signed) + len(pairs)) + [_scaled_top(f, x0, base_dirs[0], lam) for lam in _LAMBDAS]
-    ests = _estimates(f, spec, x0, vectors, tol, tops)
-    val, err = [v for v, _, _ in ests], [e for _, e, _ in ests]
-    n_sig, first_lam = len(signed), len(signed) + len(pairs)
+    vectors = signed + [signed[a] + signed[b] for a, b in pairs]
+    val, err, ests, homogeneity = _battery_estimates(f, spec, x0, vectors, tol)
+    n, n_sig, (a, b) = len(base_dirs), len(signed), np.array(pairs).T
+    plus, minus, e_pm = val[0:n_sig:2], val[1:n_sig:2], err[0:n_sig:2] + err[1:n_sig:2]
+    # every row value from one call: the n antisymmetry sums, the n continuity
+    # differences, the 2n signed derivatives, the additivity defects, then k
+    stacked = [plus + minus, plus - minus, val[:n_sig], val[a] + val[b] - val[n_sig:], spec.k[None, :]]
+    values = cone_values(spec.cone, np.concatenate(stacked))
+    row_k = np.maximum(values[-1], 1e-300)
 
-    # continuity surrogate over antipodal pairs, where the sampled constant
-    # provably dominates the difference direction
+    # continuity surrogate over antipodal pairs, per unit row y in the order
+    # form |y(D(u) - D(-u))| <= (L*||2u|| + C*modulus(t*)/t*) * y(k)
     region_r = min(0.05, 0.5 * f.domain.boundary_distance(x0))
     region = Box(lo=x0 - region_r, hi=x0 + region_r)
     lip = check_vector_lipschitz(f, spec, region, budget=128, seed=seed + 1)
-    l_sampled, gamma = (float(lip.extras["L"]), float(lip.extras["gamma"])) if lip.extras else (0.0, 1.0)
-    row_k = np.maximum(cone_values(spec.cone, spec.k), 1e-300)
-    deriv_rows = np.abs(cone_values(spec.cone, np.array(val[:n_sig]))) / row_k
-    l_used = max(1.1 * l_sampled, float(np.max(deriv_rows, initial=0.0)))
-    t_star = max(est.t_used for _, _, est in ests[:n_sig])
+    l_sampled = float(lip.extras["L"]) if lip.extras else 0.0
+    l_used = max(1.1 * l_sampled, float((np.abs(values[2 * n : 4 * n]) / row_k).max(initial=0.0)))
+    t_star = max(est.t_used for est in ests[:n_sig])
     allowance = spec.min_constant() * eval_modulus(spec.modulus, t_star) / t_star
+    bound = l_used * row_norms(2.0 * np.array(base_dirs), f.domain_norm) + allowance
 
-    def _viol_norm(vec, allow):
-        return float(norm(vec, f.codomain_norm)) - allow
-
-    margins = dict.fromkeys(("antisymmetry", "additivity", "homogeneity", "continuity"), float("-inf"))
-    for i, u in enumerate(base_dirs):
-        vp, vm, ep, em = val[2 * i], val[2 * i + 1], err[2 * i], err[2 * i + 1]
-        margins["antisymmetry"] = max(margins["antisymmetry"], _viol_norm(vp + vm, ep + em))
-        bound = gamma * (l_used * norm(2.0 * u, f.domain_norm) + allowance) * norm(spec.k, f.codomain_norm)
-        margins["continuity"] = max(margins["continuity"], _viol_norm(vp - vm, bound) - (ep + em))
-    for j, (a, b) in enumerate(pairs, start=n_sig):
-        excess = _viol_norm(val[a] + val[b] - val[j], err[a] + err[b] + err[j])
-        margins["additivity"] = max(margins["additivity"], excess)
-    for lam, v_lam, e_lam in zip(_LAMBDAS, val[first_lam:], err[first_lam:]):
-        excess = _viol_norm(lam * v_lam - lam * val[0], lam * (err[0] + e_lam))
-        margins["homogeneity"] = max(margins["homogeneity"], excess / max(1.0, lam))
-
+    margins = {
+        "antisymmetry": _row_measure(values[:n]) - e_pm,
+        "additivity": _row_measure(values[4 * n : -1]) - (err[a] + err[b] + err[n_sig:]),
+        "homogeneity": homogeneity,
+        "continuity": (np.abs(values[n : 2 * n]) - bound[:, None] * row_k - e_pm[:, None]).max(axis=1),
+    }
+    margins = {key: float(excess.max()) for key, excess in margins.items()}
     defect = max(0.0, max(margins.values()))
     return GateauxReport(
         x0=x0,
@@ -583,7 +573,8 @@ def gateaux_scan(
     Per-point seeds derive deterministically from (seed, index) so a
     parallel run would agree with the sequential one.  Estimator
     non-convergence at a point counts as a failed point, not an error; a
-    modulus that is not strong raises ValueError.
+    modulus that is not strong or a cone that is not pointed raises
+    ValueError.  defects are in the row measure (gateaux_test).
     When the family declares a one-dimensional kink set, the report carries
     the confusion table of predicted versus declared non-differentiability.
     """
@@ -676,8 +667,8 @@ def frechet_test(
     estimator, whose error bound then joins the allowances.
 
     The linearity battery runs first; its failure is reported as a failed
-    precondition rather than raised, but a modulus that is not strong raises
-    ValueError.
+    precondition rather than raised, but a modulus that is not strong or a
+    cone that is not pointed raises ValueError.
     """
     x0 = as_point(x0, f.domain.dim)
     epsilons = list(epsilons)

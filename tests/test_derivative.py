@@ -16,9 +16,9 @@ from paracone import (
     affine_mapping,
     build_trace,
     check_alpha_monotone,
-    check_lower_bound,
     check_sublinear,
     check_upper_bound,
+    cone_from_generators,
     curved_cone_map,
     directional_derivative,
     frechet_test,
@@ -27,13 +27,12 @@ from paracone import (
     neg_abs_1d,
     neg_square_1d,
     orthant,
-    random_simplicial_cone,
     smooth_r2_r3,
     square_modulus,
     zero_modulus,
 )
 from paracone.derivative import _default_t0, _prep_direction, _quotient_noise
-from paracone.geometry import Box, contains, norm, unit_dual_generators
+from paracone.geometry import Box, norm, unit_dual_generators
 from paracone.mappings import VectorMapping, known_directional
 from paracone.modulus import eval_modulus
 
@@ -104,26 +103,6 @@ def test_alpha_monotone_rejects_wrong_modulus_scale():
     # started exactly at the kink the slope is stable and nothing can fail
     tr0 = build_trace(f, lie, [0.0], [1.0], depth=20)
     assert check_alpha_monotone(tr0, tol=1e-9).passed
-
-
-def test_lower_bound_orthant_and_general_cone():
-    f = neg_square_1d()
-    tr = build_trace(f, f.claimed, [0.2], [1.0], depth=20)
-    rep = check_lower_bound(tr, tol=1e-9)
-    assert rep.passed
-    # corrected quotients are constant -0.4 here, so the witness sits there
-    assert rep.witness[0] == pytest.approx(-0.4, abs=1e-9)
-
-    cone = random_simplicial_cone(3, seed=50)
-    g = curved_cone_map(cone, seed=51)
-    tr2 = build_trace(g, g.claimed, [0.0, 0.0], [1.0, 0.0], depth=20)
-    rep2 = check_lower_bound(tr2, tol=1e-9)
-    assert rep2.passed
-    a = rep2.witness
-    # every corrected quotient must dominate the witness in the cone order
-    for row in tr2.corrected:
-        assert contains(cone, row - a, tol=1e-6)
-    assert "per_functional_infimum" in rep2.extras
 
 
 # ---------------------------------------------------------------------------
@@ -385,6 +364,18 @@ def test_gateaux_passes_on_smooth_point():
     rep = gateaux_test(f, f.claimed, [0.3], n_directions=8, tol=1e-6, seed=3)
     assert rep.passed
     assert rep.defect <= 1e-5
+
+
+def test_batteries_pass_a_smooth_map_on_a_generator_cone_in_r5():
+    # the estimates' error bounds are in the row measure max_y |y(v)| over the
+    # unit rows; read in the two norm instead, the same estimates gave this
+    # smooth point an antisymmetry excess of +1.71e-6 at tol 1e-6
+    cone = cone_from_generators(np.vstack([np.eye(5) + 0.5, np.ones((1, 5))]))
+    f = curved_cone_map(cone, seed=3)
+    rep = gateaux_test(f, f.claimed, [0.1, -0.2], n_directions=4, tol=1e-6, seed=0)
+    assert rep.passed
+    assert rep.margins["antisymmetry"] < 0.0
+    assert frechet_test(f, f.claimed, [0.1, -0.2], tol=1e-6).passed
 
 
 def test_gateaux_report_is_json_ready():

@@ -33,7 +33,6 @@ from paracone import (
 )
 from paracone import geometry
 from paracone.checks import check_fact2, check_local_vector_bounded
-from paracone.derivative import build_trace, check_lower_bound
 from paracone.geometry import (
     cone_margins,
     cone_values,
@@ -796,8 +795,6 @@ def test_witness_checks_refuse_a_cone_without_interior():
     with pytest.raises(ValueError, match="no interior direction"):
         interior_direction(ray)
     f = affine_mapping([[1.0], [0.0]], [0.0, 0.0], Box(lo=[-1.0], hi=[1.0]), cone=ray, k=[1.0, 0.0])
-    with pytest.raises(ValueError, match="no interior direction"):
-        check_lower_bound(build_trace(f, f.claimed, [0.0], [1.0], depth=5))
     with pytest.raises(ValueError, match="no interior direction"):
         check_local_vector_bounded(f, ray, [0.0], radius=0.5, budget=16, seed=0)
 

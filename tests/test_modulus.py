@@ -8,12 +8,15 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from paracone import (
+    Box,
     ConvergenceError,
     Modulus,
     ParaSpec,
+    VectorMapping,
     build_trace,
     check_inequality,
     check_sublinear,
+    cone_from_inequalities,
     directional_derivative,
     eval_modulus,
     falsify,
@@ -93,6 +96,25 @@ STRENGTH_CASES = {
 }
 
 
+def _refusals(f, spec):
+    """The ValueError message of each derivative entry point, on a mapping
+    that fails the test when evaluated: each guard fires before any evaluation."""
+    unevaluable = dataclasses.replace(f, evaluator=lambda pts: pytest.fail("evaluated by a refused estimator"))
+    entry_points = (
+        lambda: directional_derivative(unevaluable, spec, [0.25], [1.0]),
+        lambda: check_sublinear(unevaluable, spec, [0.25]),
+        lambda: gateaux_test(unevaluable, spec, [0.25], n_directions=2),
+        lambda: gateaux_scan(unevaluable, spec, unevaluable.domain, n_points=2, n_directions=2),
+        lambda: frechet_test(unevaluable, spec, [0.25], n_directions=2),
+    )
+    messages = []
+    for run in entry_points:
+        with pytest.raises(ValueError) as info:
+            run()
+        messages.append(str(info.value))
+    return messages
+
+
 @pytest.mark.parametrize("m, strong", list(STRENGTH_CASES.values()), ids=list(STRENGTH_CASES))
 def test_strong_is_decided_on_the_kind(m, strong):
     assert m.strong is strong
@@ -102,29 +124,30 @@ def test_strong_is_decided_on_the_kind(m, strong):
     build_trace(f, spec, [0.25], [1.0], depth=8)
     check_inequality(f, spec, budget=64, seed=0)
     falsify(f, spec, budget=64, seed=0)
-    if strong:
-        # necessary, not sufficient: under power_modulus(1.5) the estimator on
-        # neg_square stops at an error bound of about 5.4e-5, so at tol 1e-6
-        # gateaux_test still raises ConvergenceError
-        est = directional_derivative(f, spec, [0.25], [1.0])
-        assert est.converged is (m != power_modulus(1.5))
-        if not est.converged:
-            with pytest.raises(ConvergenceError):
-                gateaux_test(f, spec, [0.25])
+    if not strong:
+        for message in _refusals(f, spec):
+            assert "strong modulus" in message and repr(m) in message
         return
-    # a mapping that fails the test when evaluated: each guard fires before any evaluation
-    unevaluable = dataclasses.replace(f, evaluator=lambda pts: pytest.fail("evaluated under a weak modulus"))
-    entry_points = (
-        lambda: directional_derivative(unevaluable, spec, [0.25], [1.0]),
-        lambda: check_sublinear(unevaluable, spec, [0.25]),
-        lambda: gateaux_test(unevaluable, spec, [0.25], n_directions=2),
-        lambda: gateaux_scan(unevaluable, spec, unevaluable.domain, n_points=2, n_directions=2),
-        lambda: frechet_test(unevaluable, spec, [0.25], n_directions=2),
+    # necessary, not sufficient: under power_modulus(1.5) the estimator on
+    # neg_square stops at an error bound of about 5.4e-5, so at tol 1e-6
+    # gateaux_test still raises ConvergenceError
+    est = directional_derivative(f, spec, [0.25], [1.0])
+    assert est.converged is (m != power_modulus(1.5))
+    if not est.converged:
+        with pytest.raises(ConvergenceError):
+            gateaux_test(f, spec, [0.25])
+    # a half-plane holds a line, along which the rows that measure every
+    # error bound see nothing: on (sqrt|x|, x^2) the estimate at 0 would
+    # "converge" to a first coordinate of about 2290, so a strong modulus is
+    # refused there too
+    root_and_square = VectorMapping(
+        domain=Box(lo=[-1.0], hi=[1.0]),
+        codomain_dim=2,
+        evaluator=lambda x: np.hstack([np.sqrt(np.abs(x)), x**2]),
+        label="root-and-square",
     )
-    for run in entry_points:
-        with pytest.raises(ValueError, match="strong modulus") as info:
-            run()
-        assert repr(m) in str(info.value)
+    half_plane = ParaSpec(modulus=m, k=np.array([0.0, 1.0]), cone=cone_from_inequalities([[0.0, 1.0]]), C=1.0)
+    assert all("pointed" in message for message in _refusals(root_and_square, half_plane))
 
 
 @given(st.floats(min_value=0.0, max_value=0.5), st.floats(min_value=0.0, max_value=0.5))
