@@ -132,58 +132,6 @@ def dyadic_small_gap_triples(box: Box, n_gaps: int = 14) -> Triples:
     return Triples(x=x, y=y, lam=np.full(x.shape[0], 0.5), structured=x.shape[0])
 
 
-# numpy's PCG64 rules for Generator.random and Generator.integers(1, 12), as
-# explicit uint64 constants so no mixed-type arithmetic promotes to float
-_LOW32 = np.uint64(0xFFFFFFFF)
-_HALF = np.uint64(32)
-_MANTISSA_SHIFT = np.uint64(11)
-_N_EXPONENTS = np.uint64(11)
-_REJECT_BELOW = np.uint64(4)  # (2**32 - 11) % 11
-
-
-def _seeded_fill(seed, n: int, k: int, first: int):
-    """n rows of k doubles and the gap exponents of the rows i with
-    (first + i) % 3 == 2, as np.random.default_rng(seed) gives them in
-    stream order: row i from Generator.random, then, on such a row, its
-    exponent from Generator.integers(1, 12).  Returns (u, rows, exponents).
-
-    The words come from the bit generator's random_raw, placed by numpy's
-    PCG64 rules.  A double is (w >> 11) * 2**-53 of one 64-bit word w.  An
-    exponent takes 32-bit requests: a request takes the low half of a fresh
-    word and leaves the high half for the next request, which doubles do not
-    touch.  Request h gives 1 + (11 h >> 32), unless (11 h) mod 2**32 < 4,
-    when it is rejected and the next request is taken.  A rejection shifts
-    every later word, so the layout starts from one request per exponent
-    and adds one to the first exponent whose last request is rejected,
-    drawing the words it then lacks, until none is.
-    """
-    rows = np.arange((2 - first) % 3, n, 3)
-    requests = np.ones(rows.shape[0], dtype=np.int64)
-    bitgen = np.random.default_rng(seed).bit_generator
-    words = np.zeros(0, dtype=np.uint64)
-    while True:
-        owner = np.repeat(rows, requests)  # the row of every request
-        # the even requests fetch the words: each sits after its row's doubles
-        # and the fresh words before it
-        n_fresh = (owner.shape[0] + 1) // 2
-        fresh = (owner[::2] + 1) * k + np.arange(n_fresh)
-        n_words = n * k + n_fresh
-        if words.shape[0] < n_words:
-            words = np.concatenate([words, bitgen.random_raw(n_words - words.shape[0])])
-        w = words[fresh]
-        halves = np.stack([w & _LOW32, w >> _HALF], axis=1).reshape(-1)[: owner.shape[0]]
-        scaled = halves * _N_EXPONENTS
-        last = np.cumsum(requests) - 1
-        rejected = np.flatnonzero((scaled[last] & _LOW32) < _REJECT_BELOW)
-        if not rejected.size:
-            break
-        requests[rejected[0]] += 1
-    doubles = np.ones(n_words, dtype=bool)
-    doubles[fresh] = False
-    u = (words[doubles] >> _MANTISSA_SHIFT) * 2.0**-53
-    return u.reshape(n, k), rows, 1 + (scaled[last] >> _HALF).astype(np.int64)
-
-
 def _at_least_one(**counts) -> None:
     """Raise ValueError naming the first count below 1: a check never
     certifies from an empty or floored sample."""
@@ -192,28 +140,28 @@ def _at_least_one(**counts) -> None:
             raise ValueError(f"{name} must be at least 1")
 
 
-def sample_triples(box: Box, budget: int, seed: int, structured: bool = True) -> Triples:
-    """budget triples: the dyadic schedule first (when structured), then
-    seeded uniform fill with every third triple contracted to a small gap.
+def sample_triples(box: Box, budget: int, seed: int) -> Triples:
+    """budget triples: the dyadic schedule first, then a seeded uniform fill
+    with every third fill triple contracted to a small gap.
 
-    The stream contract: triple i of the fill takes 2d + 1 doubles u from
-    np.random.default_rng(seed), for x, y and lam in that order (x is
-    lo + (hi - lo) * u, Box.sample's arithmetic), and when i % 3 == 2 (i
-    counts the schedule too) an exponent e from integers(1, 12) right after
-    them, which contracts y to x + (y - x) * 2**-e.  _seeded_fill lays that
-    stream out from bit-generator words, bit for bit, without a draw per
-    triple.
+    The fill is rows of one draw, np.random.default_rng(seed).random((n,
+    2d + 2)).  Fill triple j takes x, y and lam from the first 2d + 1 entries
+    of row j, with x = lo + (hi - lo) * u (Box.sample's arithmetic).  When
+    j % 3 == 2 (j counts the fill only), the last entry u gives the exponent
+    e = 1 + floor(11 u) in 1..11, and y moves to x + (y - x) * 2**-e.  So a
+    smaller budget's fill is a prefix of a larger one's, whatever the head
+    length.
     """
     _at_least_one(budget=budget)
     d = box.dim
-    head = dyadic_small_gap_triples(box)[: budget if structured else 0]
-    u, contracted, exponents = _seeded_fill(seed, budget - len(head), 2 * d + 1, len(head))
-    # Box.sample's arithmetic, lo + (hi - lo) * u
+    head = dyadic_small_gap_triples(box)[:budget]
+    u = np.random.default_rng(seed).random((budget - len(head), 2 * d + 2))
     width = box.hi - box.lo
     x = box.lo + width * u[:, :d]
     y = box.lo + width * u[:, d : 2 * d]
-    x_c = x[contracted]
-    y[contracted] = x_c + (y[contracted] - x_c) * np.ldexp(1.0, -exponents)[:, None]
+    exponents = 1 + (11.0 * u[2::3, -1]).astype(np.int64)
+    x_c = x[2::3]
+    y[2::3] = x_c + (y[2::3] - x_c) * np.ldexp(1.0, -exponents)[:, None]
     return Triples(
         x=np.concatenate([head.x, x]),
         y=np.concatenate([head.y, y]),
@@ -528,17 +476,15 @@ def _ball_pairs(f: VectorMapping, x0: np.ndarray, delta: float, budget: int, rng
     """budget pairs (x, y) of the domain-norm ball around x0 with their lam,
     as arrays: first the d + 1 maximal-gap probes x0 -/+ r_in * u along the
     axes and the diagonal, with lam 1/2, where r_in is just inside delta;
-    then uniform draws v, w from the cube of half-width delta, kept when
-    both lie within r_in, as (x0 + v, x0 + w) and a uniform lam.
+    then the kept candidates in stream order.
 
-    The stream is the one drawn candidate by candidate: v then w, 2d
-    doubles u each made -delta + 2*delta*u as rng.uniform(-delta, delta)
-    makes them, and after a kept candidate one more double, its lam.
-    Doubles come in blocks, each enough for 2 * budget candidates, until
-    enough pairs are kept; a walk over each block finds where every
-    candidate starts.  The blocks do not grow, so a ball that keeps few
-    candidates costs more rounds, not more memory.  rng is the caller's
-    own, so the overdraw is harmless.
+    A candidate is a row of rng.random((block, 2d + 1)): v, then w (each
+    -delta + 2*delta*u, as rng.uniform(-delta, delta) makes them), then lam.
+    It is kept as (x0 + v, x0 + w, lam) when both v and w lie within r_in.
+    Blocks of about twice the budget's rows are drawn until enough pairs are
+    kept; rows are read in stream order whatever the block size, so a smaller
+    budget's pairs are a prefix of a larger one's.  rng is the caller's own,
+    so the overdraw is harmless.
     """
     d = f.domain.dim
     r_in = delta * (1.0 - 1e-9)
@@ -547,27 +493,15 @@ def _ball_pairs(f: VectorMapping, x0: np.ndarray, delta: float, budget: int, rng
     units = np.array([u / norm(u, f.domain_norm) for u in dirs])
     xs, ys, lams = [x0 - r_in * units], [x0 + r_in * units], [np.full(d + 1, 0.5)]
     low, width = -float(delta), float(delta) - -float(delta)  # rng.uniform's low and high - low
-    window = np.arange(d)
-    kept, block, spare = d + 1, 2 * max(budget - d - 1, 8) * (2 * d + 1), np.zeros(0)
+    kept, block = d + 1, 2 * max(budget - d - 1, 8)
     while kept < budget:
-        u = np.concatenate([spare, rng.random(block)])
-        vals = low + width * u
-        # inside[p]: the d values from position p on lie within r_in
-        windows = np.ascontiguousarray(np.lib.stride_tricks.sliding_window_view(vals, d))
-        inside = (row_norms(windows, f.domain_norm) <= r_in).tolist()
-        starts, p = [], 0
-        while p + 2 * d < u.size and kept + len(starts) < budget:
-            if inside[p] and inside[p + d]:
-                starts.append(p)
-                p += 2 * d + 1
-            else:
-                p += 2 * d
-        spare = u[p:]
-        at = np.array(starts, dtype=int)[:, None] + window
-        xs.append(x0 + vals[at])
-        ys.append(x0 + vals[at + d])
-        lams.append(u[at[:, 0] + 2 * d])
-        kept += len(starts)
+        u = rng.random((block, 2 * d + 1))
+        v, w = low + width * u[:, :d], low + width * u[:, d : 2 * d]
+        keep = (row_norms(v, f.domain_norm) <= r_in) & (row_norms(w, f.domain_norm) <= r_in)
+        xs.append(x0 + v[keep])
+        ys.append(x0 + w[keep])
+        lams.append(u[keep, 2 * d])
+        kept += int(np.count_nonzero(keep))
     return np.concatenate(xs)[:budget], np.concatenate(ys)[:budget], np.concatenate(lams)[:budget]
 
 

@@ -484,7 +484,9 @@ def gateaux_test(
     |y(D(h) - D(-h))| <= (L*||h - (-h)|| + C*modulus(t*)/t*) * y(k), with L a
     sampled local Lipschitz constant (inflated by 1.1, and floored by
     |y(D)|/y(k), since a sampled supremum is a lower estimate).  So tol is in
-    the row measure, the sup norm on a standard orthant.  Estimator
+    the row measure, the sup norm on a standard orthant.  Caller-given
+    directions are scaled to unit domain norm, so a violation does not shrink
+    with their length, and a zero one raises ValueError.  Estimator
     non-convergence along any direction propagates as ConvergenceError.  A
     modulus that is not strong or a cone that is not pointed raises
     ValueError; strong is necessary for convergence but not sufficient.
@@ -493,10 +495,20 @@ def gateaux_test(
     x0 = as_point(x0, f.domain.dim)
     if not f.domain.contains(x0):
         raise OutsideDomainError(f"{f.label}: test point outside the open domain")
-    base_dirs = directions if directions is not None else _unit_directions(f, n_directions, seed)
-    base_dirs = [np.asarray(u, dtype=float) for u in base_dirs]
-    if not base_dirs:
-        raise ValueError("directions must name at least one direction")
+    if directions is None:
+        base_dirs = _unit_directions(f, n_directions, seed)
+    else:
+        # the margins are positively homogeneous in the direction and tol is
+        # absolute, so a short direction would shrink every violation
+        base_dirs = [np.asarray(u, dtype=float) for u in directions]
+        if not base_dirs:
+            raise ValueError("directions must name at least one direction")
+        if any(u.shape != (f.domain.dim,) for u in base_dirs):
+            raise ValueError(f"directions must be vectors of length {f.domain.dim}")
+        lengths = [norm(u, f.domain_norm) for u in base_dirs]
+        if not all(0.0 < n < np.inf for n in lengths):
+            raise ValueError("directions must be finite and nonzero")
+        base_dirs = [u / n for u, n in zip(base_dirs, lengths)]
 
     # one batch: signed[2i] = +u_i and signed[2i + 1] = -u_i, then the additivity sums
     signed = [s * u for u in base_dirs for s in (1.0, -1.0)]

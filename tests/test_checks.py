@@ -39,9 +39,10 @@ from paracone import (
     square_modulus,
     zero_modulus,
 )
+import paracone.checks
 from paracone.checks import _ball_pairs, _ball_samples, _coordinate_moves, _margins, _paired_moves, _pattern_search
 from paracone.derivative import FrechetReport, GateauxReport
-from paracone.geometry import contains, norm, unit_dual_generators
+from paracone.geometry import contains, norm, row_norms, unit_dual_generators
 from paracone.reports import CheckReport, worst_report
 
 
@@ -69,10 +70,10 @@ def test_sample_triples_deterministic_and_in_box():
     assert any(not np.array_equal(ta.x, tc.x) for ta, tc in zip(a, c))
 
 
-def _reference_triples(box, budget, seed):
-    """The per-triple sampler the array sampler replaced, kept as the oracle:
-    dyadic schedule first, then x, y, lam (and a gap exponent after every
-    third triple) drawn one triple at a time."""
+def _schedule_triples(box):
+    """The per-triple dyadic schedule the array builder replaced, kept as the
+    oracle of the head: midpoint triples at box fractions 1/2, 1/4, 3/4 along
+    the axes and the diagonal, with gaps halving 14 times."""
     d = box.dim
     dirs = [np.eye(d)[i] for i in range(d)]
     diag = np.ones(d) / math.sqrt(d)
@@ -86,74 +87,10 @@ def _reference_triples(box, budget, seed):
             for j in range(1, 15):
                 t = span * 2.0**-j
                 triples.append(SampleTriple(x=c - t * u, y=c + t * u, lam=0.5))
-    triples = triples[:budget]
-    rng = np.random.default_rng(seed)
-    while len(triples) < budget:
-        x = box.sample(1, rng)[0]
-        y = box.sample(1, rng)[0]
-        lam = float(rng.uniform())
-        if len(triples) % 3 == 2:
-            y = x + (y - x) * 2.0 ** -float(rng.integers(1, 12))
-        triples.append(SampleTriple(x=x, y=y, lam=lam))
     return triples
 
 
-def test_array_sampler_reproduces_per_triple_stream():
-    for d in (1, 2, 3, 4):
-        box = Box(lo=-0.5 * np.arange(1, d + 1), hi=0.25 + np.arange(1, d + 1))
-        n_dyadic = len(dyadic_small_gap_triples(box))
-        for seed in range(50):
-            for budget in (5, n_dyadic - 1, n_dyadic, n_dyadic + 1 + seed % 3, n_dyadic + 40):
-                got = sample_triples(box, budget, seed)
-                want = _reference_triples(box, budget, seed)
-                assert len(got) == budget and got.structured == min(budget, n_dyadic)
-                assert np.array_equal(got.x, [t.x for t in want])
-                assert np.array_equal(got.y, [t.y for t in want])
-                assert np.array_equal(got.lam, [t.lam for t in want])
-
-
-def _group_loop_triples(box, budget, seed, structured=True):
-    """The per-group fill the one-draw sampler replaced, frozen as the
-    oracle: one rng.random call per run of triples up to a contracted one,
-    then one rng.integers call for its gap exponent."""
-    d = box.dim
-    head = dyadic_small_gap_triples(box)[: budget if structured else 0]
-    rng = np.random.default_rng(seed)
-    draws = [np.zeros((0, 2 * d + 1))]
-    contracted, exponents = [], []
-    i = len(head)
-    while i < budget:
-        stop = min(budget, i + 3 - i % 3)
-        draws.append(rng.random((stop - i, 2 * d + 1)))
-        if stop % 3 == 0:
-            contracted.append(stop - 1 - len(head))
-            exponents.append(rng.integers(1, 12))
-        i = stop
-    u = np.concatenate(draws)
-    width = box.hi - box.lo
-    x = box.lo + width * u[:, :d]
-    y = box.lo + width * u[:, d : 2 * d]
-    if contracted:
-        x_c = x[contracted]
-        y[contracted] = x_c + (y[contracted] - x_c) * np.ldexp(1.0, -np.array(exponents))[:, None]
-    return Triples(
-        x=np.concatenate([head.x, x]),
-        y=np.concatenate([head.y, y]),
-        lam=np.concatenate([head.lam, u[:, 2 * d]]),
-        structured=len(head),
-    )
-
-
-def _same_triples(got, want):
-    return (
-        got.x.tobytes() == want.x.tobytes()
-        and got.y.tobytes() == want.y.tobytes()
-        and got.lam.tobytes() == want.lam.tobytes()
-        and got.structured == want.structured
-    )
-
-
-def test_one_draw_sampler_matches_the_group_loop():
+def test_dyadic_head_matches_the_schedule():
     rng = np.random.default_rng(2018)
     for d in (1, 2, 3, 4, 5):
         for _ in range(6):
@@ -161,26 +98,82 @@ def test_one_draw_sampler_matches_the_group_loop():
             box = Box(lo=lo, hi=lo + rng.uniform(1e-3, 5.0, size=d) * 10.0 ** rng.uniform(-3, 3))
             # 3 anchors, the axes and (for d > 1) the diagonal, 14 gaps each
             n_dyadic = 3 * (d + (d > 1)) * 14
-            head, schedule = dyadic_small_gap_triples(box), _reference_triples(box, n_dyadic, seed=0)
-            assert len(head) == n_dyadic
+            head, schedule = dyadic_small_gap_triples(box), _schedule_triples(box)
+            assert len(head) == n_dyadic == len(schedule)
             assert head.x.tobytes() == np.array([t.x for t in schedule]).tobytes()
             assert head.y.tobytes() == np.array([t.y for t in schedule]).tobytes()
-            budgets = {1, 2, 3, 4, 5, 6, 7, 400, 1001}
-            budgets |= {n_dyadic + j for j in range(-3, 7)} | {3 * m + j for m in (20, 21) for j in (-1, 0, 1)}
-            for budget in sorted(b for b in budgets if b >= 1):
-                for structured in (True, False):
-                    seed = int(rng.integers(2**31))
-                    got = sample_triples(box, budget, seed, structured=structured)
-                    assert _same_triples(got, _group_loop_triples(box, budget, seed, structured)), (d, budget, seed)
+            assert np.all(head.lam == 0.5)
+            for budget in (1, n_dyadic - 1, n_dyadic, n_dyadic + 5):
+                got = sample_triples(box, budget, seed=int(rng.integers(2**31)))
+                n_head = min(budget, n_dyadic)
+                assert len(got) == budget and got.structured == n_head
+                assert got.x[:n_head].tobytes() == head.x[:n_head].tobytes()
+                assert got.y[:n_head].tobytes() == head.y[:n_head].tobytes()
 
 
-@pytest.mark.parametrize("seed", [39331, 62138])
-def test_one_draw_sampler_follows_a_rejected_exponent_draw(seed):
-    # integers(1, 12) rejects one 32-bit request in about 10**9; these seeds
-    # hit one in the fill of a 1-D box at budget 100000 (exponent 32948 and
-    # 24445), after which every later word shifts
-    box = Box(lo=[-1.0], hi=[1.0])
-    assert _same_triples(sample_triples(box, 100000, seed), _group_loop_triples(box, 100000, seed))
+def _fill(t):
+    return t.x[t.structured :], t.y[t.structured :], t.lam[t.structured :]
+
+
+def test_fill_is_rows_of_one_draw():
+    # the frozen statement of the seeded stream: fill triple j is row j of
+    # default_rng(seed).random((n, 2d + 2)), and every third is contracted
+    for d in (1, 2, 3, 4):
+        box = Box(lo=-0.5 * np.arange(1, d + 1), hi=0.25 + np.arange(1, d + 1))
+        n_dyadic = len(dyadic_small_gap_triples(box))
+        for seed in range(20):
+            for budget in (n_dyadic + 1, n_dyadic + 2, n_dyadic + 3, n_dyadic + 40 + seed):
+                n = budget - n_dyadic
+                u = np.random.default_rng(seed).random((n, 2 * d + 2))
+                x = box.lo + (box.hi - box.lo) * u[:, :d]
+                y = box.lo + (box.hi - box.lo) * u[:, d : 2 * d]
+                for j in range(2, n, 3):
+                    e = 1 + math.floor(11.0 * u[j, -1])
+                    y[j] = x[j] + (y[j] - x[j]) * 2.0**-e
+                got_x, got_y, got_lam = _fill(sample_triples(box, budget, seed))
+                assert got_x.tobytes() == x.tobytes(), (d, seed, budget)
+                assert got_y.tobytes() == y.tobytes(), (d, seed, budget)
+                assert got_lam.tobytes() == u[:, 2 * d].tobytes(), (d, seed, budget)
+
+
+def test_fill_is_prefix_stable(monkeypatch):
+    # a smaller budget's fill is the first rows of a larger one's
+    for d in (1, 2, 3):
+        box = Box(lo=-np.ones(d), hi=np.ones(d))
+        n_dyadic = len(dyadic_small_gap_triples(box))
+        for seed in range(10):
+            big = _fill(sample_triples(box, n_dyadic + 500, seed))
+            for m in (1, 2, 3, 4, 7, 100, 499):
+                small = _fill(sample_triples(box, n_dyadic + m, seed))
+                for a, b in zip(small, big):
+                    assert a.tobytes() == b[:m].tobytes(), (d, seed, m)
+    # and a head of another length only shortens it: the fill's row index,
+    # and so which rows are contracted, does not count the head
+    box = Box(lo=[-1.0, 0.0], hi=[1.0, 2.0])
+    n_dyadic = len(dyadic_small_gap_triples(box))
+    full = _fill(sample_triples(box, n_dyadic + 60, seed=8))
+    schedule = paracone.checks.dyadic_small_gap_triples
+    for n_head in (0, 1, 2, 4, 5):
+        monkeypatch.setattr(paracone.checks, "dyadic_small_gap_triples", lambda b: schedule(b)[:n_head])
+        t = sample_triples(box, n_head + 60, seed=8)
+        assert t.structured == n_head
+        for a, b in zip(_fill(t), full):
+            assert a.tobytes() == b.tobytes(), n_head
+
+
+def test_contracted_fill_rows_and_exponents():
+    box = Box(lo=[-1.0, 0.0], hi=[1.0, 2.0])
+    n_dyadic = len(dyadic_small_gap_triples(box))
+    n = 30000
+    x, y, _ = _fill(sample_triples(box, n_dyadic + n, seed=3))
+    u = np.random.default_rng(3).random((n, 6))
+    y_drawn = box.lo + (box.hi - box.lo) * u[:, 2:4]
+    moved = np.any(y != y_drawn, axis=1)
+    # only fill rows 2 mod 3 are contracted, and each of them is
+    assert np.array_equal(np.flatnonzero(moved), np.arange(2, n, 3))
+    ratio = np.abs(y - x)[moved] / np.abs(y_drawn - x)[moved]
+    exponents = np.unique(np.round(-np.log2(ratio)))
+    assert exponents.tolist() == list(range(1, 12))
 
 
 def test_triples_record_acts_like_a_list():
@@ -196,8 +189,6 @@ def test_triples_record_acts_like_a_list():
         assert np.array_equal(part.x, t.x[cut]) and np.array_equal(part.lam, t.lam[cut])
         assert part.structured == sum(k < t.structured for k in kept), cut
     assert [tr.lam for tr in t][150:] == t.lam[150:].tolist()
-    unstructured = sample_triples(box, 20, seed=5, structured=False)
-    assert unstructured.structured == 0 and not np.array_equal(unstructured.x[0], t.x[0])
 
 
 def test_margin_does_not_depend_on_batch(families):
@@ -592,39 +583,46 @@ def test_approx_convex_preconditions():
         check_approx_convex(smooth_r2_r3(), [0.0, 0.0], epsilon=0.1, delta=0.1, budget=10, seed=0)
 
 
-def _loop_ball_pairs(f, x0, delta, budget, rng):
-    """The candidate-by-candidate rejection loop the block draw of
-    check_approx_convex replaced, frozen as the oracle."""
-    d = f.domain.dim
-    r_in = delta * (1.0 - 1e-9)
-    pairs = []
-    dirs = [np.eye(d)[i] for i in range(d)] + [np.ones(d) / math.sqrt(d)]
-    for u in dirs:
-        un = u / norm(u, f.domain_norm)
-        pairs.append((x0 - r_in * un, x0 + r_in * un, 0.5))
-    while len(pairs) < budget:
-        v = rng.uniform(-delta, delta, size=d)
-        w = rng.uniform(-delta, delta, size=d)
-        if norm(v, f.domain_norm) <= r_in and norm(w, f.domain_norm) <= r_in:
-            pairs.append((x0 + v, x0 + w, float(rng.uniform())))
-    pairs = pairs[:budget]
-    return tuple(np.array([p[i] for p in pairs]) for i in range(3))
-
-
-def test_block_ball_pairs_match_the_candidate_loop():
+def test_ball_pairs_are_seeded_prefix_stable_and_inside():
     scalars = [neg_square_1d()] + [
         affine_mapping(np.arange(1.0, d + 1.0)[None, :], [0.5], Box(lo=-np.ones(d), hi=np.ones(d))) for d in (2, 3)
     ]
+    delta = 0.3
     for f in scalars:
+        d = f.domain.dim
         for kind in ("sup", "one", "two"):
             g = dataclasses.replace(f, domain_norm=kind)
-            for budget in (1, 2, 4, 7, 64, 400):
-                for seed in range(3):
-                    x0 = 0.1 * np.random.default_rng(seed).uniform(-1.0, 1.0, g.domain.dim)
-                    got = _ball_pairs(g, x0, 0.3, budget, np.random.default_rng(seed))
-                    want = _loop_ball_pairs(g, x0, 0.3, budget, np.random.default_rng(seed))
-                    for a, b in zip(got, want):
-                        assert a.tobytes() == b.tobytes(), (g.label, g.domain.dim, kind, budget, seed)
+            for seed in range(3):
+                x0 = 0.1 * np.random.default_rng(seed).uniform(-1.0, 1.0, d)
+                big = _ball_pairs(g, x0, delta, 400, np.random.default_rng(seed))
+                again = _ball_pairs(g, x0, delta, 400, np.random.default_rng(seed))
+                assert all(a.tobytes() == b.tobytes() for a, b in zip(big, again))
+                x, y, lam = big
+                assert x.shape == y.shape == (400, d) and lam.shape == (400,)
+                assert np.all(row_norms(x - x0, kind) < delta) and np.all(row_norms(y - x0, kind) < delta)
+                assert np.all((lam >= 0.0) & (lam <= 1.0))
+                # the d + 1 maximal-gap probes come first, each nearly 2 delta long
+                gaps = row_norms(x - y, kind)
+                assert np.all(lam[: d + 1] == 0.5) and np.all(gaps[: d + 1] > 2.0 * delta * (1.0 - 1e-8))
+                for budget in (1, 2, d + 1, d + 2, 7, 64):
+                    small = _ball_pairs(g, x0, delta, budget, np.random.default_rng(seed))
+                    for a, b in zip(small, big):
+                        assert a.tobytes() == b[:budget].tobytes(), (g.label, d, kind, budget, seed)
+
+
+def test_ball_pairs_are_kept_rows_of_the_draw():
+    # the stream: candidate rows of rng.random(( ., 2d + 1)), v then w then
+    # lam, kept when both v and w lie within r_in
+    f = dataclasses.replace(affine_mapping([[1.0, 2.0]], [0.5], Box(lo=-np.ones(2), hi=np.ones(2))), domain_norm="two")
+    x0, delta = np.array([0.05, -0.1]), 0.3
+    x, y, lam = _ball_pairs(f, x0, delta, 50, np.random.default_rng(4))
+    u = np.random.default_rng(4).random((200, 5))
+    v, w = -delta + 2.0 * delta * u[:, :2], -delta + 2.0 * delta * u[:, 2:4]
+    r_in = delta * (1.0 - 1e-9)
+    keep = np.flatnonzero((row_norms(v) <= r_in) & (row_norms(w) <= r_in))[:47]
+    assert x[3:].tobytes() == (x0 + v[keep]).tobytes()
+    assert y[3:].tobytes() == (x0 + w[keep]).tobytes()
+    assert lam[3:].tobytes() == u[keep, 4].tobytes()
 
 
 # ---------------------------------------------------------------------------

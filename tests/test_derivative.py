@@ -276,6 +276,14 @@ def test_gateaux_flags_the_kink():
     # estimator error
     assert 1.9 < rep.defect <= 2.0
     assert rep.margins["antisymmetry"] > 1.9
+    # a caller's direction counts by its sense, not its length: scored as
+    # given, a direction of length 1e-7 would shrink the defect to 2e-7
+    for length in (1e-7, 1e-3, 1.0, 4.0):
+        rep = gateaux_test(f, f.claimed, [0.0], directions=[[length]], tol=1e-6)
+        assert not rep.passed and 1.9 < rep.defect <= 2.0, length
+    for bad in ([[0.0]], [1.0], [[1.0, 0.0]]):
+        with pytest.raises(ValueError, match="directions"):
+            gateaux_test(f, f.claimed, [0.0], directions=bad, tol=1e-6)
 
 
 def _cbrt_sum():
