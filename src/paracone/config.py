@@ -31,8 +31,6 @@ from .checks import (
     check_approx_convex,
     check_fact2,
     check_inequality,
-    check_local_vector_bounded,
-    check_vector_lipschitz,
     falsify,
     scalarize_check,
 )
@@ -427,10 +425,6 @@ def _run_fact2(f, spec, y_star, **fields):
     return _verdict(check_fact2(f, spec, y_star, **fields))
 
 
-def _run_lipschitz(f, spec, region, **fields):
-    return _verdict(check_vector_lipschitz(f, spec, _default_region(f, region), **fields))
-
-
 def _run_trace(f, spec, tol, csv, **fields):
     trace = build_trace(f, spec, **fields)
     mono = check_alpha_monotone(trace, tol=tol)
@@ -473,12 +467,11 @@ _FORMED = {**_SAMPLED, "form": (_form, "min")}
 _X0 = {"x0": (_coords, _REQUIRED, "domain")}
 _STEPS = {**_X0, "h": (_coords, _REQUIRED, "domain"), "t0": (_number, None), "ratio": (_number, 0.5)}
 _GATEAUX = {**_SEED, "tol": (_nonnegative, 1e-6), "n_directions": (_count, 8)}
-_REGION = {"region": (_region, None, "domain")}
 _CSV = {"csv": (_file_name, None)}
 _UPPER = {"upper_bound": (_flag, True), "upper_tol": (_nonnegative, 1e-9)}
 _SCAN = {
     **_GATEAUX,
-    **_REGION,
+    "region": (_region, None, "domain"),
     "points": (_rows, None, "domain"),
     "n_points": (_count, 100),
     "kink_match_tol": (_nonnegative, 1e-9),
@@ -501,12 +494,6 @@ OPERATIONS = {
         {**_SAMPLED, **_X0, "epsilon": (_nonnegative, _REQUIRED), "delta": (_nonnegative, _REQUIRED)},
         _MARGIN,
     ),
-    "bounded": Operation(
-        lambda f, spec, **kw: _verdict(check_local_vector_bounded(f, spec.cone, **kw)),
-        {**_SAMPLED, **_X0, "radius": (_nonnegative, _REQUIRED)},
-        _MARGIN,
-    ),
-    "lipschitz": Operation(_run_lipschitz, {**_SAMPLED, **_REGION}, _MARGIN),
     "trace": Operation(_run_trace, {**_STEPS, "depth": (_integer, 40), "tol": (_nonnegative, 1e-9), **_CSV}),
     "derivative": Operation(
         _run_derivative,

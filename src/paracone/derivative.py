@@ -96,7 +96,7 @@ def _prep_direction(f: VectorMapping, x0, h):
         raise ValueError("direction must be nonzero")
     if abs(hn - 1.0) > 1e-6:
         raise ValueError(f"direction must be unit in the domain norm, got length {hn}")
-    return x0, h / hn, bool(hn != 1.0)
+    return x0, h / hn
 
 
 def _default_t0(f: VectorMapping, x0: np.ndarray, h: np.ndarray) -> float:
@@ -140,7 +140,6 @@ class QuotientTrace:
     noise: np.ndarray
     f0: np.ndarray
     spec: ParaSpec
-    normalized_h: bool = False
 
 
 def _quotients(f: VectorMapping, spec: ParaSpec, x0: np.ndarray, h: np.ndarray, t: np.ndarray) -> QuotientTrace:
@@ -186,10 +185,8 @@ def build_trace(
     which holds for the default t0 (half the boundary clearance, capped at
     0.1) at any interior point.
     """
-    x0, h, warned = _prep_direction(f, x0, h)
-    trace = _quotients(f, spec, x0, h, _step_grid(f, x0, h, t0, ratio, depth))
-    trace.normalized_h = warned
-    return trace
+    x0, h = _prep_direction(f, x0, h)
+    return _quotients(f, spec, x0, h, _step_grid(f, x0, h, t0, ratio, depth))
 
 
 def check_alpha_monotone(trace: QuotientTrace, tol: float = 1e-9) -> CheckReport:
@@ -285,7 +282,7 @@ def directional_derivative(
     the cone.
     """
     _require_strong(spec)
-    x0, h, _ = _prep_direction(f, x0, h)
+    x0, h = _prep_direction(f, x0, h)
     return _stop(_quotients(f, spec, x0, h, _step_grid(f, x0, h, t0, ratio, max_depth)), x0, tol)
 
 
@@ -307,7 +304,7 @@ def check_upper_bound(
     """
     if not estimate.converged:
         raise ValueError("upper-bound check needs a converged estimate")
-    x0, h, _ = _prep_direction(f, x0, h)
+    x0, h = _prep_direction(f, x0, h)
     if t_samples is None:
         _at_least_one(n_samples=n_samples)
         top = _default_t0(f, x0, h)

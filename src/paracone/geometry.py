@@ -470,20 +470,6 @@ def generator_direction(cone: PolyCone) -> np.ndarray:
     return k0 / nk
 
 
-def interior_direction(cone: PolyCone) -> tuple[np.ndarray, np.ndarray]:
-    """k0 = generator_direction(cone) and y(k0) for every unit supporting
-    functional y of the cone.
-
-    The generator sum is interior exactly when the cone is full-dimensional;
-    raises when some y(k0) is at most 1e-12, as for a ray in the plane.
-    """
-    k0 = generator_direction(cone)
-    values = cone_values(cone, k0)
-    if np.any(values <= 1e-12):
-        raise ValueError("cone has no interior direction: a supporting functional vanishes on the generator sum")
-    return k0, values
-
-
 def is_standard_orthant(cone: PolyCone) -> bool:
     """True when both stored representations are exactly the standard basis.
 

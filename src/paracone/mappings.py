@@ -171,15 +171,13 @@ class PiecewiseLinear:
 
 
 class SmoothPart(Protocol):
-    """A dataclass of float parameters whose value, deriv and second take a
-    float or an array of them; _stacked_scalars evaluates many parts of one
-    type at once by giving the type array-valued parameters."""
+    """A dataclass of float parameters whose value and deriv take a float or
+    an array of them; _stacked_scalars evaluates many parts of one type at
+    once by giving the type array-valued parameters."""
 
     def value(self, x: float) -> float: ...
 
     def deriv(self, x: float) -> float: ...
-
-    def second(self, x: float) -> float: ...
 
     def sup_abs_second(self, lo: float, hi: float) -> float: ...
 
@@ -195,9 +193,6 @@ class Quadratic1D:
 
     def deriv(self, x: float) -> float:
         return 2.0 * self.a * x + self.b
-
-    def second(self, x: float) -> float:
-        return 2.0 * self.a
 
     def sup_abs_second(self, lo: float, hi: float) -> float:
         return abs(2.0 * self.a)
@@ -215,9 +210,6 @@ class Sine1D:
     def deriv(self, x: float) -> float:
         return self.amplitude * self.frequency * np.cos(self.frequency * x + self.phase)
 
-    def second(self, x: float) -> float:
-        return -self.amplitude * self.frequency**2 * np.sin(self.frequency * x + self.phase)
-
     def sup_abs_second(self, lo: float, hi: float) -> float:
         # |sin| reaches 1 when a crest pi/2 + k*pi lies between the end phases
         u0, u1 = sorted((self.frequency * lo + self.phase, self.frequency * hi + self.phase))
@@ -231,9 +223,6 @@ class ZeroPart:
         return 0.0
 
     def deriv(self, x: float) -> float:
-        return 0.0
-
-    def second(self, x: float) -> float:
         return 0.0
 
     def sup_abs_second(self, lo: float, hi: float) -> float:

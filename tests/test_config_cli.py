@@ -359,24 +359,21 @@ def test_malformed_shared_fields_exit_two_with_a_path(entry, flags, where, tmp_p
         ({"op": "derivative", "x0": [0.25], "h": [True]}, "checks[0].h[0]"),
         ({"op": "fact2", "seed": 1, "y_star": [True]}, "checks[0].y_star[0]"),
         ({"op": "scalarize", "seed": 1, "functionals": [[1.0], ["1"]]}, "checks[0].functionals[1][0]"),
-        ({"op": "lipschitz", "seed": 1, "region": {"lo": [False], "hi": [0.5]}}, "checks[0].region.lo[0]"),
+        ({"op": "gateaux-scan", "seed": 1, "region": {"lo": [False], "hi": [0.5]}}, "checks[0].region.lo[0]"),
         ({"op": "frechet", "seed": 1, "x0": [0.25], "epsilons": []}, "checks[0].epsilons"),
         ({"op": "gateaux-scan", "seed": 1, "n_points": 0}, "checks[0].n_points"),
         ({"op": "gateaux-scan", "seed": 1, "n_points": -3}, "checks[0].n_points"),
         ({"op": "gateaux-scan", "seed": 1, "points": []}, "checks[0].points"),
         ({"op": "scalarize", "seed": 1, "functionals": []}, "checks[0].functionals"),
-        ({"op": "bounded", "seed": 1, "x0": [0.0], "radius": 0.3, "budget": -3}, "checks[0].budget"),
-        ({"op": "lipschitz", "seed": 1, "budget": -5}, "checks[0].budget"),
         ({"op": "check-paraconvex", "seed": 1, "budget": 0}, "checks[0].budget"),
         ({"op": "gateaux", "seed": 1, "x0": [0.25], "n_directions": -4}, "checks[0].n_directions"),
         ({"op": "frechet", "seed": 1, "x0": [0.25], "n_directions": 0}, "checks[0].n_directions"),
         ({"op": "frechet", "seed": 1, "x0": [0.25], "epsilons": [-1]}, "checks[0].epsilons[0]"),
-        ({"op": "bounded", "seed": 1, "x0": [0.0], "radius": -0.3}, "checks[0].radius"),
         ({"op": "approx-convex", "seed": 1, "x0": [0.0], "epsilon": 0.1, "delta": -0.3}, "checks[0].delta"),
         ({"op": "trace", "x0": [0.25], "h": [1.0], "seed": 3}, "checks[0].seed"),
         ({"op": "fact2", "seed": 1, "form": "min"}, "checks[0].form"),
         ({"op": "gateaux", "seed": 1, "x0": [0.25], "budget": 64}, "checks[0].budget"),
-        ({"op": "lipschitz", "seed": 1, "csv": "l.csv"}, "checks[0].csv"),
+        ({"op": "fact2", "seed": 1, "csv": "f.csv"}, "checks[0].csv"),
         ({"op": "check-paraconvex", "seed": 1, "tols": 1e-30}, "checks[0].tols"),
     ],
     ids=[
@@ -404,18 +401,15 @@ def test_malformed_shared_fields_exit_two_with_a_path(entry, flags, where, tmp_p
         "n-points-negative",
         "points-empty",
         "functionals-empty",
-        "bounded-budget-negative",
-        "lipschitz-budget-negative",
         "budget-zero",
         "gateaux-n-directions-negative",
         "frechet-n-directions-zero",
         "epsilons-negative",
-        "radius-negative",
         "delta-negative",
         "seed-on-trace",
         "form-on-fact2",
         "budget-on-gateaux",
-        "csv-on-lipschitz",
+        "csv-on-fact2",
         "tols-misspelled",
     ],
 )
@@ -591,7 +585,7 @@ def test_roadmap_probe_exits_two_instead_of_certifying(tmp_path, capsys):
 @pytest.mark.parametrize(
     "entry, where",
     [
-        ({"op": "lipschitz", "seed": 1, "region": {"lo": [-0.5] * 3, "hi": [0.5] * 3}}, "checks[0].region"),
+        ({"op": "gateaux-scan", "seed": 1, "region": {"lo": [-0.5] * 3, "hi": [0.5] * 3}}, "checks[0].region"),
         ({"op": "gateaux-scan", "seed": 1, "points": [[0.1, 0.2], [0.1, 0.2, 0.3]]}, "checks[0].points[1]"),
         ({"op": "scalarize", "seed": 1, "functionals": [[1.0, 0.0]]}, "checks[0].functionals[0]"),
         ({"op": "fact2", "seed": 1, "y_star": [1.0, 1.0]}, "checks[0].y_star"),
@@ -618,14 +612,48 @@ _MINIMAL = {
     "scalarize": {"seed": 1, "budget": 16},
     "fact2": {"seed": 1, "budget": 16},
     "approx-convex": {"seed": 1, "budget": 16, "x0": [0.0], "epsilon": 0.1, "delta": 0.3},
-    "bounded": {"seed": 1, "budget": 16, "x0": [0.0], "radius": 0.3},
-    "lipschitz": {"seed": 1, "budget": 16},
     "trace": {"x0": [0.25], "h": [1.0], "depth": 4, "csv": "t.csv"},
     "derivative": {"x0": [0.25], "h": [1.0]},
     "gateaux": {"seed": 1, "x0": [0.25], "n_directions": 2},
     "gateaux-scan": {"seed": 1, "n_points": 2, "n_directions": 2, "csv": "s.csv"},
     "frechet": {"seed": 1, "x0": [0.25], "n_directions": 2},
 }
+
+_SQUARE = {"modulus": {"kind": "square"}, "cone": {"orthant": 1}, "k": [1.0], "C": 10.0}
+
+# a control of every op on which it must FAIL: (family, spec or None for the
+# family's own claim, entry).  -|x| is not paraconvex under a square modulus;
+# -x^2 claimed with C = 0 bends below its tangent, so its quotients fall and
+# its derivative's upper bound is broken; |x| has no derivative at 0
+_FAILING = {
+    "check-paraconvex": ("neg_abs", _SQUARE, {"seed": 1, "budget": 64}),
+    "falsify": ("neg_abs", _SQUARE, {"seed": 1, "budget": 64}),
+    "scalarize": ("neg_abs", _SQUARE, {"seed": 1, "budget": 64}),
+    "fact2": ("neg_abs", _SQUARE, {"seed": 1, "budget": 64}),
+    "approx-convex": ("neg_abs", _SQUARE, {"seed": 1, "x0": [0.0], "epsilon": 0.1, "delta": 0.3}),
+    "trace": ("neg_square", {**_SQUARE, "C": 0.0}, {"x0": [0.25], "h": [1.0], "depth": 8}),
+    "derivative": ("neg_square", {**_SQUARE, "C": 0.0}, {"x0": [0.25], "h": [1.0]}),
+    "gateaux": ("abs", None, {"seed": 1, "x0": [0.0]}),
+    "gateaux-scan": ("abs", None, {"seed": 1, "points": [[0.0]]}),
+    "frechet": ("abs", None, {"seed": 1, "x0": [0.0]}),
+}
+
+
+def test_every_op_has_a_failing_control():
+    # an op that cannot FAIL certifies nothing
+    assert _FAILING.keys() == OPERATIONS.keys()
+
+
+@pytest.mark.parametrize("op", list(_FAILING))
+def test_failing_control_exits_one(op, tmp_path, capsys):
+    family, spec, entry = _FAILING[op]
+    cfg = {"mapping": {"family": family}, "checks": [{"op": op, **entry}]}
+    if spec is not None:
+        cfg["spec"] = spec
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert main([op, "--config", str(path)]) == 1
+    assert re.fullmatch(rf"\[{op}\] {op}-0: FAIL.*\n", capsys.readouterr().out)
 
 
 @pytest.mark.parametrize("op", list(OPERATIONS))

@@ -14,7 +14,6 @@ from paracone import (
     Modulus,
     ParaSpec,
     PolyCone,
-    affine_mapping,
     as_point,
     base_of,
     check_inequality,
@@ -32,14 +31,13 @@ from paracone import (
     strictly_positive_functional,
 )
 from paracone import geometry
-from paracone.checks import check_fact2, check_local_vector_bounded
+from paracone.checks import check_fact2
 from paracone.geometry import (
     cone_margins,
     cone_values,
     ensure_dual_generators,
     ensure_generators,
     generator_direction,
-    interior_direction,
     is_standard_orthant,
     matvec_rows,
     row_norms,
@@ -779,24 +777,12 @@ def test_relative_interior_membership():
     assert relative_interior_contains(THIN_INEQUALITY_WEDGE, [1.0, 0.5e-5], tol=0.0)
 
 
-def test_interior_direction_is_the_unit_generator_sum():
-    k0, values = interior_direction(WEDGE)
-    assert k0.tobytes() == generator_direction(WEDGE).tobytes() == (np.array([2.0, 1.0]) / np.sqrt(5.0)).tobytes()
-    assert values.tobytes() == (unit_dual_generators(WEDGE) @ k0).tobytes()
-    assert np.all(values > 0.0)
+def test_generator_direction_is_the_unit_generator_sum():
+    k0 = generator_direction(WEDGE)
+    assert k0.tobytes() == (np.array([2.0, 1.0]) / np.sqrt(5.0)).tobytes()
+    assert np.all(cone_values(WEDGE, k0) > 0.0)  # interior, as the wedge is full-dimensional
     with pytest.raises(ValueError, match="sum to zero"):
         generator_direction(cone_from_generators([[1.0, 0.0], [-1.0, 0.0]]))
-
-
-def test_witness_checks_refuse_a_cone_without_interior():
-    # a ray in the plane: the generator sum lies on the boundary, where the
-    # supporting functionals (0, 1) and (0, -1) vanish
-    ray = cone_from_generators([[1.0, 0.0]], name="ray")
-    with pytest.raises(ValueError, match="no interior direction"):
-        interior_direction(ray)
-    f = affine_mapping([[1.0], [0.0]], [0.0, 0.0], Box(lo=[-1.0], hi=[1.0]), cone=ray, k=[1.0, 0.0])
-    with pytest.raises(ValueError, match="no interior direction"):
-        check_local_vector_bounded(f, ray, [0.0], radius=0.5, budget=16, seed=0)
 
 
 def test_unit_dual_generators_are_normalized():

@@ -61,10 +61,8 @@ def test_smooth_parts_derivatives():
     q = Quadratic1D(a=-0.5, b=1.0, c=2.0)
     assert q.value(2.0) == pytest.approx(2.0)
     assert q.deriv(2.0) == pytest.approx(-1.0)
-    assert q.second(0.0) == -1.0
     s = Sine1D(amplitude=2.0, frequency=3.0)
     assert s.deriv(0.0) == pytest.approx(6.0)
-    assert s.second(np.pi / 6.0) == pytest.approx(-18.0 * np.sin(np.pi / 2.0))
 
 
 # ---------------------------------------------------------------------------
@@ -93,6 +91,13 @@ def test_semiconvex_scalar_audits_curvature():
         )
 
 
+def _second(part, t):
+    """The second derivative of a smooth part in closed form."""
+    if isinstance(part, Sine1D):
+        return -part.amplitude * part.frequency**2 * np.sin(part.frequency * t + part.phase)
+    return 2.0 * part.a if isinstance(part, Quadratic1D) else 0.0
+
+
 def test_curvature_audit_takes_the_exact_supremum(families):
     # sup |u2''| / 2 is 5000, while a 512-point grid sees less than
     # 2 * 4999.9341: only the exact supremum refuses this false claim
@@ -110,7 +115,7 @@ def test_curvature_audit_takes_the_exact_supremum(families):
         (Quadratic1D(-0.7, 0.2, 1.0), -1.0, 1.0),
         (ZeroPart(), -1.0, 1.0),
     ):
-        grid = max(abs(part.second(t)) for t in np.linspace(lo, hi, 100_001))
+        grid = max(abs(_second(part, t)) for t in np.linspace(lo, hi, 100_001))
         assert grid <= part.sup_abs_second(lo, hi) <= grid * (1.0 + 1e-9), part
     # every testbed family builds; the hinge family's curvature fills its budget
     hinge = next(f for f in families if f.label == "hinge-plus-quadratic")

@@ -85,7 +85,7 @@ def _scalar_modulus(m, t):
 
 
 def _loop_upper_bound(f, spec, x0, h, estimate, t_samples=None, n_samples=12):
-    x0, h, _ = _prep_direction(f, x0, h)
+    x0, h = _prep_direction(f, x0, h)
     if t_samples is None:
         top = _default_t0(f, x0, h)
         lo, hi = min(estimate.t_used, top), max(estimate.t_used, top)
