@@ -3,13 +3,9 @@ the differentiability test batteries.
 
 Every check here reads one object: the corrected quotient
 (f(x0+th) - f(x0))/t + C*modulus(t)/t * k, which the theory makes monotone
-in the cone order as t decreases.  One kernel (_quotients) evaluates x0 and
-x0 + t*h for a whole step array, or for a stack of directions with a step
-row each, in one batch and returns the raw quotients, the modulus allowance
-C*modulus(t)/t, the corrected quotients and the rounding allowance of each
-step.  The trace, the estimator and the upper-bound check read one
-direction's arrays; each battery (gateaux_test, check_sublinear,
-frechet_test) stacks all its directions into one call.
+in the cone order as t decreases.  The trace, the estimator and the
+upper-bound check read one direction's quotients (_quotients); a battery
+estimates all its directions, at a block of points, in one batch.
 
 The estimator stops at the first level of a geometric step grid where the
 scalarized decrement between consecutive quotients, plus the vanishing
@@ -19,9 +15,9 @@ monotonically to the one-sided derivative but gives no rate, so the
 reported error bound is the monotone-bracket width at the stopping index,
 never an extrapolated rate claim.
 
-Every error bound and linearity margin is in one measure, max_y |y(v)|
-over the cone's unit rows y (_row_measure; the sup norm on an orthant).  It
-is a norm exactly when the cone is pointed, so the estimator refuses others.
+Every error bound and linearity margin is in one measure, max_y |y(v)| over
+the cone's unit rows y (_row_measure; the sup norm on an orthant), a norm
+exactly when the cone is pointed, so the estimator refuses other cones.
 
 The rounding allowance matters: a difference quotient at step t carries
 rounding error on the order of eps * ||f|| / t, which dwarfs any reasonable
@@ -36,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .checks import _at_least_one, check_vector_lipschitz
+from .checks import _at_least_one, _lipschitz_pairs, _lipschitz_ratios
 from .geometry import (
     Box,
     as_point,
@@ -59,6 +55,11 @@ _FP_SAFETY = 32.0
 _EPS = float(np.finfo(float).eps)
 # the step-grid factors on which positive homogeneity is tested (check_sublinear, gateaux_test)
 _LAMBDAS = (0.5, 2.0)
+# evaluated values (rows times codomain dimension) that one battery batch of
+# gateaux_scan holds at most, and at least one point.  It bounds memory: on
+# the shipped 40-point example1 scan, 2^16 or one batch for the whole scan ran
+# about 20% faster, but their arrays peaked at 3.8 and 6.3 MB against 1.2 MB
+_BLOCK_VALUES = 2**14
 
 
 class ConvergenceError(RuntimeError):
@@ -99,26 +100,27 @@ def _prep_direction(f: VectorMapping, x0, h):
     return x0, h / hn
 
 
-def _default_t0(f: VectorMapping, x0: np.ndarray, h: np.ndarray) -> float:
-    return min(0.1, 0.5 * f.domain.boundary_distance(x0, h))
+def _default_t0(f: VectorMapping, x0: np.ndarray, h: np.ndarray):
+    return np.minimum(0.1, 0.5 * f.domain.boundary_distance(x0, h))
 
 
-def _step_grid(f: VectorMapping, x0: np.ndarray, h: np.ndarray, t0: float | None, ratio: float, depth: int) -> np.ndarray:
+def _step_grid(f: VectorMapping, x0: np.ndarray, h: np.ndarray, t0, ratio: float, depth: int) -> np.ndarray:
     """The steps t0 * ratio^j for j = 0..depth-1, each power the C library pow
-    of the float ratio ** j.  Every step must be positive and keep x0 + t*h
-    in the open domain."""
+    of the float ratio ** j, from x0 along h, or per row of stacked x0, h (k, d)
+    and t0 (k,), t0 None the default top; each positive, x0 + t*h in the domain."""
     if not 0.0 < ratio < 1.0:
         raise ValueError("ratio must lie strictly between 0 and 1")
     if depth < 2:
         raise ValueError("need at least two grid levels")
     bd = f.domain.boundary_distance(x0, h)
-    if t0 is None:
-        t0 = _default_t0(f, x0, h)
-    if t0 <= 0.0 or t0 >= bd:
-        raise ValueError(f"t0={t0} leaves the domain along h (boundary clearance {bd})")
-    t_grid = t0 * np.float_power(ratio, np.arange(depth))
-    if t_grid[-1] == 0.0:
-        level = int(np.argmax(t_grid == 0.0))
+    t0 = _default_t0(f, x0, h) if t0 is None else np.asarray(t0, dtype=float)
+    if ((t0 <= 0.0) | (t0 >= bd)).any():
+        top, clear = next((a, b) for a, b in zip(np.ravel(t0), np.ravel(bd)) if not 0.0 < a < b)
+        raise ValueError(f"t0={top} leaves the domain along h (boundary clearance {clear})")
+    t_grid = t0[..., None] * np.float_power(ratio, np.arange(depth))
+    if not np.all(t_grid[..., -1]):
+        smallest = t_grid.reshape(-1, depth)[np.argmin(t_grid[..., -1])]
+        level = int(np.argmax(smallest == 0.0))
         raise ValueError(f"ratio={ratio} underflows the step grid to t = 0 at depth {level} of {depth}")
     return t_grid
 
@@ -143,31 +145,22 @@ class QuotientTrace:
 
 
 def _quotients(f: VectorMapping, spec: ParaSpec, x0: np.ndarray, h: np.ndarray, t: np.ndarray) -> QuotientTrace:
-    """The quotients at every step of t from one batch of x0 and x0 + t*h:
-    one direction h with steps t of shape (n,), or k directions h of shape
-    (k, d) with a row of steps each, t of shape (k, n).  A row's quotients
-    are bitwise the same however many rows are stacked with it.  x0 and h
-    are taken as given (see _prep_direction)."""
+    """The quotients at steps t (n,) along h (d,), or t (k, n) along h (k, d), from one batch of
+    x0 and x0 + t*h; a row's bits do not depend on the stack.  x0 and h are taken as given."""
     steps = x0 + t[..., None] * h[..., None, :]
     values = f.eval_batch(np.concatenate([x0[None, :], steps.reshape(-1, x0.size)]))
-    f0, fvals = values[0], values[1:]
-    raw = (fvals.reshape(t.shape + f0.shape) - f0) / t[..., None]
+    f0, fvals = values[0], values[1:].reshape(t.shape + values[0].shape)
+    raw, allowance, noise = _quotient_terms(spec, t, fvals, f0, norm(f0, "two"))
+    return QuotientTrace(h, t, raw, allowance, raw + allowance[..., None] * spec.k, noise, f0, spec)
+
+
+def _quotient_terms(spec: ParaSpec, t: np.ndarray, fvals: np.ndarray, f0: np.ndarray, f0_norm) -> tuple:
+    """The raw quotients (fvals - f0)/t, the allowance C*modulus(t)/t and the
+    rounding allowance at steps t (..., n), fvals (..., n, m), f0 (m,) or (..., 1, m)."""
+    raw = (fvals - f0) / t[..., None]
     allowance = spec.min_constant() * eval_modulus(spec.modulus, t) / t
-    return QuotientTrace(
-        h=h,
-        t_grid=t,
-        raw=raw,
-        allowance=allowance,
-        corrected=raw + allowance[..., None] * spec.k,
-        noise=_quotient_noise(t, row_norms(fvals).reshape(t.shape), norm(f0, "two")),
-        f0=f0,
-        spec=spec,
-    )
-
-
-def _row(q: QuotientTrace, i: int) -> QuotientTrace:
-    """Direction i of a stacked trace."""
-    return QuotientTrace(q.h[i], q.t_grid[i], q.raw[i], q.allowance[i], q.corrected[i], q.noise[i], q.f0, q.spec)
+    fvals_norm = row_norms(fvals.reshape(-1, f0.shape[-1])).reshape(t.shape)
+    return raw, allowance, _quotient_noise(t, fvals_norm, f0_norm)
 
 
 def build_trace(
@@ -229,37 +222,27 @@ class DerivativeEstimate:
     cancellation_warning: bool = False
 
 
-def _stop(q: QuotientTrace, x0: np.ndarray, tol: float) -> DerivativeEstimate:
-    """The estimator's stop rule on one direction's trace.
-
-    It stops at the first grid level where, across all unit supporting
-    functionals, the quotient decrement plus the allowance term
-    C*modulus(t)/t * y(k) plus the rounding allowance of both quotients
-    falls below tol.  Without a stop, the first level with the smallest such
-    bracket (the deepest level when no bracket is finite) is reported with
-    converged False.
-    """
-    top_row_k = float(cone_values(q.spec.cone, q.spec.k).max(initial=0.0))
-    # bounds[j - 1] closes the bracket between levels j - 1 and j
-    decrement = _row_measure(cone_values(q.spec.cone, q.raw[:-1] - q.raw[1:]))
-    bounds = decrement + q.allowance[:-1] * top_row_k + q.noise[:-1] + q.noise[1:]
-    below = np.flatnonzero(bounds < tol)
-    finite = bounds < np.inf  # a NaN or infinite bracket is never the smallest
-    if below.size:
-        level = int(below[0]) + 1
-    elif finite.any():
-        level = int(np.argmin(np.where(finite, bounds, np.inf))) + 1
-    else:
-        level = q.t_grid.size - 1
-    t_used = float(q.t_grid[level])
-    return DerivativeEstimate(
-        value=q.raw[level].copy(),
-        error_bound=float(bounds[level - 1]) if finite.any() else np.inf,
-        t_used=t_used,
-        iterations=level + 1,
-        converged=bool(below.size),
-        cancellation_warning=bool(t_used < 1e-8 * norm(x0, "two")),
-    )
+def _stop_levels(
+    spec: ParaSpec, raw: np.ndarray, allowance: np.ndarray, noise: np.ndarray, tol: float
+) -> tuple:
+    """The estimator's stop rule on stacked traces, raw (k, n, m), allowance
+    and noise (k, n): per trace its stop index, error bound and convergence.
+    It stops at the first level where, over the unit supporting functionals,
+    the quotient decrement plus the allowance term C*modulus(t)/t * y(k) plus
+    both rounding allowances falls below tol; else, not converged, at the
+    first smallest such bracket (the deepest, bound inf, if none is finite)."""
+    top_row_k = float(cone_values(spec.cone, spec.k).max(initial=0.0))
+    # bounds[..., j - 1] closes the bracket between levels j - 1 and j
+    decrement = _row_measure(cone_values(spec.cone, raw[:, :-1] - raw[:, 1:]))
+    bounds = decrement + allowance[:, :-1] * top_row_k + noise[:, :-1] + noise[:, 1:]
+    below = bounds < tol
+    converged = below.any(axis=1)
+    level = below.argmax(axis=1)
+    if not converged.all():  # a NaN or infinite bracket is never the smallest
+        bounds = np.where(bounds < np.inf, bounds, np.inf)
+        smallest = np.where(bounds.min(axis=1) < np.inf, bounds.argmin(axis=1), bounds.shape[1] - 1)
+        level = np.where(converged, level, smallest)
+    return level + 1, bounds[np.arange(len(level)), level], converged
 
 
 def directional_derivative(
@@ -273,17 +256,21 @@ def directional_derivative(
     max_depth: int = 40,
 ) -> DerivativeEstimate:
     """One-sided derivative along h by monotone quotient descent: the stop
-    rule (_stop) on the grid t0 * ratio^j, j = 0..max_depth-1, evaluated in
-    one batch.  iterations is the stop level counted from one, not the
-    number of evaluations, which is always max_depth + 1.  A modulus that is
-    not strong, or a cone that is not pointed, raises ValueError before any
-    evaluation: without modulus(t)/t -> 0 the corrected quotients need not
-    converge, and the stop rule's row measure cannot see along a line in
-    the cone.
+    rule (_stop_levels) on the grid t0 * ratio^j, j = 0..max_depth-1, in one
+    batch.  iterations is the stop level counted from one, not the number of
+    evaluations, always max_depth + 1.  A modulus that is not strong, or a
+    cone that is not pointed, raises ValueError before any evaluation:
+    without modulus(t)/t -> 0 the corrected quotients need not converge, and
+    the stop rule's row measure cannot see along a line in the cone.
     """
     _require_strong(spec)
     x0, h = _prep_direction(f, x0, h)
-    return _stop(_quotients(f, spec, x0, h, _step_grid(f, x0, h, t0, ratio, max_depth)), x0, tol)
+    q = _quotients(f, spec, x0, h, _step_grid(f, x0, h, t0, ratio, max_depth))
+    level, bound, converged = _stop_levels(spec, q.raw[None], q.allowance[None], q.noise[None], tol)
+    level = int(level[0])
+    t_used = float(q.t_grid[level])
+    warn = bool(t_used < 1e-8 * norm(x0, "two"))
+    return DerivativeEstimate(q.raw[level].copy(), float(bound[0]), t_used, level + 1, bool(converged[0]), warn)
 
 
 def check_upper_bound(
@@ -331,54 +318,71 @@ def check_upper_bound(
     )
 
 
-def _scaled_top(f: VectorMapping, x0: np.ndarray, h0: np.ndarray, lam: float) -> float:
-    """Top step of the lam-scaled grid along h0 that homogeneity re-estimates on."""
-    if lam <= 0.0:
-        raise ValueError("homogeneity factors must be positive")
-    return min(lam * _default_t0(f, x0, h0), 0.49 * f.domain.boundary_distance(x0, h0))
+def _estimates(f: VectorMapping, spec: ParaSpec, x0s, vectors, tol: float, rescaled=False, extra=None) -> tuple:
+    """Estimates at each point of x0s (p, d) along its vectors (p, v, d), from
+    one eval_batch of the points, every step, then the extra rows if given.
 
-
-def _estimates(f: VectorMapping, spec: ParaSpec, x0: np.ndarray, vectors: list, tol: float, tops: list) -> list:
-    """Estimates along directions of any positive length from one batch.
-
-    Each vector v = c*u is estimated along the unit u on the default grid,
-    topped at tops[i] (None for the default top), and the exact
-    reparameterization quotient(t, c*u) = quotient(c*t, u) gives (c*value,
-    c*error bound, estimate); a vector of length at most 1e-12 gets a zero
-    value and no estimate.  Every grid goes into one _quotients call and the stop rule
-    reads each row; the first vector in list order whose estimate does not
-    converge raises ConvergenceError.  A modulus that is not strong, or a
-    cone that is not pointed, raises ValueError before any evaluation.
-    """
+    c*u is estimated along the unit u on the default grid as c*value and c*error
+    bound (zeros if c <= 1e-12), and rescaled adds columns re-estimating
+    vectors[:, 0] on each lam-scaled grid.  Returns the values (p, w, m), the
+    error bounds and steps used (p, w), per point the column of its first
+    unconverged estimate (or None), and f at the extra rows."""
     _require_strong(spec)
-    lengths = [norm(np.asarray(v, dtype=float), f.domain_norm) for v in vectors]
-    kept = [i for i, ln in enumerate(lengths) if ln > 1e-12]
-    units = [_prep_direction(f, x0, np.asarray(vectors[i], dtype=float) / lengths[i])[1] for i in kept]
-    grids = [_step_grid(f, x0, h, tops[i], 0.5, 40) for i, h in zip(kept, units)]
-    q = _quotients(f, spec, x0, np.array(units), np.array(grids)) if kept else None
-    out = [(np.zeros(f.codomain_dim), 0.0, None)] * len(vectors)
-    for j, i in enumerate(kept):
-        est = _stop(_row(q, j), x0, tol)
-        if not est.converged:
-            along = np.asarray(vectors[i]).tolist()
-            raise ConvergenceError(f"{f.label}: estimator did not reach tol={tol} along {along}")
-        out[i] = (lengths[i] * est.value, lengths[i] * est.error_bound, est)
-    return out
+    p, v, d = vectors.shape
+    lams = np.array(_LAMBDAS if rescaled else ())
+    w = v + lams.size  # columns per point
+    stack = np.concatenate([vectors, np.repeat(vectors[:, :1], lams.size, axis=1)], axis=1)
+    stack = stack.reshape(-1, d)
+    lengths = row_norms(stack, f.domain_norm)
+    kept = np.flatnonzero(lengths > 1e-12)
+    owner, col = np.divmod(kept, w)
+    units = stack[kept] / lengths[kept, None]
+    units = units / row_norms(units, f.domain_norm)[:, None]
+    tops = _default_t0(f, x0s[owner], units)
+    if lams.size:
+        h0 = vectors[:, 0]
+        scaled = lams * _default_t0(f, x0s, h0)[:, None]
+        scaled = np.minimum(scaled, 0.49 * f.domain.boundary_distance(x0s, h0)[:, None])
+        tops = np.where(col >= v, scaled[owner, np.maximum(col - v, 0)], tops)
+    t = _step_grid(f, x0s[owner], units, tops, 0.5, 40)
+    steps = x0s[owner, None, :] + t[..., None] * units[:, None, :]
+    rows = [x0s, steps.reshape(-1, d)] + ([] if extra is None else [extra])
+    values = f.eval_batch(np.concatenate(rows))
+    f0 = values[:p]
+    fvals = values[p : p + t.size].reshape(t.shape + (f.codomain_dim,))
+    raw, allowance, noise = _quotient_terms(spec, t, fvals, f0[owner, None], row_norms(f0)[owner, None])
+    level, error_bound, converged = _stop_levels(spec, raw, allowance, noise, tol)
+    at = np.arange(kept.size), level
+    vals = np.zeros((p * w, f.codomain_dim))
+    vals[kept] = lengths[kept, None] * raw[at]
+    errs = np.zeros(p * w)
+    errs[kept] = lengths[kept] * error_bound
+    used = np.zeros(p * w)
+    used[kept] = t[at]
+    first = [None] * p
+    for j in np.flatnonzero(~converged)[::-1]:
+        first[owner[j]] = int(col[j])
+    return vals.reshape(p, w, -1), errs.reshape(p, w), used.reshape(p, w), first, values[p + t.size :]
 
 
-def _battery_estimates(f: VectorMapping, spec: ParaSpec, x0: np.ndarray, vectors: list, tol: float) -> tuple:
-    """The vectors' values, error bounds and estimates from one _estimates
-    batch that also re-estimates vectors[0] on each lam-scaled grid, and per
-    lam the homogeneity excess (|lam*D_lam - lam*D| - lam*(e + e_lam)) /
-    max(1, lam) in the row measure."""
-    h0 = np.asarray(vectors[0], dtype=float)
-    tops = [None] * len(vectors) + [_scaled_top(f, x0, h0, lam) for lam in _LAMBDAS]
-    ests = _estimates(f, spec, x0, vectors + [h0] * len(_LAMBDAS), tol, tops)
-    vals, errs, n = np.array([v for v, _, _ in ests]), np.array([e for _, e, _ in ests]), len(vectors)
-    lams = np.array(_LAMBDAS, dtype=float)
-    diff = _row_measure(cone_values(spec.cone, lams[:, None] * vals[n:] - lams[:, None] * vals[0]))
-    excess = (diff - lams * (errs[0] + errs[n:])) / np.maximum(1.0, lams)
-    return vals[:n], errs[:n], [est for _, _, est in ests[:n]], excess
+def _point_estimates(f: VectorMapping, spec: ParaSpec, x0, vectors: list, tol: float, rescaled=False) -> tuple:
+    """_estimates at one point along a list of vectors; the first that did not converge raises."""
+    stack = np.array(vectors, dtype=float)
+    if stack.shape[1:] != (f.domain.dim,):
+        raise ValueError("direction dimension mismatch")
+    vals, errs, _, (first,), _ = _estimates(f, spec, x0[None], stack[None], tol, rescaled)
+    if first is not None:
+        along = np.asarray(vectors[first] if first < len(vectors) else stack[0]).tolist()
+        raise ConvergenceError(f"{f.label}: estimator did not reach tol={tol} along {along}")
+    return vals[0], errs[0]
+
+
+def _homogeneity(spec: ParaSpec, vals: np.ndarray, errs: np.ndarray, v: int) -> np.ndarray:
+    """Per lam the excess (|lam*D_lam - lam*D| - lam*(e + e_lam)) / max(1, lam) of rescaled estimates."""
+    lams = np.array(_LAMBDAS)
+    scaled = lams[:, None] * vals[..., v:, :] - lams[:, None] * vals[..., :1, :]
+    diff = _row_measure(cone_values(spec.cone, scaled))
+    return (diff - lams * (errs[..., :1] + errs[..., v:])) / np.maximum(1.0, lams)
 
 
 def check_sublinear(
@@ -395,8 +399,7 @@ def check_sublinear(
     estimate error bounds, per unit supporting functional.  Homogeneity is
     exercised as schedule independence: the derivative recomputed on a
     lam-scaled step grid must match lam times the original within
-    tol*max(1, lam) plus scaled error bounds, in the row measure.  Every
-    estimate comes from one batch (_battery_estimates).
+    tol*max(1, lam) plus scaled error bounds, in the row measure; all from one batch.
     """
     x0 = as_point(x0, f.domain.dim)
     d = f.domain.dim
@@ -412,9 +415,11 @@ def check_sublinear(
         raise ValueError("direction_pairs must name at least one pair")
     # (h1, h2, h1 + h2) per pair
     vectors = [v for h1, h2 in direction_pairs for v in (h1, h2, np.asarray(h1) + np.asarray(h2))]
-    vals, errs, _, excess = _battery_estimates(f, spec, x0, vectors, tol)
+    vals, errs = _point_estimates(f, spec, x0, vectors, tol, rescaled=True)
+    excess, n = _homogeneity(spec, vals, errs, len(vectors)), len(vectors)
     # subadditivity per pair: the cone margin of D(h1) + D(h2) - D(h1 + h2) plus the three error bounds
-    sub = cone_margins(spec.cone, vals[0::3] + vals[1::3] - vals[2::3]) + (errs[0::3] + errs[1::3] + errs[2::3])
+    sub = cone_margins(spec.cone, vals[0:n:3] + vals[1:n:3] - vals[2:n:3])
+    sub += errs[0:n:3] + errs[1:n:3] + errs[2:n:3]
     witnesses = [(np.asarray(h1), np.asarray(h2)) for h1, h2 in direction_pairs]
     witnesses += [("homogeneity", lam) for lam in _LAMBDAS]
     return worst_report(
@@ -462,6 +467,67 @@ def _unit_directions(f: VectorMapping, n_directions: int, seed: int) -> list:
     return [u / norm(u, f.domain_norm) for u in dirs]
 
 
+def _gateaux_reports(f: VectorMapping, spec: ParaSpec, x0s, base_dirs, seeds: list, tol: float) -> list:
+    """The linearity battery at each point of x0s (p, d) along its unit
+    directions (p, n, d), with its Lipschitz pairs seeded seeds[i] + 1 in the
+    box of radius min(0.05, half its clearance): per point a GateauxReport,
+    or the ConvergenceError of its first unconverged estimate.  Each block of
+    as many points as fit in _BLOCK_VALUES values, and at least one, is one
+    eval_batch call."""
+    p, n, d = base_dirs.shape
+    n_sig = 2 * n
+    # vectors[:, 2i] = +u_i and vectors[:, 2i + 1] = -u_i, then the additivity sums
+    signed = np.stack([base_dirs, -base_dirs], axis=2).reshape(p, n_sig, d)
+    a, b = np.array([(0, 1)] if n == 1 else [(2 * i, 2 * i + 2) for i in range(min(n - 1, 4))]).T
+    vectors = np.concatenate([signed, signed[:, a] + signed[:, b]], axis=1)
+    v = vectors.shape[1]
+    row_k = np.maximum(cone_values(spec.cone, spec.k), 1e-300)
+    radius = np.minimum(0.05, 0.5 * f.domain.boundary_distance(x0s))
+    pairs = [_lipschitz_pairs(f, x0 - r, x0 + r, 128, seed + 1) for x0, r, seed in zip(x0s, radius, seeds)]
+    # nominal rows per point: the point, 40 steps per vector and homogeneity grid, both ends of each pair
+    rows = 1 + 40 * (v + len(_LAMBDAS)) + 2 * max(len(x) for x, _ in pairs)
+    block = max(1, _BLOCK_VALUES // (rows * f.codomain_dim))
+    reports = []
+    for start in range(0, p, block):
+        blk = slice(start, start + block)
+        lx, lu = (np.concatenate(side) for side in zip(*pairs[blk]))
+        # one batch: the estimates, then f(u) and f(x) of every pair
+        lip_rows = np.concatenate([lu, lx])
+        val, err, used, first, f_lip = _estimates(f, spec, x0s[blk], vectors[blk], tol, True, lip_rows)
+        plus, minus = val[:, 0:n_sig:2], val[:, 1:n_sig:2]
+        e_pm = err[:, 0:n_sig:2] + err[:, 1:n_sig:2]
+        # row values of the antisymmetry sums, continuity differences, signed derivatives, additivity defects
+        stacked = [plus + minus, plus - minus, val[:, :n_sig], val[:, a] + val[:, b] - val[:, n_sig:v]]
+        values = cone_values(spec.cone, np.concatenate(stacked, axis=1))
+        # continuity surrogate over antipodal pairs, per unit row y in the order form
+        # |y(D(u) - D(-u))| <= (L*||2u|| + C*modulus(t*)/t*) * y(k); L is 0 when not finite
+        ratios = _lipschitz_ratios(f, spec, lx, lu, *np.split(f_lip, 2))[0]
+        lip = np.maximum.reduceat(ratios, np.cumsum([0] + [len(x) for x, _ in pairs[blk]])[:-1])  # L per point
+        floor = (np.abs(values[:, 2 * n : 4 * n]) / row_k).max(axis=(1, 2))  # the largest |y(D)| / y(k)
+        l_used = np.maximum(1.1 * np.where(lip < np.inf, lip, 0.0), floor)
+        t_star = used[:, :n_sig].max(axis=1)
+        allowance = spec.min_constant() * eval_modulus(spec.modulus, t_star) / t_star
+        bound = l_used[:, None] * row_norms(2.0 * base_dirs[blk].reshape(-1, d), f.domain_norm).reshape(-1, n)
+        bound += allowance[:, None]
+        margins = {
+            "antisymmetry": _row_measure(values[:, :n]) - e_pm,
+            "additivity": _row_measure(values[:, 4 * n :]) - (err[:, a] + err[:, b] + err[:, n_sig:v]),
+            "homogeneity": _homogeneity(spec, val, err, v),
+            "continuity": (np.abs(values[:, n : 2 * n]) - bound[..., None] * row_k - e_pm[..., None]).max(2),
+        }
+        for i, col in enumerate(first, start):
+            if col is not None:
+                along = vectors[i, col if col < v else 0].tolist()
+                reports.append(ConvergenceError(f"{f.label}: estimator did not reach tol={tol} along {along}"))
+                continue
+            point = {key: float(excess[i - start].max()) for key, excess in margins.items()}
+            notes = "linearity battery on estimated one-sided derivatives"
+            defect = max(0.0, max(point.values()))
+            report = GateauxReport(x0s[i], defect, point, tol, seed=seeds[i], n_directions=n_sig, notes=notes)
+            reports.append(report)
+    return reports
+
+
 def gateaux_test(
     f: VectorMapping,
     spec: ParaSpec,
@@ -481,9 +547,10 @@ def gateaux_test(
     |y(D(h) - D(-h))| <= (L*||h - (-h)|| + C*modulus(t*)/t*) * y(k), with L a
     sampled local Lipschitz constant (inflated by 1.1, and floored by
     |y(D)|/y(k), since a sampled supremum is a lower estimate).  So tol is in
-    the row measure, the sup norm on a standard orthant.  Caller-given
-    directions are scaled to unit domain norm, so a violation does not shrink
-    with their length, and a zero one raises ValueError.  Estimator
+    the row measure, the sup norm on a standard orthant.  One eval_batch call
+    (_gateaux_reports).  Caller-given directions are scaled to unit domain
+    norm, so a violation does not shrink with their length, and a zero one
+    raises ValueError.  Estimator
     non-convergence along any direction propagates as ConvergenceError.  A
     modulus that is not strong or a cone that is not pointed raises
     ValueError; strong is necessary for convergence but not sufficient.
@@ -506,48 +573,10 @@ def gateaux_test(
         if not all(0.0 < n < np.inf for n in lengths):
             raise ValueError("directions must be finite and nonzero")
         base_dirs = [u / n for u, n in zip(base_dirs, lengths)]
-
-    # one batch: signed[2i] = +u_i and signed[2i + 1] = -u_i, then the additivity sums
-    signed = [s * u for u in base_dirs for s in (1.0, -1.0)]
-    pairs = [(0, 1)] if len(base_dirs) == 1 else [(2 * i, 2 * i + 2) for i in range(min(len(base_dirs) - 1, 4))]
-    vectors = signed + [signed[a] + signed[b] for a, b in pairs]
-    val, err, ests, homogeneity = _battery_estimates(f, spec, x0, vectors, tol)
-    n, n_sig, (a, b) = len(base_dirs), len(signed), np.array(pairs).T
-    plus, minus, e_pm = val[0:n_sig:2], val[1:n_sig:2], err[0:n_sig:2] + err[1:n_sig:2]
-    # every row value from one call: the n antisymmetry sums, the n continuity
-    # differences, the 2n signed derivatives, the additivity defects, then k
-    stacked = [plus + minus, plus - minus, val[:n_sig], val[a] + val[b] - val[n_sig:], spec.k[None, :]]
-    values = cone_values(spec.cone, np.concatenate(stacked))
-    row_k = np.maximum(values[-1], 1e-300)
-
-    # continuity surrogate over antipodal pairs, per unit row y in the order
-    # form |y(D(u) - D(-u))| <= (L*||2u|| + C*modulus(t*)/t*) * y(k)
-    region_r = min(0.05, 0.5 * f.domain.boundary_distance(x0))
-    region = Box(lo=x0 - region_r, hi=x0 + region_r)
-    lip = check_vector_lipschitz(f, spec, region, budget=128, seed=seed + 1)
-    l_sampled = float(lip.extras["L"]) if lip.extras else 0.0
-    l_used = max(1.1 * l_sampled, float((np.abs(values[2 * n : 4 * n]) / row_k).max(initial=0.0)))
-    t_star = max(est.t_used for est in ests[:n_sig])
-    allowance = spec.min_constant() * eval_modulus(spec.modulus, t_star) / t_star
-    bound = l_used * row_norms(2.0 * np.array(base_dirs), f.domain_norm) + allowance
-
-    margins = {
-        "antisymmetry": _row_measure(values[:n]) - e_pm,
-        "additivity": _row_measure(values[4 * n : -1]) - (err[a] + err[b] + err[n_sig:]),
-        "homogeneity": homogeneity,
-        "continuity": (np.abs(values[n : 2 * n]) - bound[:, None] * row_k - e_pm[:, None]).max(axis=1),
-    }
-    margins = {key: float(excess.max()) for key, excess in margins.items()}
-    defect = max(0.0, max(margins.values()))
-    return GateauxReport(
-        x0=x0,
-        defect=float(defect),
-        margins=margins,
-        tol=tol,
-        seed=seed,
-        n_directions=len(base_dirs) * 2,
-        notes="linearity battery on estimated one-sided derivatives",
-    )
+    (report,) = _gateaux_reports(f, spec, x0[None], np.array(base_dirs)[None], [seed], tol)
+    if isinstance(report, ConvergenceError):
+        raise report
+    return report
 
 
 @dataclass
@@ -577,15 +606,15 @@ def gateaux_scan(
     points=None,
     kink_match_tol: float = 1e-9,
 ) -> ScanReport:
-    """Run the linearity battery at sampled (or supplied) points.
-
-    Per-point seeds derive deterministically from (seed, index) so a
-    parallel run would agree with the sequential one.  Estimator
-    non-convergence at a point counts as a failed point, not an error; a
-    modulus that is not strong or a cone that is not pointed raises
-    ValueError.  defects are in the row measure (gateaux_test).
-    When the family declares a one-dimensional kink set, the report carries
-    the confusion table of predicted versus declared non-differentiability.
+    """Run the linearity battery at sampled (or supplied) points, a block of
+    points per eval_batch call (_gateaux_reports).  Per-point seeds derive
+    from (seed, index), and a point's defect, in the row measure, is
+    bitwise gateaux_test's with its seed.  Every point is checked, and a bad
+    one named as points[i], before any evaluation.  Non-convergence at a
+    point makes it a failed point with defect inf; a modulus that is not
+    strong or a cone that is not pointed raises ValueError.  When the family
+    declares a one-dimensional kink set, the report carries the confusion
+    table of predicted versus declared non-differentiability.
     """
     if np.any(region.lo < f.domain.lo) or np.any(region.hi > f.domain.hi):
         raise ValueError("scan region escapes the mapping domain")
@@ -594,17 +623,15 @@ def gateaux_scan(
     points = [np.asarray(p, dtype=float).reshape(-1) for p in points]
     if not points:
         raise ValueError("the scan needs at least one point: a positive n_points or a non-empty points list")
-    passed = []
-    defects = []
-    for idx, p in enumerate(points):
-        sub_seed = (int(seed) * 1_000_003 + idx) & 0x7FFFFFFF
-        try:
-            rep = gateaux_test(f, spec, p, n_directions=n_directions, tol=tol, seed=sub_seed)
-            passed.append(bool(rep.passed))
-            defects.append(float(rep.defect))
-        except ConvergenceError:
-            passed.append(False)
-            defects.append(float("inf"))
+    _at_least_one(n_directions=n_directions)
+    for i, p in enumerate(points):
+        if p.shape != (f.domain.dim,) or not np.isfinite(p).all() or not f.domain.contains(p):
+            raise OutsideDomainError(f"{f.label}: points[{i}] = {p.tolist()} is not a point of the open domain")
+    seeds = [(int(seed) * 1_000_003 + idx) & 0x7FFFFFFF for idx in range(len(points))]
+    base_dirs = np.array([_unit_directions(f, n_directions, s) for s in seeds])
+    reports = _gateaux_reports(f, spec, np.array(points), base_dirs, seeds, tol)
+    passed = [isinstance(rep, GateauxReport) and rep.passed for rep in reports]
+    defects = [float(rep.defect) if isinstance(rep, GateauxReport) else float("inf") for rep in reports]
     density = float(np.mean(passed))
     confusion = None
     if f.kink_locus is not None and f.domain.dim == 1:
@@ -721,9 +748,10 @@ def frechet_test(
     d_vals = [known_directional(f, x0, u) for u in dirs]
     d_errs = np.zeros(len(dirs))
     missing = [i for i, val in enumerate(d_vals) if val is None]
-    estimated = _estimates(f, spec, x0, [dirs[i] for i in missing], tol, [None] * len(missing))
-    for i, (val, err, _) in zip(missing, estimated):
-        d_vals[i], d_errs[i] = val, err
+    if missing:
+        vals, errs = _point_estimates(f, spec, x0, [dirs[i] for i in missing], tol)
+        for j, i in enumerate(missing):
+            d_vals[i], d_errs[i] = vals[j], errs[j]
     # every direction's residuals on the schedule from one batch, one row per (direction, step)
     q = _quotients(f, spec, x0, np.array(dirs), np.broadcast_to(t_schedule, (len(dirs), t_schedule.size)))
     r = (q.corrected - np.array(d_vals)[:, None, :]).reshape(-1, q.f0.size)

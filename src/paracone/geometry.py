@@ -171,22 +171,30 @@ class Box:
             raise ValueError("dimension mismatch in box membership")
         return bool(np.all(x > self.lo) and np.all(x < self.hi))
 
-    def boundary_distance(self, x, h=None) -> float:
+    def boundary_distance(self, x, h=None):
         """Distance from x to the boundary: along the ray through h when
-        given (sup of admissible step sizes), else the nearest face gap."""
+        given (sup of admissible step sizes), else the nearest face gap.
+        For one point (d,), or for stacked points and directions (k, d),
+        one distance per row."""
         x = np.asarray(x, dtype=float)
-        if not self.contains(x):
+        if x.shape[-1:] != self.lo.shape:
+            raise ValueError("dimension mismatch in box membership")
+        if not ((x > self.lo) & (x < self.hi)).all():
             raise ValueError("boundary distance requested from a point outside the box")
         if h is None:
-            return float(min(np.min(x - self.lo), np.min(self.hi - x)))
+            return np.minimum((x - self.lo).min(axis=-1), (self.hi - x).min(axis=-1))
         h = np.asarray(h, dtype=float)
-        best = np.inf
-        for i in range(self.dim):
-            if h[i] > 0.0:
-                best = min(best, (self.hi[i] - x[i]) / h[i])
-            elif h[i] < 0.0:
-                best = min(best, (self.lo[i] - x[i]) / h[i])
-        return float(best)
+        if h.ndim == 1:
+            # one direction, the case of every single-direction derivative op:
+            # this loop takes about 6.5 us a call where the array form below
+            # takes 15 us (2-vCPU VM, d = 2), the same bits
+            best = np.inf
+            for i in range(self.dim):
+                if h[i] != 0.0:
+                    best = min(best, ((self.hi[i] if h[i] > 0.0 else self.lo[i]) - x[i]) / h[i])
+            return float(best)
+        edge = np.where(h > 0.0, self.hi, self.lo) - x
+        return np.divide(edge, h, out=np.full(h.shape, np.inf), where=h != 0.0).min(axis=-1)
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         return rng.uniform(self.lo, self.hi, size=(n, self.dim))

@@ -266,15 +266,20 @@ def _stacked_scalars(convex_parts, smooth_parts):
             out[:, idx] = part.value(t)
         return out
 
-    def _eval(t: np.ndarray) -> np.ndarray:
+    def _piecewise(t: np.ndarray) -> np.ndarray:
         shifted = t - origins
         acc = at_anchor + slope0 * shifted[0]
-        # every kink's term at once, then summed in kink order
-        for term in jump * (np.maximum(shifted[1:], 0.0) - offset):
+        # every kink's term at once, in place in one array, then summed in kink order
+        terms = shifted[1:]
+        np.maximum(terms, 0.0, out=terms)
+        terms -= offset
+        terms *= jump
+        for term in terms:
             acc += term
-        return acc + _smooth(t)
+        return acc
 
-    return _eval
+    # the kink table is freed before the smooth part's temporaries are made
+    return lambda t: _piecewise(t) + _smooth(t)
 
 
 def _audit_curvature(part: SmoothPart, lo: float, hi: float, bound: float, label: str):

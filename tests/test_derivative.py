@@ -7,6 +7,7 @@ import math
 
 import numpy as np
 import pytest
+from conftest import CONFIG_DIR
 
 from paracone import (
     ConvergenceError,
@@ -21,6 +22,7 @@ from paracone import (
     cone_from_generators,
     curved_cone_map,
     directional_derivative,
+    example1_default,
     frechet_test,
     gateaux_scan,
     gateaux_test,
@@ -33,7 +35,7 @@ from paracone import (
 )
 from paracone.derivative import _default_t0, _prep_direction, _quotient_noise
 from paracone.geometry import Box, norm, unit_dual_generators
-from paracone.mappings import VectorMapping, known_directional
+from paracone.mappings import OutsideDomainError, VectorMapping, known_directional
 from paracone.modulus import eval_modulus
 
 
@@ -263,6 +265,16 @@ def test_sublinear_along_rays():
     assert check_sublinear(f2, f2.claimed, [0.25], tol=1e-6, seed=2).passed
 
 
+def test_sublinear_reads_zero_vectors_as_zero():
+    f = smooth_r2_r3()
+    # every vector of the pair, its sum and the homogeneity re-estimates are zero: nothing is estimated
+    rep = check_sublinear(f, f.claimed, [0.1, -0.2], direction_pairs=[([0, 0], [0, 0])], tol=1e-6)
+    assert rep.passed and rep.worst_margin == 0.0
+    assert [w.tolist() for w in rep.witness] == [[0, 0], [0, 0]]
+    rep = check_sublinear(f, f.claimed, [0.1, -0.2], direction_pairs=[([0, 0], [0.6, 0.8])], tol=1e-6)
+    assert rep.passed and rep.witness == ("homogeneity", 0.5)
+
+
 # ---------------------------------------------------------------------------
 # Gateaux battery
 
@@ -348,18 +360,18 @@ def test_batteries_evaluate_one_quotient_batch(monkeypatch):
     f = smooth_r2_r3()
     x0 = [0.1, -0.2]
     batches = _count_batches(monkeypatch)
-    # one estimate batch and the continuity surrogate's Lipschitz batch
+    # the estimates and the continuity surrogate's Lipschitz pairs in one batch
     for n_directions in (2, 8, 16):
         batches.clear()
         gateaux_test(f, f.claimed, x0, n_directions=n_directions, tol=1e-6, seed=1)
-        assert len(batches) == 2
+        assert len(batches) == 1
     batches.clear()
     check_sublinear(f, f.claimed, x0, tol=1e-6, seed=1)
     assert len(batches) == 1
     # the linearity precondition, then every direction's residuals at once
     batches.clear()
     frechet_test(f, f.claimed, x0, n_directions=16, tol=1e-6, seed=1)
-    assert len(batches) == 3
+    assert len(batches) == 2
     assert batches[-1] == 1 + 16 * 20
     batches.clear()
     directional_derivative(f, f.claimed, x0, [0.6, 0.8], tol=1e-6, max_depth=30)
@@ -427,6 +439,32 @@ def test_scan_rejects_an_empty_point_set():
     for kwargs in ({"n_points": 0}, {"n_points": -1}, {"points": []}):
         with pytest.raises(ValueError):
             gateaux_scan(f, f.claimed, f.domain.shrink(0.1), seed=0, **kwargs)
+
+
+@pytest.mark.parametrize("bad", [[0.1, 0.2], [float("nan")], [1.0]], ids=["shape", "non-finite", "outside"])
+def test_scan_checks_every_point_before_evaluating(bad):
+    f = neg_square_1d()
+    unevaluable = dataclasses.replace(f, evaluator=lambda pts: pytest.fail("evaluated before every point was checked"))
+    message = rf"neg-square: points\[2\] = \[{bad[0]}.*\] is not a point of the open domain"
+    with pytest.raises(OutsideDomainError, match=message):
+        gateaux_scan(unevaluable, f.claimed, f.domain, points=[[0.1], [-0.2], bad, [0.3]], n_directions=2, seed=0)
+
+
+def test_shipped_scan_evaluates_one_batch_per_block():
+    (entry,) = json.loads((CONFIG_DIR / "example1_scan.json").read_text())["checks"]
+    f = example1_default()
+    rows = []
+    evaluator = f.evaluator
+    f = dataclasses.replace(f, evaluator=lambda pts: rows.append(len(pts)) or evaluator(pts))
+    rep = gateaux_scan(
+        f, f.claimed, f.domain.shrink(0.04), n_points=entry["n_points"], n_directions=entry["n_directions"], tol=entry["tol"], seed=entry["seed"]
+    )
+    # six points per batch, 293 rows each: the point, 40 steps along +1, -1
+    # and each homogeneity grid (the additivity sum 1 + (-1) is zero and not
+    # evaluated), and 66 Lipschitz pairs; a point at a time took 80 calls
+    assert rows == [6 * 293] * 6 + [4 * 293]
+    assert sum(rows) == 11_720
+    assert rep.density == 1.0
 
 
 def test_scan_draws_the_points_of_one_row_draws():

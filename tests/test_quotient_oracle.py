@@ -1,12 +1,13 @@
 """The derivative-side checks against frozen copies of the loops they replaced.
 
 The upper-bound check and the Frechet test read one batch of corrected
-quotients per direction, and the batteries (gateaux_test, check_sublinear,
-frechet_test) estimate all their directions from one stacked batch.  The
-functions below are the earlier step-by-step and direction-by-direction
-implementations, kept as oracles: every margin, defect, witness and table
-entry must agree to the last bit, and a ConvergenceError must name the same
-direction with the same message.
+quotients per direction, the batteries (gateaux_test, check_sublinear,
+frechet_test) estimate all their directions from one stacked batch, and
+gateaux_scan runs the linearity battery on a block of points per batch.
+The functions below are the earlier step-by-step, direction-by-direction
+and point-by-point implementations, kept as oracles: every margin, defect,
+witness and table entry must agree to the last bit, and a ConvergenceError
+must name the same direction with the same message.
 """
 
 import dataclasses
@@ -21,12 +22,15 @@ from paracone import (
     check_upper_bound,
     check_vector_lipschitz,
     directional_derivative,
+    example1_default,
     frechet_test,
+    gateaux_scan,
     gateaux_test,
     orthant,
     table_modulus,
     zero_modulus,
 )
+import paracone.derivative
 from paracone.derivative import (
     FrechetReport,
     GateauxReport,
@@ -531,3 +535,114 @@ def test_batteries_match_direction_loops(families):
     # both verdicts, and non-convergence along more than one direction
     assert verdicts == {True, False}
     assert len(raised) >= 3
+
+
+# ---------------------------------------------------------------------------
+# the scan, one battery batch per block of points
+
+
+def _loop_scan(f, spec, points, n_directions, tol, seed):
+    """_loop_gateaux at each point with the scan's derived seed: per point
+    its report, or the message of the ConvergenceError it raised, which the
+    scan counts as a failed point with defect inf."""
+    out = []
+    for idx, p in enumerate(points):
+        sub_seed = (int(seed) * 1_000_003 + idx) & 0x7FFFFFFF
+        out.append(_outcome(_loop_gateaux, f, spec, p, n_directions=n_directions, tol=tol, seed=sub_seed))
+    return out
+
+
+class _FirstBatch(Exception):
+    """Raised in place of a scan's first estimate batch, carrying its point count."""
+
+
+def _block_size(monkeypatch, f, points, n_directions):
+    """How many of points the scan puts in its first batch."""
+    def first(g, spec, x0s, *args, **kwargs):
+        raise _FirstBatch(len(x0s))
+
+    monkeypatch.setattr(paracone.derivative, "_estimates", first)
+    try:
+        gateaux_scan(f, f.claimed, f.domain, points=points, n_directions=n_directions, tol=1e-6, seed=0)
+    except _FirstBatch as batch:
+        return batch.args[0]
+    finally:
+        monkeypatch.undo()
+
+
+def _scan_bits(monkeypatch, f, points, n_directions, tol, seed, block_values=None):
+    """The scan's passed and defects, the per-point outcomes of its battery
+    kernel, with every float as float.hex, and the point count of every
+    estimate batch; block_values, when given, replaces the batch budget."""
+    if block_values is not None:
+        monkeypatch.setattr(paracone.derivative, "_BLOCK_VALUES", block_values)
+    kernel = paracone.derivative._gateaux_reports
+    inner = paracone.derivative._estimates
+    outcomes, batches = [], []
+
+    def recorded(g, spec, x0s, *args):
+        reports = kernel(g, spec, x0s, *args)
+        outcomes.extend(f"ConvergenceError: {rep}" if isinstance(rep, ConvergenceError) else _bits(rep) for rep in reports)
+        return reports
+
+    def counted(g, spec, x0s, *args, **kwargs):
+        batches.append(len(x0s))
+        return inner(g, spec, x0s, *args, **kwargs)
+
+    monkeypatch.setattr(paracone.derivative, "_gateaux_reports", recorded)
+    monkeypatch.setattr(paracone.derivative, "_estimates", counted)
+    try:
+        rep = gateaux_scan(f, f.claimed, f.domain, points=points, n_directions=n_directions, tol=tol, seed=seed)
+    finally:
+        monkeypatch.undo()
+    return (rep.passed, _bits(rep.defects), outcomes), batches
+
+
+def _scan_cases(families):
+    """(mapping, points) per testbed family, the declared kinks and then seeded
+    points, some within 0.2 of the boundary where the lam = 2 grid is clipped
+    to 0.49 of the clearance, and example1 at its kinks and their midpoints."""
+    for f in families:
+        kinks = [np.array([k]) for k in (f.kink_locus or ()) if f.domain.shrink(0.1).contains(np.array([k]))]
+        yield f, kinks + list(f.domain.shrink(0.02).sample(160 - len(kinks), np.random.default_rng(83)))
+    f = example1_default()
+    kinks = sorted(f.kink_locus)
+    yield f, [np.array([x]) for x in kinks + [(a + b) / 2.0 for a, b in zip(kinks, kinks[1:])]]
+
+
+def test_scan_matches_the_point_loop(families, monkeypatch):
+    """Every combination of tol and n_directions runs on every family, one
+    with 3b + 2 points (b the block size) and the others with 1, b - 1, b
+    or b + 1 in turn, so every count meets every family; the 3b + 2 scan
+    runs again with one point per batch and with all points in one batch.
+    At tol 5e-7 the estimates converge at some points of neg-square and
+    smooth-r2-r3 and not at others, so one block holds both."""
+    combos = [(tol, n_dirs) for tol in (1e-6, 5e-7, 1e-9, 1e-11) for n_dirs in (2, 4, 8)]
+    outcomes, mixed = [], 0
+    for case, (f, pool) in enumerate(_scan_cases(families)):
+        block = {n_dirs: _block_size(monkeypatch, f, pool, n_dirs) for n_dirs in (2, 4, 8)}
+        for i, (tol, n_dirs) in enumerate(combos):
+            b = block[n_dirs]
+            assert 1 <= b < len(pool) // 3
+            count = 3 * b + 2 if i == case % len(combos) else (1, b - 1, b, b + 1)[(i + case) % 4]
+            points = pool[: max(count, 1)]
+            got, batches = _scan_bits(monkeypatch, f, points, n_dirs, tol, seed=i)
+            assert batches == [b] * (len(points) // b) + [len(points) % b] * (len(points) % b > 0), (f.label, count)
+            want = _loop_scan(f, f.claimed, points, n_dirs, tol, seed=i)
+            starts = np.cumsum([0] + batches[:-1])
+            mixed += sum(len({isinstance(out, str) for out in want[s : s + n]}) == 2 for s, n in zip(starts, batches))
+            assert got[2] == want, (f.label, tol, n_dirs, count)
+            assert got[0] == [isinstance(out, dict) and out["passed"] for out in want]
+            assert got[1] == [out["defect"] if isinstance(out, dict) else float("inf").hex() for out in want]
+            if count == 3 * b + 2:
+                for block_values in (1, 2**62):
+                    again, batches = _scan_bits(monkeypatch, f, points, n_dirs, tol, seed=i, block_values=block_values)
+                    assert again == got
+                    assert batches == ([1] * len(points) if block_values == 1 else [len(points)])
+            outcomes.extend(want)
+    raised = [out for out in outcomes if isinstance(out, str)]
+    verdicts = {out["passed"] for out in outcomes if isinstance(out, dict)}
+    # both verdicts, points that did not converge, and blocks of converged and unconverged points
+    assert verdicts == {True, False}
+    assert raised
+    assert mixed
