@@ -291,9 +291,13 @@ def falsify(
     _pattern_search in two passes: coordinate steps on x, y and lam, then,
     from that result, paired steps that move x and y together and apart
     along each axis.  The second pass keeps only strict improvements, so it
-    never returns a shallower witness than the first.  Every margin comes
-    from the kernel check_inequality uses, and a triple's margin does not
-    depend on its batch, so a reported failure replays identically under
+    never returns a shallower witness than the first.  Each pass costs one
+    kernel call per accepted move plus one: the call evaluates every
+    candidate the pass would try before its next accepted move, the rest of
+    the current round, its repeat when the round has improved, then a whole
+    table per halved step (see _pattern_search).  Every margin comes from
+    the kernel check_inequality uses, and a triple's margin does not depend
+    on its batch, so a reported failure replays identically under
     check_inequality(triples=[witness]).
     """
     rows = unit_dual_generators(spec.cone)
@@ -361,37 +365,52 @@ def _pattern_search(box: Box, objective, start, moves, rounds: int = 50):
 
     moves is a table of unit moves (dx, dy, dlam) that each round scales by
     its step, which starts at 0.05 and halves after a round without an
-    improvement, down to 1e-6.  A round evaluates its remaining candidates
-    from the current best in one batch, takes the first one in table order
-    that strictly beats the best, and re-batches only the candidates after
-    it from the new best.  That is the result of trying the candidates one
-    at a time, because a triple's margin does not depend on its batch, at
-    one objective call per round plus one per accepted move.
+    improvement, down to 1e-6; at most `rounds` rounds run.  The result is
+    that of trying the candidates one at a time in table order and moving
+    to each one that strictly beats the best, with the best moving in the
+    middle of a round.
+
+    Until the next accepted move, the candidates that loop tries from the
+    current best are fixed in advance, so they are planned and evaluated in
+    one batch, in order: the rest of the current round; the same round again
+    at this step if this round has already improved; then one whole table
+    per halved step, down to the last step of at least 1e-6, never more
+    rounds than the cap leaves.  The first planned row that beats the best
+    is the next accepted move, and its place in the plan gives its round
+    and step.  A triple's margin does not depend on its batch, so this is
+    the one-at-a-time result bit for bit, at one objective call per
+    accepted move plus one, each of at most 17 tables of rows.
     """
     inset = 1e-9 * (box.hi - box.lo)
     lo, hi = box.lo + inset, box.hi - inset
     x, y, lam, val = start
     dx, dy, dlam = moves
-    step = 0.05
-    for _ in range(rounds):
-        improved = False
-        first = 0
-        while first < dlam.shape[0]:
-            cx = np.clip(x + step * dx[first:], lo, hi)
-            cy = np.clip(y + step * dy[first:], lo, hi)
-            clam = np.clip(lam + step * dlam[first:], 0.0, 1.0)
-            vals = objective(cx, cy, clam)
-            better = np.flatnonzero(vals < val)
-            if not better.size:
-                break
-            j = better[0]
-            x, y, lam, val = cx[j], cy[j], clam[j], float(vals[j])
-            first += j + 1
-            improved = True
-        if not improved:
-            step *= 0.5
-            if step < 1e-6:
-                break
+    n = dlam.shape[0]
+    step, done, first, improved = 0.05, 0, 0, False  # done: rounds before the current one
+    while done < rounds:
+        # the plan: a step and a first table row per round, the current round first
+        steps, firsts = [step], [first]
+        s = step if improved else 0.5 * step  # a round that improved repeats at its step
+        while done + len(steps) < rounds and s >= 1e-6:
+            steps.append(s)
+            firsts.append(0)
+            s *= 0.5
+        counts = [n - f for f in firsts]
+        picks = np.concatenate([np.arange(f, n) for f in firsts])
+        if not picks.size:
+            break
+        scale = np.repeat(steps, counts)
+        cx = np.clip(x + scale[:, None] * dx[picks], lo, hi)
+        cy = np.clip(y + scale[:, None] * dy[picks], lo, hi)
+        clam = np.clip(lam + scale * dlam[picks], 0.0, 1.0)
+        vals = objective(cx, cy, clam)
+        better = np.flatnonzero(vals < val)
+        if not better.size:
+            break
+        j = better[0]
+        k = int(np.searchsorted(np.cumsum(counts), j, side="right"))  # the planned round that holds row j
+        x, y, lam, val = cx[j], cy[j], clam[j], float(vals[j])
+        step, done, first, improved = steps[k], done + k, int(picks[j]) + 1, True
     return x, y, lam, val
 
 

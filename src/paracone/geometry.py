@@ -27,6 +27,7 @@ explicit seed, so every result is reproducible.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -379,33 +380,44 @@ def _polar_rays(mat: np.ndarray, feas_tol: float = _RAY_TOL) -> np.ndarray:
     scaled = mat / np.linalg.norm(mat, axis=1)[:, None]
     u, s, vt = np.linalg.svd(scaled, full_matrices=True)
     rank = int(np.sum(s > 1e-10 * (s[0] if s.size else 1.0)))
-    rays: list[np.ndarray] = []
-
-    def _push(candidate: np.ndarray):
-        n = np.linalg.norm(candidate)
-        if n < 1e-12:
-            return
-        cand = candidate / n
-        # one ray reached twice, within about 1.4e-6 rad; a looser merge
-        # drops a true ray of a thin cone, and with it the cone's full
-        # dimension and the dual audit's check on that ray
-        for kept in rays:
-            if cand @ kept > 1.0 - 1e-12:
-                return
-        rays.append(cand)
-
+    candidates = []
     if rank > 0:
         q = vt[:rank].T  # (d, rank) row-space basis
-        for w in _double_description(scaled @ q, feas_tol):
-            _push(q @ w)
+        candidates += [q @ w for w in _double_description(scaled @ q, feas_tol)]
     # lines orthogonal to every row belong to the polar in both directions
     for row in vt[rank:]:
-        _push(row)
-        _push(-row)
-    if not rays:
-        return np.zeros((0, d))
-    out = np.array(sorted(rays, key=lambda r: tuple(np.round(r, 9))))
-    return out
+        candidates += [row, -row]
+    lengths = [np.linalg.norm(c) for c in candidates]
+    rays = _distinct_rays(np.array([c / n for c, n in zip(candidates, lengths) if n >= 1e-12]).reshape(-1, d))
+    return np.array(sorted(rays, key=lambda r: tuple(np.round(r, 9)))).reshape(-1, d)
+
+
+def _distinct_rays(rays: np.ndarray) -> np.ndarray:
+    """The unit rows of rays without each row that repeats an earlier kept
+    one, at a cosine above 1 - 1e-12 (within about 1.4e-6 rad): one ray
+    reached or written twice.  A looser merge drops a true ray of a thin
+    cone, and with it the cone's full dimension and the dual audit's check
+    on that ray.  Rows that repeat nothing keep their order and bits.
+
+    Two rows that merge lie within sqrt(2e-12) of each other, plus the
+    rounding of their dot product, so their projections on p differ by less
+    than that times |p|; only rows whose projections are that close are
+    compared, which keeps a large cone such as orthant(4096) from a
+    quadratic loop.
+    """
+    n, d = rays.shape
+    p = np.sqrt(np.arange(1.0, d + 1.0))
+    proj = rays @ p
+    reach = 2.0 * math.sqrt(2.0 * (1e-12 + d * np.finfo(float).eps)) * norm(p)
+    order = np.argsort(proj)
+    start = np.searchsorted(proj[order], proj - reach, side="left")
+    stop = np.searchsorted(proj[order], proj + reach, side="right")
+    keep = np.ones(n, dtype=bool)
+    for i in np.flatnonzero(stop - start > 1):  # in row order, so every earlier row is decided
+        near = order[start[i] : stop[i]]
+        if any(keep[j] and rays[i] @ rays[j] > 1.0 - 1e-12 for j in near[near < i]):
+            keep[i] = False
+    return rays[keep]
 
 
 def dual_cone(cone: PolyCone) -> PolyCone:
@@ -447,8 +459,11 @@ def ensure_dual_generators(cone: PolyCone) -> np.ndarray:
 
 
 def unit_dual_generators(cone: PolyCone) -> np.ndarray:
-    """Supporting inequality rows scaled to unit euclidean length."""
-    return _cached(cone, "unit_duals", lambda: unit_rows(ensure_dual_generators(cone)))
+    """Supporting inequality rows scaled to unit euclidean length, with a row
+    that repeats an earlier one dropped (_distinct_rays), as the enumeration
+    drops a ray it reaches twice: so a cone reads the same rows whether it
+    was given by its rows or by its generators."""
+    return _cached(cone, "unit_duals", lambda: _distinct_rays(unit_rows(ensure_dual_generators(cone))))
 
 
 def cone_values(cone: PolyCone, a) -> np.ndarray:

@@ -391,49 +391,52 @@ def test_refinement_only_sharpens():
     assert sharp.worst_margin <= raw.worst_margin
 
 
-def _reference_pattern_search(f, spec, form, start, start_val, rounds=50):
-    """The sequential coordinate search the batched one replaced, kept as the
-    oracle: one candidate per kernel call, with best moving in the middle of
-    a round.  Returns the witness, its margin, the rounds run and the moves
-    accepted."""
+def _reference_pattern_search(f, spec, form, start, moves, rounds=50):
+    """The sequential search the batched one replaced, kept as the oracle:
+    one candidate per kernel call, in the order of the move table, with best
+    moving in the middle of a round.  start and the result are (x, y, lam,
+    value); also returns the number of moves accepted."""
     rows = unit_dual_generators(spec.cone)
-
-    def margin_of(triple):
-        return float(_margins(f, spec, rows, form, triple.x[None, :], triple.y[None, :], np.array([triple.lam]))[0])
-
     box = f.domain
-    width = box.hi - box.lo
-    inset = 1e-9 * width
-    best, best_val = start, start_val
+    inset = 1e-9 * (box.hi - box.lo)
+    lo, hi = box.lo + inset, box.hi - inset
+    x, y, lam, best_val = start
+    dx, dy, dlam = moves
     step = 0.05
-    ran = accepted = 0
+    accepted = 0
     for _ in range(rounds):
-        ran += 1
         improved = False
-        candidates = []
-        for axis in range(box.dim):
-            for sign in (1.0, -1.0):
-                dx = np.zeros(box.dim)
-                dx[axis] = sign * step * width[axis]
-                candidates.append((dx, np.zeros(box.dim), 0.0))
-                candidates.append((np.zeros(box.dim), dx, 0.0))
-        for dlam in (step, -step):
-            candidates.append((np.zeros(box.dim), np.zeros(box.dim), dlam))
-        for dx, dy, dlam in candidates:
-            x = np.clip(best.x + dx, box.lo + inset, box.hi - inset)
-            y = np.clip(best.y + dy, box.lo + inset, box.hi - inset)
-            lam = float(np.clip(best.lam + dlam, 0.0, 1.0))
-            cand = SampleTriple(x=x, y=y, lam=lam)
-            val = margin_of(cand)
+        for i in range(dlam.shape[0]):
+            cx = np.clip(x + step * dx[i], lo, hi)
+            cy = np.clip(y + step * dy[i], lo, hi)
+            clam = float(np.clip(lam + step * dlam[i], 0.0, 1.0))
+            val = float(_margins(f, spec, rows, form, cx[None, :], cy[None, :], np.array([clam]))[0])
             if val < best_val:
-                best, best_val = cand, val
+                x, y, lam, best_val = cx, cy, clam, val
                 improved = True
                 accepted += 1
         if not improved:
             step *= 0.5
             if step < 1e-6:
                 break
-    return best, best_val, ran, accepted
+    return (x, y, lam, best_val), accepted
+
+
+def test_move_tables_list_the_documented_order():
+    width = np.array([2.0, 3.0])
+    dx, dy, dlam = _coordinate_moves(width)
+    # per axis and sign: the x move, then the y move; then lam up and down
+    want = [([2, 0], [0, 0], 0), ([0, 0], [2, 0], 0), ([-2, 0], [0, 0], 0), ([0, 0], [-2, 0], 0),
+            ([0, 3], [0, 0], 0), ([0, 0], [0, 3], 0), ([0, -3], [0, 0], 0), ([0, 0], [0, -3], 0),
+            ([0, 0], [0, 0], 1), ([0, 0], [0, 0], -1)]
+    assert np.array_equal(dx, [w[0] for w in want]) and np.array_equal(dy, [w[1] for w in want])
+    assert np.array_equal(dlam, [w[2] for w in want])
+    dx, dy, dlam = _paired_moves(width)
+    # per axis and sign: x and y together, then apart (y against the move)
+    want = [([2, 0], [2, 0]), ([2, 0], [-2, 0]), ([-2, 0], [-2, 0]), ([-2, 0], [2, 0]),
+            ([0, 3], [0, 3]), ([0, 3], [0, -3]), ([0, -3], [0, -3]), ([0, -3], [0, 3])]
+    assert np.array_equal(dx, [w[0] for w in want]) and np.array_equal(dy, [w[1] for w in want])
+    assert np.array_equal(dlam, np.zeros(8))
 
 
 def _search_cases(families):
@@ -453,7 +456,7 @@ def _search_cases(families):
 
 def _scan_start(f, spec, form, seed):
     scan = falsify(f, spec, form=form, budget=200, seed=seed, refine=False)
-    return scan.witness, scan.worst_margin
+    return scan.witness.x, scan.witness.y, scan.witness.lam, scan.worst_margin
 
 
 def _batched_objective(f, spec, form, calls):
@@ -466,36 +469,59 @@ def _batched_objective(f, spec, form, calls):
     return objective
 
 
+def _assert_search_matches_the_loop(f, spec, form, start, moves, rounds, where):
+    """_pattern_search against the one-candidate loop, by float.hex of the
+    margin, x, y and lam, and its cost: at most one objective call per
+    accepted move plus one, none of more than 17 tables of rows (the rest of
+    a round, its repeat and the 15 halved steps)."""
+    ref, accepted = _reference_pattern_search(f, spec, form, start, moves, rounds)
+    calls = []
+    got = _pattern_search(f.domain, _batched_objective(f, spec, form, calls), start, moves, rounds)
+    assert got[3].hex() == ref[3].hex(), where
+    assert [v.hex() for v in got[0]] == [v.hex() for v in ref[0]], where
+    assert [v.hex() for v in got[1]] == [v.hex() for v in ref[1]], where
+    assert float(got[2]).hex() == ref[2].hex(), where
+    assert len(calls) <= accepted + 1, where
+    assert max(calls, default=0) <= 17 * moves[2].shape[0], where
+
+
+_CAPS = (1, 2, 3, 7, 50)
+
+
 def test_batched_coordinate_search_reproduces_the_sequential_loop(families):
     for f, spec, form, seed in _search_cases(families):
-        start, start_val = _scan_start(f, spec, form, seed)
-        ref, ref_val, ran, accepted = _reference_pattern_search(f, spec, form, start, start_val)
-        calls = []
-        objective = _batched_objective(f, spec, form, calls)
+        start = _scan_start(f, spec, form, seed)
         moves = _coordinate_moves(f.domain.hi - f.domain.lo)
-        x, y, lam, val = _pattern_search(f.domain, objective, (start.x, start.y, start.lam, start_val), moves)
-        where = f"{f.label} {form} seed={seed} C={spec.C}"
-        assert val.hex() == ref_val.hex(), where
-        assert [v.hex() for v in x] == [v.hex() for v in ref.x], where
-        assert [v.hex() for v in y] == [v.hex() for v in ref.y], where
-        assert float(lam).hex() == ref.lam.hex(), where
-        # one call per round plus one per accepted move, at most
-        assert len(calls) <= ran + accepted, where
+        for rounds in _CAPS:
+            where = f"{f.label} {form} seed={seed} C={spec.C} rounds={rounds}"
+            _assert_search_matches_the_loop(f, spec, form, start, moves, rounds, where)
+
+
+def test_batched_paired_search_reproduces_the_sequential_loop(families):
+    # the polish pass of falsify, from the coordinate pass's result
+    for f, spec, form, seed in _search_cases(families):
+        width = f.domain.hi - f.domain.lo
+        start = _scan_start(f, spec, form, seed)
+        objective = _batched_objective(f, spec, form, [])
+        for rounds in _CAPS:
+            where = f"{f.label} {form} seed={seed} C={spec.C} rounds={rounds}"
+            coord = _pattern_search(f.domain, objective, start, _coordinate_moves(width), rounds)
+            _assert_search_matches_the_loop(f, spec, form, coord, _paired_moves(width), rounds, where)
 
 
 def test_polish_pass_never_returns_a_shallower_witness(families):
     deeper = 0
     for f, spec, form, seed in _search_cases(families):
-        start, start_val = _scan_start(f, spec, form, seed)
+        start = _scan_start(f, spec, form, seed)
         objective = _batched_objective(f, spec, form, [])
         width = f.domain.hi - f.domain.lo
-        coord = _pattern_search(f.domain, objective, (start.x, start.y, start.lam, start_val), _coordinate_moves(width))
+        coord = _pattern_search(f.domain, objective, start, _coordinate_moves(width))
         polished = _pattern_search(f.domain, objective, coord, _paired_moves(width))
         assert polished[3] <= coord[3]
         deeper += polished[3] < coord[3]
         rep = falsify(f, spec, form=form, budget=200, seed=seed)
         if not rep.passed:
-            assert rep.worst_margin == polished[3] and rep.worst_margin <= start_val
+            assert rep.worst_margin == polished[3] and rep.worst_margin <= start[3]
     assert deeper  # the polish pass bites somewhere
 
 

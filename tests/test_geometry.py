@@ -300,6 +300,52 @@ def test_pointedness_agrees_with_membership_on_thin_wedges():
     assert verdicts == {True, False}
 
 
+def _pairwise_merge(rays):
+    """The merge _polar_rays ran before it had a helper: each row compared
+    with every kept one, dropped at a cosine above 1 - 1e-12."""
+    kept = []
+    for row in rays:
+        if not any(row @ k > 1.0 - 1e-12 for k in kept):
+            kept.append(row)
+    return np.array(kept).reshape(-1, rays.shape[1])
+
+
+def test_distinct_rays_is_the_pairwise_merge():
+    rng = np.random.default_rng(16)
+    merged = kept_apart = 0
+    for d in (1, 2, 3, 5, 16, 64, 300):
+        base = geometry.unit_rows(rng.normal(size=(12, d)))
+        # copies pushed off by 1e-7 to 3e-6: the merge distance sqrt(2e-12)
+        # is about 1.41e-6, so some copies merge and some stay apart
+        push = rng.normal(size=(24, d)) * (np.geomspace(1e-7, 3e-6, 24) / np.sqrt(d))[:, None]
+        rays = geometry.unit_rows(np.vstack([base, base[rng.integers(0, 12, 24)] + push]))
+        rays = rays[rng.permutation(rays.shape[0])]
+        got, want = geometry._distinct_rays(rays), _pairwise_merge(rays)
+        assert got.tobytes() == want.tobytes(), d
+        merged += rays.shape[0] - got.shape[0]
+        kept_apart += got.shape[0] - 12
+    assert merged and kept_apart
+    # a chain 1e-6 rad a link: the middle row repeats the first, and the
+    # last repeats only the dropped middle one, so it is kept
+    phi = np.array([0.0, 1e-6, 2e-6])
+    chain = np.column_stack([np.cos(phi), np.sin(phi)])
+    assert geometry._distinct_rays(chain).tobytes() == chain[[0, 2]].tobytes()
+    # rows that repeat nothing keep their order and bits, given or enumerated
+    rows = geometry.unit_rows(rng.normal(size=(7, 4)))
+    assert unit_dual_generators(cone_from_inequalities(rows)).tobytes() == rows.tobytes()
+    assert unit_dual_generators(orthant(300)).tobytes() == np.eye(300).tobytes()
+
+
+def test_a_repeated_row_is_one_ray_in_either_form():
+    # given rows merge by the rule the enumeration uses: the first is kept
+    theta = 1e-7
+    rows = [[0.0, 1.0], [np.sin(theta), np.cos(theta)]]
+    by_rows = cone_from_inequalities(rows)
+    assert unit_dual_generators(by_rows).tobytes() == np.array([rows[0]]).tobytes()
+    assert not by_rows.pointed and contains(by_rows, [-1.0, 0.0])
+    assert unit_dual_generators(cone_from_inequalities([[2.0], [3.0]])).tobytes() == np.ones((1, 1)).tobytes()
+
+
 def test_pointedness_holds_at_any_scale():
     # the rank of the unit supporting rows sees neither the generators' scale
     # nor the length of a given row, which contains does not see either
