@@ -530,34 +530,6 @@ def check_approx_convex(
     )
 
 
-def _lipschitz_pairs(f: VectorMapping, lo: np.ndarray, hi: np.ndarray, budget: int, seed: int) -> tuple:
-    """The pairs (x, u) of the box (lo, hi) that check_vector_lipschitz reads,
-    rows of two arrays: max(budget // 2, 8) seeded draws with u != x, then
-    two deterministic short-gap pairs near the box corners."""
-    rng = np.random.default_rng(seed)
-    n_pairs = max(budget // 2, 8)
-    xs = rng.uniform(lo, hi, size=(n_pairs, lo.size))
-    ys = rng.uniform(lo, hi, size=(n_pairs, lo.size))
-    width = hi - lo
-    corners = lo + np.array([[0.05], [0.95]]) * width
-    distinct = row_norms(xs - ys, f.domain_norm) > 0.0
-    x = np.concatenate([xs[distinct], corners])
-    u = np.concatenate([ys[distinct], corners + 0.01 * width * np.array([[1.0], [-1.0]])])
-    return x, u
-
-
-def _lipschitz_ratios(f: VectorMapping, spec: ParaSpec, x: np.ndarray, u: np.ndarray, fu: np.ndarray, fx: np.ndarray) -> tuple:
-    """Per pair (x, u) the largest |y(f(u)-f(x))| / (||u-x|| * y(k)) over the
-    unit rows y, inf when a row that vanishes on k does not vanish on the
-    difference; with the gaps ||u-x|| and the table |y(f(u)-f(x))|."""
-    denom_k = cone_values(spec.cone, spec.k)
-    gap = row_norms(u - x, f.domain_norm)
-    size = np.abs(cone_values(spec.cone, fu - fx))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        r = np.where(denom_k > 1e-12, size / (gap[:, None] * np.maximum(denom_k, 1e-300)), np.where(size > 0, np.inf, 0.0))
-    return r.max(axis=1, initial=0.0), gap, size
-
-
 def check_vector_lipschitz(
     f: VectorMapping,
     spec: ParaSpec,
@@ -569,8 +541,10 @@ def check_vector_lipschitz(
     """Estimate the smallest L with -L*||u-x||*k <= f(u)-f(x) <= L*||u-x||*k
     on sampled pairs of region, reported as extras["L"].
 
-    L is the largest |y(f(u)-f(x))| / (||u-x|| * y(k)) over the pairs and the
-    unit rows y (_lipschitz_ratios, which gateaux_test reads too), so the
+    The pairs (x, u) are max(budget // 2, 8) seeded draws with u != x, then
+    two deterministic short-gap pairs near the box corners.  L is the largest
+    |y(f(u)-f(x))| / (||u-x|| * y(k)) over the pairs and the unit rows y, inf
+    when a row that vanishes on k does not vanish on the difference, so the
     order-form margins are at least 0 on every sampled pair, up to rounding:
     the report is an estimate of L, not a certificate.  A cone that is not
     pointed raises ValueError before any evaluation.
@@ -580,10 +554,23 @@ def check_vector_lipschitz(
         raise ValueError(f"the Lipschitz estimate needs a pointed cone, and {spec.cone!r} is not pointed")
     if np.any(region.lo < f.domain.lo) or np.any(region.hi > f.domain.hi):
         raise ValueError("region escapes the mapping domain")
-    x, u = _lipschitz_pairs(f, region.lo, region.hi, budget, seed)
+    lo, hi = region.lo, region.hi
+    rng = np.random.default_rng(seed)
+    n_pairs = max(budget // 2, 8)
+    xs = rng.uniform(lo, hi, size=(n_pairs, lo.size))
+    ys = rng.uniform(lo, hi, size=(n_pairs, lo.size))
+    width = hi - lo
+    corners = lo + np.array([[0.05], [0.95]]) * width
+    distinct = row_norms(xs - ys, f.domain_norm) > 0.0
+    x = np.concatenate([xs[distinct], corners])
+    u = np.concatenate([ys[distinct], corners + 0.01 * width * np.array([[1.0], [-1.0]])])
     values = f.eval_batch(np.concatenate([u, x]))
-    ratios, gap, size = _lipschitz_ratios(f, spec, x, u, values[: x.shape[0]], values[x.shape[0] :])
-    big_l = float(np.max(ratios, initial=0.0))
+    row_k = cone_values(spec.cone, spec.k)
+    gap = row_norms(u - x, f.domain_norm)
+    size = np.abs(cone_values(spec.cone, values[: x.shape[0]] - values[x.shape[0] :]))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratios = np.where(row_k > 1e-12, size / (gap[:, None] * np.maximum(row_k, 1e-300)), np.where(size > 0, np.inf, 0.0))
+    big_l = float(ratios.max(initial=0.0))
     if not np.isfinite(big_l):
         return CheckReport(
             worst_margin=float("-inf"),
@@ -595,7 +582,7 @@ def check_vector_lipschitz(
         )
 
     # min(bound - y(df), bound + y(df)) per unit row
-    margins = np.min((big_l * gap)[:, None] * cone_values(spec.cone, spec.k) - size, axis=1)
+    margins = np.min((big_l * gap)[:, None] * row_k - size, axis=1)
     return worst_report(
         margins,
         tol,

@@ -33,8 +33,9 @@ from paracone import (
     square_modulus,
     zero_modulus,
 )
-from paracone.derivative import _default_t0, _prep_direction, _quotient_noise
-from paracone.geometry import Box, norm, unit_dual_generators
+import paracone.derivative
+from paracone.derivative import GateauxReport, _default_t0, _prep_direction, _quotient_noise
+from paracone.geometry import Box, norm, random_simplicial_cone, unit_dual_generators
 from paracone.mappings import OutsideDomainError, VectorMapping, known_directional
 from paracone.modulus import eval_modulus
 
@@ -265,6 +266,16 @@ def test_sublinear_along_rays():
     assert check_sublinear(f2, f2.claimed, [0.25], tol=1e-6, seed=2).passed
 
 
+def test_sublinear_fails_the_concave_kink():
+    # D(h) = -|h| at the origin, so D(1) + D(-1) - D(0) = -2 leaves the orthant
+    f = neg_abs_1d()
+    spec = ParaSpec(modulus=square_modulus(), k=np.array([1.0]), cone=orthant(1), C=1.0, C1=1.0)
+    rep = check_sublinear(f, spec, [0.0], tol=1e-6)
+    assert not rep.passed and rep.worst_margin < -1.99
+    assert [w.tolist() for w in rep.witness] == [[1.0], [-1.0]]
+    assert check_sublinear(f, spec, [0.3], tol=1e-6).passed
+
+
 def test_sublinear_reads_zero_vectors_as_zero():
     f = smooth_r2_r3()
     # every vector of the pair, its sum and the homogeneity re-estimates are zero: nothing is estimated
@@ -360,7 +371,7 @@ def test_batteries_evaluate_one_quotient_batch(monkeypatch):
     f = smooth_r2_r3()
     x0 = [0.1, -0.2]
     batches = _count_batches(monkeypatch)
-    # the estimates and the continuity surrogate's Lipschitz pairs in one batch
+    # every estimate of the battery in one batch
     for n_directions in (2, 8, 16):
         batches.clear()
         gateaux_test(f, f.claimed, x0, n_directions=n_directions, tol=1e-6, seed=1)
@@ -403,6 +414,36 @@ def test_gateaux_report_is_json_ready():
     payload = json.loads(json.dumps(rep.to_dict()))
     assert payload["pass"] is True
     assert set(payload["margins"]) >= {"antisymmetry", "additivity", "homogeneity", "continuity"}
+
+
+def test_continuity_margin_never_decides(families, monkeypatch):
+    """L is at least max_y |y(D(+-u))| / y(k), so by the triangle inequality
+    the continuity margin is below 0 and never a point's defect: checked on
+    every report of the scan, at sampled points and declared kinks, of the
+    testbed families and seeded curved-cone maps.  No estimate converges at
+    tol 0 (its stop rule asks for a bracket below 0), so that scan has no
+    report."""
+    kernel = paracone.derivative._gateaux_reports
+    reports = {}
+
+    def recorded(f, spec, x0s, base_dirs, seeds, tol):
+        out = kernel(f, spec, x0s, base_dirs, seeds, tol)
+        reports.setdefault(tol, []).extend(rep for rep in out if isinstance(rep, GateauxReport))
+        return out
+
+    monkeypatch.setattr(paracone.derivative, "_gateaux_reports", recorded)
+    curved = [curved_cone_map(random_simplicial_cone(m, seed=40 + m), seed=m) for m in (2, 3, 4)]
+    curved.append(curved_cone_map(cone_from_generators(np.vstack([np.eye(5) + 0.5, np.ones((1, 5))])), seed=5))
+    for f in list(families) + curved:
+        region = f.domain.shrink(0.05)
+        kinks = [[k] for k in (f.kink_locus or ()) if region.contains(np.array([k]))]
+        for tol in (1e-6, 1e-9, 0.0):
+            gateaux_scan(f, f.claimed, region, n_points=40, n_directions=4, tol=tol, seed=7)
+            if kinks:
+                gateaux_scan(f, f.claimed, region, points=kinks, n_directions=4, tol=tol, seed=7)
+    assert len(reports[1e-6]) > 400 and reports[1e-9] and not reports.get(0.0)
+    assert {rep.passed for rep in reports[1e-6]} == {True, False}
+    assert max(rep.margins["continuity"] for reps in reports.values() for rep in reps) < 0.0
 
 
 def test_scan_confusion_on_known_kinks():
@@ -459,11 +500,11 @@ def test_shipped_scan_evaluates_one_batch_per_block():
     rep = gateaux_scan(
         f, f.claimed, f.domain.shrink(0.04), n_points=entry["n_points"], n_directions=entry["n_directions"], tol=entry["tol"], seed=entry["seed"]
     )
-    # six points per batch, 293 rows each: the point, 40 steps along +1, -1
+    # ten points per batch, 161 rows each: the point and 40 steps along +1, -1
     # and each homogeneity grid (the additivity sum 1 + (-1) is zero and not
-    # evaluated), and 66 Lipschitz pairs; a point at a time took 80 calls
-    assert rows == [6 * 293] * 6 + [4 * 293]
-    assert sum(rows) == 11_720
+    # evaluated); a point at a time took 80 calls
+    assert rows == [10 * 161] * 4
+    assert sum(rows) == 6_440
     assert rep.density == 1.0
 
 
