@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Print the epsilon/delta uniformity table for two mappings.
 
-The smooth plane-to-space family exercises the generic path where the
-directional derivative comes from the estimator.  The affine case is the
+The smooth plane-to-space family carries an analytic derivative, which
+frechet_test reads in place of the estimator.  The affine case is the
 yardstick: with the square modulus at constant one the residual is exactly
 t*k, its functional value is t*sqrt(3), and delta(eps) must be the largest
 scheduled step below eps/sqrt(3).  Agreement here pins down the schedule

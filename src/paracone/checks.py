@@ -136,6 +136,13 @@ def _at_least_one(**counts) -> None:
             raise ValueError(f"{name} must be at least 1")
 
 
+def _require_fit(f: VectorMapping, spec: ParaSpec) -> None:
+    """Raise ValueError, before any evaluation, when the spec's cone does not
+    live in the mapping's codomain: its margins would broadcast or fail in numpy."""
+    if spec.cone.dim != f.codomain_dim:
+        raise ValueError("spec cone dimension does not match the mapping codomain")
+
+
 def sample_triples(box: Box, budget: int, seed: int) -> Triples:
     """budget triples: the dyadic schedule first, then a seeded uniform fill
     with every third fill triple contracted to a small gap.
@@ -214,8 +221,7 @@ def _check_rows(
     tol: float,
     triples,
 ) -> CheckReport:
-    if spec.cone.dim != f.codomain_dim:
-        raise ValueError("spec cone dimension does not match the mapping codomain")
+    _require_fit(f, spec)
     triples = sample_triples(f.domain, budget, seed) if triples is None else _as_triples(triples)
     margins = _margins(f, spec, rows, form, triples.x, triples.y, triples.lam)
     return worst_report(
@@ -300,6 +306,7 @@ def falsify(
     on its batch, so a reported failure replays identically under
     check_inequality(triples=[witness]).
     """
+    _require_fit(f, spec)
     rows = unit_dual_generators(spec.cone)
     triples = sample_triples(f.domain, budget, seed)
     margins = _margins(f, spec, rows, form, triples.x, triples.y, triples.lam)
@@ -429,6 +436,7 @@ def check_fact2(
     scalarized map satisfies the lam-form inequality.  The slack here is the
     raw midpoint defect g(x)/2 + g(y)/2 - g(midpoint), absolute tolerance.
     """
+    _require_fit(f, spec)
     if spec.modulus.kind != "square":
         raise ValueError("midpoint-convexity test needs the square-gap modulus")
     if f.domain_norm != "two":

@@ -376,7 +376,11 @@ def build_spec(cfg: dict, mapping: VectorMapping) -> ParaSpec:
             raise ConfigError("spec: required, the mapping family declares no constants")
         return mapping.claimed
     with _located("spec"):
-        return ParaSpec(**read_fields(cfg["spec"], _SPEC, "spec"))
+        spec = ParaSpec(**read_fields(cfg["spec"], _SPEC, "spec"))
+    if spec.cone.dim != mapping.codomain_dim:
+        dims = f"dimension {spec.cone.dim} does not match the mapping codomain {mapping.codomain_dim}"
+        raise ConfigError(f"spec.cone: {dims}")
+    return spec
 
 
 def write_trace_csv(trace: QuotientTrace, path) -> None:

@@ -644,17 +644,3 @@ def strictly_positive_functional(cone: PolyCone) -> DualFunctional:
     if low <= 0.0:
         raise ValueError("no strictly positive functional: the unit supporting rows sum to zero on a generator")
     return DualFunctional(as_point(s / low), cone)
-
-
-def relative_interior_contains(cone: PolyCone, k, tol: float = 1e-9) -> bool:
-    """Strict positivity of every supporting inequality at k.
-
-    Only defined for full-dimensional cones, those whose generators
-    (enumerated for an inequality-only cone) span the space, where
-    the relative interior is the topological interior; anything thinner,
-    the trivial cone included, raises.
-    """
-    k = as_point(k, cone.dim)
-    if int(np.linalg.matrix_rank(ensure_generators(cone))) != cone.dim:
-        raise ValueError("relative interior test requires a full-dimensional cone")
-    return bool(np.all(cone_values(cone, k) > tol))

@@ -16,6 +16,7 @@ from paracone import (
     SampleTriple,
     Triples,
     affine_mapping,
+    build_trace,
     check_approx_convex,
     check_fact2,
     check_inequality,
@@ -28,6 +29,7 @@ from paracone import (
     dyadic_small_gap_triples,
     falsify,
     frechet_test,
+    gateaux_scan,
     gateaux_test,
     neg_abs_1d,
     neg_square_1d,
@@ -320,6 +322,33 @@ def test_dimension_mismatch_is_rejected():
     spec3 = ParaSpec(modulus=square_modulus(), k=np.ones(3), cone=orthant(3), C=1.0)
     with pytest.raises(ValueError):
         check_inequality(f, spec3, budget=10, seed=0)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda f, spec: check_inequality(f, spec, budget=16),
+        lambda f, spec: scalarize_check(f, spec, [[1.0, 0.0]], budget=16),
+        lambda f, spec: falsify(f, spec, budget=16),
+        lambda f, spec: check_fact2(f, spec, [1.0, 1.0], budget=16),
+        lambda f, spec: build_trace(f, spec, [0.25], [1.0]),
+        lambda f, spec: directional_derivative(f, spec, [0.25], [1.0]),
+        lambda f, spec: check_sublinear(f, spec, [0.25]),
+        lambda f, spec: gateaux_test(f, spec, [0.25]),
+        lambda f, spec: gateaux_scan(f, spec, f.domain.shrink(0.1), n_points=2),
+        lambda f, spec: frechet_test(f, spec, [0.25]),
+    ],
+    ids=["check", "scalarize", "falsify", "fact2", "trace", "derivative", "sublinear", "gateaux", "scan", "frechet"],
+)
+def test_spec_that_does_not_fit_the_codomain_raises_before_any_evaluation(call):
+    # a cone of R^2 on a map into R^1 would broadcast the quotients against k
+    calls = []
+    base = neg_abs_1d()
+    f = dataclasses.replace(base, evaluator=lambda x: calls.append(len(x)) or base.evaluator(x))
+    spec2 = ParaSpec(modulus=square_modulus(), k=np.ones(2), cone=orthant(2), C=1.0)
+    with pytest.raises(ValueError, match="spec cone dimension does not match the mapping codomain"):
+        call(f, spec2)
+    assert calls == []
 
 
 @settings(max_examples=10)

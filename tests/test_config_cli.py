@@ -772,6 +772,20 @@ def test_weak_modulus_is_an_input_error_only_for_the_derivative_ops(op, tmp_path
         assert re.fullmatch(rf"\[{op}\] {op}-0: (PASS|FAIL).*\n", captured.out)
 
 
+@pytest.mark.parametrize("op", list(OPERATIONS))
+def test_spec_cone_that_does_not_fit_the_codomain_exits_two(op, tmp_path, capsys):
+    # neg_abs maps into R^1: a cone of R^2 would broadcast against its values,
+    # so it is an input error, never a verdict
+    spec = {**_SQUARE, "cone": {"orthant": 2}, "k": [1, 1]}
+    path = tmp_path / "cfg.json"
+    cfg = {"mapping": {"family": "neg_abs"}, "spec": spec, "checks": [{"op": op, **_MINIMAL[op]}]}
+    path.write_text(json.dumps(cfg))
+    assert main([op, "--config", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "input error: spec.cone: dimension 2 does not match the mapping codomain 1" in captured.err
+
+
 def test_internal_errors_are_not_input_errors(monkeypatch, tmp_path):
     # runners reach checks through the module global at call time, so the
     # stand-in runs; its TypeError is a bug, not an exit-2 input error

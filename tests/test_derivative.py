@@ -259,6 +259,21 @@ def test_upper_bound_needs_converged_estimate():
         check_upper_bound(f, f.claimed, [0.3], [1.0], est)
 
 
+def test_upper_bound_fails_an_undersized_constant():
+    # -x^2 claimed with C = C1 = 0 bends below its tangent: the derivative
+    # exceeds the quotient at the top step, where the rule decides
+    f = neg_square_1d()
+    reports = []
+    for spec in (dataclasses.replace(f.claimed, C=0.0, C1=0.0), f.claimed):
+        est = directional_derivative(f, spec, [0.25], [1.0])
+        assert est.converged
+        reports.append(check_upper_bound(f, spec, [0.25], [1.0], est))
+    undersized, claimed = reports
+    assert not undersized.passed and undersized.witness == pytest.approx(0.1)
+    assert undersized.worst_margin == pytest.approx(-0.0476, abs=5e-5)
+    assert claimed.passed
+
+
 def test_sublinear_along_rays():
     f1 = abs_1d()
     assert check_sublinear(f1, f1.claimed, [0.0], tol=1e-6, seed=2).passed
@@ -556,6 +571,46 @@ def test_frechet_affine_delta_table_closed_form():
     assert rep.residual_margin >= -1e-6
     for row in rep.table:
         assert row["epsilon"] in (1e-2, 1e-3)
+
+
+def _flat_neg_square():
+    """(-x^2, 0) on (-1, 1) under the orthant of R^2 with k = (1, 1): it meets
+    its square-modulus claim at C = C1 = 1 exactly, and (-2x*h, 0) is its derivative."""
+    spec = ParaSpec(modulus=square_modulus(), cone=orthant(2), k=np.ones(2), C=1.0, C1=1.0)
+    return VectorMapping(
+        domain=Box(lo=[-1.0], hi=[1.0]),
+        codomain_dim=2,
+        evaluator=lambda x: np.column_stack([-x[:, 0] ** 2, np.zeros(len(x))]),
+        label="flat-neg-square",
+        claimed=spec,
+        analytic_directional=lambda x0, h: np.array([-2.0 * x0[0] * h[0], 0.0]),
+    )
+
+
+@pytest.mark.parametrize("x0", [0.3, -0.45, 0.7])
+def test_frechet_passes_an_exact_map_whose_base_norm_rounds_past_the_radius(x0):
+    # the residual's first coordinate is rounding noise around 0, so its base
+    # point r/e*(r) lands a few ulps-over-lambda outside the base; the residual
+    # stays in the cone within its allowance, and the verdict reads only that
+    f = _flat_neg_square()
+    rep = frechet_test(f, f.claimed, [x0], seed=0, tol=1e-6)
+    assert rep.passed
+    assert rep.gateaux_defect == 0.0 and rep.residual_margin >= 0.0
+    assert all(row["delta"] is not None for row in rep.table)
+    assert rep.base_radius == 1.0 < rep.max_base_norm < 1.0 + 1e-4
+
+
+def test_frechet_fails_an_undersized_constant_on_the_residual_rule():
+    # the smooth family at a quarter of its claimed constant: a linearity
+    # point with finite deltas, whose residual leaves the cone
+    f = smooth_r2_r3()
+    small = dataclasses.replace(f.claimed, C=0.25, C1=0.25)
+    rep = frechet_test(f, small, [0.1, -0.2], seed=31)
+    assert not rep.passed
+    assert rep.gateaux_defect == 0.0
+    assert all(row["delta"] is not None and math.isfinite(row["delta"]) for row in rep.table)
+    assert rep.residual_margin == pytest.approx(-0.0242, abs=5e-5)
+    assert frechet_test(f, f.claimed, [0.1, -0.2], seed=31).passed
 
 
 def test_frechet_report_serializes():

@@ -59,7 +59,8 @@ def _mismatches(got, want, path="manifest"):
 
 def test_every_shipped_config_has_a_golden_manifest():
     configs = sorted(p.stem for p in CONFIG_DIR.glob("*.json"))
-    assert configs and configs == sorted(p.stem for p in GOLDEN_DIR.glob("*.json"))
+    manifests = sorted(p.stem for p in GOLDEN_DIR.glob("*.json") if p.name != "verdicts.json")
+    assert configs and configs == manifests
     assert configs == sorted(p.stem for p in GOLDEN_DIR.glob("*.stdout"))
 
 
@@ -93,6 +94,18 @@ def test_script_matches_golden_stdout(name, capsys):
     script = runpy.run_path(str(SCRIPT_DIR / f"{name}.py"))
     assert script["main"]([]) == 0
     assert capsys.readouterr().out.splitlines() == want
+
+
+def test_verdict_corpus_matches_golden():
+    """tests/golden/verdicts.json, written by scripts/verdict_corpus.py --out,
+    holds every shipped config's CLI runs at eleven seed overrides and a
+    budget/tol override, and the testbed families' check, falsify and scan
+    reports at seeds 0-4; verdicts and exit codes must match exactly and
+    margins under the same rule as the manifests."""
+    want = json.loads((GOLDEN_DIR / "verdicts.json").read_text())
+    got = json.loads(json.dumps(runpy.run_path(str(SCRIPT_DIR / "verdict_corpus.py"))["build"]()))
+    bad = list(_mismatches(got, want, "verdicts"))
+    assert not bad, "\n".join(bad[:20])
 
 
 def test_golden_comparison_catches_moved_fields():

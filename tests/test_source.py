@@ -45,3 +45,17 @@ def test_every_private_module_name_is_read():
     ]
     assert trees
     assert not unread, unread
+
+
+def test_one_function_of_derivative_evaluates_the_mapping():
+    """Every derivative-side op evaluates through one quotient kernel: a
+    second function of derivative.py that calls eval_batch is a second
+    evaluation path."""
+    tree = ast.parse((SRC_DIR / "derivative.py").read_text())
+    callers = [
+        node.name
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and any(isinstance(n, ast.Attribute) and n.attr == "eval_batch" for n in ast.walk(node))
+    ]
+    assert len(callers) == 1, callers
