@@ -6,7 +6,8 @@ Every check here reads one object: the corrected quotient
 in the cone order as t decreases.  One quotient kernel, _quotients, builds
 every step and makes every eval_batch call: the trace, the estimator and the
 upper-bound check read one direction's quotients, and a battery estimates
-all its directions, at a block of points, in one call of it.
+all its directions, at a block of points, in one call of it, and at most one
+more for the estimates that do not converge (below).
 
 The estimator stops at the first level of a geometric step grid where the
 scalarized decrement between consecutive quotients, plus the vanishing
@@ -14,7 +15,12 @@ allowance term, plus the rounding allowance, drops below the requested
 tolerance.  The theory guarantees the corrected quotients decrease
 monotonically to the one-sided derivative but gives no rate, so the
 reported error bound is the monotone-bracket width at the stopping index,
-never an extrapolated rate claim.
+never an extrapolated rate claim.  The rounding allowance alone grows as
+the step falls, so below some level no bracket can reach the tolerance:
+every estimate evaluates only the levels above it, and only an estimate
+that does not converge there is evaluated again on its full grid, where its
+fallback stop is read (_stop_estimates).  The answers are those of the full
+grid, bit for bit.
 
 Every error bound and linearity margin is in one measure, max_y |y(v)| over
 the cone's unit rows y (_row_measure; the sup norm on an orthant), a norm
@@ -29,6 +35,7 @@ still detecting real violations, which are orders of magnitude larger.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -101,8 +108,17 @@ def _prep_direction(f: VectorMapping, x0, h):
     return x0, h / hn
 
 
-def _default_t0(f: VectorMapping, x0: np.ndarray, h: np.ndarray):
-    return np.minimum(0.1, 0.5 * f.domain.boundary_distance(x0, h))
+def _default_t0(clearance):
+    """The default top step from the boundary clearance along h: half of it, capped at 0.1."""
+    return np.minimum(0.1, 0.5 * clearance)
+
+
+@functools.lru_cache(maxsize=64)
+def _powers(ratio: float, depth: int) -> np.ndarray:
+    """ratio ** j for j = 0..depth-1, each the C library pow, as a read-only array."""
+    powers = np.float_power(ratio, np.arange(depth))
+    powers.flags.writeable = False
+    return powers
 
 
 def _step_grid(f: VectorMapping, x0: np.ndarray, h: np.ndarray, t0, ratio: float, depth: int) -> np.ndarray:
@@ -114,11 +130,11 @@ def _step_grid(f: VectorMapping, x0: np.ndarray, h: np.ndarray, t0, ratio: float
     if depth < 2:
         raise ValueError("need at least two grid levels")
     bd = f.domain.boundary_distance(x0, h)
-    t0 = _default_t0(f, x0, h) if t0 is None else np.asarray(t0, dtype=float)
-    if ((t0 <= 0.0) | (t0 >= bd)).any():
+    t0 = _default_t0(bd) if t0 is None else np.asarray(t0, dtype=float)
+    if not ((0.0 < t0) & (t0 < bd)).all():  # a NaN step is outside too
         top, clear = next((a, b) for a, b in zip(np.ravel(t0), np.ravel(bd)) if not 0.0 < a < b)
         raise ValueError(f"t0={top} leaves the domain along h (boundary clearance {clear})")
-    t_grid = t0[..., None] * np.float_power(ratio, np.arange(depth))
+    t_grid = t0[..., None] * _powers(float(ratio), depth)
     if not np.all(t_grid[..., -1]):
         smallest = t_grid.reshape(-1, depth)[np.argmin(t_grid[..., -1])]
         level = int(np.argmax(smallest == 0.0))
@@ -185,6 +201,14 @@ def build_trace(
     return _quotients(f, spec, x0, h, _step_grid(f, x0, h, t0, ratio, depth))
 
 
+@functools.lru_cache(maxsize=64)
+def _grid_pairs(n: int) -> tuple:
+    """The (coarse, fine) level pairs a < b of an n-level grid, as read-only index arrays."""
+    ia, ib = np.triu_indices(n, k=1)
+    ia.flags.writeable = ib.flags.writeable = False
+    return ia, ib
+
+
 def check_alpha_monotone(trace: QuotientTrace, tol: float = 1e-9) -> CheckReport:
     """Monotonicity of the corrected quotients along the grid.
 
@@ -196,14 +220,14 @@ def check_alpha_monotone(trace: QuotientTrace, tol: float = 1e-9) -> CheckReport
     supporting functionals, inflated by the rounding allowance of both
     quotients, and scaled by the quotient magnitudes.
     """
-    # quantity[a, b] = corrected[a] - raw[b] for t_a > t_b (a < b)
-    margins = cone_margins(trace.spec.cone, trace.corrected[:, None, :] - trace.raw[None, :, :])
+    # one row per pair: corrected[a] - raw[b] for t_a > t_b (a < b)
+    ia, ib = _grid_pairs(trace.t_grid.size)
+    margins = cone_margins(trace.spec.cone, trace.corrected[ia] - trace.raw[ib])
     raw_norms = np.linalg.norm(trace.raw, axis=1)
-    scale = 1.0 + raw_norms[:, None] + raw_norms[None, :]
-    adjusted = (margins + trace.noise[:, None] + trace.noise[None, :]) / scale
-    ia, ib = np.triu_indices(trace.t_grid.size, k=1)
+    scale = 1.0 + raw_norms[ia] + raw_norms[ib]
+    adjusted = (margins + trace.noise[ia] + trace.noise[ib]) / scale
     return worst_report(
-        adjusted[ia, ib],
+        adjusted,
         tol,
         lambda i: (float(trace.t_grid[ia[i]]), float(trace.t_grid[ib[i]])),
         samples_used=int(ia.size),
@@ -248,6 +272,38 @@ def _stop_levels(
     return level + 1, bounds[np.arange(len(level)), level], converged
 
 
+def _stop_estimates(
+    f: VectorMapping, spec: ParaSpec, x0: np.ndarray, h: np.ndarray, t: np.ndarray, tol: float, owner=None
+) -> tuple:
+    """The estimator on the grids t (k, n) along h (k, d) from x0, or from
+    x0[owner] of a block of base points as in _quotients: per trace the raw
+    quotient at its stop (k, m), the error bound, the index of the stop
+    level and convergence, by the stop rule (_stop_levels) on the full grids.
+
+    A bracket's bound is at least the sum of its two levels' rounding
+    allowances at zero norms, which grows as t falls.  So one _quotients
+    batch evaluates only the levels up to the last bracket where that floor,
+    on the largest step of each level, is below tol; a trace that does not
+    converge there is evaluated again on its full grid, where the fallback
+    reads its smallest bracket.  Every output has the bits of the full grid."""
+    n = t.shape[1]
+    # the largest step of each level has the smallest floor (-inf for no trace: any cut serves)
+    top = t[0] if len(t) == 1 else t.max(axis=0, initial=-np.inf)
+    floor = _quotient_noise(top, 0.0, 0.0)
+    closable = np.count_nonzero(floor[:-1] + floor[1:] < tol)
+    cut = closable + 1 if closable else n  # no bracket can close: the fallback reads the full grid
+    q = _quotients(f, spec, x0, h, t[:, :cut], owner)
+    level, bound, converged = _stop_levels(spec, q.raw, q.allowance, q.noise, tol)
+    value = q.raw[np.arange(len(t)), level]
+    if cut < n and not converged.all():  # only those traces, from only their base points
+        redo = np.flatnonzero(~converged)
+        points, owner = (slice(None), None) if owner is None else np.unique(owner[redo], return_inverse=True)
+        q = _quotients(f, spec, x0[points], h[redo], t[redo], owner)
+        level[redo], bound[redo], _ = _stop_levels(spec, q.raw, q.allowance, q.noise, tol)
+        value[redo] = q.raw[np.arange(redo.size), level[redo]]
+    return value, bound, level, converged
+
+
 def directional_derivative(
     f: VectorMapping,
     spec: ParaSpec,
@@ -259,21 +315,23 @@ def directional_derivative(
     max_depth: int = 40,
 ) -> DerivativeEstimate:
     """One-sided derivative along h by monotone quotient descent: the stop
-    rule (_stop_levels) on the grid t0 * ratio^j, j = 0..max_depth-1, in one
-    batch.  iterations is the stop level counted from one, not the number of
-    evaluations, always max_depth + 1.  A modulus that is not strong, or a
-    cone that is not pointed, raises ValueError before any evaluation:
-    without modulus(t)/t -> 0 the corrected quotients need not converge, and
-    the stop rule's row measure cannot see along a line in the cone.
+    rule (_stop_levels) on the grid t0 * ratio^j, j = 0..max_depth-1.  One
+    batch evaluates x0 and the levels whose brackets can reach tol, and an
+    estimate that does not converge one more on the full grid
+    (_stop_estimates).  iterations is the stop level counted from one, not the
+    number of evaluations.  A modulus that is not strong, or a cone that is
+    not pointed, raises ValueError before any evaluation: without
+    modulus(t)/t -> 0 the corrected quotients need not converge, and the stop
+    rule's row measure cannot see along a line in the cone.
     """
     _require_strong(spec)
     x0, h = _prep_direction(f, x0, h)
-    q = _quotients(f, spec, x0, h, _step_grid(f, x0, h, t0, ratio, max_depth))
-    level, bound, converged = _stop_levels(spec, q.raw[None], q.allowance[None], q.noise[None], tol)
+    t = _step_grid(f, x0, h, t0, ratio, max_depth)[None]
+    value, bound, level, converged = _stop_estimates(f, spec, x0, h[None], t, tol)
     level = int(level[0])
-    t_used = float(q.t_grid[level])
+    t_used = float(t[0, level])
     warn = bool(t_used < 1e-8 * norm(x0, "two"))
-    return DerivativeEstimate(q.raw[level].copy(), float(bound[0]), t_used, level + 1, bool(converged[0]), warn)
+    return DerivativeEstimate(value[0], float(bound[0]), t_used, level + 1, bool(converged[0]), warn)
 
 
 def check_upper_bound(
@@ -295,16 +353,16 @@ def check_upper_bound(
     if not estimate.converged:
         raise ValueError("upper-bound check needs a converged estimate")
     x0, h = _prep_direction(f, x0, h)
+    bd = f.domain.boundary_distance(x0, h)
     if t_samples is None:
         _at_least_one(n_samples=n_samples)
-        top = _default_t0(f, x0, h)
+        top = _default_t0(bd)
         lo, hi = min(estimate.t_used, top), max(estimate.t_used, top)
         t_samples = np.geomspace(lo, hi, n_samples)
     t_samples = np.asarray(sorted(set(float(t) for t in t_samples)))
     if not t_samples.size:
         raise ValueError("t_samples must name at least one step")
-    bd = f.domain.boundary_distance(x0, h)
-    if t_samples[0] <= 0.0 or t_samples[-1] >= bd:
+    if not ((0.0 < t_samples) & (t_samples < bd)).all():  # a NaN step is outside too, wherever it sorts
         raise ValueError("t samples must stay strictly inside the admissible range")
     q = _quotients(f, spec, x0, h, t_samples)
     f0n = norm(q.f0, "two")
@@ -323,7 +381,8 @@ def check_upper_bound(
 
 def _estimates(f: VectorMapping, spec: ParaSpec, x0s, vectors, tol: float, rescaled=False) -> tuple:
     """Estimates at each point of x0s (p, d) along its vectors (p, v, d), from
-    one _quotients batch of the points and every step.
+    one _quotients batch of the points and the steps a stop can read, and at
+    most one more for the estimates that do not converge (_stop_estimates).
 
     c*u is estimated along the unit u on the default grid as c*value and c*error
     bound (zeros if c <= 1e-12), and rescaled adds columns re-estimating
@@ -341,21 +400,20 @@ def _estimates(f: VectorMapping, spec: ParaSpec, x0s, vectors, tol: float, resca
     owner, col = np.divmod(kept, w)
     units = stack[kept] / lengths[kept, None]
     units = units / row_norms(units, f.domain_norm)[:, None]
-    tops = _default_t0(f, x0s[owner], units)
+    tops = _default_t0(f.domain.boundary_distance(x0s[owner], units))
     if lams.size:
         h0 = vectors[:, 0]
-        scaled = lams * _default_t0(f, x0s, h0)[:, None]
-        scaled = np.minimum(scaled, 0.49 * f.domain.boundary_distance(x0s, h0)[:, None])
+        bd0 = f.domain.boundary_distance(x0s, h0)[:, None]
+        scaled = np.minimum(lams * _default_t0(bd0), 0.49 * bd0)
         tops = np.where(col >= v, scaled[owner, np.maximum(col - v, 0)], tops)
-    q = _quotients(f, spec, x0s, units, _step_grid(f, x0s[owner], units, tops, 0.5, 40), owner)
-    level, error_bound, converged = _stop_levels(spec, q.raw, q.allowance, q.noise, tol)
-    at = np.arange(kept.size), level
+    t = _step_grid(f, x0s[owner], units, tops, 0.5, 40)
+    value, error_bound, level, converged = _stop_estimates(f, spec, x0s, units, t, tol, owner)
     vals = np.zeros((p * w, f.codomain_dim))
-    vals[kept] = lengths[kept, None] * q.raw[at]
+    vals[kept] = lengths[kept, None] * value
     errs = np.zeros(p * w)
     errs[kept] = lengths[kept] * error_bound
     used = np.zeros(p * w)
-    used[kept] = q.t_grid[at]
+    used[kept] = t[np.arange(kept.size), level]
     errors = [None] * p
     for j in np.flatnonzero(~converged):
         if errors[owner[j]] is None:  # a rescaled column names the vector it re-estimates
@@ -397,7 +455,8 @@ def check_sublinear(
     estimate error bounds, per unit supporting functional.  Homogeneity is
     exercised as schedule independence: the derivative recomputed on a
     lam-scaled step grid must match lam times the original within
-    tol*max(1, lam) plus scaled error bounds, in the row measure; all from one batch.
+    tol*max(1, lam) plus scaled error bounds, in the row measure; all from one
+    batch, and at most one more for the estimates that do not converge.
     """
     x0 = as_point(x0, f.domain.dim)
     d = f.domain.dim
@@ -471,7 +530,8 @@ def _gateaux_reports(f: VectorMapping, spec: ParaSpec, x0s, base_dirs, seeds: li
     directions (p, n, d): per point a GateauxReport carrying seeds[i], or the
     ConvergenceError of its first unconverged estimate.  Each block of as
     many points as fit in _BLOCK_VALUES values, and at least one, is one
-    eval_batch call.
+    eval_batch call, and at most one more for the estimates that do not
+    converge (_stop_estimates).
 
     The continuity surrogate's L is max_j |y_j(D(+-u))| / y_j(k), so by the
     triangle inequality its margin is below 0 up to rounding.  It and
@@ -486,7 +546,10 @@ def _gateaux_reports(f: VectorMapping, spec: ParaSpec, x0s, base_dirs, seeds: li
     vectors = np.concatenate([signed, signed[:, a] + signed[:, b]], axis=1)
     v = vectors.shape[1]
     row_k = np.maximum(cone_values(spec.cone, spec.k), 1e-300)
-    # nominal rows per point: the point and 40 steps per vector and homogeneity grid
+    # nominal rows per point: the point and 40 steps per vector and homogeneity
+    # grid.  A batch evaluates only the levels a stop can read, but blocks are
+    # sized on all 40, so a block holds as many points as when every level was
+    # evaluated, and the second batch of unconverged traces fits the budget too
     rows = 1 + 40 * (v + len(_LAMBDAS))
     block = max(1, _BLOCK_VALUES // (rows * f.codomain_dim))
     reports = []
@@ -542,7 +605,8 @@ def gateaux_test(
     |y(D(h) - D(-h))| <= (L*||h - (-h)|| + C*modulus(t*)/t*) * y(k), with L
     the largest |y(D(+-h))|/y(k), so that margin is below 0 by construction
     and never decides.  So tol is in the row measure, the sup norm on a
-    standard orthant.  One eval_batch call (_gateaux_reports).  Caller-given
+    standard orthant.  One eval_batch call, and at most one more for the
+    estimates that do not converge (_gateaux_reports).  Caller-given
     directions are scaled to unit domain norm, so a violation does not shrink
     with their length, and a zero one raises ValueError.  Estimator
     non-convergence along any direction propagates as ConvergenceError.  A
@@ -601,7 +665,8 @@ def gateaux_scan(
     kink_match_tol: float = 1e-9,
 ) -> ScanReport:
     """Run the linearity battery at sampled (or supplied) points, a block of
-    points per eval_batch call (_gateaux_reports).  Per-point seeds derive
+    points per eval_batch call, and at most one more per block for the
+    estimates that do not converge (_gateaux_reports).  Per-point seeds derive
     from (seed, index), and a point's defect, in the row measure, is
     bitwise gateaux_test's with its seed.  Every point is checked, and a bad
     one named as points[i], before any evaluation.  Non-convergence at a

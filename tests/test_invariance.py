@@ -2,9 +2,10 @@
 
 A metamorphic table: each row names a transform of the input, the ops whose
 answers it covers and the relation expected between the answers before and
-after it.  The hypotheses of the theorem do not change when a cone is given
-by generators rather than inequality rows, when its generators are rescaled,
-or when a witness is replayed on its own, so neither may the answers.
+after it.  The hypotheses of the theorem do not change when a direction is
+rescaled, when a cone is given by generators rather than inequality rows,
+when its generators are rescaled, or when a witness is replayed on its own,
+so neither may the answers.
 """
 
 import dataclasses
@@ -16,11 +17,13 @@ import pytest
 
 from paracone import (
     ParaSpec,
+    abs_1d,
     check_inequality,
     cone_from_generators,
     cone_from_inequalities,
     contains,
     falsify,
+    gateaux_test,
     neg_abs_1d,
     orthant,
     square_modulus,
@@ -41,6 +44,19 @@ def _wedge_both_ways(theta):
     the generators' order."""
     c, s = np.cos(theta), np.sin(theta)
     return cone_from_generators([[1.0, 0.0], [-c, s]]), cone_from_inequalities([[0.0, 1.0], [s, c]])
+
+
+def _direction_length(families):
+    # scored as given, a direction of length 1e-7 would shrink the kink's
+    # antisymmetry defect |D(1) + D(-1)| = 2 to 2e-7
+    f = abs_1d()
+    for x0, passed in ((0.0, False), (0.3, True)):
+        unit = gateaux_test(f, f.claimed, [x0], directions=[[1.0]], tol=1e-6)
+        assert unit.passed is passed and (passed or 1.9 < unit.defect <= 2.0)
+        for length in (1e-7, 1e-3, 1.0, 4.0):
+            rep = gateaux_test(f, f.claimed, [x0], directions=[[length]], tol=1e-6)
+            # in 1-D the scaled direction is exactly the unit one
+            assert rep.passed is passed and rep.defect.hex() == unit.defect.hex(), (x0, length)
 
 
 def _cone_form(families):
@@ -126,6 +142,13 @@ class Row:
 
 TABLE = (
     Row(
+        "a gateaux_test direction times 1e-7, 1e-3, 1 or 4, at the kink of |x| and at a smooth point",
+        "gateaux_test",
+        "the same verdict, a kink defect in (1.9, 2.0], and the same defect bit for bit where the scaled"
+        " direction is exactly the unit one, as in 1-D",
+        _direction_length,
+    ),
+    Row(
         "a thin wedge given by its generators, then by its rows",
         "unit_dual_generators, pointed, contains",
         "the same rays, an equal pointed flag and an equal membership of (-1, 0)",
@@ -146,6 +169,6 @@ TABLE = (
 )
 
 
-@pytest.mark.parametrize("row", TABLE, ids=("cone-form", "generator-scale", "falsify-replay"))
+@pytest.mark.parametrize("row", TABLE, ids=("direction-length", "cone-form", "generator-scale", "falsify-replay"))
 def test_invariance_row(row, families):
     row.check(families)

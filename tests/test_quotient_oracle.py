@@ -18,6 +18,7 @@ from paracone import (
     ConvergenceError,
     ParaSpec,
     build_trace,
+    check_alpha_monotone,
     check_sublinear,
     check_upper_bound,
     directional_derivative,
@@ -25,7 +26,9 @@ from paracone import (
     frechet_test,
     gateaux_scan,
     gateaux_test,
+    neg_abs_1d,
     orthant,
+    square_modulus,
     table_modulus,
     zero_modulus,
 )
@@ -37,6 +40,7 @@ from paracone.derivative import (
     _prep_direction,
     _quotient_noise,
     _quotients,
+    _stop_levels,
     _unit_directions,
 )
 from paracone.geometry import (
@@ -90,7 +94,7 @@ def _scalar_modulus(m, t):
 def _loop_upper_bound(f, spec, x0, h, estimate, t_samples=None, n_samples=12):
     x0, h = _prep_direction(f, x0, h)
     if t_samples is None:
-        top = _default_t0(f, x0, h)
+        top = _default_t0(f.domain.boundary_distance(x0, h))
         lo, hi = min(estimate.t_used, top), max(estimate.t_used, top)
         t_samples = np.geomspace(lo, hi, n_samples)
     t_samples = np.asarray(sorted(set(float(t) for t in t_samples)))
@@ -204,7 +208,7 @@ def test_upper_bound_matches_step_loop(families):
             est = directional_derivative(f, f.claimed, x0, h, tol=1e-6)
             if not est.converged:
                 continue
-            top = _default_t0(f, x0, h)
+            top = _default_t0(f.domain.boundary_distance(x0, h))
             for spec in specs:
                 for t_samples, n_samples in ((None, 12), (None, 5), ([0.5 * top, 1e-3 * top, 0.5 * top, 0.1 * top], 12)):
                     got = check_upper_bound(f, spec, x0, h, est, t_samples=t_samples, n_samples=n_samples, tol=1e-9)
@@ -237,13 +241,70 @@ def test_frechet_matches_step_loop(families):
 
 
 def test_estimate_is_the_trace_quotient_at_its_stop(families):
+    """The estimator evaluates only the levels whose brackets can reach tol,
+    and the full grid again where it does not converge on them: every
+    estimate, converged or not, is the stop rule run on the full trace."""
+    outcomes = []
     for f in families:
         for x0, h in _directions(f, 3, seed=59):
-            for ratio, depth in ((0.5, 40), (1.0 / 3.0, 25)):
-                est = directional_derivative(f, f.claimed, x0, h, tol=1e-6, ratio=ratio, max_depth=depth)
+            for ratio, depth in ((0.5, 40), (1.0 / 3.0, 25), (0.9, 60)):
                 tr = build_trace(f, f.claimed, x0, h, ratio=ratio, depth=depth)
-                assert est.t_used == tr.t_grid[est.iterations - 1]
-                assert est.value.tobytes() == tr.raw[est.iterations - 1].tobytes(), f.label
+                for tol in (1e-6, 1e-9, 1e-12, 0.0):
+                    est = directional_derivative(f, f.claimed, x0, h, tol=tol, ratio=ratio, max_depth=depth)
+                    stop = _stop_levels(f.claimed, tr.raw[None], tr.allowance[None], tr.noise[None], tol)
+                    (level,), (bound,), (converged,) = stop
+                    assert est.value.tobytes() == tr.raw[level].tobytes(), (f.label, ratio, tol)
+                    got = (_hex(est.error_bound), _hex(est.t_used), est.iterations, est.converged)
+                    assert got == (_hex(bound), _hex(tr.t_grid[level]), level + 1, converged), (f.label, ratio, tol)
+                    outcomes.append(converged)
+    assert sum(outcomes) > 50 and outcomes.count(False) > 50
+
+
+def _loop_alpha_monotone(trace):
+    """The grid-pair loop: per (coarse, fine) pair a < b the cone margin of
+    corrected[a] - raw[b] plus both rounding allowances over the quotient
+    magnitudes; the worst of them, its steps and the pair count."""
+    rows = unit_dual_generators(trace.spec.cone)
+    raw_norms = np.linalg.norm(trace.raw, axis=1)
+    worst, witness, count = np.inf, None, 0
+    for a in range(trace.t_grid.size):
+        for b in range(a + 1, trace.t_grid.size):
+            margin = _cone_margins(rows, (trace.corrected[a] - trace.raw[b])[None])[0]
+            adjusted = (margin + trace.noise[a] + trace.noise[b]) / (1.0 + raw_norms[a] + raw_norms[b])
+            count += 1
+            if adjusted < worst:
+                worst, witness = adjusted, (float(trace.t_grid[a]), float(trace.t_grid[b]))
+    return float(worst), witness, count
+
+
+def test_alpha_monotone_matches_the_pair_loop(families, monkeypatch):
+    """check_alpha_monotone scores each (coarse, fine) pair it reports once:
+    780 rows at depth 40, where the full square of pairs was 1,600."""
+    scored = []
+    margins = paracone.derivative.cone_margins
+    monkeypatch.setattr(paracone.derivative, "cone_margins", lambda cone, a: scored.append(len(a)) or margins(cone, a))
+    verdicts = set()
+    traces = [
+        build_trace(f, spec, x0, h, ratio=ratio, depth=depth)
+        for f in families
+        for x0, h in _directions(f, 2, seed=61)
+        for spec in _spec_variants(f)
+        for ratio, depth in ((0.5, 40), (1.0 / 3.0, 25))
+    ]
+    # -|x| straddling its kink under a square-gap allowance: the failing control
+    lie = ParaSpec(modulus=square_modulus(), k=np.array([1.0]), cone=orthant(1), C=1.0)
+    traces.append(build_trace(neg_abs_1d(), lie, [-0.05], [1.0], depth=40))
+    for tr in traces:
+        scored.clear()
+        rep = check_alpha_monotone(tr, tol=1e-9)
+        worst, witness, count = _loop_alpha_monotone(tr)
+        assert (_hex(rep.worst_margin), [_hex(t) for t in rep.witness]) == (_hex(worst), [_hex(t) for t in witness])
+        n = tr.t_grid.size
+        assert rep.samples_used == count == scored[0] == n * (n - 1) // 2 and len(scored) == 1
+        verdicts.add(rep.passed)
+    # the last trace, the control, has 40 levels
+    assert scored == [780] and not rep.passed
+    assert verdicts == {True, False}
 
 
 # ---------------------------------------------------------------------------
@@ -255,7 +316,7 @@ def _schedule_independence(f, spec, x0, h0, base_val, base_err, tol, lambdas, me
     for lam in lambdas:
         if lam <= 0.0:
             raise ValueError("homogeneity factors must be positive")
-        t0_b = min(lam * _default_t0(f, x0, h0), 0.49 * f.domain.boundary_distance(x0, h0))
+        t0_b = min(lam * _default_t0(f.domain.boundary_distance(x0, h0)), 0.49 * f.domain.boundary_distance(x0, h0))
         val_b, err_b, _ = _estimate_along(f, spec, x0, h0, tol, t0=t0_b)
         yield lam, measure(lam * val_b - lam * base_val), lam * (base_err + err_b)
 
@@ -434,9 +495,6 @@ def _loop_frechet_test(f, spec, x0, epsilons=(1e-2, 1e-3), n_directions=16, t_sc
         suffix_ok = np.logical_and.accumulate((max_lam_per_t <= eps)[::-1])[::-1]
         delta = float(t_schedule[np.argmax(suffix_ok)]) if suffix_ok.any() else None
         table.append({"epsilon": float(eps), "delta": delta, "max_lambda": float(np.max(max_lam_per_t))})
-    all_eps_ok = all(row["delta"] is not None for row in table)
-
-    passed = bool(all_eps_ok and residual_margin >= -tol and max_base_norm <= float(base.radius) + tol)
     return FrechetReport(
         x0=x0,
         table=table,

@@ -47,15 +47,25 @@ def test_every_private_module_name_is_read():
     assert not unread, unread
 
 
+def _derivative_functions_reading(name: str) -> list:
+    """The functions of derivative.py that read name, as a bare name or an attribute."""
+    tree = ast.parse((SRC_DIR / "derivative.py").read_text())
+    functions = [node for node in ast.walk(tree) if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    return [node.name for node in functions if _reads(node)[name]]
+
+
 def test_one_function_of_derivative_evaluates_the_mapping():
     """Every derivative-side op evaluates through one quotient kernel: a
     second function of derivative.py that calls eval_batch is a second
     evaluation path."""
-    tree = ast.parse((SRC_DIR / "derivative.py").read_text())
-    callers = [
-        node.name
-        for node in ast.walk(tree)
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-        and any(isinstance(n, ast.Attribute) and n.attr == "eval_batch" for n in ast.walk(node))
-    ]
+    callers = _derivative_functions_reading("eval_batch")
+    assert len(callers) == 1, callers
+
+
+def test_one_function_of_derivative_runs_the_stop_rule():
+    """Every estimate stops through one function, the one that evaluates only
+    the grid levels a stop can read: a second function of derivative.py that
+    calls _stop_levels is a second estimator path, which could evaluate every
+    level again."""
+    callers = _derivative_functions_reading("_stop_levels")
     assert len(callers) == 1, callers
