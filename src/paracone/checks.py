@@ -26,8 +26,11 @@ import numpy as np
 
 from .geometry import (
     Box,
-    DualFunctional,
+    _audit_dual,
+    _coerce_rows,
     cone_values,
+    dual_functional,
+    ensure_generators,
     matvec_rows,
     norm,
     row_dots,
@@ -262,22 +265,20 @@ def scalarize_check(
     """Scalar relaxed convexity of y*(f) with constant scaled by y*(k), for
     each supplied functional from the dual cone.
 
-    Functionals are audited against the spec cone's dual and scaled to unit
-    length by the same unit_rows that unit_dual_generators uses (scalar
-    relaxed convexity is invariant under positive scaling); the zero
-    functional is legal and contributes an identically zero slack, but an
-    empty list certifies nothing and raises.  Rows already unit are used as
-    given, so when the functionals are the cone's unit supporting rows this
-    computes check_inequality's arithmetic, slack for slack.
+    functionals are rows of the cone's dimension, each audited in one
+    _audit_dual call against every generator of the spec cone (a row
+    negative on one raises), then scaled to unit length by the same
+    unit_rows that unit_dual_generators uses (scalar relaxed convexity is
+    invariant under positive scaling); the zero functional is legal and
+    contributes an identically zero slack, but an empty list certifies
+    nothing and raises.  Rows already unit are used as given, so when the
+    functionals are the cone's unit supporting rows this computes
+    check_inequality's arithmetic, slack for slack.
     """
-    rows = []
-    for fun in functionals:
-        coeffs = fun.coeffs if isinstance(fun, DualFunctional) else np.asarray(fun, dtype=float)
-        if np.any(coeffs != 0.0):
-            DualFunctional(coeffs, spec.cone)  # raises when outside the dual cone
-        rows.append(coeffs)
-    if not rows:
+    rows = _coerce_rows(functionals, spec.cone.dim, "functionals", allow_zero_rows=True)
+    if not rows.shape[0]:
         raise ValueError("scalarize_check needs at least one functional")
+    _audit_dual(ensure_generators(spec.cone), rows)
     return _check_rows(f, spec, unit_rows(rows), form, budget, seed, tol, triples)
 
 
@@ -435,14 +436,15 @@ def check_fact2(
     norm, where the parallelogram identity makes g convex exactly when the
     scalarized map satisfies the lam-form inequality.  The slack here is the
     raw midpoint defect g(x)/2 + g(y)/2 - g(midpoint), absolute tolerance.
+    y_star is an array of the cone's dimension, audited by dual_functional:
+    one negative on a generator of the spec cone raises.
     """
     _require_fit(f, spec)
     if spec.modulus.kind != "square":
         raise ValueError("midpoint-convexity test needs the square-gap modulus")
     if f.domain_norm != "two":
         raise ValueError("midpoint-convexity test needs the euclidean domain norm")
-    coeffs = y_star.coeffs if isinstance(y_star, DualFunctional) else np.asarray(y_star, dtype=float)
-    DualFunctional(coeffs, spec.cone)  # audit
+    coeffs = dual_functional(spec.cone, y_star)
     # the parallelogram identity matches the lam-weighted form exactly
     c_lam = spec.C1 if spec.C1 is not None else 2.0 * spec.C
     c_eff = c_lam * spec.modulus.scale * float(coeffs @ spec.k)

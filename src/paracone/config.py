@@ -420,12 +420,12 @@ def _default_region(f: VectorMapping, region: Box | None) -> Box:
 
 
 def _run_scalarize(f, spec, functionals, **fields):
-    functionals = list(unit_dual_generators(spec.cone)) if functionals is None else functionals
+    functionals = unit_dual_generators(spec.cone) if functionals is None else functionals
     return _verdict(scalarize_check(f, spec, functionals, **fields))
 
 
 def _run_fact2(f, spec, y_star, **fields):
-    y_star = strictly_positive_functional(spec.cone).coeffs if y_star is None else y_star
+    y_star = strictly_positive_functional(spec.cone) if y_star is None else y_star
     return _verdict(check_fact2(f, spec, y_star, **fields))
 
 

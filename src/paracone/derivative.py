@@ -44,7 +44,7 @@ from .checks import _at_least_one, _require_fit
 from .geometry import (
     Box,
     as_point,
-    base_of,
+    base_radius,
     cone_margins,
     cone_values,
     matvec_rows,
@@ -121,15 +121,16 @@ def _powers(ratio: float, depth: int) -> np.ndarray:
     return powers
 
 
-def _step_grid(f: VectorMapping, x0: np.ndarray, h: np.ndarray, t0, ratio: float, depth: int) -> np.ndarray:
+def _step_grid(bd, t0, ratio: float, depth: int) -> np.ndarray:
     """The steps t0 * ratio^j for j = 0..depth-1, each power the C library pow
-    of the float ratio ** j, from x0 along h, or per row of stacked x0, h (k, d)
-    and t0 (k,), t0 None the default top; each positive, x0 + t*h in the domain."""
+    of the float ratio ** j, along one direction whose boundary clearance from
+    x0 (Box.boundary_distance) is bd, or per row of stacked bd and t0 (k,),
+    t0 None the default top; each positive and below bd, so x0 + t*h stays in
+    the domain.  The caller computes bd once and passes it."""
     if not 0.0 < ratio < 1.0:
         raise ValueError("ratio must lie strictly between 0 and 1")
     if depth < 2:
         raise ValueError("need at least two grid levels")
-    bd = f.domain.boundary_distance(x0, h)
     t0 = _default_t0(bd) if t0 is None else np.asarray(t0, dtype=float)
     if not ((0.0 < t0) & (t0 < bd)).all():  # a NaN step is outside too
         top, clear = next((a, b) for a, b in zip(np.ravel(t0), np.ravel(bd)) if not 0.0 < a < b)
@@ -198,7 +199,7 @@ def build_trace(
     0.1) at any interior point.
     """
     x0, h = _prep_direction(f, x0, h)
-    return _quotients(f, spec, x0, h, _step_grid(f, x0, h, t0, ratio, depth))
+    return _quotients(f, spec, x0, h, _step_grid(f.domain.boundary_distance(x0, h), t0, ratio, depth))
 
 
 @functools.lru_cache(maxsize=64)
@@ -326,7 +327,7 @@ def directional_derivative(
     """
     _require_strong(spec)
     x0, h = _prep_direction(f, x0, h)
-    t = _step_grid(f, x0, h, t0, ratio, max_depth)[None]
+    t = _step_grid(f.domain.boundary_distance(x0, h), t0, ratio, max_depth)[None]
     value, bound, level, converged = _stop_estimates(f, spec, x0, h[None], t, tol)
     level = int(level[0])
     t_used = float(t[0, level])
@@ -400,13 +401,14 @@ def _estimates(f: VectorMapping, spec: ParaSpec, x0s, vectors, tol: float, resca
     owner, col = np.divmod(kept, w)
     units = stack[kept] / lengths[kept, None]
     units = units / row_norms(units, f.domain_norm)[:, None]
-    tops = _default_t0(f.domain.boundary_distance(x0s[owner], units))
+    bd = f.domain.boundary_distance(x0s[owner], units)
+    tops = _default_t0(bd)
     if lams.size:
         h0 = vectors[:, 0]
         bd0 = f.domain.boundary_distance(x0s, h0)[:, None]
         scaled = np.minimum(lams * _default_t0(bd0), 0.49 * bd0)
         tops = np.where(col >= v, scaled[owner, np.maximum(col - v, 0)], tops)
-    t = _step_grid(f, x0s[owner], units, tops, 0.5, 40)
+    t = _step_grid(bd, tops, 0.5, 40)
     value, error_bound, level, converged = _stop_estimates(f, spec, x0s, units, t, tol, owner)
     vals = np.zeros((p * w, f.codomain_dim))
     vals[kept] = lengths[kept, None] * value
@@ -771,7 +773,7 @@ def frechet_test(
         raise ValueError("epsilons must name at least one tolerance, each nonnegative")
     _at_least_one(n_directions=n_directions)
     e_star = strictly_positive_functional(spec.cone)
-    base = base_of(spec.cone, e_star, norm_kind=f.codomain_norm)
+    radius = base_radius(spec.cone, e_star, norm_kind=f.codomain_norm)
     try:
         gtx = gateaux_test(f, spec, x0, n_directions=max(4, n_directions // 4), tol=tol, seed=seed)
         failed = None if gtx.passed else (gtx.defect, "the point is not a linearity point")
@@ -783,7 +785,7 @@ def frechet_test(
             table=[],
             residual_margin=float("-inf"),
             max_base_norm=float("nan"),
-            base_radius=float(base.radius),
+            base_radius=radius,
             gateaux_defect=failed[0],
             tol=tol,
             seed=seed,
@@ -816,7 +818,7 @@ def frechet_test(
     r = (q.corrected - np.array(d_vals)[:, None, :]).reshape(-1, q.f0.size)
     allow = (q.noise + d_errs[:, None]).reshape(-1)
     residual_margin = float(np.min((cone_margins(spec.cone, r) + allow) / (1.0 + row_norms(r))))
-    lam = matvec_rows(e_star.coeffs[None, :], r)[:, 0]
+    lam = matvec_rows(e_star[None, :], r)[:, 0]
     big = lam > tol
     max_base_norm = float(np.max(row_norms(r[big] / lam[big, None], f.codomain_norm), initial=0.0))
 
@@ -832,7 +834,7 @@ def frechet_test(
         table=table,
         residual_margin=float(residual_margin),
         max_base_norm=float(max_base_norm),
-        base_radius=float(base.radius),
+        base_radius=radius,
         gateaux_defect=gtx.defect,
         tol=tol,
         seed=seed,

@@ -10,6 +10,12 @@ margins, pointedness and the strictly positive functional read the unit
 supporting rows, full dimension and the dual audit read the generators.
 Nothing here solves a linear program, and numpy is the only dependency.
 
+A dual functional is a plain read-only array.  Every claim that rows are
+nonnegative on a cone meets one exact audit, _audit_dual, against every
+generator: a cone given in both forms (every generator meets every given
+inequality), a functional (dual_functional), and the functionals a check is
+handed.  Building a cone draws no random numbers.
+
 On the standard orthant (is_standard_orthant, decided once per cone) the
 normality constant is 1, which the sampled estimate returns bit for bit, as
 the docstring of normality_constant argues, so no sampling runs there.
@@ -40,7 +46,7 @@ NORM_KINDS = ("sup", "one", "two")
 _RAY_TOL = 1e-9
 # most rays an enumeration holds at once; a cone past it raises
 _MAX_RAYS = 2000
-# slack for the construction-time agreement audit between representations
+# relative slack of the dual audit (_audit_dual)
 _AUDIT_TOL = 1e-7
 # rows this close to unit length, in ulp, count as already unit (unit_rows)
 _UNIT_ULPS = 4
@@ -118,19 +124,35 @@ def unit_rows(rows) -> np.ndarray:
 
 
 def _coerce_rows(rows, dim: int, what: str, allow_zero_rows: bool) -> np.ndarray:
-    m = np.array(rows, dtype=float)
+    try:
+        m = np.array(rows, dtype=float)
+    except ValueError as exc:  # ragged rows, or entries that are not numbers
+        raise ValueError(f"{what} must be an array of shape (*, {dim}) of numbers") from exc
     if m.size == 0:
         m = np.zeros((0, dim))
     if m.ndim == 1:
         m = m[None, :]
     if m.ndim != 2 or m.shape[1] != dim:
-        raise ValueError(f"{what} must be an array of shape (*, {dim}), got {m.shape}")
+        raise ValueError(f"dimension mismatch: {what} must be an array of shape (*, {dim}), got {m.shape}")
     if not np.all(np.isfinite(m)):
         raise ValueError(f"{what} contains non-finite entries")
     if not allow_zero_rows and m.shape[0] and np.any(np.linalg.norm(m, axis=1) == 0.0):
         raise ValueError(f"{what} contains a zero row")
     m.flags.writeable = False
     return m
+
+
+def _audit_dual(
+    gens: np.ndarray, rows: np.ndarray, message: str = "functional is negative on a generator; not in the dual cone"
+) -> None:
+    """Raise ValueError(message) when a row is negative on a generator: when
+    gens @ rows.T has an entry below -_AUDIT_TOL * max(1, max|gens| * max|row|),
+    with max|row| the largest entry of that entry's row.  Every generator meets
+    every row; no generators (the trivial cone {0}, whose dual is the whole
+    space) accept every row."""
+    scale = np.maximum(1.0, np.max(np.abs(gens), initial=0.0) * np.max(np.abs(rows), axis=1, initial=0.0))
+    if np.any(gens @ rows.T < -_AUDIT_TOL * scale):
+        raise ValueError(message)
 
 
 @dataclass(frozen=True)
@@ -213,8 +235,10 @@ class PolyCone:
 
     generators: rays spanning the cone (rows), or None.
     dual_generators: rows d with the cone equal to {x : d @ x >= 0 for all d},
-        or None.  At least one representation must be present; when both are
-        given they must describe the same set (spot checked at construction).
+        or None.  At least one representation must be present.  When both are
+        given, construction checks that every given generator meets every
+        given inequality (_audit_dual) and raises otherwise; that does not
+        show the two sets are equal.
     pointed: whether the cone holds no line, decided at construction by one
         rule for every form: the unit supporting rows (unit_dual_generators,
         enumerated from the generators when none were given), which contains
@@ -243,26 +267,12 @@ class PolyCone:
             self.dual_generators = _coerce_rows(
                 self.dual_generators, self.dim, "dual_generators", allow_zero_rows=False
             )
+            if self.generators is not None:
+                _audit_dual(
+                    self.generators, self.dual_generators, "generator and inequality representations disagree"
+                )
         self._caches: dict = {}
-        self.pointed = self._compute_pointed()
-        self._cross_audit()
-
-    def _compute_pointed(self) -> bool:
-        return int(np.linalg.matrix_rank(unit_dual_generators(self))) == self.dim
-
-    def _cross_audit(self):
-        # spot check that sampled generator combinations satisfy the inequalities
-        if self.generators is None or self.dual_generators is None:
-            return
-        if self.generators.shape[0] == 0 or self.dual_generators.shape[0] == 0:
-            return
-        rng = np.random.default_rng(0x5EED)
-        combos = rng.uniform(0.0, 1.0, size=(32, self.generators.shape[0]))
-        pts = combos @ self.generators
-        slack = pts @ self.dual_generators.T
-        scale = max(1.0, float(np.max(np.abs(pts))))
-        if float(np.min(slack)) < -_AUDIT_TOL * scale:
-            raise ValueError("generator and inequality representations disagree")
+        self.pointed = int(np.linalg.matrix_rank(unit_dual_generators(self))) == self.dim
 
     def __repr__(self):  # keep array dumps out of test output
         label = self.name or "cone"
@@ -569,50 +579,25 @@ def normality_constant(cone: PolyCone, norm_kind: str = "two", budget: int = 100
     return float(np.max(ratios, initial=1.0))
 
 
-@dataclass(eq=False)
-class DualFunctional:
-    """Linear functional claimed to be nonnegative on a cone.
-
-    The claim is audited at construction against the cone's generators,
-    enumerated from the inequality form when the cone has none: a
-    value below minus the audit slack on any of them raises.  The trivial
-    cone {0} has no generators, and its dual, the whole space, accepts every
-    functional.
-    """
-
-    coeffs: Point
-    claimed_cone: PolyCone
-
-    def __post_init__(self):
-        self.coeffs = as_point(self.coeffs, self.claimed_cone.dim)
-        gens = ensure_generators(self.claimed_cone)
-        if gens.shape[0]:
-            vals = gens @ self.coeffs
-            scale = max(1.0, float(np.max(np.abs(gens))) * float(np.max(np.abs(self.coeffs), initial=0.0)))
-            if float(np.min(vals)) < -_AUDIT_TOL * scale:
-                raise ValueError("functional is negative on a generator; not in the dual cone")
-
-    def __call__(self, v) -> float:
-        return float(self.coeffs @ np.asarray(v, dtype=float))
+def dual_functional(cone: PolyCone, coeffs) -> Point:
+    """coeffs as a read-only point, audited (_audit_dual) against every
+    generator of the cone, enumerated from the inequality form when the cone
+    has none: raises when it is negative on one, so not in the dual cone."""
+    coeffs = as_point(coeffs, cone.dim)
+    _audit_dual(ensure_generators(cone), coeffs[None, :])
+    return coeffs
 
 
-@dataclass(eq=False)
-class ConeBase:
-    """Slice {k in cone : functional(k) = level} with its sampled radius."""
-
-    functional: DualFunctional
-    level: float = 1.0
-    radius: float | None = None
-
-
-def base_of(cone: PolyCone, functional, norm_kind: str = "two") -> ConeBase:
-    """Base of the cone cut out by a strictly positive functional.
+def base_radius(cone: PolyCone, coeffs, norm_kind: str = "two") -> float:
+    """Radius of the base {k in cone : coeffs @ k = 1} cut out by a strictly
+    positive functional.
 
     The radius is the largest norm among generators scaled to the level-one
     slice; every base point is a convex combination of those vertices, so the
-    radius bounds the whole base.
+    radius bounds the whole base.  A functional that is not strictly positive
+    on every generator raises; one that is lies in the dual cone.
     """
-    coeffs = functional.coeffs if isinstance(functional, DualFunctional) else as_point(functional, cone.dim)
+    coeffs = as_point(coeffs, cone.dim)
     gens = ensure_generators(cone)
     if gens.shape[0] == 0:
         raise ValueError("trivial cone has no base")
@@ -621,18 +606,16 @@ def base_of(cone: PolyCone, functional, norm_kind: str = "two") -> ConeBase:
     if float(np.min(vals)) <= 1e-12 * max(1.0, scale):
         raise ValueError("functional is not strictly positive on the generators; no bounded base at level one")
     verts = gens / vals[:, None]
-    radius = float(max(norm(v, norm_kind) for v in verts))
-    if not isinstance(functional, DualFunctional):
-        functional = DualFunctional(coeffs, cone)
-    return ConeBase(functional=functional, level=1.0, radius=radius)
+    return float(max(norm(v, norm_kind) for v in verts))
 
 
-def strictly_positive_functional(cone: PolyCone) -> DualFunctional:
-    """s / min_g(g @ s), s the sum of the unit supporting rows: at least 1 on
-    every generator g, and 1 where s is smallest.  A pointed cone has a
-    full-dimensional dual, whose interior holds s, so s is positive on the
-    cone.  On the standard orthant s is exactly all ones and so is the
-    answer.  Raises on the trivial cone and on a cone that is not pointed.
+def strictly_positive_functional(cone: PolyCone) -> Point:
+    """s / min_g(g @ s) as a read-only array, s the sum of the unit supporting
+    rows: at least 1 on every generator g, and 1 where s is smallest, so in
+    the dual cone.  A pointed cone has a full-dimensional dual, whose interior
+    holds s, so s is positive on the cone.  On the standard orthant s is
+    exactly all ones and so is the answer.  Raises on the trivial cone and on
+    a cone that is not pointed.
     """
     gens = ensure_generators(cone)
     if gens.shape[0] == 0:
@@ -643,4 +626,4 @@ def strictly_positive_functional(cone: PolyCone) -> DualFunctional:
     low = float(np.min(gens @ s))
     if low <= 0.0:
         raise ValueError("no strictly positive functional: the unit supporting rows sum to zero on a generator")
-    return DualFunctional(as_point(s / low), cone)
+    return as_point(s / low)

@@ -19,7 +19,7 @@ import numpy as np
 from paracone import (
     ParaSpec,
     abs_1d,
-    base_of,
+    base_radius,
     check_alpha_monotone,
     check_inequality,
     check_upper_bound,
@@ -290,8 +290,8 @@ def test_criterion_09_cone_kernel():
                 normality_ok = normality_ok and abs(gamma - 1.0) <= 1e-12
         base_ok = True
         for n in (2, 3):
-            base = base_of(orthant(n), strictly_positive_functional(orthant(n)), norm_kind="one")
-            base_ok = base_ok and abs(base.radius - 1.0) <= 1e-12
+            radius = base_radius(orthant(n), strictly_positive_functional(orthant(n)), norm_kind="one")
+            base_ok = base_ok and abs(radius - 1.0) <= 1e-12
         elapsed = perf_counter() - start
         ok = bipolar_ok and axioms_ok and normality_ok and base_ok and elapsed < 10.0
     finally:

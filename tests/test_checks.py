@@ -37,6 +37,7 @@ from paracone import (
     random_simplicial_cone,
     sample_triples,
     scalarize_check,
+    smooth_r2_r3,
     square_modulus,
     zero_modulus,
 )
@@ -306,6 +307,12 @@ def test_scalarize_audits_functionals():
     f = neg_square_1d()
     with pytest.raises(ValueError):
         scalarize_check(f, f.claimed, [np.array([-1.0])], budget=10, seed=0)
+    # a zero functional of the wrong length is malformed too, not skipped into numpy's matmul
+    g = smooth_r2_r3()
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        scalarize_check(g, g.claimed, [[0.0, 0.0]], budget=10, seed=0)
+    with pytest.raises(ValueError, match=r"functionals must be an array of shape \(\*, 3\) of numbers"):
+        scalarize_check(g, g.claimed, [[1.0], [1.0, 0.0, 0.0]], budget=10, seed=0)
 
 
 def test_scalarize_needs_a_functional():
@@ -631,8 +638,6 @@ def test_approx_convex_preconditions():
         check_approx_convex(f, [0.95], epsilon=0.1, delta=0.2, budget=10, seed=0)
     with pytest.raises(ValueError):
         check_approx_convex(f, [0.0], epsilon=-0.1, delta=0.1, budget=10, seed=0)
-    from paracone import smooth_r2_r3
-
     with pytest.raises(ValueError):
         check_approx_convex(smooth_r2_r3(), [0.0, 0.0], epsilon=0.1, delta=0.1, budget=10, seed=0)
 

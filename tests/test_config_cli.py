@@ -445,6 +445,10 @@ _SEMICONVEX = {
 }
 
 
+# the generator e_3 fails the last inequality by 0.3: no check may run on such a cone
+_DISAGREEING_CONE = {"generators": np.eye(3).tolist(), "dual_generators": np.eye(3).tolist() + [[1.0, 1.0, -0.3]]}
+
+
 def _set(obj: dict, where: str, value) -> dict:
     """A deep copy of obj with the dotted path where set to value."""
     out = copy.deepcopy(obj)
@@ -500,6 +504,7 @@ _EXAMPLE1 = {"family": "example1", "params": {}}
         ({"spec.cone.orthnat": 1}, "spec.cone.orthnat"),
         ({"spec.cone": {"orthant": 1, "generators": [[1.0]]}}, "spec.cone.generators"),
         ({"spec.cone": {"random_simplicial": False, "dim": 2, "seed": 1}}, "spec.cone.random_simplicial"),
+        ({"mapping": {"family": "smooth_r2_r3"}, "spec.k": [1.0] * 3, "spec.cone": _DISAGREEING_CONE}, "spec.cone"),
         ({"spec.modulus.scal": 2.0}, "spec.modulus.scal"),
         ({"spec.modulus": {"kind": "table", "knots": [[0.5, 0.25]], "scale": 2.0}}, "spec.modulus.scale"),
         ({"spec.modulus": {"scale": 2.0}}, "spec.modulus.kind"),
@@ -545,6 +550,7 @@ _EXAMPLE1 = {"family": "example1", "params": {}}
         "cone-typo",
         "cone-two-forms",
         "cone-simplicial-false",
+        "cone-forms-disagree",
         "modulus-typo",
         "modulus-scale-on-table",
         "modulus-without-kind",
@@ -893,7 +899,7 @@ def test_cli_import_leaves_scipy_unloaded(tmp_path):
         "for rays in ([[1.0, 0.0, 0.0], [1.0, 1.0, 0.0], [1.0, 0.0, 1.0]], r5):\n"
         "    h = curved_cone_map(cone_from_generators(rays), seed=3)\n"
         "    assert check_inequality(h, h.claimed, budget=200, seed=1).passed\n"
-        "    assert min(h.claimed.cone.generators @ strictly_positive_functional(h.claimed.cone).coeffs) >= 1.0 - 1e-12\n"
+        "    assert min(h.claimed.cone.generators @ strictly_positive_functional(h.claimed.cone)) >= 1.0 - 1e-12\n"
         "    mapping = {'family': 'curved_cone', 'params': {'cone': {'generators': rays}, 'seed': 3}}\n"
         "    cfg = {'mapping': mapping, 'checks': [{'op': 'fact2', 'budget': 200, 'seed': 1}]}\n"
         "    with contextlib.redirect_stdout(io.StringIO()):\n"

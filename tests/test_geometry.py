@@ -10,18 +10,18 @@ from hypothesis import strategies as st
 
 from paracone import (
     Box,
-    DualFunctional,
     Modulus,
     ParaSpec,
     PolyCone,
     as_point,
-    base_of,
+    base_radius,
     check_inequality,
     cone_from_generators,
     cone_from_inequalities,
     contains,
     curved_cone_map,
     dual_cone,
+    dual_functional,
     leq,
     norm,
     normality_constant,
@@ -165,6 +165,26 @@ def test_representation_cross_audit_rejects_mismatch():
         PolyCone(2, generators=np.eye(2), dual_generators=np.array([[1.0, 0.0], [0.0, -1.0]]))
 
 
+# cones whose given generator e_d fails one given inequality, by 0.3 and by
+# 0.02: a check of sampled generator combinations misses both, since the
+# other generators' positive slack hides the violation
+DISAGREEING_FORMS = {
+    "3d": (np.eye(3), np.vstack([np.eye(3), [1.0, 1.0, -0.3]])),
+    "2d": (np.eye(2), np.vstack([np.eye(2), [1.0, -0.02]])),
+}
+
+
+@pytest.mark.parametrize("gens, rows", DISAGREEING_FORMS.values(), ids=DISAGREEING_FORMS.keys())
+def test_every_generator_meets_every_given_inequality(gens, rows):
+    dim = gens.shape[1]
+    with pytest.raises(ValueError, match="generator and inequality representations disagree"):
+        PolyCone(dim, generators=gens, dual_generators=rows)
+    # cones given in both forms whose forms agree still build
+    for seed in range(10):
+        assert dual_cone(random_simplicial_cone(dim, seed=seed)).pointed and dual_cone(_pointed_cone(seed)).pointed
+    assert orthant(dim).pointed and dual_cone(orthant(dim)).pointed
+
+
 def test_contains_agrees_with_the_unit_row_margins():
     # a raw row of length 1e6 scales a -1e-12 margin to -1e-6, far outside tol
     cone = cone_from_inequalities([[1e6, 0.0], [0.0, 1.0]])
@@ -188,7 +208,7 @@ def test_trivial_cone_is_read_through_its_rows():
     zero = PolyCone(2, generators=np.zeros((0, 2)))
     assert contains(zero, [1e-9, -1e-9])
     assert not contains(zero, [2e-9, 0.0])
-    assert DualFunctional([3.0, -4.0], zero)([1.0, 1.0]) == -1.0
+    assert dual_functional(zero, [3.0, -4.0]) @ [1.0, 1.0] == -1.0
 
 
 THIN_WEDGE = cone_from_generators([[1.0, 0.0], [1.0, 1e-3]], name="thin wedge")
@@ -501,9 +521,9 @@ def test_ray_enumeration_dimension_limit():
         assert leq(c, -k, k) and not leq(c, k, -k), c
         assert np.all(cone_values(c, k) > 0), c
         e = strictly_positive_functional(c)
-        assert DualFunctional(e.coeffs, c)(k) > 0.0
+        assert dual_functional(c, e) @ k > 0.0
         with pytest.raises(ValueError, match="not in the dual cone"):
-            DualFunctional(-e.coeffs, c)
+            dual_functional(c, -e)
         h = curved_cone_map(c, seed=3)
         assert check_inequality(h, h.claimed, budget=200, seed=1).passed, c
         assert check_fact2(h, h.claimed, e, budget=200, seed=1).passed, c
@@ -689,8 +709,8 @@ def test_normality_nondecreasing_at_every_budget():
 
 def test_strictly_positive_functional_orthant_is_ones():
     e = strictly_positive_functional(orthant(3))
-    assert np.array_equal(e.coeffs, np.ones(3))
-    assert e([2.0, 0.0, 1.0]) == 3.0
+    assert np.array_equal(e, np.ones(3))
+    assert e @ [2.0, 0.0, 1.0] == 3.0
 
 
 def _lp_positive_functional(cone):
@@ -716,7 +736,7 @@ def _lp_positive_functional(cone):
 def test_orthant_positive_functional_is_the_lp_answer(monkeypatch):
     calls = _counting_linprog(monkeypatch)
     for dim in range(1, 9):
-        got = strictly_positive_functional(orthant(dim)).coeffs
+        got = strictly_positive_functional(orthant(dim))
         want = _lp_positive_functional(orthant(dim))
         assert [c.hex() for c in got] == [c.hex() for c in want], dim
     assert len(calls) == 8  # the oracle's solves only
@@ -739,11 +759,11 @@ def test_lps_answer_at_every_scale():
     # pointed, and the functional, read off the unit rows, is that of its
     # unit-scale copy, scaled back
     for gens in ([[1.0, 1.0], [1.0, 2.0]], LOPSIDED):
-        want = strictly_positive_functional(cone_from_generators(gens)).coeffs
+        want = strictly_positive_functional(cone_from_generators(gens))
         for scale in (1e-12, 1e-10, 1e-8, 1e-6, 1e-3, 1.0, 1e3, 1e6, 1e10):
             cone = cone_from_generators(scale * np.array(gens))
             assert cone.pointed, (gens, scale)
-            got = strictly_positive_functional(cone).coeffs
+            got = strictly_positive_functional(cone)
             assert np.allclose(scale * got, want, rtol=1e-9, atol=0.0), (gens, scale, got)
 
 
@@ -763,50 +783,49 @@ def test_positive_functional_is_one_at_its_lowest_generator():
     for seed in range(300):
         cone = _pointed_cone(seed)
         assert cone.pointed, seed
-        coeffs = strictly_positive_functional(cone).coeffs
+        coeffs = strictly_positive_functional(cone)
         # at least 1 on every generator and 1 on the lowest, up to rounding
         assert np.min(ensure_generators(cone) @ coeffs) == pytest.approx(1.0, rel=1e-12, abs=0.0), seed
-        DualFunctional(coeffs, cone)  # the audit passes
+        dual_functional(cone, coeffs)  # the audit passes
     for dim in range(1, 9):
-        assert strictly_positive_functional(orthant(dim)).coeffs.tobytes() == np.ones(dim).tobytes()
+        assert strictly_positive_functional(orthant(dim)).tobytes() == np.ones(dim).tobytes()
 
 
 def test_dual_functional_audit():
     with pytest.raises(ValueError):
-        DualFunctional(np.array([1.0, -1.0]), orthant(2))
+        dual_functional(orthant(2), np.array([1.0, -1.0]))
     # negative on the enumerated ray at angle 1e-5, positive on (1, 0)
     with pytest.raises(ValueError):
-        DualFunctional([0.4e-5, -1.0], THIN_INEQUALITY_WEDGE)
-    ok = DualFunctional(np.array([2.0, 0.0]), orthant(2))
-    assert ok([1.5, 7.0]) == 3.0
+        dual_functional(THIN_INEQUALITY_WEDGE, [0.4e-5, -1.0])
+    ok = dual_functional(orthant(2), np.array([2.0, 0.0]))
+    assert ok @ [1.5, 7.0] == 3.0
 
 
 def test_base_radius_oracles():
     # simplex base of the orthant: vertices are the basis rays
     e3 = strictly_positive_functional(orthant(3))
-    assert abs(base_of(orthant(3), e3, norm_kind="one").radius - 1.0) <= 1e-12
-    assert abs(base_of(orthant(3), e3, norm_kind="two").radius - 1.0) <= 1e-12
+    assert abs(base_radius(orthant(3), e3, norm_kind="one") - 1.0) <= 1e-12
+    assert abs(base_radius(orthant(3), e3, norm_kind="two") - 1.0) <= 1e-12
     # wedge sliced by the first coordinate: vertices (1,0) and (1,1)
-    b = base_of(WEDGE, np.array([1.0, 0.0]), norm_kind="two")
-    assert b.radius == pytest.approx(np.sqrt(2.0), abs=1e-12)
+    assert base_radius(WEDGE, np.array([1.0, 0.0]), norm_kind="two") == pytest.approx(np.sqrt(2.0), abs=1e-12)
 
 
 def test_base_rejects_functional_vanishing_on_a_ray():
     with pytest.raises(ValueError):
-        base_of(WEDGE, np.array([0.0, 1.0]))
+        base_radius(WEDGE, np.array([0.0, 1.0]))
 
 
 def test_base_points_respect_level_and_radius():
     for cone in (orthant(3), WEDGE, random_simplicial_cone(3, seed=24)):
         e = strictly_positive_functional(cone)
-        b = base_of(cone, e, norm_kind="two")
+        radius = base_radius(cone, e, norm_kind="two")
         for u in sample_in_cone(cone, 200, seed=25):
-            lam = e(u)
+            lam = e @ u
             if lam <= 1e-9:
                 continue
             pt = np.asarray(u, dtype=float) / lam
-            assert abs(e(pt) - 1.0) <= 1e-9
-            assert norm(pt, "two") <= b.radius + 1e-12
+            assert abs(e @ pt - 1.0) <= 1e-9
+            assert norm(pt, "two") <= radius + 1e-12
 
 
 def test_generator_direction_is_the_unit_generator_sum():

@@ -46,7 +46,7 @@ from paracone.derivative import (
 from paracone.geometry import (
     Box,
     as_point,
-    base_of,
+    base_radius,
     matvec_rows,
     norm,
     row_norms,
@@ -157,7 +157,7 @@ def _loop_frechet(f, spec, x0, epsilons, n_directions, t_schedule, tol, seed):
             allow = _quotient_noise(t, float(np.linalg.norm(ft)), f0n) + d_errs[ui]
             margin = (float(np.min(rows @ r)) + allow) / (1.0 + float(np.linalg.norm(r)))
             residual_margin = min(residual_margin, margin)
-            lam = float(e_star(r))
+            lam = float(e_star @ r)
             lam_table[ti, ui] = lam
             if lam > tol:
                 max_base_norm = max(max_base_norm, float(norm(r / lam, f.codomain_norm)))
@@ -442,7 +442,7 @@ def _loop_gateaux(f, spec, x0, directions=None, n_directions=8, tol=1e-6, seed=0
 def _loop_frechet_test(f, spec, x0, epsilons=(1e-2, 1e-3), n_directions=16, t_schedule=None, tol=1e-6, seed=0):
     x0 = as_point(x0, f.domain.dim)
     e_star = strictly_positive_functional(spec.cone)
-    base = base_of(spec.cone, e_star, norm_kind=f.codomain_norm)
+    radius = base_radius(spec.cone, e_star, norm_kind=f.codomain_norm)
     try:
         gtx = _loop_gateaux(f, spec, x0, n_directions=max(4, n_directions // 4), tol=tol, seed=seed)
         failed = None if gtx.passed else (gtx.defect, "the point is not a linearity point")
@@ -454,7 +454,7 @@ def _loop_frechet_test(f, spec, x0, epsilons=(1e-2, 1e-3), n_directions=16, t_sc
             table=[],
             residual_margin=float("-inf"),
             max_base_norm=float("nan"),
-            base_radius=float(base.radius),
+            base_radius=radius,
             gateaux_defect=failed[0],
             tol=tol,
             seed=seed,
@@ -483,7 +483,7 @@ def _loop_frechet_test(f, spec, x0, epsilons=(1e-2, 1e-3), n_directions=16, t_sc
         r = q.corrected - d_val
         margins = (_cone_margins(rows, r) + (q.noise + d_err)) / (1.0 + row_norms(r))
         residual_margin = min(residual_margin, float(np.min(margins)))
-        lam = matvec_rows(e_star.coeffs[None, :], r)[:, 0]
+        lam = matvec_rows(e_star[None, :], r)[:, 0]
         lam_table[:, ui] = lam
         big = lam > tol
         if big.any():
@@ -500,7 +500,7 @@ def _loop_frechet_test(f, spec, x0, epsilons=(1e-2, 1e-3), n_directions=16, t_sc
         table=table,
         residual_margin=float(residual_margin),
         max_base_norm=float(max_base_norm),
-        base_radius=float(base.radius),
+        base_radius=radius,
         gateaux_defect=gtx.defect,
         tol=tol,
         seed=seed,

@@ -47,9 +47,9 @@ def test_every_private_module_name_is_read():
     assert not unread, unread
 
 
-def _derivative_functions_reading(name: str) -> list:
-    """The functions of derivative.py that read name, as a bare name or an attribute."""
-    tree = ast.parse((SRC_DIR / "derivative.py").read_text())
+def _functions_reading(module: str, name: str) -> list:
+    """The functions of module that read name, as a bare name or an attribute."""
+    tree = ast.parse((SRC_DIR / module).read_text())
     functions = [node for node in ast.walk(tree) if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
     return [node.name for node in functions if _reads(node)[name]]
 
@@ -58,7 +58,7 @@ def test_one_function_of_derivative_evaluates_the_mapping():
     """Every derivative-side op evaluates through one quotient kernel: a
     second function of derivative.py that calls eval_batch is a second
     evaluation path."""
-    callers = _derivative_functions_reading("eval_batch")
+    callers = _functions_reading("derivative.py", "eval_batch")
     assert len(callers) == 1, callers
 
 
@@ -67,5 +67,12 @@ def test_one_function_of_derivative_runs_the_stop_rule():
     the grid levels a stop can read: a second function of derivative.py that
     calls _stop_levels is a second estimator path, which could evaluate every
     level again."""
-    callers = _derivative_functions_reading("_stop_levels")
+    callers = _functions_reading("derivative.py", "_stop_levels")
     assert len(callers) == 1, callers
+
+
+def test_one_function_of_geometry_audits_the_dual():
+    """Every claim that rows are nonnegative on a cone meets one exact audit:
+    a second function of geometry.py that reads _AUDIT_TOL is a second rule."""
+    readers = _functions_reading("geometry.py", "_AUDIT_TOL")
+    assert readers == ["_audit_dual"], readers
