@@ -3,9 +3,10 @@
 testbed families through the library, at fixed seeds.
 
 The config part runs `paracone run` in process (paracone.cli.main) on each
-shipped config with no flags, with --seed 0 to 9, and with
---seed 5 --budget 64 --tol 1e-6, and keeps each run's exit code, its stderr
-and its manifest reports.  The library part runs every testbed family at its
+shipped config with no flags, with --seed 0 to 9, with four 31-bit seeds
+(the per-sweep seeds the benchmark's configs workload draws for sweeps 0 and
+1 at bench seeds 0 and 1), and with --seed 5 --budget 64 --tol 1e-6, and
+keeps each run's exit code, its stderr and its manifest reports.  The library part runs every testbed family at its
 claimed spec through check_inequality in both forms, falsify, and
 gateaux_scan on the domain shrunk by 0.04, at seeds 0 to 4, and keeps each
 report's JSON form.
@@ -27,7 +28,12 @@ from paracone import check_inequality, falsify, gateaux_scan, testbed_families
 from paracone.cli import main as cli_main
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
-FLAG_SETS = [[]] + [["--seed", str(s)] for s in range(10)] + [["--seed", "5", "--budget", "64", "--tol", "1e-6"]]
+WIDE_SEEDS = (967688993, 1421543173, 1295943086, 1301153365)
+FLAG_SETS = (
+    [[]]
+    + [["--seed", str(s)] for s in (*range(10), *WIDE_SEEDS)]
+    + [["--seed", "5", "--budget", "64", "--tol", "1e-6"]]
+)
 LIBRARY_SEEDS = range(5)
 SCAN_POINTS = 20
 

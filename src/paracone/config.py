@@ -65,7 +65,7 @@ from .mappings import (
     affine_mapping,
     curved_cone_map,
     example1_default,
-    make_semiconvex_scalar,
+    make_stacked_scalars,
     neg_abs_1d,
     neg_square_1d,
     smooth_r2_r3,
@@ -318,7 +318,8 @@ _SMOOTH_KINDS = {
 
 
 def _semiconvex(kinks, initial_slope, smooth, domain, C) -> VectorMapping:
-    return make_semiconvex_scalar(PiecewiseLinear(initial_slope=initial_slope, kinks=kinks), smooth, C=C, domain=domain)
+    convex = PiecewiseLinear(initial_slope=initial_slope, kinks=kinks)
+    return make_stacked_scalars((convex,), (smooth,), [1.0], C=C, domain=domain, label="semiconvex-scalar")
 
 
 # mapping families: constructor and the table of mapping.params

@@ -36,6 +36,7 @@ still detecting real violations, which are orders of magnitude larger.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -101,6 +102,8 @@ def _prep_direction(f: VectorMapping, x0, h):
     if h.shape != (f.domain.dim,):
         raise ValueError("direction dimension mismatch")
     hn = norm(h, f.domain_norm)
+    if not math.isfinite(hn):  # a NaN or inf entry makes the length NaN or inf
+        raise ValueError(f"direction {h.tolist()} has no finite length")
     if hn == 0.0:
         raise ValueError("direction must be nonzero")
     if abs(hn - 1.0) > 1e-6:
@@ -425,10 +428,13 @@ def _estimates(f: VectorMapping, spec: ParaSpec, x0s, vectors, tol: float, resca
 
 
 def _point_estimates(f: VectorMapping, spec: ParaSpec, x0, vectors: list, tol: float, rescaled=False) -> tuple:
-    """_estimates at one point along a list of vectors; the first that did not converge raises."""
+    """_estimates at one point along a list of finite vectors; the first that did not converge raises."""
     stack = np.array(vectors, dtype=float)
     if stack.shape[1:] != (f.domain.dim,):
         raise ValueError("direction dimension mismatch")
+    finite = np.isfinite(stack).all(axis=1)
+    if not finite.all():
+        raise ValueError(f"direction {stack[np.argmin(finite)].tolist()} has no finite length")
     vals, errs, _, (error,) = _estimates(f, spec, x0[None], stack[None], tol, rescaled)
     if error is not None:
         raise error

@@ -16,10 +16,6 @@ generator: a cone given in both forms (every generator meets every given
 inequality), a functional (dual_functional), and the functionals a check is
 handed.  Building a cone draws no random numbers.
 
-On the standard orthant (is_standard_orthant, decided once per cone) the
-normality constant is 1, which the sampled estimate returns bit for bit, as
-the docstring of normality_constant argues, so no sampling runs there.
-
 The order reaches the rest of the package as scalars through one kernel:
 cone_values(cone, a) gives y(v) for every unit supporting functional y and
 every row v of a, and cone_margins(cone, a) the smallest of them (0 for a
@@ -503,24 +499,6 @@ def generator_direction(cone: PolyCone) -> np.ndarray:
     return k0 / nk
 
 
-def is_standard_orthant(cone: PolyCone) -> bool:
-    """True when both stored representations are exactly the standard basis.
-
-    Decided once per cone and kept in its caches: the test costs a sort and
-    a dim x dim comparison, which every closed form would otherwise repeat.
-    """
-
-    def _is_identity(m: np.ndarray | None) -> bool:
-        if m is None or m.shape != (cone.dim, cone.dim):
-            return False
-        order = np.argsort(np.argmax(m, axis=1))
-        return bool(np.allclose(m[order], np.eye(cone.dim), atol=1e-12, rtol=0.0))
-
-    if "standard_orthant" not in cone._caches:
-        cone._caches["standard_orthant"] = _is_identity(cone.generators) and _is_identity(cone.dual_generators)
-    return cone._caches["standard_orthant"]
-
-
 def sample_in_cone(cone: PolyCone, n: int, seed=0) -> np.ndarray:
     """Seeded non-negative generator combinations, with scale variety."""
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
@@ -545,9 +523,8 @@ def normality_constant(cone: PolyCone, norm_kind: str = "two", budget: int = 100
     y - x stay in the cone while ||x|| / ||y|| grows without bound, so the
     call raises.
 
-    On the standard orthant the constant is 1, returned after the argument
-    checks without sampling.  That is also the sampled estimate, bit for
-    bit: the identity generators make x the coefficients themselves, and
+    On the standard orthant the estimate is exactly 1, the true constant:
+    the identity generators make x the coefficients themselves, and
     y = x + w with w >= 0 rounds to y >= x >= 0 coordinate by coordinate,
     since rounding is monotone.  Each supported norm is monotone on such
     pairs and is computed by the same operations for x and y, so no sampled
@@ -559,8 +536,6 @@ def normality_constant(cone: PolyCone, norm_kind: str = "two", budget: int = 100
         raise ValueError(f"unknown norm kind {norm_kind!r}")
     if not cone.pointed:
         raise ValueError("normality constant of a cone that is not pointed is unbounded")
-    if is_standard_orthant(cone):
-        return 1.0
     gens = ensure_generators(cone)
     if gens.shape[0] == 0:
         raise ValueError("normality constant of the trivial cone is undefined")

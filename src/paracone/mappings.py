@@ -6,18 +6,20 @@ ParaSpec, and where calculus gives the one-sided derivative in closed form
 the mapping also carries an analytic oracle so estimator output can be
 cross-checked independently of the difference-quotient machinery.
 
-Scalar families are built from a convex piecewise-linear part plus a smooth
-part whose curvature is bounded by twice the claimed constant; the vector
-family stacks such scalars against a positive decaying weight vector, which
-keeps the claimed constants provable by hand:
-for a scalar g with second derivative bounded below by -2*C, the function
-g + C*x^2 is convex, and the parallelogram identity for the euclidean norm
-turns that into the lam*(1-lam) allowance form with constant C exactly.
+One constructor, make_stacked_scalars, makes every piecewise-plus-smooth
+family: a stack of scalars, each a convex piecewise-linear part plus a smooth
+part whose curvature is bounded by twice the claimed constant, weighted by a
+positive nonincreasing vector and ordered by the orthant with k = the
+weights.  A scalar family is the stack with one component of weight 1.  The
+claimed constants are provable by hand: for a scalar g with second
+derivative bounded below by -2*C, the function g + C*x^2 is convex, and the
+parallelogram identity for the euclidean norm turns that into the
+lam*(1-lam) allowance form with constant C exactly; a positive weight
+keeps that per component.
 """
 
 from __future__ import annotations
 
-import bisect
 import dataclasses
 from dataclasses import dataclass
 from typing import Callable, Protocol
@@ -119,7 +121,9 @@ def known_directional(f: VectorMapping, x0, h) -> np.ndarray | None:
 
 @dataclass(frozen=True)
 class PiecewiseLinear:
-    """Convex piecewise-linear function in hinge form.
+    """Convex piecewise-linear function in hinge form, with value 0 at the
+    origin: initial_slope * x plus, for each kink p, the slope jump times
+    max(x - p, 0) - max(-p, 0).
 
     kinks is a sorted tuple of (position, slope_after) pairs; slopes must be
     nondecreasing from initial_slope onward or construction fails.
@@ -127,8 +131,6 @@ class PiecewiseLinear:
 
     initial_slope: float
     kinks: tuple = ()
-    anchor: float = 0.0
-    value_at_anchor: float = 0.0
 
     def __post_init__(self):
         kinks = tuple((float(p), float(s)) for p, s in self.kinks)
@@ -145,10 +147,9 @@ class PiecewiseLinear:
         return [(p, slopes[i + 1] - slopes[i]) for i, (p, _) in enumerate(self.kinks)]
 
     def value(self, x: float) -> float:
-        a = self.anchor
-        acc = self.value_at_anchor + self.initial_slope * (x - a)
+        acc = 0.0 + self.initial_slope * x
         for p, jump in self._slope_jumps():
-            acc += jump * (max(x - p, 0.0) - max(a - p, 0.0))
+            acc += jump * (max(x - p, 0.0) - max(0.0, -p))
         return acc
 
     def slope_left(self, x: float) -> float:
@@ -173,7 +174,9 @@ class PiecewiseLinear:
 class SmoothPart(Protocol):
     """A dataclass of float parameters whose value and deriv take a float or
     an array of them; _stacked_scalars evaluates many parts of one type at
-    once by giving the type array-valued parameters."""
+    once by giving the type array-valued parameters.  The part carries no
+    anchor: its value is its own formula, added to a piecewise-linear part
+    that is 0 at the origin."""
 
     def value(self, x: float) -> float: ...
 
@@ -240,16 +243,14 @@ def _stacked_scalars(convex_parts, smooth_parts):
     padded with zero jumps, which add nothing.
     """
     n_kinks = max(len(u1.kinks) for u1 in convex_parts)
-    at_anchor = np.array([u1.value_at_anchor for u1 in convex_parts])
     slope0 = np.array([u1.initial_slope for u1 in convex_parts])
-    # row 0 holds the anchors, row 1 + j the positions of kink j
-    origins = np.zeros((1 + n_kinks, 1, len(convex_parts)))
-    jump = np.zeros((n_kinks, 1, len(convex_parts)))
-    offset = np.zeros_like(jump)  # max(anchor - position, 0), a constant of each term
+    # row j holds the positions of kink j
+    origins = np.zeros((n_kinks, 1, len(convex_parts)))
+    jump = np.zeros_like(origins)
+    offset = np.zeros_like(origins)  # max(-position, 0), the term's value at the origin
     for i, u1 in enumerate(convex_parts):
-        origins[0, 0, i] = u1.anchor
         for j, (p, dj) in enumerate(u1._slope_jumps()):
-            origins[1 + j, 0, i], jump[j, 0, i], offset[j, 0, i] = p, dj, max(u1.anchor - p, 0.0)
+            origins[j, 0, i], jump[j, 0, i], offset[j, 0, i] = p, dj, max(0.0, -p)
     groups = {}
     for i, part in enumerate(smooth_parts):
         groups.setdefault(type(part), []).append(i)
@@ -267,10 +268,10 @@ def _stacked_scalars(convex_parts, smooth_parts):
         return out
 
     def _piecewise(t: np.ndarray) -> np.ndarray:
-        shifted = t - origins
-        acc = at_anchor + slope0 * shifted[0]
+        # the 0.0 + turns a -0.0 product into +0.0, as PiecewiseLinear.value does
+        acc = 0.0 + slope0 * t
         # every kink's term at once, in place in one array, then summed in kink order
-        terms = shifted[1:]
+        terms = t - origins
         np.maximum(terms, 0.0, out=terms)
         terms -= offset
         terms *= jump
@@ -282,10 +283,8 @@ def _stacked_scalars(convex_parts, smooth_parts):
     return lambda t: _piecewise(t) + _smooth(t)
 
 
-def _audit_curvature(part: SmoothPart, lo: float, hi: float, bound: float, label: str):
-    worst = part.sup_abs_second(lo, hi)
-    if worst > bound * (1.0 + 1e-12) + 1e-15:
-        raise ValueError(f"{label}: smooth-part curvature {worst:.6g} exceeds the allowed bound {bound:.6g} on [{lo:g}, {hi:g}]")
+# ---------------------------------------------------------------------------
+# the stacked-scalar families
 
 
 def _one_sided_slope(u1: PiecewiseLinear, part: SmoothPart, x: float, h: float) -> float:
@@ -298,114 +297,57 @@ def _one_sided_slope(u1: PiecewiseLinear, part: SmoothPart, x: float, h: float) 
     return h * (branch + part.deriv(x))
 
 
-def make_semiconvex_scalar(
-    u1: PiecewiseLinear, u2: SmoothPart, C: float, domain: "Box", label: str = "semiconvex-scalar"
-) -> VectorMapping:
-    """Scalar family u1 + u2 with the square-gap allowance claimed at C.
+def make_stacked_scalars(convex_parts, smooth_parts, weights, C: float, domain: "Box", label: str) -> VectorMapping:
+    """The stack f(x) = (w_i * (u1_i(x) + u2_i(x)))_i on an interval, with
+    the square-gap allowance claimed at C = C1 = C, the orthant order and
+    k = the weights.
 
-    u1 must be convex (enforced by its type) and u2 must keep its curvature
-    within 2*C on the domain, audited against its exact supremum.  The
-    analytic oracle returns the exact one-sided derivative everywhere, kinks
-    included.
+    weights must be positive and nonincreasing (a decaying sequence), with
+    one convex part u1_i and one smooth part u2_i per weight; each u1_i is
+    convex by its type, and each u2_i must keep its curvature within 2*C on
+    the domain, audited against its exact supremum.  A scalar family is the
+    stack of one component with weight 1.  The analytic oracle returns the
+    exact one-sided derivative everywhere, kinks included.
     """
+    if len(weights) < 1:
+        raise ValueError("need at least one component")
+    weights = as_point(weights)
+    if np.any(weights <= 0.0):
+        raise ValueError("weights must be strictly positive")
+    if np.any(np.diff(weights) > 0.0):
+        raise ValueError("weights must be nonincreasing (a decaying sequence)")
+    n = weights.shape[0]
+    if len(convex_parts) != n or len(smooth_parts) != n:
+        raise ValueError("need one convex part and one smooth part per component")
     if domain.dim != 1:
-        raise ValueError("scalar family needs a one-dimensional domain")
+        raise ValueError("the stacked family lives on a one-dimensional domain")
     if not np.isfinite(C) or C < 0.0:
         raise ValueError("constant must be finite and nonnegative")
     lo, hi = float(domain.lo[0]), float(domain.hi[0])
-    _audit_curvature(u2, lo, hi, 2.0 * C, label)
-    spec = ParaSpec(modulus=square_modulus(), k=np.array([1.0]), cone=orthant(1), C=C, C1=C)
+    for i, u2 in enumerate(smooth_parts):
+        worst = u2.sup_abs_second(lo, hi)
+        if worst > 2.0 * C * (1.0 + 1e-12) + 1e-15:
+            raise ValueError(
+                f"{label}: component {i} smooth-part curvature {worst:.6g} exceeds"
+                f" the allowed bound {2.0 * C:.6g} on [{lo:g}, {hi:g}]"
+            )
+
+    spec = ParaSpec(modulus=square_modulus(), k=weights, cone=orthant(n), C=C, C1=C)
+    parts = tuple(zip(convex_parts, smooth_parts))
+    scalars = _stacked_scalars(convex_parts, smooth_parts)
 
     def _directional(x0: np.ndarray, h: np.ndarray):
-        return np.array([_one_sided_slope(u1, u2, float(x0[0]), float(h[0]))])
+        t, step = float(x0[0]), float(h[0])
+        return weights * np.array([_one_sided_slope(u1, u2, t, step) for u1, u2 in parts])
 
     return VectorMapping(
         domain=domain,
-        codomain_dim=1,
-        evaluator=_stacked_scalars((u1,), (u2,)),
+        codomain_dim=n,
+        evaluator=lambda x: weights * scalars(x),
         label=label,
         claimed=spec,
         analytic_directional=_directional,
-        kink_locus=u1.kink_positions,
-        domain_norm="two",
-        codomain_norm="two",
-    )
-
-
-# ---------------------------------------------------------------------------
-# the weighted stacked-scalar vector family
-
-
-@dataclass(frozen=True)
-class Example1Config:
-    """Parameters of the stacked scalar family f(x) = (f_i(x) * k_i)_i on an
-    interval, with f_i a convex piecewise-linear part plus a bounded-curvature
-    smooth part.  k must have positive nonincreasing entries (a decaying
-    weight sequence)."""
-
-    n: int
-    k: np.ndarray
-    convex_parts: tuple
-    smooth_parts: tuple
-    C: float
-    domain: "Box"
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("need at least one component")
-        object.__setattr__(self, "k", as_point(self.k, self.n))
-        if np.any(self.k <= 0.0):
-            raise ValueError("weights must be strictly positive")
-        if np.any(np.diff(self.k) > 0.0):
-            raise ValueError("weights must be nonincreasing (a decaying sequence)")
-        if len(self.convex_parts) != self.n or len(self.smooth_parts) != self.n:
-            raise ValueError("need one convex part and one smooth part per component")
-        if not np.isfinite(self.C) or self.C < 0.0:
-            raise ValueError("constant must be finite and nonnegative")
-        if self.domain.dim != 1:
-            raise ValueError("the stacked family lives on a one-dimensional domain")
-
-
-def make_example1(cfg: Example1Config, label: str = "stacked-scalars") -> VectorMapping:
-    """Build the stacked family and audit its structural claims.
-
-    Rejects any component whose smooth part exceeds the curvature budget
-    2*C on the domain (PiecewiseLinear itself rejects a non-convex part).
-    The claimed allowance uses the square modulus with both constants equal
-    to cfg.C, the nonnegative orthant order, and sup norm on the codomain.
-    The analytic oracle covers every point off the kink set and declines
-    (returns None) within 1e-12 of a kink, where only one-sided slopes exist.
-    """
-    lo, hi = float(cfg.domain.lo[0]), float(cfg.domain.hi[0])
-    for i, u2 in enumerate(cfg.smooth_parts):
-        _audit_curvature(u2, lo, hi, 2.0 * cfg.C, f"component {i}")
-
-    kinks = sorted({p for u1 in cfg.convex_parts for p in u1.kink_positions})
-    spec = ParaSpec(modulus=square_modulus(), k=cfg.k, cone=orthant(cfg.n), C=cfg.C, C1=cfg.C)
-    parts = tuple(zip(cfg.convex_parts, cfg.smooth_parts))
-    weights = np.asarray(cfg.k, dtype=float)
-    scalars = _stacked_scalars(cfg.convex_parts, cfg.smooth_parts)
-
-    def _eval(x: np.ndarray) -> np.ndarray:
-        return weights * scalars(x)
-
-    def _directional(x0: np.ndarray, h: np.ndarray):
-        t = float(x0[0])
-        if kinks:
-            idx = bisect.bisect_left(kinks, t)
-            for j in (idx - 1, idx):
-                if 0 <= j < len(kinks) and abs(kinks[j] - t) <= 1e-12:
-                    return None  # only one-sided slopes exist here
-        return weights * np.array([_one_sided_slope(u1, u2, t, float(h[0])) for u1, u2 in parts])
-
-    return VectorMapping(
-        domain=cfg.domain,
-        codomain_dim=cfg.n,
-        evaluator=_eval,
-        label=label,
-        claimed=spec,
-        analytic_directional=_directional,
-        kink_locus=tuple(kinks),
+        kink_locus=tuple(sorted({p for u1 in convex_parts for p in u1.kink_positions})),
         domain_norm="two",
         codomain_norm="sup",
     )
@@ -437,15 +379,14 @@ def example1_default(n: int = 8, kinks_per_component: int = 5, C: float = 0.5) -
             smooth_parts.append(Quadratic1D(a=-C * (0.4 + 0.05 * i)))
         else:
             smooth_parts.append(Sine1D(amplitude=0.3 * C, frequency=1.5))
-    cfg = Example1Config(
-        n=n,
-        k=np.array([2.0**-i for i in range(n)]),
-        convex_parts=tuple(convex_parts),
-        smooth_parts=tuple(smooth_parts),
+    return make_stacked_scalars(
+        convex_parts,
+        smooth_parts,
+        [2.0**-i for i in range(n)],
         C=C,
         domain=domain,
+        label=f"stacked-scalars-{n}x{kinks_per_component}",
     )
-    return make_example1(cfg, label=f"stacked-scalars-{n}x{kinks_per_component}")
 
 
 # ---------------------------------------------------------------------------
@@ -623,9 +564,10 @@ def testbed_families() -> tuple:
         label="affine-2to3",
     )
     # curvature exactly fills the 2C budget, a deliberately tight instance
-    hinge = make_semiconvex_scalar(
-        PiecewiseLinear(initial_slope=-1.0, kinks=((-0.25, 0.25), (0.5, 1.5))),
-        Quadratic1D(a=-0.5),
+    hinge = make_stacked_scalars(
+        (PiecewiseLinear(initial_slope=-1.0, kinks=((-0.25, 0.25), (0.5, 1.5))),),
+        (Quadratic1D(a=-0.5),),
+        [1.0],
         C=0.5,
         domain=Box(lo=[-1.0], hi=[1.0]),
         label="hinge-plus-quadratic",

@@ -310,6 +310,32 @@ def test_sublinear_reads_zero_vectors_as_zero():
     assert rep.passed and rep.witness == ("homogeneity", 0.5)
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_non_finite_directions_are_rejected_before_any_evaluation(bad):
+    # a non-finite direction is an input error named before any evaluation:
+    # never a report, and never a point outside the box at x0 + t*h
+    calls = []
+
+    def counted(f):
+        return dataclasses.replace(f, evaluator=lambda x: calls.append(len(x)) or f.evaluator(x))
+
+    f, g = counted(smooth_r2_r3()), counted(neg_square_1d())
+    est = directional_derivative(f, f.claimed, [0.1, -0.2], [1.0, 0.0])
+    calls.clear()
+    h = [bad, 0.0]
+    for run in (
+        lambda: check_sublinear(f, f.claimed, [0.1, -0.2], direction_pairs=[(h, [0.0, 1.0])], tol=1e-6),
+        lambda: check_sublinear(f, f.claimed, [0.1, -0.2], direction_pairs=[([0.6, 0.8], h)], tol=1e-6),
+        lambda: check_sublinear(g, g.claimed, [0.25], direction_pairs=[([bad], [1.0])], tol=1e-6),
+        lambda: directional_derivative(f, f.claimed, [0.1, -0.2], h),
+        lambda: build_trace(f, f.claimed, [0.1, -0.2], h),
+        lambda: check_upper_bound(f, f.claimed, [0.1, -0.2], h, est),
+    ):
+        with pytest.raises(ValueError, match=r"direction \[.*\] has no finite length"):
+            run()
+    assert calls == []
+
+
 # ---------------------------------------------------------------------------
 # Gateaux battery
 

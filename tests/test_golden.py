@@ -98,10 +98,12 @@ def test_script_matches_golden_stdout(name, capsys):
 
 def test_verdict_corpus_matches_golden():
     """tests/golden/verdicts.json, written by scripts/verdict_corpus.py --out,
-    holds every shipped config's CLI runs at eleven seed overrides and a
-    budget/tol override, and the testbed families' check, falsify and scan
-    reports at seeds 0-4; verdicts and exit codes must match exactly and
-    margins under the same rule as the manifests."""
+    holds every shipped config's CLI runs with no flags, at --seed 0-9, at
+    the four 31-bit seeds the benchmark's configs workload draws for its
+    first two sweeps at bench seeds 0 and 1, and under a budget/tol override,
+    and the testbed families' check, falsify and scan reports at seeds 0-4;
+    verdicts and exit codes must match exactly and margins under the same
+    rule as the manifests."""
     want = json.loads((GOLDEN_DIR / "verdicts.json").read_text())
     got = json.loads(json.dumps(runpy.run_path(str(SCRIPT_DIR / "verdict_corpus.py"))["build"]()))
     bad = list(_mismatches(got, want, "verdicts"))

@@ -5,7 +5,6 @@ import pytest
 
 from paracone import (
     Box,
-    Example1Config,
     OutsideDomainError,
     PiecewiseLinear,
     Quadratic1D,
@@ -16,8 +15,7 @@ from paracone import (
     curved_cone_map,
     example1_default,
     known_directional,
-    make_example1,
-    make_semiconvex_scalar,
+    make_stacked_scalars,
     neg_abs_1d,
     neg_square_1d,
     orthant,
@@ -25,6 +23,11 @@ from paracone import (
     smooth_r2_r3,
 )
 from paracone.mappings import ZeroPart
+
+
+def _scalar(u1, u2, C):
+    """The one-component stack u1 + u2 on (-1, 1) with weight 1."""
+    return make_stacked_scalars((u1,), (u2,), [1.0], C=C, domain=Box(lo=[-1.0], hi=[1.0]), label="scalar")
 
 
 def _fd(f, x0, h, t=1e-7):
@@ -70,12 +73,7 @@ def test_smooth_parts_derivatives():
 
 
 def test_semiconvex_scalar_matches_neg_square():
-    f = make_semiconvex_scalar(
-        PiecewiseLinear(initial_slope=0.0),
-        Quadratic1D(a=-1.0),
-        C=1.0,
-        domain=Box(lo=[-1.0], hi=[1.0]),
-    )
+    f = _scalar(PiecewiseLinear(initial_slope=0.0), Quadratic1D(a=-1.0), C=1.0)
     assert f.eval([0.3])[0] == pytest.approx(-0.09)
     assert known_directional(f, [0.3], [1.0])[0] == pytest.approx(-0.6)
     assert known_directional(f, [0.3], [-1.0])[0] == pytest.approx(0.6)
@@ -83,12 +81,7 @@ def test_semiconvex_scalar_matches_neg_square():
 
 def test_semiconvex_scalar_audits_curvature():
     with pytest.raises(ValueError):
-        make_semiconvex_scalar(
-            PiecewiseLinear(initial_slope=0.0),
-            Quadratic1D(a=-2.0),  # curvature 4 exceeds the 2C budget
-            C=1.0,
-            domain=Box(lo=[-1.0], hi=[1.0]),
-        )
+        _scalar(PiecewiseLinear(initial_slope=0.0), Quadratic1D(a=-2.0), C=1.0)  # curvature 4 exceeds the 2C budget
 
 
 def _second(part, t):
@@ -102,7 +95,7 @@ def test_curvature_audit_takes_the_exact_supremum(families):
     # sup |u2''| / 2 is 5000, while a 512-point grid sees less than
     # 2 * 4999.9341: only the exact supremum refuses this false claim
     def build(C):
-        return make_semiconvex_scalar(PiecewiseLinear(0.0), Sine1D(1.0, 100.0, 0.926), C=C, domain=Box([-1.0], [1.0]))
+        return _scalar(PiecewiseLinear(0.0), Sine1D(1.0, 100.0, 0.926), C=C)
 
     with pytest.raises(ValueError, match="curvature 10000 exceeds"):
         build(4999.9341)
@@ -124,12 +117,7 @@ def test_curvature_audit_takes_the_exact_supremum(families):
 
 
 def test_semiconvex_scalar_one_sided_slopes_at_kink():
-    f = make_semiconvex_scalar(
-        PiecewiseLinear(initial_slope=-1.0, kinks=((0.25, 0.75),)),
-        Quadratic1D(a=-0.25),
-        C=0.5,
-        domain=Box(lo=[-1.0], hi=[1.0]),
-    )
+    f = _scalar(PiecewiseLinear(initial_slope=-1.0, kinks=((0.25, 0.75),)), Quadratic1D(a=-0.25), C=0.5)
     fwd = known_directional(f, [0.25], [1.0])[0]
     bwd = known_directional(f, [0.25], [-1.0])[0]
     assert fwd == pytest.approx(0.75 - 0.125)
@@ -147,30 +135,41 @@ def test_example1_structure():
     assert np.array_equal(spec.k, 2.0 ** -np.arange(8))
 
 
-def test_example1_oracle_declines_exactly_at_kinks():
+def test_example1_oracle_gives_one_sided_slopes_at_kinks():
     f = example1_default()
     kink = f.kink_locus[3]
-    assert known_directional(f, [kink], [1.0]) is None
+    # at a kink the oracle answers with each side's slope, as the scalar family does
+    for step in (1.0, -1.0):
+        d = known_directional(f, [kink], [step])
+        assert np.allclose(d, _fd(f, [kink], [step]), atol=1e-5)
+    assert not np.allclose(known_directional(f, [kink], [1.0]), -known_directional(f, [kink], [-1.0]))
     off = kink + 1e-6
     d = known_directional(f, [off], [1.0])
-    assert d is not None
     assert np.allclose(d, _fd(f, [off], [1.0]), atol=1e-5)
 
 
-def test_example1_weights_decay_requirement():
-    cfg_kwargs = dict(
-        n=2,
+def test_stacked_scalars_validate_their_parts():
+    kwargs = dict(
         convex_parts=(PiecewiseLinear(0.0), PiecewiseLinear(0.0)),
         smooth_parts=(Quadratic1D(a=-0.5), Quadratic1D(a=-0.5)),
         C=1.0,
         domain=Box(lo=[-1.0], hi=[1.0]),
+        label="pair",
     )
-    ok = make_example1(Example1Config(k=np.array([1.0, 0.5]), **cfg_kwargs))
+    ok = make_stacked_scalars(weights=[1.0, 0.5], **kwargs)
     assert ok.eval([0.4])[1] == pytest.approx(0.5 * -0.08)  # weighted component
-    with pytest.raises(ValueError):
-        Example1Config(k=np.array([0.5, 1.0]), **cfg_kwargs)
-    with pytest.raises(ValueError):
-        Example1Config(k=np.array([1.0, -0.5]), **cfg_kwargs)
+    assert np.array_equal(ok.claimed.k, [1.0, 0.5]) and ok.codomain_norm == "sup"
+    for weights, match in (([0.5, 1.0], "nonincreasing"), ([1.0, -0.5], "strictly positive"), ([1.0], "one convex part")):
+        with pytest.raises(ValueError, match=match):
+            make_stacked_scalars(weights=weights, **kwargs)
+    with pytest.raises(ValueError, match="at least one component"):
+        make_stacked_scalars((), (), [], C=1.0, domain=Box(lo=[-1.0], hi=[1.0]), label="empty")
+    with pytest.raises(ValueError, match="one-dimensional domain"):
+        make_stacked_scalars(weights=[1.0, 0.5], **{**kwargs, "domain": Box(lo=[-1.0, -1.0], hi=[1.0, 1.0])})
+    with pytest.raises(ValueError, match="finite and nonnegative"):
+        make_stacked_scalars(weights=[1.0, 0.5], **{**kwargs, "C": -1.0})
+    with pytest.raises(ValueError, match="pair: component 1 smooth-part curvature 4 exceeds"):
+        make_stacked_scalars(weights=[1.0, 0.5], **{**kwargs, "smooth_parts": (Quadratic1D(a=-0.5), Quadratic1D(a=-2.0))})
 
 
 def test_affine_oracles():
@@ -305,18 +304,16 @@ def test_eval_is_a_one_row_batch(families):
 def test_stacked_scalars_match_per_component_values():
     convex = (
         PiecewiseLinear(initial_slope=-1.0, kinks=((-0.5, -0.25), (0.125, 0.5), (0.75, 1.0))),
-        PiecewiseLinear(initial_slope=0.5, kinks=((0.0, 1.0),), anchor=0.25, value_at_anchor=0.125),
+        PiecewiseLinear(initial_slope=0.5, kinks=((0.0, 1.0),)),
         PiecewiseLinear(initial_slope=-0.25),
         PiecewiseLinear(initial_slope=0.0, kinks=((-0.3, 0.5), (0.3, 0.75))),
     )
     smooth = (Quadratic1D(a=-0.2, b=0.1, c=0.3), Sine1D(amplitude=0.1, frequency=1.5, phase=0.2), ZeroPart(), Quadratic1D(a=-0.1))
-    cfg = Example1Config(
-        n=4, k=np.array([1.0, 0.5, 0.25, 0.125]), convex_parts=convex, smooth_parts=smooth, C=0.5, domain=Box(lo=[-1.0], hi=[1.0])
-    )
-    f = make_example1(cfg)
+    weights = np.array([1.0, 0.5, 0.25, 0.125])
+    f = make_stacked_scalars(convex, smooth, weights, C=0.5, domain=Box(lo=[-1.0], hi=[1.0]), label="four")
     ts = np.random.default_rng(4).uniform(-0.99, 0.99, size=500)
     # the scalar definition the batched evaluator must reproduce bit for bit
-    want = np.array([cfg.k * np.array([u1.value(t) + u2.value(t) for u1, u2 in zip(convex, smooth)]) for t in ts.tolist()])
+    want = np.array([weights * np.array([u1.value(t) + u2.value(t) for u1, u2 in zip(convex, smooth)]) for t in ts.tolist()])
     assert np.array_equal(f.eval_batch(ts[:, None]), want)
 
 
