@@ -9,7 +9,10 @@ shipped config with no flags, with --seed 0 to 9, with four 31-bit seeds
 keeps each run's exit code, its stderr and its manifest reports.  The library part runs every testbed family at its
 claimed spec through check_inequality in both forms, falsify, and
 gateaux_scan on the domain shrunk by 0.04, at seeds 0 to 4, and keeps each
-report's JSON form.
+report's JSON form.  On the two plane families (affine-2to3, smooth-r2-r3)
+it also runs, at a seeded point of that shrunk domain and seeds 0 to 4,
+gateaux_test along three seeded normal directions and one of length 4, and
+check_sublinear at its default pairs; and frechet_test on smooth-r2-r3.
 
 With --out PATH the corpus is written there as JSON; tests/golden/verdicts.json
 is this file, and tests/test_golden.py compares a fresh build against it.
@@ -24,7 +27,17 @@ import tempfile
 from collections import Counter
 from pathlib import Path
 
-from paracone import check_inequality, falsify, gateaux_scan, testbed_families
+import numpy as np
+
+from paracone import (
+    check_inequality,
+    check_sublinear,
+    falsify,
+    frechet_test,
+    gateaux_scan,
+    gateaux_test,
+    testbed_families,
+)
 from paracone.cli import main as cli_main
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
@@ -36,6 +49,7 @@ FLAG_SETS = (
 )
 LIBRARY_SEEDS = range(5)
 SCAN_POINTS = 20
+PLANE_FAMILIES = ("affine-2to3", "smooth-r2-r3")
 
 
 def config_runs() -> list:
@@ -53,6 +67,14 @@ def config_runs() -> list:
     return runs
 
 
+def _point_and_directions(f, seed: int) -> tuple:
+    """A seeded point of the domain shrunk by 0.04, three seeded normal
+    directions, and 4 times the first axis."""
+    rng = np.random.default_rng(seed)
+    x0 = f.domain.shrink(0.04).sample(1, rng)[0]
+    return x0, [*rng.normal(size=(3, f.domain.dim)), 4.0 * np.eye(f.domain.dim)[0]]
+
+
 def library_results() -> list:
     results = []
     for f in testbed_families():
@@ -63,6 +85,11 @@ def library_results() -> list:
             "falsify": lambda seed: falsify(f, spec, seed=seed),
             "gateaux_scan": lambda seed: gateaux_scan(f, spec, f.domain.shrink(0.04), n_points=SCAN_POINTS, seed=seed),
         }
+        if f.label in PLANE_FAMILIES:
+            ops["gateaux_test"] = lambda seed: gateaux_test(f, spec, *_point_and_directions(f, seed), seed=seed)
+            ops["check_sublinear"] = lambda seed: check_sublinear(f, spec, _point_and_directions(f, seed)[0], seed=seed)
+        if f.label == "smooth-r2-r3":
+            ops["frechet_test"] = lambda seed: frechet_test(f, spec, _point_and_directions(f, seed)[0], seed=seed)
         for op, run in ops.items():
             for seed in LIBRARY_SEEDS:
                 results.append({"family": f.label, "op": op, "seed": seed, "report": run(seed).to_dict()})

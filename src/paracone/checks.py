@@ -521,8 +521,10 @@ def check_approx_convex(
     ball the convexity defect may not exceed epsilon*lam*(1-lam)*||x - y||."""
     if f.codomain_dim != 1:
         raise ValueError("approximate-convexity test is defined for scalar mappings")
-    if epsilon < 0.0 or delta <= 0.0:
-        raise ValueError("need epsilon >= 0 and delta > 0")
+    if not 0.0 <= epsilon < math.inf:  # a NaN is outside too
+        raise ValueError(f"epsilon must be finite and >= 0, got {epsilon}")
+    if not 0.0 < delta < math.inf:
+        raise ValueError(f"delta must be finite and > 0, got {delta}")
     _at_least_one(budget=budget)
     x0 = np.asarray(x0, dtype=float).reshape(-1)
     _ball_inside_domain(f, x0, delta)

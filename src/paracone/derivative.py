@@ -111,6 +111,24 @@ def _prep_direction(f: VectorMapping, x0, h):
     return x0, h / hn
 
 
+def _units(f: VectorMapping, vectors) -> tuple:
+    """A stack of directions (k, d) as rows divided by their domain-norm
+    lengths, and the lengths (k,); a zero row is unit 0 with length 0.  A row
+    of the wrong length, or with a NaN or inf entry, raises ValueError before
+    any evaluation."""
+    try:
+        stack = np.array(vectors, dtype=float)
+    except ValueError:  # ragged rows
+        stack = np.empty(0)
+    if stack.ndim != 2 or stack.shape[1] != f.domain.dim:
+        raise ValueError(f"directions must be vectors of length {f.domain.dim}")
+    finite = np.isfinite(stack).all(axis=1)
+    if not finite.all():
+        raise ValueError(f"direction {stack[np.argmin(finite)].tolist()} has no finite length")
+    lengths = row_norms(stack, f.domain_norm)
+    return stack / np.where(lengths > 0.0, lengths, 1.0)[:, None], lengths
+
+
 def _default_t0(clearance):
     """The default top step from the boundary clearance along h: half of it, capped at 0.1."""
     return np.minimum(0.1, 0.5 * clearance)
@@ -388,29 +406,24 @@ def _estimates(f: VectorMapping, spec: ParaSpec, x0s, vectors, tol: float, resca
     one _quotients batch of the points and the steps a stop can read, and at
     most one more for the estimates that do not converge (_stop_estimates).
 
-    c*u is estimated along the unit u on the default grid as c*value and c*error
-    bound (zeros if c <= 1e-12), and rescaled adds columns re-estimating
-    vectors[:, 0] on each lam-scaled grid.  Returns the values (p, w, m), the
-    error bounds and steps used (p, w), and per point the ConvergenceError of
-    its first unconverged estimate (or None)."""
+    c*u is estimated along the unit u (_units, taken twice) on the default grid
+    as c*value and c*error bound (zeros if c <= 1e-12), and rescaled adds
+    columns re-estimating vectors[:, 0] along its unit on each lam-scaled grid.
+    Returns the values (p, w, m), the error bounds and steps used (p, w), and
+    per point the ConvergenceError of its first unconverged estimate (or None)."""
     _require_strong(spec)
-    p, v, d = vectors.shape
+    p, v, _ = vectors.shape
     lams = np.array(_LAMBDAS if rescaled else ())
     w = v + lams.size  # columns per point
     stack = np.concatenate([vectors, np.repeat(vectors[:, :1], lams.size, axis=1)], axis=1)
-    stack = stack.reshape(-1, d)
-    lengths = row_norms(stack, f.domain_norm)
+    units, lengths = _units(f, stack.reshape(p * w, -1))
     kept = np.flatnonzero(lengths > 1e-12)
     owner, col = np.divmod(kept, w)
-    units = stack[kept] / lengths[kept, None]
-    units = units / row_norms(units, f.domain_norm)[:, None]
+    units = _units(f, units[kept])[0]
     bd = f.domain.boundary_distance(x0s[owner], units)
     tops = _default_t0(bd)
-    if lams.size:
-        h0 = vectors[:, 0]
-        bd0 = f.domain.boundary_distance(x0s, h0)[:, None]
-        scaled = np.minimum(lams * _default_t0(bd0), 0.49 * bd0)
-        tops = np.where(col >= v, scaled[owner, np.maximum(col - v, 0)], tops)
+    if lams.size:  # a rescaled column's top is lam times the default along the same unit
+        tops = np.where(col >= v, np.minimum(lams[np.maximum(col - v, 0)] * tops, 0.49 * bd), tops)
     t = _step_grid(bd, tops, 0.5, 40)
     value, error_bound, level, converged = _stop_estimates(f, spec, x0s, units, t, tol, owner)
     vals = np.zeros((p * w, f.codomain_dim))
@@ -427,15 +440,9 @@ def _estimates(f: VectorMapping, spec: ParaSpec, x0s, vectors, tol: float, resca
     return vals.reshape(p, w, -1), errs.reshape(p, w), used.reshape(p, w), errors
 
 
-def _point_estimates(f: VectorMapping, spec: ParaSpec, x0, vectors: list, tol: float, rescaled=False) -> tuple:
-    """_estimates at one point along a list of finite vectors; the first that did not converge raises."""
-    stack = np.array(vectors, dtype=float)
-    if stack.shape[1:] != (f.domain.dim,):
-        raise ValueError("direction dimension mismatch")
-    finite = np.isfinite(stack).all(axis=1)
-    if not finite.all():
-        raise ValueError(f"direction {stack[np.argmin(finite)].tolist()} has no finite length")
-    vals, errs, _, (error,) = _estimates(f, spec, x0[None], stack[None], tol, rescaled)
+def _point_estimates(f: VectorMapping, spec: ParaSpec, x0, vectors, tol: float, rescaled=False) -> tuple:
+    """_estimates at one point along a stack of vectors (k, d); the first that did not converge raises."""
+    vals, errs, _, (error,) = _estimates(f, spec, x0[None], np.asarray(vectors, dtype=float)[None], tol, rescaled)
     if error is not None:
         raise error
     return vals[0], errs[0]
@@ -465,21 +472,28 @@ def check_sublinear(
     lam-scaled step grid must match lam times the original within
     tol*max(1, lam) plus scaled error bounds, in the row measure; all from one
     batch, and at most one more for the estimates that do not converge.
+    Each pair is scored divided by the domain-norm length of its longer
+    vector, unless that length is within 1e-6 of 1, so a margin does not
+    shrink or grow with how the pair is written; the witness is the pair as
+    given.
     """
     x0 = as_point(x0, f.domain.dim)
     d = f.domain.dim
     if direction_pairs is None:
-        rng = np.random.default_rng(seed)
         if d == 1:
             direction_pairs = [(np.array([1.0]), np.array([-1.0])), (np.array([1.0]), np.array([1.0]))]
         else:
-            draws = [(rng.normal(size=d), rng.normal(size=d)) for _ in range(3)]
-            direction_pairs = [(a / norm(a, f.domain_norm), b / norm(b, f.domain_norm)) for a, b in draws]
+            units, _ = _units(f, np.random.default_rng(seed).normal(size=(6, d)))
+            direction_pairs = list(zip(units[0::2], units[1::2]))
     direction_pairs = list(direction_pairs)
     if not direction_pairs:
         raise ValueError("direction_pairs must name at least one pair")
-    # (h1, h2, h1 + h2) per pair
-    vectors = [v for h1, h2 in direction_pairs for v in (h1, h2, np.asarray(h1) + np.asarray(h2))]
+    given = [h for h1, h2 in direction_pairs for h in (h1, h2)]
+    _, lengths = _units(f, given)  # every given vector is checked before a sum is formed
+    longer = np.maximum(lengths[0::2], lengths[1::2])
+    scale = np.where((longer > 0.0) & (np.abs(longer - 1.0) > 1e-6), longer, 1.0)
+    h = np.array(given, dtype=float) / np.repeat(scale, 2)[:, None]
+    vectors = np.stack([h[0::2], h[1::2], h[0::2] + h[1::2]], axis=1).reshape(-1, d)  # (h1, h2, h1 + h2) per pair
     vals, errs = _point_estimates(f, spec, x0, vectors, tol, rescaled=True)
     excess, n = _homogeneity(spec, vals, errs, len(vectors)), len(vectors)
     # subadditivity per pair: the cone margin of D(h1) + D(h2) - D(h1 + h2) plus the three error bounds
@@ -519,18 +533,13 @@ class GateauxReport(Report):
         self.passed = bool(self.defect <= self.tol)
 
 
-def _unit_directions(f: VectorMapping, n_directions: int, seed: int) -> list:
+def _unit_directions(f: VectorMapping, n_directions: int, seed: int) -> np.ndarray:
+    """The axes, then seeded normal draws up to max(n_directions // 2, d) rows, as units (1 in 1-D)."""
     d = f.domain.dim
     if d == 1:
-        return [np.array([1.0])]
-    rng = np.random.default_rng(seed)
-    dirs = [np.eye(d)[i] for i in range(d)]
-    while len(dirs) < max(n_directions // 2, d):
-        v = rng.normal(size=d)
-        n2 = norm(v, f.domain_norm)
-        if n2 > 1e-9:
-            dirs.append(v / n2)
-    return [u / norm(u, f.domain_norm) for u in dirs]
+        return np.ones((1, 1))
+    draws, _ = _units(f, np.random.default_rng(seed).normal(size=(max(n_directions // 2, d) - d, d)))
+    return _units(f, np.concatenate([np.eye(d), draws]))[0]
 
 
 def _gateaux_reports(f: VectorMapping, spec: ParaSpec, x0s, base_dirs, seeds: list, tol: float) -> list:
@@ -574,7 +583,7 @@ def _gateaux_reports(f: VectorMapping, spec: ParaSpec, x0s, base_dirs, seeds: li
         l_used = (np.abs(values[:, 2 * n : 4 * n]) / row_k).max(axis=(1, 2))
         t_star = used[:, :n_sig].max(axis=1)
         allowance = spec.min_constant() * eval_modulus(spec.modulus, t_star) / t_star
-        bound = l_used[:, None] * row_norms(2.0 * base_dirs[blk].reshape(-1, d), f.domain_norm).reshape(-1, n)
+        bound = l_used[:, None] * _units(f, 2.0 * base_dirs[blk].reshape(-1, d))[1].reshape(-1, n)
         bound += allowance[:, None]
         margins = {
             "antisymmetry": _row_measure(values[:, :n]) - e_pm,
@@ -615,8 +624,8 @@ def gateaux_test(
     and never decides.  So tol is in the row measure, the sup norm on a
     standard orthant.  One eval_batch call, and at most one more for the
     estimates that do not converge (_gateaux_reports).  Caller-given
-    directions are scaled to unit domain norm, so a violation does not shrink
-    with their length, and a zero one raises ValueError.  Estimator
+    directions are scaled to unit domain norm (_units), so a violation does
+    not shrink with their length, and a zero one raises ValueError.  Estimator
     non-convergence along any direction propagates as ConvergenceError.  A
     modulus that is not strong or a cone that is not pointed raises
     ValueError; strong is necessary for convergence but not sufficient.
@@ -630,16 +639,13 @@ def gateaux_test(
     else:
         # the margins are positively homogeneous in the direction and tol is
         # absolute, so a short direction would shrink every violation
-        base_dirs = [np.asarray(u, dtype=float) for u in directions]
-        if not base_dirs:
+        directions = list(directions)
+        if not directions:
             raise ValueError("directions must name at least one direction")
-        if any(u.shape != (f.domain.dim,) for u in base_dirs):
-            raise ValueError(f"directions must be vectors of length {f.domain.dim}")
-        lengths = [norm(u, f.domain_norm) for u in base_dirs]
-        if not all(0.0 < n < np.inf for n in lengths):
-            raise ValueError("directions must be finite and nonzero")
-        base_dirs = [u / n for u, n in zip(base_dirs, lengths)]
-    (report,) = _gateaux_reports(f, spec, x0[None], np.array(base_dirs)[None], [seed], tol)
+        base_dirs, lengths = _units(f, directions)
+        if not lengths.all():
+            raise ValueError("directions must be nonzero")
+    (report,) = _gateaux_reports(f, spec, x0[None], base_dirs[None], [seed], tol)
     if isinstance(report, ConvergenceError):
         raise report
     return report

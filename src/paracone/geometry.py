@@ -46,6 +46,8 @@ _MAX_RAYS = 2000
 _AUDIT_TOL = 1e-7
 # rows this close to unit length, in ulp, count as already unit (unit_rows)
 _UNIT_ULPS = 4
+# 2^-511, the square root of the smallest normal float 2^-1022: a two-norm below it has squares that lost bits
+_TINY_NORM = 2.0**-511
 
 
 def as_point(coords, dim: int | None = None) -> Point:
@@ -68,10 +70,12 @@ def as_point(coords, dim: int | None = None) -> Point:
 
 
 def norm(v, kind: str = "two") -> float:
-    """Norm of a vector under one of the supported tags: sup, one, two."""
+    """Norm of a vector under one of the supported tags: sup, one, two; a
+    two-norm that the squares overflow or underflow is taken as in row_norms."""
     v = np.asarray(v, dtype=float)
     if kind == "two":
-        return float(np.sqrt(v @ v))
+        n = float(np.sqrt(v @ v))
+        return float(_rescaled_two_norms(v.reshape(1, -1))[0]) if n < _TINY_NORM or n == math.inf else n
     if kind == "sup":
         return float(np.max(np.abs(v))) if v.size else 0.0
     if kind == "one":
@@ -95,11 +99,32 @@ def row_dots(a, b) -> np.ndarray:
     return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
 
 
+def _rescaled_two_norms(a: np.ndarray) -> np.ndarray:
+    """The two-norm of every row of a, taken on the row divided by the power
+    of two of its largest entry, then multiplied back: the scaling is exact,
+    and no square overflows or underflows."""
+    _, exp = np.frexp(np.max(np.abs(a), axis=1, initial=0.0))
+    scaled = np.ldexp(a, -exp[:, None])
+    with np.errstate(over="ignore"):  # a norm past the largest float is inf
+        return np.ldexp(np.sqrt(row_dots(scaled, scaled)), exp)
+
+
 def row_norms(a, kind: str = "two") -> np.ndarray:
-    """norm(v, kind) of every row v of a, bitwise equal to the one-vector call."""
+    """norm(v, kind) of every row v of a, bitwise equal to the one-vector call.
+
+    A row whose plain two-norm is inf, or below _TINY_NORM, where its squares
+    lose bits, is taken again by _rescaled_two_norms, so a finite row has a
+    finite norm unless the norm itself passes the largest float; the plain
+    pass may still warn of the overflow it met.  Every other row keeps the
+    plain bits.  A one-norm needs no second pass: its partial sums never
+    pass its total."""
     a = np.asarray(a, dtype=float)
     if kind == "two":
-        return np.sqrt(row_dots(a, a))
+        out = np.sqrt(row_dots(a, a))
+        redo = (out < _TINY_NORM) | (out == np.inf)
+        if redo.any():
+            out[redo] = _rescaled_two_norms(a[redo])
+        return out
     if kind == "sup":
         return np.max(np.abs(a), axis=1)
     if kind == "one":

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
-from paracone import known_directional, norm, testbed_families
+from paracone import norm, testbed_families
 
 settings.register_profile(
     "numeric",
@@ -34,13 +34,8 @@ def families():
     return testbed_families()
 
 
-def interior_pairs(f, n, seed, require_oracle=False):
-    """Seeded (x0, unit direction) pairs away from the domain boundary.
-
-    With require_oracle the base point is nudged until the family's analytic
-    derivative answers, so estimator-versus-oracle comparisons never land on
-    a point where only one-sided data exists without a closed form.
-    """
+def interior_pairs(f, n, seed):
+    """Seeded (x0, unit direction) pairs away from the domain boundary."""
     rng = np.random.default_rng(seed)
     inner = f.domain.shrink(0.05)
     out = []
@@ -51,7 +46,5 @@ def interior_pairs(f, n, seed, require_oracle=False):
         if hn < 1e-9:
             continue
         h = h / hn
-        if require_oracle and known_directional(f, x0, h) is None:
-            continue
         out.append((x0, h))
     return out

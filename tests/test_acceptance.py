@@ -156,7 +156,7 @@ def test_criterion_05_estimator_against_analytic_slopes(families):
         within_bound = True
         for idx, f in enumerate(families):
             rows = unit_dual_generators(f.claimed.cone)
-            for x0, h in interior_pairs(f, 100, seed=50 + idx, require_oracle=True):
+            for x0, h in interior_pairs(f, 100, seed=50 + idx):
                 est = directional_derivative(f, f.claimed, x0, h, tol=1e-6)
                 oracle = known_directional(f, x0, h)
                 dev = float(np.max(np.abs(rows @ (est.value - oracle))))
@@ -165,7 +165,7 @@ def test_criterion_05_estimator_against_analytic_slopes(families):
         kink_exact = abs(kink.value[0] - 1.0) <= 1e-9
         schedule_ok = True
         for idx, f in enumerate(families):
-            x0, h = interior_pairs(f, 1, seed=55 + idx, require_oracle=True)[0]
+            x0, h = interior_pairs(f, 1, seed=55 + idx)[0]
             a = directional_derivative(f, f.claimed, x0, h, tol=1e-6, ratio=0.5)
             b = directional_derivative(f, f.claimed, x0, h, tol=1e-6, ratio=1.0 / 3.0)
             schedule_ok = schedule_ok and float(np.max(np.abs(a.value - b.value))) <= 2e-6

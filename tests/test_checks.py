@@ -632,6 +632,19 @@ def test_approx_convex_trivial_for_convex():
     assert rep.passed
 
 
+# the plain two-norm of f(x) still warns of the overflow it met
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("scale", [1e150, 1e160, 1e200, 1e300])
+def test_a_huge_valued_concave_kink_still_fails(scale):
+    # above about 1.34e154 the plain two-norm of f(x) overflowed to inf, and the
+    # margin scale 1 + ||f(x)|| + ||f(y)|| turned every margin into a PASS at -0.0
+    f = dataclasses.replace(neg_abs_1d(), evaluator=lambda x: -scale * np.abs(x))
+    assert f.codomain_norm == "two"
+    spec = ParaSpec(modulus=square_modulus(), k=[1.0], cone=orthant(1), C=1.0, C1=1.0)
+    for rep in (check_inequality(f, spec, budget=200, seed=0), falsify(f, spec, budget=200, seed=0)):
+        assert not rep.passed and rep.worst_margin == -0.5
+
+
 def test_approx_convex_preconditions():
     f = neg_square_1d()
     with pytest.raises(ValueError):
@@ -640,6 +653,11 @@ def test_approx_convex_preconditions():
         check_approx_convex(f, [0.0], epsilon=-0.1, delta=0.1, budget=10, seed=0)
     with pytest.raises(ValueError):
         check_approx_convex(smooth_r2_r3(), [0.0, 0.0], epsilon=0.1, delta=0.1, budget=10, seed=0)
+    # a NaN delta kept no ball candidate, and a NaN epsilon read as a FAIL at a
+    # NaN margin; budget 1 draws only the d + 1 probes
+    for name, bad in (("delta", math.nan), ("delta", math.inf), ("epsilon", math.nan), ("epsilon", math.inf)):
+        with pytest.raises(ValueError, match=name):
+            check_approx_convex(f, [0.0], **{"epsilon": 0.1, "delta": 0.1, name: bad}, budget=1, seed=0)
 
 
 def test_ball_pairs_are_seeded_prefix_stable_and_inside():

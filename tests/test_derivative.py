@@ -310,6 +310,42 @@ def test_sublinear_reads_zero_vectors_as_zero():
     assert rep.passed and rep.witness == ("homogeneity", 0.5)
 
 
+# the plain two-norm of [1e308, 0] still warns of the overflow it met
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_sublinear_lays_each_grid_along_its_own_unit():
+    # the homogeneity grids took their top step from the clearance along the
+    # raw h1, not its unit: h1 = (0.1, 0) gave a top of 0.2, which leaves the
+    # box along (1, 0) from x0 = (0.9, 0), and (1e150, 0) gave tops near
+    # 1e-151, which never converged
+    f = smooth_r2_r3()
+    x0 = [0.9, 0.0]
+    rep = check_sublinear(f, f.claimed, x0, direction_pairs=[([0.1, 0.0], [0.0, 1.0])], tol=1e-6)
+    assert rep.passed and rep.witness == ("homogeneity", 0.5)
+    # a pair is scored at the length of its longer vector, so these read as the unit pairs
+    for pair, unit in (
+        (([1e150, 0.0], [0.0, 1e150]), ([1.0, 0.0], [0.0, 1.0])),
+        (([1e308, 0.0], [1e308, 0.0]), ([1.0, 0.0], [1.0, 0.0])),
+        (([1e200, 0.0], [0.0, 1.0]), ([1.0, 0.0], [0.0, 1e-200])),
+    ):
+        got = check_sublinear(f, f.claimed, x0, direction_pairs=[pair], tol=1e-6)
+        want = check_sublinear(f, f.claimed, x0, direction_pairs=[unit], tol=1e-6)
+        assert got.passed == want.passed and got.worst_margin.hex() == want.worst_margin.hex(), pair
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_sublinear_verdict_does_not_depend_on_the_pair_length():
+    # -|x| at its kink: D(c) + D(-c) - D(0) = -2|c|, scored as given a FAIL
+    # at c = 1 and a PASS at c = 1e-7
+    f = neg_abs_1d()
+    spec = ParaSpec(modulus=square_modulus(), k=[1.0], cone=orthant(1), C=1.0, C1=1.0)
+    unit = check_sublinear(f, spec, [0.0], direction_pairs=[([1.0], [-1.0])], tol=1e-6)
+    assert not unit.passed and unit.worst_margin == -1.9999984182417108
+    for c in (1e-300, 1e-7, 1e3, 1e300):
+        rep = check_sublinear(f, spec, [0.0], direction_pairs=[([c], [-c])], tol=1e-6)
+        assert rep.worst_margin.hex() == unit.worst_margin.hex() and not rep.passed, c
+        assert [w.tolist() for w in rep.witness] == [[c], [-c]]
+
+
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
 def test_non_finite_directions_are_rejected_before_any_evaluation(bad):
     # a non-finite direction is an input error named before any evaluation:
@@ -348,7 +384,7 @@ def test_gateaux_flags_the_kink():
     # estimator error
     assert 1.9 < rep.defect <= 2.0
     assert rep.margins["antisymmetry"] > 1.9
-    for bad in ([[0.0]], [1.0], [[1.0, 0.0]]):
+    for bad in ([[0.0]], [1.0], [[1.0, 0.0]], [[1.0], [1.0, 0.0]]):
         with pytest.raises(ValueError, match="directions"):
             gateaux_test(f, f.claimed, [0.0], directions=bad, tol=1e-6)
 

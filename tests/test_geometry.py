@@ -82,6 +82,24 @@ def test_norm_oracle_values():
         norm(v, "three")
 
 
+# the plain pass of a norm still warns of the overflow it met before the rescaled pass
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_two_norms_neither_overflow_nor_underflow():
+    # the plain two-norm squares each entry, so 3 * 2^600 overflows to inf and
+    # 3 * 2^-600 underflows to 0; a power-of-two scale is exact, so the norm
+    # of a scaled row is the row's norm times the scale, bit for bit
+    base = np.array([[3.0, -4.0], [0.6, 0.8], [1e-3, 2.0]])
+    for scale in (2.0**-1000, 2.0**-600, 2.0**600, 2.0**1000):
+        rows = base * scale
+        want = (row_norms(base) * scale).tolist()
+        assert row_norms(rows).tolist() == want == [norm(v) for v in rows], scale
+    # a norm past the largest float is inf, and a zero row stays 0
+    assert row_norms(np.array([[1.5e308, 1.5e308], [0.0, 0.0]])).tolist() == [np.inf, 0.0]
+    # the other rows of a stack keep the bits of their plain pass
+    mixed = np.vstack([base, [[1e200, 0.0], [1e-170, 1e-170]]])
+    assert row_norms(mixed)[:3].tolist() == row_norms(base).tolist()
+
+
 @given(finite_coords, finite_coords)
 def test_norm_triangle_inequality(a, b):
     n = min(len(a), len(b))

@@ -101,7 +101,9 @@ def test_verdict_corpus_matches_golden():
     holds every shipped config's CLI runs with no flags, at --seed 0-9, at
     the four 31-bit seeds the benchmark's configs workload draws for its
     first two sweeps at bench seeds 0 and 1, and under a budget/tol override,
-    and the testbed families' check, falsify and scan reports at seeds 0-4;
+    and the testbed families' check, falsify and scan reports at seeds 0-4,
+    with gateaux_test, check_sublinear and frechet_test reports on the plane
+    families;
     verdicts and exit codes must match exactly and margins under the same
     rule as the manifests."""
     want = json.loads((GOLDEN_DIR / "verdicts.json").read_text())

@@ -9,6 +9,7 @@ so neither may the answers.
 """
 
 import dataclasses
+import warnings
 from dataclasses import dataclass
 from typing import Callable
 
@@ -19,6 +20,7 @@ from paracone import (
     ParaSpec,
     abs_1d,
     check_inequality,
+    check_sublinear,
     cone_from_generators,
     cone_from_inequalities,
     contains,
@@ -26,6 +28,7 @@ from paracone import (
     gateaux_test,
     neg_abs_1d,
     orthant,
+    smooth_r2_r3,
     square_modulus,
 )
 from paracone.checks import _coordinate_moves, _margins, _pattern_search
@@ -57,6 +60,24 @@ def _direction_length(families):
             rep = gateaux_test(f, f.claimed, [x0], directions=[[length]], tol=1e-6)
             # in 1-D the scaled direction is exactly the unit one
             assert rep.passed is passed and rep.defect.hex() == unit.defect.hex(), (x0, length)
+
+
+def _direction_scale(families):
+    # lengths 2^k are exact scalings, so a direction scored at unit length
+    # is the unit direction bit for bit; a plain two-norm of the longest
+    # overflows to inf and of the shortest underflows to 0
+    f = smooth_r2_r3()
+    x0, h1, h2 = [0.1, -0.2], np.array([0.6, -0.8]), np.array([0.0, 1.0])
+    unit_g = gateaux_test(f, f.claimed, x0, directions=[h1, h2], tol=1e-6)
+    unit_s = check_sublinear(f, f.claimed, x0, direction_pairs=[(h1, h2)], tol=1e-6)
+    for k in (-996, -565, -23, 10, 520, 996):
+        length = 2.0**k  # from about 1.5e-300 to 6.7e299
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "overflow encountered", RuntimeWarning)
+            g = gateaux_test(f, f.claimed, x0, directions=[length * h1, length * h2], tol=1e-6)
+            s = check_sublinear(f, f.claimed, x0, direction_pairs=[(length * h1, length * h2)], tol=1e-6)
+        assert g.passed is unit_g.passed and g.margins == unit_g.margins, k
+        assert s.passed is unit_s.passed and s.worst_margin.hex() == unit_s.worst_margin.hex(), k
 
 
 def _cone_form(families):
@@ -149,6 +170,12 @@ TABLE = (
         _direction_length,
     ),
     Row(
+        "gateaux_test directions and a check_sublinear pair times 2^k, k from -996 to 996, on smooth-r2-r3",
+        "gateaux_test, check_sublinear",
+        "the same verdict and the same margins, bit for bit",
+        _direction_scale,
+    ),
+    Row(
         "a thin wedge given by its generators, then by its rows",
         "unit_dual_generators, pointed, contains",
         "the same rays, an equal pointed flag and an equal membership of (-1, 0)",
@@ -169,6 +196,8 @@ TABLE = (
 )
 
 
-@pytest.mark.parametrize("row", TABLE, ids=("direction-length", "cone-form", "generator-scale", "falsify-replay"))
+@pytest.mark.parametrize(
+    "row", TABLE, ids=("direction-length", "direction-scale", "cone-form", "generator-scale", "falsify-replay")
+)
 def test_invariance_row(row, families):
     row.check(families)

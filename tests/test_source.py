@@ -76,3 +76,12 @@ def test_one_function_of_geometry_audits_the_dual():
     a second function of geometry.py that reads _AUDIT_TOL is a second rule."""
     readers = _functions_reading("geometry.py", "_AUDIT_TOL")
     assert readers == ["_audit_dual"], readers
+
+
+def test_one_direction_rule_in_derivative():
+    """Every stack of directions becomes units and lengths through _units,
+    and _prep_direction checks the one unit direction of a single-direction
+    op: a third function of derivative.py that reads domain_norm is a third
+    direction rule."""
+    readers = _functions_reading("derivative.py", "domain_norm")
+    assert sorted(readers) == ["_prep_direction", "_units"], readers
