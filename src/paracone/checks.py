@@ -2,7 +2,10 @@
 
 Every checker reduces its vector inequality to scalar slacks through the
 cone's unit supporting functionals and reports the most negative slack as
-worst_margin, scaled relative to the sampled value magnitudes.  The report
+worst_margin.  The segment-inequality checks divide each slack by the
+magnitude scale of the sampled values (_magnitude_scale, the one scoring
+rule of every margin kernel, the derivative side's included); check_fact2
+and check_approx_convex keep absolute slacks.  The report
 type derives the verdict, exactly worst_margin >= -tol, which for a polyhedral
 cone in inequality form is the cone membership test itself, so the verdict
 and the margin can never disagree.
@@ -176,6 +179,24 @@ def sample_triples(box: Box, budget: int, seed: int) -> Triples:
     )
 
 
+# multiplier on eps*(1 + ||f(x+th)|| + ||f(x)||)/t covering the rounding
+# error of one difference quotient; 32 dominates the worst per-evaluation
+# error of the testbed families (~15 ulp) with a factor-two cushion
+_FP_SAFETY = 32.0
+_EPS = float(np.finfo(float).eps)
+
+
+def _magnitude_scale(a, b=0.0, step=None):
+    """The one scoring rule of every margin kernel: 1 + a + b, summed left
+    to right, for the norms a and b of the values a margin compares.  A slack
+    plus its allowances is divided by it, so tolerances mean the same thing
+    for large-magnitude families.  With a step t it is instead the rounding
+    allowance of a difference quotient at t whose two values have norms a
+    and b: _FP_SAFETY * _EPS of the scale per unit step."""
+    scale = 1.0 + a + b
+    return scale if step is None else _FP_SAFETY * _EPS * scale / step
+
+
 def _allowance_coef(form: str, constant: float, lam: np.ndarray) -> np.ndarray:
     """constant * c(lam) for the min or lambda form; spec.constant(form) has rejected any other form."""
     if form == "min":
@@ -196,12 +217,12 @@ def _margins(f: VectorMapping, spec: ParaSpec, rows, form: str, x, y, lam) -> np
     """Worst scalar slack of every triple (x_i, y_i, lam_i), shape (n,).
 
     slack_j = lam*row_j(fx) + (1-lam)*row_j(fy) + coef*row_j(k) - row_j(fmid),
-    divided by 1 + ||fx|| + ||fy|| so tolerances mean the same thing for
-    large-magnitude families; coef = c(lam) * modulus(||x - y||).  Products
-    and norms are taken row by row (matvec_rows, row_norms), so a triple's
-    margin is the same bits in any batch.  The direct, scalarized and
-    falsifying checks all use this kernel, so they agree bitwise on
-    identical rows.  With no rows every slack is 0.
+    the worst over j divided by _magnitude_scale(||fx||, ||fy||) in the
+    codomain norm, with no rounding allowance; coef = c(lam) *
+    modulus(||x - y||).  Products and norms are taken row by row
+    (matvec_rows, row_norms), so a triple's margin is the same bits in any
+    batch.  The direct, scalarized and falsifying checks all use this kernel,
+    so they agree bitwise on identical rows.  With no rows every slack is 0.
     """
     fx, fy, fmid, _ = _segment_values(f, x, y, lam)
     coef = _allowance_coef(form, spec.constant(form), lam) * eval_modulus(spec.modulus, row_norms(x - y, f.domain_norm))
@@ -210,8 +231,8 @@ def _margins(f: VectorMapping, spec: ParaSpec, rows, form: str, x, y, lam) -> np
     lam = lam[:, None]
     raw = lam * matvec_rows(rows, fx) + (1.0 - lam) * matvec_rows(rows, fy) + coef[:, None] * (rows @ spec.k)
     raw = raw - matvec_rows(rows, fmid)
-    scale = 1.0 + row_norms(fx, f.codomain_norm) + row_norms(fy, f.codomain_norm)
-    return np.min(raw / scale[:, None], axis=1)
+    # dividing by a positive scale is monotone, so the min can come first
+    return np.min(raw, axis=1) / _magnitude_scale(row_norms(fx, f.codomain_norm), row_norms(fy, f.codomain_norm))
 
 
 def _check_rows(

@@ -30,7 +30,10 @@ The rounding allowance matters: a difference quotient at step t carries
 rounding error on the order of eps * ||f|| / t, which dwarfs any reasonable
 tolerance once t is small enough.  Folding the allowance into every margin
 keeps deep-grid checks honest (no false violations from cancellation) while
-still detecting real violations, which are orders of magnitude larger.
+still detecting real violations, which are orders of magnitude larger.  The
+allowance, and the magnitude scale that the trace, upper-bound and Frechet
+margins are divided by, come from the one scoring rule,
+checks._magnitude_scale, with two-norm magnitudes.
 """
 
 from __future__ import annotations
@@ -41,7 +44,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .checks import _at_least_one, _require_fit
+from .checks import _at_least_one, _magnitude_scale, _require_fit
 from .geometry import (
     Box,
     as_point,
@@ -57,11 +60,6 @@ from .mappings import OutsideDomainError, VectorMapping, known_directional
 from .modulus import ParaSpec, eval_modulus
 from .reports import CheckReport, Report, worst_report
 
-# multiplier on eps*(1 + ||f(x+th)|| + ||f(x)||)/t covering the rounding
-# error of one difference quotient; 32 dominates the worst per-evaluation
-# error of the testbed families (~15 ulp) with a factor-two cushion
-_FP_SAFETY = 32.0
-_EPS = float(np.finfo(float).eps)
 # the step-grid factors on which positive homogeneity is tested (check_sublinear, gateaux_test)
 _LAMBDAS = (0.5, 2.0)
 # evaluated values (rows times codomain dimension) that one battery batch of
@@ -73,11 +71,6 @@ _BLOCK_VALUES = 2**14
 
 class ConvergenceError(RuntimeError):
     """The quotient estimator could not reach the requested tolerance."""
-
-
-def _quotient_noise(t, f_t_norm, f0_norm):
-    """Rounding allowance of the quotient at step t, for one step or an array of them."""
-    return _FP_SAFETY * _EPS * (1.0 + f_t_norm + f0_norm) / t
 
 
 def _require_strong(spec: ParaSpec) -> None:
@@ -200,7 +193,7 @@ def _quotients(
     f0 = values[:p][at]
     raw = (values[p:].reshape(t.shape + values.shape[1:]) - f0) / t[..., None]
     allowance = spec.min_constant() * eval_modulus(spec.modulus, t) / t
-    noise = _quotient_noise(t, norms[p:].reshape(t.shape), norms[:p][at])
+    noise = _magnitude_scale(norms[p:].reshape(t.shape), norms[:p][at], step=t)
     return QuotientTrace(h, t, raw, allowance, raw + allowance[..., None] * spec.k, noise, f0, spec)
 
 
@@ -245,9 +238,8 @@ def check_alpha_monotone(trace: QuotientTrace, tol: float = 1e-9) -> CheckReport
     # one row per pair: corrected[a] - raw[b] for t_a > t_b (a < b)
     ia, ib = _grid_pairs(trace.t_grid.size)
     margins = cone_margins(trace.spec.cone, trace.corrected[ia] - trace.raw[ib])
-    raw_norms = np.linalg.norm(trace.raw, axis=1)
-    scale = 1.0 + raw_norms[ia] + raw_norms[ib]
-    adjusted = (margins + trace.noise[ia] + trace.noise[ib]) / scale
+    raw_norms = row_norms(trace.raw)
+    adjusted = (margins + trace.noise[ia] + trace.noise[ib]) / _magnitude_scale(raw_norms[ia], raw_norms[ib])
     return worst_report(
         adjusted,
         tol,
@@ -311,7 +303,7 @@ def _stop_estimates(
     n = t.shape[1]
     # the largest step of each level has the smallest floor (-inf for no trace: any cut serves)
     top = t[0] if len(t) == 1 else t.max(axis=0, initial=-np.inf)
-    floor = _quotient_noise(top, 0.0, 0.0)
+    floor = _magnitude_scale(0.0, 0.0, step=top)
     closable = np.count_nonzero(floor[:-1] + floor[1:] < tol)
     cut = closable + 1 if closable else n  # no bracket can close: the fallback reads the full grid
     q = _quotients(f, spec, x0, h, t[:, :cut], owner)
@@ -389,9 +381,9 @@ def check_upper_bound(
     q = _quotients(f, spec, x0, h, t_samples)
     f0n = norm(q.f0, "two")
     dn = norm(estimate.value, "two")
-    allow_used = _quotient_noise(estimate.t_used, dn * estimate.t_used + f0n, f0n)
+    allow_used = _magnitude_scale(dn * estimate.t_used + f0n, f0n, step=estimate.t_used)
     margins = cone_margins(spec.cone, q.corrected - estimate.value)
-    adjusted = (margins + q.noise + allow_used) / (1.0 + row_norms(q.raw) + dn)
+    adjusted = (margins + q.noise + allow_used) / _magnitude_scale(row_norms(q.raw), dn)
     return worst_report(
         adjusted,
         tol,
@@ -809,8 +801,7 @@ def frechet_test(
 
     bd_min = float(f.domain.boundary_distance(x0, np.array(dirs)).min())
     if t_schedule is None:
-        top = min(0.1, 0.5 * bd_min)
-        t_schedule = top * 0.5 ** np.arange(20)
+        t_schedule = _default_t0(bd_min) * 0.5 ** np.arange(20)
     t_schedule = np.asarray(sorted((float(t) for t in t_schedule), reverse=True))
     if not t_schedule.size:
         raise ValueError("t_schedule must name at least one step")
@@ -829,7 +820,7 @@ def frechet_test(
     q = _quotients(f, spec, x0, np.array(dirs), np.broadcast_to(t_schedule, (len(dirs), t_schedule.size)))
     r = (q.corrected - np.array(d_vals)[:, None, :]).reshape(-1, q.f0.size)
     allow = (q.noise + d_errs[:, None]).reshape(-1)
-    residual_margin = float(np.min((cone_margins(spec.cone, r) + allow) / (1.0 + row_norms(r))))
+    residual_margin = float(np.min((cone_margins(spec.cone, r) + allow) / _magnitude_scale(row_norms(r))))
     lam = matvec_rows(e_star[None, :], r)[:, 0]
     big = lam > tol
     max_base_norm = float(np.max(row_norms(r[big] / lam[big, None], f.codomain_norm), initial=0.0))

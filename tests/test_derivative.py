@@ -33,8 +33,9 @@ from paracone import (
     square_modulus,
     zero_modulus,
 )
+from paracone.checks import _magnitude_scale
 import paracone.derivative
-from paracone.derivative import GateauxReport, _default_t0, _prep_direction, _quotient_noise
+from paracone.derivative import GateauxReport, _default_t0, _prep_direction
 from paracone.geometry import Box, norm, random_simplicial_cone, unit_dual_generators
 from paracone.mappings import OutsideDomainError, VectorMapping, known_directional
 from paracone.modulus import eval_modulus
@@ -116,6 +117,20 @@ def test_alpha_monotone_rejects_wrong_modulus_scale():
     assert check_alpha_monotone(tr0, tol=1e-9).passed
 
 
+# the plain two-norm of a quotient still warns of the overflow it met
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("scale", [1e150, 1e160, 1e200])
+def test_a_huge_valued_concave_trace_still_fails(scale):
+    # -s*x^2 from 0 under C = 1: its quotients fall by s - 1 per unit step.  The
+    # margin scale once took np.linalg.norm of the quotients, which overflowed
+    # to inf above about 1.34e154 and read every pair as a PASS at -0.0
+    f = dataclasses.replace(neg_square_1d(), evaluator=lambda x: -scale * np.float_power(x, 2.0))
+    spec = ParaSpec(modulus=square_modulus(), k=[1.0], cone=orthant(1), C=1.0, C1=1.0)
+    rep = check_alpha_monotone(build_trace(f, spec, [0.0], [1.0], t0=0.5, depth=10))
+    assert not rep.passed and rep.worst_margin < -0.99
+    assert rep.witness == (0.5, 0.0009765625)
+
+
 # ---------------------------------------------------------------------------
 # directional derivative estimation
 
@@ -177,7 +192,7 @@ def _reference_estimate(f, spec, x0, h, tol, ratio, max_depth):
         t = t0 * ratio**j
         ft = f.eval(x0 + t * h)
         raw = (ft - f0) / t
-        noise = _quotient_noise(t, float(np.linalg.norm(ft)), f0n)
+        noise = _magnitude_scale(float(np.linalg.norm(ft)), f0n, step=t)
         if prev_raw is not None:
             decrement = float(np.max(np.abs(rows @ (prev_raw - raw)))) if rows.size else 0.0
             corr = c_min * eval_modulus(spec.modulus, prev_t) / prev_t

@@ -32,13 +32,13 @@ from paracone import (
     table_modulus,
     zero_modulus,
 )
+from paracone.checks import _magnitude_scale
 import paracone.derivative
 from paracone.derivative import (
     FrechetReport,
     GateauxReport,
     _default_t0,
     _prep_direction,
-    _quotient_noise,
     _quotients,
     _stop_levels,
     _unit_directions,
@@ -104,7 +104,7 @@ def _loop_upper_bound(f, spec, x0, h, estimate, t_samples=None, n_samples=12):
     f0 = values[0]
     f0n = norm(f0, "two")
     dn = norm(estimate.value, "two")
-    allow_used = _quotient_noise(estimate.t_used, dn * estimate.t_used + f0n, f0n)
+    allow_used = _magnitude_scale(dn * estimate.t_used + f0n, f0n, step=estimate.t_used)
     worst = np.inf
     witness = None
     for t, ft in zip(t_samples, values[1:]):
@@ -112,7 +112,7 @@ def _loop_upper_bound(f, spec, x0, h, estimate, t_samples=None, n_samples=12):
         corr = c_min * _scalar_modulus(spec.modulus, t) / t
         residual = raw + corr * spec.k - estimate.value
         margin = float(np.min(rows @ residual)) if rows.size else 0.0
-        allow = _quotient_noise(t, float(np.linalg.norm(ft)), f0n)
+        allow = _magnitude_scale(float(np.linalg.norm(ft)), f0n, step=t)
         adjusted = (margin + allow + allow_used) / (1.0 + float(np.linalg.norm(raw)) + dn)
         if adjusted < worst:
             worst = adjusted
@@ -154,7 +154,7 @@ def _loop_frechet(f, spec, x0, epsilons, n_directions, t_schedule, tol, seed):
         corr = c_min * _scalar_modulus(spec.modulus, t) / t
         for ui, ft in enumerate(f_steps[ti]):
             r = (ft - f0) / t + corr * spec.k - d_vals[ui]
-            allow = _quotient_noise(t, float(np.linalg.norm(ft)), f0n) + d_errs[ui]
+            allow = _magnitude_scale(float(np.linalg.norm(ft)), f0n, step=t) + d_errs[ui]
             margin = (float(np.min(rows @ r)) + allow) / (1.0 + float(np.linalg.norm(r)))
             residual_margin = min(residual_margin, margin)
             lam = float(e_star @ r)
@@ -265,7 +265,7 @@ def _loop_alpha_monotone(trace):
     corrected[a] - raw[b] plus both rounding allowances over the quotient
     magnitudes; the worst of them, its steps and the pair count."""
     rows = unit_dual_generators(trace.spec.cone)
-    raw_norms = np.linalg.norm(trace.raw, axis=1)
+    raw_norms = [norm(v, "two") for v in trace.raw]
     worst, witness, count = np.inf, None, 0
     for a in range(trace.t_grid.size):
         for b in range(a + 1, trace.t_grid.size):

@@ -85,3 +85,32 @@ def test_one_direction_rule_in_derivative():
     direction rule."""
     readers = _functions_reading("derivative.py", "domain_norm")
     assert sorted(readers) == ["_prep_direction", "_units"], readers
+
+
+def _adds_one(node) -> bool:
+    """Whether node holds an addition with a float 1.0 operand."""
+    def is_one(side) -> bool:
+        return isinstance(side, ast.Constant) and type(side.value) is float and side.value == 1.0
+
+    return any(
+        isinstance(n, ast.BinOp) and isinstance(n.op, ast.Add) and (is_one(n.left) or is_one(n.right))
+        for n in ast.walk(node)
+    )
+
+
+def test_one_scoring_rule():
+    """Every margin kernel reads its rounding allowance and its magnitude
+    scale from checks._magnitude_scale: a second function of the package that
+    reads _FP_SAFETY or _EPS is a second rounding allowance, and a second
+    function of checks.py or derivative.py that adds 1.0 is a second
+    1 + ||.|| scale."""
+    modules = sorted(path.name for path in SRC_DIR.glob("*.py"))
+    for name in ("_FP_SAFETY", "_EPS"):
+        readers = [(module, function) for module in modules for function in _functions_reading(module, name)]
+        assert readers == [("checks.py", "_magnitude_scale")], (name, readers)
+    adders = []
+    for module in ("checks.py", "derivative.py"):
+        tree = ast.parse((SRC_DIR / module).read_text())
+        functions = [node for node in ast.walk(tree) if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
+        adders += [(module, node.name) for node in functions if _adds_one(node)]
+    assert adders == [("checks.py", "_magnitude_scale")], adders
