@@ -1,6 +1,6 @@
 """Command line front end.
 
-Every subcommand reads a JSON config naming the mapping and its checks,
+Every command reads a JSON config naming the mapping and its checks,
 runs the selected operation kind (or all of them, for `run`), prints one
 verdict line per executed check, and exits 0 only when every executed
 check passed.  Exit 1 means a violation or a failed certification; exit 2
@@ -21,15 +21,13 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="paracone",
         description="certify or falsify cone-ordered convexity defects from a JSON run config",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in (*OPERATIONS, "run"):
-        p = sub.add_parser(name, help=f"execute {'all configured checks' if name == 'run' else f'the {name} entries'}")
-        p.add_argument("--config", required=True, help="path to the JSON run config")
-        p.add_argument("--out", default=None, help="directory for the manifest and CSV outputs")
-        p.add_argument("--seed", type=int, default=None, help="override the seed of each entry that reads one")
-        p.add_argument("--budget", type=int, default=None, help="override the budget of each entry that reads one")
-        p.add_argument("--tol", type=float, default=None, help="override the tolerance of every executed entry")
-        p.add_argument("--form", choices=("min", "lambda"), default=None, help="override the inequality form")
+    parser.add_argument("command", choices=(*OPERATIONS, "run"), help="the op whose entries to execute, or run for all")
+    parser.add_argument("--config", required=True, help="path to the JSON run config")
+    parser.add_argument("--out", default=None, help="directory for the manifest and CSV outputs")
+    parser.add_argument("--seed", type=int, default=None, help="override the seed of each entry that reads one")
+    parser.add_argument("--budget", type=int, default=None, help="override the budget of each entry that reads one")
+    parser.add_argument("--tol", type=float, default=None, help="override the tolerance of every executed entry")
+    parser.add_argument("--form", choices=("min", "lambda"), default=None, help="override the inequality form")
     return parser
 
 

@@ -229,9 +229,11 @@ def load_config(path) -> dict:
     if not p.exists():
         raise ConfigError(f"config file not found: {p}")
     try:
-        cfg = json.loads(p.read_text())
+        cfg = json.loads(p.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{p}: invalid JSON ({exc})") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"{p}: cannot read config ({exc})") from exc
     if not isinstance(cfg, dict):
         raise ConfigError(f"{p}: top level must be an object")
     return cfg
@@ -553,7 +555,8 @@ def run_config(cfg: dict, out_dir=None, overrides: dict | None = None) -> dict:
     at run time leaves output behind.  overrides (from CLI flags) are set on
     an entry before it is read, so a flag seed satisfies the explicit-seed
     rule.  A ValueError from building or running an entry comes out as a
-    ConfigError naming it.
+    ConfigError naming it, and so does an out_dir that cannot be made a
+    directory.
     """
     start = time.perf_counter()
     top = read_fields(cfg, _TOP, "")
@@ -570,7 +573,10 @@ def run_config(cfg: dict, out_dir=None, overrides: dict | None = None) -> dict:
         label = f"{name}-{idx}" if label is None else label
         reports.append({"op": name, "label": label, "pass": bool(passed), "report": report})
     if out_path is not None:
-        out_path.mkdir(parents=True, exist_ok=True)
+        try:
+            out_path.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"--out: cannot create directory {out_path} ({exc.strerror})") from exc
         for write, obj, name in writes:
             write(obj, out_path / name)
     manifest = {

@@ -9,6 +9,7 @@ import sys
 import numpy as np
 import pytest
 
+import paracone.cli
 import paracone.config
 from paracone.cli import main
 from paracone.config import (
@@ -249,6 +250,33 @@ def test_cli_missing_config(tmp_path, capsys):
     code = main(["run", "--config", str(tmp_path / "ghost.json")])
     assert code == 2
     assert "input error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind", ["directory", "not-utf8"])
+def test_cli_unreadable_config_exits_two(kind, tmp_path, capsys):
+    if kind == "directory":
+        path = tmp_path
+    else:
+        path = tmp_path / "cfg.json"
+        path.write_bytes(b'\xff{"mapping": {"family": "neg_square"}}')
+    assert main(["run", "--config", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"input error: {path}: cannot read config" in captured.err
+
+
+@pytest.mark.parametrize("under", ["", "sub"])
+def test_cli_out_that_cannot_be_a_directory_exits_two(under, tmp_path, capsys):
+    # --out names a regular file, or a path below one
+    blocker = tmp_path / "file"
+    blocker.write_text("keep\n")
+    out_dir = blocker / under if under else blocker
+    assert main(["run", "--config", str(CONFIG_DIR / "neg_abs_falsify.json"), "--out", str(out_dir)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("input error: --out: ")
+    assert blocker.read_text() == "keep\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["file"]
 
 
 def test_cli_seed_flag_satisfies_seed_rule(tmp_path, capsys):
@@ -808,8 +836,39 @@ def test_internal_errors_are_not_input_errors(monkeypatch, tmp_path):
 def test_cli_subcommands_come_from_the_registry(capsys):
     with pytest.raises(SystemExit):
         main(["--help"])
-    listed = re.search(r"\{([a-z0-9,-]+)\}", capsys.readouterr().out).group(1).split(",")
+    listed = re.search(r"\{([a-z0-9,-]+,run)\}", capsys.readouterr().out).group(1).split(",")
     assert listed == [*OPERATIONS, "run"]
+
+
+@pytest.mark.parametrize("command", [*OPERATIONS, "run"])
+def test_cli_parses_every_command_and_refuses_bad_argv(command, monkeypatch, tmp_path):
+    seen = []
+
+    def capture(cfg, out_dir, overrides):
+        seen.append(overrides)
+        return {"reports": [], "exit_status": 0}
+
+    monkeypatch.setattr(paracone.cli, "run_config", capture)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"mapping": {"family": "neg_square"}, "checks": [{"op": op} for op in OPERATIONS]}))
+    config = ["--config", str(path)]
+    assert main([command, *config, "--seed", "3", "--budget", "7", "--tol", "1e-3", "--form", "lambda"]) == 0
+    assert seen == [{"seed": 3, "budget": 7, "tol": 1e-3, "form": "lambda"}]
+    with pytest.raises(SystemExit) as stop:
+        main([command, "--help"])
+    assert stop.value.code == 0
+    refused = [
+        [*config],
+        ["bounded", *config],
+        [command],
+        [command, *config, "--seed", "1.5"],
+        [command, *config, "--budget", "x"],
+        [command, *config, "--form", "max"],
+    ]
+    for argv in refused:
+        with pytest.raises(SystemExit) as stop:
+            main(argv)
+        assert stop.value.code == 2, argv
 
 
 # ---------------------------------------------------------------------------
