@@ -22,6 +22,7 @@ witness replayed alone reproduces its margin bit for bit.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -111,16 +112,24 @@ def dyadic_small_gap_triples(box: Box, n_gaps: int = 14) -> Triples:
     Anchors sit at box fractions 1/2, 1/4, 3/4 along the diagonal; probe
     directions are the coordinate axes plus the main diagonal; gaps halve
     n_gaps times from just under the anchor's boundary clearance, the
-    Box.boundary_distance along the direction and against it.
+    Box.boundary_distance along the direction and against it.  The schedule
+    is built once per (lo, hi, n_gaps) and its arrays are read-only.
     """
-    d = box.dim
-    anchors = box.lo + np.array([[0.5], [0.25], [0.75]]) * (box.hi - box.lo)
-    if not (np.all(anchors > box.lo) and np.all(anchors < box.hi)):
+    return _dyadic_schedule(box.lo.tobytes(), box.hi.tobytes(), n_gaps)
+
+
+@functools.lru_cache(maxsize=64)
+def _dyadic_schedule(lo_bytes: bytes, hi_bytes: bytes, n_gaps: int) -> Triples:
+    """dyadic_small_gap_triples for the box whose float64 bounds have these bytes."""
+    lo, hi = np.frombuffer(lo_bytes), np.frombuffer(hi_bytes)
+    d = lo.shape[0]
+    anchors = lo + np.array([[0.5], [0.25], [0.75]]) * (hi - lo)
+    if not (np.all(anchors > lo) and np.all(anchors < hi)):
         raise ValueError("dyadic anchors fall outside the box")
     # the clearance along an axis and against it is the nearer face gap; on
     # the diagonal every entry is s = 1/sqrt(d), and dividing by s keeps the
     # order of the rounded gaps, so it is the smallest gap over s
-    gap = np.minimum(box.hi - anchors, anchors - box.lo)
+    gap = np.minimum(hi - anchors, anchors - lo)
     dirs, span = np.eye(d), gap
     if d > 1:  # in one dimension the diagonal is the axis
         s = 1.0 / math.sqrt(d)
@@ -131,7 +140,9 @@ def dyadic_small_gap_triples(box: Box, n_gaps: int = 14) -> Triples:
     t = span[anchor, direction][:, None, None] * np.ldexp(1.0, -np.arange(1, n_gaps + 1))[:, None]
     c, u = anchors[anchor][:, None, :], dirs[direction][:, None, :]
     x, y = (c - t * u).reshape(-1, d), (c + t * u).reshape(-1, d)
-    return Triples(x=x, y=y, lam=np.full(x.shape[0], 0.5), structured=x.shape[0])
+    lam = np.full(x.shape[0], 0.5)
+    x.flags.writeable = y.flags.writeable = lam.flags.writeable = False
+    return Triples(x=x, y=y, lam=lam, structured=x.shape[0])
 
 
 def _at_least_one(**counts) -> None:
@@ -140,6 +151,13 @@ def _at_least_one(**counts) -> None:
     for name, value in counts.items():
         if value < 1:
             raise ValueError(f"{name} must be at least 1")
+
+
+def _require_tol(tol) -> None:
+    """Raise ValueError, before any evaluation, unless tol is finite and at
+    least 0: a malformed tolerance is an input error, never a verdict."""
+    if not 0.0 <= tol < math.inf:  # a NaN is outside too
+        raise ValueError(f"tol must be finite and >= 0, got {tol}")
 
 
 def _require_fit(f: VectorMapping, spec: ParaSpec) -> None:
@@ -205,12 +223,11 @@ def _allowance_coef(form: str, constant: float, lam: np.ndarray) -> np.ndarray:
 
 
 def _segment_values(f: VectorMapping, x: np.ndarray, y: np.ndarray, lam: np.ndarray):
-    """f at x, at y and at the segment point lam*x + (1-lam)*y of every
-    triple, from one batch; the segment points come back last."""
-    n = lam.shape[0]
+    """The points [x; y; mid] of n triples, mid = lam*x + (1-lam)*y their
+    segment points, and f at them from one batch: two blocks of 3n rows."""
     mid = lam[:, None] * x + (1.0 - lam[:, None]) * y
-    values = f.eval_batch(np.concatenate([x, y, mid]))
-    return values[:n], values[n : 2 * n], values[2 * n :], mid
+    points = np.concatenate([x, y, mid])
+    return points, f.eval_batch(points)
 
 
 def _margins(f: VectorMapping, spec: ParaSpec, rows, form: str, x, y, lam) -> np.ndarray:
@@ -221,18 +238,24 @@ def _margins(f: VectorMapping, spec: ParaSpec, rows, form: str, x, y, lam) -> np
     codomain norm, with no rounding allowance; coef = c(lam) *
     modulus(||x - y||).  Products and norms are taken row by row
     (matvec_rows, row_norms), so a triple's margin is the same bits in any
-    batch.  The direct, scalarized and falsifying checks all use this kernel,
-    so they agree bitwise on identical rows.  With no rows every slack is 0.
+    batch.  That lets one pass of each serve the whole batch: one projection
+    of the 3n values [fx; fy; fmid] of _segment_values' block and one norm of
+    its first 2n rows.  The direct, scalarized and falsifying checks all use
+    this kernel, so they agree bitwise on identical rows.  With no rows every
+    slack is 0.
     """
-    fx, fy, fmid, _ = _segment_values(f, x, y, lam)
+    n = lam.shape[0]
+    _, values = _segment_values(f, x, y, lam)
     coef = _allowance_coef(form, spec.constant(form), lam) * eval_modulus(spec.modulus, row_norms(x - y, f.domain_norm))
     if not rows.shape[0]:
-        return np.zeros(lam.shape[0])
+        return np.zeros(n)
+    proj = matvec_rows(rows, values)
+    size = row_norms(values[: 2 * n], f.codomain_norm)
     lam = lam[:, None]
-    raw = lam * matvec_rows(rows, fx) + (1.0 - lam) * matvec_rows(rows, fy) + coef[:, None] * (rows @ spec.k)
-    raw = raw - matvec_rows(rows, fmid)
+    raw = lam * proj[:n] + (1.0 - lam) * proj[n : 2 * n] + coef[:, None] * (rows @ spec.k)
+    raw = raw - proj[2 * n :]
     # dividing by a positive scale is monotone, so the min can come first
-    return np.min(raw, axis=1) / _magnitude_scale(row_norms(fx, f.codomain_norm), row_norms(fy, f.codomain_norm))
+    return np.min(raw, axis=1) / _magnitude_scale(size[:n], size[n:])
 
 
 def _check_rows(
@@ -245,6 +268,7 @@ def _check_rows(
     tol: float,
     triples,
 ) -> CheckReport:
+    _require_tol(tol)
     _require_fit(f, spec)
     triples = sample_triples(f.domain, budget, seed) if triples is None else _as_triples(triples)
     margins = _margins(f, spec, rows, form, triples.x, triples.y, triples.lam)
@@ -323,11 +347,16 @@ def falsify(
     kernel call per accepted move plus one: the call evaluates every
     candidate the pass would try before its next accepted move, the rest of
     the current round, its repeat when the round has improved, then a whole
-    table per halved step (see _pattern_search).  Every margin comes from
+    round per halved step.  The pass scales its moves once, at each of the
+    16 steps 0.05 * 2**-j of its ladder, into one table, and every call's
+    candidates are one slice of it, or two (see _pattern_search).  A tol
+    that is not finite and at least 0 raises ValueError before any
+    evaluation, as in every check.  Every margin comes from
     the kernel check_inequality uses, and a triple's margin does not depend
     on its batch, so a reported failure replays identically under
     check_inequality(triples=[witness]).
     """
+    _require_tol(tol)
     _require_fit(f, spec)
     rows = unit_dual_generators(spec.cone)
     triples = sample_triples(f.domain, budget, seed)
@@ -388,6 +417,10 @@ def _paired_moves(width: np.ndarray):
     return dx, dy, np.zeros(4 * d)
 
 
+# the rungs of _pattern_search's step ladder: 0.05 * 2**-15 is the last step of at least 1e-6
+_RUNGS = 16
+
+
 def _pattern_search(box: Box, objective, start, moves, rounds: int = 50):
     """Minimize objective(x, y, lam) over the candidate moves, clipped to the
     open box and [0, 1]; start and the result are (x, y, lam, value).
@@ -399,48 +432,57 @@ def _pattern_search(box: Box, objective, start, moves, rounds: int = 50):
     to each one that strictly beats the best, with the best moving in the
     middle of a round.
 
-    Until the next accepted move, the candidates that loop tries from the
-    current best are fixed in advance, so they are planned and evaluated in
-    one batch, in order: the rest of the current round; the same round again
-    at this step if this round has already improved; then one whole table
-    per halved step, down to the last step of at least 1e-6, never more
-    rounds than the cap leaves.  The first planned row that beats the best
-    is the next accepted move, and its place in the plan gives its round
-    and step.  A triple's margin does not depend on its batch, so this is
-    the one-at-a-time result bit for bit, at one objective call per
-    accepted move plus one, each of at most 17 tables of rows.
+    The steps form a ladder of 16 rungs, 0.05 * 2**-j for j = 0..15, the
+    last at least 1e-6; halving is exact, so a rung is the bits of repeated
+    halving.  The pass builds one table of the moves scaled at every rung,
+    rung after rung.  Until the next accepted move, the candidates that loop
+    tries from the current best are fixed in advance, and they are rows of
+    that table, in order: the rest of the current round; the same round
+    again at this rung if this round has already improved; then one whole
+    round per lower rung, never more rounds than the cap leaves.  So each
+    plan is one slice of the table, or two when the round repeats, evaluated
+    in one batch.  The first planned row that beats the best is the next
+    accepted move, and its table row gives its rung and move.  A triple's
+    margin does not depend on its batch, so this is the one-at-a-time result
+    bit for bit, at one objective call per accepted move plus one, each of
+    at most 17 rounds of rows.
     """
     inset = 1e-9 * (box.hi - box.lo)
-    lo, hi = box.lo + inset, box.hi - inset
+    lo = np.concatenate([box.lo + inset, box.lo + inset, [0.0]])
+    hi = np.concatenate([box.hi - inset, box.hi - inset, [1.0]])
     x, y, lam, val = start
-    dx, dy, dlam = moves
-    n = dlam.shape[0]
-    step, done, first, improved = 0.05, 0, 0, False  # done: rounds before the current one
+    d, n = x.shape[0], moves[2].shape[0]
+    unit = np.hstack([moves[0], moves[1], moves[2][:, None]])
+    table = (np.ldexp(0.05, -np.arange(_RUNGS))[:, None, None] * unit).reshape(_RUNGS * n, 2 * d + 1)
+    best = np.concatenate([x, y, [lam]])
+    # the current round: its rung, its first untried move, and the rounds before it
+    rung, first, done, improved = 0, 0, 0, False
     while done < rounds:
-        # the plan: a step and a first table row per round, the current round first
-        steps, firsts = [step], [first]
-        s = step if improved else 0.5 * step  # a round that improved repeats at its step
-        while done + len(steps) < rounds and s >= 1e-6:
-            steps.append(s)
-            firsts.append(0)
-            s *= 0.5
-        counts = [n - f for f in firsts]
-        picks = np.concatenate([np.arange(f, n) for f in firsts])
-        if not picks.size:
+        # rounds after the current one start at this rung when it repeats
+        after = rung + (not improved)
+        last = after + min(_RUNGS - after, rounds - done - 1)  # one past the last rung planned
+        start_row = rung * n + first
+        if improved:
+            plan = np.concatenate([table[start_row : (rung + 1) * n], table[after * n : last * n]])
+        else:
+            plan = table[start_row : last * n]
+        if not plan.shape[0]:
             break
-        scale = np.repeat(steps, counts)
-        cx = np.clip(x + scale[:, None] * dx[picks], lo, hi)
-        cy = np.clip(y + scale[:, None] * dy[picks], lo, hi)
-        clam = np.clip(lam + scale * dlam[picks], 0.0, 1.0)
-        vals = objective(cx, cy, clam)
+        cand = np.clip(best + plan, lo, hi)
+        vals = objective(cand[:, :d], cand[:, d : 2 * d], cand[:, 2 * d])
         better = np.flatnonzero(vals < val)
         if not better.size:
             break
-        j = better[0]
-        k = int(np.searchsorted(np.cumsum(counts), j, side="right"))  # the planned round that holds row j
-        x, y, lam, val = cx[j], cy[j], clam[j], float(vals[j])
-        step, done, first, improved = steps[k], done + k, int(picks[j]) + 1, True
-    return x, y, lam, val
+        j = int(better[0])
+        head = (rung + 1) * n - start_row  # rows left in the current round
+        if j < head:
+            row = start_row + j
+        else:
+            done += 1 + (j - head) // n  # the current round and the whole rounds before row j
+            row = after * n + (j - head)
+        best, val = cand[j], float(vals[j])
+        rung, first, improved = row // n, row % n + 1, True
+    return best[:d], best[d : 2 * d], best[2 * d], val
 
 
 def check_fact2(
@@ -460,6 +502,7 @@ def check_fact2(
     y_star is an array of the cone's dimension, audited by dual_functional:
     one negative on a generator of the spec cone raises.
     """
+    _require_tol(tol)
     _require_fit(f, spec)
     if spec.modulus.kind != "square":
         raise ValueError("midpoint-convexity test needs the square-gap modulus")
@@ -471,14 +514,12 @@ def check_fact2(
     c_eff = c_lam * spec.modulus.scale * float(coeffs @ spec.k)
 
     triples = sample_triples(f.domain, budget, seed)
-    x, y = triples.x, triples.y
+    x, y, n = triples.x, triples.y, len(triples)
     # lam = 1/2 puts the segment point at the midpoint 0.5*(x + y), exactly
-    fx, fy, fmid, mid = _segment_values(f, x, y, np.full(x.shape[0], 0.5))
-
-    def g(values, points):
-        return matvec_rows(coeffs[None, :], values)[:, 0] + c_eff * row_dots(points, points)
-
-    slack = 0.5 * g(fx, x) + 0.5 * g(fy, y) - g(fmid, mid)
+    points, values = _segment_values(f, x, y, np.full(n, 0.5))
+    # g at [x; y; mid] in one pass each of the row products
+    g = matvec_rows(coeffs[None, :], values)[:, 0] + c_eff * row_dots(points, points)
+    slack = 0.5 * g[:n] + 0.5 * g[n : 2 * n] - g[2 * n :]
     return worst_report(
         slack,
         tol,
@@ -546,11 +587,12 @@ def check_approx_convex(
         raise ValueError(f"epsilon must be finite and >= 0, got {epsilon}")
     if not 0.0 < delta < math.inf:
         raise ValueError(f"delta must be finite and > 0, got {delta}")
+    _require_tol(tol)
     _at_least_one(budget=budget)
     x0 = np.asarray(x0, dtype=float).reshape(-1)
     _ball_inside_domain(f, x0, delta)
     x, y, lam = _ball_pairs(f, x0, delta, budget, np.random.default_rng(seed))
-    gx, gy, gm, _ = (v[:, 0] for v in _segment_values(f, x, y, lam))
+    gx, gy, gm = np.split(_segment_values(f, x, y, lam)[1][:, 0], 3)
     gap = row_norms(x - y, f.domain_norm)
     slack = lam * gx + (1.0 - lam) * gy + epsilon * lam * (1.0 - lam) * gap - gm
     return worst_report(
@@ -582,6 +624,7 @@ def check_vector_lipschitz(
     the report is an estimate of L, not a certificate.  A cone that is not
     pointed raises ValueError before any evaluation.
     """
+    _require_tol(tol)
     _at_least_one(budget=budget)
     if not spec.cone.pointed:
         raise ValueError(f"the Lipschitz estimate needs a pointed cone, and {spec.cone!r} is not pointed")

@@ -224,6 +224,15 @@ def _located(path: str):
         raise ConfigError(f"{path}: {exc}") from exc
 
 
+@contextmanager
+def _writing(what: str):
+    """Re-raise an OSError from below as a ConfigError on --out: what failed, and why."""
+    try:
+        yield
+    except OSError as exc:
+        raise ConfigError(f"--out: {what} ({exc.strerror})") from exc
+
+
 def load_config(path) -> dict:
     p = Path(path)
     if not p.exists():
@@ -556,7 +565,7 @@ def run_config(cfg: dict, out_dir=None, overrides: dict | None = None) -> dict:
     an entry before it is read, so a flag seed satisfies the explicit-seed
     rule.  A ValueError from building or running an entry comes out as a
     ConfigError naming it, and so does an out_dir that cannot be made a
-    directory.
+    directory or an output file that cannot be written there.
     """
     start = time.perf_counter()
     top = read_fields(cfg, _TOP, "")
@@ -573,12 +582,11 @@ def run_config(cfg: dict, out_dir=None, overrides: dict | None = None) -> dict:
         label = f"{name}-{idx}" if label is None else label
         reports.append({"op": name, "label": label, "pass": bool(passed), "report": report})
     if out_path is not None:
-        try:
+        with _writing(f"cannot create directory {out_path}"):
             out_path.mkdir(parents=True, exist_ok=True)
-        except OSError as exc:
-            raise ConfigError(f"--out: cannot create directory {out_path} ({exc.strerror})") from exc
         for write, obj, name in writes:
-            write(obj, out_path / name)
+            with _writing(f"cannot write {out_path / name}"):
+                write(obj, out_path / name)
     manifest = {
         "config_hash": config_hash(cfg),
         "version": __version__,
@@ -588,5 +596,6 @@ def run_config(cfg: dict, out_dir=None, overrides: dict | None = None) -> dict:
         "wall_clock_s": round(time.perf_counter() - start, 6),
     }
     if out_path is not None:
-        (out_path / "manifest.json").write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
+        with _writing(f"cannot write {out_path / 'manifest.json'}"):
+            (out_path / "manifest.json").write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
     return manifest

@@ -44,7 +44,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .checks import _at_least_one, _magnitude_scale, _require_fit
+from .checks import _at_least_one, _magnitude_scale, _require_fit, _require_tol
 from .geometry import (
     Box,
     as_point,
@@ -235,6 +235,7 @@ def check_alpha_monotone(trace: QuotientTrace, tol: float = 1e-9) -> CheckReport
     supporting functionals, inflated by the rounding allowance of both
     quotients, and scaled by the quotient magnitudes.
     """
+    _require_tol(tol)
     # one row per pair: corrected[a] - raw[b] for t_a > t_b (a < b)
     ia, ib = _grid_pairs(trace.t_grid.size)
     margins = cone_margins(trace.spec.cone, trace.corrected[ia] - trace.raw[ib])
@@ -338,6 +339,7 @@ def directional_derivative(
     modulus(t)/t -> 0 the corrected quotients need not converge, and the stop
     rule's row measure cannot see along a line in the cone.
     """
+    _require_tol(tol)
     _require_strong(spec)
     x0, h = _prep_direction(f, x0, h)
     t = _step_grid(f.domain.boundary_distance(x0, h), t0, ratio, max_depth)[None]
@@ -364,6 +366,7 @@ def check_upper_bound(
     step.  Below the stopping step the estimate's own resolution would
     dominate, so that range is deliberately not sampled.
     """
+    _require_tol(tol)
     if not estimate.converged:
         raise ValueError("upper-bound check needs a converged estimate")
     x0, h = _prep_direction(f, x0, h)
@@ -469,6 +472,7 @@ def check_sublinear(
     shrink or grow with how the pair is written; the witness is the pair as
     given.
     """
+    _require_tol(tol)
     x0 = as_point(x0, f.domain.dim)
     d = f.domain.dim
     if direction_pairs is None:
@@ -622,6 +626,7 @@ def gateaux_test(
     modulus that is not strong or a cone that is not pointed raises
     ValueError; strong is necessary for convergence but not sufficient.
     """
+    _require_tol(tol)
     _at_least_one(n_directions=n_directions)
     x0 = as_point(x0, f.domain.dim)
     if not f.domain.contains(x0):
@@ -681,6 +686,7 @@ def gateaux_scan(
     declares a one-dimensional kink set, the report carries the confusion
     table of predicted versus declared non-differentiability.
     """
+    _require_tol(tol)
     if np.any(region.lo < f.domain.lo) or np.any(region.hi > f.domain.hi):
         raise ValueError("scan region escapes the mapping domain")
     if points is None:
@@ -771,6 +777,7 @@ def frechet_test(
     precondition rather than raised, but a modulus that is not strong or a
     cone that is not pointed raises ValueError.
     """
+    _require_tol(tol)
     x0 = as_point(x0, f.domain.dim)
     epsilons = list(epsilons)
     if not epsilons or not all(eps >= 0.0 for eps in epsilons):

@@ -17,6 +17,7 @@ from paracone import (
     Triples,
     affine_mapping,
     build_trace,
+    check_alpha_monotone,
     check_approx_convex,
     check_fact2,
     check_inequality,
@@ -202,6 +203,27 @@ def test_margin_does_not_depend_on_batch(families):
             batch = _margins(f, spec, rows, form, t.x, t.y, t.lam)
             alone = [check_inequality(f, spec, form=form, triples=[t[i]]).worst_margin for i in range(len(t))]
             assert batch.tolist() == alone, f"{f.label} {form}"
+
+
+def test_dyadic_head_is_built_once_per_box_and_read_only():
+    box = Box(lo=[-1.0, 0.0], hi=[1.0, 2.0])
+    head = dyadic_small_gap_triples(box)
+    for arr in (head.x, head.y, head.lam):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 7.0
+    # an equal box, built apart, gets the same bits; another box or gap count its own schedule
+    again = dyadic_small_gap_triples(Box(lo=np.array([-1.0, 0.0]), hi=(1.0, 2.0)))
+    for a, b in zip((head.x, head.y, head.lam), (again.x, again.y, again.lam)):
+        assert a.tobytes() == b.tobytes()
+    assert again.structured == head.structured == len(head)
+    assert len(dyadic_small_gap_triples(box, n_gaps=6)) == 6 * len(head) // 14
+    wider = dyadic_small_gap_triples(Box(lo=[-2.0, 0.0], hi=[1.0, 2.0]))
+    assert wider.x.tobytes() != head.x.tobytes()
+    # sampling copies the head, so its triples are writable and the cache keeps its bits
+    t = sample_triples(box, len(head) + 10, seed=1)
+    t.x[0] = 7.0
+    assert dyadic_small_gap_triples(box).x.tobytes() == again.x.tobytes() != t.x.tobytes()
 
 
 def test_dyadic_schedule_halves_gaps():
@@ -425,6 +447,36 @@ def test_refinement_only_sharpens():
     raw = falsify(f, spec, budget=500, seed=3, refine=False)
     sharp = falsify(f, spec, budget=500, seed=3, refine=True)
     assert sharp.worst_margin <= raw.worst_margin
+
+
+# (family, form, constant factor or C) -> (eval_batch calls, rows) of falsify
+# at budget 1000, seed 7: one scan batch of 3 * 1000 rows, then the pattern
+# search's kernel calls.  Rows are the search's cost on any machine.
+_SEARCH_COST = {
+    ("neg-abs", "min", 10.0): (9, 4056),
+    ("neg-abs", "min", 20.0): (8, 3954),
+    ("neg-abs", "min", 50.0): (7, 3792),
+    ("neg-square", "lambda", 0.9): (14, 5496),
+    ("neg-square", "lambda", 0.99): (14, 5496),
+    ("hinge-plus-quadratic", "lambda", 0.9): (24, 7260),
+    ("hinge-plus-quadratic", "lambda", 0.99): (24, 7260),
+}
+
+
+@pytest.mark.parametrize("case", list(_SEARCH_COST), ids=lambda c: f"{c[0]}-{c[1]}-{c[2]}")
+def test_falsify_search_cost_in_rows(case, families):
+    label, form, constant = case
+    if label == "neg-abs":
+        base = neg_abs_1d()
+        spec = ParaSpec(modulus=square_modulus(), k=[1.0], cone=orthant(1), C=constant)
+    else:
+        base = next(g for g in families + (neg_square_1d(),) if g.label == label)
+        spec = dataclasses.replace(base.claimed, C1=constant * base.claimed.C1)  # undersized
+    sizes = []
+    f = dataclasses.replace(base, evaluator=lambda x: sizes.append(len(x)) or base.evaluator(x))
+    rep = falsify(f, spec, form=form, budget=1000, seed=7)
+    assert not rep.passed and "+refined" in rep.notes
+    assert (len(sizes), sum(sizes)) == _SEARCH_COST[case]
 
 
 def _reference_pattern_search(f, spec, form, start, moves, rounds=50):
@@ -861,3 +913,54 @@ def test_library_calls_reject_counts_they_cannot_certify_from(case):
     name, call = _BAD_COUNTS[case]
     with pytest.raises(ValueError, match=name):
         call(neg_square_1d())
+
+
+def _trace_then_monotone(f, tol):
+    trace = build_trace(neg_square_1d(), f.claimed, [0.2], [1.0])  # an uncounted mapping builds the trace
+    return check_alpha_monotone(trace, tol=tol)
+
+
+def _estimate_then_upper_bound(f, tol):
+    est = _converged_estimate(neg_square_1d(), [0.2], [1.0])  # an uncounted mapping makes the estimate
+    return check_upper_bound(f, f.claimed, [0.2], [1.0], est, tol=tol)
+
+
+
+_TOL_CALLS = {
+    "check_inequality": lambda f, tol: check_inequality(f, f.claimed, budget=16, tol=tol),
+    "scalarize_check": lambda f, tol: scalarize_check(f, f.claimed, [[1.0]], budget=16, tol=tol),
+    "falsify": lambda f, tol: falsify(f, f.claimed, budget=16, tol=tol),
+    "check_fact2": lambda f, tol: check_fact2(f, f.claimed, [1.0], budget=16, tol=tol),
+    "check_approx_convex": lambda f, tol: check_approx_convex(f, [0.0], 0.1, 0.3, budget=16, tol=tol),
+    "check_vector_lipschitz": lambda f, tol: check_vector_lipschitz(f, f.claimed, Box(lo=[-0.5], hi=[0.5]), tol=tol),
+    "check_alpha_monotone": _trace_then_monotone,
+    "directional_derivative": lambda f, tol: directional_derivative(f, f.claimed, [0.2], [1.0], tol=tol),
+    "check_upper_bound": _estimate_then_upper_bound,
+    "check_sublinear": lambda f, tol: check_sublinear(f, f.claimed, [0.2], tol=tol),
+    "gateaux_test": lambda f, tol: gateaux_test(f, f.claimed, [0.2], tol=tol),
+    "gateaux_scan": lambda f, tol: gateaux_scan(f, f.claimed, f.domain.shrink(0.1), n_points=2, tol=tol),
+    "frechet_test": lambda f, tol: frechet_test(f, f.claimed, [0.2], tol=tol),
+}
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -1e-9], ids=["nan", "inf", "negative"])
+@pytest.mark.parametrize("name", list(_TOL_CALLS))
+def test_a_malformed_tol_raises_before_any_evaluation(name, tol):
+    # a tolerance that is not finite and >= 0 is an input error, never a verdict
+    calls = []
+    base = neg_square_1d()
+    f = dataclasses.replace(base, evaluator=lambda x: calls.append(len(x)) or base.evaluator(x))
+    with pytest.raises(ValueError, match="tol must be finite and >= 0"):
+        _TOL_CALLS[name](f, tol)
+    assert calls == []
+
+
+def test_every_check_that_reads_tol_is_in_the_malformed_tol_table():
+    reading = {
+        name
+        for name in paracone.__all__
+        if inspect.isfunction(fn := getattr(paracone, name))
+        and fn.__module__ in ("paracone.checks", "paracone.derivative")
+        and "tol" in inspect.signature(fn).parameters
+    }
+    assert reading == set(_TOL_CALLS)

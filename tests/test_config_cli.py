@@ -279,6 +279,18 @@ def test_cli_out_that_cannot_be_a_directory_exits_two(under, tmp_path, capsys):
     assert [p.name for p in tmp_path.iterdir()] == ["file"]
 
 
+@pytest.mark.parametrize(
+    "config, blocked", [("affine_exact.json", "manifest.json"), ("example1_scan.json", "scan_example1.csv")]
+)
+def test_cli_out_file_that_cannot_be_written_exits_two(config, blocked, tmp_path, capsys):
+    # --out is a usable directory, but one output path in it is a directory
+    (tmp_path / blocked).mkdir()
+    assert main(["run", "--config", str(CONFIG_DIR / config), "--out", str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"input error: --out: cannot write {tmp_path / blocked} (")
+
+
 def test_cli_seed_flag_satisfies_seed_rule(tmp_path, capsys):
     p = tmp_path / "no_seed.json"
     p.write_text(
