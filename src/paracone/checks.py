@@ -32,6 +32,7 @@ from .geometry import (
     Box,
     _audit_dual,
     _coerce_rows,
+    _require_tol,
     cone_values,
     dual_functional,
     ensure_generators,
@@ -151,13 +152,6 @@ def _at_least_one(**counts) -> None:
     for name, value in counts.items():
         if value < 1:
             raise ValueError(f"{name} must be at least 1")
-
-
-def _require_tol(tol) -> None:
-    """Raise ValueError, before any evaluation, unless tol is finite and at
-    least 0: a malformed tolerance is an input error, never a verdict."""
-    if not 0.0 <= tol < math.inf:  # a NaN is outside too
-        raise ValueError(f"tol must be finite and >= 0, got {tol}")
 
 
 def _require_fit(f: VectorMapping, spec: ParaSpec) -> None:

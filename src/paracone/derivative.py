@@ -44,9 +44,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .checks import _at_least_one, _magnitude_scale, _require_fit, _require_tol
+from .checks import _at_least_one, _magnitude_scale, _require_fit
 from .geometry import (
     Box,
+    _require_tol,
     as_point,
     base_radius,
     cone_margins,
@@ -88,6 +89,10 @@ def _row_measure(values: np.ndarray) -> np.ndarray:
 
 
 def _prep_direction(f: VectorMapping, x0, h):
+    """The point checks of a single-direction op: x0 a finite point of the
+    open domain (as_point, Box.contains), h a finite vector of the domain's
+    dimension and of unit domain-norm length within 1e-6.  Returns x0 and h
+    divided by its length; each failed check raises before any evaluation."""
     x0 = as_point(x0, f.domain.dim)
     if not f.domain.contains(x0):
         raise OutsideDomainError(f"{f.label}: base point outside the open domain")
@@ -135,6 +140,18 @@ def _powers(ratio: float, depth: int) -> np.ndarray:
     return powers
 
 
+def _geomspace(lo: float, hi: float, n: int) -> np.ndarray:
+    """np.geomspace(lo, hi, n) for 0 < lo, 0 < hi and n >= 1, bit for bit:
+    numpy's arithmetic (log10 of both ends, the linspace of the exponents, 10
+    to their power, both ends reset to lo and hi) without its dtype and sign
+    handling.  The last exponent is not reset to log10(hi), as its value is."""
+    log_lo, log_hi = np.log10(lo), np.log10(hi)
+    out = np.power(10.0, np.arange(n, dtype=float) * ((log_hi - log_lo) / max(n - 1, 1)) + log_lo)
+    out[-1] = hi
+    out[0] = lo
+    return out
+
+
 def _step_grid(bd, t0, ratio: float, depth: int) -> np.ndarray:
     """The steps t0 * ratio^j for j = 0..depth-1, each power the C library pow
     of the float ratio ** j, along one direction whose boundary clearance from
@@ -150,7 +167,7 @@ def _step_grid(bd, t0, ratio: float, depth: int) -> np.ndarray:
         top, clear = next((a, b) for a, b in zip(np.ravel(t0), np.ravel(bd)) if not 0.0 < a < b)
         raise ValueError(f"t0={top} leaves the domain along h (boundary clearance {clear})")
     t_grid = t0[..., None] * _powers(float(ratio), depth)
-    if not np.all(t_grid[..., -1]):
+    if not t_grid[..., -1].all():
         smallest = t_grid.reshape(-1, depth)[np.argmin(t_grid[..., -1])]
         level = int(np.argmax(smallest == 0.0))
         raise ValueError(f"ratio={ratio} underflows the step grid to t = 0 at depth {level} of {depth}")
@@ -365,6 +382,14 @@ def check_upper_bound(
     sampled t between the estimator's stopping step and the default top
     step.  Below the stopping step the estimate's own resolution would
     dominate, so that range is deliberately not sampled.
+
+    By default the steps are n_samples points spaced geometrically between
+    estimate.t_used and the default top step, np.geomspace's values bit for
+    bit (_geomspace); caller-given t_samples are taken instead.  Either way
+    they are read as floats, sorted and deduplicated, and each must lie
+    strictly between 0 and the boundary clearance along h, or ValueError is
+    raised before any evaluation.  One eval_batch call evaluates x0 and
+    every step (_quotients).
     """
     _require_tol(tol)
     if not estimate.converged:
@@ -375,8 +400,10 @@ def check_upper_bound(
         _at_least_one(n_samples=n_samples)
         top = _default_t0(bd)
         lo, hi = min(estimate.t_used, top), max(estimate.t_used, top)
-        t_samples = np.geomspace(lo, hi, n_samples)
-    t_samples = np.asarray(sorted(set(float(t) for t in t_samples)))
+        if not lo > 0.0:  # a step at or below 0, or NaN, is outside
+            raise ValueError("t samples must stay strictly inside the admissible range")
+        t_samples = _geomspace(lo, hi, n_samples).tolist()
+    t_samples = np.array(sorted(set(map(float, t_samples))))
     if not t_samples.size:
         raise ValueError("t_samples must name at least one step")
     if not ((0.0 < t_samples) & (t_samples < bd)).all():  # a NaN step is outside too, wherever it sorts
@@ -775,13 +802,14 @@ def frechet_test(
 
     The linearity battery runs first; its failure is reported as a failed
     precondition rather than raised, but a modulus that is not strong or a
-    cone that is not pointed raises ValueError.
+    cone that is not pointed raises ValueError, and so does an epsilon that
+    is not finite and at least 0, as the config reader refuses it.
     """
     _require_tol(tol)
     x0 = as_point(x0, f.domain.dim)
     epsilons = list(epsilons)
-    if not epsilons or not all(eps >= 0.0 for eps in epsilons):
-        raise ValueError("epsilons must name at least one tolerance, each nonnegative")
+    if not epsilons or not all(0.0 <= eps < math.inf for eps in epsilons):  # a NaN is outside too
+        raise ValueError("epsilons must name at least one tolerance, each finite and nonnegative")
     _at_least_one(n_directions=n_directions)
     e_star = strictly_positive_functional(spec.cone)
     radius = base_radius(spec.cone, e_star, norm_kind=f.codomain_norm)

@@ -83,14 +83,16 @@ class VectorMapping:
         """Values at the rows of points, shape (n, d) -> (n, m).
 
         Every row must lie in the open domain box and every value must be
-        finite; the error names the first offending row.
+        finite; the error names the first offending row.  Each test is one
+        mask, computed once: reduced once to pass, and per row only to name
+        the row.
         """
         points = np.asarray(points, dtype=float)
         if points.ndim != 2 or points.shape[1] != self.domain.dim:
             raise ValueError(f"{self.label}: points must have shape (n, {self.domain.dim}), got {points.shape}")
-        if not ((points > self.domain.lo).all() and (points < self.domain.hi).all()):
-            inside = ((points > self.domain.lo) & (points < self.domain.hi)).all(axis=1)
-            row = points[int(np.argmin(inside))]
+        inside = (points > self.domain.lo) & (points < self.domain.hi)
+        if not inside.all():
+            row = points[int(np.argmin(inside.all(axis=1)))]
             raise OutsideDomainError(f"{self.label}: point {row.tolist()} outside the open domain box")
         # C order keeps the row products downstream on one BLAS code path
         out = np.ascontiguousarray(self.evaluator(points), dtype=float)
@@ -98,14 +100,16 @@ class VectorMapping:
             raise ValueError(
                 f"{self.label}: evaluator returned shape {out.shape}, expected ({points.shape[0]}, {self.codomain_dim})"
             )
-        if not np.isfinite(out).all():
-            row = points[int(np.argmin(np.isfinite(out).all(axis=1)))]
+        finite = np.isfinite(out)
+        if not finite.all():
+            row = points[int(np.argmin(finite.all(axis=1)))]
             raise ValueError(f"{self.label}: non-finite value at {row.tolist()}")
         return out
 
 
 def known_directional(f: VectorMapping, x0, h) -> np.ndarray | None:
-    """Analytic one-sided derivative when the family provides one, else None."""
+    """Analytic one-sided derivative when the family provides one, else None.
+    x0 must be a finite point of the open domain (as_point, Box.contains)."""
     if f.analytic_directional is None:
         return None
     x0 = as_point(x0, f.domain.dim)

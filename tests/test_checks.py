@@ -901,6 +901,8 @@ _BAD_COUNTS = {
     ),
     "frechet-t-schedule": ("t_schedule", lambda f: frechet_test(f, f.claimed, [0.2], t_schedule=[])),
     "frechet-negative-epsilon": ("epsilons", lambda f: frechet_test(f, f.claimed, [0.2], epsilons=[-1])),
+    "frechet-infinite-epsilon": ("epsilons", lambda f: frechet_test(f, f.claimed, [0.2], epsilons=[1e-3, math.inf])),
+    "frechet-nan-epsilon": ("epsilons", lambda f: frechet_test(f, f.claimed, [0.2], epsilons=[math.nan])),
     "frechet-n-directions": ("n_directions", lambda f: frechet_test(f, f.claimed, [0.2], n_directions=0)),
     "gateaux-n-directions": ("n_directions", lambda f: gateaux_test(f, f.claimed, [0.2], n_directions=-4)),
     "gateaux-directions": ("directions", lambda f: gateaux_test(f, f.claimed, [0.2], directions=[])),

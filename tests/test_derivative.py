@@ -7,7 +7,7 @@ import math
 
 import numpy as np
 import pytest
-from conftest import CONFIG_DIR
+from conftest import CONFIG_DIR, interior_pairs
 
 from paracone import (
     ConvergenceError,
@@ -35,7 +35,7 @@ from paracone import (
 )
 from paracone.checks import _magnitude_scale
 import paracone.derivative
-from paracone.derivative import GateauxReport, _default_t0, _prep_direction
+from paracone.derivative import GateauxReport, _default_t0, _geomspace, _prep_direction
 from paracone.geometry import Box, norm, random_simplicial_cone, unit_dual_generators
 from paracone.mappings import OutsideDomainError, VectorMapping, known_directional
 from paracone.modulus import eval_modulus
@@ -296,6 +296,72 @@ def test_upper_bound_fails_an_undersized_constant():
     assert not undersized.passed and undersized.witness == pytest.approx(0.1)
     assert undersized.worst_margin == pytest.approx(-0.0476, abs=5e-5)
     assert claimed.passed
+
+
+def test_upper_bound_steps_are_numpys_geomspace_bit_for_bit():
+    # the default steps come from _geomspace, numpy's arithmetic without its
+    # dtype and sign handling: a numpy release that changes that arithmetic
+    # fails here instead of moving upper-bound margins unseen
+    rng = np.random.default_rng(20180402)
+    compared = 0
+    for i in range(1500):
+        lo = 10.0 ** rng.uniform(-300.0, 1.0)
+        hi = lo if i % 5 == 0 else 10.0 ** rng.uniform(math.log10(lo), 1.0)
+        for n in (1, 2, 12, 40):
+            want = np.geomspace(lo, hi, n)
+            got = _geomspace(lo, hi, n)
+            assert got.tobytes() == want.tobytes(), (lo.hex(), hi.hex(), n)
+            compared += 1
+    assert compared == 6000
+
+
+@pytest.mark.parametrize("t_used", [0.0, -0.01, math.nan])
+def test_upper_bound_refuses_a_step_outside_the_range_before_any_evaluation(t_used):
+    calls = []
+    base = neg_square_1d()
+    f = dataclasses.replace(base, evaluator=lambda x: calls.append(len(x)) or base.evaluator(x))
+    est = DerivativeEstimate(value=np.array([-0.4]), error_bound=0.0, t_used=t_used, iterations=3, converged=True)
+    with pytest.raises(ValueError, match="admissible range"):
+        check_upper_bound(f, f.claimed, [0.2], [1.0], est)
+    assert calls == []
+
+
+# family -> (eval_batch calls, rows) over three seeded pairs, of
+# directional_derivative at tol 1e-6 and at 1e-9, check_upper_bound of the
+# 1e-6 estimates and build_trace at depth 40.  An estimate evaluates its base
+# point and the levels a stop can read (24 at tol 1e-6), and one more batch on
+# the full grid when it does not converge there, as the curved families do
+# not at 1e-9; the upper bound evaluates its base point and 12 steps.  Rows
+# are the quotient path's cost on any machine.
+_QUOTIENT_COST = {
+    "affine-2to3": ((3, 75), (3, 45), (3, 39), (3, 123)),
+    "neg-square": ((3, 75), (6, 168), (3, 39), (3, 123)),
+    "abs": ((3, 75), (3, 45), (3, 39), (3, 123)),
+    "hinge-plus-quadratic": ((3, 75), (6, 168), (3, 39), (3, 123)),
+    "stacked-scalars-8x5": ((3, 75), (6, 168), (3, 39), (3, 123)),
+    "smooth-r2-r3": ((3, 75), (6, 168), (3, 39), (3, 123)),
+}
+
+
+@pytest.mark.parametrize("label", list(_QUOTIENT_COST))
+def test_quotient_path_cost_in_rows(label, families):
+    base = next(g for g in families if g.label == label)
+    sizes = []
+    f = dataclasses.replace(base, evaluator=lambda x: sizes.append(len(x)) or base.evaluator(x))
+    pairs = interior_pairs(f, 3, seed=13)
+
+    def cost(run) -> tuple:
+        sizes.clear()
+        out = [run(x0, h) for x0, h in pairs]
+        return (len(sizes), sum(sizes)), out
+
+    loose, estimates = cost(lambda x0, h: directional_derivative(f, f.claimed, x0, h, tol=1e-6))
+    tight, _ = cost(lambda x0, h: directional_derivative(f, f.claimed, x0, h, tol=1e-9))
+    bounds = iter(estimates)
+    upper, reports = cost(lambda x0, h: check_upper_bound(f, f.claimed, x0, h, next(bounds), tol=1e-9))
+    trace, _ = cost(lambda x0, h: build_trace(f, f.claimed, x0, h, depth=40))
+    assert all(est.converged for est in estimates) and all(rep.passed for rep in reports)
+    assert (loose, tight, upper, trace) == _QUOTIENT_COST[label]
 
 
 def test_sublinear_along_rays():

@@ -218,6 +218,22 @@ def test_contains_validates_input():
         contains(c, [1.0, float("nan")])
 
 
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1e-9], ids=["nan", "inf", "negative"])
+def test_membership_and_order_refuse_a_malformed_tol(tol):
+    # a NaN tol read [1, 1] as outside the orthant and an infinite one read
+    # [-5, 1] as inside: membership keeps the one tol rule of the checks
+    c = orthant(2)
+    for call in (
+        lambda: contains(c, [1.0, 1.0], tol=tol),
+        lambda: contains(c, [-5.0, 1.0], tol=tol),
+        lambda: leq(c, [0.0, 0.0], [1.0, 1.0], tol=tol),
+        lambda: leq(c, [5.0, 0.0], [0.0, 1.0], tol=tol),
+    ):
+        with pytest.raises(ValueError, match="tol must be finite and >= 0"):
+            call()
+    assert contains(c, [1.0, 1.0], tol=0.0) and not contains(c, [-5.0, 1.0], tol=1.0)
+
+
 def test_trivial_cone_is_read_through_its_rows():
     # {0} has no generators and the supporting rows +-e_i: membership bounds
     # every coordinate by tol, and the dual is the whole space
