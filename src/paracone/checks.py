@@ -40,7 +40,6 @@ from .geometry import (
     norm,
     row_dots,
     row_norms,
-    unit_dual_generators,
     unit_rows,
 )
 from .mappings import VectorMapping
@@ -230,23 +229,30 @@ def _margins(f: VectorMapping, spec: ParaSpec, rows, form: str, x, y, lam) -> np
     slack_j = lam*row_j(fx) + (1-lam)*row_j(fy) + coef*row_j(k) - row_j(fmid),
     the worst over j divided by _magnitude_scale(||fx||, ||fy||) in the
     codomain norm, with no rounding allowance; coef = c(lam) *
-    modulus(||x - y||).  Products and norms are taken row by row
-    (matvec_rows, row_norms), so a triple's margin is the same bits in any
-    batch.  That lets one pass of each serve the whole batch: one projection
-    of the 3n values [fx; fy; fmid] of _segment_values' block and one norm of
-    its first 2n rows.  The direct, scalarized and falsifying checks all use
-    this kernel, so they agree bitwise on identical rows.  With no rows every
-    slack is 0.
+    modulus(||x - y||).  With rows None the rows are the spec cone's own:
+    the values come from cone_values and spec.row_k, so the orthant reads
+    its closed form.  Given rows (scalarize_check's functionals) go through
+    matvec_rows, cone_values' general path, the same bits on the cone's
+    unit rows.  Products and norms are taken row by row (row_norms), so a
+    triple's margin is the same bits in any batch.
+    That lets one pass of each serve the whole batch: one projection of the
+    3n values [fx; fy; fmid] of _segment_values' block and one norm of its
+    first 2n rows.  The direct, scalarized and falsifying checks all use
+    this kernel, so they agree bitwise on identical rows.  With no rows
+    every slack is 0.
     """
     n = lam.shape[0]
     _, values = _segment_values(f, x, y, lam)
     coef = _allowance_coef(form, spec.constant(form), lam) * eval_modulus(spec.modulus, row_norms(x - y, f.domain_norm))
-    if not rows.shape[0]:
+    if rows is None:
+        proj, row_k = cone_values(spec.cone, values), spec.row_k
+    else:
+        proj, row_k = matvec_rows(rows, values), matvec_rows(rows, spec.k[None])[0]
+    if not proj.shape[1]:
         return np.zeros(n)
-    proj = matvec_rows(rows, values)
     size = row_norms(values[: 2 * n], f.codomain_norm)
     lam = lam[:, None]
-    raw = lam * proj[:n] + (1.0 - lam) * proj[n : 2 * n] + coef[:, None] * (rows @ spec.k)
+    raw = lam * proj[:n] + (1.0 - lam) * proj[n : 2 * n] + coef[:, None] * row_k
     raw = raw - proj[2 * n :]
     # dividing by a positive scale is monotone, so the min can come first
     return np.min(raw, axis=1) / _magnitude_scale(size[:n], size[n:])
@@ -288,7 +294,7 @@ def check_inequality(
     c(lam) is C*min(lam, 1-lam) in the min form, C1*lam*(1-lam) otherwise.
     triples may be a Triples record or any sequence of SampleTriple.
     """
-    return _check_rows(f, spec, unit_dual_generators(spec.cone), form, budget, seed, tol, triples)
+    return _check_rows(f, spec, None, form, budget, seed, tol, triples)
 
 
 def scalarize_check(
@@ -352,15 +358,14 @@ def falsify(
     """
     _require_tol(tol)
     _require_fit(f, spec)
-    rows = unit_dual_generators(spec.cone)
     triples = sample_triples(f.domain, budget, seed)
-    margins = _margins(f, spec, rows, form, triples.x, triples.y, triples.lam)
+    margins = _margins(f, spec, None, form, triples.x, triples.y, triples.lam)
     idx = int(np.argmin(margins))
     worst, witness = float(margins[idx]), triples[idx]
     source = "structured-dyadic" if idx < triples.structured else "random"
 
     def objective(x, y, lam):
-        return _margins(f, spec, rows, form, x, y, lam)
+        return _margins(f, spec, None, form, x, y, lam)
 
     if worst < -tol and refine:
         width = f.domain.hi - f.domain.lo
@@ -635,7 +640,7 @@ def check_vector_lipschitz(
     x = np.concatenate([xs[distinct], corners])
     u = np.concatenate([ys[distinct], corners + 0.01 * width * np.array([[1.0], [-1.0]])])
     values = f.eval_batch(np.concatenate([u, x]))
-    row_k = cone_values(spec.cone, spec.k)
+    row_k = spec.row_k
     gap = row_norms(u - x, f.domain_norm)
     size = np.abs(cone_values(spec.cone, values[: x.shape[0]] - values[x.shape[0] :]))
     with np.errstate(divide="ignore", invalid="ignore"):

@@ -290,7 +290,7 @@ def _stop_levels(
     the quotient decrement plus the allowance term C*modulus(t)/t * y(k) plus
     both rounding allowances falls below tol; else, not converged, at the
     first smallest such bracket (the deepest, bound inf, if none is finite)."""
-    top_row_k = float(cone_values(spec.cone, spec.k).max(initial=0.0))
+    top_row_k = float(spec.row_k.max(initial=0.0))
     # bounds[..., j - 1] closes the bracket between levels j - 1 and j
     decrement = _row_measure(cone_values(spec.cone, raw[:, :-1] - raw[:, 1:]))
     bounds = decrement + allowance[:, :-1] * top_row_k + noise[:, :-1] + noise[:, 1:]
@@ -381,7 +381,9 @@ def check_upper_bound(
     raw(t) + C*modulus(t)/t * k - estimate.value stays in the cone for
     sampled t between the estimator's stopping step and the default top
     step.  Below the stopping step the estimate's own resolution would
-    dominate, so that range is deliberately not sampled.
+    dominate, so that range is deliberately not sampled.  An estimate that
+    has not converged, or whose value is not a finite vector of shape
+    (codomain_dim,), raises ValueError before any evaluation.
 
     By default the steps are n_samples points spaced geometrically between
     estimate.t_used and the default top step, np.geomspace's values bit for
@@ -394,6 +396,9 @@ def check_upper_bound(
     _require_tol(tol)
     if not estimate.converged:
         raise ValueError("upper-bound check needs a converged estimate")
+    value = np.asarray(estimate.value, dtype=float)
+    if value.shape != (f.codomain_dim,) or not np.isfinite(value).all():
+        raise ValueError(f"estimate value must be a finite vector of shape ({f.codomain_dim},)")
     x0, h = _prep_direction(f, x0, h)
     bd = f.domain.boundary_distance(x0, h)
     if t_samples is None:
@@ -410,9 +415,9 @@ def check_upper_bound(
         raise ValueError("t samples must stay strictly inside the admissible range")
     q = _quotients(f, spec, x0, h, t_samples)
     f0n = norm(q.f0, "two")
-    dn = norm(estimate.value, "two")
+    dn = norm(value, "two")
     allow_used = _magnitude_scale(dn * estimate.t_used + f0n, f0n, step=estimate.t_used)
-    margins = cone_margins(spec.cone, q.corrected - estimate.value)
+    margins = cone_margins(spec.cone, q.corrected - value)
     adjusted = (margins + q.noise + allow_used) / _magnitude_scale(row_norms(q.raw), dn)
     return worst_report(
         adjusted,
@@ -585,7 +590,7 @@ def _gateaux_reports(f: VectorMapping, spec: ParaSpec, x0s, base_dirs, seeds: li
     a, b = np.array([(0, 1)] if n == 1 else [(2 * i, 2 * i + 2) for i in range(min(n - 1, 4))]).T
     vectors = np.concatenate([signed, signed[:, a] + signed[:, b]], axis=1)
     v = vectors.shape[1]
-    row_k = np.maximum(cone_values(spec.cone, spec.k), 1e-300)
+    row_k = np.maximum(spec.row_k, 1e-300)
     # nominal rows per point: the point and 40 steps per vector and homogeneity
     # grid.  A batch evaluates only the levels a stop can read, but blocks are
     # sized on all 40, so a block holds as many points as when every level was

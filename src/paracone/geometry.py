@@ -13,15 +13,17 @@ Nothing here solves a linear program, and numpy is the only dependency.
 A dual functional is a plain read-only array.  Every claim that rows are
 nonnegative on a cone meets one exact audit, _audit_dual, against every
 generator: a cone given in both forms (every generator meets every given
-inequality), a functional (dual_functional), and the functionals a check is
-handed.  Building a cone draws no random numbers.
+inequality, and every ray the inequalities enumerate meets every facet the
+generators enumerate), a functional (dual_functional), and the functionals a
+check is handed.  Building a cone draws no random numbers.
 
 The order reaches the rest of the package as scalars through one kernel:
 cone_values(cone, a) gives y(v) for every unit supporting functional y and
 every row v of a, and cone_margins(cone, a) the smallest of them (0 for a
 cone without functionals).  A row's values are the same bits in any batch,
 and contains(cone, v, tol) is exactly cone_margins(cone, v) >= -tol, in
-whatever form the cone was given.
+whatever form the cone was given.  The standard orthant is recognised when
+it is built and read in closed form, v + 0.0, the identity product's bits.
 
 Cones are immutable after construction and sampling routines take an
 explicit seed, so every result is reproducible.
@@ -98,7 +100,8 @@ def matvec_rows(mat, a) -> np.ndarray:
     Each row goes through its own matrix-vector product, the one mat @ v makes
     for a single vector, so a row's result is bitwise the same however many
     rows are stacked with it.  a @ mat.T runs one matrix product instead,
-    whose last bits change with n.
+    whose last bits change with n.  This is the general path of cone_values
+    and its reference: the orthant's closed form there is tested against it.
     """
     return (a[:, None, :] @ mat.T)[:, 0, :]
 
@@ -126,8 +129,15 @@ def row_norms(a, kind: str = "two") -> np.ndarray:
     finite norm unless the norm itself passes the largest float; the plain
     pass may still warn of the overflow it met.  Every other row keeps the
     plain bits.  A one-norm needs no second pass: its partial sums never
-    pass its total."""
+    pass its total.
+
+    Every norm of a one-column a is |x| of its entries: the max and the sum
+    of one entry are the entry, and in binary64 sqrt(fl(x * x)) is |x|
+    wherever x * x neither overflows nor underflows, where the rescaled rows
+    give |x| too.  A NaN stays NaN, with its sign bit cleared."""
     a = np.asarray(a, dtype=float)
+    if a.shape[1:] == (1,) and kind in NORM_KINDS:
+        return np.abs(a[:, 0])
     if kind == "two":
         out = np.sqrt(row_dots(a, a))
         # two reductions clear every row at once; a NaN fails them and takes the row mask
@@ -184,6 +194,15 @@ def _audit_dual(
     scale = np.maximum(1.0, np.max(np.abs(gens), initial=0.0) * np.max(np.abs(rows), axis=1, initial=0.0))
     if np.any(gens @ rows.T < -_AUDIT_TOL * scale):
         raise ValueError(message)
+
+
+def _is_identity(rows: np.ndarray) -> bool:
+    """Whether rows are np.eye of their width bit for bit: square, ones on
+    the diagonal, and no other nonzero bit pattern (so no -0.0 either)."""
+    n = rows.shape[0]
+    if rows.shape != (n, n) or np.count_nonzero(rows.view(np.uint64)) != n:
+        return False
+    return bool((rows.diagonal() == 1.0).all())
 
 
 @dataclass(frozen=True)
@@ -270,17 +289,28 @@ class PolyCone:
     generators: rays spanning the cone (rows), or None.
     dual_generators: rows d with the cone equal to {x : d @ x >= 0 for all d},
         or None.  At least one representation must be present.  When both are
-        given, construction checks that every given generator meets every
-        given inequality (_audit_dual) and raises otherwise; that does not
-        show the two sets are equal.
+        given, construction checks both inclusions and raises "generator and
+        inequality representations disagree" unless each holds, each through
+        _audit_dual: every given generator meets every given inequality, and
+        every ray the inequalities enumerate meets every facet the
+        generators enumerate (_polar_rays of each form).  So both forms name
+        one cone, within _AUDIT_TOL.
     pointed: whether the cone holds no line, decided at construction by one
         rule for every form: the unit supporting rows (unit_dual_generators,
         enumerated from the generators when none were given), which contains
         reads, span R^dim.  A line in the cone is a direction v on which
         every row vanishes, so contains accepts both v and -v.  The whole
         space (no rows) is not pointed; the trivial cone {0}, whose rows are
-        +-e_i, is.  A generator-only cone whose enumeration exceeds
-        _MAX_RAYS raises here.
+        +-e_i, is.  A cone whose enumeration exceeds _MAX_RAYS raises here.
+
+    The standard orthant is recognised from its input, once: a cone whose
+    inequality rows are np.eye(dim) bit for bit, with no generators or
+    generators that are np.eye(dim) too, as orthant() and a config
+    {"orthant": m} build it.  Its unit rows are the given rows and it is
+    pointed, with no rank decision, audit or merge, each of which holds on
+    the identity; cone_values reads it in closed form.  Every other cone,
+    one that is the identity in one form only included, takes the general
+    path.
     """
 
     dim: int
@@ -301,11 +331,20 @@ class PolyCone:
             self.dual_generators = _coerce_rows(
                 self.dual_generators, self.dim, "dual_generators", allow_zero_rows=False
             )
-            if self.generators is not None:
-                _audit_dual(
-                    self.generators, self.dual_generators, "generator and inequality representations disagree"
-                )
         self._caches: dict = {}
+        self._identity = self.dual_generators is not None and all(
+            rows is None or _is_identity(rows) for rows in (self.generators, self.dual_generators)
+        )
+        if self._identity:
+            # the rows e_i are unit and distinct and span R^dim, and every e_i
+            # meets every e_j: the merge, the rank and the audit each hold
+            self._caches["unit_duals"] = self.dual_generators
+            self.pointed = True
+            return
+        if self.generators is not None and self.dual_generators is not None:
+            message = "generator and inequality representations disagree"
+            _audit_dual(self.generators, self.dual_generators, message)
+            _audit_dual(_polar_rays(self.dual_generators), _polar_rays(self.generators), message)
         self.pointed = int(np.linalg.matrix_rank(unit_dual_generators(self))) == self.dim
 
     def __repr__(self):  # keep array dumps out of test output
@@ -319,9 +358,11 @@ class PolyCone:
 
 
 def orthant(dim: int, name: str | None = None) -> PolyCone:
-    """Non-negative orthant with exact identity rays and inequalities."""
+    """Non-negative orthant with exact identity rays and inequalities: the
+    cone PolyCone recognises as the identity, built without a rank decision,
+    an audit or an enumeration, and read by cone_values as v + 0.0."""
     eye = np.eye(dim)
-    return PolyCone(dim, generators=eye, dual_generators=eye.copy(), name=name or f"orthant{dim}")
+    return PolyCone(dim, generators=eye, dual_generators=eye, name=name or f"orthant{dim}")
 
 
 def cone_from_generators(rows, name: str = "") -> PolyCone:
@@ -517,8 +558,16 @@ def cone_values(cone: PolyCone, a) -> np.ndarray:
     """y(v) for every unit supporting functional y (the rows of
     unit_dual_generators) and every row v of a: shape (..., dim) -> (..., r).
     Each row is its own matvec_rows product, so its values are the same bits
-    however many rows are stacked with it, a single vector included."""
+    however many rows are stacked with it, a single vector included.
+
+    On a cone recognised as the orthant (PolyCone) the values of an a whose
+    every entry is finite are a + 0.0: the identity product's bits, -0.0
+    turned to +0.0 included, as the product writes into a zeroed output.  An
+    a with an inf or NaN entry takes the product, where 0 * inf turns the
+    other values of its row to NaN."""
     a = np.asarray(a, dtype=float)
+    if cone._identity and a.shape[-1:] == (cone.dim,) and np.isfinite(a).all():
+        return a + 0.0
     rows = unit_dual_generators(cone)
     return matvec_rows(rows, a.reshape(-1, cone.dim)).reshape(a.shape[:-1] + (rows.shape[0],))
 

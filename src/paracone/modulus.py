@@ -10,11 +10,11 @@ machinery needs; the paraconvexity checks take any modulus.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import PolyCone, as_point, contains
+from .geometry import PolyCone, as_point, cone_values, contains
 
 MODULUS_KINDS = ("zero", "square", "power", "table")
 
@@ -106,6 +106,9 @@ class ParaSpec:
     k is the distinguished cone direction the allowance is paid in; it must
     be a cone member.  At least one of the two constants must be present:
     C scales the min(lam, 1-lam) allowance form, C1 scales lam*(1-lam).
+    row_k is y(k) for every unit supporting functional y of the cone,
+    cone_values(cone, k), read once when the spec is built: every kernel that
+    pays the allowance in k reads it from here.
     """
 
     modulus: Modulus
@@ -113,6 +116,7 @@ class ParaSpec:
     cone: PolyCone
     C: float | None = None
     C1: float | None = None
+    row_k: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "k", as_point(self.k, self.cone.dim))
@@ -123,6 +127,9 @@ class ParaSpec:
                 raise ValueError(f"constant {label} must be finite and nonnegative")
         if not contains(self.cone, self.k):
             raise ValueError("direction k is not a member of the cone")
+        row_k = cone_values(self.cone, self.k)
+        row_k.flags.writeable = False
+        object.__setattr__(self, "row_k", row_k)
 
     def constant(self, form: str) -> float:
         """Constant for the requested allowance form; strict, no conversion."""

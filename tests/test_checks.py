@@ -43,6 +43,7 @@ from paracone import (
     zero_modulus,
 )
 import paracone.checks
+import paracone.geometry
 from paracone.checks import _ball_pairs, _coordinate_moves, _margins, _paired_moves, _pattern_search
 from paracone.derivative import FrechetReport, GateauxReport
 from paracone.geometry import row_norms, unit_dual_generators
@@ -313,6 +314,32 @@ def test_scalarized_route_agrees_bitwise_on_orthant(families):
         scal = scalarize_check(f, spec, rows, form="min", triples=triples)
         assert direct.passed == scal.passed
         assert direct.worst_margin == scal.worst_margin  # same kernel, same floats
+
+
+def test_orthant_rows_scalarized_match_the_direct_check_bit_for_bit(families, monkeypatch):
+    # the direct check reads the orthant in closed form (cone_values), the
+    # scalarized one its unit rows through matvec_rows: every triple's margin,
+    # and so every report, is the same bits in either form
+    for f in families:
+        spec = f.claimed
+        rows = unit_dual_generators(spec.cone)
+        triples = sample_triples(f.domain, 400, seed=17)
+        for form in ("min", "lambda"):
+            closed = _margins(f, spec, None, form, triples.x, triples.y, triples.lam)
+            product = _margins(f, spec, rows, form, triples.x, triples.y, triples.lam)
+            assert closed.tobytes() == product.tobytes(), (f.label, form)
+            direct = check_inequality(f, spec, form=form, triples=triples)
+            scal = scalarize_check(f, spec, list(rows), form=form, triples=triples)
+            assert direct.worst_margin.hex() == scal.worst_margin.hex(), (f.label, form)
+            assert (direct.witness.x.tobytes(), direct.witness.lam) == (scal.witness.x.tobytes(), scal.witness.lam)
+    # the direct check and falsify never reach the product on the orthant
+    def product(mat, a):
+        raise AssertionError("the orthant read its rows through matvec_rows")
+
+    monkeypatch.setattr(paracone.geometry, "matvec_rows", product)
+    for f in families:
+        check_inequality(f, f.claimed, budget=50)
+        falsify(f, f.claimed, budget=50)
 
 
 def test_scalarized_route_agrees_bitwise_on_generator_only_cone():

@@ -613,6 +613,24 @@ def test_malformed_spec_and_mapping_fields_exit_two_with_a_path(edits, where, tm
     assert f"input error: {where}: " in captured.err
 
 
+@pytest.mark.parametrize("rows", [[[1.0, 0.5], [0.5, 1.0]], [[1.0, 0.0]]], ids=["wider-wedge", "half-plane"])
+def test_rows_wider_than_the_generators_exit_two(rows, tmp_path, capsys):
+    # every given generator meets every given row here, so only the converse
+    # inclusion (every ray of the rows inside the generators' cone) refuses
+    # the cone; at a row-only reading it certified points outside the cone
+    mapping = {
+        "family": "affine",
+        "params": {"matrix": [[1.0], [0.0]], "offset": [0.0, 0.0], "domain": {"lo": [-1.0], "hi": [1.0]}},
+    }
+    spec = {**_SPEC, "k": [1.0, 1.0], "cone": {"generators": np.eye(2).tolist(), "dual_generators": rows}}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"mapping": mapping, "spec": spec, "checks": TINY_CFG["checks"]}))
+    assert main(["run", "--config", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "input error: spec.cone: generator and inequality representations disagree" in captured.err
+
+
 def test_roadmap_probe_exits_two_instead_of_certifying(tmp_path, capsys):
     # misspelled tol, mapping params and top-level key on a shipped config
     cfg = json.loads((CONFIG_DIR / "neg_square_certify.json").read_text())

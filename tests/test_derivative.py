@@ -34,7 +34,9 @@ from paracone import (
     zero_modulus,
 )
 from paracone.checks import _magnitude_scale
+import paracone.checks
 import paracone.derivative
+import paracone.geometry
 from paracone.derivative import GateauxReport, _default_t0, _geomspace, _prep_direction
 from paracone.geometry import Box, norm, random_simplicial_cone, unit_dual_generators
 from paracone.mappings import OutsideDomainError, VectorMapping, known_directional
@@ -324,6 +326,45 @@ def test_upper_bound_refuses_a_step_outside_the_range_before_any_evaluation(t_us
     with pytest.raises(ValueError, match="admissible range"):
         check_upper_bound(f, f.claimed, [0.2], [1.0], est)
     assert calls == []
+
+
+@pytest.mark.parametrize(
+    "value", [[math.nan], [-0.4, -0.4], [math.inf], -0.4], ids=["nan", "two-vector", "inf", "scalar"]
+)
+def test_upper_bound_refuses_an_estimate_value_it_cannot_compare_before_any_evaluation(value):
+    # a NaN value once FAILed with worst_margin nan after 13 evaluations, and
+    # a 2-vector on a scalar mapping ended in a numpy reshape error
+    calls = []
+    base = neg_square_1d()
+    f = dataclasses.replace(base, evaluator=lambda x: calls.append(len(x)) or base.evaluator(x))
+    est = DerivativeEstimate(value=np.array(value), error_bound=0.0, t_used=0.01, iterations=3, converged=True)
+    with pytest.raises(ValueError, match=r"estimate value must be a finite vector of shape \(1,\)"):
+        check_upper_bound(f, f.claimed, [0.2], [1.0], est)
+    assert calls == []
+
+
+def test_the_allowance_direction_is_read_once_per_spec(monkeypatch):
+    # y(k) is read when the spec is built; no estimate, battery or check
+    # reads the cone on k again (each 1-D cone_values input would be k)
+    f = smooth_r2_r3()
+    spec = f.claimed
+    assert spec.row_k.tobytes() == paracone.geometry.cone_values(spec.cone, spec.k).tobytes()
+    assert not spec.row_k.flags.writeable
+    shapes = []
+    real = paracone.geometry.cone_values
+
+    def recorded(cone, a):
+        shapes.append(np.shape(a))
+        return real(cone, a)
+
+    for module in (paracone.derivative, paracone.checks):
+        monkeypatch.setattr(module, "cone_values", recorded)
+    est = directional_derivative(f, spec, [0.1, -0.2], [1.0, 0.0])
+    check_upper_bound(f, spec, [0.1, -0.2], [1.0, 0.0], est)
+    gateaux_test(f, spec, [0.1, -0.2], seed=1)
+    check_sublinear(f, spec, [0.1, -0.2])
+    paracone.checks.falsify(f, spec, budget=50)
+    assert shapes and all(len(shape) > 1 for shape in shapes), shapes
 
 
 # family -> (eval_batch calls, rows) over three seeded pairs, of

@@ -918,3 +918,118 @@ def test_whole_space_cone_has_zero_margins():
     assert np.array_equal(cone_margins(whole, a), np.zeros(5))
     assert cone_margins(whole, a[0]).shape == ()
     assert np.all(cone_values(whole, a[0]) > 0)
+
+
+# ---------------------------------------------------------------------------
+# the orthant's closed form
+
+
+def _orthant_value_rows(m: int, seed: int) -> np.ndarray:
+    """Seeded rows of width m across the whole exponent range, with +-0.0,
+    subnormals, values near 1e300 and the largest floats among them."""
+    rng = np.random.default_rng(seed)
+    mantissas = rng.choice([-1.0, 1.0], size=(400, m)) * rng.uniform(1.0, 2.0, size=(400, m))
+    a = np.ldexp(mantissas, rng.integers(-1074, 1024, size=(400, m)))
+    big = np.finfo(float).max
+    special = np.array([0.0, -0.0, 5e-324, -5e-324, 2.0**-1022, -1e300, 1e300, big, -big])
+    a[::3] = rng.choice(special, size=a[::3].shape)
+    a[1::7] = -0.0
+    return a
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 8])
+def test_orthant_values_are_the_identity_product_bit_for_bit(m, monkeypatch):
+    cone = orthant(m)
+    a = _orthant_value_rows(m, seed=m)
+    want = matvec_rows(np.eye(m), a)
+    assert cone_values(cone, a).tobytes() == want.tobytes()
+    assert not np.signbit(cone_values(cone, a)[a == 0.0]).any()  # -0.0 reads +0.0, as in the product
+    for i in range(0, a.shape[0], 37):  # a single vector has its row's bits
+        assert cone_values(cone, a[i]).tobytes() == want[i].tobytes()
+    # a row with an inf or NaN entry takes the product, where 0 * inf turns its other values to NaN
+    for bad in (np.inf, -np.inf, np.nan):
+        b = a[:5].copy()
+        b[2, m - 1] = bad
+        with np.errstate(invalid="ignore"):
+            want_bad = matvec_rows(np.eye(m), b)
+            got = cone_values(cone, b)
+        assert got.tobytes() == want_bad.tobytes(), bad
+        assert np.isnan(got[2, : m - 1]).all() and np.isnan(got[2, -1]) == np.isnan(bad)
+    # finite input never reaches the product; non-finite input does
+    def product(mat, rows):
+        raise AssertionError("the orthant read its rows through matvec_rows")
+
+    monkeypatch.setattr(geometry, "matvec_rows", product)
+    cone_values(cone, a)
+    with pytest.raises(AssertionError, match="matvec_rows"):
+        cone_values(cone, np.full((1, m), np.nan))
+
+
+# the one-vector norm's plain pass still warns of the overflow it met before the rescaled pass
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_one_column_two_norm_is_the_absolute_value():
+    # every binary64 exponent, each with a few mantissas and both signs, then
+    # +-0, +-inf and NaN: |x| against the plain pass plus the rescaled rule
+    rng = np.random.default_rng(1074)
+    mantissas = np.concatenate([[1.0, 1.5, 2.0 - 2.0**-52], rng.uniform(1.0, 2.0, size=3)])
+    x = np.ldexp(mantissas[None, :], np.arange(-1074, 1024)[:, None]).ravel()
+    x = np.concatenate([x, -x, [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan]])[:, None]
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        want = np.sqrt(geometry.row_dots(x, x))
+        redo = (want < geometry._TINY_NORM) | (want == np.inf)
+        want[redo] = geometry._rescaled_two_norms(x[redo])
+    got = row_norms(x, "two")
+    finite = ~np.isnan(want)
+    assert got[finite].tobytes() == want[finite].tobytes()
+    assert np.isnan(got[~finite]).all() and (~finite).sum() == 2
+    assert got.tobytes() == np.abs(x[:, 0]).tobytes()
+    # the sup and one norms of one entry are that entry's |x| as well
+    assert row_norms(x, "sup").tobytes() == np.max(np.abs(x), axis=1).tobytes() == got.tobytes()
+    assert row_norms(x, "one").tobytes() == np.sum(np.abs(x), axis=1).tobytes() == got.tobytes()
+    with pytest.raises(ValueError, match="unknown norm kind"):
+        row_norms(x, "three")
+    # the one-vector norm of a one-entry vector agrees with the row
+    for v in x[finite][::97]:
+        assert norm(v) == row_norms(v[None, :])[0]
+
+
+def test_orthant_builds_without_a_rank_decision(monkeypatch):
+    def rank(*args, **kwargs):
+        raise RuntimeError("matrix_rank reached")
+
+    monkeypatch.setattr(np.linalg, "matrix_rank", rank)
+    big = orthant(1024)
+    assert big.pointed
+    assert unit_dual_generators(big).tobytes() == np.eye(1024).tobytes()
+    # given by its rows alone, the identity is the orthant too
+    rows_only = cone_from_inequalities(np.eye(3))
+    assert rows_only.pointed and unit_dual_generators(rows_only).tobytes() == np.eye(3).tobytes()
+    # every other cone takes the general path: one not the identity, the
+    # identity in one form only, the identity by its generators alone, and
+    # a -0.0 off the diagonal
+    signed_zero = np.eye(2)
+    signed_zero[0, 1] = -0.0
+    others = [
+        lambda: random_simplicial_cone(3, seed=0),
+        lambda: PolyCone(2, generators=np.eye(2), dual_generators=[[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]),
+        lambda: PolyCone(2, generators=2.0 * np.eye(2), dual_generators=np.eye(2)),
+        lambda: cone_from_generators(np.eye(2)),
+        lambda: cone_from_inequalities(signed_zero),
+    ]
+    for build in others:
+        with pytest.raises(RuntimeError, match="matrix_rank reached"):
+            build()
+
+
+@pytest.mark.parametrize("rows", [[[1.0, 0.5], [0.5, 1.0]], [[1.0, 0.0]]], ids=["wider-wedge", "half-plane"])
+def test_both_forms_must_name_one_cone(rows):
+    # every identity generator meets every row, yet the rows cut out a larger
+    # cone: a wider wedge, which held [-0.2, 1.0], and a half-plane
+    with pytest.raises(ValueError, match="generator and inequality representations disagree"):
+        PolyCone(2, generators=np.eye(2), dual_generators=rows)
+    # forms that one enumeration made from the other pass both inclusions
+    for dim in (3, 4):
+        for seed in range(3):
+            rays = np.random.default_rng(seed).uniform(0.1, 1.0, size=(dim + 2, dim))
+            assert dual_cone(cone_from_generators(rays)).pointed
+            assert dual_cone(dual_cone(random_simplicial_cone(dim, seed=seed))).pointed
