@@ -37,12 +37,11 @@ from .geometry import (
     dual_functional,
     ensure_generators,
     matvec_rows,
-    norm,
     row_dots,
     row_norms,
     unit_rows,
 )
-from .mappings import VectorMapping
+from .mappings import VectorMapping, _domain_point
 from .modulus import ParaSpec, eval_modulus
 from .reports import CheckReport, worst_report
 
@@ -553,8 +552,8 @@ def _ball_pairs(f: VectorMapping, x0: np.ndarray, delta: float, budget: int, rng
     d = f.domain.dim
     r_in = delta * (1.0 - 1e-9)
     # maximal-gap probes first: the failure mode lives at gap close to 2*delta
-    dirs = [np.eye(d)[i] for i in range(d)] + [np.ones(d) / math.sqrt(d)]
-    units = np.array([u / norm(u, f.domain_norm) for u in dirs])
+    dirs = np.vstack([np.eye(d), np.ones(d) / math.sqrt(d)])
+    units = dirs / row_norms(dirs, f.domain_norm)[:, None]
     xs, ys, lams = [x0 - r_in * units], [x0 + r_in * units], [np.full(d + 1, 0.5)]
     low, width = -float(delta), float(delta) - -float(delta)  # rng.uniform's low and high - low
     kept, block = d + 1, 2 * max(budget - d - 1, 8)
@@ -588,7 +587,7 @@ def check_approx_convex(
         raise ValueError(f"delta must be finite and > 0, got {delta}")
     _require_tol(tol)
     _at_least_one(budget=budget)
-    x0 = np.asarray(x0, dtype=float).reshape(-1)
+    x0 = _domain_point(f, x0, "ball center")
     _ball_inside_domain(f, x0, delta)
     x, y, lam = _ball_pairs(f, x0, delta, budget, np.random.default_rng(seed))
     gx, gy, gm = np.split(_segment_values(f, x, y, lam)[1][:, 0], 3)

@@ -48,7 +48,6 @@ from .checks import _at_least_one, _magnitude_scale, _require_fit
 from .geometry import (
     Box,
     _require_tol,
-    as_point,
     base_radius,
     cone_margins,
     cone_values,
@@ -57,7 +56,7 @@ from .geometry import (
     row_norms,
     strictly_positive_functional,
 )
-from .mappings import OutsideDomainError, VectorMapping, known_directional
+from .mappings import OutsideDomainError, VectorMapping, _domain_point, known_directional
 from .modulus import ParaSpec, eval_modulus
 from .reports import CheckReport, Report, worst_report
 
@@ -90,12 +89,10 @@ def _row_measure(values: np.ndarray) -> np.ndarray:
 
 def _prep_direction(f: VectorMapping, x0, h):
     """The point checks of a single-direction op: x0 a finite point of the
-    open domain (as_point, Box.contains), h a finite vector of the domain's
+    open domain (_domain_point), h a finite vector of the domain's
     dimension and of unit domain-norm length within 1e-6.  Returns x0 and h
     divided by its length; each failed check raises before any evaluation."""
-    x0 = as_point(x0, f.domain.dim)
-    if not f.domain.contains(x0):
-        raise OutsideDomainError(f"{f.label}: base point outside the open domain")
+    x0 = _domain_point(f, x0, "base point")
     h = np.asarray(h, dtype=float).reshape(-1)
     if h.shape != (f.domain.dim,):
         raise ValueError("direction dimension mismatch")
@@ -505,7 +502,7 @@ def check_sublinear(
     given.
     """
     _require_tol(tol)
-    x0 = as_point(x0, f.domain.dim)
+    x0 = _domain_point(f, x0, "test point")
     d = f.domain.dim
     if direction_pairs is None:
         if d == 1:
@@ -660,9 +657,7 @@ def gateaux_test(
     """
     _require_tol(tol)
     _at_least_one(n_directions=n_directions)
-    x0 = as_point(x0, f.domain.dim)
-    if not f.domain.contains(x0):
-        raise OutsideDomainError(f"{f.label}: test point outside the open domain")
+    x0 = _domain_point(f, x0, "test point")
     if directions is None:
         base_dirs = _unit_directions(f, n_directions, seed)
     else:
@@ -811,7 +806,7 @@ def frechet_test(
     is not finite and at least 0, as the config reader refuses it.
     """
     _require_tol(tol)
-    x0 = as_point(x0, f.domain.dim)
+    x0 = _domain_point(f, x0, "test point")
     epsilons = list(epsilons)
     if not epsilons or not all(0.0 <= eps < math.inf for eps in epsilons):  # a NaN is outside too
         raise ValueError("epsilons must name at least one tolerance, each finite and nonnegative")

@@ -44,7 +44,7 @@ NORM_KINDS = ("sup", "one", "two")
 _RAY_TOL = 1e-9
 # most rays an enumeration holds at once; a cone past it raises
 _MAX_RAYS = 2000
-# relative slack of the dual audit (_audit_dual)
+# slack of the dual audit (_audit_dual): the cosine a unit generator and a unit row may reach below 0
 _AUDIT_TOL = 1e-7
 # rows this close to unit length, in ulp, count as already unit (unit_rows)
 _UNIT_ULPS = 4
@@ -153,18 +153,23 @@ def row_norms(a, kind: str = "two") -> np.ndarray:
 
 
 def unit_rows(rows) -> np.ndarray:
-    """Rows scaled to unit euclidean length.
+    """Rows scaled to unit euclidean length, each length from row_norms,
+    which neither overflows nor underflows, so every finite nonzero row has
+    a unit row however long or short it is written.
 
     A row whose length is already within a few ulp of 1 is kept as given, so
     scaling rows twice changes nothing, and a zero row stays zero.
     """
     rows = np.asarray(rows, dtype=float)
-    lengths = np.linalg.norm(rows, axis=1)
+    lengths = row_norms(rows)
     keep = (lengths == 0.0) | (np.abs(lengths - 1.0) <= _UNIT_ULPS * np.finfo(float).eps)
     return rows / np.where(keep, 1.0, lengths)[:, None]
 
 
 def _coerce_rows(rows, dim: int, what: str, allow_zero_rows: bool) -> np.ndarray:
+    """rows as a read-only finite (n, dim) array, one vector taken as one
+    row.  A zero row, one with no nonzero entry however small or large its
+    other rows are, raises unless allow_zero_rows; no length is taken."""
     try:
         m = np.array(rows, dtype=float)
     except ValueError as exc:  # ragged rows, or entries that are not numbers
@@ -177,7 +182,7 @@ def _coerce_rows(rows, dim: int, what: str, allow_zero_rows: bool) -> np.ndarray
         raise ValueError(f"dimension mismatch: {what} must be an array of shape (*, {dim}), got {m.shape}")
     if not np.all(np.isfinite(m)):
         raise ValueError(f"{what} contains non-finite entries")
-    if not allow_zero_rows and m.shape[0] and np.any(np.linalg.norm(m, axis=1) == 0.0):
+    if not allow_zero_rows and not m.any(axis=1).all():
         raise ValueError(f"{what} contains a zero row")
     m.flags.writeable = False
     return m
@@ -187,12 +192,13 @@ def _audit_dual(
     gens: np.ndarray, rows: np.ndarray, message: str = "functional is negative on a generator; not in the dual cone"
 ) -> None:
     """Raise ValueError(message) when a row is negative on a generator: when
-    gens @ rows.T has an entry below -_AUDIT_TOL * max(1, max|gens| * max|row|),
-    with max|row| the largest entry of that entry's row.  Every generator meets
-    every row; no generators (the trivial cone {0}, whose dual is the whole
-    space) accept every row."""
-    scale = np.maximum(1.0, np.max(np.abs(gens), initial=0.0) * np.max(np.abs(rows), axis=1, initial=0.0))
-    if np.any(gens @ rows.T < -_AUDIT_TOL * scale):
+    a unit generator and a unit row (unit_rows) have a cosine below
+    -_AUDIT_TOL.  The rule reads angles only, so the answer does not depend
+    on how long a generator or a row is written, and no product overflows.
+    Every generator meets every row; a zero row (the zero functional) meets
+    every generator, and no generators (the trivial cone {0}, whose dual is
+    the whole space) accept every row."""
+    if np.any(unit_rows(gens) @ unit_rows(rows).T < -_AUDIT_TOL):
         raise ValueError(message)
 
 
@@ -462,10 +468,13 @@ def _double_description(a: np.ndarray, feas_tol: float) -> np.ndarray:
 
 def _polar_rays(mat: np.ndarray, feas_tol: float = _RAY_TOL) -> np.ndarray:
     """Generating rays of {y : mat @ y >= 0}: the rays _double_description
-    enumerates in the row space of the unit rows, where the polar is pointed,
-    and plus and minus an orthonormal basis of the lines (the null space)."""
+    enumerates in the row space of the unit rows (unit_rows), where the
+    polar is pointed, and plus and minus an orthonormal basis of the lines
+    (the null space), each candidate divided by its row_norms length.  A
+    basis of two or more lines is the SVD's, whose last bits move with the
+    last bits of its input."""
     d = mat.shape[1]
-    scaled = mat / np.linalg.norm(mat, axis=1)[:, None]
+    scaled = unit_rows(mat)
     u, s, vt = np.linalg.svd(scaled, full_matrices=True)
     rank = int(np.sum(s > 1e-10 * (s[0] if s.size else 1.0)))
     candidates = []
@@ -475,8 +484,10 @@ def _polar_rays(mat: np.ndarray, feas_tol: float = _RAY_TOL) -> np.ndarray:
     # lines orthogonal to every row belong to the polar in both directions
     for row in vt[rank:]:
         candidates += [row, -row]
-    lengths = [np.linalg.norm(c) for c in candidates]
-    rays = _distinct_rays(np.array([c / n for c, n in zip(candidates, lengths) if n >= 1e-12]).reshape(-1, d))
+    candidates = np.array(candidates).reshape(-1, d)
+    lengths = row_norms(candidates)
+    kept = lengths >= 1e-12
+    rays = _distinct_rays(candidates[kept] / lengths[kept, None])
     return np.array(sorted(rays, key=lambda r: tuple(np.round(r, 9)))).reshape(-1, d)
 
 
@@ -657,21 +668,21 @@ def base_radius(cone: PolyCone, coeffs, norm_kind: str = "two") -> float:
     """Radius of the base {k in cone : coeffs @ k = 1} cut out by a strictly
     positive functional.
 
-    The radius is the largest norm among generators scaled to the level-one
-    slice; every base point is a convex combination of those vertices, so the
-    radius bounds the whole base.  A functional that is not strictly positive
-    on every generator raises; one that is lies in the dual cone.
+    The radius is the largest norm (row_norms) among generators scaled to
+    the level-one slice; every base point is a convex combination of those
+    vertices, so the radius bounds the whole base.  A functional that is not
+    strictly positive on every generator, by more than 1e-12 times the
+    longest generator's row_norms length where that passes 1, raises; one
+    that is lies in the dual cone.
     """
     coeffs = as_point(coeffs, cone.dim)
     gens = ensure_generators(cone)
     if gens.shape[0] == 0:
         raise ValueError("trivial cone has no base")
     vals = gens @ coeffs
-    scale = float(np.max(np.linalg.norm(gens, axis=1)))
-    if float(np.min(vals)) <= 1e-12 * max(1.0, scale):
+    if float(np.min(vals)) <= 1e-12 * max(1.0, float(row_norms(gens).max())):
         raise ValueError("functional is not strictly positive on the generators; no bounded base at level one")
-    verts = gens / vals[:, None]
-    return float(max(norm(v, norm_kind) for v in verts))
+    return float(row_norms(gens / vals[:, None], norm_kind).max())
 
 
 def strictly_positive_functional(cone: PolyCone) -> Point:

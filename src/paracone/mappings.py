@@ -35,6 +35,17 @@ class OutsideDomainError(ValueError):
     """Evaluation requested outside the open domain box."""
 
 
+def _domain_point(f: VectorMapping, x0, what: str) -> np.ndarray:
+    """The one point rule of every op read at a point: x0 as a finite
+    read-only point of the domain's dimension (as_point, else ValueError),
+    strictly inside the open domain (Box.contains, else OutsideDomainError
+    naming what x0 is), checked before any evaluation or draw."""
+    x0 = as_point(x0, f.domain.dim)
+    if not f.domain.contains(x0):
+        raise OutsideDomainError(f"{f.label}: {what} outside the open domain")
+    return x0
+
+
 @dataclass(eq=False)
 class VectorMapping:
     """A deterministic mapping from an open box into R^m.
@@ -109,12 +120,10 @@ class VectorMapping:
 
 def known_directional(f: VectorMapping, x0, h) -> np.ndarray | None:
     """Analytic one-sided derivative when the family provides one, else None.
-    x0 must be a finite point of the open domain (as_point, Box.contains)."""
+    x0 must be a finite point of the open domain (_domain_point)."""
     if f.analytic_directional is None:
         return None
-    x0 = as_point(x0, f.domain.dim)
-    if not f.domain.contains(x0):
-        raise OutsideDomainError(f"{f.label}: oracle query outside the domain")
+    x0 = _domain_point(f, x0, "oracle query")
     out = f.analytic_directional(x0, np.asarray(h, dtype=float))
     return None if out is None else np.asarray(out, dtype=float).reshape(-1)
 

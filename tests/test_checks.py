@@ -47,6 +47,7 @@ import paracone.geometry
 from paracone.checks import _ball_pairs, _coordinate_moves, _margins, _paired_moves, _pattern_search
 from paracone.derivative import FrechetReport, GateauxReport
 from paracone.geometry import row_norms, unit_dual_generators
+from paracone.mappings import OutsideDomainError
 from paracone.reports import CheckReport, worst_report
 
 
@@ -722,6 +723,25 @@ def test_a_huge_valued_concave_kink_still_fails(scale):
     spec = ParaSpec(modulus=square_modulus(), k=[1.0], cone=orthant(1), C=1.0, C1=1.0)
     for rep in (check_inequality(f, spec, budget=200, seed=0), falsify(f, spec, budget=200, seed=0)):
         assert not rep.passed and rep.worst_margin == -0.5
+
+
+@pytest.mark.parametrize(
+    "x0, error, message",
+    [
+        ([math.nan], ValueError, "point has non-finite coordinates"),
+        ([0.1, 0.2], ValueError, "dimension mismatch: point has 2 coordinates, expected 1"),
+        ([1.0], OutsideDomainError, "neg-square: ball center outside the open domain"),
+    ],
+    ids=["non-finite", "shape", "on-the-face"],
+)
+def test_approx_convex_checks_its_point_before_any_draw(x0, error, message, monkeypatch):
+    f = neg_square_1d()
+    unevaluable = dataclasses.replace(f, evaluator=lambda pts: pytest.fail("evaluated before the point was checked"))
+    monkeypatch.setattr(
+        paracone.checks, "_ball_pairs", lambda *args: pytest.fail("drew pairs before the point was checked")
+    )
+    with pytest.raises(error, match=message):
+        check_approx_convex(unevaluable, x0, epsilon=0.1, delta=0.1, budget=10, seed=0)
 
 
 def test_approx_convex_preconditions():

@@ -472,6 +472,52 @@ def test_empty_generators_next_to_duals_exit_two(tmp_path, capsys):
     assert "input error: spec.cone.generators: " in capsys.readouterr().err
 
 
+_AFFINE_R2 = {
+    "family": "affine",
+    "params": {
+        "matrix": [[1.0, 2.0], [0.5, -1.0]],
+        "offset": [0.1, -0.2],
+        "domain": {"lo": [-1.0, -1.0], "hi": [1.0, 1.0]},
+    },
+}
+_AFFINE_CHECK = {"op": "check-paraconvex", "label": "scaled-cone", "budget": 200, "seed": 1, "tol": 1e-9}
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("scale", [1e200, 1e-200])
+@pytest.mark.parametrize("form", ["generators", "dual_generators"])
+def test_a_cone_row_of_any_length_runs(form, scale, tmp_path, capsys):
+    # the orthant with its first row written very long or very short: k =
+    # (1, 1) is a member and an affine map PASSes, with the orthant's margin
+    spec = {"modulus": {"kind": "zero"}, "cone": {form: [[scale, 0.0], [0.0, 1.0]]}, "k": [1.0, 1.0], "C": 0.0}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"mapping": _AFFINE_R2, "spec": spec, "checks": [_AFFINE_CHECK]}))
+    assert main(["run", "--config", str(path)]) == 0
+    out = capsys.readouterr().out
+    spec["cone"] = {"orthant": 2}
+    path.write_text(json.dumps({"mapping": _AFFINE_R2, "spec": spec, "checks": [_AFFINE_CHECK]}))
+    assert main(["run", "--config", str(path)]) == 0
+    assert out == capsys.readouterr().out
+    assert out.startswith("[check-paraconvex] scaled-cone: PASS")
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("scale", [1.0, 1e-3, 1e-200, 1e200])
+def test_disagreeing_cone_forms_exit_two_at_any_scale(scale, tmp_path, capsys):
+    # generators I and rows I plus (1, -0.02), written at one common scale
+    cone = {
+        "generators": [[scale, 0.0], [0.0, scale]],
+        "dual_generators": [[scale, 0.0], [0.0, scale], [scale, -0.02 * scale]],
+    }
+    spec = {"modulus": {"kind": "zero"}, "cone": cone, "k": [1.0, 1.0], "C": 0.0}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"mapping": _AFFINE_R2, "spec": spec, "checks": [_AFFINE_CHECK]}))
+    assert main(["run", "--config", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "input error: spec.cone: generator and inequality representations disagree" in captured.err
+
+
 _SPEC = {"modulus": {"kind": "square"}, "cone": {"orthant": 1}, "k": [1.0], "C": 10.0}
 _SEMICONVEX = {
     "family": "semiconvex_scalar",

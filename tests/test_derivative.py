@@ -710,6 +710,16 @@ def test_scan_checks_every_point_before_evaluating(bad):
         gateaux_scan(unevaluable, f.claimed, f.domain, points=[[0.1], [-0.2], bad, [0.3]], n_directions=2, seed=0)
 
 
+@pytest.mark.parametrize("x0", [[5.0, 0.0], [1.0, 0.0]], ids=["outside", "on-the-face"])
+def test_sublinear_checks_its_point_before_evaluating(x0):
+    # the point rule of gateaux_test: a point off the open domain is an
+    # OutsideDomainError naming it, before any draw or evaluation
+    f = smooth_r2_r3()
+    unevaluable = dataclasses.replace(f, evaluator=lambda pts: pytest.fail("evaluated before the point was checked"))
+    with pytest.raises(OutsideDomainError, match="smooth-r2-r3: test point outside the open domain"):
+        check_sublinear(unevaluable, f.claimed, x0, tol=1e-6)
+
+
 def test_shipped_scan_evaluates_one_batch_per_block():
     (entry,) = json.loads((CONFIG_DIR / "example1_scan.json").read_text())["checks"]
     f = example1_default()

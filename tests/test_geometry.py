@@ -201,6 +201,32 @@ def test_every_generator_meets_every_given_inequality(gens, rows):
     assert orthant(dim).pointed and dual_cone(orthant(dim)).pointed
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("scale", [1.0, 1e-3, 1e-200, 1e200])
+def test_the_dual_audit_reads_angles_only(scale):
+    # the 2d forms at any common scale: the generator e_2 and the row
+    # (1, -0.02) have a cosine near -0.02 however long either is written, so
+    # the forms never name one cone, though at 1e-3 their product is -2e-8
+    gens, rows = DISAGREEING_FORMS["2d"]
+    with pytest.raises(ValueError, match="generator and inequality representations disagree"):
+        PolyCone(2, generators=scale * gens, dual_generators=scale * rows)
+    with pytest.raises(ValueError, match="not in the dual cone"):
+        dual_functional(cone_from_generators(scale * gens), scale * rows[-1])
+    assert dual_functional(cone_from_generators(scale * gens), scale * rows[0]).tobytes() == (scale * rows[0]).tobytes()
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("scale", [1e200, 1e-200])
+@pytest.mark.parametrize("make", [cone_from_generators, cone_from_inequalities], ids=["generators", "rows"])
+def test_a_row_of_any_length_names_the_same_ray(make, scale):
+    # the orthant with its first row written very long or very short: a row
+    # with a nonzero entry is no zero row, and its unit row is e_1
+    c = make([[scale, 0.0], [0.0, 1.0]])
+    assert c.pointed
+    assert contains(c, [1.0, 1.0]) and not contains(c, [-1.0, 1.0])
+    assert unit_dual_generators(c).tobytes() == unit_dual_generators(make(np.eye(2))).tobytes()
+
+
 def test_contains_agrees_with_the_unit_row_margins():
     # a raw row of length 1e6 scales a -1e-12 margin to -1e-6, far outside tol
     cone = cone_from_inequalities([[1e6, 0.0], [0.0, 1.0]])
@@ -426,7 +452,7 @@ def _polar_rays_by_active_sets(mat, feas_tol=1e-9):
     description, frozen as its oracle: one null vector per independent
     (rank - 1)-subset of the unit rows, kept when feasible."""
     g, d = mat.shape
-    scaled = mat / np.linalg.norm(mat, axis=1)[:, None]
+    scaled = geometry.unit_rows(mat)
     _, s, vt = np.linalg.svd(scaled, full_matrices=True)
     rank = int(np.sum(s > 1e-10 * (s[0] if s.size else 1.0)))
     rays = []

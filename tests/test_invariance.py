@@ -4,8 +4,8 @@ A metamorphic table: each row names a transform of the input, the ops whose
 answers it covers and the relation expected between the answers before and
 after it.  The hypotheses of the theorem do not change when a direction is
 rescaled, when a cone is given by generators rather than inequality rows,
-when its generators are rescaled, or when a witness is replayed on its own,
-so neither may the answers.
+when its generators or its rows are rescaled, or when a witness is replayed
+on its own, so neither may the answers.
 """
 
 import dataclasses
@@ -32,7 +32,7 @@ from paracone import (
     square_modulus,
 )
 from paracone.checks import _coordinate_moves, _margins, _pattern_search
-from paracone.geometry import unit_dual_generators
+from paracone.geometry import ensure_generators, unit_dual_generators, unit_rows
 
 
 def _same_rays(a, b):
@@ -105,13 +105,33 @@ def _seeded_generator_rows():
     return tables
 
 
-def _generator_scale(families):
+def _unit_generators(cone):
+    return unit_rows(ensure_generators(cone))
+
+
+def _row_scale(make, reads):
+    """Every seeded table times 2^k, from about 1e-301 to 1e301, read by
+    each of reads bit for bit as the table itself, with an equal pointed
+    flag.  Lengths past the largest float take row_norms' second pass, whose
+    first may warn of the overflow it met."""
     for g in _seeded_generator_rows():
-        base = cone_from_generators(g)
-        for k in (-20, -3, 5, 30):
-            scaled = cone_from_generators(np.ldexp(g, k))
-            assert unit_dual_generators(scaled).tobytes() == unit_dual_generators(base).tobytes(), (g.shape, k)
-            assert scaled.pointed == base.pointed
+        base = make(g)
+        for k in (-1000, -600, -20, -3, 5, 30, 600, 1000):
+            with warnings.catch_warnings():
+                warnings.filterwarnings("ignore", "overflow encountered", RuntimeWarning)
+                scaled = make(np.ldexp(g, k))
+                for read in reads:
+                    assert read(scaled).tobytes() == read(base).tobytes(), (g.shape, k, read.__name__)
+            assert scaled.pointed == base.pointed, (g.shape, k)
+
+
+def _generator_scale(families):
+    # the given generators keep their lengths, so their unit rows are compared
+    _row_scale(cone_from_generators, (unit_dual_generators, _unit_generators))
+
+
+def _inequality_scale(families):
+    _row_scale(cone_from_inequalities, (unit_dual_generators, ensure_generators))
 
 
 def _search_cases(families):
@@ -182,10 +202,16 @@ TABLE = (
         _cone_form,
     ),
     Row(
-        "generators times 2^k, k in {-20, -3, 5, 30}, on 120 seeded cones in R^2-R^5",
-        "unit_dual_generators, pointed",
-        "bitwise-identical unit rows and an equal pointed flag",
+        "generators times 2^k, k in {-1000, -600, -20, -3, 5, 30, 600, 1000}, on 120 seeded cones in R^2-R^5",
+        "unit_dual_generators, ensure_generators, pointed",
+        "bitwise-identical unit rows, bitwise-identical unit generators and an equal pointed flag",
         _generator_scale,
+    ),
+    Row(
+        "inequality rows times 2^k, k in {-1000, -600, -20, -3, 5, 30, 600, 1000}, on the same 120 seeded tables",
+        "unit_dual_generators, ensure_generators, pointed",
+        "bitwise-identical unit rows, bitwise-identical generators and an equal pointed flag",
+        _inequality_scale,
     ),
     Row(
         "a falsify witness replayed alone",
@@ -197,7 +223,9 @@ TABLE = (
 
 
 @pytest.mark.parametrize(
-    "row", TABLE, ids=("direction-length", "direction-scale", "cone-form", "generator-scale", "falsify-replay")
+    "row",
+    TABLE,
+    ids=("direction-length", "direction-scale", "cone-form", "generator-scale", "inequality-scale", "falsify-replay"),
 )
 def test_invariance_row(row, families):
     row.check(families)

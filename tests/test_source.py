@@ -114,3 +114,44 @@ def test_one_scoring_rule():
         functions = [node for node in ast.walk(tree) if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
         adders += [(module, node.name) for node in functions if _adds_one(node)]
     assert adders == [("checks.py", "_magnitude_scale")], adders
+
+
+def _reads_linalg_norm(node) -> bool:
+    """Whether node is numpy's norm: linalg.norm read as an attribute, or
+    imported from numpy.linalg."""
+    if isinstance(node, ast.ImportFrom):
+        return node.module == "numpy.linalg"
+    return (
+        isinstance(node, ast.Attribute)
+        and node.attr == "norm"
+        and getattr(node.value, "attr", getattr(node.value, "id", None)) == "linalg"
+    )
+
+
+def test_one_length_rule():
+    """Every row length of the package comes from geometry.row_norms, or
+    norm, its one-vector form, which neither overflows nor underflows: a
+    line of src/paracone that reads np.linalg.norm measures rows a second
+    way.  _audit_dual compares unit generators with unit rows against
+    _AUDIT_TOL alone: a number of its own, or a max or abs of its operands,
+    is a second scale."""
+    readers = [
+        (path.name, node.lineno)
+        for path in sorted(SRC_DIR.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if _reads_linalg_norm(node)
+    ]
+    assert not readers, readers
+    tree = ast.parse((SRC_DIR / "geometry.py").read_text())
+    (audit,) = [node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "_audit_dual"]
+    reads = _reads(audit)
+    assert reads["_AUDIT_TOL"] == 1 and reads["unit_rows"], reads
+    assert not {"abs", "max", "maximum"} & set(reads), reads
+    # the docstring and the message default aside, the audit reads no constant
+    numbers = [
+        n.value
+        for stmt in audit.body[1:]
+        for n in ast.walk(stmt)
+        if isinstance(n, ast.Constant) and not isinstance(n.value, str)
+    ]
+    assert not numbers, numbers
