@@ -169,24 +169,25 @@ def sample_triples(box: Box, budget: int, seed: int) -> Triples:
     j % 3 == 2 (j counts the fill only), the last entry u gives the exponent
     e = 1 + floor(11 u) in 1..11, and y moves to x + (y - x) * 2**-e.  So a
     smaller budget's fill is a prefix of a larger one's, whatever the head
-    length.
+    length.  The head rows are read from the cached schedule, and head and
+    fill are written into one array per field.
     """
     _at_least_one(budget=budget)
     d = box.dim
-    head = dyadic_small_gap_triples(box)[:budget]
-    u = np.random.default_rng(seed).random((budget - len(head), 2 * d + 2))
+    head = dyadic_small_gap_triples(box)
+    h = min(len(head), budget)
+    u = np.random.default_rng(seed).random((budget - h, 2 * d + 2))
+    x, y, lam = np.empty((budget, d)), np.empty((budget, d)), np.empty(budget)
+    x[:h], y[:h], lam[:h] = head.x[:h], head.y[:h], head.lam[:h]
     width = box.hi - box.lo
-    x = box.lo + width * u[:, :d]
-    y = box.lo + width * u[:, d : 2 * d]
+    x[h:] = box.lo + width * u[:, :d]
+    y[h:] = box.lo + width * u[:, d : 2 * d]
+    lam[h:] = u[:, 2 * d]
+    # fill triple j is row h + j
     exponents = 1 + (11.0 * u[2::3, -1]).astype(np.int64)
-    x_c = x[2::3]
-    y[2::3] = x_c + (y[2::3] - x_c) * np.ldexp(1.0, -exponents)[:, None]
-    return Triples(
-        x=np.concatenate([head.x, x]),
-        y=np.concatenate([head.y, y]),
-        lam=np.concatenate([head.lam, u[:, 2 * d]]),
-        structured=len(head),
-    )
+    x_c = x[h + 2 :: 3]
+    y[h + 2 :: 3] = x_c + (y[h + 2 :: 3] - x_c) * np.ldexp(1.0, -exponents)[:, None]
+    return Triples(x=x, y=y, lam=lam, structured=h)
 
 
 # multiplier on eps*(1 + ||f(x+th)|| + ||f(x)||)/t covering the rounding
@@ -207,17 +208,19 @@ def _magnitude_scale(a, b=0.0, step=None):
     return scale if step is None else _FP_SAFETY * _EPS * scale / step
 
 
-def _allowance_coef(form: str, constant: float, lam: np.ndarray) -> np.ndarray:
-    """constant * c(lam) for the min or lambda form; spec.constant(form) has rejected any other form."""
+def _allowance_coef(form: str, constant: float, lam: np.ndarray, mu: np.ndarray) -> np.ndarray:
+    """constant * c(lam) for the min or lambda form, with mu = 1 - lam;
+    spec.constant(form) has rejected any other form."""
     if form == "min":
-        return constant * np.minimum(lam, 1.0 - lam)
-    return constant * lam * (1.0 - lam)
+        return constant * np.minimum(lam, mu)
+    return constant * lam * mu
 
 
-def _segment_values(f: VectorMapping, x: np.ndarray, y: np.ndarray, lam: np.ndarray):
-    """The points [x; y; mid] of n triples, mid = lam*x + (1-lam)*y their
-    segment points, and f at them from one batch: two blocks of 3n rows."""
-    mid = lam[:, None] * x + (1.0 - lam[:, None]) * y
+def _segment_values(f: VectorMapping, x: np.ndarray, y: np.ndarray, lam: np.ndarray, mu: np.ndarray):
+    """The points [x; y; mid] of n triples, mid = lam*x + mu*y their segment
+    points (mu = 1 - lam, which the caller computes once), and f at them
+    from one batch: two blocks of 3n rows."""
+    mid = lam[:, None] * x + mu[:, None] * y
     points = np.concatenate([x, y, mid])
     return points, f.eval_batch(points)
 
@@ -236,13 +239,15 @@ def _margins(f: VectorMapping, spec: ParaSpec, rows, form: str, x, y, lam) -> np
     triple's margin is the same bits in any batch.
     That lets one pass of each serve the whole batch: one projection of the
     3n values [fx; fy; fmid] of _segment_values' block and one norm of its
-    first 2n rows.  The direct, scalarized and falsifying checks all use
-    this kernel, so they agree bitwise on identical rows.  With no rows
+    first 2n rows.  1 - lam is computed once and serves the segment points,
+    c(lam) and the slack.  The direct, scalarized and falsifying checks all
+    use this kernel, so they agree bitwise on identical rows.  With no rows
     every slack is 0.
     """
     n = lam.shape[0]
-    _, values = _segment_values(f, x, y, lam)
-    coef = _allowance_coef(form, spec.constant(form), lam) * eval_modulus(spec.modulus, row_norms(x - y, f.domain_norm))
+    mu = 1.0 - lam
+    _, values = _segment_values(f, x, y, lam, mu)
+    coef = _allowance_coef(form, spec.constant(form), lam, mu) * eval_modulus(spec.modulus, row_norms(x - y, f.domain_norm))
     if rows is None:
         proj, row_k = cone_values(spec.cone, values), spec.row_k
     else:
@@ -250,11 +255,10 @@ def _margins(f: VectorMapping, spec: ParaSpec, rows, form: str, x, y, lam) -> np
     if not proj.shape[1]:
         return np.zeros(n)
     size = row_norms(values[: 2 * n], f.codomain_norm)
-    lam = lam[:, None]
-    raw = lam * proj[:n] + (1.0 - lam) * proj[n : 2 * n] + coef[:, None] * row_k
-    raw = raw - proj[2 * n :]
+    raw = lam[:, None] * proj[:n] + mu[:, None] * proj[n : 2 * n] + coef[:, None] * row_k
+    raw -= proj[2 * n :]
     # dividing by a positive scale is monotone, so the min can come first
-    return np.min(raw, axis=1) / _magnitude_scale(size[:n], size[n:])
+    return raw.min(axis=1) / _magnitude_scale(size[:n], size[n:])
 
 
 def _check_rows(
@@ -346,13 +350,14 @@ def falsify(
     kernel call per accepted move plus one: the call evaluates every
     candidate the pass would try before its next accepted move, the rest of
     the current round, its repeat when the round has improved, then a whole
-    round per halved step.  The pass scales its moves once, at each of the
-    16 steps 0.05 * 2**-j of its ladder, into one table, and every call's
+    round per halved step.  Each pass reads its plan, built once per box
+    and pass, not per call (_search_plan): its moves scaled at each of the
+    16 steps 0.05 * 2**-j of its ladder, in one table, and every call's
     candidates are one slice of it, or two (see _pattern_search).  A tol
     that is not finite and at least 0 raises ValueError before any
-    evaluation, as in every check.  Every margin comes from
-    the kernel check_inequality uses, and a triple's margin does not depend
-    on its batch, so a reported failure replays identically under
+    evaluation, as in every check.  Every margin comes from the kernel
+    check_inequality uses, and a triple's margin does not depend on its
+    batch, so a reported failure replays identically under
     check_inequality(triples=[witness]).
     """
     _require_tol(tol)
@@ -367,9 +372,8 @@ def falsify(
         return _margins(f, spec, None, form, x, y, lam)
 
     if worst < -tol and refine:
-        width = f.domain.hi - f.domain.lo
         found = (triples.x[idx], triples.y[idx], triples.lam[idx], worst)
-        for moves in (_coordinate_moves(width), _paired_moves(width)):
+        for moves in (_coordinate_moves, _paired_moves):
             found = _pattern_search(f.domain, objective, found, moves)
         x, y, lam, refined_margin = found
         if refined_margin < worst:  # keep only a strictly sharper violation
@@ -419,12 +423,35 @@ def _paired_moves(width: np.ndarray):
 _RUNGS = 16
 
 
+@functools.lru_cache(maxsize=64)
+def _search_plan(lo_bytes: bytes, hi_bytes: bytes, moves) -> tuple:
+    """The plan of a _pattern_search pass over the box whose float64 bounds
+    have these bytes, with the unit moves moves(width) builds
+    (_coordinate_moves or _paired_moves): the lower and upper clip bounds of
+    a candidate [x, y, lam], the box inset by 1e-9 of its width on each side
+    and [0, 1] for lam; the table of the moves scaled at every rung, rung
+    after rung; and the moves per round.  Built once per (lo, hi, moves);
+    its arrays are read-only."""
+    box_lo, box_hi = np.frombuffer(lo_bytes), np.frombuffer(hi_bytes)
+    width = box_hi - box_lo
+    inset = 1e-9 * width
+    lo = np.concatenate([box_lo + inset, box_lo + inset, [0.0]])
+    hi = np.concatenate([box_hi - inset, box_hi - inset, [1.0]])
+    dx, dy, dlam = moves(width)
+    n = dlam.shape[0]
+    unit = np.hstack([dx, dy, dlam[:, None]])
+    table = (np.ldexp(0.05, -np.arange(_RUNGS))[:, None, None] * unit).reshape(_RUNGS * n, unit.shape[1])
+    lo.flags.writeable = hi.flags.writeable = table.flags.writeable = False
+    return lo, hi, table, n
+
+
 def _pattern_search(box: Box, objective, start, moves, rounds: int = 50):
     """Minimize objective(x, y, lam) over the candidate moves, clipped to the
     open box and [0, 1]; start and the result are (x, y, lam, value).
 
-    moves is a table of unit moves (dx, dy, dlam) that each round scales by
-    its step, which starts at 0.05 and halves after a round without an
+    moves builds the unit moves (dx, dy, dlam) from the box width
+    (_coordinate_moves or _paired_moves); each round scales them by its
+    step, which starts at 0.05 and halves after a round without an
     improvement, down to 1e-6; at most `rounds` rounds run.  The result is
     that of trying the candidates one at a time in table order and moving
     to each one that strictly beats the best, with the best moving in the
@@ -432,26 +459,25 @@ def _pattern_search(box: Box, objective, start, moves, rounds: int = 50):
 
     The steps form a ladder of 16 rungs, 0.05 * 2**-j for j = 0..15, the
     last at least 1e-6; halving is exact, so a rung is the bits of repeated
-    halving.  The pass builds one table of the moves scaled at every rung,
-    rung after rung.  Until the next accepted move, the candidates that loop
-    tries from the current best are fixed in advance, and they are rows of
-    that table, in order: the rest of the current round; the same round
-    again at this rung if this round has already improved; then one whole
-    round per lower rung, never more rounds than the cap leaves.  So each
-    plan is one slice of the table, or two when the round repeats, evaluated
-    in one batch.  The first planned row that beats the best is the next
-    accepted move, and its table row gives its rung and move.  A triple's
-    margin does not depend on its batch, so this is the one-at-a-time result
-    bit for bit, at one objective call per accepted move plus one, each of
-    at most 17 rounds of rows.
+    halving.  The pass reads its plan, built once per box and moves
+    (_search_plan): the clip bounds and one table of the moves scaled at
+    every rung, rung after rung.  Until the next accepted move, the
+    candidates that loop tries from the current best are fixed in advance,
+    and they are rows of that table, in order: the rest of the current
+    round; the same round again at this rung if this round has already
+    improved; then one whole round per lower rung, never more rounds than
+    the cap leaves.  So each batch is one slice of the table, or two when
+    the round repeats, added to the best, clipped as np.clip defines it
+    (np.minimum of np.maximum) and evaluated in one call.  The first row
+    that beats the best (argmax of the mask) is the next accepted move, and
+    its table row gives its rung and move.  A triple's margin does not
+    depend on its batch, so this is the one-at-a-time result bit for bit,
+    at one objective call per accepted move plus one, each of at most 17
+    rounds of rows.
     """
-    inset = 1e-9 * (box.hi - box.lo)
-    lo = np.concatenate([box.lo + inset, box.lo + inset, [0.0]])
-    hi = np.concatenate([box.hi - inset, box.hi - inset, [1.0]])
+    lo, hi, table, n = _search_plan(box.lo.tobytes(), box.hi.tobytes(), moves)
     x, y, lam, val = start
-    d, n = x.shape[0], moves[2].shape[0]
-    unit = np.hstack([moves[0], moves[1], moves[2][:, None]])
-    table = (np.ldexp(0.05, -np.arange(_RUNGS))[:, None, None] * unit).reshape(_RUNGS * n, 2 * d + 1)
+    d = x.shape[0]
     best = np.concatenate([x, y, [lam]])
     # the current round: its rung, its first untried move, and the rounds before it
     rung, first, done, improved = 0, 0, 0, False
@@ -461,17 +487,17 @@ def _pattern_search(box: Box, objective, start, moves, rounds: int = 50):
         last = after + min(_RUNGS - after, rounds - done - 1)  # one past the last rung planned
         start_row = rung * n + first
         if improved:
-            plan = np.concatenate([table[start_row : (rung + 1) * n], table[after * n : last * n]])
+            batch = np.concatenate([table[start_row : (rung + 1) * n], table[after * n : last * n]])
         else:
-            plan = table[start_row : last * n]
-        if not plan.shape[0]:
+            batch = table[start_row : last * n]
+        if not batch.shape[0]:
             break
-        cand = np.clip(best + plan, lo, hi)
+        cand = np.minimum(np.maximum(best + batch, lo), hi)
         vals = objective(cand[:, :d], cand[:, d : 2 * d], cand[:, 2 * d])
-        better = np.flatnonzero(vals < val)
-        if not better.size:
+        better = vals < val
+        j = int(better.argmax())
+        if not better[j]:
             break
-        j = int(better[0])
         head = (rung + 1) * n - start_row  # rows left in the current round
         if j < head:
             row = start_row + j
@@ -514,7 +540,8 @@ def check_fact2(
     triples = sample_triples(f.domain, budget, seed)
     x, y, n = triples.x, triples.y, len(triples)
     # lam = 1/2 puts the segment point at the midpoint 0.5*(x + y), exactly
-    points, values = _segment_values(f, x, y, np.full(n, 0.5))
+    half = np.full(n, 0.5)
+    points, values = _segment_values(f, x, y, half, half)
     # g at [x; y; mid] in one pass each of the row products
     g = matvec_rows(coeffs[None, :], values)[:, 0] + c_eff * row_dots(points, points)
     slack = 0.5 * g[:n] + 0.5 * g[n : 2 * n] - g[2 * n :]
@@ -590,9 +617,10 @@ def check_approx_convex(
     x0 = _domain_point(f, x0, "ball center")
     _ball_inside_domain(f, x0, delta)
     x, y, lam = _ball_pairs(f, x0, delta, budget, np.random.default_rng(seed))
-    gx, gy, gm = np.split(_segment_values(f, x, y, lam)[1][:, 0], 3)
+    mu = 1.0 - lam
+    gx, gy, gm = np.split(_segment_values(f, x, y, lam, mu)[1][:, 0], 3)
     gap = row_norms(x - y, f.domain_norm)
-    slack = lam * gx + (1.0 - lam) * gy + epsilon * lam * (1.0 - lam) * gap - gm
+    slack = lam * gx + mu * gy + epsilon * lam * mu * gap - gm
     return worst_report(
         slack,
         tol,

@@ -671,17 +671,19 @@ def base_radius(cone: PolyCone, coeffs, norm_kind: str = "two") -> float:
     The radius is the largest norm (row_norms) among generators scaled to
     the level-one slice; every base point is a convex combination of those
     vertices, so the radius bounds the whole base.  A functional that is not
-    strictly positive on every generator, by more than 1e-12 times the
-    longest generator's row_norms length where that passes 1, raises; one
-    that is lies in the dual cone.
+    strictly positive on every generator raises; one that is lies in the
+    dual cone.  Strictly positive means a cosine above 1e-12 between each
+    unit generator and the unit functional (unit_rows), as _audit_dual
+    reads angles only, so the answer does not depend on how long a
+    generator or the functional is written.
     """
     coeffs = as_point(coeffs, cone.dim)
     gens = ensure_generators(cone)
     if gens.shape[0] == 0:
         raise ValueError("trivial cone has no base")
-    vals = gens @ coeffs
-    if float(np.min(vals)) <= 1e-12 * max(1.0, float(row_norms(gens).max())):
+    if float(np.min(unit_rows(gens) @ unit_rows(coeffs[None])[0])) <= 1e-12:
         raise ValueError("functional is not strictly positive on the generators; no bounded base at level one")
+    vals = gens @ coeffs
     return float(row_norms(gens / vals[:, None], norm_kind).max())
 
 

@@ -79,9 +79,11 @@ def eval_modulus(m: Modulus, t):
     """Value at gap size t >= 0 as a float, or at every gap of an array of
     them (same shape out); each gap's value is bitwise the same either way.
     Tables interpolate from the implicit (0, 0) anchor and refuse to
-    extrapolate past their last knot."""
+    extrapolate past their last knot.  A negative, NaN or infinite gap
+    raises ValueError; -0.0 and an empty array are accepted."""
     t = np.asarray(t, dtype=float)
-    if not ((t >= 0.0) & (t < np.inf)).all():
+    # two reductions clear every gap at once; a NaN fails both
+    if not (t.min(initial=np.inf) >= 0.0 and t.max(initial=0.0) < np.inf):
         raise ValueError(f"modulus argument must be a finite nonnegative number, got {t}")
     if m.kind == "zero":
         out = 0.0 * t

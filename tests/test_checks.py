@@ -44,7 +44,7 @@ from paracone import (
 )
 import paracone.checks
 import paracone.geometry
-from paracone.checks import _ball_pairs, _coordinate_moves, _margins, _paired_moves, _pattern_search
+from paracone.checks import _ball_pairs, _coordinate_moves, _margins, _paired_moves, _pattern_search, _search_plan
 from paracone.derivative import FrechetReport, GateauxReport
 from paracone.geometry import row_norms, unit_dual_generators
 from paracone.mappings import OutsideDomainError
@@ -555,6 +555,67 @@ def test_move_tables_list_the_documented_order():
     assert np.array_equal(dlam, np.zeros(8))
 
 
+def _plan(box, moves):
+    return _search_plan(box.lo.tobytes(), box.hi.tobytes(), moves)
+
+
+_PLAN_BOX = Box(lo=[-1.0, 0.5, 0.0], hi=[2.0, 3.0, 1e-3])
+_EACH_PASS = pytest.mark.parametrize("moves", [_coordinate_moves, _paired_moves], ids=["coordinate", "paired"])
+
+
+@_EACH_PASS
+def test_search_plan_is_read_only(moves):
+    lo, hi, table, _ = _plan(_PLAN_BOX, moves)
+    for a in (lo, hi, table):
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0] = 0.0
+
+
+@_EACH_PASS
+def test_search_plan_is_built_once_per_box_and_pass(moves):
+    plan = _plan(_PLAN_BOX, moves)
+    # an equal box built anew reads the same plan object
+    assert _plan(Box(lo=_PLAN_BOX.lo.copy(), hi=_PLAN_BOX.hi.copy()), moves) is plan
+    other = _coordinate_moves if moves is _paired_moves else _paired_moves
+    assert _plan(_PLAN_BOX, other) is not plan
+
+
+@_EACH_PASS
+def test_search_plan_is_the_ladder_of_the_move_table_bit_for_bit(moves):
+    lo, hi, table, n = _plan(_PLAN_BOX, moves)
+    width = _PLAN_BOX.hi - _PLAN_BOX.lo
+    dx, dy, dlam = moves(width)
+    assert n == dlam.shape[0]
+    # the sequential loop's arithmetic: bounds inset by 1e-9 of the width,
+    # and a step that starts at 0.05 and halves once per rung
+    inset = 1e-9 * width
+    assert lo.tobytes() == np.concatenate([_PLAN_BOX.lo + inset, _PLAN_BOX.lo + inset, [0.0]]).tobytes()
+    assert hi.tobytes() == np.concatenate([_PLAN_BOX.hi - inset, _PLAN_BOX.hi - inset, [1.0]]).tobytes()
+    want, step = [], 0.05
+    for _ in range(16):
+        want += [np.concatenate([step * dx[i], step * dy[i], [step * dlam[i]]]) for i in range(n)]
+        step *= 0.5
+    assert table.shape == (16 * n, 2 * width.shape[0] + 1)
+    assert table.tobytes() == np.array(want).tobytes()
+
+
+@_EACH_PASS
+def test_search_plan_of_a_box_one_bit_apart_is_its_own(moves):
+    plan = _plan(_PLAN_BOX, moves)
+    for side in ("lo", "hi"):
+        for axis in range(_PLAN_BOX.dim):
+            bounds = {"lo": _PLAN_BOX.lo.copy(), "hi": _PLAN_BOX.hi.copy()}
+            bounds[side][axis] = np.nextafter(bounds[side][axis], np.inf)
+            near = Box(**bounds)
+            got = _plan(near, moves)
+            assert got is not plan and got is _plan(near, moves)
+            # its bounds are read from its own box
+            inset = 1e-9 * (near.hi - near.lo)
+            assert got[1][: near.dim].tobytes() == (near.hi - inset).tobytes()
+            assert got[0][: near.dim].tobytes() == (near.lo + inset).tobytes()
+
+
 def _search_cases(families):
     """(mapping, spec, form, seed): every testbed family and a generator-only
     cone map with both constants shrunk to 0.9 of the claimed ones, both
@@ -590,7 +651,7 @@ def _assert_search_matches_the_loop(f, spec, form, start, moves, rounds, where):
     margin, x, y and lam, and its cost: at most one objective call per
     accepted move plus one, none of more than 17 tables of rows (the rest of
     a round, its repeat and the 15 halved steps)."""
-    ref, accepted = _reference_pattern_search(f, spec, form, start, moves, rounds)
+    ref, accepted = _reference_pattern_search(f, spec, form, start, moves(f.domain.hi - f.domain.lo), rounds)
     calls = []
     got = _pattern_search(f.domain, _batched_objective(f, spec, form, calls), start, moves, rounds)
     assert got[3].hex() == ref[3].hex(), where
@@ -598,7 +659,7 @@ def _assert_search_matches_the_loop(f, spec, form, start, moves, rounds, where):
     assert [v.hex() for v in got[1]] == [v.hex() for v in ref[1]], where
     assert float(got[2]).hex() == ref[2].hex(), where
     assert len(calls) <= accepted + 1, where
-    assert max(calls, default=0) <= 17 * moves[2].shape[0], where
+    assert max(calls, default=0) <= 17 * moves(f.domain.hi - f.domain.lo)[2].shape[0], where
 
 
 _CAPS = (1, 2, 3, 7, 50)
@@ -607,7 +668,7 @@ _CAPS = (1, 2, 3, 7, 50)
 def test_batched_coordinate_search_reproduces_the_sequential_loop(families):
     for f, spec, form, seed in _search_cases(families):
         start = _scan_start(f, spec, form, seed)
-        moves = _coordinate_moves(f.domain.hi - f.domain.lo)
+        moves = _coordinate_moves
         for rounds in _CAPS:
             where = f"{f.label} {form} seed={seed} C={spec.C} rounds={rounds}"
             _assert_search_matches_the_loop(f, spec, form, start, moves, rounds, where)
@@ -616,13 +677,12 @@ def test_batched_coordinate_search_reproduces_the_sequential_loop(families):
 def test_batched_paired_search_reproduces_the_sequential_loop(families):
     # the polish pass of falsify, from the coordinate pass's result
     for f, spec, form, seed in _search_cases(families):
-        width = f.domain.hi - f.domain.lo
         start = _scan_start(f, spec, form, seed)
         objective = _batched_objective(f, spec, form, [])
         for rounds in _CAPS:
             where = f"{f.label} {form} seed={seed} C={spec.C} rounds={rounds}"
-            coord = _pattern_search(f.domain, objective, start, _coordinate_moves(width), rounds)
-            _assert_search_matches_the_loop(f, spec, form, coord, _paired_moves(width), rounds, where)
+            coord = _pattern_search(f.domain, objective, start, _coordinate_moves, rounds)
+            _assert_search_matches_the_loop(f, spec, form, coord, _paired_moves, rounds, where)
 
 
 def test_polish_pass_never_returns_a_shallower_witness(families):
@@ -630,9 +690,8 @@ def test_polish_pass_never_returns_a_shallower_witness(families):
     for f, spec, form, seed in _search_cases(families):
         start = _scan_start(f, spec, form, seed)
         objective = _batched_objective(f, spec, form, [])
-        width = f.domain.hi - f.domain.lo
-        coord = _pattern_search(f.domain, objective, start, _coordinate_moves(width))
-        polished = _pattern_search(f.domain, objective, coord, _paired_moves(width))
+        coord = _pattern_search(f.domain, objective, start, _coordinate_moves)
+        polished = _pattern_search(f.domain, objective, coord, _paired_moves)
         assert polished[3] <= coord[3]
         deeper += polished[3] < coord[3]
         rep = falsify(f, spec, form=form, budget=200, seed=seed)

@@ -869,6 +869,19 @@ def test_base_rejects_functional_vanishing_on_a_ray():
         base_radius(WEDGE, np.array([0.0, 1.0]))
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("scale", [1.0, 1e-13, 1e-200, 1e200])
+def test_base_radius_reads_angles_only(scale):
+    # the orthant with its first generator written at any length: (1, 1)
+    # slices the same base, whose vertices are e_1 and e_2
+    cone = cone_from_generators([[scale, 0.0], [0.0, 1.0]])
+    assert base_radius(cone, [1.0, 1.0]) == 1.0
+    # zero on a generator, negative on one, or the zero functional: refused at every scale
+    for coeffs in ([0.0, 1.0], [1.0, 0.0], [-1.0, 1.0], [1.0, -1e-3], [0.0, 0.0]):
+        with pytest.raises(ValueError, match="not strictly positive"):
+            base_radius(cone, coeffs)
+
+
 def test_base_points_respect_level_and_radius():
     for cone in (orthant(3), WEDGE, random_simplicial_cone(3, seed=24)):
         e = strictly_positive_functional(cone)

@@ -167,7 +167,7 @@ def _falsify_replay(families):
             f.domain,
             lambda x, y, lam: _margins(f, spec, rows, form, x, y, lam),
             start,
-            _coordinate_moves(f.domain.hi - f.domain.lo),
+            _coordinate_moves,
         )
         paired += rep.worst_margin < coord[3]
     assert refined and paired  # the row covers refined witnesses, paired-pass ones among them

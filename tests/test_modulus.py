@@ -39,9 +39,12 @@ def test_eval_oracle_values():
     assert eval_modulus(power_modulus(1.5, scale=2.0), 4.0) == pytest.approx(16.0)
 
 
+_EVERY_KIND = (zero_modulus(), square_modulus(3.3), power_modulus(1.5, scale=2.0), table_modulus(((0.1, 0.001), (0.4, 0.016))))
+
+
 def test_eval_scalar_is_a_float_equal_to_the_array_entry():
     gaps = np.random.default_rng(4).uniform(0.0, 0.4, size=40)
-    for m in (zero_modulus(), square_modulus(3.3), power_modulus(1.5, scale=2.0), table_modulus(((0.1, 0.001), (0.4, 0.016)))):
+    for m in _EVERY_KIND:
         values = eval_modulus(m, gaps)
         assert values.shape == gaps.shape
         for t, v in zip(gaps, values):
@@ -56,6 +59,27 @@ def test_eval_rejects_bad_gap():
         eval_modulus(square_modulus(), -1.0)
     with pytest.raises(ValueError):
         eval_modulus(square_modulus(), float("nan"))
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1.0], ids=["nan", "inf", "minus-one"])
+@pytest.mark.parametrize("m", _EVERY_KIND, ids=lambda m: m.kind)
+def test_eval_refuses_a_bad_gap_anywhere_in_an_array(m, bad):
+    for gaps in ([bad], [0.1, bad], [bad, 0.2, 0.3], [[0.1, 0.2], [0.3, bad]]):
+        with pytest.raises(ValueError, match="modulus argument must be a finite nonnegative number"):
+            eval_modulus(m, np.array(gaps))
+
+
+@pytest.mark.parametrize("m", _EVERY_KIND, ids=lambda m: m.kind)
+def test_eval_accepts_a_0d_gap_an_empty_array_and_minus_zero(m):
+    got = eval_modulus(m, np.asarray(0.25))
+    assert type(got) is float and got.hex() == float(eval_modulus(m, np.array([0.25]))[0]).hex()
+    empty = eval_modulus(m, np.array([]))
+    assert empty.shape == (0,) and empty.dtype == float
+    # -0.0 is a nonnegative gap, valued by the kind's own arithmetic: the
+    # zero kind's 0.0 * t keeps its sign, every other kind gives +0.0
+    want = ["-0x0.0p+0" if m.kind == "zero" else "0x0.0p+0", "0x0.0p+0"]
+    assert eval_modulus(m, -0.0).hex() == want[0]
+    assert [v.hex() for v in eval_modulus(m, np.array([-0.0, 0.0]))] == want
 
 
 def test_table_interpolates_from_origin():
