@@ -39,6 +39,7 @@ from .geometry import (
     matvec_rows,
     row_dots,
     row_norms,
+    row_reduce,
     unit_rows,
 )
 from .mappings import VectorMapping, _domain_point
@@ -235,8 +236,9 @@ def _margins(f: VectorMapping, spec: ParaSpec, rows, form: str, x, y, lam) -> np
     the values come from cone_values and spec.row_k, so the orthant reads
     its closed form.  Given rows (scalarize_check's functionals) go through
     matvec_rows, cone_values' general path, the same bits on the cone's
-    unit rows.  Products and norms are taken row by row (row_norms), so a
-    triple's margin is the same bits in any batch.
+    unit rows, identity rows read there as values + 0.0 whatever the spec
+    cone.  Products and norms are taken row by row (row_norms), and the worst
+    slack by row_reduce, so a triple's margin is the same bits in any batch.
     That lets one pass of each serve the whole batch: one projection of the
     3n values [fx; fy; fmid] of _segment_values' block and one norm of its
     first 2n rows.  1 - lam is computed once and serves the segment points,
@@ -258,7 +260,7 @@ def _margins(f: VectorMapping, spec: ParaSpec, rows, form: str, x, y, lam) -> np
     raw = lam[:, None] * proj[:n] + mu[:, None] * proj[n : 2 * n] + coef[:, None] * row_k
     raw -= proj[2 * n :]
     # dividing by a positive scale is monotone, so the min can come first
-    return raw.min(axis=1) / _magnitude_scale(size[:n], size[n:])
+    return row_reduce(raw) / _magnitude_scale(size[:n], size[n:])
 
 
 def _check_rows(
@@ -684,7 +686,7 @@ def check_vector_lipschitz(
         )
 
     # min(bound - y(df), bound + y(df)) per unit row
-    margins = np.min((big_l * gap)[:, None] * row_k - size, axis=1)
+    margins = row_reduce((big_l * gap)[:, None] * row_k - size)
     return worst_report(
         margins,
         tol,

@@ -54,6 +54,7 @@ from .geometry import (
     matvec_rows,
     norm,
     row_norms,
+    row_reduce,
     strictly_positive_functional,
 )
 from .mappings import OutsideDomainError, VectorMapping, _domain_point, known_directional
@@ -84,7 +85,7 @@ def _require_strong(spec: ParaSpec) -> None:
 
 def _row_measure(values: np.ndarray) -> np.ndarray:
     """max_j |y_j(v)| over the unit rows, from cone_values: (..., r) -> (...)."""
-    return np.abs(values).max(axis=-1, initial=0.0)
+    return row_reduce(values, "sup")
 
 
 def _prep_direction(f: VectorMapping, x0, h):

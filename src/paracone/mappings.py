@@ -245,42 +245,60 @@ class ZeroPart:
         return 0.0
 
 
-def _stacked_scalars(convex_parts, smooth_parts):
-    """Evaluator of the scalars u1_i + u2_i side by side: t, shape (n, 1) ->
-    (n, len(parts)).
+def _stacked_scalars(convex_parts, smooth_parts, weights):
+    """Evaluator of the weighted scalars w_i * (u1_i + u2_i) side by side:
+    t, shape (n, 1) -> (n, len(weights)).
 
-    Bitwise equal, entry for entry, to u1_i.value(t) + u2_i.value(t) on one
-    float: the hinge sum runs across components one kink index at a time, in
-    PiecewiseLinear.value's order, and same-type smooth parts are evaluated
-    as one part with array parameters.  Components with fewer kinks are
-    padded with zero jumps, which add nothing.
+    Bitwise equal, entry for entry, to w_i * (u1_i.value(t) + u2_i.value(t))
+    on one float: the same elementwise operations in the same order.  It
+    runs component-major: t is read as one row (1, n), the parameters as
+    columns (a kink table of shape (kinks, m, 1), slopes and weights of shape
+    (m, 1)), so every operation runs along the n points, and one transpose
+    at the end gives (n, m).  The hinge sum runs across components one kink
+    index at a time, in PiecewiseLinear.value's order; components with fewer
+    kinks are padded with zero jumps, which add nothing.  Each distinct
+    smooth part (its type and the bits of its parameters) is evaluated once,
+    and the distinct parts of one type as one part with (g, 1) array
+    parameters.
     """
+    m = len(convex_parts)
     n_kinks = max(len(u1.kinks) for u1 in convex_parts)
-    slope0 = np.array([u1.initial_slope for u1 in convex_parts])
-    # row j holds the positions of kink j
-    origins = np.zeros((n_kinks, 1, len(convex_parts)))
+    w = np.array(weights, dtype=float).reshape(m, 1)
+    slope0 = np.array([u1.initial_slope for u1 in convex_parts], dtype=float).reshape(m, 1)
+    # slab j holds the positions of kink j
+    origins = np.zeros((n_kinks, m, 1))
     jump = np.zeros_like(origins)
     offset = np.zeros_like(origins)  # max(-position, 0), the term's value at the origin
     for i, u1 in enumerate(convex_parts):
         for j, (p, dj) in enumerate(u1._slope_jumps()):
-            origins[j, 0, i], jump[j, 0, i], offset[j, 0, i] = p, dj, max(0.0, -p)
-    groups = {}
-    for i, part in enumerate(smooth_parts):
-        groups.setdefault(type(part), []).append(i)
-    stacked = [
-        (idx, cls(**{fld.name: np.array([getattr(smooth_parts[i], fld.name) for i in idx]) for fld in dataclasses.fields(cls)}))
-        for cls, idx in groups.items()
-    ]
+            origins[j, i, 0], jump[j, i, 0], offset[j, i, 0] = p, dj, max(0.0, -p)
+    # a smooth part's key: its type and the bits of its parameters (-0.0 is not 0.0)
+    keys = [(type(p), np.array(dataclasses.astuple(p), dtype=float).tobytes()) for p in smooth_parts]
+    distinct = {}  # type -> key -> the first part with that key
+    for key, part in zip(keys, smooth_parts):
+        distinct.setdefault(key[0], {}).setdefault(key, part)
+    # the distinct parts are numbered type by type, so each type fills one block of a table
+    stacked, ids = [], {}
+    for cls, parts in distinct.items():
+        block = slice(len(ids), len(ids) + len(parts))
+        ids.update(zip(parts, range(block.start, block.stop)))
+        params = np.array([dataclasses.astuple(p) for p in parts.values()], dtype=float)  # (g, fields)
+        stacked.append((cls(*(column[:, None] for column in params.T)), block))
+    index = np.array([ids[key] for key in keys])
+    # one distinct part broadcasts over every component, and a table in component order needs no gather
+    gather = None if len(ids) == 1 or (index == np.arange(m)).all() else index
 
-    def _smooth(t: np.ndarray) -> np.ndarray:
-        if len(stacked) == 1:  # one part type: its values are the whole table
-            return stacked[0][1].value(t)
-        out = np.empty((t.shape[0], len(smooth_parts)))
-        for idx, part in stacked:
-            out[:, idx] = part.value(t)
-        return out
+    def _smooth(t: np.ndarray):
+        if len(stacked) == 1:
+            values = stacked[0][0].value(t)
+        else:
+            values = np.empty((len(ids), t.shape[1]))
+            for part, block in stacked:
+                values[block] = part.value(t)
+        return values if gather is None else values[gather]
 
-    def _piecewise(t: np.ndarray) -> np.ndarray:
+    def evaluate(x: np.ndarray) -> np.ndarray:
+        t = x.T
         # the 0.0 + turns a -0.0 product into +0.0, as PiecewiseLinear.value does
         acc = 0.0 + slope0 * t
         # every kink's term at once, in place in one array, then summed in kink order
@@ -290,10 +308,12 @@ def _stacked_scalars(convex_parts, smooth_parts):
         terms *= jump
         for term in terms:
             acc += term
-        return acc
+        del terms  # the kink table is freed before the smooth part's temporaries are made
+        acc += _smooth(t)
+        acc *= w
+        return acc.T
 
-    # the kink table is freed before the smooth part's temporaries are made
-    return lambda t: _piecewise(t) + _smooth(t)
+    return evaluate
 
 
 # ---------------------------------------------------------------------------
@@ -321,6 +341,10 @@ def make_stacked_scalars(convex_parts, smooth_parts, weights, C: float, domain: 
     the domain, audited against its exact supremum.  A scalar family is the
     stack of one component with weight 1.  The analytic oracle returns the
     exact one-sided derivative everywhere, kinks included.
+
+    The evaluator (_stacked_scalars) runs component-major, along the points,
+    with each distinct smooth part evaluated once and one transpose at the
+    end: entry for entry the bits of w_i * (u1_i(t) + u2_i(t)) on one float.
     """
     if len(weights) < 1:
         raise ValueError("need at least one component")
@@ -347,7 +371,6 @@ def make_stacked_scalars(convex_parts, smooth_parts, weights, C: float, domain: 
 
     spec = ParaSpec(modulus=square_modulus(), k=weights, cone=orthant(n), C=C, C1=C)
     parts = tuple(zip(convex_parts, smooth_parts))
-    scalars = _stacked_scalars(convex_parts, smooth_parts)
 
     def _directional(x0: np.ndarray, h: np.ndarray):
         t, step = float(x0[0]), float(h[0])
@@ -356,7 +379,7 @@ def make_stacked_scalars(convex_parts, smooth_parts, weights, C: float, domain: 
     return VectorMapping(
         domain=domain,
         codomain_dim=n,
-        evaluator=lambda x: weights * scalars(x),
+        evaluator=_stacked_scalars(convex_parts, smooth_parts, weights),
         label=label,
         claimed=spec,
         analytic_directional=_directional,

@@ -319,8 +319,8 @@ def test_scalarized_route_agrees_bitwise_on_orthant(families):
 
 def test_orthant_rows_scalarized_match_the_direct_check_bit_for_bit(families, monkeypatch):
     # the direct check reads the orthant in closed form (cone_values), the
-    # scalarized one its unit rows through matvec_rows: every triple's margin,
-    # and so every report, is the same bits in either form
+    # scalarized one its unit rows, the identity, as values + 0.0 (_margins):
+    # every triple's margin, and so every report, is the same bits in either form
     for f in families:
         spec = f.claimed
         rows = unit_dual_generators(spec.cone)
@@ -341,6 +341,40 @@ def test_orthant_rows_scalarized_match_the_direct_check_bit_for_bit(families, mo
     for f in families:
         check_inequality(f, f.claimed, budget=50)
         falsify(f, f.claimed, budget=50)
+
+
+def test_identity_functionals_match_the_direct_check_on_every_orthant_family(families):
+    # identity rows are read as values + 0.0 and k + 0.0 (matvec_rows), and
+    # every report is check_inequality's, bit for bit
+    orthant_families = [f for f in families if f.claimed.cone._identity]
+    assert len(orthant_families) == len(families)
+    for f in orthant_families:
+        eye = np.eye(f.codomain_dim)
+        for seed in range(3):
+            for form in ("min", "lambda"):
+                direct = check_inequality(f, f.claimed, form=form, budget=300, seed=seed)
+                scal = scalarize_check(f, f.claimed, eye, form=form, budget=300, seed=seed)
+                assert direct.worst_margin.hex() == scal.worst_margin.hex(), (f.label, seed, form)
+
+
+def test_identity_functionals_over_a_generator_cone_match_the_product(monkeypatch):
+    # a generator cone inside the orthant has every e_i in its dual, so the
+    # identity rows are legal functionals of a cone that is not the orthant;
+    # their closed form is the product's bits, margin for margin
+    rays = np.random.default_rng(21).uniform(0.1, 1.0, size=(5, 3))
+    f = curved_cone_map(cone_from_generators(rays), seed=21)
+    assert not f.claimed.cone._identity
+    eye = paracone.geometry.unit_rows(np.eye(3))
+    for seed in range(4):
+        triples = sample_triples(f.domain, 400, seed=seed)
+        for form in ("min", "lambda"):
+            closed = _margins(f, f.claimed, eye, form, triples.x, triples.y, triples.lam)
+            with monkeypatch.context() as m:
+                m.setattr(paracone.geometry, "_is_identity", lambda rows: False)
+                product = _margins(f, f.claimed, eye, form, triples.x, triples.y, triples.lam)
+            assert closed.tobytes() == product.tobytes(), (seed, form)
+            scal = scalarize_check(f, f.claimed, np.eye(3), form=form, triples=triples)
+            assert scal.worst_margin.hex() == float(closed.min()).hex()
 
 
 def test_scalarized_route_agrees_bitwise_on_generator_only_cone():

@@ -39,6 +39,7 @@ from paracone.geometry import (
     generator_direction,
     matvec_rows,
     row_norms,
+    row_reduce,
     sample_in_cone,
     unit_dual_generators,
 )
@@ -109,6 +110,89 @@ def test_norm_triangle_inequality(a, b):
         assert norm(x + y, kind) <= norm(x, kind) + norm(y, kind) + 1e-9 * (
             1.0 + norm(x, kind) + norm(y, kind)
         )
+
+
+def _cone_rows(rng, shape, ties):
+    """Seeded rows of the given shape: normal draws with about half the
+    entries replaced by +-0.0, +-inf and NaN, or with ties only by +-0.0 and
+    +-1.0, where the order of a min's comparisons decides the sign bit."""
+    specials = np.array([0.0, -0.0, 1.0, -1.0] if ties else [0.0, -0.0, np.inf, -np.inf, np.nan])
+    a = rng.normal(size=shape)
+    return np.where(rng.random(shape) < 0.5, rng.choice(specials, size=shape), a)
+
+
+def _sequential_fold(a, fold):
+    """Every row of a folded left to right, one row at a time, by fold calls
+    on one float each: (..., r) -> (...)."""
+    out = []
+    for row in a.reshape(-1, a.shape[-1]):
+        acc = row[0]
+        for v in row[1:]:
+            acc = fold(acc, v)
+        out.append(acc)
+    return np.array(out, dtype=float).reshape(a.shape[:-1])
+
+
+def _reduce_shapes(width):
+    """1-D, 2-D and 3-D batches from one row to hundreds, on both sides of
+    the size that splits the running fold from the column fold."""
+    edge = geometry._COLUMN_ROWS * width
+    return [(), (0,), (1,), (5,), (edge - 1,), (edge,), (edge + 1,), (200,), (2, 3), (3, 11), (4, 50)]
+
+
+@pytest.mark.parametrize("width", range(1, 9))
+def test_row_reduce_is_the_sequential_fold_bit_for_bit(width):
+    # every row is its own left-to-right fold, whatever batch holds it:
+    # +-0.0 ties, +-inf and NaN included, so a row's bits never depend on
+    # the rows beside it
+    rng = np.random.default_rng(width)
+    for lead in _reduce_shapes(width):
+        for trial in range(20):
+            a = _cone_rows(rng, lead + (width,), ties=trial % 2 == 1)
+            a = np.where(np.isnan(a) & (rng.random(a.shape) < 0.5), -np.nan, a)  # NaNs of both signs
+            got = row_reduce(a)
+            assert got.tobytes() == _sequential_fold(a, np.minimum).tobytes(), (lead, trial)
+            assert row_reduce(a, "sup").tobytes() == _sequential_fold(np.abs(a), np.maximum).tobytes(), (lead, trial)
+            assert got.shape == lead and isinstance(got, np.ndarray) == bool(lead)
+            for i in range(0, a.reshape(-1, width).shape[0], 7):  # a row alone has its bits in any batch
+                assert row_reduce(a.reshape(-1, width)[i]).tobytes() == got.reshape(-1)[i].tobytes()
+
+
+@pytest.mark.parametrize("width", range(1, 9))
+def test_row_reduce_is_numpys_reduce_where_order_cannot_matter(width):
+    # without a +-0.0 tie a row's min is one value whatever order finds it,
+    # and |v| has no -0.0: there the fold is numpy's reduce bit for bit (its
+    # NaNs are +NaN: numpy's reduce can clear a negative NaN's sign, where
+    # np.minimum keeps it)
+    rng = np.random.default_rng(100 + width)
+    for lead in _reduce_shapes(width):
+        for trial in range(10):
+            a = _cone_rows(rng, lead + (width,), ties=False)
+            b = np.where(a == 0.0, 0.0, a)  # one zero, +0.0
+            assert row_reduce(b).tobytes() == b.min(axis=-1).tobytes(), (lead, trial)
+            want = np.abs(a).max(axis=-1, initial=0.0)
+            assert row_reduce(a, "sup").tobytes() == want.tobytes(), (lead, trial)
+
+
+@pytest.mark.parametrize("width", [9, 12, 16, 40])
+def test_row_reduce_past_eight_entries_is_numpys_reduce(width):
+    # wider rows keep numpy's reduce, whose SIMD tree can break a +-0.0 tie
+    # another way than a sequential fold
+    rng = np.random.default_rng(width)
+    for rows in (1, 31, 200):
+        for ties in (True, False):
+            a = _cone_rows(rng, (rows, width), ties)
+            assert row_reduce(a).tobytes() == a.min(axis=-1).tobytes()
+            assert row_reduce(a, "sup").tobytes() == np.abs(a).max(axis=-1, initial=0.0).tobytes()
+
+
+def test_row_reduce_of_rows_without_entries_and_of_an_unknown_kind():
+    assert row_reduce(np.zeros((40, 0)), "sup").tolist() == [0.0] * 40
+    assert row_norms(np.zeros((3, 0)), "sup").tolist() == [0.0] * 3
+    with pytest.raises(ValueError):
+        row_reduce(np.zeros((40, 0)))  # a min of no entries has no value
+    with pytest.raises(ValueError, match="unknown row reduction"):
+        row_reduce(np.zeros((2, 2)), "max")
 
 
 # ---------------------------------------------------------------------------
@@ -882,6 +966,26 @@ def test_base_radius_reads_angles_only(scale):
             base_radius(cone, coeffs)
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("scale", [1e-320, 1e-312, 1.0, 1e300])
+def test_base_radius_of_a_subnormal_or_huge_generator(scale):
+    # (1e-10, 1) slices the orthant at the vertices (1e10, 0) and (0, 1), at
+    # whatever length its first generator is written: at 1e-320 the plain
+    # product g @ c underflows to 0, at 1e-312 to a subnormal that lost
+    # bits, and that vertex is taken again on the unit generator, with no
+    # warning of a division (a RuntimeWarning fails a test; the plain pass
+    # of a length may still warn of an overflow, as in row_norms)
+    cone = cone_from_generators([[scale, 0.0], [0.0, 1.0]])
+    unit = cone_from_generators([[1.0, 0.0], [0.0, 1.0]])
+    for kind in ("two", "sup", "one"):
+        radius = base_radius(cone, [1e-10, 1.0], norm_kind=kind)
+        assert radius == pytest.approx(1e10, rel=1e-15)
+        if scale != 1e300:  # 1e300 / fl(1e300 * fl(1e-10)) may round another way
+            assert radius == base_radius(unit, [1e-10, 1.0], norm_kind=kind)
+    # every finite vertex keeps the bits of the plain quotient
+    assert base_radius(cone, [1.0, 1.0]) == 1.0
+
+
 def test_base_points_respect_level_and_radius():
     for cone in (orthant(3), WEDGE, random_simplicial_cone(3, seed=24)):
         e = strictly_positive_functional(cone)
@@ -980,7 +1084,7 @@ def _orthant_value_rows(m: int, seed: int) -> np.ndarray:
 def test_orthant_values_are_the_identity_product_bit_for_bit(m, monkeypatch):
     cone = orthant(m)
     a = _orthant_value_rows(m, seed=m)
-    want = matvec_rows(np.eye(m), a)
+    want = (a[:, None, :] @ np.eye(m))[:, 0, :]  # the identity product itself
     assert cone_values(cone, a).tobytes() == want.tobytes()
     assert not np.signbit(cone_values(cone, a)[a == 0.0]).any()  # -0.0 reads +0.0, as in the product
     for i in range(0, a.shape[0], 37):  # a single vector has its row's bits
@@ -990,7 +1094,7 @@ def test_orthant_values_are_the_identity_product_bit_for_bit(m, monkeypatch):
         b = a[:5].copy()
         b[2, m - 1] = bad
         with np.errstate(invalid="ignore"):
-            want_bad = matvec_rows(np.eye(m), b)
+            want_bad = (b[:, None, :] @ np.eye(m))[:, 0, :]
             got = cone_values(cone, b)
         assert got.tobytes() == want_bad.tobytes(), bad
         assert np.isnan(got[2, : m - 1]).all() and np.isnan(got[2, -1]) == np.isnan(bad)
@@ -1002,6 +1106,27 @@ def test_orthant_values_are_the_identity_product_bit_for_bit(m, monkeypatch):
     cone_values(cone, a)
     with pytest.raises(AssertionError, match="matvec_rows"):
         cone_values(cone, np.full((1, m), np.nan))
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 8])
+def test_matvec_rows_reads_identity_rows_as_the_product_bit_for_bit(m):
+    # identity rows read a finite batch as a + 0.0, the product's bits, and
+    # a batch with an inf or NaN entry through the product itself; rows that
+    # are the identity by == only (a -0.0 off the diagonal) take the product
+    a = _orthant_value_rows(m, seed=50 + m)
+    eye = np.eye(m)
+    got = matvec_rows(eye, a)
+    assert got.tobytes() == (a[:, None, :] @ eye)[:, 0, :].tobytes()
+    assert not np.shares_memory(got, a)
+    b = a[:5].copy()
+    b[1, 0] = np.inf
+    with np.errstate(invalid="ignore"):
+        assert matvec_rows(eye, b).tobytes() == (b[:, None, :] @ eye)[:, 0, :].tobytes()
+    if m > 1:
+        signed = eye.copy()
+        signed[0, 1] = -0.0
+        assert not geometry._is_identity(signed)
+        assert matvec_rows(signed, a).tobytes() == (a[:, None, :] @ signed.T)[:, 0, :].tobytes()
 
 
 # the one-vector norm's plain pass still warns of the overflow it met before the rescaled pass

@@ -22,7 +22,8 @@ from paracone import (
     random_simplicial_cone,
     smooth_r2_r3,
 )
-from paracone.mappings import ZeroPart
+import paracone.mappings
+from paracone.mappings import ZeroPart, _stacked_scalars
 
 
 def _scalar(u1, u2, C):
@@ -315,6 +316,71 @@ def test_stacked_scalars_match_per_component_values():
     # the scalar definition the batched evaluator must reproduce bit for bit
     want = np.array([weights * np.array([u1.value(t) + u2.value(t) for u1, u2 in zip(convex, smooth)]) for t in ts.tolist()])
     assert np.array_equal(f.eval_batch(ts[:, None]), want)
+
+
+def _stack_parts(build, monkeypatch):
+    """The convex parts, smooth parts and weights that build hands to
+    make_stacked_scalars, and the family it returns."""
+    seen = {}
+
+    def record(convex, smooth, weights, **kwargs):
+        seen[kwargs["label"]] = (tuple(convex), tuple(smooth), np.array(weights, dtype=float))
+        return make_stacked_scalars(convex, smooth, weights, **kwargs)
+
+    monkeypatch.setattr(paracone.mappings, "make_stacked_scalars", record)
+    f = build()
+    return seen[f.label], f
+
+
+def _mixed_stack():
+    # repeated parts of every type, one of them equal to another by == but
+    # not by its bits (-0.0 for 0.0), and a component without kinks
+    convex = (
+        PiecewiseLinear(initial_slope=-1.0, kinks=((-0.5, -0.25), (0.125, 0.5), (0.75, 1.0))),
+        PiecewiseLinear(initial_slope=0.5, kinks=((0.0, 1.0),)),
+        PiecewiseLinear(initial_slope=-0.25),
+        PiecewiseLinear(initial_slope=0.0, kinks=((-0.3, 0.5), (0.3, 0.75))),
+        PiecewiseLinear(initial_slope=-0.0, kinks=((0.0, 0.5),)),
+        PiecewiseLinear(initial_slope=0.25, kinks=((-0.75, 0.5),)),
+        PiecewiseLinear(initial_slope=0.0),
+    )
+    smooth = (
+        Sine1D(amplitude=0.1, frequency=1.5, phase=0.2),
+        Quadratic1D(a=-0.2, b=0.1, c=0.3),
+        ZeroPart(),
+        Sine1D(amplitude=0.1, frequency=1.5, phase=0.2),
+        Quadratic1D(a=0.0, b=-0.0, c=-0.0),
+        Quadratic1D(a=0.0),
+        ZeroPart(),
+    )
+    weights = [1.0, 0.5, 0.5, 0.25, 2.0**-3, 2.0**-3, 2.0**-10]
+    return paracone.mappings.make_stacked_scalars(convex, smooth, weights, C=0.5, domain=Box(lo=[-1.0], hi=[1.0]), label="mixed")
+
+
+_STACKS = {
+    "example1": example1_default,
+    "hinge": lambda: paracone.mappings.testbed_families()[3],
+    "mixed": _mixed_stack,
+}
+
+
+@pytest.mark.parametrize("name", sorted(_STACKS))
+def test_stacked_scalars_are_the_per_float_definition_bit_for_bit(name, monkeypatch):
+    # the component-major evaluator is w_i * (u1_i.value(t) + u2_i.value(t))
+    # on one float, entry for entry: at every kink, at +-0.0, near the ends
+    # of the domain and at seeded points, in batches of 1 to 5,000 points
+    (convex, smooth, weights), f = _stack_parts(_STACKS[name], monkeypatch)
+    evaluate = _stacked_scalars(convex, smooth, weights)
+    kinks = sorted({p for u1 in convex for p in u1.kink_positions})
+    exact = [0.0, -0.0, 0.5, -0.5, 1.0 - 2.0**-53, -1.0 + 2.0**-53, 2.0**-1074, -(2.0**-1074)] + kinks
+    seeded = np.random.default_rng(6).uniform(-1.0, 1.0, size=5000).tolist()
+    for ts in (exact, exact[:1], exact[1:2], seeded[:7], seeded[:40], seeded):
+        want = np.array([[w * (u1.value(t) + u2.value(t)) for u1, u2, w in zip(convex, smooth, weights)] for t in ts])
+        assert np.ascontiguousarray(evaluate(np.array(ts)[:, None])).tobytes() == want.tobytes(), (name, len(ts))
+        assert f.eval_batch(np.array(ts)[:, None]).tobytes() == want.tobytes(), (name, len(ts))
+    # a column read from a wider array is the same points
+    wide = np.array([exact, exact]).T
+    assert f.eval_batch(wide[:, :1]).tobytes() == f.eval_batch(np.array(exact)[:, None]).tobytes()
 
 
 def test_claimed_cone_must_match_codomain():

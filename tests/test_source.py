@@ -155,3 +155,59 @@ def test_one_length_rule():
         if isinstance(n, ast.Constant) and not isinstance(n.value, str)
     ]
     assert not numbers, numbers
+
+
+def _function(module: str, name: str):
+    """The function of module named name."""
+    tree = ast.parse((SRC_DIR / module).read_text())
+    (node,) = [n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef) and n.name == name]
+    return node
+
+
+def _reductions_along_an_axis(node) -> list:
+    """The lines under node that reduce along an axis by hand: a min, max,
+    amin or amax with an axis (a keyword, or a positional one after the
+    array, np.min(a, 1) or a.min(1)), a reduce or accumulate of np.minimum
+    or np.maximum, or np.minimum or np.maximum folding into an out array."""
+    lines = []
+    for n in ast.walk(node):
+        if isinstance(n, ast.Attribute) and n.attr in ("reduce", "accumulate") and getattr(n.value, "attr", None) in ("minimum", "maximum"):
+            lines.append(n.lineno)
+        if not isinstance(n, ast.Call):
+            continue
+        func = n.func
+        called = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+        keywords = {k.arg for k in n.keywords}
+        if called in ("min", "max", "amin", "amax"):
+            # np.min(a, axis) takes the array first; a.min(axis) and the builtin max(a, b) do not
+            on_numpy = isinstance(func, ast.Attribute) and getattr(func.value, "id", None) in ("np", "numpy")
+            positional_axis = len(n.args) >= 2 if on_numpy else isinstance(func, ast.Attribute) and len(n.args) >= 1
+            if "axis" in keywords or positional_axis:
+                lines.append(n.lineno)
+        if called in ("minimum", "maximum") and "out" in keywords:
+            lines.append(n.lineno)
+    return lines
+
+
+def test_one_row_reduction_rule():
+    """Every min or sup across cone rows goes through geometry.row_reduce,
+    the one rule that chooses between numpy's reduce and a left-to-right
+    fold: a margin kernel, the row measure or a sup norm that reduces rows
+    itself is a second rule, whose bits could differ from the first on a
+    +-0.0 tie or a NaN's sign."""
+    readers = [
+        ("checks.py", "_margins"),
+        ("checks.py", "check_vector_lipschitz"),
+        ("geometry.py", "cone_margins"),
+        ("geometry.py", "row_norms"),
+        ("geometry.py", "_rescaled_two_norms"),
+        ("derivative.py", "_row_measure"),
+    ]
+    for module, name in readers:
+        node = _function(module, name)
+        assert _reads(node)["row_reduce"], (module, name)
+        assert not _reductions_along_an_axis(node), (module, name, _reductions_along_an_axis(node))
+    # the fold itself lives in row_reduce alone, where the search finds it
+    assert _reductions_along_an_axis(_function("geometry.py", "row_reduce"))
+    folders = [name for name in _functions_reading("geometry.py", "_FOLD_WIDTH")]
+    assert folders == ["row_reduce"], folders
