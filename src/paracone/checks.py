@@ -63,16 +63,14 @@ class SampleTriple:
         if not 0.0 <= self.lam <= 1.0:
             raise ValueError("mixing weight must lie in [0, 1]")
 
-    @property
-    def mid(self) -> np.ndarray:
-        return self.lam * self.x + (1.0 - self.lam) * self.y
-
 
 @dataclass(frozen=True, eq=False)
 class Triples:
     """Sampled triples as arrays: endpoints x and y, shape (n, d), and mixing
     weights lam, shape (n,).  The first `structured` rows come from the
-    dyadic schedule.  It iterates and indexes like a list of SampleTriple."""
+    dyadic schedule.  Indexed by position it gives a SampleTriple, so it
+    iterates like a list of them (the sequence protocol of __len__ and
+    __getitem__)."""
 
     x: np.ndarray
     y: np.ndarray
@@ -82,14 +80,8 @@ class Triples:
     def __len__(self) -> int:
         return int(self.lam.shape[0])
 
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            kept = np.arange(len(self))[i]
-            return Triples(self.x[i], self.y[i], self.lam[i], structured=int(np.count_nonzero(kept < self.structured)))
+    def __getitem__(self, i: int) -> SampleTriple:
         return SampleTriple(x=self.x[i].copy(), y=self.y[i].copy(), lam=float(self.lam[i]))
-
-    def __iter__(self):
-        return (self[i] for i in range(len(self)))
 
 
 def _as_triples(triples) -> Triples:

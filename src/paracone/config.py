@@ -490,7 +490,6 @@ _SCAN = {
     "region": (_region, None, "domain"),
     "points": (_rows, None, "domain"),
     "n_points": (_count, 100),
-    "kink_match_tol": (_nonnegative, 1e-9),
     **_CSV,
 }
 

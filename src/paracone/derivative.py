@@ -68,6 +68,8 @@ _LAMBDAS = (0.5, 2.0)
 # the shipped 40-point example1 scan, 2^16 or one batch for the whole scan ran
 # about 20% faster, but their arrays peaked at 3.8 and 6.3 MB against 1.2 MB
 _BLOCK_VALUES = 2**14
+# a scanned point within this distance of a declared kink counts as at the kink (gateaux_scan's confusion table)
+_KINK_MATCH = 1e-9
 
 
 class ConvergenceError(RuntimeError):
@@ -128,6 +130,20 @@ def _units(f: VectorMapping, vectors) -> tuple:
 def _default_t0(clearance):
     """The default top step from the boundary clearance along h: half of it, capped at 0.1."""
     return np.minimum(0.1, 0.5 * clearance)
+
+
+def _steps(name: str, steps, clearance) -> np.ndarray:
+    """Caller-given steps (check_upper_bound's t_samples, frechet_test's
+    t_schedule) as floats, sorted ascending and deduplicated: at least one,
+    each strictly between 0 and the boundary clearance, or ValueError naming
+    the argument, before any evaluation.  A NaN step is outside too,
+    wherever it sorts."""
+    steps = np.array(sorted(set(map(float, steps))))
+    if not steps.size:
+        raise ValueError(f"{name} must name at least one step")
+    if not ((0.0 < steps) & (steps < clearance)).all():
+        raise ValueError(f"{name} must stay strictly inside the admissible range (0, {clearance})")
+    return steps
 
 
 @functools.lru_cache(maxsize=64)
@@ -386,10 +402,10 @@ def check_upper_bound(
     By default the steps are n_samples points spaced geometrically between
     estimate.t_used and the default top step, np.geomspace's values bit for
     bit (_geomspace); caller-given t_samples are taken instead.  Either way
-    they are read as floats, sorted and deduplicated, and each must lie
-    strictly between 0 and the boundary clearance along h, or ValueError is
-    raised before any evaluation.  One eval_batch call evaluates x0 and
-    every step (_quotients).
+    they are read by _steps: floats, sorted and deduplicated, each strictly
+    between 0 and the boundary clearance along h, or ValueError before any
+    evaluation.  One eval_batch call evaluates x0 and every step
+    (_quotients).
     """
     _require_tol(tol)
     if not estimate.converged:
@@ -406,11 +422,7 @@ def check_upper_bound(
         if not lo > 0.0:  # a step at or below 0, or NaN, is outside
             raise ValueError("t samples must stay strictly inside the admissible range")
         t_samples = _geomspace(lo, hi, n_samples).tolist()
-    t_samples = np.array(sorted(set(map(float, t_samples))))
-    if not t_samples.size:
-        raise ValueError("t_samples must name at least one step")
-    if not ((0.0 < t_samples) & (t_samples < bd)).all():  # a NaN step is outside too, wherever it sorts
-        raise ValueError("t samples must stay strictly inside the admissible range")
+    t_samples = _steps("t_samples", t_samples, bd)
     q = _quotients(f, spec, x0, h, t_samples)
     f0n = norm(q.f0, "two")
     dn = norm(value, "two")
@@ -701,7 +713,6 @@ def gateaux_scan(
     tol: float = 1e-6,
     seed: int = 0,
     points=None,
-    kink_match_tol: float = 1e-9,
 ) -> ScanReport:
     """Run the linearity battery at sampled (or supplied) points, a block of
     points per eval_batch call, and at most one more per block for the
@@ -712,7 +723,8 @@ def gateaux_scan(
     point makes it a failed point with defect inf; a modulus that is not
     strong or a cone that is not pointed raises ValueError.  When the family
     declares a one-dimensional kink set, the report carries the confusion
-    table of predicted versus declared non-differentiability.
+    table of predicted versus declared non-differentiability, a point within
+    _KINK_MATCH of a declared kink counting as at it.
     """
     _require_tol(tol)
     if np.any(region.lo < f.domain.lo) or np.any(region.hi > f.domain.hi):
@@ -735,7 +747,7 @@ def gateaux_scan(
     confusion = None
     if f.kink_locus is not None and f.domain.dim == 1:
         locus = np.asarray(f.kink_locus, dtype=float)
-        at_kink = [bool(locus.size and np.min(np.abs(locus - p[0])) <= kink_match_tol) for p in points]
+        at_kink = [bool(locus.size and np.min(np.abs(locus - p[0])) <= _KINK_MATCH) for p in points]
         cells = list(zip(passed, at_kink))
         # a failed point at a declared kink is a true positive
         cell_of = {"tp": (False, True), "fp": (False, False), "fn": (True, True), "tn": (True, False)}
@@ -801,10 +813,13 @@ def frechet_test(
     the family's analytic oracle when present, otherwise from the
     estimator, whose error bound then joins the allowances.
 
-    The linearity battery runs first; its failure is reported as a failed
-    precondition rather than raised, but a modulus that is not strong or a
-    cone that is not pointed raises ValueError, and so does an epsilon that
-    is not finite and at least 0, as the config reader refuses it.
+    The steps are read by _steps, as check_upper_bound reads its own: each
+    strictly between 0 and the smallest boundary clearance along the
+    sampled directions.  The linearity battery runs next; its failure is
+    reported as a failed precondition rather than raised, but a modulus that
+    is not strong or a cone that is not pointed raises ValueError, and so do
+    an epsilon that is not finite and at least 0, as the config reader
+    refuses it, and a malformed schedule, each before any evaluation.
     """
     _require_tol(tol)
     x0 = _domain_point(f, x0, "test point")
@@ -812,6 +827,12 @@ def frechet_test(
     if not epsilons or not all(0.0 <= eps < math.inf for eps in epsilons):  # a NaN is outside too
         raise ValueError("epsilons must name at least one tolerance, each finite and nonnegative")
     _at_least_one(n_directions=n_directions)
+    # antipodal pairs of sampled unit directions, at most max(n_directions, 2) in all
+    dirs = [v for u in _unit_directions(f, max(n_directions, 2), seed) for v in (u, -u)][: max(n_directions, 2)]
+    bd_min = float(f.domain.boundary_distance(x0, np.array(dirs)).min())
+    if t_schedule is None:
+        t_schedule = _default_t0(bd_min) * 0.5 ** np.arange(20)
+    t_schedule = _steps("t_schedule", t_schedule, bd_min)[::-1]
     e_star = strictly_positive_functional(spec.cone)
     radius = base_radius(spec.cone, e_star, norm_kind=f.codomain_norm)
     try:
@@ -831,18 +852,6 @@ def frechet_test(
             seed=seed,
             notes=f"precondition failed: {failed[1]}",
         )
-
-    # antipodal pairs of sampled unit directions, at most max(n_directions, 2) in all
-    dirs = [v for u in _unit_directions(f, max(n_directions, 2), seed) for v in (u, -u)][: max(n_directions, 2)]
-
-    bd_min = float(f.domain.boundary_distance(x0, np.array(dirs)).min())
-    if t_schedule is None:
-        t_schedule = _default_t0(bd_min) * 0.5 ** np.arange(20)
-    t_schedule = np.asarray(sorted((float(t) for t in t_schedule), reverse=True))
-    if not t_schedule.size:
-        raise ValueError("t_schedule must name at least one step")
-    if t_schedule[0] >= bd_min:
-        raise ValueError("schedule step leaves the domain along a sampled direction")
 
     # D(h) from the oracle where there is one, else from one batch of estimates
     d_vals = [known_directional(f, x0, u) for u in dirs]

@@ -92,7 +92,8 @@ def norm(v, kind: str = "two") -> float:
     two-norm that the squares overflow or underflow is taken as in row_norms."""
     v = np.asarray(v, dtype=float)
     if kind == "two":
-        n = math.sqrt(v @ v)  # correctly rounded, as np.sqrt is
+        with np.errstate(over="ignore"):  # an overflowed sum of squares is taken again below
+            n = math.sqrt(v @ v)  # correctly rounded, as np.sqrt is
         return float(_rescaled_two_norms(v.reshape(1, -1))[0]) if n < _TINY_NORM or n == math.inf else n
     if kind == "sup":
         return float(np.max(np.abs(v))) if v.size else 0.0
@@ -182,10 +183,10 @@ def row_norms(a, kind: str = "two") -> np.ndarray:
 
     A row whose plain two-norm is inf, or below _TINY_NORM, where its squares
     lose bits, is taken again by _rescaled_two_norms, so a finite row has a
-    finite norm unless the norm itself passes the largest float; the plain
-    pass may still warn of the overflow it met.  Every other row keeps the
-    plain bits.  A one-norm needs no second pass: its partial sums never
-    pass its total.
+    finite norm unless the norm itself passes the largest float.  The plain
+    pass runs with numpy's overflow warning off, as no overflowed row keeps
+    its plain value; every other row keeps the plain bits.  A one-norm needs
+    no second pass: its partial sums never pass its total.
 
     Every norm of a one-column a is |x| of its entries: the max and the sum
     of one entry are the entry, and in binary64 sqrt(fl(x * x)) is |x|
@@ -195,7 +196,8 @@ def row_norms(a, kind: str = "two") -> np.ndarray:
     if a.shape[1:] == (1,) and kind in NORM_KINDS:
         return np.abs(a[:, 0])
     if kind == "two":
-        out = np.sqrt(row_dots(a, a))
+        with np.errstate(over="ignore"):  # an overflowed row is taken again below
+            out = np.sqrt(row_dots(a, a))
         # two reductions clear every row at once; a NaN fails them and takes the row mask
         if not (out.min(initial=np.inf) >= _TINY_NORM and out.max(initial=0.0) < np.inf):
             redo = (out < _TINY_NORM) | (out == np.inf)
@@ -296,10 +298,6 @@ class Box:
     def dim(self) -> int:
         return int(self.lo.shape[0])
 
-    @property
-    def center(self) -> np.ndarray:
-        return 0.5 * (self.lo + self.hi)
-
     def contains(self, x) -> bool:
         """Whether x lies strictly inside every face: one mask of both faces,
         reduced once.  A shape other than (dim,) raises ValueError."""
@@ -308,18 +306,15 @@ class Box:
             raise ValueError("dimension mismatch in box membership")
         return bool(((x > self.lo) & (x < self.hi)).all())
 
-    def boundary_distance(self, x, h=None):
-        """Distance from x to the boundary: along the ray through h when
-        given (sup of admissible step sizes), else the nearest face gap.
-        For one point (d,), or for stacked points and directions (k, d),
-        one distance per row."""
+    def boundary_distance(self, x, h):
+        """Distance from x to the boundary along the ray through h (sup of
+        admissible step sizes).  For one point (d,), or for stacked points
+        and directions (k, d), one distance per row."""
         x = np.asarray(x, dtype=float)
         if x.shape[-1:] != self.lo.shape:
             raise ValueError("dimension mismatch in box membership")
         if not ((x > self.lo) & (x < self.hi)).all():
             raise ValueError("boundary distance requested from a point outside the box")
-        if h is None:
-            return np.minimum((x - self.lo).min(axis=-1), (self.hi - x).min(axis=-1))
         h = np.asarray(h, dtype=float)
         if h.ndim == 1:
             # one direction, the case of every single-direction derivative op:
@@ -483,12 +478,12 @@ def leq(cone: PolyCone, x, y, tol: float = 1e-9) -> bool:
     return contains(cone, y - x, tol=tol)
 
 
-def _double_description(a: np.ndarray, feas_tol: float) -> np.ndarray:
+def _double_description(a: np.ndarray) -> np.ndarray:
     """Extreme rays of the pointed cone {w : a @ w >= 0}, a (g, r) of full
     column rank, by double description (Motzkin et al. 1953; Fukuda and
     Prodon 1996).  The seed is the simplicial cone of r independent rows B,
     whose rays are the columns of inv(a_B).  Each further row keeps the rays
-    it is at least -feas_tol on, and joins each adjacent pair it splits (the
+    it is at least -_RAY_TOL on, and joins each adjacent pair it splits (the
     processed rows tight at both have rank r - 2) at its zero.
     """
     g, r = a.shape
@@ -503,7 +498,7 @@ def _double_description(a: np.ndarray, feas_tol: float) -> np.ndarray:
     tight[:, basis] = ~np.eye(r, dtype=bool)
     for i in sorted(set(range(g)) - set(basis)):
         v = rays @ a[i]
-        pos, neg = v > feas_tol, v < -feas_tol
+        pos, neg = v > _RAY_TOL, v < -_RAY_TOL
         # a pair sharing fewer than r - 2 tight rows cannot be adjacent
         k_pos, k_neg = np.nonzero(tight[pos].astype(float) @ tight[neg].T.astype(float) >= r - 2)
         p, n = np.flatnonzero(pos)[k_pos], np.flatnonzero(neg)[k_neg]
@@ -522,7 +517,7 @@ def _double_description(a: np.ndarray, feas_tol: float) -> np.ndarray:
     return rays[sorted(range(rays.shape[0]), key=lambda k: tuple(np.flatnonzero(tight[k])))]
 
 
-def _polar_rays(mat: np.ndarray, feas_tol: float = _RAY_TOL) -> np.ndarray:
+def _polar_rays(mat: np.ndarray) -> np.ndarray:
     """Generating rays of {y : mat @ y >= 0}: the rays _double_description
     enumerates in the row space of the unit rows (unit_rows), where the
     polar is pointed, and plus and minus an orthonormal basis of the lines
@@ -536,7 +531,7 @@ def _polar_rays(mat: np.ndarray, feas_tol: float = _RAY_TOL) -> np.ndarray:
     candidates = []
     if rank > 0:
         q = vt[:rank].T  # (d, rank) row-space basis
-        candidates += [q @ w for w in _double_description(scaled @ q, feas_tol)]
+        candidates += [q @ w for w in _double_description(scaled @ q)]
     # lines orthogonal to every row belong to the polar in both directions
     for row in vt[rank:]:
         candidates += [row, -row]
@@ -554,24 +549,14 @@ def _distinct_rays(rays: np.ndarray) -> np.ndarray:
     cone, and with it the cone's full dimension and the dual audit's check
     on that ray.  Rows that repeat nothing keep their order and bits.
 
-    Two rows that merge lie within sqrt(2e-12) of each other, plus the
-    rounding of their dot product, so their projections on p differ by less
-    than that times |p|; only rows whose projections are that close are
-    compared, which keeps a large cone such as orthant(4096) from a
-    quadratic loop.
+    Every pair is read from one table of cosines.  The largest set it meets
+    is an enumeration's, at most _MAX_RAYS rows; the orthant, the one large
+    cone, is recognised by PolyCone and never merged.
     """
-    n, d = rays.shape
-    p = np.sqrt(np.arange(1.0, d + 1.0))
-    proj = rays @ p
-    reach = 2.0 * math.sqrt(2.0 * (1e-12 + d * np.finfo(float).eps)) * norm(p)
-    order = np.argsort(proj)
-    start = np.searchsorted(proj[order], proj - reach, side="left")
-    stop = np.searchsorted(proj[order], proj + reach, side="right")
-    keep = np.ones(n, dtype=bool)
-    for i in np.flatnonzero(stop - start > 1):  # in row order, so every earlier row is decided
-        near = order[start[i] : stop[i]]
-        if any(keep[j] and rays[i] @ rays[j] > 1.0 - 1e-12 for j in near[near < i]):
-            keep[i] = False
+    close = np.triu(rays @ rays.T > 1.0 - 1e-12, 1)
+    keep = np.ones(rays.shape[0], dtype=bool)
+    for i in np.flatnonzero(close.any(axis=0)):  # in row order, so every earlier row is decided
+        keep[i] = not (close[:, i] & keep).any()
     return rays[keep]
 
 
@@ -654,17 +639,6 @@ def generator_direction(cone: PolyCone) -> np.ndarray:
     if nk <= 1e-12:
         raise ValueError("cone generators sum to zero; no interior direction")
     return k0 / nk
-
-
-def sample_in_cone(cone: PolyCone, n: int, seed=0) -> np.ndarray:
-    """Seeded non-negative generator combinations, with scale variety."""
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    gens = ensure_generators(cone)
-    if gens.shape[0] == 0:
-        return np.zeros((n, cone.dim))
-    combos = rng.uniform(0.0, 1.0, size=(n, gens.shape[0]))
-    scales = 2.0 ** rng.uniform(-2.0, 2.0, size=(n, 1))
-    return (combos * scales) @ gens
 
 
 def normality_constant(cone: PolyCone, norm_kind: str = "two", budget: int = 1000, seed: int = 0) -> float:

@@ -26,8 +26,7 @@ from typing import Callable, Protocol
 
 import numpy as np
 
-from .geometry import Box  # noqa: F401  (re-exported for config convenience)
-from .geometry import NORM_KINDS, PolyCone, as_point, generator_direction, matvec_rows, orthant, row_dots
+from .geometry import NORM_KINDS, Box, PolyCone, as_point, generator_direction, matvec_rows, orthant, row_dots
 from .modulus import ParaSpec, square_modulus, zero_modulus
 
 
@@ -78,10 +77,6 @@ class VectorMapping:
             raise ValueError(f"norm tags must be one of {NORM_KINDS}")
         if self.claimed is not None and self.claimed.cone.dim != self.codomain_dim:
             raise ValueError("claimed cone dimension does not match the codomain")
-
-    @property
-    def dim(self) -> int:
-        return self.domain.dim
 
     def eval(self, x) -> np.ndarray:
         """Value at one point: a validated one-row batch."""

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 from paracone import norm, testbed_families
+from paracone.geometry import ensure_generators
 
 settings.register_profile(
     "numeric",
@@ -32,6 +33,17 @@ def pytest_terminal_summary(terminalreporter):
 @pytest.fixture(scope="session")
 def families():
     return testbed_families()
+
+
+def sample_in_cone(cone, n, seed=0):
+    """Seeded non-negative generator combinations, with scale variety."""
+    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    gens = ensure_generators(cone)
+    if gens.shape[0] == 0:
+        return np.zeros((n, cone.dim))
+    combos = rng.uniform(0.0, 1.0, size=(n, gens.shape[0]))
+    scales = 2.0 ** rng.uniform(-2.0, 2.0, size=(n, 1))
+    return (combos * scales) @ gens
 
 
 def interior_pairs(f, n, seed):

@@ -45,10 +45,10 @@ from paracone import (
     curved_cone_map,
 )
 from paracone.config import load_config, run_config
-from paracone.geometry import contains, ensure_generators, norm, sample_in_cone, unit_dual_generators
+from paracone.geometry import contains, ensure_generators, norm, unit_dual_generators
 from paracone.mappings import known_directional
 
-from conftest import ACCEPTANCE_VERDICTS, CONFIG_DIR, interior_pairs
+from conftest import ACCEPTANCE_VERDICTS, CONFIG_DIR, interior_pairs, sample_in_cone
 
 
 def _verdict(num: int, ok: bool, desc: str) -> None:

@@ -483,7 +483,6 @@ _AFFINE_R2 = {
 _AFFINE_CHECK = {"op": "check-paraconvex", "label": "scaled-cone", "budget": 200, "seed": 1, "tol": 1e-9}
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 @pytest.mark.parametrize("scale", [1e200, 1e-200])
 @pytest.mark.parametrize("form", ["generators", "dual_generators"])
 def test_a_cone_row_of_any_length_runs(form, scale, tmp_path, capsys):
@@ -501,7 +500,6 @@ def test_a_cone_row_of_any_length_runs(form, scale, tmp_path, capsys):
     assert out.startswith("[check-paraconvex] scaled-cone: PASS")
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 @pytest.mark.parametrize("scale", [1.0, 1e-3, 1e-200, 1e200])
 def test_disagreeing_cone_forms_exit_two_at_any_scale(scale, tmp_path, capsys):
     # generators I and rows I plus (1, -0.02), written at one common scale
@@ -689,6 +687,20 @@ def test_roadmap_probe_exits_two_instead_of_certifying(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert re.match(r"input error: (spekk|mapping\.paramz|checks\[0\]\.tols): unknown field", captured.err)
+    assert not (tmp_path / "out").exists()
+
+
+def test_the_scan_kink_match_is_not_a_field(tmp_path, capsys):
+    # the confusion table matches a point to a declared kink within a fixed 1e-9
+    cfg = json.loads((CONFIG_DIR / "example1_scan.json").read_text())
+    i = next(i for i, entry in enumerate(cfg["checks"]) if entry["op"] == "gateaux-scan")
+    cfg["checks"][i]["kink_match_tol"] = 1e-9
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"input error: checks[{i}].kink_match_tol: unknown field" in captured.err
     assert not (tmp_path / "out").exists()
 
 

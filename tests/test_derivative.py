@@ -119,8 +119,6 @@ def test_alpha_monotone_rejects_wrong_modulus_scale():
     assert check_alpha_monotone(tr0, tol=1e-9).passed
 
 
-# the plain two-norm of a quotient still warns of the overflow it met
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 @pytest.mark.parametrize("scale", [1e150, 1e160, 1e200])
 def test_a_huge_valued_concave_trace_still_fails(scale):
     # -s*x^2 from 0 under C = 1: its quotients fall by s - 1 per unit step.  The
@@ -214,7 +212,7 @@ def test_batched_estimator_reproduces_level_walk(families):
     outcomes = set()
     for f in families:
         inner = f.domain.shrink(0.05)
-        for x0 in [inner.center] + list(inner.sample(3, rng)):
+        for x0 in [0.5 * (inner.lo + inner.hi)] + list(inner.sample(3, rng)):
             h = rng.normal(size=f.domain.dim)
             h /= norm(h, f.domain_norm)
             for tol in (1e-6, 1e-9, 1e-13):
@@ -432,8 +430,6 @@ def test_sublinear_reads_zero_vectors_as_zero():
     assert rep.passed and rep.witness == ("homogeneity", 0.5)
 
 
-# the plain two-norm of [1e308, 0] still warns of the overflow it met
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_sublinear_lays_each_grid_along_its_own_unit():
     # the homogeneity grids took their top step from the clearance along the
     # raw h1, not its unit: h1 = (0.1, 0) gave a top of 0.2, which leaves the
@@ -454,7 +450,6 @@ def test_sublinear_lays_each_grid_along_its_own_unit():
         assert got.passed == want.passed and got.worst_margin.hex() == want.worst_margin.hex(), pair
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_sublinear_verdict_does_not_depend_on_the_pair_length():
     # -|x| at its kink: D(c) + D(-c) - D(0) = -2|c|, scored as given a FAIL
     # at c = 1 and a PASS at c = 1e-7
