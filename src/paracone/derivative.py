@@ -446,8 +446,9 @@ def _estimates(f: VectorMapping, spec: ParaSpec, x0s, vectors, tol: float, resca
     c*u is estimated along the unit u (_units, taken twice) on the default grid
     as c*value and c*error bound (zeros if c <= 1e-12), and rescaled adds
     columns re-estimating vectors[:, 0] along its unit on each lam-scaled grid.
-    Returns the values (p, w, m), the error bounds and steps used (p, w), and
-    per point the ConvergenceError of its first unconverged estimate (or None)."""
+    Returns the values (p, w, m), the error bounds, steps used and the
+    columns' domain-norm lengths c (p, w), and per point the ConvergenceError
+    of its first unconverged estimate (or None)."""
     _require_strong(spec)
     p, v, _ = vectors.shape
     lams = np.array(_LAMBDAS if rescaled else ())
@@ -474,12 +475,12 @@ def _estimates(f: VectorMapping, spec: ParaSpec, x0s, vectors, tol: float, resca
         if errors[owner[j]] is None:  # a rescaled column names the vector it re-estimates
             along = vectors[owner[j], col[j] if col[j] < v else 0].tolist()
             errors[owner[j]] = ConvergenceError(f"{f.label}: estimator did not reach tol={tol} along {along}")
-    return vals.reshape(p, w, -1), errs.reshape(p, w), used.reshape(p, w), errors
+    return vals.reshape(p, w, -1), errs.reshape(p, w), used.reshape(p, w), lengths.reshape(p, w), errors
 
 
 def _point_estimates(f: VectorMapping, spec: ParaSpec, x0, vectors, tol: float, rescaled=False) -> tuple:
     """_estimates at one point along a stack of vectors (k, d); the first that did not converge raises."""
-    vals, errs, _, (error,) = _estimates(f, spec, x0[None], np.asarray(vectors, dtype=float)[None], tol, rescaled)
+    vals, errs, _, _, (error,) = _estimates(f, spec, x0[None], np.asarray(vectors, dtype=float)[None], tol, rescaled)
     if error is not None:
         raise error
     return vals[0], errs[0]
@@ -571,13 +572,55 @@ class GateauxReport(Report):
         self.passed = bool(self.defect <= self.tol)
 
 
-def _unit_directions(f: VectorMapping, n_directions: int, seed: int) -> np.ndarray:
-    """The axes, then seeded normal draws up to max(n_directions // 2, d) rows, as units (1 in 1-D)."""
-    d = f.domain.dim
+def _unit_directions(f: VectorMapping, n_directions: int, seeds) -> np.ndarray:
+    """Per seed the axes, then that seed's normal draws up to
+    max(n_directions // 2, d) rows, as units: the stack (len(seeds), n, d),
+    each point's one direction 1 in 1-D.  _units reads every row on its own,
+    so a point's rows have the bits of its seed's draw alone."""
+    d, p = f.domain.dim, len(seeds)
     if d == 1:
-        return np.ones((1, 1))
-    draws, _ = _units(f, np.random.default_rng(seed).normal(size=(max(n_directions // 2, d) - d, d)))
-    return _units(f, np.concatenate([np.eye(d), draws]))[0]
+        return np.ones((p, 1, 1))
+    draws = [np.random.default_rng(s).normal(size=(max(n_directions // 2, d) - d, d)) for s in seeds]
+    units = _units(f, np.concatenate(draws))[0].reshape(p, -1, d)
+    axes = np.broadcast_to(np.eye(d), (p, d, d))
+    return _units(f, np.concatenate([axes, units], axis=1).reshape(-1, d))[0].reshape(p, -1, d)
+
+
+def _gateaux_margins(f: VectorMapping, spec: ParaSpec, x0s, vectors, a, b, tol: float) -> tuple:
+    """The linearity battery on a block of points x0s (p, d) along vectors
+    (p, v, d), +-u_i interleaved and then the additivity sums vectors[:, a] +
+    vectors[:, b], from one _estimates call: per margin key the largest
+    excess of each point, as a list of p floats, each the bits of that
+    point's row max, and per point the ConvergenceError of its first
+    unconverged estimate (or None).  Every step is an array pass over the
+    block; nothing runs once per point."""
+    v = vectors.shape[1]
+    n_sig = v - a.size
+    n = n_sig // 2
+    val, err, used, lengths, errors = _estimates(f, spec, x0s, vectors, tol, True)
+    plus, minus = val[:, 0:n_sig:2], val[:, 1:n_sig:2]
+    e_pm = err[:, 0:n_sig:2] + err[:, 1:n_sig:2]
+    # row values of the antisymmetry sums, continuity differences, signed derivatives, additivity defects
+    stacked = [plus + minus, plus - minus, val[:, :n_sig], val[:, a] + val[:, b] - val[:, n_sig:v]]
+    values = cone_values(spec.cone, np.concatenate(stacked, axis=1))
+    row_k = np.maximum(spec.row_k, 1e-300)
+    # continuity surrogate over antipodal pairs, per unit row y in the order form
+    # |y(D(u) - D(-u))| <= (L*||2u|| + C*modulus(t*)/t*) * y(k), L the largest |y(D)| / y(k);
+    # ||2u|| is 2*||u|| bit for bit, as scaling by a power of two is exact
+    l_used = (np.abs(values[:, 2 * n : 4 * n]) / row_k).max(axis=(1, 2))
+    t_star = used[:, :n_sig].max(axis=1)
+    allowance = spec.min_constant() * eval_modulus(spec.modulus, t_star) / t_star
+    bound = l_used[:, None] * (2.0 * lengths[:, 0:n_sig:2])
+    bound += allowance[:, None]
+    continuity = (np.abs(values[:, n : 2 * n]) - bound[..., None] * row_k - e_pm[..., None]).max(2)
+    # one reduction per key over the block, read back as floats
+    margins = {
+        "antisymmetry": (_row_measure(values[:, :n]) - e_pm).max(axis=1).tolist(),
+        "additivity": (_row_measure(values[:, 4 * n :]) - (err[:, a] + err[:, b] + err[:, n_sig:v])).max(axis=1).tolist(),
+        "homogeneity": _homogeneity(spec, val, err, v).max(axis=1).tolist(),
+        "continuity": continuity.max(axis=1).tolist(),
+    }
+    return margins, errors
 
 
 def _gateaux_reports(f: VectorMapping, spec: ParaSpec, x0s, base_dirs, seeds: list, tol: float) -> list:
@@ -586,7 +629,8 @@ def _gateaux_reports(f: VectorMapping, spec: ParaSpec, x0s, base_dirs, seeds: li
     ConvergenceError of its first unconverged estimate.  Each block of as
     many points as fit in _BLOCK_VALUES values, and at least one, is one
     eval_batch call, and at most one more for the estimates that do not
-    converge (_stop_estimates).
+    converge (_stop_estimates); its margins come as arrays over the block
+    (_gateaux_margins), and only the reports are built a point at a time.
 
     The continuity surrogate's L is max_j |y_j(D(+-u))| / y_j(k), so by the
     triangle inequality its margin is below 0 up to rounding.  It and
@@ -596,48 +640,27 @@ def _gateaux_reports(f: VectorMapping, spec: ParaSpec, x0s, base_dirs, seeds: li
     p, n, d = base_dirs.shape
     n_sig = 2 * n
     # vectors[:, 2i] = +u_i and vectors[:, 2i + 1] = -u_i, then the additivity sums
-    signed = np.stack([base_dirs, -base_dirs], axis=2).reshape(p, n_sig, d)
+    signed = np.concatenate([base_dirs, -base_dirs], axis=2).reshape(p, n_sig, d)
     a, b = np.array([(0, 1)] if n == 1 else [(2 * i, 2 * i + 2) for i in range(min(n - 1, 4))]).T
     vectors = np.concatenate([signed, signed[:, a] + signed[:, b]], axis=1)
-    v = vectors.shape[1]
-    row_k = np.maximum(spec.row_k, 1e-300)
     # nominal rows per point: the point and 40 steps per vector and homogeneity
     # grid.  A batch evaluates only the levels a stop can read, but blocks are
     # sized on all 40, so a block holds as many points as when every level was
     # evaluated, and the second batch of unconverged traces fits the budget too
-    rows = 1 + 40 * (v + len(_LAMBDAS))
+    rows = 1 + 40 * (vectors.shape[1] + len(_LAMBDAS))
     block = max(1, _BLOCK_VALUES // (rows * f.codomain_dim))
+    notes = "linearity battery on estimated one-sided derivatives"
     reports = []
     for start in range(0, p, block):
         blk = slice(start, start + block)
-        val, err, used, errors = _estimates(f, spec, x0s[blk], vectors[blk], tol, True)
-        plus, minus = val[:, 0:n_sig:2], val[:, 1:n_sig:2]
-        e_pm = err[:, 0:n_sig:2] + err[:, 1:n_sig:2]
-        # row values of the antisymmetry sums, continuity differences, signed derivatives, additivity defects
-        stacked = [plus + minus, plus - minus, val[:, :n_sig], val[:, a] + val[:, b] - val[:, n_sig:v]]
-        values = cone_values(spec.cone, np.concatenate(stacked, axis=1))
-        # continuity surrogate over antipodal pairs, per unit row y in the order form
-        # |y(D(u) - D(-u))| <= (L*||2u|| + C*modulus(t*)/t*) * y(k), L the largest |y(D)| / y(k)
-        l_used = (np.abs(values[:, 2 * n : 4 * n]) / row_k).max(axis=(1, 2))
-        t_star = used[:, :n_sig].max(axis=1)
-        allowance = spec.min_constant() * eval_modulus(spec.modulus, t_star) / t_star
-        bound = l_used[:, None] * _units(f, 2.0 * base_dirs[blk].reshape(-1, d))[1].reshape(-1, n)
-        bound += allowance[:, None]
-        margins = {
-            "antisymmetry": _row_measure(values[:, :n]) - e_pm,
-            "additivity": _row_measure(values[:, 4 * n :]) - (err[:, a] + err[:, b] + err[:, n_sig:v]),
-            "homogeneity": _homogeneity(spec, val, err, v),
-            "continuity": (np.abs(values[:, n : 2 * n]) - bound[..., None] * row_k - e_pm[..., None]).max(2),
-        }
-        for i, error in enumerate(errors, start):
+        margins, errors = _gateaux_margins(f, spec, x0s[blk], vectors[blk], a, b, tol)
+        for i, error, excess in zip(range(start, p), errors, zip(*margins.values())):
             if error is not None:
                 reports.append(error)
                 continue
-            point = {key: float(excess[i - start].max()) for key, excess in margins.items()}
-            notes = "linearity battery on estimated one-sided derivatives"
-            defect = max(0.0, max(point.values()))
-            report = GateauxReport(x0s[i], defect, point, tol, seed=seeds[i], n_directions=n_sig, notes=notes)
-            reports.append(report)
+            point = dict(zip(margins, excess))
+            defect = max(0.0, max(excess))
+            reports.append(GateauxReport(x0s[i], defect, point, tol, seed=seeds[i], n_directions=n_sig, notes=notes))
     return reports
 
 
@@ -672,7 +695,7 @@ def gateaux_test(
     _at_least_one(n_directions=n_directions)
     x0 = _domain_point(f, x0, "test point")
     if directions is None:
-        base_dirs = _unit_directions(f, n_directions, seed)
+        base_dirs = _unit_directions(f, n_directions, [seed])
     else:
         # the margins are positively homogeneous in the direction and tol is
         # absolute, so a short direction would shrink every violation
@@ -682,7 +705,8 @@ def gateaux_test(
         base_dirs, lengths = _units(f, directions)
         if not lengths.all():
             raise ValueError("directions must be nonzero")
-    (report,) = _gateaux_reports(f, spec, x0[None], base_dirs[None], [seed], tol)
+        base_dirs = base_dirs[None]
+    (report,) = _gateaux_reports(f, spec, x0[None], base_dirs, [seed], tol)
     if isinstance(report, ConvergenceError):
         raise report
     return report
@@ -718,16 +742,20 @@ def gateaux_scan(
     points per eval_batch call, and at most one more per block for the
     estimates that do not converge (_gateaux_reports).  Per-point seeds derive
     from (seed, index), and a point's defect, in the row measure, is
-    bitwise gateaux_test's with its seed.  Every point is checked, and a bad
-    one named as points[i], before any evaluation.  Non-convergence at a
-    point makes it a failed point with defect inf; a modulus that is not
-    strong or a cone that is not pointed raises ValueError.  When the family
-    declares a one-dimensional kink set, the report carries the confusion
-    table of predicted versus declared non-differentiability, a point within
-    _KINK_MATCH of a declared kink counting as at it.
+    bitwise gateaux_test's with its seed.  Every point is checked before any
+    evaluation, by one shape test and one strict-inside mask over the stacked
+    points (a NaN or inf entry fails it); only when that fails does a loop
+    run, to name the first bad one as points[i].  Non-convergence at a point
+    makes it a failed point with defect inf; a modulus that is not strong or
+    a cone that is not pointed raises ValueError.  When the family declares a
+    one-dimensional kink set, the report carries the confusion table of
+    predicted versus declared non-differentiability, a point within
+    _KINK_MATCH of a declared kink counting as at it, from one comparison of
+    every point with every kink.
     """
     _require_tol(tol)
-    if np.any(region.lo < f.domain.lo) or np.any(region.hi > f.domain.hi):
+    dom = f.domain
+    if ((region.lo < dom.lo) | (region.hi > dom.hi)).any():
         raise ValueError("scan region escapes the mapping domain")
     if points is None:
         points = region.sample(n_points, np.random.default_rng(seed)) if n_points > 0 else []
@@ -735,19 +763,23 @@ def gateaux_scan(
     if not points:
         raise ValueError("the scan needs at least one point: a positive n_points or a non-empty points list")
     _at_least_one(n_directions=n_directions)
-    for i, p in enumerate(points):
-        if p.shape != (f.domain.dim,) or not np.isfinite(p).all() or not f.domain.contains(p):
-            raise OutsideDomainError(f"{f.label}: points[{i}] = {p.tolist()} is not a point of the open domain")
+    try:
+        x0s = np.array(points)
+    except ValueError:  # ragged points
+        x0s = np.empty(0)
+    if x0s.shape != (len(points), dom.dim) or not ((x0s > dom.lo) & (x0s < dom.hi)).all():
+        for i, p in enumerate(points):
+            if p.shape != (dom.dim,) or not dom.contains(p):
+                raise OutsideDomainError(f"{f.label}: points[{i}] = {p.tolist()} is not a point of the open domain")
     seeds = [(int(seed) * 1_000_003 + idx) & 0x7FFFFFFF for idx in range(len(points))]
-    base_dirs = np.array([_unit_directions(f, n_directions, s) for s in seeds])
-    reports = _gateaux_reports(f, spec, np.array(points), base_dirs, seeds, tol)
+    reports = _gateaux_reports(f, spec, x0s, _unit_directions(f, n_directions, seeds), seeds, tol)
     passed = [isinstance(rep, GateauxReport) and rep.passed for rep in reports]
-    defects = [float(rep.defect) if isinstance(rep, GateauxReport) else float("inf") for rep in reports]
-    density = float(np.mean(passed))
+    defects = [rep.defect if isinstance(rep, GateauxReport) else math.inf for rep in reports]
+    density = sum(passed) / len(passed)  # np.mean of the bools, bit for bit
     confusion = None
-    if f.kink_locus is not None and f.domain.dim == 1:
+    if f.kink_locus is not None and dom.dim == 1:
         locus = np.asarray(f.kink_locus, dtype=float)
-        at_kink = [bool(locus.size and np.min(np.abs(locus - p[0])) <= _KINK_MATCH) for p in points]
+        at_kink = (np.abs(locus - x0s).min(axis=1, initial=np.inf) <= _KINK_MATCH).tolist()
         cells = list(zip(passed, at_kink))
         # a failed point at a declared kink is a true positive
         cell_of = {"tp": (False, True), "fp": (False, False), "fn": (True, True), "tn": (True, False)}
@@ -828,7 +860,7 @@ def frechet_test(
         raise ValueError("epsilons must name at least one tolerance, each finite and nonnegative")
     _at_least_one(n_directions=n_directions)
     # antipodal pairs of sampled unit directions, at most max(n_directions, 2) in all
-    dirs = [v for u in _unit_directions(f, max(n_directions, 2), seed) for v in (u, -u)][: max(n_directions, 2)]
+    dirs = [v for u in _unit_directions(f, max(n_directions, 2), [seed])[0] for v in (u, -u)][: max(n_directions, 2)]
     bd_min = float(f.domain.boundary_distance(x0, np.array(dirs)).min())
     if t_schedule is None:
         t_schedule = _default_t0(bd_min) * 0.5 ** np.arange(20)

@@ -89,8 +89,12 @@ def as_point(coords, dim: int | None = None) -> Point:
 
 def norm(v, kind: str = "two") -> float:
     """Norm of a vector under one of the supported tags: sup, one, two; a
-    two-norm that the squares overflow or underflow is taken as in row_norms."""
+    two-norm that the squares overflow or underflow is taken as in row_norms.
+    A vector of one entry x has every norm |x|, row_norms' one-column rule,
+    read without the overflow guard."""
     v = np.asarray(v, dtype=float)
+    if v.shape == (1,) and kind in NORM_KINDS:
+        return abs(v.item())
     if kind == "two":
         with np.errstate(over="ignore"):  # an overflowed sum of squares is taken again below
             n = math.sqrt(v @ v)  # correctly rounded, as np.sqrt is

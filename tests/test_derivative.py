@@ -673,6 +673,28 @@ def test_scan_confusion_on_known_kinks():
     )
     assert rep.density == pytest.approx(2.0 / 3.0)
     assert rep.confusion == {"tp": 1, "fp": 0, "fn": 0, "tn": 2}
+    # example1's kinks, each at offsets 0, +-(1e-9 - 1 ulp), +-1e-9, +-(1e-9 + 1 ulp)
+    # and +-2e-9, the ulp that of the point: the table is the per-point rule's
+    g = example1_default()
+    locus = np.asarray(g.kink_locus)
+    points = []
+    for k in g.kink_locus:
+        points.append(k)
+        for sign in (1.0, -1.0):
+            edge = k + sign * 1e-9
+            points += [np.nextafter(edge, k), edge, np.nextafter(edge, k + sign), k + sign * 2e-9]
+    rep = gateaux_scan(g, g.claimed, g.domain, points=[[x] for x in points], n_directions=2, tol=1e-6, seed=5)
+    at_kink = [bool(np.min(np.abs(locus - p[0])) <= paracone.derivative._KINK_MATCH) for p in rep.points]
+    cells = list(zip(rep.passed, at_kink))
+    cell_of = {"tp": (False, True), "fp": (False, False), "fn": (True, True), "tn": (True, False)}
+    assert rep.confusion == {key: cells.count(cell) for key, cell in cell_of.items()}
+    # the rule's edge falls between 1e-9 - 1 ulp (in) and 1e-9 + 1 ulp (out) on both sides of every kink
+    per_kink = np.array(at_kink).reshape(len(locus), 9)
+    assert per_kink[:, [0, 1, 5]].all() and not per_kink[:, [3, 4, 7, 8]].any()
+    # a one-dimensional family with no declared kink has no positive
+    h = neg_square_1d()
+    rep = gateaux_scan(h, h.claimed, h.domain, points=[[-0.5], [0.0], [0.4]], n_directions=2, tol=1e-6, seed=5)
+    assert h.kink_locus == () and rep.confusion["tp"] == rep.confusion["fp"] == 0
 
 
 def test_scan_density_is_seed_stable():
@@ -696,13 +718,29 @@ def test_scan_rejects_an_empty_point_set():
             gateaux_scan(f, f.claimed, f.domain.shrink(0.1), seed=0, **kwargs)
 
 
-@pytest.mark.parametrize("bad", [[0.1, 0.2], [float("nan")], [1.0]], ids=["shape", "non-finite", "outside"])
+@pytest.mark.parametrize(
+    "bad",
+    [[0.1, 0.2], [float("nan")], [1.0], [float("inf")], [float("-inf")], [-1.0]],
+    ids=["shape", "non-finite", "outside", "inf", "minus-inf", "lower-face"],
+)
 def test_scan_checks_every_point_before_evaluating(bad):
     f = neg_square_1d()
     unevaluable = dataclasses.replace(f, evaluator=lambda pts: pytest.fail("evaluated before every point was checked"))
     message = rf"neg-square: points\[2\] = \[{bad[0]}.*\] is not a point of the open domain"
     with pytest.raises(OutsideDomainError, match=message):
         gateaux_scan(unevaluable, f.claimed, f.domain, points=[[0.1], [-0.2], bad, [0.3]], n_directions=2, seed=0)
+
+
+@pytest.mark.parametrize(
+    "points, first",
+    [([[0.1], [5.0], [0.2], [float("nan")]], r"points\[1\] = \[5\.0\]"), ([[0.1], [float("nan")], [0.1, 0.2]], r"points\[1\] = \[nan\]")],
+    ids=["outside-then-nan", "nan-then-shape"],
+)
+def test_scan_names_the_first_of_two_bad_points(points, first):
+    f = neg_square_1d()
+    unevaluable = dataclasses.replace(f, evaluator=lambda pts: pytest.fail("evaluated before every point was checked"))
+    with pytest.raises(OutsideDomainError, match=rf"neg-square: {first} is not a point of the open domain"):
+        gateaux_scan(unevaluable, f.claimed, f.domain, points=points, n_directions=2, seed=0)
 
 
 @pytest.mark.parametrize("x0", [[5.0, 0.0], [1.0, 0.0]], ids=["outside", "on-the-face"])

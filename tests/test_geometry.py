@@ -1158,9 +1158,10 @@ def test_one_column_two_norm_is_the_absolute_value():
     assert row_norms(x, "one").tobytes() == np.sum(np.abs(x), axis=1).tobytes() == got.tobytes()
     with pytest.raises(ValueError, match="unknown norm kind"):
         row_norms(x, "three")
-    # the one-vector norm of a one-entry vector agrees with the row
-    for v in x[finite][::97]:
-        assert norm(v) == row_norms(v[None, :])[0]
+    # the one-vector norm of a one-entry vector agrees with the row, in every kind
+    for kind in ("two", "sup", "one"):
+        for v in x[finite]:
+            assert norm(v, kind).hex() == float(row_norms(v[None, :], kind)[0]).hex(), (kind, v)
 
 
 def test_orthant_builds_without_a_rank_decision(monkeypatch):

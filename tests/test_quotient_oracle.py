@@ -123,7 +123,7 @@ def _loop_upper_bound(f, spec, x0, h, estimate, t_samples=None, n_samples=12):
 def _loop_frechet(f, spec, x0, epsilons, n_directions, t_schedule, tol, seed):
     """The table, residual margin and largest base norm, past the linearity precondition."""
     e_star = strictly_positive_functional(spec.cone)
-    dirs = [v for u in _unit_directions(f, max(n_directions, 2), seed) for v in (u, -u)][: max(n_directions, 2)]
+    dirs = [v for u in _unit_directions(f, max(n_directions, 2), [seed])[0] for v in (u, -u)][: max(n_directions, 2)]
     bd_min = min(f.domain.boundary_distance(x0, u) for u in dirs)
     if t_schedule is None:
         top = min(0.1, 0.5 * bd_min)
@@ -372,7 +372,7 @@ def _loop_gateaux(f, spec, x0, directions=None, n_directions=8, tol=1e-6, seed=0
     x0 = as_point(x0, f.domain.dim)
     if not f.domain.contains(x0):
         raise OutsideDomainError(f"{f.label}: test point outside the open domain")
-    base_dirs = directions if directions is not None else _unit_directions(f, n_directions, seed)
+    base_dirs = directions if directions is not None else _unit_directions(f, n_directions, [seed])[0]
     base_dirs = [np.asarray(u, dtype=float) for u in base_dirs]
     rows = unit_dual_generators(spec.cone)
     row_k = rows @ spec.k
@@ -461,7 +461,7 @@ def _loop_frechet_test(f, spec, x0, epsilons=(1e-2, 1e-3), n_directions=16, t_sc
             notes=f"precondition failed: {failed[1]}",
         )
 
-    dirs = [v for u in _unit_directions(f, max(n_directions, 2), seed) for v in (u, -u)][: max(n_directions, 2)]
+    dirs = [v for u in _unit_directions(f, max(n_directions, 2), [seed])[0] for v in (u, -u)][: max(n_directions, 2)]
 
     bd_min = min(f.domain.boundary_distance(x0, u) for u in dirs)
     if t_schedule is None:

@@ -211,3 +211,52 @@ def test_one_row_reduction_rule():
     assert _reductions_along_an_axis(_function("geometry.py", "row_reduce"))
     folders = [name for name in _functions_reading("geometry.py", "_FOLD_WIDTH")]
     assert folders == ["row_reduce"], folders
+
+
+# the reductions and the finiteness test that, run once per point, turn a block's array pass into a point loop
+_POINT_REDUCTIONS = {"max", "min", "all", "any", "mean", "isfinite"}
+
+
+def _reductions_in_loops(node) -> list:
+    """The lines under node where a loop body or a comprehension calls a
+    reduction as a method or a numpy function (.max, .min, .all, .any, np.min,
+    np.max, np.mean) or np.isfinite, skipping a loop whose body raises: such a
+    loop runs only to name a bad input.  A comprehension's first iterable is
+    evaluated once and is not searched."""
+    lines = []
+    for loop in ast.walk(node):
+        if isinstance(loop, (ast.For, ast.While)):
+            if any(isinstance(n, ast.Raise) for stmt in loop.body for n in ast.walk(stmt)):
+                continue
+            searched = loop.body
+        elif isinstance(loop, (ast.ListComp, ast.SetComp, ast.GeneratorExp, ast.DictComp)):
+            first, *rest = loop.generators
+            heads = [loop.key, loop.value] if isinstance(loop, ast.DictComp) else [loop.elt]
+            searched = heads + first.ifs + rest
+        else:
+            continue
+        lines += [
+            n.lineno
+            for part in searched
+            for n in ast.walk(part)
+            if isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute) and n.func.attr in _POINT_REDUCTIONS
+        ]
+    return sorted(set(lines))
+
+
+def test_no_per_point_reduction_in_the_scan():
+    """The scan and its battery kernel finish each block of points as
+    arrays: a max, min, all, any, mean or isfinite called in a loop or a
+    comprehension of gateaux_scan, _gateaux_reports or _gateaux_margins runs
+    once per point, unless the loop raises, to name a bad point."""
+    tree = ast.parse((SRC_DIR / "derivative.py").read_text())
+    names = ("gateaux_scan", "_gateaux_reports", "_gateaux_margins")
+    functions = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name in names]
+    assert {"gateaux_scan", "_gateaux_reports"} <= {n.name for n in functions}
+    found = {n.name: _reductions_in_loops(n) for n in functions}
+    assert not any(found.values()), found
+    # the search finds a per-point max, a finiteness test in a comprehension,
+    # and passes a loop that raises
+    assert _reductions_in_loops(ast.parse("for p in ps:\n    out.append(p.max())")) == [2]
+    assert _reductions_in_loops(ast.parse("ok = [np.isfinite(p).all() for p in ps]")) == [1]
+    assert not _reductions_in_loops(ast.parse("for p in ps:\n    if not p.all():\n        raise ValueError(p)"))
