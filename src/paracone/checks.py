@@ -30,6 +30,7 @@ import numpy as np
 
 from .geometry import (
     Box,
+    _at_least_one,
     _audit_dual,
     _coerce_rows,
     _require_tol,
@@ -97,21 +98,25 @@ def _as_triples(triples) -> Triples:
     return triples
 
 
-def dyadic_small_gap_triples(box: Box, n_gaps: int = 14) -> Triples:
+# the dyadic schedule's gaps per anchor and direction, each half the one before
+_DYADIC_GAPS = 14
+
+
+def dyadic_small_gap_triples(box: Box) -> Triples:
     """Deterministic schedule of midpoint triples with geometrically
     shrinking gaps around a few interior anchor points.
 
     Anchors sit at box fractions 1/2, 1/4, 3/4 along the diagonal; probe
     directions are the coordinate axes plus the main diagonal; gaps halve
-    n_gaps times from just under the anchor's boundary clearance, the
-    Box.boundary_distance along the direction and against it.  The schedule
-    is built once per (lo, hi, n_gaps) and its arrays are read-only.
+    _DYADIC_GAPS (14) times from just under the anchor's boundary clearance,
+    the Box.boundary_distance along the direction and against it.  The
+    schedule is built once per (lo, hi) and its arrays are read-only.
     """
-    return _dyadic_schedule(box.lo.tobytes(), box.hi.tobytes(), n_gaps)
+    return _dyadic_schedule(box.lo.tobytes(), box.hi.tobytes())
 
 
 @functools.lru_cache(maxsize=64)
-def _dyadic_schedule(lo_bytes: bytes, hi_bytes: bytes, n_gaps: int) -> Triples:
+def _dyadic_schedule(lo_bytes: bytes, hi_bytes: bytes) -> Triples:
     """dyadic_small_gap_triples for the box whose float64 bounds have these bytes."""
     lo, hi = np.frombuffer(lo_bytes), np.frombuffer(hi_bytes)
     d = lo.shape[0]
@@ -129,20 +134,12 @@ def _dyadic_schedule(lo_bytes: bytes, hi_bytes: bytes, n_gaps: int) -> Triples:
         span = np.hstack([gap, np.min(gap, axis=1, keepdims=True) / s])
     span = 0.9 * span
     anchor, direction = np.nonzero(span > 0.0)
-    t = span[anchor, direction][:, None, None] * np.ldexp(1.0, -np.arange(1, n_gaps + 1))[:, None]
+    t = span[anchor, direction][:, None, None] * np.ldexp(1.0, -np.arange(1, _DYADIC_GAPS + 1))[:, None]
     c, u = anchors[anchor][:, None, :], dirs[direction][:, None, :]
     x, y = (c - t * u).reshape(-1, d), (c + t * u).reshape(-1, d)
     lam = np.full(x.shape[0], 0.5)
     x.flags.writeable = y.flags.writeable = lam.flags.writeable = False
     return Triples(x=x, y=y, lam=lam, structured=x.shape[0])
-
-
-def _at_least_one(**counts) -> None:
-    """Raise ValueError naming the first count below 1: a check never
-    certifies from an empty or floored sample."""
-    for name, value in counts.items():
-        if value < 1:
-            raise ValueError(f"{name} must be at least 1")
 
 
 def _require_fit(f: VectorMapping, spec: ParaSpec) -> None:

@@ -35,6 +35,8 @@ from .checks import (
     scalarize_check,
 )
 from .derivative import (
+    _DEPTH,
+    _RATIO,
     QuotientTrace,
     ScanReport,
     build_trace,
@@ -481,7 +483,7 @@ _SEED = {"seed": (_integer, _Required("explicit seed required for a stochastic o
 _SAMPLED = {**_SEED, "budget": (_count, 1000), "tol": (_nonnegative, 1e-9)}
 _FORMED = {**_SAMPLED, "form": (_form, "min")}
 _X0 = {"x0": (_coords, _REQUIRED, "domain")}
-_STEPS = {**_X0, "h": (_coords, _REQUIRED, "domain"), "t0": (_number, None), "ratio": (_number, 0.5)}
+_STEPS = {**_X0, "h": (_coords, _REQUIRED, "domain"), "t0": (_number, None), "ratio": (_number, _RATIO)}
 _GATEAUX = {**_SEED, "tol": (_nonnegative, 1e-6), "n_directions": (_count, 8)}
 _CSV = {"csv": (_file_name, None)}
 _UPPER = {"upper_bound": (_flag, True), "upper_tol": (_nonnegative, 1e-9)}
@@ -509,10 +511,10 @@ OPERATIONS = {
         {**_SAMPLED, **_X0, "epsilon": (_nonnegative, _REQUIRED), "delta": (_nonnegative, _REQUIRED)},
         _MARGIN,
     ),
-    "trace": Operation(_run_trace, {**_STEPS, "depth": (_integer, 40), "tol": (_nonnegative, 1e-9), **_CSV}),
+    "trace": Operation(_run_trace, {**_STEPS, "depth": (_integer, _DEPTH), "tol": (_nonnegative, 1e-9), **_CSV}),
     "derivative": Operation(
         _run_derivative,
-        {**_STEPS, "max_depth": (_integer, 40), "tol": (_nonnegative, 1e-6), **_UPPER},
+        {**_STEPS, "max_depth": (_integer, _DEPTH), "tol": (_nonnegative, 1e-6), **_UPPER},
         "error_bound={error_bound:.3e}",
     ),
     "gateaux": Operation(

@@ -44,9 +44,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .checks import _at_least_one, _magnitude_scale, _require_fit
+from .checks import _magnitude_scale, _require_fit
 from .geometry import (
     Box,
+    _at_least_one,
     _require_tol,
     base_radius,
     cone_margins,
@@ -61,6 +62,13 @@ from .mappings import OutsideDomainError, VectorMapping, _domain_point, known_di
 from .modulus import ParaSpec, eval_modulus
 from .reports import CheckReport, Report, worst_report
 
+# the estimator's step ladder t0 * _RATIO**j, j < _DEPTH: every battery estimate's grid, and the
+# defaults of build_trace, directional_derivative and the config's trace and derivative operations
+_RATIO, _DEPTH = 0.5, 40
+# check_upper_bound's steps, spaced geometrically between the estimate's step and the default top
+_UPPER_STEPS = 12
+# frechet_test's schedule: the default top times _RATIO**j, j < _FRECHET_LEVELS
+_FRECHET_LEVELS = 20
 # the step-grid factors on which positive homogeneity is tested (check_sublinear, gateaux_test)
 _LAMBDAS = (0.5, 2.0)
 # evaluated values (rows times codomain dimension) that one battery batch of
@@ -130,20 +138,6 @@ def _units(f: VectorMapping, vectors) -> tuple:
 def _default_t0(clearance):
     """The default top step from the boundary clearance along h: half of it, capped at 0.1."""
     return np.minimum(0.1, 0.5 * clearance)
-
-
-def _steps(name: str, steps, clearance) -> np.ndarray:
-    """Caller-given steps (check_upper_bound's t_samples, frechet_test's
-    t_schedule) as floats, sorted ascending and deduplicated: at least one,
-    each strictly between 0 and the boundary clearance, or ValueError naming
-    the argument, before any evaluation.  A NaN step is outside too,
-    wherever it sorts."""
-    steps = np.array(sorted(set(map(float, steps))))
-    if not steps.size:
-        raise ValueError(f"{name} must name at least one step")
-    if not ((0.0 < steps) & (steps < clearance)).all():
-        raise ValueError(f"{name} must stay strictly inside the admissible range (0, {clearance})")
-    return steps
 
 
 @functools.lru_cache(maxsize=64)
@@ -234,8 +228,8 @@ def build_trace(
     x0,
     h,
     t0: float | None = None,
-    ratio: float = 0.5,
-    depth: int = 40,
+    ratio: float = _RATIO,
+    depth: int = _DEPTH,
 ) -> QuotientTrace:
     """Evaluate quotients at t0 * ratio^j for j = 0..depth-1.
 
@@ -357,8 +351,8 @@ def directional_derivative(
     h,
     tol: float = 1e-6,
     t0: float | None = None,
-    ratio: float = 0.5,
-    max_depth: int = 40,
+    ratio: float = _RATIO,
+    max_depth: int = _DEPTH,
 ) -> DerivativeEstimate:
     """One-sided derivative along h by monotone quotient descent: the stop
     rule (_stop_levels) on the grid t0 * ratio^j, j = 0..max_depth-1.  One
@@ -387,8 +381,6 @@ def check_upper_bound(
     x0,
     h,
     estimate: DerivativeEstimate,
-    t_samples=None,
-    n_samples: int = 12,
     tol: float = 1e-9,
 ) -> CheckReport:
     """The derivative never exceeds any corrected quotient above it:
@@ -399,13 +391,12 @@ def check_upper_bound(
     has not converged, or whose value is not a finite vector of shape
     (codomain_dim,), raises ValueError before any evaluation.
 
-    By default the steps are n_samples points spaced geometrically between
+    The steps are fixed: _UPPER_STEPS (12) spaced geometrically between
     estimate.t_used and the default top step, np.geomspace's values bit for
-    bit (_geomspace); caller-given t_samples are taken instead.  Either way
-    they are read by _steps: floats, sorted and deduplicated, each strictly
-    between 0 and the boundary clearance along h, or ValueError before any
-    evaluation.  One eval_batch call evaluates x0 and every step
-    (_quotients).
+    bit (_geomspace), sorted and deduplicated.  Their ends must satisfy
+    0 < lo <= hi < the boundary clearance along h, or ValueError before any
+    evaluation: a t_used that is NaN, 0 or at or past the clearance fails it.
+    One eval_batch call evaluates x0 and every step (_quotients).
     """
     _require_tol(tol)
     if not estimate.converged:
@@ -415,14 +406,12 @@ def check_upper_bound(
         raise ValueError(f"estimate value must be a finite vector of shape ({f.codomain_dim},)")
     x0, h = _prep_direction(f, x0, h)
     bd = f.domain.boundary_distance(x0, h)
-    if t_samples is None:
-        _at_least_one(n_samples=n_samples)
-        top = _default_t0(bd)
-        lo, hi = min(estimate.t_used, top), max(estimate.t_used, top)
-        if not lo > 0.0:  # a step at or below 0, or NaN, is outside
-            raise ValueError("t samples must stay strictly inside the admissible range")
-        t_samples = _geomspace(lo, hi, n_samples).tolist()
-    t_samples = _steps("t_samples", t_samples, bd)
+    top = _default_t0(bd)
+    lo, hi = min(estimate.t_used, top), max(estimate.t_used, top)
+    if not 0.0 < lo <= hi < bd:  # a NaN step fails it too
+        raise ValueError(f"the upper-bound steps must stay strictly inside the admissible range (0, {bd})")
+    # a set, not np.unique, which costs about three times as much on 12 steps
+    t_samples = np.array(sorted(set(_geomspace(lo, hi, _UPPER_STEPS).tolist())))
     q = _quotients(f, spec, x0, h, t_samples)
     f0n = norm(q.f0, "two")
     dn = norm(value, "two")
@@ -462,7 +451,7 @@ def _estimates(f: VectorMapping, spec: ParaSpec, x0s, vectors, tol: float, resca
     tops = _default_t0(bd)
     if lams.size:  # a rescaled column's top is lam times the default along the same unit
         tops = np.where(col >= v, np.minimum(lams[np.maximum(col - v, 0)] * tops, 0.49 * bd), tops)
-    t = _step_grid(bd, tops, 0.5, 40)
+    t = _step_grid(bd, tops, _RATIO, _DEPTH)
     value, error_bound, level, converged = _stop_estimates(f, spec, x0s, units, t, tol, owner)
     vals = np.zeros((p * w, f.codomain_dim))
     vals[kept] = lengths[kept, None] * value
@@ -643,11 +632,11 @@ def _gateaux_reports(f: VectorMapping, spec: ParaSpec, x0s, base_dirs, seeds: li
     signed = np.concatenate([base_dirs, -base_dirs], axis=2).reshape(p, n_sig, d)
     a, b = np.array([(0, 1)] if n == 1 else [(2 * i, 2 * i + 2) for i in range(min(n - 1, 4))]).T
     vectors = np.concatenate([signed, signed[:, a] + signed[:, b]], axis=1)
-    # nominal rows per point: the point and 40 steps per vector and homogeneity
+    # nominal rows per point: the point and _DEPTH steps per vector and homogeneity
     # grid.  A batch evaluates only the levels a stop can read, but blocks are
-    # sized on all 40, so a block holds as many points as when every level was
-    # evaluated, and the second batch of unconverged traces fits the budget too
-    rows = 1 + 40 * (vectors.shape[1] + len(_LAMBDAS))
+    # sized on all _DEPTH, so a block holds as many points as when every level
+    # was evaluated, and the second batch of unconverged traces fits the budget too
+    rows = 1 + _DEPTH * (vectors.shape[1] + len(_LAMBDAS))
     block = max(1, _BLOCK_VALUES // (rows * f.codomain_dim))
     notes = "linearity battery on estimated one-sided derivatives"
     reports = []
@@ -830,7 +819,6 @@ def frechet_test(
     x0,
     epsilons=(1e-2, 1e-3),
     n_directions: int = 16,
-    t_schedule=None,
     tol: float = 1e-6,
     seed: int = 0,
 ) -> FrechetReport:
@@ -845,26 +833,28 @@ def frechet_test(
     the family's analytic oracle when present, otherwise from the
     estimator, whose error bound then joins the allowances.
 
-    The steps are read by _steps, as check_upper_bound reads its own: each
-    strictly between 0 and the smallest boundary clearance along the
-    sampled directions.  The linearity battery runs next; its failure is
+    The schedule is fixed: the default top step for the smallest boundary
+    clearance along the sampled directions and _FRECHET_LEVELS - 1 (19)
+    halvings of it.  The linearity battery runs next; its failure is
     reported as a failed precondition rather than raised, but a modulus that
     is not strong or a cone that is not pointed raises ValueError, and so do
-    an epsilon that is not finite and at least 0, as the config reader
-    refuses it, and a malformed schedule, each before any evaluation.
+    an epsilon that is a bool, or not finite and at least 0, as the config
+    reader refuses it, and a schedule whose smallest step underflows to 0,
+    each before any evaluation.
     """
     _require_tol(tol)
     x0 = _domain_point(f, x0, "test point")
     epsilons = list(epsilons)
-    if not epsilons or not all(0.0 <= eps < math.inf for eps in epsilons):  # a NaN is outside too
+    # a NaN is outside too, and a bool is no tolerance
+    if not epsilons or not all(not isinstance(eps, (bool, np.bool_)) and 0.0 <= eps < math.inf for eps in epsilons):
         raise ValueError("epsilons must name at least one tolerance, each finite and nonnegative")
     _at_least_one(n_directions=n_directions)
     # antipodal pairs of sampled unit directions, at most max(n_directions, 2) in all
     dirs = [v for u in _unit_directions(f, max(n_directions, 2), [seed])[0] for v in (u, -u)][: max(n_directions, 2)]
     bd_min = float(f.domain.boundary_distance(x0, np.array(dirs)).min())
-    if t_schedule is None:
-        t_schedule = _default_t0(bd_min) * 0.5 ** np.arange(20)
-    t_schedule = _steps("t_schedule", t_schedule, bd_min)[::-1]
+    t_schedule = _default_t0(bd_min) * _RATIO ** np.arange(_FRECHET_LEVELS)
+    if not t_schedule[-1] > 0.0:
+        raise ValueError(f"the Frechet schedule underflows to t = 0 at boundary clearance {bd_min}")
     e_star = strictly_positive_functional(spec.cone)
     radius = base_radius(spec.cone, e_star, norm_kind=f.codomain_norm)
     try:

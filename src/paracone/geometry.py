@@ -60,12 +60,22 @@ _COLUMN_ROWS = 8
 
 
 def _require_tol(tol) -> None:
-    """Raise ValueError, before any evaluation, unless tol is finite and at
-    least 0: a malformed tolerance is an input error, never a verdict.  The
-    one tolerance rule of the package: membership and the order read it, and
-    so does every check of checks and derivative."""
-    if not 0.0 <= tol < math.inf:  # a NaN is outside too
+    """Raise ValueError, before any evaluation, unless tol is finite, at
+    least 0 and not a bool: a malformed tolerance is an input error, never a
+    verdict.  The one tolerance rule of the package: membership and the order
+    read it, and so does every check of checks and derivative."""
+    if isinstance(tol, (bool, np.bool_)) or not 0.0 <= tol < math.inf:  # a NaN is outside too
         raise ValueError(f"tol must be finite and >= 0, got {tol}")
+
+
+def _at_least_one(**counts) -> None:
+    """Raise ValueError naming the first count that is not an integer of at
+    least 1, a bool being none, as the config reader refuses one: a check
+    never certifies from an empty or floored sample.  The one count rule of
+    the package."""
+    for name, value in counts.items():
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+            raise ValueError(f"{name} must be an integer of at least 1, got {value!r}")
 
 
 def as_point(coords, dim: int | None = None) -> Point:
@@ -418,12 +428,12 @@ class PolyCone:
         return f"PolyCone({label}, dim={self.dim}, {', '.join(reps)})"
 
 
-def orthant(dim: int, name: str | None = None) -> PolyCone:
-    """Non-negative orthant with exact identity rays and inequalities: the
-    cone PolyCone recognises as the identity, built without a rank decision,
-    an audit or an enumeration, and read by cone_values as v + 0.0."""
+def orthant(dim: int) -> PolyCone:
+    """Non-negative orthant orthant{dim} with exact identity rays and
+    inequalities: the cone PolyCone recognises as the identity, built without
+    a rank decision, an audit or an enumeration, read by cone_values as v + 0.0."""
     eye = np.eye(dim)
-    return PolyCone(dim, generators=eye, dual_generators=eye, name=name or f"orthant{dim}")
+    return PolyCone(dim, generators=eye, dual_generators=eye, name=f"orthant{dim}")
 
 
 def cone_from_generators(rows, name: str = "") -> PolyCone:
@@ -665,8 +675,7 @@ def normality_constant(cone: PolyCone, norm_kind: str = "two", budget: int = 100
     pairs and is computed by the same operations for x and y, so no sampled
     ratio exceeds 1 and the floor 1.0 is the maximum.
     """
-    if budget < 1:
-        raise ValueError("budget must be at least 1")
+    _at_least_one(budget=budget)
     if norm_kind not in NORM_KINDS:
         raise ValueError(f"unknown norm kind {norm_kind!r}")
     if not cone.pointed:

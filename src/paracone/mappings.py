@@ -524,7 +524,7 @@ def neg_abs_1d() -> VectorMapping:
     )
 
 
-def curved_cone_map(cone: PolyCone, seed: int, label: str | None = None) -> VectorMapping:
+def curved_cone_map(cone: PolyCone, seed: int) -> VectorMapping:
     """Affine map bent by -||x||^2 along an interior cone direction.
 
     The affine part cancels in the convexity slack, and the euclidean
@@ -548,7 +548,7 @@ def curved_cone_map(cone: PolyCone, seed: int, label: str | None = None) -> Vect
         domain=domain,
         codomain_dim=cone.dim,
         evaluator=_eval,
-        label=label or f"curved-{cone.name or 'cone'}",
+        label=f"curved-{cone.name or 'cone'}",
         claimed=spec,
         analytic_directional=_directional,
         kink_locus=(),

@@ -34,6 +34,7 @@ from paracone import (
     gateaux_test,
     neg_abs_1d,
     neg_square_1d,
+    normality_constant,
     orthant,
     random_simplicial_cone,
     sample_triples,
@@ -218,12 +219,10 @@ def test_dyadic_head_is_built_once_per_box_and_read_only():
         assert not arr.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             arr[0] = 7.0
-    # an equal box, built apart, gets the same bits; another box or gap count its own schedule
+    # an equal box, built apart, gets the same schedule; another box its own
     again = dyadic_small_gap_triples(Box(lo=np.array([-1.0, 0.0]), hi=(1.0, 2.0)))
-    for a, b in zip((head.x, head.y, head.lam), (again.x, again.y, again.lam)):
-        assert a.tobytes() == b.tobytes()
-    assert again.structured == head.structured == len(head)
-    assert len(dyadic_small_gap_triples(box, n_gaps=6)) == 6 * len(head) // 14
+    assert again is head
+    assert again.structured == head.structured == len(head) == 3 * 3 * 14
     wider = dyadic_small_gap_triples(Box(lo=[-2.0, 0.0], hi=[1.0, 2.0]))
     assert wider.x.tobytes() != head.x.tobytes()
     # sampling copies the head, so its triples are writable and the cache keeps its bits
@@ -234,11 +233,28 @@ def test_dyadic_head_is_built_once_per_box_and_read_only():
 
 def test_dyadic_schedule_halves_gaps():
     box = Box(lo=[-1.0], hi=[1.0])
-    triples = dyadic_small_gap_triples(box, n_gaps=6)
-    gaps = [abs(triples[i].x[0] - triples[i].y[0]) for i in range(6)]
+    triples = dyadic_small_gap_triples(box)
+    assert len(triples) == 3 * 14  # three anchors, one direction in 1-D
+    gaps = [abs(triples[i].x[0] - triples[i].y[0]) for i in range(14)]
     for wide, narrow in zip(gaps, gaps[1:]):
         assert narrow == pytest.approx(0.5 * wide)
     assert all(box.contains(t.x) and box.contains(t.y) and t.lam == 0.5 for t in triples)
+
+
+def test_an_empty_triple_list_is_refused():
+    f = neg_square_1d()
+    with pytest.raises(ValueError, match="no triples to check"):
+        check_inequality(f, f.claimed, triples=[])
+
+
+def test_a_cone_with_no_supporting_rows_has_zero_margins():
+    # the whole plane, by four generators: every slack is read on no row, so 0
+    whole = cone_from_generators([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
+    assert not whole.pointed
+    f = affine_mapping([[1.0], [2.0]], [0.0, 0.0], Box(lo=[-1.0], hi=[1.0]))
+    spec = ParaSpec(modulus=square_modulus(), k=[1.0, 0.0], cone=whole, C=1.0)
+    rep = check_inequality(f, spec, budget=64, seed=1)
+    assert rep.passed and rep.worst_margin == 0.0
 
 
 def test_sample_triple_validation():
@@ -778,6 +794,12 @@ def test_fact2_requires_square_modulus():
         check_fact2(f, f.claimed, np.array([1.0]), budget=10, seed=0)
 
 
+def test_fact2_requires_the_euclidean_domain_norm():
+    f = dataclasses.replace(neg_square_1d(), domain_norm="one")
+    with pytest.raises(ValueError, match="midpoint-convexity test needs the euclidean domain norm"):
+        check_fact2(f, f.claimed, np.array([1.0]), budget=10, seed=0)
+
+
 def test_fact2_audits_functional():
     f = neg_square_1d()
     with pytest.raises(ValueError):
@@ -932,6 +954,15 @@ def test_lipschitz_rejects_a_cone_that_is_not_pointed():
         check_vector_lipschitz(f, spec, Box(lo=[-0.5], hi=[0.5]), budget=16, seed=0)
 
 
+def test_lipschitz_reports_no_finite_constant_when_a_row_vanishes_on_k():
+    # the row e_2 is 0 on k = e_1 but not on f(u) - f(x) = (0, u - x)
+    f = affine_mapping(np.array([[0.0], [1.0]]), np.zeros(2), Box(lo=[-1.0], hi=[1.0]))
+    spec = ParaSpec(cone=orthant(2), k=np.array([1.0, 0.0]), modulus=zero_modulus(), C=0.0)
+    rep = check_vector_lipschitz(f, spec, Box(lo=[-0.5], hi=[0.5]), budget=16, seed=0)
+    assert not rep.passed and rep.worst_margin == -math.inf and rep.witness is None
+    assert rep.notes.startswith("no finite constant")
+
+
 def test_lipschitz_region_must_stay_inside():
     f = neg_square_1d()
     with pytest.raises(ValueError):
@@ -1031,27 +1062,25 @@ _BAD_COUNTS = {
         lambda f: check_vector_lipschitz(f, f.claimed, Box(lo=[-0.5], hi=[0.5]), budget=0, seed=1),
     ),
     "approx-convex-budget": ("budget", lambda f: check_approx_convex(f, [0.0], 0.1, 0.3, budget=0)),
-    "upper-bound-n-samples": (
-        "n_samples",
-        lambda f: check_upper_bound(
-            f, f.claimed, [0.2], [1.0], _converged_estimate(neg_square_1d(), [0.2], [1.0]), n_samples=0
-        ),
+    # a bool or a float is no count, as the config reader's _count refuses one
+    "approx-convex-budget-bool": ("budget", lambda f: check_approx_convex(f, [0.0], 0.1, 0.1, budget=True)),
+    "inequality-budget-float": ("budget", lambda f: check_inequality(f, f.claimed, budget=2.5)),
+    "inequality-budget-bool": ("budget", lambda f: check_inequality(f, f.claimed, budget=True)),
+    "normality-budget-bool": ("budget", lambda f: normality_constant(orthant(2), budget=True)),
+    "normality-budget-float": ("budget", lambda f: normality_constant(orthant(2), budget=2.5)),
+    # a point a subnormal away from a face underflows the fixed schedule to t = 0
+    "frechet-underflow": (
+        "Frechet schedule underflows",
+        lambda f: frechet_test(dataclasses.replace(f, domain=Box(lo=[0.0], hi=[1.0])), f.claimed, [5e-324]),
     ),
-    "upper-bound-t-samples": (
-        "t_samples",
-        lambda f: check_upper_bound(
-            f, f.claimed, [0.2], [1.0], _converged_estimate(neg_square_1d(), [0.2], [1.0]), t_samples=[]
-        ),
-    ),
-    "frechet-t-schedule": ("t_schedule", lambda f: frechet_test(f, f.claimed, [0.2], t_schedule=[])),
-    "frechet-zero-step": ("t_schedule", lambda f: frechet_test(f, f.claimed, [0.2], t_schedule=[0.01, 0.0])),
-    "frechet-negative-step": ("t_schedule", lambda f: frechet_test(f, f.claimed, [0.2], t_schedule=[0.01, -0.001])),
-    "frechet-nan-step": ("t_schedule", lambda f: frechet_test(f, f.claimed, [0.2], t_schedule=[0.01, math.nan])),
     "frechet-negative-epsilon": ("epsilons", lambda f: frechet_test(f, f.claimed, [0.2], epsilons=[-1])),
     "frechet-infinite-epsilon": ("epsilons", lambda f: frechet_test(f, f.claimed, [0.2], epsilons=[1e-3, math.inf])),
     "frechet-nan-epsilon": ("epsilons", lambda f: frechet_test(f, f.claimed, [0.2], epsilons=[math.nan])),
+    "frechet-bool-epsilon": ("epsilons", lambda f: frechet_test(f, f.claimed, [0.2], epsilons=[True])),
     "frechet-n-directions": ("n_directions", lambda f: frechet_test(f, f.claimed, [0.2], n_directions=0)),
+    "frechet-n-directions-bool": ("n_directions", lambda f: frechet_test(f, f.claimed, [0.2], n_directions=True)),
     "gateaux-n-directions": ("n_directions", lambda f: gateaux_test(f, f.claimed, [0.2], n_directions=-4)),
+    "gateaux-n-directions-float": ("n_directions", lambda f: gateaux_test(f, f.claimed, [0.2], n_directions=2.5)),
     "gateaux-directions": ("directions", lambda f: gateaux_test(f, f.claimed, [0.2], directions=[])),
     "sublinear-direction-pairs": ("direction_pairs", lambda f: check_sublinear(f, f.claimed, [0.2], direction_pairs=[])),
 }
@@ -1066,6 +1095,12 @@ def test_library_calls_reject_counts_they_cannot_certify_from(case):
     with pytest.raises(ValueError, match=name):
         call(f)
     assert calls == []  # refused before any evaluation
+
+
+def test_a_numpy_integer_count_is_a_count():
+    f = neg_square_1d()
+    assert check_inequality(f, f.claimed, budget=np.int64(5)).samples_used == 5
+    assert gateaux_test(f, f.claimed, [0.2], n_directions=np.int32(4)).passed
 
 
 def _trace_then_monotone(f, tol):
@@ -1096,7 +1131,7 @@ _TOL_CALLS = {
 }
 
 
-@pytest.mark.parametrize("tol", [math.nan, math.inf, -1e-9], ids=["nan", "inf", "negative"])
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -1e-9, True], ids=["nan", "inf", "negative", "bool"])
 @pytest.mark.parametrize("name", list(_TOL_CALLS))
 def test_a_malformed_tol_raises_before_any_evaluation(name, tol):
     # a tolerance that is not finite and >= 0 is an input error, never a verdict

@@ -72,10 +72,22 @@ def test_trace_rejects_bad_schedules():
         build_trace(f, f.claimed, [0.0], [1.0], t0=float("nan"), depth=5)
     with pytest.raises(ValueError, match="t0=nan leaves the domain"):
         directional_derivative(f, f.claimed, [0.0], [1.0], t0=float("nan"))
+    # the upper-bound steps end at the estimate's step: one at or past the clearance 1.0 is outside
     est = directional_derivative(f, f.claimed, [0.0], [1.0])
-    for t_samples in ([0.01, float("nan")], [float("nan"), 0.02, 0.01]):
+    for t_used in (1.0, 2.0, float("nan")):
         with pytest.raises(ValueError, match="admissible range"):
-            check_upper_bound(f, f.claimed, [0.0], [1.0], est, t_samples=t_samples)
+            check_upper_bound(f, f.claimed, [0.0], [1.0], dataclasses.replace(est, t_used=t_used))
+
+
+@pytest.mark.parametrize(
+    "h, message",
+    [([1.0, 0.0], "direction dimension mismatch"), ([0.0], "direction must be nonzero")],
+    ids=["dimension", "zero"],
+)
+def test_a_single_direction_op_refuses_a_malformed_direction(h, message):
+    f = neg_square_1d()
+    with pytest.raises(ValueError, match=message):
+        build_trace(f, f.claimed, [0.2], h)
 
 
 def test_trace_quotients_match_closed_form():

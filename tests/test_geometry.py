@@ -525,6 +525,21 @@ def test_pointedness_holds_at_any_scale():
     assert not contains(short_row, [0.0, -1.0])
 
 
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: PolyCone(2, generators=[[1.0, np.nan], [0.0, 1.0]]), "generators contains non-finite entries"),
+        (lambda: PolyCone(2, dual_generators=[[1.0, 0.0], [0.0, 0.0]]), "dual_generators contains a zero row"),
+        (lambda: PolyCone(0, generators=[[1.0]]), "cone dimension must be a positive integer"),
+        (lambda: PolyCone(2), "cone needs generators, dual generators, or both"),
+    ],
+    ids=["non-finite", "zero-row", "dimension-zero", "no-form"],
+)
+def test_malformed_cone_input_is_refused(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
 # ---------------------------------------------------------------------------
 # duality
 
@@ -734,6 +749,11 @@ def test_antisymmetry_on_pointed_cones():
             u = combo @ gens
             assert contains(cone, u)
             assert not contains(cone, -u)
+
+
+def test_order_refuses_points_of_different_shapes():
+    with pytest.raises(ValueError, match="order test on points of different shapes"):
+        leq(orthant(2), [0.0, 0.0], [0.0, 0.0, 0.0])
 
 
 # ---------------------------------------------------------------------------
@@ -1026,6 +1046,23 @@ def test_simplicial_cone_generators_are_members(seed):
     cone = random_simplicial_cone(3, seed=seed)
     for g in cone.generators:
         assert contains(cone, g, tol=1e-9)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (normality_constant, "normality constant of the trivial cone is undefined"),
+        (lambda c: base_radius(c, [1.0, 1.0]), "trivial cone has no base"),
+        (strictly_positive_functional, "trivial cone has no strictly positive functional at level one"),
+    ],
+    ids=["normality-constant", "base-radius", "positive-functional"],
+)
+def test_the_trivial_cone_has_no_base(call, message):
+    # {0} is pointed, by its rows +-e_i, but has no generator to scale
+    zero = PolyCone(2, generators=np.zeros((0, 2)))
+    assert zero.pointed
+    with pytest.raises(ValueError, match=message):
+        call(zero)
 
 
 # ---------------------------------------------------------------------------

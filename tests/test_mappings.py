@@ -1,5 +1,7 @@
 """Mapping families: evaluation oracles, analytic derivatives, audits."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -404,3 +406,11 @@ def test_testbed_families_all_claim_constants(families):
         assert f.claimed.cone.dim == f.codomain_dim
         mid = 0.5 * (f.domain.lo + f.domain.hi)
         assert np.all(np.isfinite(f.eval(mid)))
+
+
+def test_a_mapping_refuses_an_unknown_norm_tag_and_a_point_that_is_not_a_vector():
+    f = neg_square_1d()
+    with pytest.raises(ValueError, match="norm tags must be one of"):
+        dataclasses.replace(f, domain_norm="l3")
+    with pytest.raises(ValueError, match="point must be one dimensional, got shape"):
+        f.eval([[0.1]])

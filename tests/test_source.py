@@ -1,9 +1,13 @@
 """Checks on the package source itself."""
 
 import ast
+import inspect
 from collections import Counter
 
 from conftest import REPO_ROOT
+
+import paracone
+from paracone import config
 
 SRC_DIR = REPO_ROOT / "src" / "paracone"
 
@@ -260,3 +264,92 @@ def test_no_per_point_reduction_in_the_scan():
     assert _reductions_in_loops(ast.parse("for p in ps:\n    out.append(p.max())")) == [2]
     assert _reductions_in_loops(ast.parse("ok = [np.isfinite(p).all() for p in ps]")) == [1]
     assert not _reductions_in_loops(ast.parse("for p in ps:\n    if not p.all():\n        raise ValueError(p)"))
+
+
+# parameters with a default that no call outside tests/ passes and no config
+# table feeds, each kept for the reason given
+_TEST_ONLY_OPTIONS = {
+    "check_sublinear.direction_pairs": "test seam: the sublinear verdict must not depend on the pair length",
+    "gateaux_test.directions": "test seam: the verdict corpus passes it through *-unpacking, which the call scan cannot count",
+    "scalarize_check.triples": "test seam: criterion 01 compares both routes on the same triples",
+    "check_sublinear.tol": "no config op runs check_sublinear; its tol is the tol of every check",
+    "leq.tol": "the order reads contains' tolerance rule; only tests call leq, criterion 09 among them",
+    "check_vector_lipschitz.budget": "ROADMAP item 4 deletes the check once the bench tracer stops wrapping it",
+    "check_vector_lipschitz.seed": "ROADMAP item 4 deletes the check once the bench tracer stops wrapping it",
+    "check_vector_lipschitz.tol": "ROADMAP item 4 deletes the check once the bench tracer stops wrapping it",
+    "normality_constant.norm_kind": "ROADMAP item 4 deletes it once the bench tracer stops wrapping it",
+    "normality_constant.budget": "ROADMAP item 4 deletes it once the bench tracer stops wrapping it",
+    "normality_constant.seed": "ROADMAP item 4 deletes it once the bench tracer stops wrapping it",
+}
+
+
+def _passed_arguments() -> dict:
+    """Per callee name, the keywords and the most positional arguments any
+    call in src/, scripts/ or bench/ passes it.  A call with a *-argument
+    counts none of its positional ones."""
+    passed = {}
+    for path in [p for d in ("src", "scripts", "bench") for p in sorted((REPO_ROOT / d).rglob("*.py"))]:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.Call):
+                continue
+            name = node.func.id if isinstance(node.func, ast.Name) else getattr(node.func, "attr", None)
+            keywords, positional = passed.get(name, (set(), 0))
+            keywords |= {k.arg for k in node.keywords if k.arg}
+            if not any(isinstance(a, ast.Starred) for a in node.args):
+                positional = max(positional, len(node.args))
+            passed[name] = (keywords, positional)
+    return passed
+
+
+def _config_fields(fn) -> set:
+    """The fields of every config table that feeds fn: an operation whose
+    runner calls fn, or a modulus, smooth or family kind that fn builds.  The
+    cone and spec tables reach their constructors through explicit calls,
+    which _passed_arguments reads."""
+    fields = set()
+    for op in config.OPERATIONS.values():
+        if fn.__name__ in op.run.__code__.co_names:
+            fields |= set(op.fields)
+    for kinds in (config._MODULI, config._SMOOTH_KINDS, config._FAMILIES):
+        fields |= {key for make, table in kinds.values() if make is fn for key in table}
+    return fields
+
+
+def test_no_option_only_tests_set():
+    """An option no caller sets is a constant: every parameter with a default
+    of a public function is passed by some call outside tests/, by keyword
+    or by position, or is a field of a config table that feeds the function,
+    or is on _TEST_ONLY_OPTIONS with its reason."""
+    passed = _passed_arguments()
+    unset, defaulted = [], set()
+    for name in paracone.__all__:
+        fn = getattr(paracone, name)
+        if not inspect.isfunction(fn):
+            continue
+        keywords, positional = passed.get(name, (set(), 0))
+        fields = _config_fields(fn)
+        for i, param in enumerate(inspect.signature(fn).parameters.values()):
+            if param.default is inspect.Parameter.empty:
+                continue
+            defaulted.add(f"{name}.{param.name}")
+            if param.name not in keywords and i >= positional and param.name not in fields:
+                unset.append(f"{name}.{param.name}")
+    assert set(_TEST_ONLY_OPTIONS) <= defaulted, set(_TEST_ONLY_OPTIONS) - defaulted
+    assert set(unset) <= set(_TEST_ONLY_OPTIONS), sorted(set(unset) - set(_TEST_ONLY_OPTIONS))
+
+
+def _int_constants(module: str, value: int) -> list:
+    """The lines of module that spell the integer value."""
+    tree = ast.parse((SRC_DIR / module).read_text())
+    return [n.lineno for n in ast.walk(tree) if isinstance(n, ast.Constant) and type(n.value) is int and n.value == value]
+
+
+def test_the_estimator_ladder_has_one_home():
+    """The battery estimates' grids and the battery's block sizing read one
+    depth, so they cannot disagree, and derivative.py and config.py spell
+    the 40 only where _DEPTH is assigned."""
+    assert {"_estimates", "_gateaux_reports"} <= set(_functions_reading("derivative.py", "_DEPTH"))
+    lines = (SRC_DIR / "derivative.py").read_text().splitlines()
+    home = [i for i, line in enumerate(lines, 1) if line.startswith("_RATIO, _DEPTH = ")]
+    assert _int_constants("derivative.py", 40) == home and len(home) == 1
+    assert _int_constants("config.py", 40) == []
