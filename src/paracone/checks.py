@@ -43,7 +43,7 @@ from .geometry import (
     row_reduce,
     unit_rows,
 )
-from .mappings import VectorMapping, _domain_point
+from .mappings import VectorMapping, _domain_point, _domain_region
 from .modulus import ParaSpec, eval_modulus
 from .reports import CheckReport, worst_report
 
@@ -121,7 +121,7 @@ def _dyadic_schedule(lo_bytes: bytes, hi_bytes: bytes) -> Triples:
     lo, hi = np.frombuffer(lo_bytes), np.frombuffer(hi_bytes)
     d = lo.shape[0]
     anchors = lo + np.array([[0.5], [0.25], [0.75]]) * (hi - lo)
-    if not (np.all(anchors > lo) and np.all(anchors < hi)):
+    if not Box(lo, hi).inside(anchors).all():
         raise ValueError("dyadic anchors fall outside the box")
     # the clearance along an axis and against it is the nearer face gap; on
     # the diagonal every entry is s = 1/sqrt(d), and dividing by s keeps the
@@ -262,7 +262,7 @@ def _check_rows(
     tol: float,
     triples,
 ) -> CheckReport:
-    _require_tol(tol)
+    _require_tol(tol=tol)
     _require_fit(f, spec)
     triples = sample_triples(f.domain, budget, seed) if triples is None else _as_triples(triples)
     margins = _margins(f, spec, rows, form, triples.x, triples.y, triples.lam)
@@ -351,7 +351,7 @@ def falsify(
     batch, so a reported failure replays identically under
     check_inequality(triples=[witness]).
     """
-    _require_tol(tol)
+    _require_tol(tol=tol)
     _require_fit(f, spec)
     triples = sample_triples(f.domain, budget, seed)
     margins = _margins(f, spec, None, form, triples.x, triples.y, triples.lam)
@@ -517,7 +517,7 @@ def check_fact2(
     y_star is an array of the cone's dimension, audited by dual_functional:
     one negative on a generator of the spec cone raises.
     """
-    _require_tol(tol)
+    _require_tol(tol=tol)
     _require_fit(f, spec)
     if spec.modulus.kind != "square":
         raise ValueError("midpoint-convexity test needs the square-gap modulus")
@@ -544,13 +544,6 @@ def check_fact2(
         seed=seed,
         notes="midpoint convexity of the shifted scalarization",
     )
-
-
-def _ball_inside_domain(f: VectorMapping, x0: np.ndarray, radius: float):
-    # the domain-norm ball sits inside the sup box of the same radius,
-    # so per-axis clearance suffices (and is exact for the sup norm)
-    if np.any(x0 - radius <= f.domain.lo) or np.any(x0 + radius >= f.domain.hi):
-        raise ValueError(f"{f.label}: ball of radius {radius} around {x0.tolist()} escapes the open domain")
 
 
 def _ball_pairs(f: VectorMapping, x0: np.ndarray, delta: float, budget: int, rng) -> tuple:
@@ -596,17 +589,18 @@ def check_approx_convex(
     tol: float = 1e-9,
 ) -> CheckReport:
     """Approximate convexity of a scalar mapping near x0: inside the delta
-    ball the convexity defect may not exceed epsilon*lam*(1-lam)*||x - y||."""
+    ball the convexity defect may not exceed epsilon*lam*(1-lam)*||x - y||,
+    for epsilon >= 0 and delta > 0 (_require_tol)."""
     if f.codomain_dim != 1:
         raise ValueError("approximate-convexity test is defined for scalar mappings")
-    if not 0.0 <= epsilon < math.inf:  # a NaN is outside too
-        raise ValueError(f"epsilon must be finite and >= 0, got {epsilon}")
-    if not 0.0 < delta < math.inf:
-        raise ValueError(f"delta must be finite and > 0, got {delta}")
-    _require_tol(tol)
+    _require_tol(epsilon=epsilon, tol=tol)
+    _require_tol(positive=True, delta=delta)
     _at_least_one(budget=budget)
     x0 = _domain_point(f, x0, "ball center")
-    _ball_inside_domain(f, x0, delta)
+    # the domain-norm ball sits inside the sup box of the same radius, so its
+    # corners x0 -/+ delta inside the open box suffice (exact for the sup norm)
+    if not f.domain.inside(np.stack([x0 - delta, x0 + delta])).all():
+        raise ValueError(f"{f.label}: ball of radius {delta} around {x0.tolist()} escapes the open domain")
     x, y, lam = _ball_pairs(f, x0, delta, budget, np.random.default_rng(seed))
     mu = 1.0 - lam
     gx, gy, gm = np.split(_segment_values(f, x, y, lam, mu)[1][:, 0], 3)
@@ -641,19 +635,16 @@ def check_vector_lipschitz(
     the report is an estimate of L, not a certificate.  A cone that is not
     pointed raises ValueError before any evaluation.
     """
-    _require_tol(tol)
+    _require_tol(tol=tol)
     _at_least_one(budget=budget)
     if not spec.cone.pointed:
         raise ValueError(f"the Lipschitz estimate needs a pointed cone, and {spec.cone!r} is not pointed")
-    if np.any(region.lo < f.domain.lo) or np.any(region.hi > f.domain.hi):
-        raise ValueError("region escapes the mapping domain")
-    lo, hi = region.lo, region.hi
+    _domain_region(f, region)
     rng = np.random.default_rng(seed)
     n_pairs = max(budget // 2, 8)
-    xs = rng.uniform(lo, hi, size=(n_pairs, lo.size))
-    ys = rng.uniform(lo, hi, size=(n_pairs, lo.size))
-    width = hi - lo
-    corners = lo + np.array([[0.05], [0.95]]) * width
+    xs, ys = region.sample(n_pairs, rng), region.sample(n_pairs, rng)
+    width = region.hi - region.lo
+    corners = region.lo + np.array([[0.05], [0.95]]) * width
     distinct = row_norms(xs - ys, f.domain_norm) > 0.0
     x = np.concatenate([xs[distinct], corners])
     u = np.concatenate([ys[distinct], corners + 0.01 * width * np.array([[1.0], [-1.0]])])

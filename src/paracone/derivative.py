@@ -58,7 +58,7 @@ from .geometry import (
     row_reduce,
     strictly_positive_functional,
 )
-from .mappings import OutsideDomainError, VectorMapping, _domain_point, known_directional
+from .mappings import OutsideDomainError, VectorMapping, _domain_point, _domain_region, known_directional
 from .modulus import ParaSpec, eval_modulus
 from .reports import CheckReport, Report, worst_report
 
@@ -117,11 +117,9 @@ def _prep_direction(f: VectorMapping, x0, h):
     return x0, h / hn
 
 
-def _units(f: VectorMapping, vectors) -> tuple:
-    """A stack of directions (k, d) as rows divided by their domain-norm
-    lengths, and the lengths (k,); a zero row is unit 0 with length 0.  A row
-    of the wrong length, or with a NaN or inf entry, raises ValueError before
-    any evaluation."""
+def _direction_rows(f: VectorMapping, vectors) -> np.ndarray:
+    """A stack of directions as a new float array (k, d); a row of the wrong
+    length, or with a NaN or inf entry, raises ValueError."""
     try:
         stack = np.array(vectors, dtype=float)
     except ValueError:  # ragged rows
@@ -131,6 +129,12 @@ def _units(f: VectorMapping, vectors) -> tuple:
     finite = np.isfinite(stack).all(axis=1)
     if not finite.all():
         raise ValueError(f"direction {stack[np.argmin(finite)].tolist()} has no finite length")
+    return stack
+
+
+def _units(f: VectorMapping, stack: np.ndarray) -> tuple:
+    """The rows of a finite float stack (k, d) divided by their domain-norm
+    lengths, and the lengths (k,), a zero row unit 0 of length 0: no copy, no check."""
     lengths = row_norms(stack, f.domain_norm)
     return stack / np.where(lengths > 0.0, lengths, 1.0)[:, None], lengths
 
@@ -168,8 +172,6 @@ def _step_grid(bd, t0, ratio: float, depth: int) -> np.ndarray:
     the domain.  The caller computes bd once and passes it."""
     if not 0.0 < ratio < 1.0:
         raise ValueError("ratio must lie strictly between 0 and 1")
-    if depth < 2:
-        raise ValueError("need at least two grid levels")
     t0 = _default_t0(bd) if t0 is None else np.asarray(t0, dtype=float)
     if not ((0.0 < t0) & (t0 < bd)).all():  # a NaN step is outside too
         top, clear = next((a, b) for a, b in zip(np.ravel(t0), np.ravel(bd)) if not 0.0 < a < b)
@@ -235,8 +237,9 @@ def build_trace(
 
     The direction must be admissible: x0 + t0*h stays in the open domain,
     which holds for the default t0 (half the boundary clearance, capped at
-    0.1) at any interior point.
+    0.1) at any interior point.  depth is a count of at least 2.
     """
+    _at_least_one(minimum=2, depth=depth)
     x0, h = _prep_direction(f, x0, h)
     return _quotients(f, spec, x0, h, _step_grid(f.domain.boundary_distance(x0, h), t0, ratio, depth))
 
@@ -260,7 +263,7 @@ def check_alpha_monotone(trace: QuotientTrace, tol: float = 1e-9) -> CheckReport
     supporting functionals, inflated by the rounding allowance of both
     quotients, and scaled by the quotient magnitudes.
     """
-    _require_tol(tol)
+    _require_tol(tol=tol)
     # one row per pair: corrected[a] - raw[b] for t_a > t_b (a < b)
     ia, ib = _grid_pairs(trace.t_grid.size)
     margins = cone_margins(trace.spec.cone, trace.corrected[ia] - trace.raw[ib])
@@ -364,7 +367,8 @@ def directional_derivative(
     modulus(t)/t -> 0 the corrected quotients need not converge, and the stop
     rule's row measure cannot see along a line in the cone.
     """
-    _require_tol(tol)
+    _require_tol(tol=tol)
+    _at_least_one(minimum=2, max_depth=max_depth)
     _require_strong(spec)
     x0, h = _prep_direction(f, x0, h)
     t = _step_grid(f.domain.boundary_distance(x0, h), t0, ratio, max_depth)[None]
@@ -394,11 +398,11 @@ def check_upper_bound(
     The steps are fixed: _UPPER_STEPS (12) spaced geometrically between
     estimate.t_used and the default top step, np.geomspace's values bit for
     bit (_geomspace), sorted and deduplicated.  Their ends must satisfy
-    0 < lo <= hi < the boundary clearance along h, or ValueError before any
+    0 < first <= last < the boundary clearance along h, or ValueError before any
     evaluation: a t_used that is NaN, 0 or at or past the clearance fails it.
     One eval_batch call evaluates x0 and every step (_quotients).
     """
-    _require_tol(tol)
+    _require_tol(tol=tol)
     if not estimate.converged:
         raise ValueError("upper-bound check needs a converged estimate")
     value = np.asarray(estimate.value, dtype=float)
@@ -407,11 +411,11 @@ def check_upper_bound(
     x0, h = _prep_direction(f, x0, h)
     bd = f.domain.boundary_distance(x0, h)
     top = _default_t0(bd)
-    lo, hi = min(estimate.t_used, top), max(estimate.t_used, top)
-    if not 0.0 < lo <= hi < bd:  # a NaN step fails it too
+    first, last = min(estimate.t_used, top), max(estimate.t_used, top)
+    if not 0.0 < first <= last < bd:  # a NaN step fails it too
         raise ValueError(f"the upper-bound steps must stay strictly inside the admissible range (0, {bd})")
     # a set, not np.unique, which costs about three times as much on 12 steps
-    t_samples = np.array(sorted(set(_geomspace(lo, hi, _UPPER_STEPS).tolist())))
+    t_samples = np.array(sorted(set(_geomspace(first, last, _UPPER_STEPS).tolist())))
     q = _quotients(f, spec, x0, h, t_samples)
     f0n = norm(q.f0, "two")
     dn = norm(value, "two")
@@ -443,10 +447,10 @@ def _estimates(f: VectorMapping, spec: ParaSpec, x0s, vectors, tol: float, resca
     lams = np.array(_LAMBDAS if rescaled else ())
     w = v + lams.size  # columns per point
     stack = np.concatenate([vectors, np.repeat(vectors[:, :1], lams.size, axis=1)], axis=1)
-    units, lengths = _units(f, stack.reshape(p * w, -1))
+    units, lengths = _units(f, _direction_rows(f, stack.reshape(p * w, -1)))
     kept = np.flatnonzero(lengths > 1e-12)
     owner, col = np.divmod(kept, w)
-    units = _units(f, units[kept])[0]
+    units = _units(f, units[kept])[0]  # the kept rows, a new array already checked
     bd = f.domain.boundary_distance(x0s[owner], units)
     tops = _default_t0(bd)
     if lams.size:  # a rescaled column's top is lam times the default along the same unit
@@ -504,7 +508,7 @@ def check_sublinear(
     shrink or grow with how the pair is written; the witness is the pair as
     given.
     """
-    _require_tol(tol)
+    _require_tol(tol=tol)
     x0 = _domain_point(f, x0, "test point")
     d = f.domain.dim
     if direction_pairs is None:
@@ -516,11 +520,12 @@ def check_sublinear(
     direction_pairs = list(direction_pairs)
     if not direction_pairs:
         raise ValueError("direction_pairs must name at least one pair")
-    given = [h for h1, h2 in direction_pairs for h in (h1, h2)]
-    _, lengths = _units(f, given)  # every given vector is checked before a sum is formed
+    # every given vector is checked before a sum is formed
+    given = _direction_rows(f, [h for h1, h2 in direction_pairs for h in (h1, h2)])
+    _, lengths = _units(f, given)
     longer = np.maximum(lengths[0::2], lengths[1::2])
     scale = np.where((longer > 0.0) & (np.abs(longer - 1.0) > 1e-6), longer, 1.0)
-    h = np.array(given, dtype=float) / np.repeat(scale, 2)[:, None]
+    h = given / np.repeat(scale, 2)[:, None]
     vectors = np.stack([h[0::2], h[1::2], h[0::2] + h[1::2]], axis=1).reshape(-1, d)  # (h1, h2, h1 + h2) per pair
     vals, errs = _point_estimates(f, spec, x0, vectors, tol, rescaled=True)
     excess, n = _homogeneity(spec, vals, errs, len(vectors)), len(vectors)
@@ -680,7 +685,7 @@ def gateaux_test(
     modulus that is not strong or a cone that is not pointed raises
     ValueError; strong is necessary for convergence but not sufficient.
     """
-    _require_tol(tol)
+    _require_tol(tol=tol)
     _at_least_one(n_directions=n_directions)
     x0 = _domain_point(f, x0, "test point")
     if directions is None:
@@ -691,7 +696,7 @@ def gateaux_test(
         directions = list(directions)
         if not directions:
             raise ValueError("directions must name at least one direction")
-        base_dirs, lengths = _units(f, directions)
+        base_dirs, lengths = _units(f, _direction_rows(f, directions))
         if not lengths.all():
             raise ValueError("directions must be nonzero")
         base_dirs = base_dirs[None]
@@ -732,9 +737,9 @@ def gateaux_scan(
     estimates that do not converge (_gateaux_reports).  Per-point seeds derive
     from (seed, index), and a point's defect, in the row measure, is
     bitwise gateaux_test's with its seed.  Every point is checked before any
-    evaluation, by one shape test and one strict-inside mask over the stacked
-    points (a NaN or inf entry fails it); only when that fails does a loop
-    run, to name the first bad one as points[i].  Non-convergence at a point
+    evaluation, by one shape test and the open-box mask (Box.inside) over the
+    stacked points; only when that fails does a loop run, to name the first
+    bad one as points[i].  Non-convergence at a point
     makes it a failed point with defect inf; a modulus that is not strong or
     a cone that is not pointed raises ValueError.  When the family declares a
     one-dimensional kink set, the report carries the confusion table of
@@ -742,21 +747,20 @@ def gateaux_scan(
     _KINK_MATCH of a declared kink counting as at it, from one comparison of
     every point with every kink.
     """
-    _require_tol(tol)
+    _require_tol(tol=tol)
+    _at_least_one(n_points=n_points, n_directions=n_directions)
+    _domain_region(f, region)
     dom = f.domain
-    if ((region.lo < dom.lo) | (region.hi > dom.hi)).any():
-        raise ValueError("scan region escapes the mapping domain")
     if points is None:
-        points = region.sample(n_points, np.random.default_rng(seed)) if n_points > 0 else []
+        points = region.sample(n_points, np.random.default_rng(seed))
     points = [np.asarray(p, dtype=float).reshape(-1) for p in points]
     if not points:
-        raise ValueError("the scan needs at least one point: a positive n_points or a non-empty points list")
-    _at_least_one(n_directions=n_directions)
+        raise ValueError("the scan needs at least one point: a non-empty points list")
     try:
         x0s = np.array(points)
     except ValueError:  # ragged points
         x0s = np.empty(0)
-    if x0s.shape != (len(points), dom.dim) or not ((x0s > dom.lo) & (x0s < dom.hi)).all():
+    if x0s.shape != (len(points), dom.dim) or not dom.inside(x0s).all():
         for i, p in enumerate(points):
             if p.shape != (dom.dim,) or not dom.contains(p):
                 raise OutsideDomainError(f"{f.label}: points[{i}] = {p.tolist()} is not a point of the open domain")
@@ -773,17 +777,7 @@ def gateaux_scan(
         # a failed point at a declared kink is a true positive
         cell_of = {"tp": (False, True), "fp": (False, False), "fn": (True, True), "tn": (True, False)}
         confusion = {key: cells.count(cell) for key, cell in cell_of.items()}
-    return ScanReport(
-        region=region,
-        density=density,
-        points=points,
-        passed=passed,
-        defects=defects,
-        confusion=confusion,
-        n_points=len(points),
-        tol=tol,
-        seed=seed,
-    )
+    return ScanReport(region, density, points, passed, defects, confusion, len(points), tol, seed)
 
 
 @dataclass
@@ -833,28 +827,25 @@ def frechet_test(
     the family's analytic oracle when present, otherwise from the
     estimator, whose error bound then joins the allowances.
 
-    The schedule is fixed: the default top step for the smallest boundary
-    clearance along the sampled directions and _FRECHET_LEVELS - 1 (19)
-    halvings of it.  The linearity battery runs next; its failure is
-    reported as a failed precondition rather than raised, but a modulus that
-    is not strong or a cone that is not pointed raises ValueError, and so do
-    an epsilon that is a bool, or not finite and at least 0, as the config
-    reader refuses it, and a schedule whose smallest step underflows to 0,
-    each before any evaluation.
+    The schedule is fixed: the _step_grid of the default top step for the
+    smallest boundary clearance along the sampled directions and 19 halvings
+    of it.  The linearity battery runs next; its failure is reported as a
+    failed precondition rather than raised, but a modulus that is not strong
+    or a cone that is not pointed raises ValueError, and so do a malformed
+    epsilon (_require_tol) and a schedule that _step_grid refuses, each
+    before any evaluation.
     """
-    _require_tol(tol)
+    _require_tol(tol=tol)
     x0 = _domain_point(f, x0, "test point")
     epsilons = list(epsilons)
-    # a NaN is outside too, and a bool is no tolerance
-    if not epsilons or not all(not isinstance(eps, (bool, np.bool_)) and 0.0 <= eps < math.inf for eps in epsilons):
-        raise ValueError("epsilons must name at least one tolerance, each finite and nonnegative")
+    if not epsilons:
+        raise ValueError("epsilons must name at least one tolerance")
+    _require_tol(**{f"epsilons[{i}]": eps for i, eps in enumerate(epsilons)})
     _at_least_one(n_directions=n_directions)
     # antipodal pairs of sampled unit directions, at most max(n_directions, 2) in all
     dirs = [v for u in _unit_directions(f, max(n_directions, 2), [seed])[0] for v in (u, -u)][: max(n_directions, 2)]
     bd_min = float(f.domain.boundary_distance(x0, np.array(dirs)).min())
-    t_schedule = _default_t0(bd_min) * _RATIO ** np.arange(_FRECHET_LEVELS)
-    if not t_schedule[-1] > 0.0:
-        raise ValueError(f"the Frechet schedule underflows to t = 0 at boundary clearance {bd_min}")
+    t_schedule = _step_grid(bd_min, None, _RATIO, _FRECHET_LEVELS)
     e_star = strictly_positive_functional(spec.cone)
     radius = base_radius(spec.cone, e_star, norm_kind=f.codomain_norm)
     try:

@@ -59,23 +59,26 @@ _FOLD_WIDTH = 8
 _COLUMN_ROWS = 8
 
 
-def _require_tol(tol) -> None:
-    """Raise ValueError, before any evaluation, unless tol is finite, at
-    least 0 and not a bool: a malformed tolerance is an input error, never a
-    verdict.  The one tolerance rule of the package: membership and the order
-    read it, and so does every check of checks and derivative."""
-    if isinstance(tol, (bool, np.bool_)) or not 0.0 <= tol < math.inf:  # a NaN is outside too
-        raise ValueError(f"tol must be finite and >= 0, got {tol}")
+def _require_tol(*, positive: bool = False, **numbers) -> None:
+    """Raise ValueError, before any evaluation, naming the first number that
+    is a bool, NaN, infinite or below 0 (or at 0, when positive): a malformed
+    number is an input error, never a verdict.  The one number rule of the
+    package, called as _require_tol(tol=tol): every tol reads it, and so do
+    the epsilons, deltas, allowance constants and modulus parameters."""
+    for name, value in numbers.items():
+        # a NaN fails both comparisons
+        if isinstance(value, (bool, np.bool_)) or not (0.0 < value if positive else 0.0 <= value) or not value < math.inf:
+            raise ValueError(f"{name} must be finite and {'>' if positive else '>='} 0, got {value}")
 
 
-def _at_least_one(**counts) -> None:
+def _at_least_one(*, minimum: int = 1, **counts) -> None:
     """Raise ValueError naming the first count that is not an integer of at
-    least 1, a bool being none, as the config reader refuses one: a check
-    never certifies from an empty or floored sample.  The one count rule of
-    the package."""
+    least minimum (1 unless given), a bool being none, as the config reader
+    refuses one: a check never certifies from an empty or floored sample,
+    and a count is never truncated.  The one count rule of the package."""
     for name, value in counts.items():
-        if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
-            raise ValueError(f"{name} must be an integer of at least 1, got {value!r}")
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < minimum:
+            raise ValueError(f"{name} must be an integer of at least {minimum}, got {value!r}")
 
 
 def as_point(coords, dim: int | None = None) -> Point:
@@ -312,22 +315,29 @@ class Box:
     def dim(self) -> int:
         return int(self.lo.shape[0])
 
-    def contains(self, x) -> bool:
-        """Whether x lies strictly inside every face: one mask of both faces,
-        reduced once.  A shape other than (dim,) raises ValueError."""
-        x = np.asarray(x, dtype=float)
-        if x.shape != self.lo.shape:
+    def inside(self, points) -> np.ndarray:
+        """The one open-box mask of the package, of the shape of points
+        (..., dim): whether each entry lies strictly between its faces, a NaN
+        failing.  A point is inside when its row is all True; a last axis
+        other than dim raises ValueError."""
+        x = np.asarray(points, dtype=float)
+        if x.shape[-1:] != self.lo.shape:
             raise ValueError("dimension mismatch in box membership")
-        return bool(((x > self.lo) & (x < self.hi)).all())
+        return (x > self.lo) & (x < self.hi)
+
+    def contains(self, x) -> bool:
+        """Whether the one point x lies strictly inside every face (inside).
+        A shape other than (dim,) raises ValueError."""
+        if np.shape(x) != self.lo.shape:
+            raise ValueError("dimension mismatch in box membership")
+        return bool(self.inside(x).all())
 
     def boundary_distance(self, x, h):
         """Distance from x to the boundary along the ray through h (sup of
         admissible step sizes).  For one point (d,), or for stacked points
         and directions (k, d), one distance per row."""
         x = np.asarray(x, dtype=float)
-        if x.shape[-1:] != self.lo.shape:
-            raise ValueError("dimension mismatch in box membership")
-        if not ((x > self.lo) & (x < self.hi)).all():
+        if not self.inside(x).all():
             raise ValueError("boundary distance requested from a point outside the box")
         h = np.asarray(h, dtype=float)
         if h.ndim == 1:
@@ -391,8 +401,7 @@ class PolyCone:
     pointed: bool = field(init=False, default=True)
 
     def __post_init__(self):
-        if int(self.dim) < 1:
-            raise ValueError("cone dimension must be a positive integer")
+        _at_least_one(dim=self.dim)
         self.dim = int(self.dim)
         if self.generators is None and self.dual_generators is None:
             raise ValueError("cone needs generators, dual generators, or both")
@@ -473,7 +482,7 @@ def contains(cone: PolyCone, v, tol: float = 1e-9) -> bool:
     coordinate is within tol.  A tol that is not finite and at least 0
     raises ValueError (_require_tol).
     """
-    _require_tol(tol)
+    _require_tol(tol=tol)
     v = np.asarray(v, dtype=float)
     if v.shape != (cone.dim,):
         raise ValueError(f"dimension mismatch: point of shape {v.shape} against cone of dim {cone.dim}")
@@ -484,7 +493,6 @@ def contains(cone: PolyCone, v, tol: float = 1e-9) -> bool:
 
 def leq(cone: PolyCone, x, y, tol: float = 1e-9) -> bool:
     """Cone order: x <= y iff y - x is a member, under the tol rule of contains."""
-    _require_tol(tol)
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.shape != y.shape:

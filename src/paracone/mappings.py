@@ -26,7 +26,9 @@ from typing import Callable, Protocol
 
 import numpy as np
 
-from .geometry import NORM_KINDS, Box, PolyCone, as_point, generator_direction, matvec_rows, orthant, row_dots
+from .geometry import (
+    NORM_KINDS, Box, PolyCone, _at_least_one, _require_tol, as_point, generator_direction, matvec_rows, orthant, row_dots
+)
 from .modulus import ParaSpec, square_modulus, zero_modulus
 
 
@@ -43,6 +45,15 @@ def _domain_point(f: VectorMapping, x0, what: str) -> np.ndarray:
     if not f.domain.contains(x0):
         raise OutsideDomainError(f"{f.label}: {what} outside the open domain")
     return x0
+
+
+def _domain_region(f: VectorMapping, region: Box) -> None:
+    """The one region rule of every op that samples a region: a box of the
+    domain's dimension whose faces lie within the domain's, else ValueError."""
+    if region.dim != f.domain.dim:
+        raise ValueError(f"dimension mismatch: region has {region.dim} coordinates, expected {f.domain.dim}")
+    if ((region.lo < f.domain.lo) | (region.hi > f.domain.hi)).any():
+        raise ValueError(f"{f.label}: region escapes the mapping domain")
 
 
 @dataclass(eq=False)
@@ -71,8 +82,7 @@ class VectorMapping:
     codomain_norm: str = "two"
 
     def __post_init__(self):
-        if self.codomain_dim < 1:
-            raise ValueError("codomain dimension must be positive")
+        _at_least_one(codomain_dim=self.codomain_dim)
         if self.domain_norm not in NORM_KINDS or self.codomain_norm not in NORM_KINDS:
             raise ValueError(f"norm tags must be one of {NORM_KINDS}")
         if self.claimed is not None and self.claimed.cone.dim != self.codomain_dim:
@@ -88,15 +98,15 @@ class VectorMapping:
     def eval_batch(self, points) -> np.ndarray:
         """Values at the rows of points, shape (n, d) -> (n, m).
 
-        Every row must lie in the open domain box and every value must be
-        finite; the error names the first offending row.  Each test is one
-        mask, computed once: reduced once to pass, and per row only to name
-        the row.
+        Every row must lie in the open domain box (Box.inside) and every
+        value must be finite; the error names the first offending row.  Each
+        test is one mask, computed once: reduced once to pass, and per row
+        only to name the row.
         """
         points = np.asarray(points, dtype=float)
         if points.ndim != 2 or points.shape[1] != self.domain.dim:
             raise ValueError(f"{self.label}: points must have shape (n, {self.domain.dim}), got {points.shape}")
-        inside = (points > self.domain.lo) & (points < self.domain.hi)
+        inside = self.domain.inside(points)
         if not inside.all():
             row = points[int(np.argmin(inside.all(axis=1)))]
             raise OutsideDomainError(f"{self.label}: point {row.tolist()} outside the open domain box")
@@ -353,8 +363,7 @@ def make_stacked_scalars(convex_parts, smooth_parts, weights, C: float, domain: 
         raise ValueError("need one convex part and one smooth part per component")
     if domain.dim != 1:
         raise ValueError("the stacked family lives on a one-dimensional domain")
-    if not np.isfinite(C) or C < 0.0:
-        raise ValueError("constant must be finite and nonnegative")
+    _require_tol(C=C)
     lo, hi = float(domain.lo[0]), float(domain.hi[0])
     for i, u2 in enumerate(smooth_parts):
         worst = u2.sup_abs_second(lo, hi)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import PolyCone, as_point, cone_values, contains
+from .geometry import PolyCone, _require_tol, as_point, cone_values, contains
 
 MODULUS_KINDS = ("zero", "square", "power", "table")
 
@@ -29,11 +29,8 @@ class Modulus:
     def __post_init__(self):
         if self.kind not in MODULUS_KINDS:
             raise ValueError(f"unknown modulus kind {self.kind!r}")
-        if not np.isfinite(self.scale) or self.scale < 0.0:
-            raise ValueError("modulus scale must be finite and nonnegative")
-        if self.kind == "power":
-            if not np.isfinite(self.p) or self.p <= 0.0:
-                raise ValueError("power modulus needs a positive exponent")
+        _require_tol(scale=self.scale)
+        _require_tol(positive=True, p=self.p)
         if self.kind == "table":
             knots = tuple((float(t), float(v)) for t, v in self.knots)
             if not knots:
@@ -124,9 +121,7 @@ class ParaSpec:
         object.__setattr__(self, "k", as_point(self.k, self.cone.dim))
         if self.C is None and self.C1 is None:
             raise ValueError("spec needs at least one allowance constant (C or C1)")
-        for label, value in (("C", self.C), ("C1", self.C1)):
-            if value is not None and (not np.isfinite(value) or value < 0.0):
-                raise ValueError(f"constant {label} must be finite and nonnegative")
+        _require_tol(**{label: value for label, value in {"C": self.C, "C1": self.C1}.items() if value is not None})
         if not contains(self.cone, self.k):
             raise ValueError("direction k is not a member of the cone")
         row_k = cone_values(self.cone, self.k)

@@ -1,8 +1,11 @@
 """Inequality checkers, falsification, and the scalar side conditions."""
 
+import ast
 import dataclasses
 import inspect
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,9 +15,12 @@ from hypothesis import strategies as st
 from paracone import (
     Box,
     ParaSpec,
+    PiecewiseLinear,
     PolyCone,
+    Quadratic1D,
     SampleTriple,
     Triples,
+    VectorMapping,
     affine_mapping,
     build_trace,
     check_alpha_monotone,
@@ -30,12 +36,14 @@ from paracone import (
     dyadic_small_gap_triples,
     falsify,
     frechet_test,
+    make_stacked_scalars,
     gateaux_scan,
     gateaux_test,
     neg_abs_1d,
     neg_square_1d,
     normality_constant,
     orthant,
+    power_modulus,
     random_simplicial_cone,
     sample_triples,
     scalarize_check,
@@ -43,6 +51,7 @@ from paracone import (
     square_modulus,
     zero_modulus,
 )
+import paracone
 import paracone.checks
 import paracone.geometry
 from paracone.checks import _ball_pairs, _coordinate_moves, _margins, _paired_moves, _pattern_search, _search_plan
@@ -1068,9 +1077,9 @@ _BAD_COUNTS = {
     "inequality-budget-bool": ("budget", lambda f: check_inequality(f, f.claimed, budget=True)),
     "normality-budget-bool": ("budget", lambda f: normality_constant(orthant(2), budget=True)),
     "normality-budget-float": ("budget", lambda f: normality_constant(orthant(2), budget=2.5)),
-    # a point a subnormal away from a face underflows the fixed schedule to t = 0
+    # a point a subnormal away from a face halves to a top step of t = 0 on the step grid
     "frechet-underflow": (
-        "Frechet schedule underflows",
+        r"t0=0\.0 leaves the domain along h \(boundary clearance 5e-324\)",
         lambda f: frechet_test(dataclasses.replace(f, domain=Box(lo=[0.0], hi=[1.0])), f.claimed, [5e-324]),
     ),
     "frechet-negative-epsilon": ("epsilons", lambda f: frechet_test(f, f.claimed, [0.2], epsilons=[-1])),
@@ -1101,6 +1110,34 @@ def test_a_numpy_integer_count_is_a_count():
     f = neg_square_1d()
     assert check_inequality(f, f.claimed, budget=np.int64(5)).samples_used == 5
     assert gateaux_test(f, f.claimed, [0.2], n_directions=np.int32(4)).passed
+    assert gateaux_scan(f, f.claimed, f.domain.shrink(0.1), n_points=np.int64(2)).n_points == 2
+    assert build_trace(f, f.claimed, [0.2], [1.0], depth=np.int32(3)).t_grid.size == 3
+    assert directional_derivative(f, f.claimed, [0.2], [1.0], max_depth=np.int64(40)).converged
+    cone = PolyCone(np.int64(2), dual_generators=np.eye(2))
+    assert cone.dim == 2 and type(cone.dim) is int
+
+
+_WIDE_REGION = Box(lo=[-0.5, -0.5], hi=[0.5, 0.5])
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda f: gateaux_scan(f, f.claimed, _WIDE_REGION, n_points=2),
+        lambda f: check_vector_lipschitz(f, f.claimed, _WIDE_REGION, budget=16),
+    ],
+    ids=["scan", "lipschitz"],
+)
+def test_a_region_of_another_dimension_is_refused_before_any_draw(call, monkeypatch):
+    # the one region rule: a 2-D region on a 1-D map named as such, not as a
+    # point of the open domain or a failed evaluation after the draw
+    calls = []
+    base = neg_square_1d()
+    f = dataclasses.replace(base, evaluator=lambda x: calls.append(len(x)) or base.evaluator(x))
+    monkeypatch.setattr(np.random, "default_rng", lambda *args: pytest.fail("drew before the region was checked"))
+    with pytest.raises(ValueError, match=r"^dimension mismatch: region has 2 coordinates, expected 1$"):
+        call(f)
+    assert calls == []
 
 
 def _trace_then_monotone(f, tol):
@@ -1152,3 +1189,121 @@ def test_every_check_that_reads_tol_is_in_the_malformed_tol_table():
         and "tol" in inspect.signature(fn).parameters
     }
     assert reading == set(_TOL_CALLS)
+
+
+# ---------------------------------------------------------------------------
+# malformed numbers and counts
+
+
+def _stack(C):
+    return make_stacked_scalars(
+        (PiecewiseLinear(0.0),), (Quadratic1D(a=0.0),), [1.0], C=C, domain=Box(lo=[-1.0], hi=[1.0]), label="one"
+    )
+
+
+def _spec(**constants):
+    return ParaSpec(modulus=square_modulus(), k=np.array([1.0]), cone=orthant(1), **constants)
+
+
+def _mapping(codomain_dim):
+    return VectorMapping(Box(lo=[-1.0], hi=[1.0]), codomain_dim, lambda x: x, "bad-codomain")
+
+
+_NUMBER = "{} must be finite and >= 0, got {}"
+_POSITIVE = "{} must be finite and > 0, got {}"
+_COUNT = "{} must be an integer of at least {}, got {}"
+
+# per case: the argument, the message it raises, and the call on a counting mapping f
+_BAD_ARGUMENTS = {
+    "approx-convex-epsilon-bool": ("epsilon", _NUMBER.format("epsilon", True), lambda f: check_approx_convex(f, [0.0], True, 0.1)),
+    "approx-convex-epsilon-numpy-bool": (
+        "epsilon",
+        _NUMBER.format("epsilon", True),
+        lambda f: check_approx_convex(f, [0.0], np.True_, 0.1),
+    ),
+    "approx-convex-delta-bool": ("delta", _POSITIVE.format("delta", True), lambda f: check_approx_convex(f, [0.0], 0.1, True)),
+    "frechet-epsilon-nan": ("epsilons", _NUMBER.format("epsilons[1]", "nan"), lambda f: frechet_test(f, f.claimed, [0.2], epsilons=[1e-3, math.nan])),
+    "frechet-epsilon-minus-inf": ("epsilons", _NUMBER.format("epsilons[0]", "-inf"), lambda f: frechet_test(f, f.claimed, [0.2], epsilons=[-math.inf])),
+    "frechet-epsilon-bool": ("epsilons", _NUMBER.format("epsilons[2]", True), lambda f: frechet_test(f, f.claimed, [0.2], epsilons=[0.1, 0.0, True])),
+    "spec-C-bool": ("C", _NUMBER.format("C", True), lambda f: _spec(C=True)),
+    "spec-C-nan": ("C", _NUMBER.format("C", "nan"), lambda f: _spec(C=math.nan)),
+    "spec-C-negative": ("C", _NUMBER.format("C", -1.0), lambda f: _spec(C=-1.0)),
+    "spec-C1-inf": ("C1", _NUMBER.format("C1", "inf"), lambda f: _spec(C=1.0, C1=math.inf)),
+    "spec-C1-bool": ("C1", _NUMBER.format("C1", False), lambda f: _spec(C1=False)),
+    "modulus-scale-bool": ("scale", _NUMBER.format("scale", True), lambda f: square_modulus(True)),
+    "modulus-scale-negative": ("scale", _NUMBER.format("scale", -2.0), lambda f: power_modulus(2.0, scale=-2.0)),
+    "modulus-scale-nan": ("scale", _NUMBER.format("scale", "nan"), lambda f: square_modulus(math.nan)),
+    "modulus-p-bool": ("p", _POSITIVE.format("p", True), lambda f: power_modulus(True)),
+    "modulus-p-zero": ("p", _POSITIVE.format("p", 0.0), lambda f: power_modulus(0.0)),
+    "modulus-p-nan": ("p", _POSITIVE.format("p", "nan"), lambda f: power_modulus(math.nan)),
+    "modulus-p-inf": ("p", _POSITIVE.format("p", "inf"), lambda f: power_modulus(math.inf)),
+    "stacked-C-bool": ("C", _NUMBER.format("C", True), lambda f: _stack(True)),
+    "stacked-C-inf": ("C", _NUMBER.format("C", "inf"), lambda f: _stack(math.inf)),
+    "stacked-C-negative": ("C", _NUMBER.format("C", -0.5), lambda f: _stack(-0.5)),
+    "scan-n-points-float": ("n_points", _COUNT.format("n_points", 1, 2.5), lambda f: gateaux_scan(f, f.claimed, f.domain.shrink(0.1), n_points=2.5)),
+    "scan-n-points-bool": ("n_points", _COUNT.format("n_points", 1, True), lambda f: gateaux_scan(f, f.claimed, f.domain.shrink(0.1), n_points=True)),
+    "scan-n-points-zero": ("n_points", _COUNT.format("n_points", 1, 0), lambda f: gateaux_scan(f, f.claimed, f.domain.shrink(0.1), n_points=0)),
+    "scan-n-points-nan": ("n_points", _COUNT.format("n_points", 1, "nan"), lambda f: gateaux_scan(f, f.claimed, f.domain.shrink(0.1), n_points=math.nan)),
+    "cone-dim-float": ("dim", _COUNT.format("dim", 1, 2.5), lambda f: PolyCone(2.5, dual_generators=np.eye(2))),
+    "cone-dim-bool": ("dim", _COUNT.format("dim", 1, True), lambda f: PolyCone(True, generators=[[1.0]])),
+    "cone-dim-numpy-float": ("dim", _COUNT.format("dim", 1, repr(np.float64(2.0))), lambda f: PolyCone(np.float64(2.0), dual_generators=np.eye(2))),
+    "codomain-dim-float": ("codomain_dim", _COUNT.format("codomain_dim", 1, 2.5), lambda f: _mapping(2.5)),
+    "codomain-dim-bool": ("codomain_dim", _COUNT.format("codomain_dim", 1, True), lambda f: _mapping(True)),
+    "codomain-dim-zero": ("codomain_dim", _COUNT.format("codomain_dim", 1, 0), lambda f: _mapping(0)),
+    "trace-depth-float": ("depth", _COUNT.format("depth", 2, 2.5), lambda f: build_trace(f, f.claimed, [0.2], [1.0], depth=2.5)),
+    "trace-depth-bool": ("depth", _COUNT.format("depth", 2, True), lambda f: build_trace(f, f.claimed, [0.2], [1.0], depth=True)),
+    "trace-depth-one": ("depth", _COUNT.format("depth", 2, 1), lambda f: build_trace(f, f.claimed, [0.2], [1.0], depth=1)),
+    "derivative-max-depth-float": (
+        "max_depth",
+        _COUNT.format("max_depth", 2, 3.5),
+        lambda f: directional_derivative(f, f.claimed, [0.2], [1.0], max_depth=3.5),
+    ),
+    "derivative-max-depth-bool": (
+        "max_depth",
+        _COUNT.format("max_depth", 2, False),
+        lambda f: directional_derivative(f, f.claimed, [0.2], [1.0], max_depth=False),
+    ),
+    "derivative-max-depth-zero": (
+        "max_depth",
+        _COUNT.format("max_depth", 2, 0),
+        lambda f: directional_derivative(f, f.claimed, [0.2], [1.0], max_depth=0),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(_BAD_ARGUMENTS))
+def test_a_malformed_number_or_count_raises_naming_it_before_any_evaluation(case):
+    # a bool, a float for a count, a NaN, an inf or a value out of range is
+    # an input error naming the argument, as the config reader refuses it
+    _, message, call = _BAD_ARGUMENTS[case]
+    calls = []
+    base = neg_square_1d()
+    f = dataclasses.replace(base, evaluator=lambda x: calls.append(len(x)) or base.evaluator(x))
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call(f)
+    assert calls == []
+
+
+def _rule_arguments() -> set:
+    """The argument names the number and count rules read in the package:
+    the keywords of every _require_tol and _at_least_one call, and the
+    leading name of each string key of a **-mapping passed to one."""
+    flags = {"positive", "minimum"}
+    names = set()
+    for path in sorted(Path(paracone.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not (isinstance(node, ast.Call) and getattr(node.func, "id", None) in ("_require_tol", "_at_least_one")):
+                continue
+            for keyword in node.keywords:
+                if keyword.arg is not None:
+                    names.add(keyword.arg)
+                    continue
+                keys = [n.value for n in ast.walk(keyword.value) if isinstance(n, ast.Constant) and isinstance(n.value, str)]
+                names |= {re.match(r"\w*", key).group() for key in keys} - {""}
+    return names - flags
+
+
+def test_every_argument_a_rule_reads_is_in_a_malformed_table():
+    covered = {argument for argument, *_ in _BAD_ARGUMENTS.values()} | {"tol"}  # tol: the malformed tol table
+    covered |= {"budget", "n_directions"} & {name for name, _ in _BAD_COUNTS.values()}
+    assert _rule_arguments() == covered

@@ -248,7 +248,7 @@ def test_underflowing_step_grid_is_rejected():
         build_trace(f, f.claimed, [0.0], [1.0], ratio=1e-10, depth=35)
     # one level short of the underflow is still a grid
     assert build_trace(f, f.claimed, [0.0], [1.0], ratio=1e-10, depth=33).t_grid[-1] > 0.0
-    with pytest.raises(ValueError, match="at least two grid levels"):
+    with pytest.raises(ValueError, match="max_depth must be an integer of at least 2, got 1"):
         directional_derivative(f, f.claimed, [0.0], [1.0], max_depth=1)
 
 

@@ -207,6 +207,23 @@ def test_box_membership_is_strict():
         box.contains([0.0])
 
 
+def test_box_inside_is_the_strict_mask_of_each_entry():
+    box = Box(lo=[-1.0, 0.0], hi=[1.0, 2.0])
+    points = np.array(
+        [[0.0, 1.0], [-1.0, 1.0], [1.0, 1.0], [0.0, 0.0], [0.0, 2.0], [np.nan, 1.0], [0.0, np.inf], [-np.inf, 1.0], [0.999, 1e-300]]
+    )
+    mask = box.inside(points)
+    assert mask.dtype == bool and mask.shape == points.shape
+    assert mask.all(axis=1).tolist() == [True, False, False, False, False, False, False, False, True]
+    # a face, a NaN and an inf fail their own entry only
+    assert mask[[1, 4, 5, 6]].tolist() == [[False, True], [True, False], [False, True], [True, False]]
+    assert box.inside(points.reshape(3, 3, 2)).tolist() == mask.reshape(3, 3, 2).tolist()
+    assert box.inside(np.empty((0, 2))).shape == (0, 2)
+    assert [box.contains(p) for p in points] == mask.all(axis=1).tolist()
+    with pytest.raises(ValueError, match="dimension mismatch in box membership"):
+        box.inside(np.zeros((4, 3)))
+
+
 def test_box_boundary_distance():
     box = Box(lo=[-1.0, -1.0], hi=[1.0, 1.0])
     x = np.array([0.5, 0.0])
@@ -530,7 +547,7 @@ def test_pointedness_holds_at_any_scale():
     [
         (lambda: PolyCone(2, generators=[[1.0, np.nan], [0.0, 1.0]]), "generators contains non-finite entries"),
         (lambda: PolyCone(2, dual_generators=[[1.0, 0.0], [0.0, 0.0]]), "dual_generators contains a zero row"),
-        (lambda: PolyCone(0, generators=[[1.0]]), "cone dimension must be a positive integer"),
+        (lambda: PolyCone(0, generators=[[1.0]]), "dim must be an integer of at least 1, got 0"),
         (lambda: PolyCone(2), "cone needs generators, dual generators, or both"),
     ],
     ids=["non-finite", "zero-row", "dimension-zero", "no-form"],

@@ -169,7 +169,7 @@ def test_stacked_scalars_validate_their_parts():
         make_stacked_scalars((), (), [], C=1.0, domain=Box(lo=[-1.0], hi=[1.0]), label="empty")
     with pytest.raises(ValueError, match="one-dimensional domain"):
         make_stacked_scalars(weights=[1.0, 0.5], **{**kwargs, "domain": Box(lo=[-1.0, -1.0], hi=[1.0, 1.0])})
-    with pytest.raises(ValueError, match="finite and nonnegative"):
+    with pytest.raises(ValueError, match="C must be finite and >= 0, got -1.0"):
         make_stacked_scalars(weights=[1.0, 0.5], **{**kwargs, "C": -1.0})
     with pytest.raises(ValueError, match="pair: component 1 smooth-part curvature 4 exceeds"):
         make_stacked_scalars(weights=[1.0, 0.5], **{**kwargs, "smooth_parts": (Quadratic1D(a=-0.5), Quadratic1D(a=-2.0))})

@@ -353,3 +353,170 @@ def test_the_estimator_ladder_has_one_home():
     home = [i for i, line in enumerate(lines, 1) if line.startswith("_RATIO, _DEPTH = ")]
     assert _int_constants("derivative.py", 40) == home and len(home) == 1
     assert _int_constants("config.py", 40) == []
+
+
+# the four argument rules: numbers and counts, the open-box mask, and regions
+_ARGUMENT_RULES = {
+    ("geometry.py", "_require_tol"),
+    ("geometry.py", "_at_least_one"),
+    ("geometry.py", "Box.inside"),
+    ("mappings.py", "_domain_region"),
+}
+# range checks of a scalar argument that neither number nor count rule holds, each kept for its reason
+_OWN_RANGES = {
+    ("derivative.py", "_step_grid"): "ratio lies strictly between 0 and 1",
+    ("checks.py", "SampleTriple.__post_init__"): "a mixing weight lies in [0, 1]",
+}
+
+
+def _qualified_functions(tree: ast.Module):
+    """(qualified name, node) per function of a module, a method as Class.method."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef):
+                    yield f"{node.name}.{item.name}", item
+        elif isinstance(node, ast.FunctionDef):
+            yield node.name, node
+
+
+def _argument_names(fn: ast.FunctionDef) -> set:
+    """The names under fn that hold an argument: its parameters (self
+    aside), and every name a loop or a comprehension binds from an iterable
+    that reads one, or reads a field of self."""
+    args = fn.args
+    names = {a.arg for a in args.posonlyargs + args.args + args.kwonlyargs + [args.vararg, args.kwarg] if a} - {"self", "cls"}
+    loops = [n for n in ast.walk(fn) if isinstance(n, (ast.For, ast.comprehension))]
+    for _ in loops:  # a fixed point: each pass binds at least one more loop, or none
+        bound = {
+            t.id
+            for loop in loops
+            if any(_is_argument(n, names) for n in ast.walk(loop.iter))
+            for t in ast.walk(loop.target)
+            if isinstance(t, ast.Name)
+        }
+        if bound <= names:
+            break
+        names |= bound
+    return names
+
+
+def _is_argument(node, names: set) -> bool:
+    """Whether node reads an argument as a whole: one of names, a field of
+    self, or either passed through int or float."""
+    if isinstance(node, ast.Call) and getattr(node.func, "id", None) in ("int", "float") and len(node.args) == 1:
+        node = node.args[0]
+    if isinstance(node, ast.Name):
+        return node.id in names
+    return isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "self"
+
+
+def _is_number(node) -> bool:
+    """Whether node spells a number: an int or float literal, inf, or one negated."""
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+        node = node.operand
+    if isinstance(node, ast.Constant):
+        return type(node.value) in (int, float)
+    return isinstance(node, ast.Attribute) and node.attr == "inf"
+
+
+def _scalar_tests(test):
+    """The comparisons and calls a branch test makes on whole values: through
+    not, and, or, a conditional expression's branches and an all or any over
+    a generator, but not into an array test such as np.any(a < 0) or
+    (a > 0).all()."""
+    if isinstance(test, (ast.BoolOp, ast.IfExp)):
+        for value in test.values if isinstance(test, ast.BoolOp) else (test.body, test.orelse):
+            yield from _scalar_tests(value)
+    elif isinstance(test, ast.UnaryOp) and isinstance(test.op, ast.Not):
+        yield from _scalar_tests(test.operand)
+    elif isinstance(test, ast.Call) and getattr(test.func, "id", None) in ("all", "any") and test.args:
+        if isinstance(test.args[0], ast.GeneratorExp):
+            yield from _scalar_tests(test.args[0].elt)
+    else:
+        yield test
+
+
+def _range_checks(fn: ast.FunctionDef) -> list:
+    """The lines of fn where a branch that raises range-checks an argument:
+    compares it with a number, or asks whether it is finite."""
+    names = _argument_names(fn)
+    branches = [n.test for n in ast.walk(fn) if isinstance(n, ast.If) and any(isinstance(s, ast.Raise) for s in n.body)]
+    lines = []
+    for test in branches:
+        for node in _scalar_tests(test):
+            if isinstance(node, ast.Compare):
+                sides = [node.left, *node.comparators]
+                if any(_is_argument(s, names) for s in sides) and any(_is_number(s) for s in sides):
+                    lines.append(node.lineno)
+            elif isinstance(node, ast.Call) and getattr(node.func, "attr", getattr(node.func, "id", None)) == "isfinite":
+                if len(node.args) == 1 and _is_argument(node.args[0], names):
+                    lines.append(node.lineno)
+    return sorted(set(lines))
+
+
+def _bound(node):
+    """lo or hi, when node reads a box bound by that name (a name or an attribute), else None."""
+    name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+    return name if name in ("lo", "hi") else None
+
+
+def _box_comparisons(fn: ast.FunctionDef) -> dict:
+    """The lines of fn that compare a value with a box bound ("mask": x > lo
+    or x < hi, or either negated) and those that compare a bound with a bound
+    of the same name ("region": region.lo < domain.lo)."""
+    found = {"mask": [], "region": []}
+    for node in ast.walk(fn):
+        if not isinstance(node, ast.Compare):
+            continue
+        sides = [node.left, *node.comparators]
+        for left, right in zip(sides, sides[1:]):
+            a, b = _bound(left), _bound(right)
+            if (a is None) != (b is None) and not _is_number(left if a is None else right):
+                found["mask"].append(node.lineno)
+            elif a is not None and a == b:
+                found["region"].append(node.lineno)
+    return found
+
+
+def _rule_breaches(root) -> dict:
+    """Per (module, function) outside the argument rules, the lines that
+    write a rule again; config.py's readers, the JSON boundary, aside."""
+    breaches = {}
+    for path in sorted(root.glob("*.py")):
+        if path.name == "config.py":
+            continue
+        for name, fn in _qualified_functions(ast.parse(path.read_text())):
+            if (path.name, name) in _ARGUMENT_RULES:
+                continue
+            found = {"range": _range_checks(fn), **_box_comparisons(fn)}
+            found = {kind: lines for kind, lines in found.items() if lines}
+            if found:
+                breaches[(path.name, name)] = found
+    return breaches
+
+
+def test_each_argument_rule_has_one_home():
+    """A number, a count, an open-box point and a region are each checked by
+    one rule: _require_tol, _at_least_one, Box.inside and _domain_region.
+    Outside them no function of src/paracone compares an argument with a
+    number or asks whether it is finite in a branch that raises, none
+    compares a value with a box's lo or hi, and none compares a box bound
+    with another of the same name, but for the ranges of _OWN_RANGES, which
+    neither rule holds."""
+    breaches = _rule_breaches(SRC_DIR)
+    extra = {key: found for key, found in breaches.items() if key not in _OWN_RANGES or set(found) != {"range"}}
+    assert not extra, extra
+    assert set(breaches) == set(_OWN_RANGES)  # each kept range is still written
+    # the search finds the mask and the region rule where they live, and each kind of copy
+    inside = dict(_qualified_functions(ast.parse((SRC_DIR / "geometry.py").read_text())))["Box.inside"]
+    region = dict(_qualified_functions(ast.parse((SRC_DIR / "mappings.py").read_text())))["_domain_region"]
+    assert _box_comparisons(inside)["mask"] and _box_comparisons(region)["region"]
+    copy = ast.parse(
+        "def f(xs, n, eps):\n"
+        "    if n < 1 or not all(0.0 <= e for e in xs):\n        raise ValueError(n)\n"
+        "    if not np.isfinite(eps):\n        raise ValueError(eps)\n"
+        "    if np.any(xs <= 0.0):\n        raise ValueError(xs)\n"
+        "    ok = (xs > box.lo) & (xs < box.hi)\n"
+    ).body[0]
+    assert _range_checks(copy) == [2, 4] and _box_comparisons(copy) == {"mask": [8, 8], "region": []}
