@@ -1,12 +1,14 @@
 #!/usr/bin/env python3
 """Print the epsilon/delta uniformity table for two mappings.
 
-The smooth plane-to-space family carries an analytic derivative, which
-frechet_test reads in place of the estimator.  The affine case is the
-yardstick: with the square modulus at constant one the residual is exactly
-t*k, its functional value is t*sqrt(3), and delta(eps) must be the largest
-scheduled step below eps/sqrt(3).  Agreement here pins down the schedule
-bookkeeping, not the analysis.
+frechet_test takes every D(h) from its own linearity battery's estimates,
+never from a family's analytic derivative, so each residual margin carries
+the estimate's error bound.  The first case is the smooth plane-to-space
+family.  The affine case is the yardstick: with the square modulus at
+constant one the residual is t*k up to the estimate's rounding, its
+functional value is t*sqrt(3), and delta(eps) must be the largest scheduled
+step below eps/sqrt(3).  Agreement here pins down the schedule bookkeeping,
+not the analysis.
 """
 
 import argparse

@@ -61,7 +61,8 @@ class SampleTriple:
     def __post_init__(self):
         object.__setattr__(self, "x", np.asarray(self.x, dtype=float))
         object.__setattr__(self, "y", np.asarray(self.y, dtype=float))
-        if not 0.0 <= self.lam <= 1.0:
+        _require_tol(lam=self.lam)
+        if not self.lam <= 1.0:
             raise ValueError("mixing weight must lie in [0, 1]")
 
 

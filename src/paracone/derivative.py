@@ -58,7 +58,7 @@ from .geometry import (
     row_reduce,
     strictly_positive_functional,
 )
-from .mappings import OutsideDomainError, VectorMapping, _domain_point, _domain_region, known_directional
+from .mappings import OutsideDomainError, VectorMapping, _domain_point, _domain_region
 from .modulus import ParaSpec, eval_modulus
 from .reports import CheckReport, Report, worst_report
 
@@ -237,9 +237,12 @@ def build_trace(
 
     The direction must be admissible: x0 + t0*h stays in the open domain,
     which holds for the default t0 (half the boundary clearance, capped at
-    0.1) at any interior point.  depth is a count of at least 2.
+    0.1) at any interior point.  depth is a count of at least 2, and a given
+    t0 a positive number (_require_tol), each refused before any evaluation.
     """
     _at_least_one(minimum=2, depth=depth)
+    if t0 is not None:
+        _require_tol(positive=True, t0=t0)
     x0, h = _prep_direction(f, x0, h)
     return _quotients(f, spec, x0, h, _step_grid(f.domain.boundary_distance(x0, h), t0, ratio, depth))
 
@@ -365,9 +368,12 @@ def directional_derivative(
     number of evaluations.  A modulus that is not strong, or a cone that is
     not pointed, raises ValueError before any evaluation: without
     modulus(t)/t -> 0 the corrected quotients need not converge, and the stop
-    rule's row measure cannot see along a line in the cone.
+    rule's row measure cannot see along a line in the cone.  A given t0 reads
+    the number rule, positive, before the step grid's clearance test.
     """
     _require_tol(tol=tol)
+    if t0 is not None:
+        _require_tol(positive=True, t0=t0)
     _at_least_one(minimum=2, max_depth=max_depth)
     _require_strong(spec)
     x0, h = _prep_direction(f, x0, h)
@@ -471,14 +477,6 @@ def _estimates(f: VectorMapping, spec: ParaSpec, x0s, vectors, tol: float, resca
     return vals.reshape(p, w, -1), errs.reshape(p, w), used.reshape(p, w), lengths.reshape(p, w), errors
 
 
-def _point_estimates(f: VectorMapping, spec: ParaSpec, x0, vectors, tol: float, rescaled=False) -> tuple:
-    """_estimates at one point along a stack of vectors (k, d); the first that did not converge raises."""
-    vals, errs, _, _, (error,) = _estimates(f, spec, x0[None], np.asarray(vectors, dtype=float)[None], tol, rescaled)
-    if error is not None:
-        raise error
-    return vals[0], errs[0]
-
-
 def _homogeneity(spec: ParaSpec, vals: np.ndarray, errs: np.ndarray, v: int) -> np.ndarray:
     """Per lam the excess (|lam*D_lam - lam*D| - lam*(e + e_lam)) / max(1, lam) of rescaled estimates."""
     lams = np.array(_LAMBDAS)
@@ -527,8 +525,11 @@ def check_sublinear(
     scale = np.where((longer > 0.0) & (np.abs(longer - 1.0) > 1e-6), longer, 1.0)
     h = given / np.repeat(scale, 2)[:, None]
     vectors = np.stack([h[0::2], h[1::2], h[0::2] + h[1::2]], axis=1).reshape(-1, d)  # (h1, h2, h1 + h2) per pair
-    vals, errs = _point_estimates(f, spec, x0, vectors, tol, rescaled=True)
-    excess, n = _homogeneity(spec, vals, errs, len(vectors)), len(vectors)
+    vals, errs, _, _, (error,) = _estimates(f, spec, x0[None], vectors[None], tol, rescaled=True)
+    if error is not None:
+        raise error
+    vals, errs, n = vals[0], errs[0], len(vectors)
+    excess = _homogeneity(spec, vals, errs, n)
     # subadditivity per pair: the cone margin of D(h1) + D(h2) - D(h1 + h2) plus the three error bounds
     sub = cone_margins(spec.cone, vals[0:n:3] + vals[1:n:3] - vals[2:n:3])
     sub += errs[0:n:3] + errs[1:n:3] + errs[2:n:3]
@@ -580,18 +581,27 @@ def _unit_directions(f: VectorMapping, n_directions: int, seeds) -> np.ndarray:
     return _units(f, np.concatenate([axes, units], axis=1).reshape(-1, d))[0].reshape(p, -1, d)
 
 
-def _gateaux_margins(f: VectorMapping, spec: ParaSpec, x0s, vectors, a, b, tol: float) -> tuple:
-    """The linearity battery on a block of points x0s (p, d) along vectors
-    (p, v, d), +-u_i interleaved and then the additivity sums vectors[:, a] +
-    vectors[:, b], from one _estimates call: per margin key the largest
-    excess of each point, as a list of p floats, each the bits of that
-    point's row max, and per point the ConvergenceError of its first
-    unconverged estimate (or None).  Every step is an array pass over the
+def _battery_vectors(base_dirs: np.ndarray) -> tuple:
+    """The linearity battery's vectors on unit directions (p, n, d): per point
+    +u_i and -u_i interleaved, vectors[:, 2i] = +u_i and vectors[:, 2i + 1] =
+    -u_i, then the additivity sums vectors[:, a] + vectors[:, b], u_i + u_(i+1)
+    for the first four neighbours (u_1 + (-u_1) when n is 1).  Returns the
+    vectors (p, 2n + a.size, d), a and b."""
+    p, n, d = base_dirs.shape
+    signed = np.concatenate([base_dirs, -base_dirs], axis=2).reshape(p, 2 * n, d)
+    a, b = np.array([(0, 1)] if n == 1 else [(2 * i, 2 * i + 2) for i in range(min(n - 1, 4))]).T
+    return np.concatenate([signed, signed[:, a] + signed[:, b]], axis=1), a, b
+
+
+def _gateaux_margins(spec: ParaSpec, val, err, used, lengths, a, b) -> dict:
+    """The linearity battery on a block of points from the rescaled estimates
+    (_estimates) along the vectors (p, v, d) of _battery_vectors: per margin
+    key the largest excess of each point, as a list of p floats, each the
+    bits of that point's row max.  Every step is an array pass over the
     block; nothing runs once per point."""
-    v = vectors.shape[1]
+    v = val.shape[1] - len(_LAMBDAS)  # the rescaled columns follow the battery's vectors
     n_sig = v - a.size
     n = n_sig // 2
-    val, err, used, lengths, errors = _estimates(f, spec, x0s, vectors, tol, True)
     plus, minus = val[:, 0:n_sig:2], val[:, 1:n_sig:2]
     e_pm = err[:, 0:n_sig:2] + err[:, 1:n_sig:2]
     # row values of the antisymmetry sums, continuity differences, signed derivatives, additivity defects
@@ -608,13 +618,12 @@ def _gateaux_margins(f: VectorMapping, spec: ParaSpec, x0s, vectors, a, b, tol: 
     bound += allowance[:, None]
     continuity = (np.abs(values[:, n : 2 * n]) - bound[..., None] * row_k - e_pm[..., None]).max(2)
     # one reduction per key over the block, read back as floats
-    margins = {
+    return {
         "antisymmetry": (_row_measure(values[:, :n]) - e_pm).max(axis=1).tolist(),
         "additivity": (_row_measure(values[:, 4 * n :]) - (err[:, a] + err[:, b] + err[:, n_sig:v])).max(axis=1).tolist(),
         "homogeneity": _homogeneity(spec, val, err, v).max(axis=1).tolist(),
         "continuity": continuity.max(axis=1).tolist(),
     }
-    return margins, errors
 
 
 def _gateaux_reports(f: VectorMapping, spec: ParaSpec, x0s, base_dirs, seeds: list, tol: float) -> list:
@@ -631,12 +640,8 @@ def _gateaux_reports(f: VectorMapping, spec: ParaSpec, x0s, base_dirs, seeds: li
     check_vector_lipschitz stay because the bench tracer reads the margin and
     wraps the check by name; ROADMAP item 4 deletes both once item 2 changes
     the tracer."""
-    p, n, d = base_dirs.shape
-    n_sig = 2 * n
-    # vectors[:, 2i] = +u_i and vectors[:, 2i + 1] = -u_i, then the additivity sums
-    signed = np.concatenate([base_dirs, -base_dirs], axis=2).reshape(p, n_sig, d)
-    a, b = np.array([(0, 1)] if n == 1 else [(2 * i, 2 * i + 2) for i in range(min(n - 1, 4))]).T
-    vectors = np.concatenate([signed, signed[:, a] + signed[:, b]], axis=1)
+    p, n, _ = base_dirs.shape
+    vectors, a, b = _battery_vectors(base_dirs)
     # nominal rows per point: the point and _DEPTH steps per vector and homogeneity
     # grid.  A batch evaluates only the levels a stop can read, but blocks are
     # sized on all _DEPTH, so a block holds as many points as when every level
@@ -647,14 +652,15 @@ def _gateaux_reports(f: VectorMapping, spec: ParaSpec, x0s, base_dirs, seeds: li
     reports = []
     for start in range(0, p, block):
         blk = slice(start, start + block)
-        margins, errors = _gateaux_margins(f, spec, x0s[blk], vectors[blk], a, b, tol)
+        *estimates, errors = _estimates(f, spec, x0s[blk], vectors[blk], tol, True)
+        margins = _gateaux_margins(spec, *estimates, a, b)
         for i, error, excess in zip(range(start, p), errors, zip(*margins.values())):
             if error is not None:
                 reports.append(error)
                 continue
             point = dict(zip(margins, excess))
             defect = max(0.0, max(excess))
-            reports.append(GateauxReport(x0s[i], defect, point, tol, seed=seeds[i], n_directions=n_sig, notes=notes))
+            reports.append(GateauxReport(x0s[i], defect, point, tol, seed=seeds[i], n_directions=2 * n, notes=notes))
     return reports
 
 
@@ -819,21 +825,26 @@ def frechet_test(
     """Uniformity of quotient convergence over sampled unit directions.
 
     Per direction h and step t the residual r(t, h) = (f(x0+th) - f(x0))/t
-    + C*modulus(t)/t * k - D(h) is checked for cone membership; its value
-    under the strictly positive functional is lambda_t, and when lambda_t
-    is above tol the largest norm of a base point r/lambda_t is reported
-    as max_base_norm.  Each epsilon needs a schedule step delta with
-    max-over-h lambda_t <= epsilon for every sampled step at or below delta.  D(h) is taken from
-    the family's analytic oracle when present, otherwise from the
-    estimator, whose error bound then joins the allowances.
+    + C*modulus(t)/t * k - D(h) is checked for cone membership, with the
+    estimate's error bound joining the allowances; its value under the
+    strictly positive functional is lambda_t, and when lambda_t is above tol
+    the largest norm of a base point r/lambda_t is reported as
+    max_base_norm.  Each epsilon needs a schedule step delta with
+    max-over-h lambda_t <= epsilon for every sampled step at or below delta.
 
-    The schedule is fixed: the _step_grid of the default top step for the
-    smallest boundary clearance along the sampled directions and 19 halvings
-    of it.  The linearity battery runs next; its failure is reported as a
-    failed precondition rather than raised, but a modulus that is not strong
-    or a cone that is not pointed raises ValueError, and so do a malformed
-    epsilon (_require_tol) and a schedule that _step_grid refuses, each
-    before any evaluation.
+    The directions are +-u_i over the sampled unit directions of
+    _unit_directions(max(n_directions, 2)), the first max(n_directions, 2)
+    of them.  One linearity battery runs on all of them (_battery_vectors),
+    from one eval_batch call and at most one more for the estimates that do
+    not converge, and gives both the precondition and every D(h) with its
+    error bound: no family oracle is read.  Its failure, or an estimate that
+    does not converge, is reported as a failed precondition rather than
+    raised.  The schedule is fixed: the _step_grid of the default top step
+    for the smallest boundary clearance along the directions and 19 halvings
+    of it, whose residuals come from one more eval_batch call.  A modulus
+    that is not strong or a cone that is not pointed raises ValueError, and
+    so do a malformed epsilon (_require_tol) and a schedule that _step_grid
+    refuses, each before any evaluation.
     """
     _require_tol(tol=tol)
     x0 = _domain_point(f, x0, "test point")
@@ -842,62 +853,43 @@ def frechet_test(
         raise ValueError("epsilons must name at least one tolerance")
     _require_tol(**{f"epsilons[{i}]": eps for i, eps in enumerate(epsilons)})
     _at_least_one(n_directions=n_directions)
-    # antipodal pairs of sampled unit directions, at most max(n_directions, 2) in all
-    dirs = [v for u in _unit_directions(f, max(n_directions, 2), [seed])[0] for v in (u, -u)][: max(n_directions, 2)]
-    bd_min = float(f.domain.boundary_distance(x0, np.array(dirs)).min())
+    vectors, a, b = _battery_vectors(_unit_directions(f, max(n_directions, 2), [seed]))
+    # the residual reads the first max(n_directions, 2) of the +-u_i, which come before the sums
+    dirs = vectors[0, : min(max(n_directions, 2), vectors.shape[1] - a.size)]
+    bd_min = float(f.domain.boundary_distance(x0, dirs).min())
     t_schedule = _step_grid(bd_min, None, _RATIO, _FRECHET_LEVELS)
     e_star = strictly_positive_functional(spec.cone)
     radius = base_radius(spec.cone, e_star, norm_kind=f.codomain_norm)
-    try:
-        gtx = gateaux_test(f, spec, x0, n_directions=max(4, n_directions // 4), tol=tol, seed=seed)
-        failed = None if gtx.passed else (gtx.defect, "the point is not a linearity point")
-    except ConvergenceError as exc:
-        failed = (float("inf"), str(exc))
-    if failed is not None:
-        return FrechetReport(
-            x0=x0,
-            table=[],
-            residual_margin=float("-inf"),
-            max_base_norm=float("nan"),
-            base_radius=radius,
-            gateaux_defect=failed[0],
-            tol=tol,
-            seed=seed,
-            notes=f"precondition failed: {failed[1]}",
-        )
+    val, err, used, lengths, (error,) = _estimates(f, spec, x0[None], vectors, tol, True)
+    if error is None:
+        defect = max(0.0, max(excess for (excess,) in _gateaux_margins(spec, val, err, used, lengths, a, b).values()))
+    else:
+        defect = math.inf
+    report = functools.partial(FrechetReport, x0=x0, base_radius=radius, gateaux_defect=defect, tol=tol, seed=seed)
+    if not defect <= tol:
+        failed = "the point is not a linearity point" if error is None else str(error)
+        return report(table=[], residual_margin=-math.inf, max_base_norm=math.nan, notes=f"precondition failed: {failed}")
 
-    # D(h) from the oracle where there is one, else from one batch of estimates
-    d_vals = [known_directional(f, x0, u) for u in dirs]
-    d_errs = np.zeros(len(dirs))
-    missing = [i for i, val in enumerate(d_vals) if val is None]
-    if missing:
-        vals, errs = _point_estimates(f, spec, x0, [dirs[i] for i in missing], tol)
-        for j, i in enumerate(missing):
-            d_vals[i], d_errs[i] = vals[j], errs[j]
     # every direction's residuals on the schedule from one batch, one row per (direction, step)
-    q = _quotients(f, spec, x0, np.array(dirs), np.broadcast_to(t_schedule, (len(dirs), t_schedule.size)))
-    r = (q.corrected - np.array(d_vals)[:, None, :]).reshape(-1, q.f0.size)
-    allow = (q.noise + d_errs[:, None]).reshape(-1)
+    k = len(dirs)
+    q = _quotients(f, spec, x0, dirs, np.broadcast_to(t_schedule, (k, t_schedule.size)))
+    r = (q.corrected - val[0, :k, None, :]).reshape(-1, q.f0.size)
+    allow = (q.noise + err[0, :k, None]).reshape(-1)
     residual_margin = float(np.min((cone_margins(spec.cone, r) + allow) / _magnitude_scale(row_norms(r))))
     lam = matvec_rows(e_star[None, :], r)[:, 0]
     big = lam > tol
     max_base_norm = float(np.max(row_norms(r[big] / lam[big, None], f.codomain_norm), initial=0.0))
 
     table = []
-    max_lam_per_t = np.max(lam.reshape(len(dirs), -1), axis=0)
+    max_lam_per_t = np.max(lam.reshape(k, -1), axis=0)
     for eps in epsilons:
         # largest step whose entire finer suffix stays within eps
         suffix_ok = np.logical_and.accumulate((max_lam_per_t <= eps)[::-1])[::-1]
         delta = float(t_schedule[np.argmax(suffix_ok)]) if suffix_ok.any() else None
         table.append({"epsilon": float(eps), "delta": delta, "max_lambda": float(np.max(max_lam_per_t))})
-    return FrechetReport(
-        x0=x0,
+    return report(
         table=table,
-        residual_margin=float(residual_margin),
-        max_base_norm=float(max_base_norm),
-        base_radius=radius,
-        gateaux_defect=gtx.defect,
-        tol=tol,
-        seed=seed,
+        residual_margin=residual_margin,
+        max_base_norm=max_base_norm,
         notes="uniform residual decomposition over sampled directions",
     )

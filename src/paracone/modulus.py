@@ -32,15 +32,16 @@ class Modulus:
         _require_tol(scale=self.scale)
         _require_tol(positive=True, p=self.p)
         if self.kind == "table":
+            _require_tol(positive=True, **{f"knots[{i}][0]": t for i, (t, _) in enumerate(self.knots)})
+            _require_tol(**{f"knots[{i}][1]": v for i, (_, v) in enumerate(self.knots)})
             knots = tuple((float(t), float(v)) for t, v in self.knots)
             if not knots:
                 raise ValueError("table modulus needs at least one knot")
-            ts = np.array([t for t, _ in knots])
-            vs = np.array([v for _, v in knots])
-            if np.any(ts <= 0.0) or np.any(np.diff(ts) <= 0.0):
-                raise ValueError("table knots need strictly increasing positive gap values")
-            if np.any(vs < 0.0) or np.any(np.diff(vs) < -0.0):
-                raise ValueError("table values must be nonnegative and nondecreasing")
+            ts, vs = np.array(knots).T
+            if np.any(np.diff(ts) <= 0.0):
+                raise ValueError("table knots need strictly increasing gap values")
+            if np.any(np.diff(vs) < -0.0):
+                raise ValueError("table values must be nondecreasing")
             object.__setattr__(self, "knots", knots)
 
     @property

@@ -49,6 +49,7 @@ from paracone import (
     scalarize_check,
     smooth_r2_r3,
     square_modulus,
+    table_modulus,
     zero_modulus,
 )
 import paracone
@@ -267,8 +268,11 @@ def test_a_cone_with_no_supporting_rows_has_zero_margins():
 
 
 def test_sample_triple_validation():
-    with pytest.raises(ValueError):
+    # the number rule reads lam; the triple keeps its own upper end
+    with pytest.raises(ValueError, match=r"^mixing weight must lie in \[0, 1\]$"):
         SampleTriple(x=np.zeros(1), y=np.zeros(1), lam=1.5)
+    with pytest.raises(ValueError, match="^lam must be finite and >= 0, got -0.5$"):
+        SampleTriple(x=np.zeros(1), y=np.zeros(1), lam=-0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -1029,6 +1033,8 @@ def test_check_report_verdict_is_worst_margin_at_least_minus_tol():
     assert not FrechetReport(table=[], residual_margin=0.0, **frechet).passed
     assert not FrechetReport(table=[{**row, "delta": None}], residual_margin=0.0, **frechet).passed
     assert not FrechetReport(table=[row], residual_margin=-2e-6, **frechet).passed
+    # max_base_norm decides nothing: a base point rounded past the radius still passes on the residual rule
+    assert FrechetReport(table=[row], residual_margin=0.0, **{**frechet, "max_base_norm": 1.0 + 1e-5}).passed
 
 
 def test_worst_report_takes_the_first_of_tied_minima():
@@ -1237,6 +1243,15 @@ _BAD_ARGUMENTS = {
     "modulus-p-zero": ("p", _POSITIVE.format("p", 0.0), lambda f: power_modulus(0.0)),
     "modulus-p-nan": ("p", _POSITIVE.format("p", "nan"), lambda f: power_modulus(math.nan)),
     "modulus-p-inf": ("p", _POSITIVE.format("p", "inf"), lambda f: power_modulus(math.inf)),
+    # each table knot reads the rule, its position above 0, before float() converts it
+    "modulus-knot-position-nan": ("knots", _POSITIVE.format("knots[0][0]", "nan"), lambda f: table_modulus([(math.nan, 1.0)])),
+    "modulus-knot-value-inf": ("knots", _NUMBER.format("knots[0][1]", "inf"), lambda f: table_modulus([(1.0, math.inf)])),
+    "modulus-knot-position-bool": ("knots", _POSITIVE.format("knots[0][0]", True), lambda f: table_modulus([(True, 0.0)])),
+    "modulus-knot-value-bool": (
+        "knots",
+        _NUMBER.format("knots[0][1]", False),
+        lambda f: table_modulus([(0.5, False), (1.0, 1.0)]),
+    ),
     "stacked-C-bool": ("C", _NUMBER.format("C", True), lambda f: _stack(True)),
     "stacked-C-inf": ("C", _NUMBER.format("C", "inf"), lambda f: _stack(math.inf)),
     "stacked-C-negative": ("C", _NUMBER.format("C", -0.5), lambda f: _stack(-0.5)),
@@ -1253,6 +1268,9 @@ _BAD_ARGUMENTS = {
     "trace-depth-float": ("depth", _COUNT.format("depth", 2, 2.5), lambda f: build_trace(f, f.claimed, [0.2], [1.0], depth=2.5)),
     "trace-depth-bool": ("depth", _COUNT.format("depth", 2, True), lambda f: build_trace(f, f.claimed, [0.2], [1.0], depth=True)),
     "trace-depth-one": ("depth", _COUNT.format("depth", 2, 1), lambda f: build_trace(f, f.claimed, [0.2], [1.0], depth=1)),
+    "trace-t0-bool": ("t0", _POSITIVE.format("t0", True), lambda f: build_trace(f, f.claimed, [0.2], [1.0], t0=True, depth=3)),
+    "derivative-t0-bool": ("t0", _POSITIVE.format("t0", True), lambda f: directional_derivative(f, f.claimed, [0.2], [1.0], t0=True)),
+    "sample-triple-lam-bool": ("lam", _NUMBER.format("lam", True), lambda f: SampleTriple(x=[0.1], y=[0.2], lam=True)),
     "derivative-max-depth-float": (
         "max_depth",
         _COUNT.format("max_depth", 2, 3.5),

@@ -75,6 +75,31 @@ def test_one_function_of_derivative_runs_the_stop_rule():
     assert len(callers) == 1, callers
 
 
+def test_no_checker_reads_the_record():
+    """A family's ground truth is what a verdict is scored against, never
+    what it is computed from: no function outside mappings.py, the record's
+    home, reads its analytic derivative (analytic_directional, or
+    known_directional), and checks.py and derivative.py import neither; only
+    gateaux_scan reads the declared kinks (kink_locus), for its confusion
+    table; and only config.build_spec reads the claimed constants (claimed),
+    as the spec a config leaves out."""
+    modules = sorted(path.name for path in SRC_DIR.glob("*.py") if path.name != "mappings.py")
+    readers = {
+        name: [(module, function) for module in modules for function in _functions_reading(module, name)]
+        for name in ("analytic_directional", "known_directional", "kink_locus", "claimed")
+    }
+    assert readers == {
+        "analytic_directional": [],
+        "known_directional": [],
+        "kink_locus": [("derivative.py", "gateaux_scan")],
+        "claimed": [("config.py", "build_spec")],
+    }, readers
+    for module in ("checks.py", "derivative.py"):
+        tree = ast.parse((SRC_DIR / module).read_text())
+        imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for alias in node.names}
+        assert not imported & {"analytic_directional", "known_directional"}, module
+
+
 def test_one_function_of_geometry_audits_the_dual():
     """Every claim that rows are nonnegative on a cone meets one exact audit:
     a second function of geometry.py that reads _AUDIT_TOL is a second rule."""
@@ -365,7 +390,7 @@ _ARGUMENT_RULES = {
 # range checks of a scalar argument that neither number nor count rule holds, each kept for its reason
 _OWN_RANGES = {
     ("derivative.py", "_step_grid"): "ratio lies strictly between 0 and 1",
-    ("checks.py", "SampleTriple.__post_init__"): "a mixing weight lies in [0, 1]",
+    ("checks.py", "SampleTriple.__post_init__"): "a mixing weight is at most 1, above the number rule's 0",
 }
 
 
